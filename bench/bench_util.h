@@ -22,7 +22,7 @@ namespace hetex::bench {
 ///
 /// The paper's SF100 ("fits in aggregate GPU memory") and SF1000 ("must stream
 /// over PCIe") regimes are reproduced by scaling the dataset and the modeled GPU
-/// capacity together (DESIGN.md §1).
+/// capacity together.
 /// Dimension-row overrides for SsbBenchEnv (0 = scale-derived).
 struct DimSizes {
   uint64_t customer = 0;
@@ -35,7 +35,7 @@ class SsbBenchEnv {
   /// \param paper_sf the paper scale factor this environment reproduces; the
   ///        dataset is scaled to `scale`, and all *per-query* fixed costs
   ///        (router init, baseline startup) are scaled by scale/paper_sf so the
-  ///        fixed-cost-to-work ratio matches the paper's regime (DESIGN.md §1).
+  ///        fixed-cost-to-work ratio matches the paper's regime.
   SsbBenchEnv(double scale, double paper_sf, uint64_t gpu_capacity_bytes,
               DimSizes dims = {}, uint64_t host_arena_blocks = 768)
       : latency_scale_(scale / paper_sf) {
@@ -70,7 +70,7 @@ class SsbBenchEnv {
 
   /// Fig. 4 regime: the fact table is randomly partitioned across the GPUs'
   /// device memories (dimensions stay host-resident; they are broadcast at build
-  /// time and are a small fraction of the working set — see EXPERIMENTS.md).
+  /// time and are a small fraction of the working set).
   void PlaceFactOnGpus() {
     HETEX_CHECK_OK(system->catalog().at("lineorder").Place(system->GpuNodes(),
                                                            &system->memory()));

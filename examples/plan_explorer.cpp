@@ -16,6 +16,8 @@
 // It then runs the cost-based optimizer: the ranked candidate table shows each
 // enumerated plan's *estimated* virtual-time cost next to its *measured*
 // virtual time (every candidate is executed), with the picked plan marked.
+// For the picked plan it prints when each probe unit (CPU socket or GPU)
+// started: the time that unit's hash-table replicas were ready.
 //
 // Both modes open with the full fabric: every socket and GPU, per-link
 // type/bandwidth (PCIe, NVLink-class peer, inter-socket), peer adjacency, and
@@ -293,9 +295,13 @@ bool ReportOptimizer(core::System& system, core::System& reuse_sys,
   };
   std::vector<Row> rows;
   double best_measured = -1;
+  // Per probe unit, when the picked plan's probe instances started (their
+  // unit's hash-table replicas were ready).
+  std::vector<core::QueryResult::UnitReady> unit_ready;
   for (const auto& rc : opt.ranked) {
     const core::QueryResult r = executor.ExecutePlan(spec, rc.candidate.plan);
     const double measured = r.status.ok() ? r.modeled_seconds : -1;
+    if (rows.empty()) unit_ready = r.unit_ready;
     if (measured >= 0 && (best_measured < 0 || measured < best_measured)) {
       best_measured = measured;
     }
@@ -322,6 +328,11 @@ bool ReportOptimizer(core::System& system, core::System& reuse_sys,
                   rows[i].cand->cost.total, rows[i].measured,
                   i == 0 ? "true" : "false");
     }
+    std::printf("\n],\n\"unit_ready\": [");
+    for (size_t i = 0; i < unit_ready.size(); ++i) {
+      std::printf("%s\n  {\"unit\": \"%s\", \"start\": %.9f}", i == 0 ? "" : ",",
+                  unit_ready[i].unit.ToString().c_str(), unit_ready[i].start);
+    }
     std::printf("\n],\n\"reuse\": {\"shared_builds_first_run\": %d, "
                 "\"shared_attaches_second_run\": %d, "
                 "\"cache_hit_second_run\": %s, "
@@ -344,6 +355,11 @@ bool ReportOptimizer(core::System& system, core::System& reuse_sys,
                       ? " (measured best)"
                       : "");
     }
+    std::printf("probe-unit start (picked plan, hash tables ready):");
+    for (const auto& u : unit_ready) {
+      std::printf(" %s@%.6fs", u.unit.ToString().c_str(), u.start);
+    }
+    std::printf("\n");
     std::printf("serving-layer reuse (shared builds + result cache on):\n");
     std::printf("  run 1: built+published %d shared hash table(s)\n",
                 reuse.shared_builds_first);

@@ -77,6 +77,15 @@ struct QueryResult {
   int shared_builds = 0;
   int shared_attaches = 0;
   /// @}
+  /// Probe-stage readiness, one entry per probe unit (a CPU socket or a GPU)
+  /// in unit order: the session-local time its probe instances started, i.e.
+  /// the latest completion among the hash-table replicas they probe on that
+  /// unit. Answers "why did this device start late?" without a trace.
+  struct UnitReady {
+    sim::DeviceId unit;
+    sim::VTime start = 0;
+  };
+  std::vector<UnitReady> unit_ready;
 };
 
 /// Opaque handle to a query submitted to the concurrent scheduler.

@@ -1,6 +1,8 @@
 #include "core/graph_builder.h"
 
 #include <algorithm>
+#include <functional>
+#include <map>
 #include <memory>
 #include <numeric>
 #include <sstream>
@@ -433,18 +435,24 @@ struct RuntimeStage {
   std::unique_ptr<SourceDriver> source;
 };
 
+/// Session-local virtual time per CPU socket (phase boundaries differ per
+/// socket once each unit starts probing at its own hash-table readiness).
+using SocketTime = std::function<sim::VTime(int socket)>;
+
 /// Reserves one execution phase's concurrently-active CPU workers (per
-/// socket) as an interval on the cross-session DRAM timelines: the interval
-/// opens at the phase's session-local `start` and closes at the modeled end
-/// passed to Close(). Closed intervals persist, so any session overlapping
-/// this phase *in virtual time* divides its fluid share by these workers —
-/// and this query's own shares divide by theirs (see sim::DramServer). If the
-/// phase errors out before Close(), the destructor discards the reservation
-/// (a phase that never modeled work must not charge future sessions).
+/// socket) as an interval on the cross-session DRAM timelines: each socket's
+/// interval opens at its session-local `start(socket)` and closes at the
+/// modeled end passed to Close(). Closed intervals persist, so any session
+/// overlapping this phase *in virtual time* divides its fluid share by these
+/// workers — and this query's own shares divide by theirs (see
+/// sim::DramServer). If the phase errors out before Close(), the destructor
+/// discards the reservation (a phase that never modeled work must not charge
+/// future sessions).
 class DramPhaseGuard {
  public:
   DramPhaseGuard(sim::Topology* topo, const QuerySession& session,
-                 const std::vector<const StageSpec*>& stages, sim::VTime start)
+                 const std::vector<const StageSpec*>& stages,
+                 const SocketTime& start)
       : topo_(topo), epoch_(session.epoch) {
     std::map<int, int> workers;
     for (const StageSpec* stage : stages) {
@@ -455,14 +463,14 @@ class DramPhaseGuard {
     for (const auto& [socket, n] : workers) {
       if (n <= 0) continue;
       tokens_.emplace_back(socket, topo_->socket_dram(socket).Register(
-                                       session.query_id, epoch_ + start, n));
+                                       session.query_id, epoch_ + start(socket), n));
     }
   }
 
-  /// Closes the phase's intervals at session-local `end`.
-  void Close(sim::VTime end) {
+  /// Closes each socket's interval at session-local `end(socket)`.
+  void Close(const SocketTime& end) {
     for (const auto& [socket, token] : tokens_) {
-      topo_->socket_dram(socket).Release(token, epoch_ + end);
+      topo_->socket_dram(socket).Release(token, epoch_ + end(socket));
     }
     tokens_.clear();
   }
@@ -649,8 +657,8 @@ Status GraphBuilder::Run(QueryCompiler* compiler, QueryResult* result) {
   // predicate + key/payload schema + capacity + unit set) is resolved against
   // the registry's single-flight shared entries. The winner builds normally
   // into its own namespace and publishes; losers attach the published replicas
-  // into theirs and skip the build stage entirely, gating their probes on the
-  // build's absolute completion epoch instead.
+  // into theirs and skip the build stage entirely, gating each unit's probes
+  // on the absolute completion epoch of that unit's replica instead.
   struct SharedAcq {
     std::string key;
     std::string table;   ///< build table (stale-generation GC grouping)
@@ -661,7 +669,6 @@ Status GraphBuilder::Run(QueryCompiler* compiler, QueryResult* result) {
   };
   std::vector<SharedAcq> acqs;
   std::vector<const StageSpec*> exec_builds;  // stages this query runs itself
-  sim::VTime attach_ready = 0;  // max absolute completion of attached builds
 
   // Every unpublished build role is failed on exit, success or not: waiters
   // blocked on this query's in-flight shared builds must always wake, and the
@@ -764,7 +771,15 @@ Status GraphBuilder::Run(QueryCompiler* compiler, QueryResult* result) {
         break;  // unreachable: pass 2 returned
       case SharedBuildLease::Role::kAttach:
         hts.AttachShared(acq.key, session.query_id, stage.span.join_id);
-        attach_ready = sim::MaxT(attach_ready, acq.lease.ready_at);
+        // The key pins the unit set, so every instance's unit has a replica;
+        // its readiness is translated into this session's local time (a late
+        // arrival's negative time clamps to init_clock below: the artifact
+        // already exists, so it pays nothing).
+        for (const auto& dev : stage.instances) {
+          hts.NoteBuildDone(
+              session.query_id, dev,
+              acq.lease.ready_at.at(HtRegistry::UnitOf(dev)) - session.epoch);
+        }
         ++result->shared_attaches;
         break;
       case SharedBuildLease::Role::kBuild:
@@ -777,11 +792,12 @@ Status GraphBuilder::Run(QueryCompiler* compiler, QueryResult* result) {
     }
   }
 
-  // The build phase's DRAM interval opens at the modeled build start; it is
-  // closed (not discarded) once the probe watermark is known, so the interval
-  // [init_clock, probe_start) stays on the timeline for later sessions.
+  // The build phase's DRAM intervals open at the modeled build start; each
+  // socket's is closed (not discarded) at that socket's fact-phase start once
+  // the unit watermarks are known, so [init_clock, socket start) stays on the
+  // timeline for later sessions.
   DramPhaseGuard build_dram(&system_->topology(), session, exec_builds,
-                            init_clock);
+                            [&](int) { return init_clock; });
   {
     std::vector<RuntimeStage> builds;
     for (const StageSpec* stage_ptr : exec_builds) {
@@ -801,8 +817,9 @@ Status GraphBuilder::Run(QueryCompiler* compiler, QueryResult* result) {
       rt.cfg->pipeline = compiler->CompileSpan(stage.span, nullptr);
       rt.group = std::make_unique<WorkerGroup>(
           system_, stage.instances, FactoryFor(rt.cfg.get()), nullptr,
-          channel_capacity, init_clock, session.epoch, session.query_id,
-          session.control);
+          channel_capacity,
+          std::vector<sim::VTime>(stage.instances.size(), init_clock),
+          session.epoch, session.query_id, session.control);
       rt.edge = std::make_unique<Edge>(system_, session_edge_options(stage),
                                        rt.group->instance_ptrs());
       Status st = make_source(stage, *rt.cfg, rt.edge.get(), init_clock,
@@ -830,8 +847,16 @@ Status GraphBuilder::Run(QueryCompiler* compiler, QueryResult* result) {
         if (acq.lease.role != SharedBuildLease::Role::kBuild) continue;
         for (size_t i = 0; i < exec_builds.size(); ++i) {
           if (exec_builds[i] != acq.stage) continue;
+          // One build instance per unit: its clock is that replica's
+          // completion.
+          WorkerGroup& group = *builds[i].group;
+          std::map<int, sim::VTime> ready_at;
+          for (int k = 0; k < group.size(); ++k) {
+            ready_at[HtRegistry::UnitOf(group.instance(k).device())] =
+                session.epoch + group.instance(k).clock();
+          }
           hts.PublishShared(acq.key, session.query_id, acq.stage->span.join_id,
-                            session.epoch + builds[i].group->max_end());
+                            std::move(ready_at));
           acq.published = true;
           break;
         }
@@ -839,17 +864,55 @@ Status GraphBuilder::Run(QueryCompiler* compiler, QueryResult* result) {
     }
   }
 
-  // Probe-side clocks start at the hash-table completion watermark; attached
-  // builds gate at their absolute completion epoch, translated into this
-  // session's local time (clamped at zero for late arrivals — the artifact
-  // already exists, so they pay nothing).
-  const sim::VTime probe_start =
-      sim::MaxT(sim::MaxT(init_clock, hts.build_done(session.query_id)),
-                attach_ready - session.epoch);
-  // Half-open intervals: the build phase ends exactly where the fact phase
-  // starts, so this query's fact-stage blocks never overlap (and never get
-  // charged for) its own closed build interval.
-  build_dram.Close(probe_start);
+  // Each probe instance starts when the replicas on its own unit are ready
+  // (built here, or attached: NoteBuildDone above), so CPU sockets need not
+  // idle while the GPUs' tables still cross PCIe; the load-balance router
+  // steers early fact blocks to the instances already running. Every other
+  // fact-side clock — the segmenter, filter and gather stages — starts at the
+  // earliest probe unit's start.
+  auto unit_ready = [&](sim::DeviceId dev) {
+    return sim::MaxT(init_clock, hts.build_done(session.query_id, dev));
+  };
+  const size_t n_fact = spec_.fact_stages.size();
+  std::vector<std::vector<sim::VTime>> starts(n_fact);
+  std::map<int, QueryResult::UnitReady> probe_units;  // unit key -> readiness
+  for (size_t i = 0; i < n_fact; ++i) {
+    const StageSpec& stage = spec_.fact_stages[i];
+    if (stage.span.role != PipelineSpan::Role::kProbe) continue;
+    for (const auto& dev : stage.instances) {
+      starts[i].push_back(unit_ready(dev));
+      probe_units[HtRegistry::UnitOf(dev)] = {dev, starts[i].back()};
+    }
+  }
+  const auto earliest = std::min_element(
+      probe_units.begin(), probe_units.end(),
+      [](const auto& a, const auto& b) { return a.second.start < b.second.start; });
+  const sim::VTime fact_start =
+      earliest != probe_units.end() ? earliest->second.start : init_clock;
+  for (const auto& [unit, ready] : probe_units) result->unit_ready.push_back(ready);
+
+  // Per socket, the fact phase starts with its earliest instance. The build
+  // interval closes exactly there — half-open intervals, so this query's
+  // fact-stage blocks never overlap (and never get charged for) its own
+  // closed build interval. A socket with builds but no fact workers closes at
+  // its own replicas' readiness.
+  std::map<int, sim::VTime> socket_start;
+  for (size_t i = 0; i < n_fact; ++i) {
+    const StageSpec& stage = spec_.fact_stages[i];
+    if (starts[i].empty()) starts[i].assign(stage.instances.size(), fact_start);
+    for (size_t k = 0; k < stage.instances.size(); ++k) {
+      if (!stage.instances[k].is_cpu()) continue;
+      auto [it, fresh] =
+          socket_start.emplace(stage.instances[k].index, starts[i][k]);
+      if (!fresh) it->second = std::min(it->second, starts[i][k]);
+    }
+  }
+  const SocketTime phase_boundary = [&](int socket) {
+    auto it = socket_start.find(socket);
+    return it != socket_start.end() ? it->second
+                                    : unit_ready(sim::DeviceId::Cpu(socket));
+  };
+  build_dram.Close(phase_boundary);
 
   // -------------------------------------------------------------- fact stages
   std::vector<CompiledPipeline> pipelines;
@@ -863,7 +926,7 @@ Status GraphBuilder::Run(QueryCompiler* compiler, QueryResult* result) {
   std::vector<const StageSpec*> fact_stage_ptrs;
   for (const StageSpec& stage : spec_.fact_stages) fact_stage_ptrs.push_back(&stage);
   DramPhaseGuard dram(&system_->topology(), session, fact_stage_ptrs,
-                      probe_start);
+                      phase_boundary);
   std::vector<RuntimeStage> stages;
   Edge* downstream = nullptr;
   for (size_t i = 0; i < spec_.fact_stages.size(); ++i) {
@@ -878,13 +941,13 @@ Status GraphBuilder::Run(QueryCompiler* compiler, QueryResult* result) {
     }
     rt.group = std::make_unique<WorkerGroup>(
         system_, stage.instances, FactoryFor(rt.cfg.get()), downstream,
-        channel_capacity, probe_start, session.epoch, session.query_id,
-        session.control);
+        channel_capacity, std::move(starts[i]), session.epoch,
+        session.query_id, session.control);
     rt.edge = std::make_unique<Edge>(system_, session_edge_options(stage),
                                      rt.group->instance_ptrs());
     downstream = rt.edge.get();
     if (stage.in.segmenter != -1) {
-      Status st = make_source(stage, *rt.cfg, rt.edge.get(), probe_start,
+      Status st = make_source(stage, *rt.cfg, rt.edge.get(), fact_start,
                               &rt.source);
       if (!st.ok()) return st;
     }
@@ -910,7 +973,7 @@ Status GraphBuilder::Run(QueryCompiler* compiler, QueryResult* result) {
   result->rows = sink.TakeRows();
   result->modeled_seconds =
       sim::MaxT(sink.done_at(), stages.front().group->max_end());
-  dram.Close(result->modeled_seconds);
+  dram.Close([&](int) { return result->modeled_seconds; });
   for (auto& rt : stages) result->stats.Add(rt.group->total_stats());
   return Status::OK();
 }

@@ -57,7 +57,8 @@ struct LoweredSpec {
 /// pipeline spans and exchange edges using only the operators and the parameters
 /// BuildHetPlan stamped on them; Run() instantiates SourceDrivers, Edges and
 /// WorkerGroups from that spec and orchestrates the phased execution (builds
-/// concurrently, then the fact graph gated on the hash-table watermark). Any
+/// concurrently, then the fact graph, each probe instance gated on the
+/// hash-table replicas of its own unit). Any
 /// plan shape whose spans classify — split filter/probe stages, per-edge
 /// policy/placement/granularity mutations — runs without executor changes.
 ///

@@ -43,7 +43,8 @@ void HtRegistry::DropQuery(uint64_t query) {
   // registered under its content key stays live for future attachers.
   tables_.erase(tables_.lower_bound(Key{query, kIntMin, kIntMin}),
                 tables_.lower_bound(Key{query + 1, kIntMin, kIntMin}));
-  build_done_.erase(query);
+  build_done_.erase(build_done_.lower_bound({query, kIntMin}),
+                    build_done_.lower_bound({query + 1, kIntMin}));
 }
 
 void HtRegistry::EvictStaleLocked(const std::string& table, uint64_t epoch) {
@@ -80,7 +81,7 @@ SharedBuildLease HtRegistry::AcquireShared(const std::string& content_key,
       entry.table = table;
       entry.epoch = mutation_epoch;
       ++shared_stats_.builds;
-      return SharedBuildLease{SharedBuildLease::Role::kBuild, 0};
+      return SharedBuildLease{SharedBuildLease::Role::kBuild, {}};
     }
     SharedEntry& entry = it->second;
     switch (entry.state) {
@@ -95,12 +96,12 @@ SharedBuildLease HtRegistry::AcquireShared(const std::string& content_key,
         entry.replicas.clear();
         ++shared_stats_.builds;
         ++shared_stats_.failovers;
-        return SharedBuildLease{SharedBuildLease::Role::kBuild, 0};
+        return SharedBuildLease{SharedBuildLease::Role::kBuild, {}};
       case SharedEntry::State::kBuilding:
         if (entry.builder == query) {
           // A query cannot wait for its own in-flight build (two joins of one
           // query sharing a content key): fall back to a private build.
-          return SharedBuildLease{SharedBuildLease::Role::kPrivate, 0};
+          return SharedBuildLease{SharedBuildLease::Role::kPrivate, {}};
         }
         break;
     }
@@ -109,7 +110,7 @@ SharedBuildLease HtRegistry::AcquireShared(const std::string& content_key,
          control->deadline_hit.load(std::memory_order_relaxed))) {
       // A dead query must not keep holding its admission slot against another
       // query's in-flight build: deadline expiry bails out like cancellation.
-      return SharedBuildLease{SharedBuildLease::Role::kCancelled, 0};
+      return SharedBuildLease{SharedBuildLease::Role::kCancelled, {}};
     }
     // Bounded wait so a cancelled waiter re-checks its control flags even when
     // no publish/fail notification arrives.
@@ -118,7 +119,8 @@ SharedBuildLease HtRegistry::AcquireShared(const std::string& content_key,
 }
 
 void HtRegistry::PublishShared(const std::string& content_key, uint64_t query,
-                               int join_id, sim::VTime ready_at) {
+                               int join_id,
+                               std::map<int, sim::VTime> ready_at) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = shared_.find(content_key);
@@ -135,7 +137,12 @@ void HtRegistry::PublishShared(const std::string& content_key, uint64_t query,
     }
     HETEX_CHECK(!entry.replicas.empty())
         << "publish with no built replicas for key " << content_key;
-    entry.ready_at = ready_at;
+    for (const auto& [unit, ht] : entry.replicas) {
+      HETEX_CHECK(ready_at.count(unit) != 0)
+          << "publish without a ready time for unit " << unit << " of key "
+          << content_key;
+    }
+    entry.ready_at = std::move(ready_at);
     entry.state = SharedEntry::State::kReady;
   }
   shared_cv_.notify_all();
@@ -150,6 +157,7 @@ void HtRegistry::FailShared(const std::string& content_key) {
         << "fail without an in-flight build for key " << content_key;
     it->second.state = SharedEntry::State::kFailed;
     it->second.replicas.clear();
+    it->second.ready_at.clear();
   }
   shared_cv_.notify_all();
 }

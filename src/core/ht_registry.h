@@ -26,10 +26,11 @@ struct SharedBuildLease {
     kCancelled,  ///< caller was cancelled while waiting for an in-flight build
   };
   Role role = Role::kPrivate;
-  /// kAttach only: absolute virtual time the build completed at. Attachers
-  /// arriving earlier wait until this epoch (charged to their modeled
-  /// latency); attachers arriving later pay nothing — the artifact exists.
-  sim::VTime ready_at = 0;
+  /// kAttach only: absolute virtual time each unit's replica completed at
+  /// (unit key -> time). An attacher's probes on a unit wait for that unit's
+  /// replica only (charged to their modeled latency); attachers arriving
+  /// later pay nothing — the artifact exists.
+  std::map<int, sim::VTime> ready_at;
 };
 
 /// \brief Join hash tables shared between build and probe pipelines, keyed by
@@ -39,9 +40,10 @@ struct SharedBuildLease {
 /// The registry is System-owned and shared by every in-flight query, so keys
 /// carry the owning query id: two concurrent queries joining the same dimension
 /// table build into disjoint namespaces instead of colliding on (join id, unit).
-/// The per-query build-completion watermark (the virtual time probe pipelines
-/// gate on) is namespaced the same way. `DropQuery` releases a finished query's
-/// tables and watermark.
+/// The build-completion watermarks are kept per (query, unit): a probe
+/// instance starts when the replicas on its own unit are built, not when the
+/// slowest unit's are. `DropQuery` releases a finished query's tables and
+/// watermarks.
 ///
 /// \par Shared-build promotion (cross-query reuse)
 /// When the serving layer enables it, read-only replica sets are additionally
@@ -67,18 +69,21 @@ class HtRegistry {
                              int payload_width);
   jit::JoinHashTable* Get(uint64_t query, int join_id, sim::DeviceId unit) const;
 
-  void NoteBuildDone(uint64_t query, sim::VTime t) {
+  /// Raises `query`'s watermark on `dev`'s unit to session-local time `t`:
+  /// a replica on that unit is complete (built, or attached and ready) at `t`.
+  void NoteBuildDone(uint64_t query, sim::DeviceId dev, sim::VTime t) {
     std::lock_guard<std::mutex> lock(mu_);
-    sim::VTime& done = build_done_[query];
+    sim::VTime& done = build_done_[{query, UnitOf(dev)}];
     done = sim::MaxT(done, t);
   }
-  sim::VTime build_done(uint64_t query) const {
+  /// Latest completion among `query`'s replicas on `dev`'s unit (0 if none).
+  sim::VTime build_done(uint64_t query, sim::DeviceId dev) const {
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = build_done_.find(query);
+    auto it = build_done_.find({query, UnitOf(dev)});
     return it != build_done_.end() ? it->second : 0.0;
   }
 
-  /// Releases every hash table (alias) and the watermark of a finished query.
+  /// Releases every hash table (alias) and the watermarks of a finished query.
   void DropQuery(uint64_t query);
 
   /// \name Shared-build promotion
@@ -107,9 +112,10 @@ class HtRegistry {
 
   /// Builder success: shares the replicas `query` built for `join_id` under
   /// the key (the builder's own namespace keeps its aliases) and wakes the
-  /// waiters. `ready_at` is the absolute virtual completion of the build.
+  /// waiters. `ready_at` maps each replica's unit key to the absolute virtual
+  /// time that replica completed at; it must cover every published replica.
   void PublishShared(const std::string& content_key, uint64_t query,
-                     int join_id, sim::VTime ready_at);
+                     int join_id, std::map<int, sim::VTime> ready_at);
 
   /// Builder failure: marks the entry failed and wakes the waiters; the first
   /// to re-acquire is promoted to builder (counted as a failover).
@@ -142,7 +148,7 @@ class HtRegistry {
     enum class State { kBuilding, kReady, kFailed };
     State state = State::kBuilding;
     uint64_t builder = 0;  ///< query currently holding the build role
-    sim::VTime ready_at = 0;
+    std::map<int, sim::VTime> ready_at;  // unit -> absolute completion
     std::string table;   ///< source table the content key embeds (GC grouping)
     uint64_t epoch = 0;  ///< table mutation epoch the replicas were built at
     std::map<int, std::shared_ptr<jit::JoinHashTable>> replicas;  // unit -> ht
@@ -159,7 +165,7 @@ class HtRegistry {
   mutable std::mutex mu_;
   std::condition_variable shared_cv_;
   std::map<Key, std::shared_ptr<jit::JoinHashTable>> tables_;
-  std::map<uint64_t, sim::VTime> build_done_;
+  std::map<std::pair<uint64_t, int>, sim::VTime> build_done_;  // (query, unit)
   std::map<std::string, SharedEntry> shared_;
   SharedStats shared_stats_;
 };

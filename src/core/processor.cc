@@ -339,7 +339,7 @@ void VmProcessor::Finish(WorkerInstance& inst) {
   }
   switch (cfg_->role) {
     case StageConfig::Role::kBuild:
-      cfg_->hts->NoteBuildDone(cfg_->query_id, inst.clock());
+      cfg_->hts->NoteBuildDone(cfg_->query_id, inst.device(), inst.clock());
       break;
 
     case StageConfig::Role::kFilterStage: {

@@ -331,14 +331,17 @@ void Edge::Push(DataMsg msg, sim::MemNodeId producer_node) {
 
 WorkerGroup::WorkerGroup(System* system, std::vector<sim::DeviceId> devices,
                          ProcessorFactory factory, Edge* out,
-                         size_t channel_capacity, sim::VTime initial_clock,
+                         size_t channel_capacity,
+                         std::vector<sim::VTime> start_clocks,
                          sim::VTime epoch, uint64_t query_id,
                          const QueryControl* control)
     : system_(system),
       factory_(std::move(factory)),
       out_(out),
       control_(control),
-      initial_clock_(initial_clock) {
+      start_clocks_(std::move(start_clocks)) {
+  HETEX_CHECK(start_clocks_.size() == devices.size())
+      << "worker group needs one start clock per device";
   int id = 0;
   for (const auto& dev : devices) {
     instances_.push_back(std::make_unique<WorkerInstance>(
@@ -360,7 +363,7 @@ void WorkerGroup::Start() {
     if (inst->device().is_cpu()) socket_workers[inst->device().index] += 1;
   }
   for (auto& inst : instances_) {
-    inst->set_clock(initial_clock_);
+    inst->set_clock(start_clocks_[inst->id()]);
     if (inst->device().is_cpu()) {
       static_cast<jit::CpuProvider&>(inst->provider())
           .set_socket_concurrency(socket_workers[inst->device().index]);

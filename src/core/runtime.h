@@ -206,12 +206,13 @@ using ProcessorFactory =
     std::function<std::unique_ptr<BlockProcessor>(WorkerInstance&)>;
 
 /// \brief A group of identically-programmed pipeline instances (one per device in
-/// `devices`), each consuming from its own channel.
+/// `devices`), each consuming from its own channel. Instance i starts at
+/// session-local virtual time `start_clocks[i]` (one entry per device).
 class WorkerGroup {
  public:
   WorkerGroup(System* system, std::vector<sim::DeviceId> devices,
               ProcessorFactory factory, Edge* out, size_t channel_capacity,
-              sim::VTime initial_clock, sim::VTime epoch = 0.0,
+              std::vector<sim::VTime> start_clocks, sim::VTime epoch = 0.0,
               uint64_t query_id = 0, const QueryControl* control = nullptr);
 
   void Start();
@@ -232,7 +233,7 @@ class WorkerGroup {
   ProcessorFactory factory_;
   Edge* out_;
   const QueryControl* control_ = nullptr;
-  sim::VTime initial_clock_;
+  std::vector<sim::VTime> start_clocks_;
   std::vector<std::unique_ptr<WorkerInstance>> instances_;
   std::vector<std::thread> threads_;
   sim::VTime max_end_ = 0;

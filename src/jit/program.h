@@ -14,7 +14,7 @@ namespace hetex::jit {
 /// \brief Instruction set of the pipeline register machine.
 ///
 /// This is the lowering target of the produce()/consume() code generation — the
-/// stand-in for LLVM IR in this reproduction (see DESIGN.md §1). A pipeline's
+/// stand-in for LLVM IR in this reproduction. A pipeline's
 /// operators are fused into one straight-line program executed once per tuple;
 /// all intermediate values live in VM registers (register pipelining), and the
 /// only materialization points are Emit (into the pipeline's output block) and

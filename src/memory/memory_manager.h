@@ -37,7 +37,7 @@ class MemoryManager {
   void Free(void* ptr);
 
   /// Charges modeled capacity without physically allocating (used when a scaled
-  /// benchmark wants a full-scale footprint model; see DESIGN.md §1).
+  /// benchmark wants a full-scale footprint model).
   Status ChargeModeled(uint64_t bytes);
   void ReleaseModeled(uint64_t bytes);
 

@@ -1037,6 +1037,13 @@ Result<CostEstimate> PlanCoster::Cost(const HetPlan& plan) const {
   }
 
   est.probe = fact_phase + latency_constants;
+  // The build phase is a global barrier here on purpose: the runtime starts
+  // each probe unit at its own replicas' readiness, so this sum is an upper
+  // bound on it. Mirroring the per-unit starts (seeding DistributeBlocks with
+  // each unit's build completion) was tried: it flipped near-tie block-size
+  // picks (b512 -> b2048 on Q2.1/Q3.3/Q3.4) and cost 0.7% modeled time on
+  // the PCIe-streaming SSB workload. Coster/runtime symmetry belongs to one
+  // shared plan analysis, not to a second hand mirror.
   est.total = est.init + est.build + est.probe + est.gather;
   return est;
 }

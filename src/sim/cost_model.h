@@ -99,7 +99,7 @@ class CostModel {
   /// Scales every fixed latency by `f`, leaving bandwidths and per-tuple costs
   /// untouched. Benchmarks that scale the paper's datasets down by a factor use
   /// this to keep the fixed-cost-to-work ratio of the original regime, making
-  /// the simulation a self-similar miniature (DESIGN.md §1).
+  /// the simulation a self-similar miniature.
   void ScaleFixedLatencies(double f) {
     dma_latency *= f;
     peer_dma_latency *= f;

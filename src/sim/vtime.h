@@ -11,8 +11,7 @@ namespace hetex::sim {
 /// every block of data carries the virtual timestamp at which it becomes available
 /// (`ready_at`), every execution context (pipeline instance, GPU stream, DMA
 /// channel) owns a clock, and processing a block advances
-/// `max(clock, block.ready_at)` by the modeled cost of the work. See
-/// DESIGN.md §4.1.
+/// `max(clock, block.ready_at)` by the modeled cost of the work.
 using VTime = double;
 
 inline VTime MaxT(VTime a, VTime b) { return std::max(a, b); }

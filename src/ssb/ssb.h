@@ -15,11 +15,11 @@ namespace hetex::ssb {
 /// Faithful to O'Neil et al.'s SSB schema and predicate structure (the paper's
 /// benchmark, §6): lineorder fact table with date/customer/supplier/part
 /// dimensions, selectivities driven by the same dimensional predicates. String
-/// attributes are order-preserving dictionary codes (DESIGN.md §5); brand
+/// attributes are order-preserving dictionary codes; brand
 /// sequence numbers are zero-padded so lexicographic order matches numeric order.
 ///
 /// Scale: lineorder has scale * 6,000,000 rows (SF1 = 6M). The evaluation scales
-/// the paper's SF100/SF1000 regimes down proportionally (DESIGN.md §1).
+/// the paper's SF100/SF1000 regimes down proportionally.
 class Ssb {
  public:
   struct Options {
@@ -28,8 +28,7 @@ class Ssb {
     uint64_t lineorder_rows = 0;  ///< override (tests); 0 = scale * 6M
     /// Dimension-size overrides (0 = scale-derived). Scaled-down miniatures can
     /// keep the *paper-scale* hash-table size classes (cache- vs DRAM-resident)
-    /// by scaling dimensions less aggressively than the fact table; see
-    /// EXPERIMENTS.md.
+    /// by scaling dimensions less aggressively than the fact table.
     uint64_t customer_rows = 0;
     uint64_t supplier_rows = 0;
     uint64_t part_rows = 0;

@@ -11,8 +11,7 @@
 namespace hetex::storage {
 
 /// Physical column types. Strings are stored as order-preserving dictionary codes
-/// (kInt32) with the Dictionary kept alongside — standard columnar practice; see
-/// DESIGN.md §5.
+/// (kInt32) with the Dictionary kept alongside — standard columnar practice.
 enum class ColType { kInt32, kInt64 };
 
 inline uint32_t ColWidth(ColType t) { return t == ColType::kInt32 ? 4 : 8; }

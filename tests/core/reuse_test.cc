@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -55,13 +56,17 @@ TEST(ReuseTest, SingleFlightDedupUnderRace) {
             query, /*join_id=*/0, sim::DeviceId::Cpu(0), Cpu0Memory(env),
             /*capacity=*/64, /*payload_width=*/1);
         ASSERT_NE(ht, nullptr);
-        registry.PublishShared(key, query, /*join_id=*/0, kBuildDone);
+        const int unit = HtRegistry::UnitOf(sim::DeviceId::Cpu(0));
+        registry.PublishShared(key, query, /*join_id=*/0, {{unit, kBuildDone}});
       } else {
         ASSERT_EQ(lease.role, SharedBuildLease::Role::kAttach);
         attaches.fetch_add(1);
         // Virtual-time gate: every attacher observes the build's completion
         // epoch, regardless of when it won the race to the registry.
-        if (lease.ready_at != kBuildDone) bad_ready_at.fetch_add(1);
+        if (lease.ready_at.at(HtRegistry::UnitOf(sim::DeviceId::Cpu(0))) !=
+            kBuildDone) {
+          bad_ready_at.fetch_add(1);
+        }
         EXPECT_GT(registry.AttachShared(key, query, /*join_id=*/7), 0);
         EXPECT_NE(registry.Get(query, 7, sim::DeviceId::Cpu(0)), nullptr);
       }
@@ -76,6 +81,28 @@ TEST(ReuseTest, SingleFlightDedupUnderRace) {
   EXPECT_EQ(stats.builds, 1u);
   EXPECT_EQ(stats.attaches, static_cast<uint64_t>(kThreads - 1));
   EXPECT_EQ(stats.failovers, 0u);
+}
+
+TEST(ReuseTest, AttacherSeesEachUnitsOwnReadyAt) {
+  // A replica set publishes one completion per unit; an attacher gates each
+  // unit on its own replica, not on the slowest one.
+  test::TestEnv env(4'000);
+  HtRegistry registry;
+  const std::string key = "dim@0;per-unit-test";
+  const int cpu0 = HtRegistry::UnitOf(sim::DeviceId::Cpu(0));
+  const int gpu0 = HtRegistry::UnitOf(sim::DeviceId::Gpu(0));
+  ASSERT_EQ(registry.AcquireShared(key, 1, nullptr).role,
+            SharedBuildLease::Role::kBuild);
+  registry.Create(1, 0, sim::DeviceId::Cpu(0), Cpu0Memory(env), 64, 1);
+  registry.Create(1, 0, sim::DeviceId::Gpu(0), Cpu0Memory(env), 64, 1);
+  registry.PublishShared(key, 1, 0, {{cpu0, 2.0}, {gpu0, 5.0}});
+
+  const SharedBuildLease lease = registry.AcquireShared(key, 2, nullptr);
+  ASSERT_EQ(lease.role, SharedBuildLease::Role::kAttach);
+  EXPECT_EQ(lease.ready_at, (std::map<int, sim::VTime>{{cpu0, 2.0}, {gpu0, 5.0}}));
+  EXPECT_EQ(registry.AttachShared(key, 2, /*join_id=*/3), 2);
+  EXPECT_EQ(registry.Get(2, 3, sim::DeviceId::Cpu(0)),
+            registry.Get(1, 0, sim::DeviceId::Cpu(0)));
 }
 
 TEST(ReuseTest, FailedBuildPromotesExactlyOneWaiter) {
@@ -98,7 +125,8 @@ TEST(ReuseTest, FailedBuildPromotesExactlyOneWaiter) {
       if (lease.role == SharedBuildLease::Role::kBuild) {
         builds.fetch_add(1);
         registry.Create(query, 0, sim::DeviceId::Cpu(0), Cpu0Memory(env), 64, 1);
-        registry.PublishShared(key, query, 0, /*ready_at=*/1.0);
+        registry.PublishShared(key, query, 0,
+                               {{HtRegistry::UnitOf(sim::DeviceId::Cpu(0)), 1.0}});
       } else {
         ASSERT_EQ(lease.role, SharedBuildLease::Role::kAttach);
         attaches.fetch_add(1);
@@ -165,7 +193,8 @@ TEST(ReuseTest, StaleGenerationEvictedOnNewEpochAcquire) {
   ASSERT_EQ(registry.AcquireShared("dim@0;gc-test", 1, nullptr, "dim", 0).role,
             SharedBuildLease::Role::kBuild);
   registry.Create(1, 0, sim::DeviceId::Cpu(0), Cpu0Memory(env), 64, 1);
-  registry.PublishShared("dim@0;gc-test", 1, 0, /*ready_at=*/1.0);
+  registry.PublishShared("dim@0;gc-test", 1, 0,
+                         {{HtRegistry::UnitOf(sim::DeviceId::Cpu(0)), 1.0}});
   EXPECT_EQ(registry.NumSharedEntries(), 1);
 
   ASSERT_EQ(registry.AcquireShared("dim@1;gc-test", 2, nullptr, "dim", 1).role,
@@ -292,6 +321,41 @@ TEST(ReuseTest, SharedBuildsConcurrentSameJoinQueriesParity) {
   EXPECT_EQ(attaches, (kQueries - 1) * n_joins);
   EXPECT_EQ(env.system->hts().NumSharedEntries(), n_joins);
   for (auto& h : handles) (void)h;  // namespaces dropped on completion
+}
+
+TEST(ReuseTest, AttachingQueryStartsEachProbeUnitAtItsReplica) {
+  // End to end: two hybrid queries arrive together with shared builds on.
+  // One builds and publishes per-unit completions, the other attaches; both
+  // start every probe unit at that unit's own replica, so the attacher's
+  // per-unit readiness equals the builder's — and the units differ (the GPU
+  // replicas cross PCIe, the sockets' do not).
+  test::TestEnv env(8'000, 2, 2, SharedOnly());
+  const plan::QuerySpec spec = env.ssb->Query(2, 1);
+  core::QueryScheduler scheduler(env.system.get(), {.max_concurrent = 2});
+  core::SubmitOptions pinned;
+  pinned.policy = test::TestEnv::Tune(plan::ExecPolicy::Hybrid());
+  core::QueryHandle ha = scheduler.Submit(spec, pinned);
+  core::QueryHandle hb = scheduler.Submit(spec, pinned);
+  core::QueryResult ra = scheduler.Wait(ha);
+  core::QueryResult rb = scheduler.Wait(hb);
+  ASSERT_TRUE(ra.status.ok()) << ra.status.ToString();
+  ASSERT_TRUE(rb.status.ok()) << rb.status.ToString();
+  ASSERT_EQ(ra.session_epoch, rb.session_epoch);
+  const core::QueryResult& builder = ra.shared_builds > 0 ? ra : rb;
+  const core::QueryResult& attacher = ra.shared_builds > 0 ? rb : ra;
+  ASSERT_GT(attacher.shared_attaches, 0);
+  ASSERT_EQ(builder.unit_ready.size(), 4u);  // 2 sockets + 2 GPUs
+  ASSERT_EQ(attacher.unit_ready.size(), builder.unit_ready.size());
+  sim::VTime earliest = builder.unit_ready[0].start;
+  sim::VTime latest = earliest;
+  for (size_t i = 0; i < builder.unit_ready.size(); ++i) {
+    EXPECT_EQ(attacher.unit_ready[i].unit, builder.unit_ready[i].unit);
+    EXPECT_DOUBLE_EQ(attacher.unit_ready[i].start, builder.unit_ready[i].start)
+        << builder.unit_ready[i].unit.ToString();
+    earliest = std::min(earliest, builder.unit_ready[i].start);
+    latest = std::max(latest, builder.unit_ready[i].start);
+  }
+  EXPECT_LT(earliest, latest) << "every unit gated on one global watermark";
 }
 
 TEST(ReuseTest, OppositeBuildOrderQueriesDoNotDeadlock) {

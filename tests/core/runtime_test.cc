@@ -89,7 +89,7 @@ class RuntimeTest : public ::testing::Test {
 
 TEST_F(RuntimeTest, RoundRobinDistributesEvenly) {
   WorkerGroup group(&system_, {sim::DeviceId::Cpu(0), sim::DeviceId::Cpu(1)},
-                    Recorder(), nullptr, 8, 0.0);
+                    Recorder(), nullptr, 8, {0.0, 0.0});
   Edge::Options opts;
   opts.policy = Edge::Policy::kRoundRobin;
   Edge edge(&system_, opts, group.instance_ptrs());
@@ -100,7 +100,7 @@ TEST_F(RuntimeTest, RoundRobinDistributesEvenly) {
 
 TEST_F(RuntimeTest, HashPolicyRoutesByTag) {
   WorkerGroup group(&system_, {sim::DeviceId::Cpu(0), sim::DeviceId::Cpu(1)},
-                    Recorder(), nullptr, 8, 0.0);
+                    Recorder(), nullptr, 8, {0.0, 0.0});
   Edge::Options opts;
   opts.policy = Edge::Policy::kHash;
   Edge edge(&system_, opts, group.instance_ptrs());
@@ -111,7 +111,7 @@ TEST_F(RuntimeTest, HashPolicyRoutesByTag) {
 
 TEST_F(RuntimeTest, BroadcastReachesEveryConsumer) {
   WorkerGroup group(&system_, {sim::DeviceId::Cpu(0), sim::DeviceId::Cpu(1)},
-                    Recorder(), nullptr, 8, 0.0);
+                    Recorder(), nullptr, 8, {0.0, 0.0});
   Edge::Options opts;
   opts.policy = Edge::Policy::kBroadcast;
   Edge edge(&system_, opts, group.instance_ptrs());
@@ -129,7 +129,7 @@ TEST_F(RuntimeTest, BroadcastReachesEveryConsumer) {
 
 TEST_F(RuntimeTest, MemMoveCopiesToGpuAndAttachesTicket) {
   WorkerGroup group(&system_, {sim::DeviceId::Gpu(0)}, Recorder(), nullptr, 8,
-                    0.0);
+                    {0.0});
   Edge::Options opts;
   opts.policy = Edge::Policy::kRoundRobin;
   opts.mem_move = true;
@@ -148,7 +148,7 @@ TEST_F(RuntimeTest, MemMoveCopiesToGpuAndAttachesTicket) {
 
 TEST_F(RuntimeTest, HostConsumersGetZeroCopyHandles) {
   WorkerGroup group(&system_, {sim::DeviceId::Cpu(1)}, Recorder(), nullptr, 8,
-                    0.0);
+                    {0.0});
   Edge::Options opts;
   opts.policy = Edge::Policy::kRoundRobin;
   Edge edge(&system_, opts, group.instance_ptrs());
@@ -162,7 +162,7 @@ TEST_F(RuntimeTest, HostConsumersGetZeroCopyHandles) {
 
 TEST_F(RuntimeTest, LoadBalanceKeepsGpuResidentBlocksLocal) {
   WorkerGroup group(&system_, {sim::DeviceId::Gpu(0), sim::DeviceId::Gpu(1)},
-                    Recorder(), nullptr, 8, 0.0);
+                    Recorder(), nullptr, 8, {0.0, 0.0});
   Edge::Options opts;
   opts.policy = Edge::Policy::kLoadBalance;
   Edge edge(&system_, opts, group.instance_ptrs());
@@ -193,7 +193,7 @@ TEST_F(RuntimeTest, MemMoveGpuToGpuStagesThroughHost) {
   // No peer access on this server: gpu0-resident blocks consumed by gpu1 hop
   // through the source GPU's host socket (two DMA legs, §3.2).
   WorkerGroup group(&system_, {sim::DeviceId::Gpu(1)}, Recorder(), nullptr, 8,
-                    0.0);
+                    {0.0});
   Edge::Options opts;
   opts.policy = Edge::Policy::kRoundRobin;
   opts.mem_move = true;
@@ -243,7 +243,7 @@ TEST_F(RuntimeTest, SourceDriverSlicesChunksIntoBlocks) {
   ASSERT_TRUE(t->Place(system_.HostNodes(), &system_.memory()).ok());
 
   WorkerGroup group(&system_, {sim::DeviceId::Cpu(0)}, Recorder(), nullptr, 8,
-                    0.0);
+                    {0.0});
   Edge::Options opts;
   opts.policy = Edge::Policy::kRoundRobin;
   Edge edge(&system_, opts, group.instance_ptrs());
@@ -294,16 +294,44 @@ TEST_F(RuntimeTest, HtRegistryKeyedByQueryJoinAndUnit) {
   EXPECT_EQ(hts.Get(7, 0, sim::DeviceId::Cpu(0)), a);
   EXPECT_EQ(hts.Get(7, 1, sim::DeviceId::Cpu(0)), c);
   EXPECT_EQ(hts.Get(8, 0, sim::DeviceId::Cpu(0)), d);
-  hts.NoteBuildDone(7, 0.5);
-  hts.NoteBuildDone(7, 0.3);
-  hts.NoteBuildDone(8, 0.9);
-  EXPECT_DOUBLE_EQ(hts.build_done(7), 0.5);   // per-query watermark
-  EXPECT_DOUBLE_EQ(hts.build_done(8), 0.9);
+  // Build watermarks are per (query, unit): the max over the replicas built
+  // on that unit, whatever their join.
+  const sim::DeviceId cpu0 = sim::DeviceId::Cpu(0);
+  const sim::DeviceId gpu0 = sim::DeviceId::Gpu(0);
+  hts.NoteBuildDone(7, cpu0, 0.5);
+  hts.NoteBuildDone(7, cpu0, 0.3);
+  hts.NoteBuildDone(7, gpu0, 1.2);
+  hts.NoteBuildDone(8, cpu0, 0.9);
+  EXPECT_DOUBLE_EQ(hts.build_done(7, cpu0), 0.5);  // per-unit max
+  EXPECT_DOUBLE_EQ(hts.build_done(7, gpu0), 1.2);  // units do not mix
+  EXPECT_DOUBLE_EQ(hts.build_done(8, cpu0), 0.9);  // queries do not mix
+  EXPECT_DOUBLE_EQ(hts.build_done(8, gpu0), 0.0);
+  // CPU socket 1 and GPU 1 are distinct units from socket 0 / GPU 0.
+  EXPECT_DOUBLE_EQ(hts.build_done(7, sim::DeviceId::Cpu(1)), 0.0);
+  EXPECT_DOUBLE_EQ(hts.build_done(7, sim::DeviceId::Gpu(1)), 0.0);
   EXPECT_EQ(hts.NumTables(7), 3);
   hts.DropQuery(7);
   EXPECT_EQ(hts.NumTables(7), 0);
-  EXPECT_DOUBLE_EQ(hts.build_done(7), 0.0);
-  EXPECT_EQ(hts.Get(8, 0, sim::DeviceId::Cpu(0)), d);  // other queries intact
+  EXPECT_DOUBLE_EQ(hts.build_done(7, cpu0), 0.0);
+  EXPECT_DOUBLE_EQ(hts.build_done(7, gpu0), 0.0);
+  EXPECT_EQ(hts.Get(8, 0, cpu0), d);  // other queries intact
+  EXPECT_DOUBLE_EQ(hts.build_done(8, cpu0), 0.9);
+}
+
+TEST_F(RuntimeTest, LoadBalanceRoutesAroundLateStartingInstance) {
+  // Per-instance start clocks: instance 0 comes online at t=1 (its hash
+  // tables are still being built), instance 1 at t=0. The backlog signal
+  // includes the start clock, so every early block goes to instance 1.
+  WorkerGroup group(&system_, {sim::DeviceId::Cpu(0), sim::DeviceId::Cpu(1)},
+                    Recorder(), nullptr, 8, {1.0, 0.0});
+  Edge::Options opts;
+  opts.policy = Edge::Policy::kLoadBalance;
+  Edge edge(&system_, opts, group.instance_ptrs());
+  Drive(edge, group, 6);
+  EXPECT_EQ(log_.by_instance[0].size(), 0u);
+  EXPECT_EQ(log_.by_instance[1].size(), 6u);
+  EXPECT_DOUBLE_EQ(group.instance(0).clock(), 1.0);
+  EXPECT_LT(group.instance(1).clock(), 1.0);
 }
 
 }  // namespace
