@@ -296,12 +296,17 @@ bool ReportOptimizer(core::System& system, core::System& reuse_sys,
   std::vector<Row> rows;
   double best_measured = -1;
   // Per probe unit, when the picked plan's probe instances started (their
-  // unit's hash-table replicas were ready).
+  // unit's hash-table replicas were ready), and per (join, unit) replica its
+  // build DOP and completion.
   std::vector<core::QueryResult::UnitReady> unit_ready;
+  std::vector<core::QueryResult::BuildDone> builds;
   for (const auto& rc : opt.ranked) {
     const core::QueryResult r = executor.ExecutePlan(spec, rc.candidate.plan);
     const double measured = r.status.ok() ? r.modeled_seconds : -1;
-    if (rows.empty()) unit_ready = r.unit_ready;
+    if (rows.empty()) {
+      unit_ready = r.unit_ready;
+      builds = r.builds;
+    }
     if (measured >= 0 && (best_measured < 0 || measured < best_measured)) {
       best_measured = measured;
     }
@@ -333,6 +338,14 @@ bool ReportOptimizer(core::System& system, core::System& reuse_sys,
       std::printf("%s\n  {\"unit\": \"%s\", \"start\": %.9f}", i == 0 ? "" : ",",
                   unit_ready[i].unit.ToString().c_str(), unit_ready[i].start);
     }
+    std::printf("\n],\n\"builds\": [");
+    for (size_t i = 0; i < builds.size(); ++i) {
+      std::printf("%s\n  {\"join\": %d, \"unit\": \"%s\", \"dop\": %d, "
+                  "\"done\": %.9f}",
+                  i == 0 ? "" : ",", builds[i].join_id,
+                  builds[i].unit.ToString().c_str(), builds[i].dop,
+                  builds[i].done);
+    }
     std::printf("\n],\n\"reuse\": {\"shared_builds_first_run\": %d, "
                 "\"shared_attaches_second_run\": %d, "
                 "\"cache_hit_second_run\": %s, "
@@ -358,6 +371,11 @@ bool ReportOptimizer(core::System& system, core::System& reuse_sys,
     std::printf("probe-unit start (picked plan, hash tables ready):");
     for (const auto& u : unit_ready) {
       std::printf(" %s@%.6fs", u.unit.ToString().c_str(), u.start);
+    }
+    std::printf("\nhash-table builds (picked plan, join/unit x dop -> done):");
+    for (const auto& b : builds) {
+      std::printf(" ht[%d]/%s x%d->%.6fs", b.join_id, b.unit.ToString().c_str(),
+                  b.dop, b.done);
     }
     std::printf("\n");
     std::printf("serving-layer reuse (shared builds + result cache on):\n");

@@ -86,6 +86,17 @@ struct QueryResult {
     sim::VTime start = 0;
   };
   std::vector<UnitReady> unit_ready;
+  /// One entry per (join, unit) replica, in build order: how many instances
+  /// built it (`dop`; 0 = attached to a shared build) and the session-local
+  /// time it was complete. Answers "which dimension build made this unit
+  /// start late?".
+  struct BuildDone {
+    int join_id = -1;
+    sim::DeviceId unit;
+    int dop = 0;
+    sim::VTime done = 0;
+  };
+  std::vector<BuildDone> builds;
 };
 
 /// Opaque handle to a query submitted to the concurrent scheduler.

@@ -99,6 +99,7 @@ std::string LoweredSpec::ToString() const {
     }
     os << "]\n";
     os << "  edge: policy=" << PolicyName(stage.in.options.policy)
+       << (stage.in.options.unit_broadcast ? "(per-unit rotation)" : "")
        << (stage.in.options.mem_move ? " mem-move" : " no-mem-move")
        << (stage.in.uva ? " uva" : "");
     if (stage.in.options.crossing_latency > 0) {
@@ -365,21 +366,29 @@ Status GraphBuilder::Analyze() {
     if (stage.in.segmenter == -1) {
       return Status::Internal("build stage without a source segmenter");
     }
+    // A unit's instances fill one replica together: each unit receives every
+    // block once, rotated over its instances.
+    stage.in.options.unit_broadcast =
+        stage.in.options.policy == Edge::Policy::kBroadcast;
     spec_.build_stages.push_back(std::move(stage));
   }
 
-  // Broadcast hash joins replicate one table per device unit: a mutated
-  // placement that leaves a probe unit without its replica — or builds two
-  // replicas on one unit — must surface as a Status here, not abort inside
-  // the HtRegistry at probe time.
+  // Broadcast hash joins replicate one table per device unit, built by one
+  // build chain (branch): a mutated placement that leaves a probe unit
+  // without its replica — or builds two replicas on one unit — must surface
+  // as a Status here, not abort inside the HtRegistry.
   std::unordered_map<int, std::unordered_set<int>> build_units;
   for (const StageSpec& stage : spec_.build_stages) {
     auto& units = build_units[stage.span.join_id];
-    for (const auto& dev : stage.instances) {
-      if (!units.insert(HtRegistry::UnitOf(dev)).second) {
-        return Status::InvalidArgument(
-            "join " + std::to_string(stage.span.join_id) +
-            " builds two hash-table replicas on unit " + dev.ToString());
+    for (const auto& branch : stage.branch_nodes) {
+      std::unordered_set<int> mine;
+      for (const auto& dev : ClassifySpan(plan, branch).instances) {
+        if (mine.insert(HtRegistry::UnitOf(dev)).second &&
+            !units.insert(HtRegistry::UnitOf(dev)).second) {
+          return Status::InvalidArgument(
+              "join " + std::to_string(stage.span.join_id) +
+              " builds two hash-table replicas on unit " + dev.ToString());
+        }
       }
     }
   }
@@ -439,6 +448,22 @@ struct RuntimeStage {
 /// socket once each unit starts probing at its own hash-table readiness).
 using SocketTime = std::function<sim::VTime(int socket)>;
 
+/// Concurrently-active CPU workers of one execution phase, per socket.
+using SocketWorkers = std::map<int, int>;
+
+/// Folds `stage`'s CPU workers into `out`: added when the phase runs its
+/// stages concurrently, maxed in when they run one after another.
+void CountWorkers(const StageSpec& stage, bool concurrent, SocketWorkers* out) {
+  SocketWorkers mine;
+  for (const auto& dev : stage.instances) {
+    if (dev.is_cpu()) mine[dev.index] += 1;
+  }
+  for (const auto& [socket, n] : mine) {
+    int& w = (*out)[socket];
+    w = concurrent ? w + n : std::max(w, n);
+  }
+}
+
 /// Reserves one execution phase's concurrently-active CPU workers (per
 /// socket) as an interval on the cross-session DRAM timelines: each socket's
 /// interval opens at its session-local `start(socket)` and closes at the
@@ -451,15 +476,8 @@ using SocketTime = std::function<sim::VTime(int socket)>;
 class DramPhaseGuard {
  public:
   DramPhaseGuard(sim::Topology* topo, const QuerySession& session,
-                 const std::vector<const StageSpec*>& stages,
-                 const SocketTime& start)
+                 const SocketWorkers& workers, const SocketTime& start)
       : topo_(topo), epoch_(session.epoch) {
-    std::map<int, int> workers;
-    for (const StageSpec* stage : stages) {
-      for (const auto& dev : stage->instances) {
-        if (dev.is_cpu()) workers[dev.index] += 1;
-      }
-    }
     for (const auto& [socket, n] : workers) {
       if (n <= 0) continue;
       tokens_.emplace_back(socket, topo_->socket_dram(socket).Register(
@@ -571,9 +589,6 @@ Status GraphBuilder::Run(QueryCompiler* compiler, QueryResult* result) {
     switch (stage.span.role) {
       case PipelineSpan::Role::kBuild:
         cfg->role = StageConfig::Role::kBuild;
-        cfg->build_join_id = stage.span.join_id;
-        cfg->build_capacity = compiler->JoinHtCapacity(stage.span.join_id);
-        cfg->build_payload_width = compiler->JoinPayloadWidth(stage.span.join_id);
         break;
       case PipelineSpan::Role::kFilterStage:
         cfg->role = StageConfig::Role::kFilterStage;
@@ -775,10 +790,11 @@ Status GraphBuilder::Run(QueryCompiler* compiler, QueryResult* result) {
         // its readiness is translated into this session's local time (a late
         // arrival's negative time clamps to init_clock below: the artifact
         // already exists, so it pays nothing).
-        for (const auto& dev : stage.instances) {
-          hts.NoteBuildDone(
-              session.query_id, dev,
-              acq.lease.ready_at.at(HtRegistry::UnitOf(dev)) - session.epoch);
+        for (const auto& [unit, ready] : acq.lease.ready_at) {
+          const sim::DeviceId dev = HtRegistry::DeviceOf(unit);
+          hts.NoteBuildDone(session.query_id, dev, ready - session.epoch);
+          result->builds.push_back(
+              {stage.span.join_id, dev, 0, ready - session.epoch});
         }
         ++result->shared_attaches;
         break;
@@ -792,49 +808,80 @@ Status GraphBuilder::Run(QueryCompiler* compiler, QueryResult* result) {
     }
   }
 
-  // The build phase's DRAM intervals open at the modeled build start; each
+  // Each unit runs this query's builds one join after another, in plan order,
+  // on all of its instances: a join's instances on a unit start when that
+  // unit's previous build ended (dependency order, not host thread timing).
+  // So the build phase's DRAM intervals reserve each socket's widest build,
+  // not the sum over joins. They open at the modeled build start; each
   // socket's is closed (not discarded) at that socket's fact-phase start once
   // the unit watermarks are known, so [init_clock, socket start) stays on the
   // timeline for later sessions.
-  DramPhaseGuard build_dram(&system_->topology(), session, exec_builds,
+  SocketWorkers build_workers;
+  for (const StageSpec* stage : exec_builds) {
+    CountWorkers(*stage, /*concurrent=*/false, &build_workers);
+  }
+  DramPhaseGuard build_dram(&system_->topology(), session, build_workers,
                             [&](int) { return init_clock; });
-  {
-    std::vector<RuntimeStage> builds;
-    for (const StageSpec* stage_ptr : exec_builds) {
-      const StageSpec& stage = *stage_ptr;
-      // Hand-mutated plans reach here through ExecutePlan: a stamped join id
-      // the query does not have must surface as a Status, not a crash.
-      if (stage.span.join_id < 0 ||
-          stage.span.join_id >=
-              static_cast<int>(compiler->spec().joins.size())) {
-        return Status::InvalidArgument(
-            "build span stamped with join id " +
-            std::to_string(stage.span.join_id) + " but the query has " +
-            std::to_string(compiler->spec().joins.size()) + " join(s)");
-      }
-      RuntimeStage rt;
-      rt.cfg = make_config(stage);
-      rt.cfg->pipeline = compiler->CompileSpan(stage.span, nullptr);
-      rt.group = std::make_unique<WorkerGroup>(
-          system_, stage.instances, FactoryFor(rt.cfg.get()), nullptr,
-          channel_capacity,
-          std::vector<sim::VTime>(stage.instances.size(), init_clock),
-          session.epoch, session.query_id, session.control);
-      rt.edge = std::make_unique<Edge>(system_, session_edge_options(stage),
-                                       rt.group->instance_ptrs());
-      Status st = make_source(stage, *rt.cfg, rt.edge.get(), init_clock,
-                              &rt.source);
-      if (!st.ok()) return st;
-      builds.push_back(std::move(rt));
+  std::map<int, sim::VTime> unit_free;  // unit key -> end of its latest build
+  for (const StageSpec* stage_ptr : exec_builds) {
+    const StageSpec& stage = *stage_ptr;
+    const int join = stage.span.join_id;
+    // Hand-mutated plans reach here through ExecutePlan: a stamped join id
+    // the query does not have must surface as a Status, not a crash.
+    if (join < 0 || join >= static_cast<int>(compiler->spec().joins.size())) {
+      return Status::InvalidArgument(
+          "build span stamped with join id " + std::to_string(join) +
+          " but the query has " +
+          std::to_string(compiler->spec().joins.size()) + " join(s)");
     }
-    for (auto& g : builds) g.group->Start();
-    for (auto& g : builds) g.source->Start();
-    for (auto& g : builds) g.source->Join();
-    for (auto& g : builds) g.group->Join();
-    for (auto& g : builds) result->stats.Add(g.group->total_stats());
-    for (auto& g : builds) {
-      Status st = group_error(*g.group);
-      if (!st.ok()) return st;
+    RuntimeStage rt;
+    rt.cfg = make_config(stage);
+    rt.cfg->pipeline = compiler->CompileSpan(stage.span, nullptr);
+    // One replica per unit, created before any of its writers runs.
+    std::vector<sim::VTime> starts;
+    for (const auto& dev : stage.instances) {
+      const int unit = HtRegistry::UnitOf(dev);
+      auto [it, fresh] = rt.cfg->build_replicas.try_emplace(unit);
+      if (fresh) {
+        it->second.ht = hts.Create(
+            session.query_id, join, dev,
+            &system_->memory().manager(system_->topology().LocalMemNode(dev)),
+            compiler->JoinHtCapacity(join), compiler->JoinPayloadWidth(join));
+      }
+      ++it->second.writers;
+      auto free = unit_free.find(unit);
+      starts.push_back(free != unit_free.end() ? free->second : init_clock);
+    }
+    rt.group = std::make_unique<WorkerGroup>(
+        system_, stage.instances, FactoryFor(rt.cfg.get()), nullptr,
+        channel_capacity, std::move(starts), session.epoch, session.query_id,
+        session.control);
+    rt.edge = std::make_unique<Edge>(system_, session_edge_options(stage),
+                                     rt.group->instance_ptrs());
+    HETEX_RETURN_NOT_OK(
+        make_source(stage, *rt.cfg, rt.edge.get(), init_clock, &rt.source));
+    rt.group->Start();
+    rt.source->Start();
+    rt.source->Join();
+    rt.group->Join();
+    result->stats.Add(rt.group->total_stats());
+    HETEX_RETURN_NOT_OK(group_error(*rt.group));
+
+    // A replica is complete when the last of its writers finished.
+    std::map<int, QueryResult::BuildDone> done;  // unit key -> completion
+    for (int k = 0; k < rt.group->size(); ++k) {
+      const WorkerInstance& inst = rt.group->instance(k);
+      QueryResult::BuildDone& d = done[HtRegistry::UnitOf(inst.device())];
+      d.join_id = join;
+      d.unit = inst.device();
+      d.dop += 1;
+      d.done = sim::MaxT(d.done, inst.clock());
+    }
+    std::map<int, sim::VTime> ready_at;
+    for (const auto& [unit, d] : done) {
+      unit_free[unit] = d.done;
+      ready_at[unit] = session.epoch + d.done;
+      result->builds.push_back(d);
     }
     // Cooperative cancellation/deadline stops leave cleanly-joined build
     // groups with partial hash tables; those must never be published.
@@ -842,25 +889,14 @@ Status GraphBuilder::Run(QueryCompiler* compiler, QueryResult* result) {
         session.control != nullptr &&
         (session.control->cancelled.load(std::memory_order_relaxed) ||
          session.control->deadline_hit.load(std::memory_order_relaxed));
-    if (!stopped) {
-      for (SharedAcq& acq : acqs) {
-        if (acq.lease.role != SharedBuildLease::Role::kBuild) continue;
-        for (size_t i = 0; i < exec_builds.size(); ++i) {
-          if (exec_builds[i] != acq.stage) continue;
-          // One build instance per unit: its clock is that replica's
-          // completion.
-          WorkerGroup& group = *builds[i].group;
-          std::map<int, sim::VTime> ready_at;
-          for (int k = 0; k < group.size(); ++k) {
-            ready_at[HtRegistry::UnitOf(group.instance(k).device())] =
-                session.epoch + group.instance(k).clock();
-          }
-          hts.PublishShared(acq.key, session.query_id, acq.stage->span.join_id,
-                            std::move(ready_at));
-          acq.published = true;
-          break;
-        }
+    for (SharedAcq& acq : acqs) {
+      if (stopped || acq.stage != &stage ||
+          acq.lease.role != SharedBuildLease::Role::kBuild) {
+        continue;
       }
+      hts.PublishShared(acq.key, session.query_id, join, std::move(ready_at));
+      acq.published = true;
+      break;
     }
   }
 
@@ -923,9 +959,11 @@ Status GraphBuilder::Run(QueryCompiler* compiler, QueryResult* result) {
 
   // Instantiation runs consumer→producer: each group needs its downstream edge,
   // each edge needs its consumer group's instances.
-  std::vector<const StageSpec*> fact_stage_ptrs;
-  for (const StageSpec& stage : spec_.fact_stages) fact_stage_ptrs.push_back(&stage);
-  DramPhaseGuard dram(&system_->topology(), session, fact_stage_ptrs,
+  SocketWorkers fact_workers;
+  for (const StageSpec& stage : spec_.fact_stages) {
+    CountWorkers(stage, /*concurrent=*/true, &fact_workers);
+  }
+  DramPhaseGuard dram(&system_->topology(), session, fact_workers,
                       phase_boundary);
   std::vector<RuntimeStage> stages;
   Edge* downstream = nullptr;

@@ -36,8 +36,8 @@ struct StageSpec {
 /// \brief The physical-graph description lowered from a validated HetPlan:
 /// what GraphBuilder instantiates and what plan_explorer prints.
 struct LoweredSpec {
-  /// Join-build stages, each a self-contained source→edge→group graph. They all
-  /// run concurrently (independent star-schema dimensions) before the fact side.
+  /// Join-build stages, each a self-contained source→edge→group graph. Each
+  /// unit runs them one after another, in this order, before the fact side.
   std::vector<StageSpec> build_stages;
   /// Fact-side stages in consumer→producer order: gather first, then the probe
   /// stage, then (split plans) the filter stage; the last one is segmenter-fed.
@@ -57,8 +57,8 @@ struct LoweredSpec {
 /// pipeline spans and exchange edges using only the operators and the parameters
 /// BuildHetPlan stamped on them; Run() instantiates SourceDrivers, Edges and
 /// WorkerGroups from that spec and orchestrates the phased execution (builds
-/// concurrently, then the fact graph, each probe instance gated on the
-/// hash-table replicas of its own unit). Any
+/// one join after another on each unit, then the fact graph, each probe
+/// instance gated on the hash-table replicas of its own unit). Any
 /// plan shape whose spans classify — split filter/probe stages, per-edge
 /// policy/placement/granularity mutations — runs without executor changes.
 ///

@@ -61,8 +61,14 @@ class HtRegistry {
  public:
   /// Unit key of a device: sockets and GPUs occupy disjoint ranges.
   static int UnitOf(sim::DeviceId dev) {
-    return dev.is_cpu() ? dev.index : 1000 + dev.index;
+    return dev.is_cpu() ? dev.index : kGpuUnitBase + dev.index;
   }
+  /// The device a unit key names (inverse of UnitOf).
+  static sim::DeviceId DeviceOf(int unit) {
+    return unit < kGpuUnitBase ? sim::DeviceId::Cpu(unit)
+                               : sim::DeviceId::Gpu(unit - kGpuUnitBase);
+  }
+  static constexpr int kGpuUnitBase = 1000;
 
   jit::JoinHashTable* Create(uint64_t query, int join_id, sim::DeviceId unit,
                              memory::MemoryManager* mm, uint64_t capacity,

@@ -47,6 +47,7 @@ class VmProcessor : public BlockProcessor {
   const StageConfig* cfg_;
   std::shared_ptr<const jit::PipelineProgram> program_;
   std::vector<void*> ht_slots_;
+  bool shared_ht_insert_ = false;  ///< build: other instances fill the replica too
   std::unique_ptr<jit::AggHashTable> agg_ht_;
   int64_t instance_accs_[jit::kMaxLocalAccs] = {};
   std::atomic<int64_t>* shared_accs_ = nullptr;  // GPU device-resident accumulators
@@ -92,11 +93,10 @@ void VmProcessor::Init(WorkerInstance& inst) {
   ht_slots_.assign(n_slots, nullptr);
 
   if (cfg_->role == StageConfig::Role::kBuild) {
-    jit::JoinHashTable* ht = cfg_->hts->Create(
-        cfg_->query_id, cfg_->build_join_id, inst.device(),
-        &inst.provider().memory_manager(), cfg_->build_capacity,
-        cfg_->build_payload_width);
-    ht_slots_[0] = ht;
+    const StageConfig::BuildReplica& replica =
+        cfg_->build_replicas.at(HtRegistry::UnitOf(inst.device()));
+    ht_slots_[0] = replica.ht;
+    shared_ht_insert_ = replica.writers > 1;
   } else {
     for (size_t i = 0; i < pipeline.ht_join_slots.size(); ++i) {
       ht_slots_[i] = cfg_->hts->Get(cfg_->query_id, pipeline.ht_join_slots[i],
@@ -260,6 +260,7 @@ void VmProcessor::ProcessMsg(WorkerInstance& inst, DataMsg& msg) {
   req.ht_slots = ht_slots_.data();
   req.instance_accs = instance_accs_;
   req.shared_accs = shared_accs_;
+  req.shared_ht_insert = shared_ht_insert_;
   req.earliest = sim::MaxT(inst.clock(), msg.ReadyAt());
 
   jit::ExecResult result = inst.provider().Execute(*program_, req);

@@ -1,6 +1,7 @@
 #ifndef HETEX_CORE_PROCESSOR_H_
 #define HETEX_CORE_PROCESSOR_H_
 
+#include <map>
 #include <memory>
 #include <vector>
 
@@ -39,10 +40,14 @@ struct StageConfig {
   Edge* out = nullptr;          ///< downstream edge (null for gather)
   ResultSink* result = nullptr; ///< gather only
 
-  // Build stages.
-  int build_join_id = -1;
-  uint64_t build_capacity = 0;
-  int build_payload_width = 0;
+  /// Build stages: the join replica of each unit (HtRegistry::UnitOf key),
+  /// created once before the group starts, and how many of the group's
+  /// instances insert into it — more than one pay the bucket-head CAS.
+  struct BuildReplica {
+    jit::JoinHashTable* ht = nullptr;
+    int writers = 0;
+  };
+  std::map<int, BuildReplica> build_replicas;
 
   // Emit configuration.
   uint64_t block_bytes = 1ull << 20;

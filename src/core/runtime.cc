@@ -21,6 +21,15 @@ WorkerInstance::WorkerInstance(int id, sim::DeviceId device, System* system,
 Edge::Edge(System* system, Options options, std::vector<WorkerInstance*> consumers)
     : system_(system), options_(options), consumers_(std::move(consumers)) {
   HETEX_CHECK(!consumers_.empty()) << "edge with no consumers";
+  std::map<int, size_t> group_of;  // unit (or consumer) -> broadcast group
+  for (size_t i = 0; i < consumers_.size(); ++i) {
+    const int key = options_.unit_broadcast
+                        ? HtRegistry::UnitOf(consumers_[i]->device())
+                        : static_cast<int>(i);
+    auto [it, fresh] = group_of.emplace(key, broadcast_groups_.size());
+    if (fresh) broadcast_groups_.emplace_back();
+    broadcast_groups_[it->second].push_back(static_cast<int>(i));
+  }
 }
 
 void Edge::CloseProducer() {
@@ -265,13 +274,20 @@ void Edge::Push(DataMsg msg, sim::MemNodeId producer_node) {
     ReleaseMsgBlocks(system_, msg, producer_node);
     return;
   }
-  msg.ready_at += options_.control_cost + options_.crossing_latency;
   const sim::Topology& topo = system_->topology();
+  msg.ready_at += options_.control_cost;
+  if (producer_node >= 0 && topo.mem_node(producer_node).is_gpu) {
+    msg.ready_at += options_.crossing_latency;
+  }
 
   if (options_.policy == Policy::kBroadcast) {
     // Mem-move owns broadcast (data-flow duplication); the router then routes by
-    // target id — from its perspective this is just a hash policy (§3.1).
-    for (size_t i = 0; i < consumers_.size(); ++i) {
+    // target id — from its perspective this is just a hash policy (§3.1). A
+    // unit broadcast rotates each unit's copy over that unit's consumers in
+    // message order, so which instance builds which block is deterministic.
+    const uint64_t seq = rr_next_.fetch_add(1, std::memory_order_relaxed);
+    for (const std::vector<int>& group : broadcast_groups_) {
+      const int i = group[seq % group.size()];
       DataMsg copy;
       copy.rows = msg.rows;
       copy.ready_at = msg.ready_at;

@@ -149,7 +149,14 @@ class Edge {
     Policy policy = Policy::kLoadBalance;
     bool mem_move = true;            ///< insert the mem-move data-flow half
     double control_cost = 100e-9;    ///< router control-plane cost per message
-    sim::VTime crossing_latency = 0; ///< e.g. gpu2cpu task-spawn latency
+    /// gpu2cpu task-spawn latency, charged to messages pushed from GPU memory
+    /// (a hybrid exchange's CPU producers never cross a device boundary).
+    sim::VTime crossing_latency = 0;
+    /// kBroadcast only: deliver each message once per device unit (a CPU
+    /// socket or a GPU), rotating among that unit's consumers — the build
+    /// edge of a replica several instances fill together. Off, every consumer
+    /// receives every message.
+    bool unit_broadcast = false;
     /// Absolute arrival time of the owning query session: DMA reservations on
     /// the shared PCIe links are anchored at `epoch + session-local time`, so
     /// concurrent queries charge each other link contention.
@@ -184,6 +191,9 @@ class Edge {
   System* system_;
   Options options_;
   std::vector<WorkerInstance*> consumers_;
+  /// Broadcast targets: consumer indices grouped by device unit (one group
+  /// per consumer unless Options::unit_broadcast).
+  std::vector<std::vector<int>> broadcast_groups_;
   std::atomic<int> producers_{0};
   std::atomic<uint64_t> rr_next_{0};
 };

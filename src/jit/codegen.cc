@@ -43,9 +43,9 @@ void HxHookHtInsert(void* ht, int64_t key, const int64_t* payload) {
   static_cast<JoinHashTable*>(ht)->Insert(key, payload);
 }
 
-void HxHookGroupBy(void* ht, int64_t key, const int64_t* vals, int atomic_mode,
+void HxHookGroupBy(void* ht, int64_t key, const int64_t* vals, int atomic,
                    uint64_t* probes) {
-  static_cast<AggHashTable*>(ht)->Update(key, vals, atomic_mode != 0, probes);
+  static_cast<AggHashTable*>(ht)->Update(key, vals, atomic != 0, probes);
 }
 
 // Batched emit: column-major lane buffers, identity selection. AppendBatch is
@@ -555,7 +555,8 @@ GenerateResult GenerateSource(const PipelineProgram& program) {
         }
         out += " }\n";
         out += std::string("    ") + ClsCounter(in.cls) + " += 1;\n";
-        out += "    s_at += (uint64_t)(atomic_mode != 0);\n";
+        out += std::string("    s_at += (uint64_t)((atomic_mode & ") +
+               S(kAtomicHtInsert) + ") != 0);\n";
         out += "    s_bw += " + S((2 + in.d) * 8) + ";\n";
         break;
       }
@@ -635,9 +636,10 @@ GenerateResult GenerateSource(const PipelineProgram& program) {
         out += " };\n";
         out += "      uint64_t hx_pr = 0;\n";
         out += "      hx_groupby(ht_objs[" + S(in.a) + "], " + fold.Use(in.b) +
-               ", hx_v, atomic_mode, &hx_pr);\n";
+               ", hx_v, atomic_mode & " + S(kAtomicGroupBy) + ", &hx_pr);\n";
         out += std::string("      ") + ClsCounter(in.cls) + " += hx_pr; }\n";
-        out += "    s_at += (uint64_t)(atomic_mode != 0) * " + S(in.d) + ";\n";
+        out += std::string("    s_at += (uint64_t)((atomic_mode & ") +
+               S(kAtomicGroupBy) + ") != 0) * " + S(in.d) + ";\n";
         break;
       }
       case OpCode::kEmit: {
@@ -752,7 +754,9 @@ Status RunNative(const PipelineProgram& program, ExecCtx& ctx, uint64_t rows) {
       cols, ctx.emit, reinterpret_cast<void* const*>(ctx.emit_targets),
       ctx.n_emit_targets, ctx.local_accs, heads, entries, masks, strides,
       ctx.ht_slots, s, ctx.row_begin, ctx.row_step, rows,
-      ctx.atomic_group_update ? 1 : 0, kHookTable);
+      (ctx.atomic_group_update ? kAtomicGroupBy : 0) |
+          (ctx.atomic_ht_insert ? kAtomicHtInsert : 0),
+      kHookTable);
   g_native_invocations.fetch_add(1, std::memory_order_relaxed);
 
   ctx.stats->tuples += s[kStatTuples];

@@ -33,7 +33,15 @@ namespace hetex::jit {
 /// and into the kernel cache's .meta sidecars. Objects built against another
 /// version are never loaded — they recompile instead.
 /// v2: hook table grew kHookEmitBatch (batched emit for single-emit shapes).
-inline constexpr uint32_t kCodegenAbiVersion = 2;
+/// v3: `atomic_mode` is a bit set (kAtomicGroupBy | kAtomicHtInsert).
+inline constexpr uint32_t kCodegenAbiVersion = 3;
+
+/// Bits of a kernel's `atomic_mode` argument: which worker-scoped atomics the
+/// launching provider pays for (ExecCtx::atomic_group_update / atomic_ht_insert).
+enum : int {
+  kAtomicGroupBy = 1,   ///< group-by folds are device atomics (GPU)
+  kAtomicHtInsert = 2,  ///< join-HT inserts CAS a shared bucket head
+};
 
 /// Indices into the flat `stats` counter array a generated kernel accumulates
 /// into. Flat arrays (not structs) keep the generated code free of any layout
@@ -77,7 +85,7 @@ typedef int (*NativeKernelFn)(
     void* const* ht_objs,              // raw ht_slots, for insert/group-by hooks
     uint64_t* stats,                   // kStat* counters (accumulated into)
     uint64_t row_begin, uint64_t row_step, uint64_t rows,
-    int atomic_mode,                   // ExecCtx::atomic_group_update
+    int atomic_mode,                   // kAtomic* bits
     const void* const* hooks);         // kHook* function table
 }
 

@@ -233,6 +233,7 @@ ExecResult CpuProvider::Execute(const PipelineProgram& program, ExecRequest& req
   ctx.local_accs = req.instance_accs;
   ctx.ht_slots = req.ht_slots;
   ctx.atomic_group_update = false;  // single thread per worker: atomics elided
+  ctx.atomic_ht_insert = req.shared_ht_insert;  // unless others insert too
   ExecResult result;
   ctx.stats = &result.stats;
   ctx.row_begin = 0;   // threadIdInWorker -> 0
@@ -309,6 +310,7 @@ ExecResult GpuProvider::Execute(const PipelineProgram& program, ExecRequest& req
     ctx.n_emit_targets = req.n_emit_targets;
     ctx.ht_slots = req.ht_slots;
     ctx.atomic_group_update = true;  // workerScopedAtomic -> device atomic
+    ctx.atomic_ht_insert = true;
     ctx.stats = kctx.stats;
     ctx.row_begin = static_cast<uint64_t>(kctx.thread_id);   // threadIdInWorker
     ctx.row_step = static_cast<uint64_t>(kctx.num_threads);  // #threadsInWorker

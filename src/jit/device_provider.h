@@ -32,6 +32,9 @@ struct ExecRequest {
   int64_t* instance_accs = nullptr;            ///< CPU: instance-persistent accumulators
   std::atomic<int64_t>* shared_accs = nullptr; ///< GPU: device-resident accumulators
   sim::VTime earliest = 0;                     ///< input availability (virtual time)
+  /// CPU: the join replica this block inserts into is shared with other
+  /// instances of the build, so each insert pays the bucket-head CAS.
+  bool shared_ht_insert = false;
 };
 
 /// Result of executing one block through a pipeline.

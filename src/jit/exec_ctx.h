@@ -177,6 +177,9 @@ struct ExecCtx {
   uint64_t row_begin = 0;
   uint64_t row_step = 1;
   bool atomic_group_update = false;  ///< GPU: agg-HT folds must be atomic
+  /// Join-HT inserts pay the bucket-head CAS: GPU kernels, and CPU workers
+  /// inserting into a replica other instances write too.
+  bool atomic_ht_insert = false;
 };
 
 }  // namespace hetex::jit

@@ -90,9 +90,9 @@ Status RunRows(const PipelineProgram& program, ExecCtx& ctx, uint64_t rows) {
           auto* ht = static_cast<JoinHashTable*>(ctx.ht_slots[in.a]);
           ht->Insert(regs[in.b], &regs[in.c]);
           CountAccess(stats, in.cls);
-          // Worker-scoped atomics are elided by the CPU provider (single thread
-          // per worker, paper Fig. 3); GPUs pay for the CAS.
-          if (ctx.atomic_group_update) ++stats->atomics;
+          // A replica written by one CPU worker elides the CAS (single thread
+          // per worker, paper Fig. 3); GPUs and shared CPU replicas pay it.
+          if (ctx.atomic_ht_insert) ++stats->atomics;
           stats->bytes_written += (2 + in.d) * sizeof(int64_t);
           ++pc;
           break;

@@ -497,7 +497,7 @@ class VecRunner {
           ht->Insert(key[lane], tmp);
         }
         CountAccess(stats, in.cls, static_cast<uint64_t>(n));
-        if (ctx_.atomic_group_update) stats->atomics += static_cast<uint64_t>(n);
+        if (ctx_.atomic_ht_insert) stats->atomics += static_cast<uint64_t>(n);
         stats->bytes_written +=
             static_cast<uint64_t>(n) * (2 + in.d) * sizeof(int64_t);
         break;

@@ -324,6 +324,9 @@ struct InstanceCost {
   sim::VTime transfer_time = 0;  ///< per-block interconnect share (diagnostic)
   int link = -1;                 ///< PCIe link the per-block DMA occupies
   uint64_t blocks = 0;           ///< assigned by the distribution model
+  /// False when a load-balance router can never hand this instance a block:
+  /// every source fraction is GPU-resident and pinned to another consumer.
+  bool eligible = true;
 };
 
 /// Distributes `total_blocks` over `insts` under the router policy and returns
@@ -342,12 +345,16 @@ sim::VTime DistributeBlocks(RouterPolicy policy, uint64_t total_blocks,
       // loop stays bounded.
       const uint64_t chunk = std::max<uint64_t>(1, total_blocks / 8192);
       std::vector<sim::VTime> finish(n, 0);
+      const bool any_eligible = std::any_of(
+          insts->begin(), insts->end(),
+          [](const InstanceCost& i) { return i.eligible; });
       for (uint64_t b = 0; b < total_blocks; b += chunk) {
         const uint64_t k = std::min(chunk, total_blocks - b);
-        size_t best = 0;
-        for (size_t i = 1; i < n; ++i) {
-          if (finish[i] + (*insts)[i].block_time <
-              finish[best] + (*insts)[best].block_time) {
+        size_t best = n;
+        for (size_t i = 0; i < n; ++i) {
+          if (any_eligible && !(*insts)[i].eligible) continue;
+          if (best == n || finish[i] + (*insts)[i].block_time <
+                               finish[best] + (*insts)[best].block_time) {
             best = i;
           }
         }
@@ -693,6 +700,15 @@ Result<CostEstimate> PlanCoster::Cost(const HetPlan& plan) const {
     for (const auto& b : stage.branches) {
       for (const auto& dev : b.instances) {
         InstanceCost ic;
+        if (!src_frac.empty()) {
+          ic.eligible = std::any_of(
+              src_frac.begin(), src_frac.end(), [&](const auto& node_frac) {
+                const sim::Topology::MemNode& mn =
+                    topo_->mem_node(node_frac.first);
+                return !mn.is_gpu || !lb_pinned(mn.owner.index) ||
+                       (dev.is_gpu() && dev.index == mn.owner.index);
+              });
+        }
         if (dev.is_cpu()) {
           const int divisor =
               socket_workers[dev.index] + socket_backlog(dev.index);
@@ -867,6 +883,10 @@ Result<CostEstimate> PlanCoster::Cost(const HetPlan& plan) const {
   };
 
   // ------------------------------------------------------------------ builds
+  // Mirrors the runtime's build schedule: every unit receives each block once,
+  // rotated over its W instances (priced at the W-way fluid share), and runs
+  // the joins one after another — a unit's build phase is the sum over joins.
+  std::map<std::pair<bool, int>, sim::VTime> unit_build;  // (gpu?, index)
   for (const StageEst& stage : shape.build_stages) {
     int join_id = -1;
     for (int id : stage.branches.front().nodes) {
@@ -887,20 +907,34 @@ Result<CostEstimate> PlanCoster::Cost(const HetPlan& plan) const {
     std::vector<InstanceCost> insts = stage_instances(
         stage, profile, std::min(block_rows, std::max<uint64_t>(1, rows)),
         in_width, n_cols, src_table);
-    // Broadcast: every unit consumes the full build stream.
-    sim::VTime done = DistributeBlocks(RouterPolicy::kBroadcast, blocks, &insts);
+    std::map<std::pair<bool, int>, std::vector<size_t>> by_unit;
+    size_t k = 0;
+    for (const auto& b : stage.branches) {
+      for (const auto& dev : b.instances) {
+        by_unit[{dev.is_gpu(), dev.index}].push_back(k++);
+      }
+    }
+    for (const auto& [unit, members] : by_unit) {
+      sim::VTime done = 0;
+      for (size_t r = 0; r < members.size(); ++r) {
+        InstanceCost& ic = insts[members[r]];
+        ic.blocks = blocks / members.size() + (r < blocks % members.size() ? 1 : 0);
+        done = sim::MaxT(done, static_cast<double>(ic.blocks) * ic.block_time);
+      }
+      unit_build[unit] += done;
+    }
     const sim::VTime source = static_cast<double>(blocks) *
                               (seg.per_block_cost + stage_control(stage));
-    done = sim::MaxT(done, source);
-    est.build = sim::MaxT(est.build, done);
+    est.build = sim::MaxT(est.build, source);
     add_link_busy(&build_link_busy, insts);
     for (const auto& ic : insts) {
       est.transfer = sim::MaxT(
           est.transfer, static_cast<double>(ic.blocks) * ic.transfer_time);
     }
   }
-  // Concurrent build networks share the links (and queue behind in-flight
-  // queries): the phase cannot beat any link's total occupancy.
+  for (const auto& [unit, t] : unit_build) est.build = sim::MaxT(est.build, t);
+  // Build networks share the links (and queue behind in-flight queries): the
+  // phase cannot beat any link's total occupancy.
   for (int l = 0; l < n_links; ++l) {
     if (build_link_busy[l] > 0) {
       est.build = sim::MaxT(est.build, link_backlog(l) + build_link_busy[l]);

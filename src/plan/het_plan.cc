@@ -1,5 +1,6 @@
 #include "plan/het_plan.h"
 
+#include <algorithm>
 #include <sstream>
 #include <unordered_set>
 
@@ -197,7 +198,14 @@ HetPlan BuildHetPlan(const QuerySpec& spec, const ExecPolicy& policy,
   };
 
   // --- Build subplans: one shared segmenter+broadcast per join, one build chain
-  // per participating device unit.
+  // per participating device unit. A socket's chain runs on all of that
+  // socket's probe workers, which fill its single replica together.
+  auto build_dop = [&](sim::DeviceId unit) {
+    return unit.is_gpu() ? 1
+                         : static_cast<int>(std::count(layout.probe_instances.begin(),
+                                                       layout.probe_instances.end(),
+                                                       unit));
+  };
   std::vector<std::vector<int>> cpu_builds;  // per join: build nodes on CPU units
   std::vector<std::vector<int>> gpu_builds;
   for (size_t j = 0; j < spec.joins.size(); ++j) {
@@ -218,6 +226,8 @@ HetPlan BuildHetPlan(const QuerySpec& spec, const ExecPolicy& policy,
                       {chain});
       }
       const auto dev_type = unit.type;
+      const int dop = build_dop(unit);
+      const std::vector<sim::DeviceId> instances(dop, unit);
       if (unit.is_gpu()) {
         // Without routers there is no mem-move below: the launch addresses host
         // data in place over UVA (waives the §3.3 rule-3 mem-move requirement).
@@ -228,16 +238,16 @@ HetPlan BuildHetPlan(const QuerySpec& spec, const ExecPolicy& policy,
                       {chain});
         plan.node(chain).uva = !layout.routers_present;
       }
-      chain = place(b.Add(Kind::kUnpack, dev_type, "", {chain}), {unit});
+      chain = place(b.Add(Kind::kUnpack, dev_type, "", {chain}, dop), instances);
       if (join.build_filter != nullptr) {
         chain = place(b.Add(Kind::kFilter, dev_type, join.build_filter->ToString(),
-                            {chain}),
-                      {unit});
+                            {chain}, dop),
+                      instances);
       }
       chain = place(b.Add(Kind::kJoinBuild, dev_type,
                           "ht[" + std::to_string(j) + "] on " + unit.ToString(),
-                          {chain}),
-                    {unit});
+                          {chain}, dop),
+                    instances);
       plan.node(chain).join_id = static_cast<int>(j);
       (unit.is_gpu() ? gpu_builds : cpu_builds)[j].push_back(chain);
     }

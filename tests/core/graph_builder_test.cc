@@ -45,16 +45,26 @@ TEST_F(GraphBuilderTest, CpuOnlyLoweringMatchesPlan) {
   const HetPlan plan = Plan(spec, TestEnv::Tune(ExecPolicy::CpuOnly(4)));
   const LoweredSpec lowered = Lower(plan);
 
-  // One build stage per join, each instanced once per kJoinBuild replica.
+  // One build stage per join, instanced per the kJoinBuild replicas' DOP:
+  // each socket's replica is built by all of its probe workers.
   ASSERT_EQ(lowered.build_stages.size(), spec.joins.size());
-  int plan_build_replicas = CountKind(plan, HetOpNode::Kind::kJoinBuild);
+  int plan_build_instances = 0;
+  for (const auto& n : plan.nodes) {
+    if (n.kind == HetOpNode::Kind::kJoinBuild) {
+      EXPECT_EQ(n.dop, 2) << "4 workers over 2 sockets";
+      plan_build_instances += n.dop;
+    }
+  }
   int lowered_build_instances = 0;
   for (const auto& s : lowered.build_stages) {
     EXPECT_EQ(s.span.role, PipelineSpan::Role::kBuild);
     EXPECT_EQ(s.in.options.policy, Edge::Policy::kBroadcast);
+    EXPECT_TRUE(s.in.options.unit_broadcast);
     lowered_build_instances += static_cast<int>(s.instances.size());
   }
-  EXPECT_EQ(lowered_build_instances, plan_build_replicas);
+  EXPECT_EQ(lowered_build_instances, plan_build_instances);
+  // The probe stage's fact router keeps every-consumer-gets-one semantics.
+  EXPECT_FALSE(lowered.fact_stages[1].in.options.unit_broadcast);
 
   // Fused plan: gather + probe stages; probe DOP = the fact router's fanout.
   ASSERT_EQ(lowered.fact_stages.size(), 2u);
@@ -106,9 +116,10 @@ TEST_F(GraphBuilderTest, HybridLoweringMergesBranchesOfOneExchange) {
   EXPECT_TRUE(probe.instances[4].is_gpu());
   ASSERT_EQ(probe.branch_nodes.size(), 2u);
 
-  // Build stages replicate per unit: 2 sockets + 2 GPUs.
+  // Build stages replicate per unit (2 sockets + 2 GPUs); each socket's
+  // replica is built by its probe workers: 2 on socket 0, 1 on socket 1.
   for (const auto& s : lowered.build_stages) {
-    EXPECT_EQ(s.instances.size(), 4u);
+    EXPECT_EQ(s.instances.size(), 5u);
   }
 
   const auto result = env_.Run(spec, TestEnv::Tune(ExecPolicy::Hybrid(3)));

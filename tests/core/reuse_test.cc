@@ -358,6 +358,54 @@ TEST(ReuseTest, AttachingQueryStartsEachProbeUnitAtItsReplica) {
   EXPECT_LT(earliest, latest) << "every unit gated on one global watermark";
 }
 
+TEST(ReuseTest, AttacherSeesEachUnitsLastParallelWriter) {
+  // Each socket's replica is built by its two probe workers. The builder
+  // publishes a unit's completion as the latest of that unit's writers, and
+  // an attacher's per-(join, unit) readiness is exactly that time.
+  test::TestEnv env(8'000, 2, 2, SharedOnly());
+  const plan::QuerySpec spec = env.ssb->Query(3, 1);
+  core::QueryScheduler scheduler(env.system.get(), {.max_concurrent = 2});
+  core::SubmitOptions pinned;
+  pinned.policy = test::TestEnv::Tune(plan::ExecPolicy::Hybrid());
+  core::QueryHandle ha = scheduler.Submit(spec, pinned);
+  core::QueryHandle hb = scheduler.Submit(spec, pinned);
+  core::QueryResult ra = scheduler.Wait(ha);
+  core::QueryResult rb = scheduler.Wait(hb);
+  ASSERT_TRUE(ra.status.ok()) << ra.status.ToString();
+  ASSERT_TRUE(rb.status.ok()) << rb.status.ToString();
+  ASSERT_EQ(ra.session_epoch, rb.session_epoch);
+  const core::QueryResult& builder = ra.shared_builds > 0 ? ra : rb;
+  const core::QueryResult& attacher = ra.shared_builds > 0 ? rb : ra;
+  ASSERT_EQ(builder.shared_builds, static_cast<int>(spec.joins.size()));
+  ASSERT_EQ(attacher.shared_attaches, static_cast<int>(spec.joins.size()));
+
+  // (join, unit) -> completion, per side.
+  std::map<std::pair<int, int>, core::QueryResult::BuildDone> built, attached;
+  for (const auto& b : builder.builds) {
+    built[{b.join_id, core::HtRegistry::UnitOf(b.unit)}] = b;
+  }
+  for (const auto& b : attacher.builds) {
+    attached[{b.join_id, core::HtRegistry::UnitOf(b.unit)}] = b;
+  }
+  ASSERT_EQ(built.size(), 4 * spec.joins.size());  // 2 sockets + 2 GPUs
+  ASSERT_EQ(attached.size(), built.size());
+  for (const auto& [key, b] : built) {
+    EXPECT_EQ(b.dop, b.unit.is_cpu() ? 2 : 1) << b.unit.ToString();
+    const core::QueryResult::BuildDone& a = attached.at(key);
+    EXPECT_EQ(a.dop, 0) << "attached, not built";
+    EXPECT_DOUBLE_EQ(a.done, b.done)
+        << "join " << key.first << " on " << b.unit.ToString();
+  }
+  // A unit's probes start with its last replica.
+  for (const auto& u : attacher.unit_ready) {
+    sim::VTime last = 0;
+    for (const auto& [key, b] : built) {
+      if (b.unit == u.unit) last = std::max(last, b.done);
+    }
+    EXPECT_DOUBLE_EQ(u.start, last) << u.unit.ToString();
+  }
+}
+
 TEST(ReuseTest, OppositeBuildOrderQueriesDoNotDeadlock) {
   // Two multi-join queries listing the same dimension joins in opposite
   // orders acquire overlapping content-key sets. The graph builder must claim

@@ -5,6 +5,7 @@
 #include <map>
 
 #include "core/system.h"
+#include "test_util.h"
 
 namespace hetex::core {
 namespace {
@@ -332,6 +333,219 @@ TEST_F(RuntimeTest, LoadBalanceRoutesAroundLateStartingInstance) {
   EXPECT_EQ(log_.by_instance[1].size(), 6u);
   EXPECT_DOUBLE_EQ(group.instance(0).clock(), 1.0);
   EXPECT_LT(group.instance(1).clock(), 1.0);
+}
+
+TEST_F(RuntimeTest, CrossingLatencyChargedOnlyToGpuProducedMessages) {
+  // A hybrid exchange: one CPU and one GPU producer push partials into the
+  // same gather edge. Only the GPU's messages cross a device boundary.
+  WorkerGroup group(&system_, {sim::DeviceId::Cpu(0)}, Recorder(), nullptr, 8,
+                    {0.0});
+  Edge::Options opts;
+  opts.policy = Edge::Policy::kRoundRobin;
+  opts.control_cost = 1e-7;
+  opts.crossing_latency = 1e-3;
+  Edge edge(&system_, opts, group.instance_ptrs());
+  group.Start();
+  edge.AddProducer();
+  const sim::MemNodeId producers[2] = {system_.topology().socket(0).mem,
+                                       system_.topology().gpu(0).mem};
+  for (int i = 0; i < 2; ++i) {
+    DataMsg msg;  // a payload-free message: only the control plane moves
+    msg.rows = 1;
+    msg.tag = static_cast<uint64_t>(i);
+    edge.Push(std::move(msg), producers[i]);
+  }
+  edge.CloseProducer();
+  group.Join();
+  ASSERT_EQ(log_.by_instance[0].size(), 2u);
+  for (const DataMsg& msg : log_.by_instance[0]) {
+    EXPECT_DOUBLE_EQ(msg.ready_at, msg.tag == 0 ? 1e-7 : 1e-7 + 1e-3)
+        << (msg.tag == 0 ? "CPU" : "GPU") << " producer";
+  }
+}
+
+/// Inserts each block's key column into its unit's replica: a build pipeline
+/// reduced to its insert, with the block counts each instance received.
+class InsertingProcessor : public BlockProcessor {
+ public:
+  struct Shared {
+    std::map<int, jit::JoinHashTable*> replicas;  // unit key -> replica
+    std::mutex mu;
+    std::map<int, int> blocks;  // instance id -> blocks consumed
+  };
+  explicit InsertingProcessor(Shared* shared) : shared_(shared) {}
+  void Init(WorkerInstance& inst) override {
+    ht_ = shared_->replicas.at(HtRegistry::UnitOf(inst.device()));
+  }
+  void ProcessMsg(WorkerInstance& inst, DataMsg& msg) override {
+    const auto* keys = reinterpret_cast<const int64_t*>(msg.cols[0].data());
+    for (uint64_t r = 0; r < msg.rows; ++r) ht_->Insert(keys[r], &keys[r]);
+    inst.AdvanceTo(sim::MaxT(inst.clock(), msg.ReadyAt()) + 1e-6);
+    std::lock_guard<std::mutex> lock(shared_->mu);
+    ++shared_->blocks[inst.id()];
+  }
+  void Finish(WorkerInstance&) override {}
+
+ private:
+  Shared* shared_;
+  jit::JoinHashTable* ht_ = nullptr;
+};
+
+TEST_F(RuntimeTest, UnitBroadcastFillsEachReplicaOnceAcrossItsInstances) {
+  // Socket 0 builds its replica on three instances, socket 1 on one. The
+  // build edge delivers every block once per unit, rotated over the unit's
+  // instances, and the three writers CAS into one lock-free table.
+  storage::Table* t = system_.catalog().CreateTable("dim");
+  storage::Column* c = t->AddColumn("k", storage::ColType::kInt64);
+  constexpr int kRows = 1000;
+  for (int i = 0; i < kRows; ++i) c->Append(i * 7 + 3);
+  ASSERT_TRUE(t->Place(system_.HostNodes(), &system_.memory()).ok());
+
+  InsertingProcessor::Shared shared;
+  auto& mm = system_.memory().manager(system_.topology().socket(0).mem);
+  jit::JoinHashTable socket0(&mm, kRows, 1);
+  jit::JoinHashTable socket1(&mm, kRows, 1);
+  shared.replicas = {{0, &socket0}, {1, &socket1}};
+  const sim::DeviceId cpu0 = sim::DeviceId::Cpu(0);
+  WorkerGroup group(&system_, {cpu0, cpu0, cpu0, sim::DeviceId::Cpu(1)},
+                    [&](WorkerInstance&) {
+                      return std::make_unique<InsertingProcessor>(&shared);
+                    },
+                    nullptr, 8, {0.0, 0.0, 0.0, 0.0});
+  Edge::Options opts;
+  opts.policy = Edge::Policy::kBroadcast;
+  opts.unit_broadcast = true;
+  Edge edge(&system_, opts, group.instance_ptrs());
+  group.Start();
+  SourceDriver source(&system_, t, {0}, /*block_rows=*/100, &edge, 0.0);
+  source.Start();
+  source.Join();
+  group.Join();
+
+  // 10 blocks: socket 0's three instances take floor or ceil of 10/3 each,
+  // socket 1's single instance takes all of them.
+  int socket0_blocks = 0;
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_TRUE(shared.blocks[i] == 3 || shared.blocks[i] == 4) << shared.blocks[i];
+    socket0_blocks += shared.blocks[i];
+  }
+  EXPECT_EQ(socket0_blocks, 10);
+  EXPECT_EQ(shared.blocks[3], 10);
+
+  for (jit::JoinHashTable* ht : {&socket0, &socket1}) {
+    ASSERT_EQ(ht->size(), static_cast<uint64_t>(kRows));
+    for (int i = 0; i < kRows; ++i) {
+      const int64_t key = i * 7 + 3;
+      uint64_t hops = 0;
+      const int64_t e = ht->FindKeyFrom(ht->ProbeHead(key), key, &hops);
+      ASSERT_GE(e, 0) << "key " << key << " missing";
+      EXPECT_EQ(ht->PayloadOf(e)[0], key);
+      EXPECT_LT(ht->FindKeyFrom(ht->NextEntry(e), key, &hops), 0)
+          << "key " << key << " inserted twice";
+    }
+  }
+}
+
+TEST_F(RuntimeTest, ParallelBuildReadinessIsBitIdenticalOverRepeats) {
+  // Each socket's two probe workers build its replicas together. Which
+  // instance builds which block is fixed by the rotation, and each unit runs
+  // the joins one after another, so every replica's completion — and every
+  // probe unit's start — is a pure function of data and plan. (Each repeat
+  // gets a fresh server: later sessions on one server start at later epochs,
+  // where absolute-time link reservations round differently.)
+  auto run_once = [] {
+    test::TestEnv env(8'000, 2, 2, ReuseOptions{});
+    const plan::QuerySpec spec = env.ssb->Query(2, 1);  // three joins
+    QueryResult r =
+        env.Run(spec, test::TestEnv::Tune(plan::ExecPolicy::Hybrid()));
+    EXPECT_EQ(r.rows, env.Reference(spec));
+    return r;
+  };
+  const QueryResult first = run_once();
+  ASSERT_TRUE(first.status.ok()) << first.status.ToString();
+  ASSERT_EQ(first.unit_ready.size(), 4u);
+  ASSERT_EQ(first.builds.size(), 4 * 3u);
+  for (const auto& b : first.builds) {
+    EXPECT_EQ(b.dop, b.unit.is_cpu() ? 2 : 1) << b.unit.ToString();
+  }
+  for (int rep = 0; rep < 4; ++rep) {
+    const QueryResult r = run_once();
+    ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+    ASSERT_EQ(r.unit_ready.size(), first.unit_ready.size());
+    for (size_t i = 0; i < r.unit_ready.size(); ++i) {
+      EXPECT_EQ(r.unit_ready[i].unit, first.unit_ready[i].unit);
+      EXPECT_EQ(r.unit_ready[i].start, first.unit_ready[i].start)
+          << r.unit_ready[i].unit.ToString();
+    }
+    ASSERT_EQ(r.builds.size(), first.builds.size());
+    for (size_t i = 0; i < r.builds.size(); ++i) {
+      EXPECT_EQ(r.builds[i].join_id, first.builds[i].join_id);
+      EXPECT_EQ(r.builds[i].done, first.builds[i].done)
+          << "join " << r.builds[i].join_id << " on "
+          << r.builds[i].unit.ToString();
+    }
+  }
+}
+
+TEST_F(RuntimeTest, SharedReplicaInsertsPayOneAtomicEach) {
+  // CPU-only on 2 sockets x 2 workers: each socket's replica has two
+  // writers, so every inserted row pays one CAS — once per socket. GPU-free,
+  // and CPU group-bys never use atomics, so those are all the atomics.
+  test::TestEnv env(8'000, 2, 2, ReuseOptions{});
+  const plan::QuerySpec spec = env.ssb->Query(1, 1);  // one join: date
+  const QueryResult r =
+      env.Run(spec, test::TestEnv::Tune(plan::ExecPolicy::CpuOnly(4)));
+  ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+  EXPECT_EQ(r.rows, env.Reference(spec));
+  const storage::Table& date = env.system->catalog().at(spec.joins[0].build_table);
+  uint64_t build_rows = 0;
+  for (uint64_t row = 0; row < date.rows(); ++row) {
+    const plan::RowGetter get = [&](const std::string& name) {
+      return date.column(name).At(row);
+    };
+    build_rows += spec.joins[0].build_filter->Eval(get) != 0;
+  }
+  ASSERT_GT(build_rows, 0u);
+  EXPECT_EQ(r.stats.atomics, 2 * build_rows);
+}
+
+TEST_F(RuntimeTest, OneWorkerPerSocketKeepsSingleWriterBuilds) {
+  // With one probe worker per socket the plan and the runtime graph are the
+  // ones a single-writer build has: DOP-1 build chains, no CAS charged.
+  System::Options o;
+  o.reuse = ReuseOptions{};
+  o.topology.cores_per_socket = 1;
+  o.blocks.block_bytes = 64 << 10;
+  o.blocks.host_arena_blocks = 256;
+  o.blocks.gpu_arena_blocks = 128;
+  System system(o);
+  ssb::Ssb::Options d;
+  d.lineorder_rows = 8'000;
+  d.scale = 0.002;
+  ssb::Ssb ssb(d, &system.catalog());
+  for (const char* name : {"lineorder", "date", "customer", "supplier", "part"}) {
+    ASSERT_TRUE(system.catalog().at(name).Place(system.HostNodes(),
+                                                &system.memory()).ok());
+  }
+  const plan::QuerySpec spec = ssb.Query(1, 1);
+  plan::ExecPolicy policy = test::TestEnv::Tune(plan::ExecPolicy::CpuOnly());
+  const plan::HetPlan plan = plan::BuildHetPlan(spec, policy, system.topology());
+  for (const auto& n : plan.nodes) {
+    if (n.kind == plan::HetOpNode::Kind::kJoinBuild) EXPECT_EQ(n.dop, 1);
+  }
+  QueryExecutor executor(&system);
+  const QueryResult a = executor.Execute(spec, policy);
+  const QueryResult b = executor.Execute(spec, policy);
+  ASSERT_TRUE(a.status.ok()) << a.status.ToString();
+  ASSERT_TRUE(b.status.ok()) << b.status.ToString();
+  EXPECT_EQ(a.rows, ssb::ReferenceExecute(spec, system.catalog()));
+  EXPECT_EQ(a.stats.atomics, 0u);
+  ASSERT_EQ(a.builds.size(), 2u);  // one replica per socket
+  for (const auto& build : a.builds) EXPECT_EQ(build.dop, 1);
+  ASSERT_EQ(a.unit_ready.size(), b.unit_ready.size());
+  for (size_t i = 0; i < a.unit_ready.size(); ++i) {
+    EXPECT_EQ(a.unit_ready[i].start, b.unit_ready[i].start);
+  }
 }
 
 }  // namespace

@@ -23,12 +23,13 @@ namespace {
 ///
 /// Placements are deterministic (DOP-1 stages, a single GPU simulated by one
 /// worker thread, round-robin routing) so the runs see identical block
-/// streams and hash-table layouts; any stats divergence is a tier bug, not
-/// scheduling noise.
+/// streams; any stats divergence is a tier bug, not scheduling noise. The
+/// shared-build mode runs two workers on the one socket: both fill the
+/// socket's replica, so every insert pays the bucket-head CAS in all tiers.
 struct ParityEnv {
   explicit ParityEnv(jit::TierPolicy policy, bool codegen = false) {
     core::System::Options opts;
-    opts.topology.num_sockets = 2;
+    opts.topology.num_sockets = 1;
     opts.topology.cores_per_socket = 2;
     opts.topology.num_gpus = 1;
     opts.topology.gpu_sim_threads = 1;  // sequential logical threads
@@ -84,7 +85,8 @@ struct ParityEnv {
 struct ParityCase {
   int flight;
   int idx;
-  int mode;  // 0 cpu-fused, 1 cpu-split, 2 gpu-fused, 3 gpu-split
+  int mode;  // 0 cpu-fused, 1 cpu-split, 2 gpu-fused, 3 gpu-split,
+             // 4 cpu-fused with a two-writer shared build
 };
 
 class TierParityTest : public ::testing::TestWithParam<ParityCase> {
@@ -104,7 +106,8 @@ class TierParityTest : public ::testing::TestWithParam<ParityCase> {
   }
 
   static plan::ExecPolicy PolicyFor(int mode) {
-    plan::ExecPolicy policy = (mode == 0 || mode == 1)
+    plan::ExecPolicy policy = mode == 4 ? plan::ExecPolicy::CpuOnly(2)
+                              : (mode == 0 || mode == 1)
                                   ? plan::ExecPolicy::CpuOnly(1)
                                   : plan::ExecPolicy::GpuOnly({0});
     policy.split_probe_stage = (mode == 1 || mode == 3);
@@ -146,6 +149,9 @@ TEST_P(TierParityTest, IdenticalResultsAndCostStats) {
     EXPECT_EQ(interp.stats.mid_accesses, other->stats.mid_accesses);
     EXPECT_EQ(interp.stats.far_accesses, other->stats.far_accesses);
   }
+  // CPU probes and group-bys never pay atomics; the shared replica's CAS does.
+  EXPECT_EQ(interp.stats.atomics > 0, c.mode != 0 && c.mode != 1)
+      << "mode " << c.mode;
 
   // The suite is not vacuous: nothing silently fell back — neither the
   // vectorizer (tiers 1 and 2 both lower through it first) nor the codegen
@@ -160,14 +166,15 @@ std::vector<ParityCase> AllCases() {
   const int flights[4] = {3, 3, 4, 3};
   for (int f = 1; f <= 4; ++f) {
     for (int i = 1; i <= flights[f - 1]; ++i) {
-      for (int mode = 0; mode < 4; ++mode) cases.push_back({f, i, mode});
+      for (int mode = 0; mode < 5; ++mode) cases.push_back({f, i, mode});
     }
   }
   return cases;
 }
 
 std::string CaseName(const ::testing::TestParamInfo<ParityCase>& info) {
-  static const char* kModes[4] = {"CpuFused", "CpuSplit", "GpuFused", "GpuSplit"};
+  static const char* kModes[5] = {"CpuFused", "CpuSplit", "GpuFused", "GpuSplit",
+                                  "CpuSharedBuild"};
   return "Q" + std::to_string(info.param.flight) + std::to_string(info.param.idx) +
          kModes[info.param.mode];
 }

@@ -127,6 +127,23 @@ TEST(PlanCosterTest, BreakdownShapesMatchPlanShapes) {
   EXPECT_GT(bare.value().total, 0.0);
 }
 
+TEST(PlanCosterTest, PinnedGpuResidentBlocksAreNeverPricedOnSockets) {
+  // GPU-resident fact table, GPUs among the consumers: the load-balance
+  // router hands every block to its own GPU, so the sockets add no probe
+  // capacity and hybrid cannot be estimated cheaper than GPU-only.
+  TestEnv env(20'000);
+  HETEX_CHECK_OK(env.system->catalog().at("lineorder").Place(
+      env.system->GpuNodes(), &env.system->memory()));
+  const auto spec = env.ssb->Query(1, 1);
+  plan::PlanCoster coster(spec, env.system->catalog(), env.system->topology());
+  const auto hybrid = coster.Cost(plan::BuildHetPlan(
+      spec, TestEnv::Tune(ExecPolicy::Hybrid()), env.system->topology()));
+  const auto gpu = coster.Cost(plan::BuildHetPlan(
+      spec, TestEnv::Tune(ExecPolicy::GpuOnly()), env.system->topology()));
+  ASSERT_TRUE(hybrid.ok() && gpu.ok());
+  EXPECT_GE(hybrid.value().total, gpu.value().total);
+}
+
 TEST(PlanCosterTest, LinkBacklogRaisesGpuPlanEstimates) {
   TestEnv env(20'000);
   const auto spec = env.ssb->Query(1, 1);

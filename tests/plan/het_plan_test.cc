@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "plan/query_spec.h"
 #include "sim/topology.h"
 
@@ -156,6 +158,7 @@ TEST_F(HetPlanTest, StampsLoweringParameters) {
   policy.channel_capacity = 7;
   HetPlan plan = BuildHetPlan(JoinQuery(), policy, topo_);
   EXPECT_EQ(plan.channel_capacity, 7u);
+  const Layout layout = ComputeLayout(policy, topo_);
 
   int routers = 0, segmenters = 0, placed_spans = 0, crossing_stamps = 0;
   for (const auto& n : plan.nodes) {
@@ -173,7 +176,15 @@ TEST_F(HetPlanTest, StampsLoweringParameters) {
         break;
       case HetOpNode::Kind::kJoinBuild:
         EXPECT_EQ(n.join_id, 0);
-        ASSERT_EQ(n.placement.size(), 1u);
+        // A socket's replica is built by all of its probe workers; a GPU's
+        // by the GPU alone.
+        ASSERT_FALSE(n.placement.empty());
+        EXPECT_EQ(static_cast<int>(n.placement.size()), n.dop);
+        EXPECT_EQ(n.dop, n.device == sim::DeviceType::kGpu
+                             ? 1
+                             : std::count(layout.probe_instances.begin(),
+                                          layout.probe_instances.end(),
+                                          n.placement[0]));
         break;
       case HetOpNode::Kind::kJoinProbe:
       case HetOpNode::Kind::kReduceLocal:
