@@ -6,7 +6,7 @@
 //
 // Usage:
 //   bench_open_loop_bench [--check] [--queries N] [--rows R] [--seed S]
-//                         [--factor F] [--max-concurrent C] [--ab-steer]
+//                         [--factor F] [--max-concurrent C]
 //
 // The driver is open-loop: arrival offsets are drawn once (exponential gaps at
 // `factor x max_concurrent / mean solo latency`) and replayed identically into
@@ -18,8 +18,6 @@
 // --check exits nonzero unless (a) every completed query's rows are
 // bit-identical to the scalar reference in every leg, and (b) the reuse-on
 // leg achieves >= 1.3x the reuse-off achieved qps at the same offered load.
-// --ab-steer adds a third leg with backlog-steered admission disabled
-// (load-blind planning) — informational, roughly doubles the runtime.
 
 #include <algorithm>
 #include <chrono>
@@ -98,9 +96,8 @@ std::unique_ptr<ssb::Ssb> LoadSsb(core::System* system, uint64_t rows) {
   return ssb;
 }
 
-LegStats RunLeg(const std::string& name, core::ReuseOptions reuse, bool steer,
-                uint64_t rows, int max_concurrent,
-                const std::vector<int>& draws,
+LegStats RunLeg(const std::string& name, core::ReuseOptions reuse, uint64_t rows,
+                int max_concurrent, const std::vector<int>& draws,
                 const std::vector<double>& arrivals,
                 const std::vector<std::vector<std::vector<int64_t>>>& reference) {
   core::System system(SystemOptions(reuse));
@@ -110,7 +107,6 @@ LegStats RunLeg(const std::string& name, core::ReuseOptions reuse, bool steer,
 
   core::QueryScheduler::Options sopts;
   sopts.max_concurrent = max_concurrent;
-  sopts.steer_admission = steer;
   core::QueryScheduler scheduler(&system, sopts);
 
   LegStats leg;
@@ -181,10 +177,8 @@ int main(int argc, char** argv) {
   double factor = 2.0;
   int max_concurrent = 8;
   bool check = false;
-  bool ab_steer = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--check") == 0) check = true;
-    if (std::strcmp(argv[i], "--ab-steer") == 0) ab_steer = true;
     if (std::strcmp(argv[i], "--rows") == 0 && i + 1 < argc) {
       rows = std::strtoull(argv[++i], nullptr, 10);
     }
@@ -240,15 +234,10 @@ int main(int argc, char** argv) {
   reuse_on.result_cache = true;
 
   std::vector<LegStats> legs;
-  legs.push_back(RunLeg("reuse_off", core::ReuseOptions{}, /*steer=*/true, rows,
-                        max_concurrent, draws, arrivals, reference));
-  legs.push_back(RunLeg("reuse_on", reuse_on, /*steer=*/true, rows,
-                        max_concurrent, draws, arrivals, reference));
-  if (ab_steer) {
-    legs.push_back(RunLeg("reuse_off_unsteered", core::ReuseOptions{},
-                          /*steer=*/false, rows, max_concurrent, draws,
-                          arrivals, reference));
-  }
+  legs.push_back(RunLeg("reuse_off", core::ReuseOptions{}, rows, max_concurrent,
+                        draws, arrivals, reference));
+  legs.push_back(RunLeg("reuse_on", reuse_on, rows, max_concurrent, draws,
+                        arrivals, reference));
 
   std::printf("{\n  \"lineorder_rows\": %" PRIu64 ",\n  \"queries\": %d,\n"
               "  \"max_concurrent\": %d,\n  \"mean_solo_latency_s\": %.6f,\n"

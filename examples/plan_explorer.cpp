@@ -170,7 +170,7 @@ void ReportSpanTiers(core::System& system, const core::GraphBuilder& builder,
       if (!r.ok()) {
         if (print) {
           std::printf("  %s %s: compile failed: %s\n", label,
-                      core::PipelineSpan::RoleName(stage.span.role),
+                      plan::StageRoleName(stage.span.role),
                       r.status().ToString().c_str());
         }
         return;
@@ -183,7 +183,7 @@ void ReportSpanTiers(core::System& system, const core::GraphBuilder& builder,
     const auto after_cpu = cache.counters(sim::DeviceType::kCpu);
     const auto after_gpu = cache.counters(sim::DeviceType::kGpu);
     const std::string span_name =
-        std::string(label) + " " + core::PipelineSpan::RoleName(stage.span.role);
+        std::string(label) + " " + plan::StageRoleName(stage.span.role);
     if (out != nullptr) {
       out->push_back({span_name, TierName(program->EffectiveTier()),
                       program->EffectiveTierReason()});
@@ -209,12 +209,8 @@ void ReportSpanTiers(core::System& system, const core::GraphBuilder& builder,
     report_stage(stage, "build", compiler.CompileSpan(stage.span, nullptr));
   }
   // Fact stages compile through the same schema-threading path execution uses.
-  std::vector<core::CompiledPipeline> pipelines;
-  const Status st = builder.CompileFactPipelines(&compiler, &pipelines);
-  if (!st.ok()) {
-    if (print) std::printf("  fact chain: %s\n", st.ToString().c_str());
-    return;
-  }
+  const std::vector<core::CompiledPipeline> pipelines =
+      builder.CompileFactPipelines(&compiler);
   for (size_t i = 0; i < pipelines.size(); ++i) {
     report_stage(spec.fact_stages[i], "fact", pipelines[i]);
   }

@@ -89,93 +89,26 @@ int MakeContiguous(ProgramBuilder& b, const std::vector<int>& regs) {
 
 }  // namespace
 
-const char* PipelineSpan::RoleName(Role role) {
-  switch (role) {
-    case Role::kBuild: return "build";
-    case Role::kFilterStage: return "filter-stage";
-    case Role::kProbe: return "probe";
-    case Role::kGather: return "gather";
-  }
-  return "?";
-}
-
-PipelineSpan ClassifySpan(const plan::HetPlan& plan, std::vector<int> nodes) {
-  using Kind = plan::HetOpNode::Kind;
-  PipelineSpan span;
-  span.nodes = std::move(nodes);
-  HETEX_CHECK(!span.nodes.empty()) << "empty pipeline span";
-  bool has_build = false, has_probe = false, has_gather = false;
-  bool has_hash_pack = false;
-  for (int id : span.nodes) {
-    const plan::HetOpNode& n = plan.node(id);
-    if (!n.placement.empty() && span.instances.empty()) {
-      span.instances = n.placement;
-    }
-    switch (n.kind) {
-      case Kind::kJoinBuild:
-        has_build = true;
-        span.join_id = n.join_id;
-        break;
-      case Kind::kJoinProbe:
-        has_probe = true;
-        break;
-      case Kind::kGather:
-        has_gather = true;
-        break;
-      case Kind::kHashPack:
-        has_hash_pack = true;
-        span.n_buckets = n.n_buckets > 0 ? n.n_buckets : 1;
-        break;
-      default:
-        break;
-    }
-  }
-  // A hash-pack only makes the span a filter stage when no probe runs in it;
-  // a span that probes and hash-packs is still a probe pipeline.
-  span.role = has_build    ? PipelineSpan::Role::kBuild
-              : has_gather ? PipelineSpan::Role::kGather
-              : (has_hash_pack && !has_probe) ? PipelineSpan::Role::kFilterStage
-                                              : PipelineSpan::Role::kProbe;
-  return span;
-}
-
 QueryCompiler::QueryCompiler(const plan::QuerySpec& spec,
                              const storage::Catalog& catalog,
                              const sim::CostModel& cost_model)
     : spec_(&spec), catalog_(&catalog), cost_model_(&cost_model) {}
 
 CompiledPipeline QueryCompiler::CompileSpan(
-    const PipelineSpan& span, const std::vector<ColSlot>* upstream_schema) const {
+    const plan::Span& span, const std::vector<ColSlot>* upstream_schema) const {
   switch (span.role) {
-    case PipelineSpan::Role::kBuild:
+    case plan::StageRole::kBuild:
       HETEX_CHECK(span.join_id >= 0) << "build span without a join id stamp";
       return CompileBuild(span.join_id);
-    case PipelineSpan::Role::kFilterStage:
+    case plan::StageRole::kFilterStage:
       return CompileFilterStage(span.n_buckets);
-    case PipelineSpan::Role::kProbe:
+    case plan::StageRole::kProbe:
       return CompileProbe(upstream_schema);
-    case PipelineSpan::Role::kGather:
+    case plan::StageRole::kGather:
       return CompileGather();
   }
   HETEX_CHECK(false) << "unreachable span role";
   return {};
-}
-
-uint64_t QueryCompiler::JoinHtCapacity(int join_id) const {
-  const auto& join = spec_->joins.at(join_id);
-  if (join.build_rows_estimate > 0) {
-    // Optimizer estimate with headroom (the build CHECKs on overflow).
-    return join.build_rows_estimate * 13 / 10 + 64;
-  }
-  return catalog_->at(join.build_table).rows();
-}
-
-uint64_t QueryCompiler::JoinHtBytes(int join_id) const {
-  const uint64_t capacity = JoinHtCapacity(join_id);
-  const uint64_t stride = (2 + JoinPayloadWidth(join_id)) * sizeof(int64_t);
-  // entries + bucket array (~2x entries, pow2-rounded; a coarse model is fine for
-  // picking the random-access size class)
-  return capacity * stride + capacity * 2 * sizeof(int64_t);
 }
 
 CompiledPipeline QueryCompiler::CompileBuild(int join_id) const {
@@ -197,7 +130,8 @@ CompiledPipeline QueryCompiler::CompileBuild(int join_id) const {
   }
   int first = 0;
   if (!payload_regs.empty()) first = MakeContiguous(b, payload_regs);
-  const int cls = cost_model_->RandomAccessClass(JoinHtBytes(join_id));
+  const int cls =
+      cost_model_->RandomAccessClass(plan::JoinHtBytes(join, *catalog_));
   b.EmitOp(OpCode::kHtInsert, /*ht_slot=*/0, key, first,
            static_cast<int>(payload_regs.size()), 0, cls);
 
@@ -284,7 +218,8 @@ CompiledPipeline QueryCompiler::CompileProbe(
       return;
     }
     const auto& join = spec_->joins[j];
-    const int cls = cost_model_->RandomAccessClass(JoinHtBytes(static_cast<int>(j)));
+    const int cls =
+        cost_model_->RandomAccessClass(plan::JoinHtBytes(join, *catalog_));
     const int key = cols.ResolveColumn(join.probe_key, b);
     const int iter = b.AllocReg();
     b.EmitOp(OpCode::kHtProbeInit, iter, key, static_cast<int>(j), 0, 0, cls);

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "jit/program.h"
+#include "plan/analysis.h"
 #include "plan/het_plan.h"
 #include "plan/query_spec.h"
 #include "sim/cost_model.h"
@@ -40,29 +41,6 @@ struct CompiledPipeline {
 /// summed; SUM/MIN/MAX merge with themselves).
 jit::AggFunc MergeFunc(jit::AggFunc f);
 
-/// \brief A maximal run of compute operators of a HetPlan executed inside one
-/// worker group, between exchange boundaries (routers / segmenters / pack tops).
-///
-/// Spans are the compilation unit of the lowering: GraphBuilder cuts the DAG
-/// into spans and requests one fused pipeline program per span, instead of the
-/// engine assuming a fixed build/filter/probe/gather stage shape.
-struct PipelineSpan {
-  enum class Role { kBuild, kFilterStage, kProbe, kGather };
-
-  Role role = Role::kProbe;
-  std::vector<int> nodes;                ///< plan node ids, consumer→producer
-  std::vector<sim::DeviceId> instances;  ///< placement stamped on the span nodes
-  int join_id = -1;                      ///< kBuild: join whose HT the span feeds
-  int n_buckets = 1;                     ///< kFilterStage: hash-pack fanout
-
-  static const char* RoleName(Role role);
-};
-
-/// Classifies a span by its relational content (kJoinBuild → build, kGather →
-/// gather, kHashPack without probes → filter stage, otherwise probe) and lifts
-/// the stamped join/bucket parameters. `nodes` is consumer→producer order.
-PipelineSpan ClassifySpan(const plan::HetPlan& plan, std::vector<int> nodes);
-
 /// \brief Generates the fused pipeline programs for a query.
 ///
 /// This is the produce()/consume() stage of the paper's §4.1: relational operators
@@ -76,11 +54,12 @@ class QueryCompiler {
                 const sim::CostModel& cost_model);
 
   /// \brief Compiles the fused program of one DAG span (the lowering's entry
-  /// point: pipelines are requested per span, not per fixed stage name).
+  /// point: pipelines are requested per span, not per fixed stage name —
+  /// plan::AnalyzePlan cuts the DAG into spans).
   ///
   /// `upstream_schema` is the producer span's emit schema when the span reads
   /// packed intermediate blocks (stage B of a split plan) instead of a table.
-  CompiledPipeline CompileSpan(const PipelineSpan& span,
+  CompiledPipeline CompileSpan(const plan::Span& span,
                                const std::vector<ColSlot>* upstream_schema) const;
 
   /// Build pipeline of join `j`: filter + key/payload extraction + HT insert.
@@ -101,10 +80,6 @@ class QueryCompiler {
   /// Schema of the partial-aggregate messages probe instances emit.
   std::vector<ColSlot> PartialsSchema() const;
 
-  /// Estimated bytes of join `j`'s hash table (drives the access size class and
-  /// the build capacity).
-  uint64_t JoinHtBytes(int join_id) const;
-  uint64_t JoinHtCapacity(int join_id) const;
   int JoinPayloadWidth(int join_id) const {
     return static_cast<int>(spec_->joins.at(join_id).payload.size());
   }

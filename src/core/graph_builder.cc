@@ -6,8 +6,6 @@
 #include <memory>
 #include <numeric>
 #include <sstream>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "common/logging.h"
@@ -16,32 +14,6 @@
 namespace hetex::core {
 
 namespace {
-
-using Kind = plan::HetOpNode::Kind;
-
-/// Operators executed inside a worker pipeline (spans).
-bool IsSpanKind(Kind k) {
-  return k == Kind::kUnpack || k == Kind::kPack || k == Kind::kHashPack ||
-         k == Kind::kFilter || k == Kind::kProject || k == Kind::kJoinBuild ||
-         k == Kind::kJoinProbe || k == Kind::kReduceLocal ||
-         k == Kind::kGroupByLocal || k == Kind::kGather;
-}
-
-/// Operators lowered onto edges (and the segmenter, lowered to a SourceDriver).
-bool IsTransportKind(Kind k) {
-  return k == Kind::kRouter || k == Kind::kMemMove || k == Kind::kCpu2Gpu ||
-         k == Kind::kGpu2Cpu || k == Kind::kSegmenter;
-}
-
-/// Exchange decoration: converters that ride on an edge rather than in a span.
-bool IsDecorationKind(Kind k) {
-  return k == Kind::kMemMove || k == Kind::kCpu2Gpu || k == Kind::kGpu2Cpu;
-}
-
-/// A pack marks the producer side of an exchange: walking consumer→producer,
-/// reaching one starts a new span even when no transport operator separates
-/// them (bare plans route partials straight from pack to gather).
-bool IsProducerTop(Kind k) { return k == Kind::kPack || k == Kind::kHashPack; }
 
 Edge::Policy LowerPolicy(plan::RouterPolicy policy) {
   switch (policy) {
@@ -89,8 +61,8 @@ std::string LoweredSpec::ToString() const {
      << fact_stages.size() << " fact stage(s), " << TotalInstances()
      << " instance(s)\n";
   auto print_stage = [&os](const StageSpec& stage, const char* label) {
-    os << label << " " << PipelineSpan::RoleName(stage.span.role);
-    if (stage.span.role == PipelineSpan::Role::kBuild) {
+    os << label << " " << plan::StageRoleName(stage.span.role);
+    if (stage.span.role == plan::StageRole::kBuild) {
       os << " ht[" << stage.span.join_id << "]";
     }
     os << " x" << stage.instances.size() << " [";
@@ -114,321 +86,46 @@ std::string LoweredSpec::ToString() const {
 
 Status GraphBuilder::Analyze() {
   spec_ = LoweredSpec{};
-  const plan::HetPlan& plan = *plan_;
-  if (plan.root < 0 || plan.root >= static_cast<int>(plan.nodes.size())) {
-    return Status::InvalidArgument("plan has no root node");
-  }
-  spec_.channel_capacity = plan.channel_capacity;
-  for (const auto& n : plan.nodes) {
-    if (n.kind == Kind::kRouter) {
-      spec_.init_latency = sim::MaxT(spec_.init_latency, n.init_latency);
+  Result<plan::PlanAnalysis> analysis =
+      plan::AnalyzePlan(*plan_, system_->topology());
+  if (!analysis.ok()) return analysis.status();
+  spec_.channel_capacity = plan_->channel_capacity;
+  spec_.init_latency = analysis->init_latency;
+
+  // Lowers one analysed stage; its exchange becomes the edge options.
+  // Relational operators are data-location agnostic: every exchange fixes
+  // locality on the consumer side unless the plan opted into UVA addressing.
+  auto lower = [&](const plan::Stage& stage) {
+    StageSpec out;
+    out.span = stage.span();
+    for (const plan::Span& branch : stage.branches) {
+      out.branch_nodes.push_back(branch.nodes);
     }
-  }
-
-  std::vector<int> build_tops;  // kJoinBuild span tops, discovery order
-  std::unordered_set<int> seen_build_tops;
-
-  // Walks consumer→producer from `top` collecting one pipeline span; stops at
-  // the first transport operator or producer-side pack, which becomes `feed`.
-  auto collect_span = [&](int top, std::vector<int>* nodes, int* feed) -> Status {
-    int cur = top;
-    while (true) {
-      const plan::HetOpNode& n = plan.node(cur);
-      if (!IsSpanKind(n.kind)) {
-        return Status::Internal(std::string("pipeline span contains operator ") +
-                                plan::HetOpNode::KindName(n.kind));
-      }
-      nodes->push_back(cur);
-      if (nodes->size() > plan.nodes.size()) {
-        return Status::Internal("pipeline span does not terminate (plan cycle)");
-      }
-      if (n.kind == Kind::kJoinProbe) {
-        // Build-side children are separate pipeline networks.
-        for (size_t c = 1; c < n.children.size(); ++c) {
-          if (seen_build_tops.insert(n.children[c]).second) {
-            build_tops.push_back(n.children[c]);
-          }
-        }
-      }
-      if (n.children.empty()) {
-        return Status::Internal("pipeline span reaches a leaf without a source");
-      }
-      const int child = n.children[0];
-      const Kind ck = plan.node(child).kind;
-      if (IsTransportKind(ck) || IsProducerTop(ck)) {
-        *feed = child;
-        return Status::OK();
-      }
-      cur = child;
-    }
-  };
-
-  // Walks one decoration chain (mem-move / device crossings) to its exchange
-  // terminal (router, segmenter or producer pack), harvesting the UVA marker
-  // and crossing latency into `e` when given. Returns -1 on a dangling chain
-  // or cycle. The single walker keeps the consumer-side, producer-side and
-  // grouping passes from diverging on what decoration means.
-  auto walk_decoration = [&](int from, EdgeSpec* e) -> int {
-    int cur = from;
-    size_t steps = 0;
-    while (IsDecorationKind(plan.node(cur).kind)) {
-      const plan::HetOpNode& n = plan.node(cur);
-      if (e != nullptr) {
-        if (n.kind == Kind::kCpu2Gpu) {
-          if (plan::IsUvaCrossing(n)) e->uva = true;
-        } else if (n.kind == Kind::kGpu2Cpu) {
-          e->options.crossing_latency =
-              std::max(e->options.crossing_latency, n.crossing_latency);
-        }  // kMemMove: locality is restored on every non-UVA edge regardless
-      }
-      if (n.children.empty() || ++steps > plan.nodes.size()) return -1;
-      cur = n.children[0];
-    }
-    return cur;
-  };
-  auto terminal_of = [&](int feed) -> int { return walk_decoration(feed, nullptr); };
-
-  // Lowers the exchange below a stage's branch spans (`feeds`: one entry per
-  // branch) into an EdgeSpec: consumer-side decoration → shared router →
-  // producer-side decoration → producer span tops / source segmenter.
-  auto parse_feed = [&](const std::vector<int>& feeds, EdgeSpec* e) -> Status {
-    for (int feed : feeds) {
-      const int cur = walk_decoration(feed, e);
-      if (cur < 0) {
-        return Status::Internal("dangling or cyclic exchange decoration");
-      }
-      const plan::HetOpNode& n = plan.node(cur);
-      if (n.kind == Kind::kRouter) {
-        if (e->router != -1 && e->router != cur) {
-          return Status::Internal("stage branches fed by different routers");
-        }
-        e->router = cur;
-      } else if (n.kind == Kind::kSegmenter) {
-        // Bare plan: the source feeds the span directly.
-        if (e->segmenter != -1 && e->segmenter != cur) {
-          return Status::Internal("exchange fed by multiple segmenters");
-        }
-        e->segmenter = cur;
-      } else if (IsProducerTop(n.kind)) {
-        e->producer_tops.push_back(cur);
-      } else {
-        return Status::Internal(std::string("span fed by non-exchange operator ") +
-                                plan::HetOpNode::KindName(n.kind));
-      }
-    }
-
-    if (e->router != -1) {
-      const plan::HetOpNode& r = plan.node(e->router);
-      e->options.policy = LowerPolicy(r.policy);
-      e->options.control_cost = r.control_cost;
-      for (int child : r.children) {
-        const int cur = walk_decoration(child, e);
-        if (cur < 0) {
-          return Status::Internal("dangling or cyclic exchange decoration");
-        }
-        const plan::HetOpNode& n = plan.node(cur);
-        if (n.kind == Kind::kSegmenter) {
-          if (e->segmenter != -1 && e->segmenter != cur) {
-            return Status::Internal("exchange fed by multiple segmenters");
-          }
-          e->segmenter = cur;
-        } else if (IsSpanKind(n.kind)) {
-          e->producer_tops.push_back(cur);
-        } else {
-          return Status::Internal(
-              std::string("router fed by non-pipeline operator ") +
-              plan::HetOpNode::KindName(n.kind));
-        }
-      }
+    out.instances = stage.instances;
+    static_cast<plan::Exchange&>(out.in) = stage.in;
+    Edge::Options& options = out.in.options;
+    if (stage.in.router != -1) {
+      const plan::HetOpNode& r = plan_->node(stage.in.router);
+      options.policy = LowerPolicy(r.policy);
+      options.control_cost = r.control_cost;
     } else {
-      e->options.policy = Edge::Policy::kRoundRobin;
-      e->options.control_cost = 0;
+      options.policy = Edge::Policy::kRoundRobin;
+      options.control_cost = 0;
     }
-    if (e->segmenter != -1 && !e->producer_tops.empty()) {
-      return Status::Internal("exchange mixes a segmenter with pipeline producers");
-    }
-    // Relational operators are data-location agnostic: every exchange fixes
-    // locality on the consumer side unless the plan opted into UVA addressing.
-    e->options.mem_move = !e->uva;
-    return Status::OK();
+    options.crossing_latency = stage.in.crossing_latency;
+    options.mem_move = !stage.in.uva;
+    return out;
   };
-
-  // Hand-mutated plans can stamp placements the server does not have; surface
-  // them as a Status instead of letting provider construction abort.
-  const sim::Topology& topo = system_->topology();
-  auto check_instances = [&](const std::vector<sim::DeviceId>& instances) -> Status {
-    for (const auto& dev : instances) {
-      const int limit = dev.is_cpu() ? topo.num_sockets() : topo.num_gpus();
-      if (dev.index < 0 || dev.index >= limit) {
-        return Status::InvalidArgument(
-            "placement names device " + dev.ToString() + " but the server has " +
-            std::to_string(limit) + " " + (dev.is_cpu() ? "socket(s)" : "GPU(s)"));
-      }
-    }
-    return Status::OK();
-  };
-
-  auto make_stage = [&](std::vector<std::vector<int>> branch_nodes, EdgeSpec in,
-                        StageSpec* out) -> Status {
-    for (size_t i = 0; i < branch_nodes.size(); ++i) {
-      PipelineSpan span = ClassifySpan(plan, branch_nodes[i]);
-      if (span.instances.empty()) {
-        return Status::Internal("pipeline span without a placement stamp");
-      }
-      HETEX_RETURN_NOT_OK(check_instances(span.instances));
-      if (i > 0 && (span.role != out->span.role ||
-                    span.join_id != out->span.join_id ||
-                    span.n_buckets != out->span.n_buckets)) {
-        // Merged branches compile from branch 0's span; inconsistent stamps
-        // would be silently ignored, so reject them instead.
-        return Status::Internal("exchange feeds inconsistently stamped spans");
-      }
-      out->instances.insert(out->instances.end(), span.instances.begin(),
-                            span.instances.end());
-      if (i == 0) out->span = std::move(span);
-    }
-    out->branch_nodes = std::move(branch_nodes);
-    out->in = std::move(in);
-    return Status::OK();
-  };
-
-  // --- Fact-side chain: from the result node down to the fact segmenter.
-  const plan::HetOpNode& root = plan.node(plan.root);
-  if (root.kind != Kind::kResult || root.children.size() != 1) {
-    return Status::InvalidArgument("plan root must be a single-input result node");
-  }
-  std::vector<int> tops = {root.children[0]};
-  while (true) {
-    // A cycle through an exchange re-discovers the same producer tops forever;
-    // a legal chain cannot have more stages than the plan has nodes.
-    if (spec_.fact_stages.size() > plan.nodes.size()) {
-      return Status::Internal("fact chain does not terminate (plan cycle)");
-    }
-    std::vector<std::vector<int>> branch_nodes;
-    std::vector<int> feeds;
-    for (int top : tops) {
-      std::vector<int> nodes;
-      int feed = -1;
-      Status st = collect_span(top, &nodes, &feed);
-      if (!st.ok()) return st;
-      branch_nodes.push_back(std::move(nodes));
-      feeds.push_back(feed);
-    }
-    EdgeSpec in;
-    Status st = parse_feed(feeds, &in);
-    if (!st.ok()) return st;
-    StageSpec stage;
-    st = make_stage(std::move(branch_nodes), std::move(in), &stage);
-    if (!st.ok()) return st;
-
-    const bool at_source = stage.in.segmenter != -1;
-    std::vector<int> next = stage.in.producer_tops;
-    spec_.fact_stages.push_back(std::move(stage));
-    if (at_source) break;
-    if (next.empty()) return Status::Internal("exchange with no producers");
-    tops = std::move(next);
-  }
-  if (spec_.fact_stages.front().span.role != PipelineSpan::Role::kGather) {
-    return Status::Internal("fact chain must terminate in a gather stage");
-  }
-
-  // --- Build networks: group the kJoinBuild spans by their feeding exchange
-  // (all per-unit replicas of one join share its broadcast router).
-  struct BuildGroup {
-    std::vector<std::vector<int>> branch_nodes;
-    std::vector<int> feeds;
-  };
-  std::vector<int> group_keys;
-  std::unordered_map<int, BuildGroup> by_key;
-  for (int top : build_tops) {
-    std::vector<int> nodes;
-    int feed = -1;
-    Status st = collect_span(top, &nodes, &feed);
-    if (!st.ok()) return st;
-    const int key = terminal_of(feed);
-    if (key < 0) return Status::Internal("build span with a dangling feed");
-    if (by_key.find(key) == by_key.end()) group_keys.push_back(key);
-    BuildGroup& g = by_key[key];
-    g.branch_nodes.push_back(std::move(nodes));
-    g.feeds.push_back(feed);
-  }
-  for (int key : group_keys) {
-    BuildGroup& g = by_key[key];
-    EdgeSpec in;
-    Status st = parse_feed(g.feeds, &in);
-    if (!st.ok()) return st;
-    StageSpec stage;
-    st = make_stage(std::move(g.branch_nodes), std::move(in), &stage);
-    if (!st.ok()) return st;
-    if (stage.span.role != PipelineSpan::Role::kBuild) {
-      return Status::Internal("join-probe child span is not a build pipeline");
-    }
-    if (stage.in.segmenter == -1) {
-      return Status::Internal("build stage without a source segmenter");
-    }
+  for (const plan::Stage& stage : analysis->build_stages) {
+    StageSpec lowered = lower(stage);
     // A unit's instances fill one replica together: each unit receives every
     // block once, rotated over its instances.
-    stage.in.options.unit_broadcast =
-        stage.in.options.policy == Edge::Policy::kBroadcast;
-    spec_.build_stages.push_back(std::move(stage));
+    lowered.in.options.unit_broadcast =
+        lowered.in.options.policy == Edge::Policy::kBroadcast;
+    spec_.build_stages.push_back(std::move(lowered));
   }
-
-  // Broadcast hash joins replicate one table per device unit, built by one
-  // build chain (branch): a mutated placement that leaves a probe unit
-  // without its replica — or builds two replicas on one unit — must surface
-  // as a Status here, not abort inside the HtRegistry.
-  std::unordered_map<int, std::unordered_set<int>> build_units;
-  for (const StageSpec& stage : spec_.build_stages) {
-    auto& units = build_units[stage.span.join_id];
-    for (const auto& branch : stage.branch_nodes) {
-      std::unordered_set<int> mine;
-      for (const auto& dev : ClassifySpan(plan, branch).instances) {
-        if (mine.insert(HtRegistry::UnitOf(dev)).second &&
-            !units.insert(HtRegistry::UnitOf(dev)).second) {
-          return Status::InvalidArgument(
-              "join " + std::to_string(stage.span.join_id) +
-              " builds two hash-table replicas on unit " + dev.ToString());
-        }
-      }
-    }
-  }
-  for (const StageSpec& stage : spec_.fact_stages) {
-    std::unordered_set<int> joins;
-    for (const auto& branch : stage.branch_nodes) {
-      for (int id : branch) {
-        if (plan.node(id).kind == Kind::kJoinProbe) {
-          joins.insert(plan.node(id).join_id);
-        }
-      }
-    }
-    for (int j : joins) {
-      for (const auto& dev : stage.instances) {
-        if (build_units[j].count(HtRegistry::UnitOf(dev)) == 0) {
-          return Status::InvalidArgument(
-              "probe instance on " + dev.ToString() + " has no join-" +
-              std::to_string(j) +
-              " hash-table replica (build placement does not cover its unit)");
-        }
-      }
-    }
-  }
-
-  // A UVA edge skips the mem-move for every consumer of the exchange, so its
-  // blocks must stay host-addressable: GPU-placed producers would emit
-  // device-resident blocks no other unit can address in place. Reject the
-  // combination here (hand-mutated uva flags reach this path) instead of
-  // aborting inside the router.
-  for (size_t i = 0; i + 1 < spec_.fact_stages.size(); ++i) {
-    const StageSpec& stage = spec_.fact_stages[i];
-    if (!stage.in.uva || stage.in.producer_tops.empty()) continue;
-    const StageSpec& producer = spec_.fact_stages[i + 1];
-    for (const auto& dev : producer.instances) {
-      if (dev.is_gpu()) {
-        return Status::InvalidArgument(
-            "UVA exchange fed by GPU-placed producer " + dev.ToString() +
-            ": device-resident blocks cannot be addressed in place");
-      }
-    }
+  for (const plan::Stage& stage : analysis->fact_stages) {
+    spec_.fact_stages.push_back(lower(stage));
   }
   return Status::OK();
 }
@@ -509,46 +206,20 @@ class DramPhaseGuard {
 
 }  // namespace
 
-Status GraphBuilder::CompileFactPipelines(
-    QueryCompiler* compiler, std::vector<CompiledPipeline>* out) const {
+std::vector<CompiledPipeline> GraphBuilder::CompileFactPipelines(
+    QueryCompiler* compiler) const {
   // Pipelines compile producer→consumer so a stage can read its producer's emit
   // schema (stage B of split plans reads stage A's surviving columns).
-  const int n_fact = static_cast<int>(spec_.fact_stages.size());
-  out->assign(n_fact, {});
-  for (int i = n_fact - 1; i >= 0; --i) {
-    const PipelineSpan::Role role = spec_.fact_stages[i].span.role;
-    const PipelineSpan::Role* producer =
-        i + 1 < n_fact ? &spec_.fact_stages[i + 1].span.role : nullptr;
-    const std::vector<ColSlot>* upstream = nullptr;
-    switch (role) {
-      case PipelineSpan::Role::kProbe:
-        if (producer != nullptr) {
-          if (*producer != PipelineSpan::Role::kFilterStage) {
-            return Status::Unsupported(
-                "probe stage fed by a packed producer whose wire schema the "
-                "compiler cannot thread (only filter-stage producers supported)");
-          }
-          upstream = &(*out)[i + 1].output_cols;
-        }
-        break;
-      case PipelineSpan::Role::kFilterStage:
-        if (producer != nullptr) {
-          return Status::Unsupported(
-              "filter stage must read its source table directly");
-        }
-        break;
-      case PipelineSpan::Role::kGather:
-        if (producer != nullptr && *producer != PipelineSpan::Role::kProbe) {
-          return Status::Unsupported(
-              "gather stage must consume probe partials");
-        }
-        break;
-      case PipelineSpan::Role::kBuild:
-        return Status::Internal("build span on the fact chain");
-    }
-    (*out)[i] = compiler->CompileSpan(spec_.fact_stages[i].span, upstream);
+  const size_t n_fact = spec_.fact_stages.size();
+  std::vector<CompiledPipeline> out(n_fact);
+  for (size_t i = n_fact; i-- > 0;) {
+    const plan::Span& span = spec_.fact_stages[i].span;
+    const bool packed_input =
+        span.role == plan::StageRole::kProbe && i + 1 < n_fact;
+    out[i] = compiler->CompileSpan(
+        span, packed_input ? &out[i + 1].output_cols : nullptr);
   }
-  return Status::OK();
+  return out;
 }
 
 Status GraphBuilder::Run(QueryCompiler* compiler, QueryResult* result) {
@@ -586,21 +257,8 @@ Status GraphBuilder::Run(QueryCompiler* compiler, QueryResult* result) {
 
   auto make_config = [&](const StageSpec& stage) {
     auto cfg = std::make_unique<StageConfig>();
-    switch (stage.span.role) {
-      case PipelineSpan::Role::kBuild:
-        cfg->role = StageConfig::Role::kBuild;
-        break;
-      case PipelineSpan::Role::kFilterStage:
-        cfg->role = StageConfig::Role::kFilterStage;
-        break;
-      case PipelineSpan::Role::kProbe:
-        cfg->role = StageConfig::Role::kProbe;
-        break;
-      case PipelineSpan::Role::kGather:
-        cfg->role = StageConfig::Role::kGather;
-        cfg->result = &sink;
-        break;
-    }
+    cfg->role = stage.span.role;
+    if (cfg->role == plan::StageRole::kGather) cfg->result = &sink;
     cfg->query_id = session.query_id;
     cfg->hts = &hts;
     cfg->programs = &system_->program_cache();
@@ -639,25 +297,11 @@ Status GraphBuilder::Run(QueryCompiler* compiler, QueryResult* result) {
       }
       indices.push_back(idx);
     }
-    uint64_t block_rows = seg.block_rows > 0 ? seg.block_rows : 128 * 1024;
-    // GPU-touching stages bound the granularity: a scan block must fit one
-    // staging arena block when the mem-move copies it to device memory, and one
-    // GPU emit bucket (block_bytes / 8-byte slots) when the stage packs output.
-    // GPU-*resident* chunks bound it the same way whatever the instances are —
-    // a scan block of device memory crosses to any non-local consumer through
-    // a staging block too (peer or host-staged). Plans stamped coarser are
-    // clamped here — never crashed at transfer time.
-    const bool has_gpu_instance =
-        std::any_of(stage.instances.begin(), stage.instances.end(),
-                    [](sim::DeviceId dev) { return dev.is_gpu(); });
-    const bool has_gpu_chunk = std::any_of(
-        table->chunks().begin(), table->chunks().end(),
-        [&](const storage::Table::Chunk& c) {
-          return system_->topology().mem_node(c.node).is_gpu;
-        });
-    if (has_gpu_instance || has_gpu_chunk) {
-      block_rows = std::min(block_rows, std::max<uint64_t>(1, block_bytes / 8));
-    }
+    // GPU-bound scans (GPU instances or GPU-resident chunks) clamp coarse
+    // stamps to one staging block (block_bytes / 8-byte slots) here, never
+    // crashing at transfer time.
+    const uint64_t block_rows = plan::ScanBlockRows(
+        seg, stage.instances, table, system_->topology(), block_bytes / 8);
     *out = std::make_unique<SourceDriver>(system_, table, std::move(indices),
                                           block_rows, edge, clock,
                                           seg.per_block_cost);
@@ -714,7 +358,7 @@ Status GraphBuilder::Run(QueryCompiler* compiler, QueryResult* result) {
     for (size_t i = 0; i < j.payload.size(); ++i) {
       os << (i ? "," : "") << j.payload[i];
     }
-    os << ";cap=" << compiler->JoinHtCapacity(stage.span.join_id)
+    os << ";cap=" << plan::JoinHtCapacity(j, system_->catalog())
        << ";w=" << compiler->JoinPayloadWidth(stage.span.join_id);
     // Exact unit-set match: Analyze() proved the build placement covers every
     // probe unit, so a replica set built for the same units covers them too.
@@ -846,7 +490,8 @@ Status GraphBuilder::Run(QueryCompiler* compiler, QueryResult* result) {
         it->second.ht = hts.Create(
             session.query_id, join, dev,
             &system_->memory().manager(system_->topology().LocalMemNode(dev)),
-            compiler->JoinHtCapacity(join), compiler->JoinPayloadWidth(join));
+            plan::JoinHtCapacity(compiler->spec().joins[join], system_->catalog()),
+            compiler->JoinPayloadWidth(join));
       }
       ++it->second.writers;
       auto free = unit_free.find(unit);
@@ -914,7 +559,7 @@ Status GraphBuilder::Run(QueryCompiler* compiler, QueryResult* result) {
   std::map<int, QueryResult::UnitReady> probe_units;  // unit key -> readiness
   for (size_t i = 0; i < n_fact; ++i) {
     const StageSpec& stage = spec_.fact_stages[i];
-    if (stage.span.role != PipelineSpan::Role::kProbe) continue;
+    if (stage.span.role != plan::StageRole::kProbe) continue;
     for (const auto& dev : stage.instances) {
       starts[i].push_back(unit_ready(dev));
       probe_units[HtRegistry::UnitOf(dev)] = {dev, starts[i].back()};
@@ -951,11 +596,7 @@ Status GraphBuilder::Run(QueryCompiler* compiler, QueryResult* result) {
   build_dram.Close(phase_boundary);
 
   // -------------------------------------------------------------- fact stages
-  std::vector<CompiledPipeline> pipelines;
-  {
-    Status st = CompileFactPipelines(compiler, &pipelines);
-    if (!st.ok()) return st;
-  }
+  std::vector<CompiledPipeline> pipelines = CompileFactPipelines(compiler);
 
   // Instantiation runs consumer→producer: each group needs its downstream edge,
   // each edge needs its consumer group's instances.
@@ -973,7 +614,7 @@ Status GraphBuilder::Run(QueryCompiler* compiler, QueryResult* result) {
     rt.cfg = make_config(stage);
     rt.cfg->pipeline = std::move(pipelines[i]);
     rt.cfg->out = downstream;
-    if (stage.span.role == PipelineSpan::Role::kFilterStage &&
+    if (stage.span.role == plan::StageRole::kFilterStage &&
         downstream != nullptr) {
       rt.cfg->n_buckets = downstream->num_consumers();
     }

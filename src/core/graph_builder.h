@@ -8,26 +8,23 @@
 #include "core/compiler.h"
 #include "core/executor.h"
 #include "core/runtime.h"
+#include "plan/analysis.h"
 #include "plan/het_plan.h"
 
 namespace hetex::core {
 
-/// \brief Transport between pipeline spans: one HetPlan exchange (router plus
-/// its mem-move / device-crossing converter decoration) lowered to Edge options,
-/// or a direct segmenter feed in bare (no-HetExchange) plans.
-struct EdgeSpec {
-  int router = -1;      ///< plan node id of the kRouter (-1: bare direct feed)
-  int segmenter = -1;   ///< plan node id of the kSegmenter feeding this edge
+/// \brief Transport between pipeline spans: one analysed HetPlan exchange
+/// (router plus its mem-move / device-crossing converter decoration, or a
+/// direct segmenter feed in bare plans) lowered to Edge options.
+struct EdgeSpec : plan::Exchange {
   Edge::Options options;
-  bool uva = false;     ///< consumers address producer memory over UVA
-  std::vector<int> producer_tops;  ///< top plan nodes of the producer spans
 };
 
 /// \brief One runtime stage: a worker group (the merged, identically-programmed
 /// spans of every device-type branch fed by the same exchange) plus the edge —
 /// and possibly the source driver — feeding it.
 struct StageSpec {
-  PipelineSpan span;                    ///< representative span (first branch)
+  plan::Span span;                      ///< representative span (first branch)
   std::vector<std::vector<int>> branch_nodes;  ///< per-branch span node chains
   std::vector<sim::DeviceId> instances;        ///< concatenated branch placements
   EdgeSpec in;
@@ -53,9 +50,10 @@ struct LoweredSpec {
 /// \brief Lowers a validated HetPlan into the runtime graph and runs it.
 ///
 /// This is the paper's encapsulation contract made executable: the plan — not
-/// the engine — decides the execution shape. Analyze() partitions the DAG into
-/// pipeline spans and exchange edges using only the operators and the parameters
-/// BuildHetPlan stamped on them; Run() instantiates SourceDrivers, Edges and
+/// the engine — decides the execution shape. Analyze() lowers the stages and
+/// exchanges plan::AnalyzePlan partitions the DAG into (using only the
+/// operators and the parameters BuildHetPlan stamped on them, the same
+/// analysis PlanCoster prices); Run() instantiates SourceDrivers, Edges and
 /// WorkerGroups from that spec and orchestrates the phased execution (builds
 /// one join after another on each unit, then the fact graph, each probe
 /// instance gated on the hash-table replicas of its own unit). Any
@@ -76,9 +74,9 @@ class GraphBuilder {
                const QuerySession* session = nullptr)
       : system_(system), plan_(plan), session_(session) {}
 
-  /// Partitions the plan DAG into the lowered spec. Fails (rather than CHECKs)
-  /// on shapes the runtime cannot instantiate, so callers can surface the
-  /// Status in QueryResult.
+  /// Analyzes the plan (plan::AnalyzePlan) and lowers its exchanges into the
+  /// lowered spec. Fails (rather than CHECKs) on shapes the runtime cannot
+  /// instantiate, so callers can surface the Status in QueryResult.
   Status Analyze();
 
   const LoweredSpec& spec() const { return spec_; }
@@ -86,12 +84,12 @@ class GraphBuilder {
   /// \brief Compiles the fact-chain span pipelines producer→consumer, threading
   /// packed wire schemas (stage B of a split plan reads stage A's emit schema).
   ///
-  /// Wire schemas bind positionally, so chains a schema cannot be threaded
-  /// through are rejected here instead of silently misbinding columns. Shared
-  /// by Run() and tooling (plan_explorer's tier report) so both describe the
-  /// same programs. `out` is filled in fact-stage order (consumer first).
-  Status CompileFactPipelines(QueryCompiler* compiler,
-                              std::vector<CompiledPipeline>* out) const;
+  /// Wire schemas bind positionally; AnalyzePlan admits only chains they
+  /// thread through. Shared by Run() and tooling (plan_explorer's tier report)
+  /// so both describe the same programs. Returned in fact-stage order
+  /// (consumer first).
+  std::vector<CompiledPipeline> CompileFactPipelines(
+      QueryCompiler* compiler) const;
 
   /// Instantiates the runtime objects from the analyzed spec and executes the
   /// query, filling `result` (rows, modeled/virtual time, work stats).

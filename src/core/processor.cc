@@ -92,7 +92,7 @@ void VmProcessor::Init(WorkerInstance& inst) {
   }
   ht_slots_.assign(n_slots, nullptr);
 
-  if (cfg_->role == StageConfig::Role::kBuild) {
+  if (cfg_->role == plan::StageRole::kBuild) {
     const StageConfig::BuildReplica& replica =
         cfg_->build_replicas.at(HtRegistry::UnitOf(inst.device()));
     ht_slots_[0] = replica.ht;
@@ -339,11 +339,11 @@ void VmProcessor::Finish(WorkerInstance& inst) {
     return;
   }
   switch (cfg_->role) {
-    case StageConfig::Role::kBuild:
+    case plan::StageRole::kBuild:
       cfg_->hts->NoteBuildDone(cfg_->query_id, inst.device(), inst.clock());
       break;
 
-    case StageConfig::Role::kFilterStage: {
+    case plan::StageRole::kFilterStage: {
       // Flush the partially-filled hash-pack blocks.
       for (auto& bucket : buckets_) {
         if (bucket->target.rows() > 0) {
@@ -357,7 +357,7 @@ void VmProcessor::Finish(WorkerInstance& inst) {
       break;
     }
 
-    case StageConfig::Role::kProbe: {
+    case plan::StageRole::kProbe: {
       // Pipeline breaker: ship this instance's partial aggregates downstream
       // (the paper's pipelines 3/8: read local reduction, insert into the
       // gpu2cpu queue / router).
@@ -384,7 +384,7 @@ void VmProcessor::Finish(WorkerInstance& inst) {
       break;
     }
 
-    case StageConfig::Role::kGather: {
+    case plan::StageRole::kGather: {
       HETEX_CHECK(cfg_->result != nullptr);
       if (agg_ht_ != nullptr) {
         std::vector<std::vector<int64_t>> rows;

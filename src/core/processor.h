@@ -18,14 +18,7 @@ namespace hetex::core {
 /// state (the paper's per-device pipeline template + per-instance state creation,
 /// §4.2).
 struct StageConfig {
-  enum class Role {
-    kBuild,        ///< feeds a join hash table (pipeline breaker into state)
-    kProbe,        ///< fused filter/probe/local-aggregate stage
-    kFilterStage,  ///< stage A of a split plan: filter + hash-pack emit
-    kGather,       ///< global merge of partials, writes the result sink
-  };
-
-  Role role = Role::kProbe;
+  plan::StageRole role = plan::StageRole::kProbe;
   CompiledPipeline pipeline;
 
   /// Owning query session: namespaces this stage's hash tables in the shared

@@ -202,15 +202,12 @@ void QueryScheduler::RunTask(Task* task, QuerySession session) {
                              system_->topology()),
           attempt);
     } else {
-      // Backlog-steered admission (default): plan at the attempt epoch so the
-      // coster sees the live interconnect backlog of the running set. The
-      // ablation plans against the idle horizon — load-blind routing.
-      const sim::VTime plan_epoch = options_.steer_admission
-                                        ? attempt.epoch
-                                        : system_->VirtualHorizon();
+      // Backlog-steered admission: plan at the attempt epoch so the coster
+      // sees the live interconnect backlog and DRAM worker pressure of the
+      // running set and re-routes to the less-loaded device set.
       plan::OptimizeResult optimized;
       const Status st = executor.OptimizeAt(
-          task->spec, plan::ExecPolicy{}, plan_epoch, &optimized,
+          task->spec, plan::ExecPolicy{}, attempt.epoch, &optimized,
           exclude_gpus.empty() ? nullptr : &exclude_gpus);
       if (!st.ok()) {
         result = QueryResult{};

@@ -68,12 +68,6 @@ class QueryScheduler {
     /// Virtual-time backoff before retry attempt k: base * 2^(k-1), added to
     /// the attempt's session epoch (and to the reported modeled latency).
     sim::VTime retry_backoff_base = 1e-3;
-    /// Backlog-steered admission (default): a dequeued query plans at its
-    /// attempt epoch, so the coster sees the live PCIe-link backlog and DRAM
-    /// worker pressure of the queries already running and re-routes to the
-    /// less-loaded device set. false = plan against the idle resource horizon
-    /// (load-blind ablation; open_loop_bench A/Bs the difference).
-    bool steer_admission = true;
   };
 
   explicit QueryScheduler(System* system) : QueryScheduler(system, Options()) {}

@@ -1,0 +1,116 @@
+#ifndef HETEX_PLAN_ANALYSIS_H_
+#define HETEX_PLAN_ANALYSIS_H_
+
+#include <cstdint>
+#include <vector>
+
+#include "common/status.h"
+#include "plan/het_plan.h"
+#include "plan/query_spec.h"
+#include "sim/topology.h"
+#include "storage/table.h"
+
+namespace hetex::plan {
+
+/// What a pipeline span computes, classified by its relational content.
+enum class StageRole {
+  kBuild,        ///< feeds a join hash table (pipeline breaker into state)
+  kFilterStage,  ///< stage A of a split plan: filter + hash-pack emit
+  kProbe,        ///< fused filter/probe/local-aggregate stage
+  kGather,       ///< global merge of partials, writes the result
+};
+
+const char* StageRoleName(StageRole role);
+
+/// \brief One branch of a stage: a maximal run of compute operators between
+/// exchange boundaries (routers / segmenters / pack tops), compiled into one
+/// pipeline and run by the instances its nodes are stamped with.
+struct Span {
+  StageRole role = StageRole::kProbe;
+  std::vector<int> nodes;                ///< plan node ids, consumer→producer
+  std::vector<sim::DeviceId> instances;  ///< placement stamped on the span nodes
+  int join_id = -1;                      ///< kBuild: join whose HT the span feeds
+  int n_buckets = 1;                     ///< kFilterStage: hash-pack fanout
+  /// Consumer-side decoration of the exchange feeding this branch: a kCpu2Gpu
+  /// crossing enters it, and (`uva`) that crossing reads producer memory in
+  /// place over UVA instead of behind a mem-move.
+  bool gpu_entry = false;
+  bool uva = false;
+};
+
+/// \brief The exchange below a stage: its router (absent in bare plans) with
+/// the mem-move / device-crossing decoration on both sides, down to the
+/// source segmenter or the producer spans' tops.
+struct Exchange {
+  int router = -1;     ///< plan node id of the kRouter (-1: bare direct feed)
+  int segmenter = -1;  ///< plan node id of the kSegmenter feeding the exchange
+  std::vector<int> producer_tops;   ///< top plan nodes of the producer spans
+  sim::VTime crossing_latency = 0;  ///< max kGpu2Cpu latency, either side
+  bool uva = false;  ///< a crossing on either side addresses memory over UVA
+};
+
+/// \brief One stage: the branches one exchange feeds, run as one worker group.
+/// Branches agree on role, join id and bucket count (they compile to one
+/// program); each keeps its own placement and crossing flags.
+struct Stage {
+  std::vector<Span> branches;            ///< plan order; front() is representative
+  std::vector<sim::DeviceId> instances;  ///< concatenated branch placements
+  Exchange in;
+
+  const Span& span() const { return branches.front(); }
+};
+
+/// \brief The execution shape a plan decides: the runtime graph GraphBuilder
+/// instantiates and the stages PlanCoster prices are both read from here.
+struct PlanAnalysis {
+  /// Join-build stages in discovery order, each fed by its own segmenter.
+  std::vector<Stage> build_stages;
+  /// Fact-side stages consumer→producer: gather first, then the probe stage,
+  /// then (split plans) the filter stage; the last one is segmenter-fed.
+  std::vector<Stage> fact_stages;
+  sim::VTime init_latency = 0;  ///< router bring-up watermark (max over stamps)
+};
+
+/// \brief Partitions a HetPlan DAG into stages and exchanges, and enforces
+/// every structural rule a runnable plan obeys.
+///
+/// Beyond the span/exchange shape (no cycles, one router or segmenter per
+/// exchange, a placement stamp on every span), the rules are: the branches of
+/// a stage are stamped consistently; every placement names a device of
+/// `topo`; each join has exactly one hash-table replica per device unit it
+/// builds on and one on every unit that probes it; no UVA exchange is fed by
+/// GPU-placed producers (device-resident blocks cannot be addressed in place);
+/// the fact chain ends in a gather, holds no build span, and threads its wire
+/// schemas (a probe reads a filter stage or the table, a filter stage reads
+/// the table, a gather reads probe partials). A plan failing any of them is a
+/// Status here, for the lowering and the coster alike.
+Result<PlanAnalysis> AnalyzePlan(const HetPlan& plan, const sim::Topology& topo);
+
+/// \brief Rows per scan block of `segmenter` feeding `instances`.
+///
+/// The stamped granularity (the ExecPolicy default when unstamped), clamped
+/// to one staging block of `staging_rows` rows when any instance is a GPU or
+/// any chunk of `table` is GPU-resident: a GPU-bound scan block must fit one
+/// staging arena block when the mem-move copies it to device memory and one
+/// GPU emit bucket when the stage packs output, and a block of device memory
+/// crosses to any non-local consumer through a staging block too.
+uint64_t ScanBlockRows(const HetOpNode& segmenter,
+                       const std::vector<sim::DeviceId>& instances,
+                       const storage::Table* table, const sim::Topology& topo,
+                       uint64_t staging_rows);
+
+/// Rows of `t`: staging rows, or the placed chunk totals when staging was
+/// dropped (DropStaging keeps the placed data, and its row counts, intact).
+uint64_t TableRows(const storage::Table& t);
+
+/// Slots of `join`'s hash table: the optimizer's build-side estimate with
+/// headroom (the build CHECKs on overflow), else the build table's rows.
+uint64_t JoinHtCapacity(const JoinSpec& join, const storage::Catalog& catalog);
+
+/// Modeled bytes of `join`'s hash table: entries plus a bucket array of ~2x
+/// entries. Picks the random-access size class of its probes and inserts.
+uint64_t JoinHtBytes(const JoinSpec& join, const storage::Catalog& catalog);
+
+}  // namespace hetex::plan
+
+#endif  // HETEX_PLAN_ANALYSIS_H_

@@ -5,35 +5,12 @@
 #include <map>
 #include <set>
 #include <sstream>
-#include <unordered_map>
 
-#include "common/logging.h"
+#include "plan/analysis.h"
 
 namespace hetex::plan {
 
 namespace {
-
-using Kind = HetOpNode::Kind;
-
-// Span/transport predicates mirroring the lowering's DAG partitioning (the
-// coster prices exactly the stage structure GraphBuilder instantiates).
-bool IsSpanKind(Kind k) {
-  return k == Kind::kUnpack || k == Kind::kPack || k == Kind::kHashPack ||
-         k == Kind::kFilter || k == Kind::kProject || k == Kind::kJoinBuild ||
-         k == Kind::kJoinProbe || k == Kind::kReduceLocal ||
-         k == Kind::kGroupByLocal || k == Kind::kGather;
-}
-
-bool IsTransportKind(Kind k) {
-  return k == Kind::kRouter || k == Kind::kMemMove || k == Kind::kCpu2Gpu ||
-         k == Kind::kGpu2Cpu || k == Kind::kSegmenter;
-}
-
-bool IsDecorationKind(Kind k) {
-  return k == Kind::kMemMove || k == Kind::kCpu2Gpu || k == Kind::kGpu2Cpu;
-}
-
-bool IsProducerTop(Kind k) { return k == Kind::kPack || k == Kind::kHashPack; }
 
 /// Micro-op estimate of evaluating an expression once (one VM op per node).
 double ExprOps(const ExprPtr& e) {
@@ -67,208 +44,6 @@ double SampleSelectivity(const storage::Table& t, const ExprPtr& filter,
 
 uint64_t CeilDiv(uint64_t a, uint64_t b) { return b == 0 ? 0 : (a + b - 1) / b; }
 
-/// Row count for cardinality estimation: staging rows, falling back to the
-/// placed chunk totals when staging was dropped (DropStaging keeps the placed
-/// data — and its row counts — intact).
-uint64_t TableRows(const storage::Table& t) {
-  if (t.rows() > 0) return t.rows();
-  uint64_t placed = 0;
-  for (const auto& chunk : t.chunks()) placed += chunk.rows;
-  return placed;
-}
-
-// ---------------------------------------------------------------------------
-// Structural walk: decompose the DAG into the stages the lowering would
-// instantiate (a light-weight mirror of GraphBuilder::Analyze).
-// ---------------------------------------------------------------------------
-
-struct BranchEst {
-  std::vector<int> nodes;                ///< span nodes, consumer→producer
-  std::vector<sim::DeviceId> instances;  ///< stamped placement (or synthesized)
-  sim::DeviceType device = sim::DeviceType::kCpu;
-  bool gpu_entry = false;  ///< kCpu2Gpu on the consumer-side decoration
-  bool uva = false;        ///< the crossing addresses producer memory over UVA
-  int feed = -1;
-};
-
-struct StageEst {
-  std::vector<BranchEst> branches;
-  int router = -1;
-  int segmenter = -1;
-  double crossing_latency = 0;  ///< producer-side gpu2cpu task-spawn latency
-  std::vector<int> producer_tops;
-};
-
-struct PlanShape {
-  std::vector<StageEst> fact_stages;  ///< consumer-first (gather, probe, ...)
-  std::vector<StageEst> build_stages;
-};
-
-Status WalkPlan(const HetPlan& plan, PlanShape* shape) {
-  if (plan.root < 0 || plan.root >= static_cast<int>(plan.nodes.size())) {
-    return Status::InvalidArgument("coster: plan has no root node");
-  }
-
-  std::vector<int> build_tops;
-  std::set<int> seen_build_tops;
-
-  auto collect_span = [&](int top, BranchEst* branch) -> Status {
-    int cur = top;
-    while (true) {
-      const HetOpNode& n = plan.node(cur);
-      if (!IsSpanKind(n.kind)) {
-        return Status::Internal(std::string("coster: span contains operator ") +
-                                HetOpNode::KindName(n.kind));
-      }
-      branch->nodes.push_back(cur);
-      if (branch->nodes.size() > plan.nodes.size()) {
-        return Status::Internal("coster: span does not terminate (plan cycle)");
-      }
-      if (branch->instances.empty() && !n.placement.empty()) {
-        branch->instances = n.placement;
-        branch->device = n.device;
-      }
-      if (n.kind == Kind::kJoinProbe) {
-        for (size_t c = 1; c < n.children.size(); ++c) {
-          if (seen_build_tops.insert(n.children[c]).second) {
-            build_tops.push_back(n.children[c]);
-          }
-        }
-      }
-      if (n.children.empty()) {
-        return Status::Internal("coster: span reaches a leaf without a source");
-      }
-      const int child = n.children[0];
-      const Kind ck = plan.node(child).kind;
-      if (IsTransportKind(ck) || IsProducerTop(ck)) {
-        branch->feed = child;
-        if (branch->instances.empty()) {
-          // No placement stamp (hand-written plan): synthesize dop instances.
-          const HetOpNode& rep = plan.node(branch->nodes.front());
-          branch->device = rep.device;
-          for (int i = 0; i < std::max(1, rep.dop); ++i) {
-            branch->instances.push_back(sim::DeviceId{rep.device, 0});
-          }
-        }
-        return Status::OK();
-      }
-      cur = child;
-    }
-  };
-
-  // Walks a decoration chain to its exchange terminal, harvesting crossing
-  // flags. `branch` non-null on the consumer side, `stage` on the producer.
-  auto walk_decoration = [&](int from, BranchEst* branch,
-                             StageEst* stage) -> int {
-    int cur = from;
-    size_t steps = 0;
-    while (IsDecorationKind(plan.node(cur).kind)) {
-      const HetOpNode& n = plan.node(cur);
-      if (n.kind == Kind::kCpu2Gpu && branch != nullptr) {
-        branch->gpu_entry = true;
-        if (IsUvaCrossing(n)) branch->uva = true;
-      }
-      if (n.kind == Kind::kGpu2Cpu && stage != nullptr) {
-        stage->crossing_latency =
-            std::max(stage->crossing_latency, n.crossing_latency);
-      }
-      if (n.children.empty() || ++steps > plan.nodes.size()) return -1;
-      cur = n.children[0];
-    }
-    return cur;
-  };
-
-  auto parse_feed = [&](StageEst* stage) -> Status {
-    for (BranchEst& branch : stage->branches) {
-      const int cur = walk_decoration(branch.feed, &branch, nullptr);
-      if (cur < 0) return Status::Internal("coster: dangling exchange decoration");
-      const HetOpNode& n = plan.node(cur);
-      if (n.kind == Kind::kRouter) {
-        if (stage->router != -1 && stage->router != cur) {
-          return Status::Internal("coster: branches fed by different routers");
-        }
-        stage->router = cur;
-      } else if (n.kind == Kind::kSegmenter) {
-        stage->segmenter = cur;
-      } else if (IsProducerTop(n.kind)) {
-        stage->producer_tops.push_back(cur);
-      } else {
-        return Status::Internal(
-            std::string("coster: span fed by non-exchange operator ") +
-            HetOpNode::KindName(n.kind));
-      }
-    }
-    if (stage->router != -1) {
-      for (int child : plan.node(stage->router).children) {
-        const int cur = walk_decoration(child, nullptr, stage);
-        if (cur < 0) return Status::Internal("coster: dangling exchange decoration");
-        const HetOpNode& n = plan.node(cur);
-        if (n.kind == Kind::kSegmenter) {
-          stage->segmenter = cur;
-        } else if (IsSpanKind(n.kind)) {
-          stage->producer_tops.push_back(cur);
-        } else {
-          return Status::Internal(
-              std::string("coster: router fed by non-pipeline operator ") +
-              HetOpNode::KindName(n.kind));
-        }
-      }
-    }
-    return Status::OK();
-  };
-
-  const HetOpNode& root = plan.node(plan.root);
-  if (root.kind != Kind::kResult || root.children.size() != 1) {
-    return Status::InvalidArgument("coster: plan root must be a result node");
-  }
-
-  std::vector<int> tops = {root.children[0]};
-  while (true) {
-    if (shape->fact_stages.size() > plan.nodes.size()) {
-      return Status::Internal("coster: fact chain does not terminate");
-    }
-    StageEst stage;
-    for (int top : tops) {
-      BranchEst branch;
-      Status st = collect_span(top, &branch);
-      if (!st.ok()) return st;
-      stage.branches.push_back(std::move(branch));
-    }
-    Status st = parse_feed(&stage);
-    if (!st.ok()) return st;
-    const bool at_source = stage.segmenter != -1;
-    std::vector<int> next = stage.producer_tops;
-    shape->fact_stages.push_back(std::move(stage));
-    if (at_source) break;
-    if (next.empty()) return Status::Internal("coster: exchange with no producers");
-    tops = std::move(next);
-  }
-
-  // Build networks, grouped by their feeding exchange terminal.
-  std::vector<int> group_keys;
-  std::map<int, StageEst> by_key;
-  for (int top : build_tops) {
-    BranchEst branch;
-    Status st = collect_span(top, &branch);
-    if (!st.ok()) return st;
-    // Grouping key only; parse_feed re-walks the decoration for the flags.
-    const int key = walk_decoration(branch.feed, nullptr, nullptr);
-    if (key < 0) return Status::Internal("coster: build span with a dangling feed");
-    if (by_key.find(key) == by_key.end()) group_keys.push_back(key);
-    by_key[key].branches.push_back(std::move(branch));
-  }
-  for (int key : group_keys) {
-    StageEst& stage = by_key[key];
-    Status st = parse_feed(&stage);
-    if (!st.ok()) return st;
-    if (stage.segmenter == -1) {
-      return Status::Internal("coster: build stage without a source segmenter");
-    }
-    shape->build_stages.push_back(std::move(stage));
-  }
-  return Status::OK();
-}
-
 // ---------------------------------------------------------------------------
 // Per-tuple work profiles, converted to CostStats for CostModel::WorkCost.
 // ---------------------------------------------------------------------------
@@ -300,23 +75,6 @@ struct Profile {
     return s;
   }
 };
-
-enum class StageRole { kBuild, kFilterStage, kProbe, kGather };
-
-StageRole ClassifyStage(const HetPlan& plan, const StageEst& stage) {
-  bool has_probe = false, has_hashpack = false;
-  for (int id : stage.branches.front().nodes) {
-    switch (plan.node(id).kind) {
-      case Kind::kJoinBuild: return StageRole::kBuild;
-      case Kind::kGather: return StageRole::kGather;
-      case Kind::kJoinProbe: has_probe = true; break;
-      case Kind::kHashPack: has_hashpack = true; break;
-      default: break;
-    }
-  }
-  if (has_hashpack && !has_probe) return StageRole::kFilterStage;
-  return StageRole::kProbe;
-}
 
 /// One instance's pricing inputs for a stage.
 struct InstanceCost {
@@ -481,16 +239,12 @@ sim::VTime PlanCoster::EstimateGpuToGpuTransfer(const sim::Topology& topo,
 
 Result<CostEstimate> PlanCoster::Cost(const HetPlan& plan) const {
   const sim::CostModel& cm = topo_->cost_model();
-  PlanShape shape;
-  Status st = WalkPlan(plan, &shape);
-  if (!st.ok()) return st;
+  Result<PlanAnalysis> analysis = AnalyzePlan(plan, *topo_);
+  if (!analysis.ok()) return analysis.status();
+  const PlanAnalysis& shape = analysis.value();
 
   CostEstimate est;
-  for (const auto& n : plan.nodes) {
-    if (n.kind == Kind::kRouter) {
-      est.init = sim::MaxT(est.init, n.init_latency);
-    }
-  }
+  est.init = shape.init_latency;
 
   // --- Schema-derived widths. Fact columns a fused scan reads; the packed
   // wire columns a split plan ships between stages (8-byte registers).
@@ -526,18 +280,9 @@ Result<CostEstimate> PlanCoster::Cost(const HetPlan& plan) const {
   }
   const double wire_width = 8.0 * static_cast<double>(wire_cols.size());
 
-  // --- Hash-table footprints (mirrors QueryCompiler::JoinHtBytes so access
-  // size classes agree with the generated code).
+  // --- Hash-table footprints: the generated code's access size classes.
   auto ht_bytes = [&](size_t j) -> uint64_t {
-    if (j >= spec_->joins.size()) return 1;
-    const JoinSpec& join = spec_->joins[j];
-    uint64_t cap = join.build_rows_estimate > 0
-                       ? join.build_rows_estimate * 13 / 10 + 64
-                       : (j < cards_.build_input_rows.size()
-                              ? cards_.build_input_rows[j]
-                              : 1);
-    const uint64_t stride = (2 + join.payload.size()) * sizeof(int64_t);
-    return cap * stride + cap * 2 * sizeof(int64_t);
+    return j < spec_->joins.size() ? JoinHtBytes(spec_->joins[j], *catalog_) : 1;
   };
   const uint64_t n_aggs = spec_->aggs.size();
   const uint64_t agg_ht_bytes =
@@ -652,7 +397,15 @@ Result<CostEstimate> PlanCoster::Cost(const HetPlan& plan) const {
     return frac;
   };
 
-  auto stage_instances = [&](const StageEst& stage, const Profile& profile,
+  auto stage_policy = [&](const Stage& stage) {
+    return stage.in.router >= 0 ? plan.node(stage.in.router).policy
+                                : RouterPolicy::kRoundRobin;
+  };
+  auto stage_control = [&](const Stage& stage) {
+    return stage.in.router >= 0 ? plan.node(stage.in.router).control_cost : 0.0;
+  };
+
+  auto stage_instances = [&](const Stage& stage, const Profile& profile,
                              uint64_t block_rows, double in_width,
                              uint64_t cols,
                              const storage::Table* src_table) {
@@ -661,10 +414,8 @@ Result<CostEstimate> PlanCoster::Cost(const HetPlan& plan) const {
     // own workers and with every other in-flight session's (the runtime's
     // cross-session fluid-share divisor).
     std::map<int, int> socket_workers;
-    for (const auto& b : stage.branches) {
-      for (const auto& dev : b.instances) {
-        if (dev.is_cpu()) socket_workers[dev.index] += 1;
-      }
+    for (const auto& dev : stage.instances) {
+      if (dev.is_cpu()) socket_workers[dev.index] += 1;
     }
     cols = std::max<uint64_t>(1, cols);
     const sim::CostStats block_stats =
@@ -681,16 +432,10 @@ Result<CostEstimate> PlanCoster::Cost(const HetPlan& plan) const {
     // Load-balance routers pin GPU-resident blocks to their local GPU when
     // that GPU is among the consumers — those fractions never travel, and no
     // other instance ever receives them. Credit the route accordingly.
-    const RouterPolicy pol = stage.router >= 0
-                                 ? plan.node(stage.router).policy
-                                 : RouterPolicy::kRoundRobin;
+    const RouterPolicy pol = stage_policy(stage);
     std::vector<char> gpu_inst(static_cast<size_t>(topo_->num_gpus()), 0);
-    for (const auto& b : stage.branches) {
-      for (const auto& dev : b.instances) {
-        if (dev.is_gpu() && dev.index < topo_->num_gpus()) {
-          gpu_inst[static_cast<size_t>(dev.index)] = 1;
-        }
-      }
+    for (const auto& dev : stage.instances) {
+      if (dev.is_gpu()) gpu_inst[static_cast<size_t>(dev.index)] = 1;
     }
     auto lb_pinned = [&](int src_gpu) {
       return pol == RouterPolicy::kLoadBalance && src_gpu >= 0 &&
@@ -757,9 +502,7 @@ Result<CostEstimate> PlanCoster::Cost(const HetPlan& plan) const {
               cm.BandwidthBytes(block_stats, cm.gpu) / cm.pcie_bw;
           const sim::VTime compute = cm.ComputeTime(block_stats, cm.gpu);
           ic.transfer_time = transfer;
-          if (dev.index < topo_->num_gpus()) {
-            ic.link = topo_->PcieLinkOf(dev.index);
-          }
+          ic.link = topo_->PcieLinkOf(dev.index);
           ic.block_time =
               cm.kernel_launch_latency + sim::MaxT(compute, transfer);
         } else {
@@ -775,9 +518,9 @@ Result<CostEstimate> PlanCoster::Cost(const HetPlan& plan) const {
                 static_cast<double>(cols) * cm.dma_latency +
                 block_bytes / host_pcie_bw;
             const int g = dev.index;
-            if (src_frac.empty() || g >= topo_->num_gpus()) {
+            if (src_frac.empty()) {
               transfer = host_hop;
-              if (g < topo_->num_gpus()) ic.link = topo_->PcieLinkOf(g);
+              ic.link = topo_->PcieLinkOf(g);
             } else {
               // Route each source fraction the way Edge::MoveToNode would:
               // local GPU memory is free, host DRAM is the PCIe DMA chain, a
@@ -820,14 +563,6 @@ Result<CostEstimate> PlanCoster::Cost(const HetPlan& plan) const {
     return out;
   };
 
-  auto stage_policy = [&](const StageEst& stage) {
-    return stage.router >= 0 ? plan.node(stage.router).policy
-                             : RouterPolicy::kRoundRobin;
-  };
-  auto stage_control = [&](const StageEst& stage) {
-    return stage.router >= 0 ? plan.node(stage.router).control_cost : 0.0;
-  };
-
   // --- Shared-link accounting. Every interconnect link — PCIe, GPU peer and
   // inter-socket — is a serially-shared resource: DMA demand from
   // concurrently-running stages (stage-A input DMA and stage-B wire DMA of a
@@ -860,45 +595,20 @@ Result<CostEstimate> PlanCoster::Cost(const HetPlan& plan) const {
     }
   };
 
-  // Mirrors the lowering's staging clamp: GPU-fed sources — and sources over
-  // GPU-*resident* chunks, whose scan blocks cross to any non-local consumer
-  // through a staging block — never exceed one staging/emit block, whatever
-  // granularity the plan stamped.
-  auto clamp_block_rows = [&](const StageEst& stage, uint64_t block_rows,
-                              const storage::Table* src) {
-    bool gpu_bound = false;
-    for (const auto& b : stage.branches) {
-      for (const auto& dev : b.instances) gpu_bound |= dev.is_gpu();
-    }
-    if (src != nullptr && !gpu_bound) {
-      for (const auto& c : src->chunks()) {
-        gpu_bound |= topo_->mem_node(c.node).is_gpu;
-      }
-    }
-    if (gpu_bound) {
-      return std::min(block_rows,
-                      std::max<uint64_t>(1, options_.pack_block_rows));
-    }
-    return block_rows;
-  };
-
   // ------------------------------------------------------------------ builds
-  // Mirrors the runtime's build schedule: every unit receives each block once,
+  // The runtime's build schedule: every unit receives each block once,
   // rotated over its W instances (priced at the W-way fluid share), and runs
   // the joins one after another — a unit's build phase is the sum over joins.
   std::map<std::pair<bool, int>, sim::VTime> unit_build;  // (gpu?, index)
-  for (const StageEst& stage : shape.build_stages) {
-    int join_id = -1;
-    for (int id : stage.branches.front().nodes) {
-      if (plan.node(id).kind == Kind::kJoinBuild) join_id = plan.node(id).join_id;
-    }
+  for (const Stage& stage : shape.build_stages) {
+    const int join_id = stage.span().join_id;
     const size_t j = join_id >= 0 ? static_cast<size_t>(join_id) : 0;
     const uint64_t rows =
         j < cards_.build_input_rows.size() ? cards_.build_input_rows[j] : 1;
-    const HetOpNode& seg = plan.node(stage.segmenter);
+    const HetOpNode& seg = plan.node(stage.in.segmenter);
     const storage::Table* src_table = catalog_->Get(seg.table);
-    const uint64_t block_rows = clamp_block_rows(
-        stage, seg.block_rows > 0 ? seg.block_rows : 128 * 1024, src_table);
+    const uint64_t block_rows = ScanBlockRows(seg, stage.instances, src_table,
+                                              *topo_, options_.pack_block_rows);
     const uint64_t blocks = std::max<uint64_t>(1, CeilDiv(rows, block_rows));
 
     uint64_t n_cols = 1;
@@ -908,11 +618,8 @@ Result<CostEstimate> PlanCoster::Cost(const HetPlan& plan) const {
         stage, profile, std::min(block_rows, std::max<uint64_t>(1, rows)),
         in_width, n_cols, src_table);
     std::map<std::pair<bool, int>, std::vector<size_t>> by_unit;
-    size_t k = 0;
-    for (const auto& b : stage.branches) {
-      for (const auto& dev : b.instances) {
-        by_unit[{dev.is_gpu(), dev.index}].push_back(k++);
-      }
+    for (size_t k = 0; k < stage.instances.size(); ++k) {
+      by_unit[{stage.instances[k].is_gpu(), stage.instances[k].index}].push_back(k);
     }
     for (const auto& [unit, members] : by_unit) {
       sim::VTime done = 0;
@@ -951,9 +658,9 @@ Result<CostEstimate> PlanCoster::Cost(const HetPlan& plan) const {
   sim::VTime latency_constants = 0;
 
   for (size_t i = shape.fact_stages.size(); i-- > 0;) {
-    const StageEst& stage = shape.fact_stages[i];
-    const StageRole role = ClassifyStage(plan, stage);
-    latency_constants += stage.crossing_latency;
+    const Stage& stage = shape.fact_stages[i];
+    const StageRole role = stage.span().role;
+    latency_constants += stage.in.crossing_latency;
 
     if (role == StageRole::kGather) {
       // Partial-aggregate merge: one row per group per probe instance (scalar
@@ -975,31 +682,19 @@ Result<CostEstimate> PlanCoster::Cost(const HetPlan& plan) const {
       continue;
     }
 
-    if (role == StageRole::kBuild) {
-      return Status::Internal("coster: build span on the fact chain");
-    }
-
+    const HetOpNode* seg =
+        stage.in.segmenter >= 0 ? &plan.node(stage.in.segmenter) : nullptr;
     const storage::Table* src_table =
-        stage.segmenter >= 0 ? catalog_->Get(plan.node(stage.segmenter).table)
-                             : nullptr;
-    const uint64_t block_rows = clamp_block_rows(
-        stage, stage.segmenter >= 0
-                   ? (plan.node(stage.segmenter).block_rows > 0
-                          ? plan.node(stage.segmenter).block_rows
-                          : 128 * 1024)
-                   : options_.pack_block_rows,
-        src_table);
+        seg != nullptr ? catalog_->Get(seg->table) : nullptr;
+    const uint64_t block_rows =
+        seg != nullptr ? ScanBlockRows(*seg, stage.instances, src_table, *topo_,
+                                       options_.pack_block_rows)
+                       : options_.pack_block_rows;
     uint64_t blocks = CeilDiv(static_cast<uint64_t>(std::llround(rows_in)),
                               block_rows);
-    if (stage.segmenter < 0) {
+    if (seg == nullptr && i + 1 < shape.fact_stages.size()) {
       // Packed producers flush one partial block per instance at Finish.
-      uint64_t producer_insts = 0;
-      if (i + 1 < shape.fact_stages.size()) {
-        for (const auto& b : shape.fact_stages[i + 1].branches) {
-          producer_insts += b.instances.size();
-        }
-      }
-      blocks += producer_insts;
+      blocks += shape.fact_stages[i + 1].instances.size();
     }
     blocks = std::max<uint64_t>(1, blocks);
 
@@ -1016,8 +711,7 @@ Result<CostEstimate> PlanCoster::Cost(const HetPlan& plan) const {
         stage, profile, rows_per_block, in_width, n_cols, src_table);
     sim::VTime done = DistributeBlocks(stage_policy(stage), blocks, &insts);
 
-    const double per_block_src =
-        stage.segmenter >= 0 ? plan.node(stage.segmenter).per_block_cost : 0.0;
+    const double per_block_src = seg != nullptr ? seg->per_block_cost : 0.0;
     done = sim::MaxT(done, static_cast<double>(blocks) *
                                (per_block_src + stage_control(stage)));
     stage_done.push_back(done);
@@ -1073,11 +767,10 @@ Result<CostEstimate> PlanCoster::Cost(const HetPlan& plan) const {
   est.probe = fact_phase + latency_constants;
   // The build phase is a global barrier here on purpose: the runtime starts
   // each probe unit at its own replicas' readiness, so this sum is an upper
-  // bound on it. Mirroring the per-unit starts (seeding DistributeBlocks with
+  // bound on it. Pricing the per-unit starts (seeding DistributeBlocks with
   // each unit's build completion) was tried: it flipped near-tie block-size
   // picks (b512 -> b2048 on Q2.1/Q3.3/Q3.4) and cost 0.7% modeled time on
-  // the PCIe-streaming SSB workload. Coster/runtime symmetry belongs to one
-  // shared plan analysis, not to a second hand mirror.
+  // the PCIe-streaming SSB workload.
   est.total = est.init + est.build + est.probe + est.gather;
   return est;
 }

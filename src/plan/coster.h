@@ -48,11 +48,12 @@ struct CostEstimate {
   std::string ToString() const;
 };
 
-/// \brief Prices candidate HetPlans by walking the DAG with the same
-/// sim::CostModel / DeviceCaps constants the runtime simulation charges.
+/// \brief Prices candidate HetPlans with the same sim::CostModel / DeviceCaps
+/// constants the runtime simulation charges.
 ///
-/// The coster mirrors the lowering's stage structure (pipeline spans between
-/// exchanges) and the runtime's accounting: per-block work converted via
+/// The coster prices the stages plan::AnalyzePlan partitions the DAG into —
+/// the analysis the lowering instantiates, so both see one execution shape —
+/// with the runtime's accounting: per-block work converted via
 /// CostModel::WorkCost under the fluid bandwidth-share model, per-block fixed
 /// costs (kernel launches, DMA setup, router control), serialized PCIe
 /// transfers, and policy-dependent block distribution (round-robin assigns
@@ -63,8 +64,9 @@ struct CostEstimate {
 struct CosterOptions {
   /// Rows per packed intermediate block — MUST be wired to the running
   /// system's block_bytes / 8 (QueryExecutor does). Sizes the block counts of
-  /// non-segmenter-fed stages and mirrors the lowering's GPU staging clamp;
-  /// the default only matches a system built with default 1 MiB blocks.
+  /// non-segmenter-fed stages and the staging clamp of GPU-bound scans
+  /// (ScanBlockRows); the default only matches a system built with default
+  /// 1 MiB blocks.
   uint64_t pack_block_rows = (1ull << 20) / 8;
 
   /// Per-PCIe-link backlog: virtual seconds of work other in-flight queries
@@ -109,8 +111,8 @@ class PlanCoster {
   PlanCoster(const QuerySpec& spec, const storage::Catalog& catalog,
              const sim::Topology& topo, Options options = {});
 
-  /// Estimates the virtual-time cost of `plan`. Fails (instead of guessing) on
-  /// DAG shapes whose stage structure the walk cannot decompose.
+  /// Estimates the virtual-time cost of `plan`. Fails (instead of guessing)
+  /// with AnalyzePlan's Status on exactly the plans the lowering rejects.
   Result<CostEstimate> Cost(const HetPlan& plan) const;
 
   /// Uncontended virtual-time estimate of moving one `bytes`-sized block (in

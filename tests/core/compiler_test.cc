@@ -99,11 +99,10 @@ TEST_F(CompilerTest, BuildPipelineInsertsIntoSlotZero) {
 
 TEST_F(CompilerTest, HtCapacityUsesEstimateWithHeadroom) {
   auto spec = Spec();
-  QueryCompiler c1(spec, catalog_, cm_);
-  EXPECT_EQ(c1.JoinHtCapacity(0), 10u);  // no estimate: table rows
+  // No estimate: the build table's rows.
+  EXPECT_EQ(plan::JoinHtCapacity(spec.joins[0], catalog_), 10u);
   spec.joins[0].build_rows_estimate = 100;
-  QueryCompiler c2(spec, catalog_, cm_);
-  EXPECT_EQ(c2.JoinHtCapacity(0), 100u * 13 / 10 + 64);
+  EXPECT_EQ(plan::JoinHtCapacity(spec.joins[0], catalog_), 100u * 13 / 10 + 64);
 }
 
 TEST_F(CompilerTest, GatherMergesWithCountAsSum) {

@@ -57,7 +57,7 @@ TEST_F(GraphBuilderTest, CpuOnlyLoweringMatchesPlan) {
   }
   int lowered_build_instances = 0;
   for (const auto& s : lowered.build_stages) {
-    EXPECT_EQ(s.span.role, PipelineSpan::Role::kBuild);
+    EXPECT_EQ(s.span.role, plan::StageRole::kBuild);
     EXPECT_EQ(s.in.options.policy, Edge::Policy::kBroadcast);
     EXPECT_TRUE(s.in.options.unit_broadcast);
     lowered_build_instances += static_cast<int>(s.instances.size());
@@ -68,9 +68,9 @@ TEST_F(GraphBuilderTest, CpuOnlyLoweringMatchesPlan) {
 
   // Fused plan: gather + probe stages; probe DOP = the fact router's fanout.
   ASSERT_EQ(lowered.fact_stages.size(), 2u);
-  EXPECT_EQ(lowered.fact_stages[0].span.role, PipelineSpan::Role::kGather);
+  EXPECT_EQ(lowered.fact_stages[0].span.role, plan::StageRole::kGather);
   EXPECT_EQ(lowered.fact_stages[0].instances.size(), 1u);
-  EXPECT_EQ(lowered.fact_stages[1].span.role, PipelineSpan::Role::kProbe);
+  EXPECT_EQ(lowered.fact_stages[1].span.role, plan::StageRole::kProbe);
   EXPECT_EQ(lowered.fact_stages[1].instances.size(), 4u);
   for (const auto& dev : lowered.fact_stages[1].instances) {
     EXPECT_TRUE(dev.is_cpu());
@@ -135,9 +135,9 @@ TEST_F(GraphBuilderTest, SplitPlanLowersSharedHashExchange) {
   const LoweredSpec lowered = Lower(plan);
 
   ASSERT_EQ(lowered.fact_stages.size(), 3u);
-  EXPECT_EQ(lowered.fact_stages[0].span.role, PipelineSpan::Role::kGather);
-  EXPECT_EQ(lowered.fact_stages[1].span.role, PipelineSpan::Role::kProbe);
-  EXPECT_EQ(lowered.fact_stages[2].span.role, PipelineSpan::Role::kFilterStage);
+  EXPECT_EQ(lowered.fact_stages[0].span.role, plan::StageRole::kGather);
+  EXPECT_EQ(lowered.fact_stages[1].span.role, plan::StageRole::kProbe);
+  EXPECT_EQ(lowered.fact_stages[2].span.role, plan::StageRole::kFilterStage);
   // Stage A and stage B are connected by the single hash exchange of the plan.
   EXPECT_EQ(lowered.fact_stages[1].in.options.policy, Edge::Policy::kHash);
   EXPECT_EQ(lowered.fact_stages[1].instances.size(),

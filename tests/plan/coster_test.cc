@@ -125,6 +125,22 @@ TEST(PlanCosterTest, BreakdownShapesMatchPlanShapes) {
   ASSERT_TRUE(bare.ok());
   EXPECT_EQ(bare.value().init, 0.0);  // no routers to bring up
   EXPECT_GT(bare.value().total, 0.0);
+
+  // Bare GPU: the partials cross device->host on the gather's side of the
+  // pack->gather feed, and the estimate pays that crossing exactly as the
+  // lowered gather edge does.
+  plan::HetPlan bare_gpu = plan::BuildHetPlan(
+      spec, ExecPolicy::Bare(sim::DeviceType::kGpu), env.system->topology());
+  const auto crossing = coster.Cost(bare_gpu);
+  for (auto& n : bare_gpu.nodes) {
+    if (n.kind == plan::HetOpNode::Kind::kGpu2Cpu) n.crossing_latency = 0;
+  }
+  const auto no_crossing = coster.Cost(bare_gpu);
+  ASSERT_TRUE(crossing.ok() && no_crossing.ok());
+  const double spawn = env.system->cost_model().task_spawn_latency;
+  ASSERT_GT(spawn, 0.0);
+  EXPECT_EQ(crossing.value().probe, no_crossing.value().probe + spawn);
+  EXPECT_DOUBLE_EQ(crossing.value().total, no_crossing.value().total + spawn);
 }
 
 TEST(PlanCosterTest, PinnedGpuResidentBlocksAreNeverPricedOnSockets) {
@@ -484,6 +500,12 @@ TEST_P(OptimizerAccuracyTest, PickedPlanWithin1_2xOfMeasuredBest) {
   ASSERT_TRUE(
       executor.Optimize(spec, TestEnv::Tune(ExecPolicy::Hybrid(3)), &opt).ok());
   ASSERT_FALSE(opt.ranked.empty());
+  // Every enumerated candidate is costed: the coster rejects only plans the
+  // lowering rejects, and the enumerator emits none of those.
+  EXPECT_EQ(opt.ranked.size(),
+            plan::EnumeratePlans(spec, TestEnv::Tune(ExecPolicy::Hybrid(3)),
+                                 env()->system->topology())
+                .size());
 
   double best_measured = -1;
   double picked_measured = -1;

@@ -14,7 +14,8 @@
 // GPU-granularity clamp (coarse blocks used to crash the mem-move), probe
 // units without a hash-table replica, duplicate build replicas, UVA edges fed
 // by device-resident producers, and placements naming devices the server
-// does not have.
+// does not have. A validated plan is costed exactly when it lowers:
+// PlanCoster and GraphBuilder share one plan analysis.
 //
 // CI runs the three pinned seeds below; FUZZ_ITERS scales the mutation count
 // per seed for longer local soaks (default small in CI).
@@ -27,6 +28,8 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "core/graph_builder.h"
+#include "plan/coster.h"
 #include "plan/enumerator.h"
 #include "plan/het_plan.h"
 #include "test_util.h"
@@ -189,6 +192,16 @@ TEST_P(PlanFuzzTest, MutatedPlansValidateOrExecute) {
           << ": rejection does not name a node: " << valid.ToString();
       continue;
     }
+
+    // One validity definition: the coster prices exactly the plans the
+    // lowering accepts.
+    PlanCoster::Options coster_options;
+    coster_options.pack_block_rows = env.system->blocks().options().block_bytes / 8;
+    const PlanCoster coster(spec, env.system->catalog(), topo, coster_options);
+    core::GraphBuilder builder(env.system.get(), &plan);
+    EXPECT_EQ(coster.Cost(plan).ok(), builder.Analyze().ok())
+        << "seed " << GetParam() << " iter " << iter << " " << spec.name
+        << ":" << trace << "\n" << plan.ToString();
 
     // (b) Validated: the plan must lower and execute — or surface a Status —
     // without crashing. Whatever happens, the system must stay usable.
