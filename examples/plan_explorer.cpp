@@ -92,18 +92,18 @@ std::string JsonEscape(const std::string& s) {
 }
 
 /// Machine-readable fabric report: the same facts Topology::Describe prints —
-/// sockets (DRAM rate + live worker backlog), GPUs, and every interconnect
-/// link with its type, bandwidth and the backlog a session anchored at
-/// `epoch` would queue behind.
+/// sockets (DRAM rate + the workers whose DRAM intervals overlap `epoch`),
+/// GPUs, and every interconnect link with its type, bandwidth and the backlog
+/// a session anchored at `epoch` would queue behind.
 void PrintFabricJson(const sim::Topology& topo, sim::VTime epoch) {
   std::printf("\"fabric\": {\"epoch\": %.9f,\n\"sockets\": [", epoch);
   for (int s = 0; s < topo.num_sockets(); ++s) {
     const auto& sock = topo.socket(s);
     std::printf("%s\n  {\"id\": %d, \"cores\": %d, \"mem_node\": %d, "
-                "\"dram_gbps\": %.3f, \"active_workers\": %d}",
+                "\"dram_gbps\": %.3f, \"backlog_workers\": %d}",
                 s == 0 ? "" : ",", sock.id, sock.num_cores, sock.mem,
                 topo.socket_dram(s).total_rate() / 1e9,
-                topo.socket_dram(s).active_workers());
+                topo.socket_dram(s).workers_overlapping(epoch));
   }
   std::printf("\n],\n\"gpus\": [");
   for (int g = 0; g < topo.num_gpus(); ++g) {
@@ -113,31 +113,26 @@ void PrintFabricJson(const sim::Topology& topo, sim::VTime epoch) {
                 g == 0 ? "" : ",", gpu.id, gpu.mem, gpu.socket, gpu.pcie_link);
   }
   std::printf("\n],\n\"links\": [");
-  bool first = true;
-  auto backlog = [&](const sim::BandwidthServer& link) {
-    return sim::MaxT(0.0, link.free_at() - epoch);
-  };
-  for (int g = 0; g < topo.num_gpus(); ++g) {
-    const auto& link = topo.pcie_link(topo.PcieLinkOf(g));
-    std::printf("%s\n  {\"type\": \"pcie\", \"id\": %d, \"gpu\": %d, "
-                "\"socket\": %d, \"gbps\": %.3f, \"backlog_s\": %.9f}",
-                first ? "" : ",", topo.PcieLinkOf(g), g, topo.gpu(g).socket,
-                link.rate() / 1e9, backlog(link));
-    first = false;
-  }
-  for (int p = 0; p < topo.num_peer_links(); ++p) {
-    const auto& info = topo.peer_link_info(p);
-    std::printf("%s\n  {\"type\": \"peer\", \"id\": %d, \"gpu_a\": %d, "
-                "\"gpu_b\": %d, \"gbps\": %.3f, \"backlog_s\": %.9f}",
-                first ? "" : ",", info.id, info.gpu_a, info.gpu_b,
-                topo.peer_link(p).rate() / 1e9, backlog(topo.peer_link(p)));
-    first = false;
-  }
-  if (topo.has_inter_socket_link()) {
-    std::printf("%s\n  {\"type\": \"inter_socket\", \"gbps\": %.3f, "
-                "\"backlog_s\": %.9f}",
-                first ? "" : ",", topo.inter_socket_link().rate() / 1e9,
-                backlog(topo.inter_socket_link()));
+  for (int id = 0; id < topo.num_links(); ++id) {
+    const sim::Topology::Link& l = topo.link_info(id);
+    std::printf("%s\n  ", id == 0 ? "" : ",");
+    switch (l.type) {
+      case sim::Topology::LinkType::kPcie:
+        std::printf("{\"type\": \"pcie\", \"id\": %d, \"gpu\": %d, "
+                    "\"socket\": %d, ",
+                    l.id, l.gpu_a, topo.gpu(l.gpu_a).socket);
+        break;
+      case sim::Topology::LinkType::kPeer:
+        std::printf("{\"type\": \"peer\", \"id\": %d, \"gpu_a\": %d, "
+                    "\"gpu_b\": %d, ",
+                    l.id - topo.num_pcie_links(), l.gpu_a, l.gpu_b);
+        break;
+      case sim::Topology::LinkType::kInterSocket:
+        std::printf("{\"type\": \"inter_socket\", ");
+        break;
+    }
+    std::printf("\"gbps\": %.3f, \"backlog_s\": %.9f}", l.server->rate() / 1e9,
+                sim::MaxT(0.0, l.server->free_at() - epoch));
   }
   std::printf("\n]},\n");
 }

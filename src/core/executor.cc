@@ -57,20 +57,11 @@ Status QueryExecutor::OptimizeAt(const plan::QuerySpec& spec,
   // peer and inter-socket — past this session's arrival. In-flight queries'
   // transfers serialize ahead of ours, so the coster charges them as a start
   // offset on the link occupancy bound — for DMA mem-moves and UVA kernel
-  // streams alike. A no-GPU topology simply has no PCIe/peer entries.
+  // streams alike.
   const sim::Topology& topo = system_->topology();
-  opts.link_backlog.resize(topo.num_pcie_links());
-  for (int l = 0; l < topo.num_pcie_links(); ++l) {
-    opts.link_backlog[l] = std::max(0.0, topo.pcie_link(l).free_at() - epoch);
-  }
-  opts.peer_link_backlog.resize(topo.num_peer_links());
-  for (int l = 0; l < topo.num_peer_links(); ++l) {
-    opts.peer_link_backlog[l] =
-        std::max(0.0, topo.peer_link(l).free_at() - epoch);
-  }
-  if (topo.has_inter_socket_link()) {
-    opts.inter_socket_backlog =
-        std::max(0.0, topo.inter_socket_link().free_at() - epoch);
+  opts.link_backlog.resize(topo.num_links());
+  for (int l = 0; l < topo.num_links(); ++l) {
+    opts.link_backlog[l] = std::max(0.0, topo.link(l).free_at() - epoch);
   }
   // CPU load signal: workers whose execution-phase intervals overlap this
   // session's epoch on each socket's DRAM timeline. The runtime divides every

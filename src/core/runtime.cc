@@ -91,111 +91,46 @@ DataMsg Edge::MoveToNode(DataMsg msg, sim::MemNodeId target_node,
       out.cols.push_back(h);
       continue;
     }
-    const bool src_gpu = topo.mem_node(h.node()).is_gpu;
-    const bool dst_gpu = topo.mem_node(target_node).is_gpu;
+    HETEX_CHECK(topo.mem_node(h.node()).is_gpu ||
+                topo.mem_node(target_node).is_gpu)
+        << "host-to-host moves need no mem-move on this server";
 
-    auto copy_over_link = [&](const memory::BlockHandle& src,
-                              sim::MemNodeId dst_node, int link,
-                              sim::VTime earliest) {
-      memory::BlockHandle moved;
+    // One DMA per hop of the route, each landing in a fresh block on the
+    // hop's node. The second hop of a staged GPU->GPU route reads the first
+    // hop's staging block; the consumer releases it after the transfer.
+    memory::BlockHandle moved = h;
+    sim::TransferTicket ticket;
+    memory::Block* staged = nullptr;  // the previous hop's landing block
+    for (const sim::Topology::Hop& hop : topo.Route(h.node(), target_node)) {
+      if (staged != nullptr) ticket.Wait();  // functional ordering
       Status acquire_error = Status::OK();
       memory::Block* dst = system_->blocks().Acquire(
-          dst_node, producer_node, &acquire_error,
+          hop.to, producer_node, &acquire_error,
           options_.control != nullptr ? &options_.control->cancelled : nullptr);
       if (dst == nullptr) {
         fail = std::move(acquire_error);
-        return std::make_pair(moved, sim::TransferTicket{});
-      }
-      HETEX_CHECK(dst->capacity >= src.bytes) << "staging block too small";
-      if (sim::FaultInjector& inj = system_->fault(); inj.enabled()) {
+      } else if (sim::FaultInjector& inj = system_->fault(); inj.enabled()) {
         // Fault check precedes the DMA reservation: a failed transfer strands
         // nothing on the shared link timeline.
-        Status st = inj.OnDmaTransfer(link);
-        if (!st.ok()) {
-          system_->blocks().Release(dst, producer_node);
-          fail = std::move(st);
-          return std::make_pair(moved, sim::TransferTicket{});
-        }
+        fail = inj.OnDmaTransfer(hop.link);
+        if (!fail.ok()) system_->blocks().Release(dst, producer_node);
       }
-      sim::TransferTicket ticket =
-          system_->dma().Transfer(src.data(), dst->data, src.bytes, link,
-                                  earliest, !src.block->pinned, options_.epoch);
-      moved.block = dst;
-      moved.bytes = src.bytes;
-      moved.rows = src.rows;
+      if (!fail.ok()) {
+        if (staged != nullptr) system_->blocks().Release(staged, producer_node);
+        break;
+      }
+      HETEX_CHECK(dst->capacity >= moved.bytes) << "staging block too small";
+      ticket = system_->dma().Transfer(
+          moved.data(), dst->data, moved.bytes, hop.link,
+          staged != nullptr ? ticket.ready_at() : msg.ready_at,
+          !moved.block->pinned, options_.epoch);
+      if (staged != nullptr) out.release_after_wait.push_back(staged);
+      staged = moved.block = dst;
       moved.ready_at = ticket.ready_at();
-      return std::make_pair(moved, ticket);
-    };
-
-    if (!src_gpu && dst_gpu) {
-      const int gpu = topo.mem_node(target_node).owner.index;
-      auto [moved, ticket] =
-          copy_over_link(h, target_node, topo.PcieLinkOf(gpu), msg.ready_at);
-      if (!fail.ok()) break;
-      out.cols.push_back(moved);
-      out.tickets.push_back(ticket);
-    } else if (src_gpu && !dst_gpu) {
-      const int gpu = topo.mem_node(h.node()).owner.index;
-      auto [moved, ticket] =
-          copy_over_link(h, target_node, topo.PcieLinkOf(gpu), msg.ready_at);
-      if (!fail.ok()) break;
-      out.cols.push_back(moved);
-      out.tickets.push_back(ticket);
-    } else if (src_gpu && dst_gpu) {
-      const int src_gpu_id = topo.mem_node(h.node()).owner.index;
-      const int dst_gpu_id = topo.mem_node(target_node).owner.index;
-      const int peer = topo.PeerLinkOf(src_gpu_id, dst_gpu_id);
-      if (peer >= 0) {
-        // Direct NVLink-class hop: one reservation on the peer link, no host
-        // staging and no pageable penalty (both endpoints are device memory).
-        Status acquire_error = Status::OK();
-        memory::Block* dst = system_->blocks().Acquire(
-            target_node, producer_node, &acquire_error,
-            options_.control != nullptr ? &options_.control->cancelled : nullptr);
-        if (dst == nullptr) {
-          fail = std::move(acquire_error);
-          break;
-        }
-        HETEX_CHECK(dst->capacity >= h.bytes) << "staging block too small";
-        if (sim::FaultInjector& inj = system_->fault(); inj.enabled()) {
-          // Peer links share the DMA fault plane, namespaced past the PCIe ids.
-          Status st = inj.OnDmaTransfer(topo.num_pcie_links() + peer);
-          if (!st.ok()) {
-            system_->blocks().Release(dst, producer_node);
-            fail = std::move(st);
-            break;
-          }
-        }
-        sim::TransferTicket ticket = system_->dma().TransferPeer(
-            h.data(), dst->data, h.bytes, peer, msg.ready_at, options_.epoch);
-        memory::BlockHandle moved;
-        moved.block = dst;
-        moved.bytes = h.bytes;
-        moved.rows = h.rows;
-        moved.ready_at = ticket.ready_at();
-        out.cols.push_back(moved);
-        out.tickets.push_back(ticket);
-      } else {
-        // No peer link between this pair: stage through the source GPU's host
-        // socket over two PCIe hops.
-        const sim::MemNodeId host = topo.socket(topo.gpu(src_gpu_id).socket).mem;
-        auto [staged, t1] =
-            copy_over_link(h, host, topo.PcieLinkOf(src_gpu_id), msg.ready_at);
-        if (!fail.ok()) break;
-        t1.Wait();  // functional ordering: hop 2 reads the staging buffer
-        auto [moved, t2] = copy_over_link(
-            staged, target_node, topo.PcieLinkOf(dst_gpu_id), t1.ready_at());
-        if (!fail.ok()) {
-          system_->blocks().Release(staged.block, producer_node);
-          break;
-        }
-        out.cols.push_back(moved);
-        out.tickets.push_back(t2);
-        out.release_after_wait.push_back(staged.block);
-      }
-    } else {
-      HETEX_CHECK(false) << "host-to-host moves need no mem-move on this server";
     }
+    if (!fail.ok()) break;
+    out.cols.push_back(moved);
+    out.tickets.push_back(ticket);
     if (h.block->owner != nullptr) {
       // The DMA still reads the source: hand a reference to the consumer to
       // release once the transfer completed.
@@ -241,20 +176,21 @@ void Edge::DeliverTo(WorkerInstance* target, DataMsg msg,
           << " cannot address block on node " << h.node();
     }
   }
-  // Cross-socket column reads: a CPU consumer pulling blocks out of another
-  // socket's DRAM crosses the inter-socket link (when the topology models
+  // Cross-socket column reads: a CPU consumer reading another socket's DRAM
+  // in place crosses the route's inter-socket link (when the topology models
   // one). Charged per delivered block on the shared epoch-anchored timeline,
   // so concurrent sessions queue behind each other on the QPI/UPI hop too.
-  if (msg.error.ok() && target->device().is_cpu() &&
-      system_->topology().has_inter_socket_link()) {
-    const int target_socket = target->device().index;
+  if (msg.error.ok() && target->device().is_cpu()) {
+    int link = -1;
     uint64_t cross_bytes = 0;
     for (const auto& h : msg.cols) {
-      const sim::Topology::MemNode& mn = topo.mem_node(h.node());
-      if (!mn.is_gpu && mn.owner.index != target_socket) cross_bytes += h.bytes;
+      const sim::Topology::Hops route = topo.Route(h.node(), target->node());
+      if (route.empty()) continue;
+      link = route.back().link;
+      cross_bytes += h.bytes;
     }
     if (cross_bytes > 0) {
-      const auto window = system_->topology().inter_socket_link().Reserve(
+      const auto window = system_->topology().link(link).Reserve(
           cross_bytes, msg.ready_at, options_.epoch);
       msg.ready_at = sim::MaxT(msg.ready_at, window.end);
     }

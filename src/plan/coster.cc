@@ -80,7 +80,7 @@ struct Profile {
 struct InstanceCost {
   sim::VTime block_time = 0;     ///< per-block completion (compute/transfer max)
   sim::VTime transfer_time = 0;  ///< per-block interconnect share (diagnostic)
-  int link = -1;                 ///< PCIe link the per-block DMA occupies
+  int link = -1;                 ///< link id the per-block transfer occupies
   uint64_t blocks = 0;           ///< assigned by the distribution model
   /// False when a load-balance router can never hand this instance a block:
   /// every source fraction is GPU-resident and pinned to another consumer.
@@ -219,24 +219,6 @@ PlanCoster::PlanCoster(const QuerySpec& spec, const storage::Catalog& catalog,
       options_(options),
       cards_(EstimateCardinalities(spec, catalog)) {}
 
-sim::VTime PlanCoster::EstimateGpuToGpuTransfer(const sim::Topology& topo,
-                                                int src_gpu, int dst_gpu,
-                                                uint64_t bytes, uint64_t cols) {
-  if (src_gpu == dst_gpu) return 0;
-  const sim::CostModel& cm = topo.cost_model();
-  const double c = static_cast<double>(std::max<uint64_t>(1, cols));
-  const int peer = topo.PeerLinkOf(src_gpu, dst_gpu);
-  if (peer >= 0) {
-    return c * cm.peer_dma_latency +
-           static_cast<double>(bytes) / topo.peer_link(peer).rate();
-  }
-  // No peer link: stage through host memory — two PCIe hops, each paying the
-  // per-column DMA setup (the staging buffer is pinned, so both hops run at
-  // the pinned rate), exactly the runtime's fallback path.
-  return 2.0 * c * cm.dma_latency +
-         2.0 * static_cast<double>(bytes) / cm.pcie_bw;
-}
-
 Result<CostEstimate> PlanCoster::Cost(const HetPlan& plan) const {
   const sim::CostModel& cm = topo_->cost_model();
   Result<PlanAnalysis> analysis = AnalyzePlan(plan, *topo_);
@@ -374,16 +356,8 @@ Result<CostEstimate> PlanCoster::Cost(const HetPlan& plan) const {
                : 0;
   };
 
-  // Extended link-index space shared with the runtime's interconnects: PCIe
-  // links first, then GPU peer links, then the inter-socket link. Every entry
-  // is one serially-shared resource in the busy/backlog accounting below.
-  const int n_pcie = topo_->num_pcie_links();
-  const int n_peer = topo_->num_peer_links();
-  const int inter_socket_index = n_pcie + n_peer;
-
-  // Fraction of a source table's rows resident on each memory node — drives
-  // the fabric routing estimates (cross-socket DRAM pulls and GPU-resident
-  // sources reached over peer links or staged PCIe hops).
+  // Fraction of a source table's rows resident on each memory node: each
+  // fraction reaches an instance along Topology::Route.
   auto node_fractions = [&](const storage::Table* t) {
     std::map<sim::MemNodeId, double> frac;
     if (t == nullptr || !t->placed()) return frac;
@@ -422,13 +396,10 @@ Result<CostEstimate> PlanCoster::Cost(const HetPlan& plan) const {
         profile.Scale(static_cast<double>(block_rows));
     const std::map<sim::MemNodeId, double> src_frac = node_fractions(src_table);
     const double block_bytes = static_cast<double>(block_rows) * in_width;
-    // DMA rate for this stage's source blocks: an unpinned source table
-    // transfers at the pageable rate, exactly as the runtime's DMA engine
-    // charges it (UVA streams and pinned staging hops keep the pinned rate).
-    const double host_pcie_bw =
-        src_table != nullptr && src_table->placed() && !src_table->pinned()
-            ? cm.pcie_pageable_bw
-            : cm.pcie_bw;
+    // An unpinned source table's first PCIe hop runs at the pageable rate,
+    // exactly as the runtime's DMA engine charges it (Topology::HopRate).
+    const bool pageable =
+        src_table != nullptr && src_table->placed() && !src_table->pinned();
     // Load-balance routers pin GPU-resident blocks to their local GPU when
     // that GPU is among the consumers — those fractions never travel, and no
     // other instance ever receives them. Credit the route accordingly.
@@ -454,47 +425,7 @@ Result<CostEstimate> PlanCoster::Cost(const HetPlan& plan) const {
                        (dev.is_gpu() && dev.index == mn.owner.index);
               });
         }
-        if (dev.is_cpu()) {
-          const int divisor =
-              socket_workers[dev.index] + socket_backlog(dev.index);
-          const double bw =
-              std::min(cm.cpu_core_bw, cm.cpu_socket_bw / divisor);
-          ic.block_time = cm.WorkCost(block_stats, cm.cpu, bw);
-          if (!src_frac.empty()) {
-            // Route every source fraction the way the runtime would: another
-            // socket's DRAM crosses the UPI/QPI link (when the fabric has
-            // one), a GPU-resident fraction is a device->host DMA chain over
-            // that GPU's PCIe link — unless a load-balance router pins it to
-            // its local GPU and this worker never sees it.
-            double transfer = 0;
-            std::map<int, double> by_link;
-            for (const auto& [node, f] : src_frac) {
-              const sim::Topology::MemNode& mn = topo_->mem_node(node);
-              if (mn.is_gpu) {
-                if (lb_pinned(mn.owner.index)) continue;
-                const double t =
-                    f * (static_cast<double>(cols) * cm.dma_latency +
-                         block_bytes / host_pcie_bw);
-                transfer += t;
-                by_link[topo_->PcieLinkOf(mn.owner.index)] += t;
-              } else if (topo_->has_inter_socket_link() &&
-                         mn.owner.index != dev.index) {
-                const double t =
-                    f * (cm.inter_socket_latency +
-                         block_bytes / topo_->inter_socket_link().rate());
-                transfer += t;
-                by_link[inter_socket_index] += t;
-              }
-            }
-            if (transfer > 0) {
-              ic.transfer_time = transfer;
-              for (const auto& [link, t] : by_link) {
-                if (ic.link < 0 || t > by_link[ic.link]) ic.link = link;
-              }
-              ic.block_time = sim::MaxT(ic.block_time, ic.transfer_time);
-            }
-          }
-        } else if (b.uva) {
+        if (dev.is_gpu() && b.uva) {
           // UVA kernel: its streamed bytes occupy the PCIe link exactly like
           // DMA (the runtime reserves them on the link BandwidthServer), so
           // the link share of the block time is real, steerable occupancy.
@@ -505,57 +436,53 @@ Result<CostEstimate> PlanCoster::Cost(const HetPlan& plan) const {
           ic.link = topo_->PcieLinkOf(dev.index);
           ic.block_time =
               cm.kernel_launch_latency + sim::MaxT(compute, transfer);
+          out.push_back(ic);
+          continue;
+        }
+        if (dev.is_cpu()) {
+          const int divisor =
+              socket_workers[dev.index] + socket_backlog(dev.index);
+          const double bw =
+              std::min(cm.cpu_core_bw, cm.cpu_socket_bw / divisor);
+          ic.block_time = cm.WorkCost(block_stats, cm.cpu, bw);
         } else {
-          const sim::VTime compute =
-              cm.kernel_launch_latency +
-              cm.WorkCost(block_stats, cm.gpu, cm.gpu_mem_bw);
-          sim::VTime transfer = 0;
-          if (b.gpu_entry) {
-            // Mem-move stages the block into the GPU: one DMA reservation per
-            // column plus the bytes at the source table's DMA rate (pageable
-            // when the source is unpinned host memory).
-            const sim::VTime host_hop =
-                static_cast<double>(cols) * cm.dma_latency +
-                block_bytes / host_pcie_bw;
-            const int g = dev.index;
-            if (src_frac.empty()) {
-              transfer = host_hop;
-              ic.link = topo_->PcieLinkOf(g);
-            } else {
-              // Route each source fraction the way Edge::MoveToNode would:
-              // local GPU memory is free, host DRAM is the PCIe DMA chain, a
-              // peer GPU is one NVLink hop (or two staged PCIe hops when the
-              // fabric has no peer link) — unless a load-balance router pins
-              // that fraction to its own local GPU and this instance never
-              // receives it. The instance's link is whichever carries the
-              // most traffic.
-              std::map<int, double> by_link;
-              for (const auto& [node, f] : src_frac) {
-                const sim::Topology::MemNode& mn = topo_->mem_node(node);
-                sim::VTime t = 0;
-                int link = -1;
-                if (!mn.is_gpu) {
-                  t = host_hop;
-                  link = topo_->PcieLinkOf(g);
-                } else if (mn.owner.index != g) {
-                  const int src_g = mn.owner.index;
-                  if (lb_pinned(src_g)) continue;
-                  t = EstimateGpuToGpuTransfer(
-                      *topo_, src_g, g, static_cast<uint64_t>(block_bytes),
-                      cols);
-                  const int peer = topo_->PeerLinkOf(src_g, g);
-                  link = peer >= 0 ? n_pcie + peer : topo_->PcieLinkOf(g);
-                }
-                transfer += f * t;
-                if (link >= 0) by_link[link] += f * t;
-              }
-              for (const auto& [link, t] : by_link) {
-                if (ic.link < 0 || t > by_link[ic.link]) ic.link = link;
-              }
+          ic.block_time = cm.kernel_launch_latency +
+                          cm.WorkCost(block_stats, cm.gpu, cm.gpu_mem_bw);
+        }
+        if (dev.is_cpu() || b.gpu_entry) {
+          // Route every source fraction the way the runtime moves it to this
+          // instance, unless a load-balance router pins that GPU-resident
+          // fraction to its own GPU and this instance never receives it. A
+          // stage without a placed source reads from its host socket's DRAM.
+          // A route's whole time is charged to its last hop's link; the
+          // instance's link is whichever carries the most.
+          const sim::MemNodeId dst = topo_->LocalMemNode(dev);
+          double transfer = 0;
+          std::map<int, double> by_link;
+          auto route_from = [&](sim::MemNodeId node, double f) {
+            const sim::Topology::MemNode& mn = topo_->mem_node(node);
+            const sim::Topology::Hops route = topo_->Route(node, dst);
+            if (route.empty() || (mn.is_gpu && lb_pinned(mn.owner.index))) {
+              return;
             }
+            const double t =
+                f * topo_->RouteSeconds(route, block_bytes, cols, pageable);
+            transfer += t;
+            by_link[route.back().link] += t;
+          };
+          if (src_frac.empty()) {
+            route_from(topo_->LocalMemNode(
+                           sim::DeviceId::Cpu(topo_->HostSocketOf(dev))),
+                       1.0);
           }
-          ic.transfer_time = transfer;
-          ic.block_time = sim::MaxT(compute, transfer);
+          for (const auto& [node, f] : src_frac) route_from(node, f);
+          if (transfer > 0) {
+            ic.transfer_time = transfer;
+            for (const auto& [link, t] : by_link) {
+              if (ic.link < 0 || t > by_link[ic.link]) ic.link = link;
+            }
+            ic.block_time = sim::MaxT(ic.block_time, transfer);
+          }
         }
         out.push_back(ic);
       }
@@ -569,22 +496,13 @@ Result<CostEstimate> PlanCoster::Cost(const HetPlan& plan) const {
   // split plan land on the same link) serializes, so a phase can never finish
   // before its links drained their total occupancy — plus whatever backlog
   // other in-flight queries queued there (the scheduler's load signal).
-  const int n_links = n_pcie + n_peer + 1;  // + the inter-socket slot
+  const int n_links = topo_->num_links();
   std::vector<double> build_link_busy(n_links, 0.0);
   std::vector<double> fact_link_busy(n_links, 0.0);
   auto link_backlog = [&](int l) {
-    if (l < n_pcie) {
-      return l < static_cast<int>(options_.link_backlog.size())
-                 ? options_.link_backlog[l]
-                 : 0.0;
-    }
-    if (l < inter_socket_index) {
-      const int p = l - n_pcie;
-      return p < static_cast<int>(options_.peer_link_backlog.size())
-                 ? options_.peer_link_backlog[p]
-                 : 0.0;
-    }
-    return options_.inter_socket_backlog;
+    return l < static_cast<int>(options_.link_backlog.size())
+               ? options_.link_backlog[l]
+               : 0.0;
   };
   auto add_link_busy = [](std::vector<double>* busy,
                           const std::vector<InstanceCost>& insts) {

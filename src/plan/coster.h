@@ -55,12 +55,13 @@ struct CostEstimate {
 /// the analysis the lowering instantiates, so both see one execution shape —
 /// with the runtime's accounting: per-block work converted via
 /// CostModel::WorkCost under the fluid bandwidth-share model, per-block fixed
-/// costs (kernel launches, DMA setup, router control), serialized PCIe
-/// transfers, and policy-dependent block distribution (round-robin assigns
-/// blocks by rotation; load-balance greedily to the least-loaded instance —
-/// the virtual-time analogue of the runtime's backlog balancing). It is an
-/// estimate, not a simulation: cardinalities come from CardinalityEstimate,
-/// not from execution.
+/// costs (kernel launches, DMA setup, router control), transfers priced hop
+/// by hop along the mem-move's own route (sim::Topology::Route) and
+/// serialized per link, and policy-dependent block distribution (round-robin
+/// assigns blocks by rotation; load-balance greedily to the least-loaded
+/// instance — the virtual-time analogue of the runtime's backlog balancing).
+/// It is an estimate, not a simulation: cardinalities come from
+/// CardinalityEstimate, not from execution.
 struct CosterOptions {
   /// Rows per packed intermediate block — MUST be wired to the running
   /// system's block_bytes / 8 (QueryExecutor does). Sizes the block counts of
@@ -69,23 +70,14 @@ struct CosterOptions {
   /// 1 MiB blocks.
   uint64_t pack_block_rows = (1ull << 20) / 8;
 
-  /// Per-PCIe-link backlog: virtual seconds of work other in-flight queries
-  /// already have queued on each link at this session's arrival (index =
-  /// Topology::PcieLinkOf). The scheduler's load signal — candidate plans that
-  /// lean on a congested link are charged the queueing delay (DMA mem-moves
-  /// and UVA kernel streams alike). Empty = idle server (the
-  /// solo-optimization default).
+  /// Per-link backlog, indexed by link id (Topology's one link table: PCIe,
+  /// then GPU peer, then inter-socket): virtual seconds of work other
+  /// in-flight queries already have queued on each link at this session's
+  /// arrival. The scheduler's load signal — candidate plans that lean on a
+  /// congested link are charged the queueing delay (DMA mem-moves, UVA kernel
+  /// streams and cross-socket reads alike). Missing entries are idle; empty =
+  /// idle server (the solo-optimization default).
   std::vector<double> link_backlog;
-
-  /// Per-GPU-peer-link backlog (index = Topology::peer_link id): virtual
-  /// seconds of work other in-flight queries already queued on each
-  /// NVLink-class link at this session's arrival. Same semantics as
-  /// link_backlog; empty = idle fabric.
-  std::vector<double> peer_link_backlog;
-
-  /// Inter-socket (UPI/QPI) link backlog in virtual seconds at this session's
-  /// arrival. 0 = idle (or no inter-socket link modeled).
-  double inter_socket_backlog = 0;
 
   /// Per-socket CPU contention: workers whose execution-phase intervals
   /// overlap the candidate's epoch on each socket's DRAM timeline (index =
@@ -114,16 +106,6 @@ class PlanCoster {
   /// Estimates the virtual-time cost of `plan`. Fails (instead of guessing)
   /// with AnalyzePlan's Status on exactly the plans the lowering rejects.
   Result<CostEstimate> Cost(const HetPlan& plan) const;
-
-  /// Uncontended virtual-time estimate of moving one `bytes`-sized block (in
-  /// `cols` column transfers) from `src_gpu`'s memory into `dst_gpu`'s,
-  /// mirroring Edge::MoveToNode's routing exactly: a single hop on the peer
-  /// link when the fabric has one, two staged PCIe hops through host memory
-  /// when it does not. The constants are the same ones DmaEngine charges, so
-  /// estimated and measured route ordering agree.
-  static sim::VTime EstimateGpuToGpuTransfer(const sim::Topology& topo,
-                                             int src_gpu, int dst_gpu,
-                                             uint64_t bytes, uint64_t cols = 1);
 
   const CardinalityEstimate& cards() const { return cards_; }
 

@@ -48,18 +48,15 @@ class BandwidthServer {
   /// `earliest` of the session anchored at `epoch`; returns the session-local
   /// virtual-time window the work occupies.
   Window Reserve(uint64_t bytes, VTime earliest, VTime epoch = 0.0) {
-    return ReserveDuration(
-        latency_ + static_cast<double>(bytes) / rate_.load(std::memory_order_relaxed),
-        earliest, epoch);
+    return ReserveDuration(latency_ + static_cast<double>(bytes) / rate_,
+                           earliest, epoch);
   }
 
   /// Reserves occupancy for `bytes` without the fixed setup term. UVA/zero-copy
   /// kernel streams pay pure bandwidth — demand-paged reads have no per-transfer
   /// DMA setup — yet still occupy the link other sessions queue behind.
   Window ReserveBytes(uint64_t bytes, VTime earliest, VTime epoch = 0.0) {
-    return ReserveDuration(
-        static_cast<double>(bytes) / rate_.load(std::memory_order_relaxed),
-        earliest, epoch);
+    return ReserveDuration(static_cast<double>(bytes) / rate_, earliest, epoch);
   }
 
   /// Reserves a fixed-duration slot (e.g. a kernel whose cost was computed by the
@@ -114,15 +111,15 @@ class BandwidthServer {
     return busy_.num_segments();
   }
 
-  double rate() const { return rate_.load(std::memory_order_relaxed); }
-  void set_rate(double rate) { rate_.store(rate, std::memory_order_relaxed); }
+  double rate() const { return rate_; }
+  double latency() const { return latency_; }
 
  private:
   /// Bound on tracked busy intervals; older gaps are absorbed conservatively
   /// past it (IntervalTimeline::Bound, two boundaries per interval).
   static constexpr size_t kMaxIntervals = 1024;
 
-  std::atomic<double> rate_;
+  const double rate_;
   const double latency_;
   mutable std::mutex mu_;
   IntervalTimeline busy_{2 * kMaxIntervals};
@@ -255,18 +252,6 @@ class DramServer {
     return timeline_.num_segments();
   }
 
-  /// Workers registered by *open* phases of sessions other than `session` —
-  /// the instantaneous cross-query view (diagnostics and tests; pricing uses
-  /// BlockEnd / workers_overlapping).
-  int workers_besides(uint64_t session) const {
-    std::lock_guard<std::mutex> lock(mu_);
-    int n = 0;
-    for (const auto& [token, e] : open_) {
-      if (e.session != session) n += e.workers;
-    }
-    return n;
-  }
-
   /// Fluid share one worker sees against the currently-open registrations:
   /// min(per-worker cap, aggregate / open workers). Idle server = full
   /// per-worker rate.
@@ -282,25 +267,6 @@ class DramServer {
     int n = 0;
     for (const auto& [token, e] : open_) n += e.workers;
     return n;
-  }
-
-  int active_sessions() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    std::map<uint64_t, int> distinct;
-    for (const auto& [token, e] : open_) distinct[e.session] = 1;
-    return static_cast<int>(distinct.size());
-  }
-
-  /// Earliest interval start among open registrations (diagnostics).
-  VTime min_epoch() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    VTime m = 0;
-    bool any = false;
-    for (const auto& [token, e] : open_) {
-      if (!any || e.start < m) m = e.start;
-      any = true;
-    }
-    return m;
   }
 
   double total_rate() const { return total_rate_; }

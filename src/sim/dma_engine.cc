@@ -4,16 +4,13 @@
 
 namespace hetex::sim {
 
-DmaEngine::DmaEngine(Topology* topo)
-    : topo_(topo), num_pcie_links_(topo->num_pcie_links()) {
-  // One PCIe link per GPU on this server, then one queue per GPU peer link.
-  // A no-GPU topology leaves the engine with zero links and zero threads —
+DmaEngine::DmaEngine(Topology* topo) : topo_(topo) {
+  // A no-GPU topology leaves the engine with no DMA link and no thread —
   // valid, as long as nobody schedules a transfer on it.
-  const int links = num_pcie_links_ + topo->num_peer_links();
-  queues_.reserve(links);
-  workers_.reserve(links);
-  for (int l = 0; l < links; ++l) {
-    queues_.push_back(std::make_unique<MpmcQueue<Job>>(4096));
+  queues_.resize(topo->num_links());
+  for (int l = 0; l < topo->num_links(); ++l) {
+    if (topo->link_info(l).type == Topology::LinkType::kInterSocket) continue;
+    queues_[l] = std::make_unique<MpmcQueue<Job>>(4096);
     workers_.emplace_back([q = queues_[l].get()] {
       while (auto job = q->Pop()) {
         std::memcpy(job->dst, job->src, job->bytes);
@@ -24,21 +21,22 @@ DmaEngine::DmaEngine(Topology* topo)
 }
 
 DmaEngine::~DmaEngine() {
-  for (auto& q : queues_) q->Close();
+  for (auto& q : queues_) {
+    if (q != nullptr) q->Close();
+  }
   for (auto& w : workers_) w.join();
 }
 
 TransferTicket DmaEngine::Transfer(const void* src, void* dst, uint64_t bytes,
                                    int link, VTime earliest, bool pageable,
                                    VTime epoch) {
-  HETEX_CHECK(link >= 0 && link < num_pcie_links_)
-      << "bad PCIe link " << link << " (no-GPU topology has none)";
-  BandwidthServer& server = topo_->pcie_link(link);
-  // Pageable transfers cannot use the full DMA rate: model by inflating the byte
-  // count so the reservation occupies the link for bytes / pageable_bw.
-  const double rate_ratio =
-      pageable ? topo_->cost_model().pcie_bw / topo_->cost_model().pcie_pageable_bw
-               : 1.0;
+  HETEX_CHECK(link >= 0 && link < static_cast<int>(queues_.size()) &&
+              queues_[link] != nullptr)
+      << "bad DMA link " << link << " (no-GPU topology has none)";
+  BandwidthServer& server = topo_->link(link);
+  // A hop slower than the link (pageable PCIe) is modeled by inflating the
+  // byte count so the reservation occupies the link for bytes / HopRate.
+  const double rate_ratio = server.rate() / topo_->HopRate(link, pageable);
   const auto window = server.Reserve(
       static_cast<uint64_t>(static_cast<double>(bytes) * rate_ratio), earliest,
       epoch);
@@ -46,22 +44,6 @@ TransferTicket DmaEngine::Transfer(const void* src, void* dst, uint64_t bytes,
   auto done = std::make_shared<std::promise<void>>();
   std::shared_future<void> fut = done->get_future().share();
   const bool pushed = queues_[link]->Push(Job{src, dst, bytes, std::move(done)});
-  HETEX_CHECK(pushed) << "DMA engine shut down while transfers in flight";
-  return TransferTicket(window.end, std::move(fut));
-}
-
-TransferTicket DmaEngine::TransferPeer(const void* src, void* dst,
-                                       uint64_t bytes, int peer_link,
-                                       VTime earliest, VTime epoch) {
-  HETEX_CHECK(peer_link >= 0 && peer_link < topo_->num_peer_links())
-      << "bad peer link " << peer_link;
-  BandwidthServer& server = topo_->peer_link(peer_link);
-  const auto window = server.Reserve(bytes, earliest, epoch);
-
-  auto done = std::make_shared<std::promise<void>>();
-  std::shared_future<void> fut = done->get_future().share();
-  const bool pushed = queues_[num_pcie_links_ + peer_link]->Push(
-      Job{src, dst, bytes, std::move(done)});
   HETEX_CHECK(pushed) << "DMA engine shut down while transfers in flight";
   return TransferTicket(window.end, std::move(fut));
 }

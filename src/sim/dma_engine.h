@@ -37,13 +37,14 @@ class TransferTicket {
   std::shared_future<void> done_;
 };
 
-/// \brief Asynchronous copy engine over the simulated PCIe links.
+/// \brief Asynchronous copy engine over the simulated DMA links: the PCIe links
+/// and the GPU peer links.
 ///
 /// One worker thread per link performs the functional memcpy; modeled timing comes
 /// from the link's BandwidthServer (so queueing/pipelining of back-to-back
 /// transfers shows up in virtual time). `pageable=true` models transfers whose
-/// source was not pinned: the DMA engine must stage through a bounce buffer,
-/// halving effective bandwidth — the DBMS G behaviour the paper calls out in §6.2.
+/// source was not pinned: a PCIe DMA must stage through a bounce buffer and runs
+/// at Topology::HopRate — the DBMS G behaviour the paper calls out in §6.2.
 class DmaEngine {
  public:
   explicit DmaEngine(Topology* topo);
@@ -52,7 +53,8 @@ class DmaEngine {
   DmaEngine(const DmaEngine&) = delete;
   DmaEngine& operator=(const DmaEngine&) = delete;
 
-  /// Schedules an async copy of `bytes` from `src` to `dst` over `link`.
+  /// Schedules an async copy of `bytes` from `src` to `dst` over `link`, the
+  /// id of a PCIe or GPU peer link in the topology's link table.
   /// `earliest` is the session-local virtual time at which the source data
   /// exists; `epoch` is the absolute arrival time of the owning query session.
   /// The transfer queues on the shared link at `epoch + earliest` (contending
@@ -66,13 +68,6 @@ class DmaEngine {
   VTime TransferSync(const void* src, void* dst, uint64_t bytes, int link,
                      VTime earliest, bool pageable = false, VTime epoch = 0.0);
 
-  /// Schedules an async copy over GPU peer link `peer_link` (an index into
-  /// Topology::peer_link). Same epoch-anchored first-fit queueing as Transfer,
-  /// but on the NVLink-class server — single hop, no host staging, and no
-  /// pageable penalty (both endpoints are device memory).
-  TransferTicket TransferPeer(const void* src, void* dst, uint64_t bytes,
-                              int peer_link, VTime earliest, VTime epoch = 0.0);
-
  private:
   struct Job {
     const void* src;
@@ -82,10 +77,10 @@ class DmaEngine {
   };
 
   Topology* topo_;
-  /// One queue + memcpy thread per link: PCIe links first, then peer links.
+  /// One queue + memcpy thread per DMA link, indexed by link id (null for the
+  /// inter-socket link, which carries in-place reads, not copies).
   std::vector<std::unique_ptr<MpmcQueue<Job>>> queues_;
   std::vector<std::thread> workers_;
-  int num_pcie_links_ = 0;
 };
 
 }  // namespace hetex::sim

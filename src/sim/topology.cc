@@ -24,13 +24,14 @@ Topology::Topology(const Options& options) : options_(options) {
     MemNodeId node = static_cast<MemNodeId>(mem_nodes_.size());
     mem_nodes_.push_back(
         MemNode{node, /*is_gpu=*/true, options.gpu_capacity, DeviceId::Gpu(g)});
-    int link = static_cast<int>(pcie_links_.size());
-    pcie_links_.push_back(
-        std::make_unique<BandwidthServer>(cm.pcie_bw, cm.dma_latency));
     // GPUs are distributed round-robin over sockets: one per socket on the paper
     // server (dedicated PCIe 3.0 x16 per GPU).
-    gpus_.push_back(GpuInfo{g, node, g % options.num_sockets, link,
-                            options.gpu_sim_threads});
+    const int socket = g % options.num_sockets;
+    const int link = static_cast<int>(links_.size());
+    links_.push_back(Link{link, LinkType::kPcie, g, -1,
+                          std::make_unique<BandwidthServer>(cm.pcie_bw,
+                                                            cm.dma_latency)});
+    gpus_.push_back(GpuInfo{g, node, socket, link, options.gpu_sim_threads});
   }
 
   const double peer_bw = options.peer_bw > 0 ? options.peer_bw : cm.nvlink_bw;
@@ -39,15 +40,18 @@ Topology::Topology(const Options& options) : options_(options) {
         << "bad peer link gpu" << a << "<->gpu" << b;
     HETEX_CHECK(PeerLinkOf(a, b) < 0)
         << "duplicate peer link gpu" << a << "<->gpu" << b;
-    int link = static_cast<int>(peer_links_.size());
-    peer_links_.push_back(PeerLink{link, a, b});
-    peer_link_servers_.push_back(
-        std::make_unique<BandwidthServer>(peer_bw, cm.peer_dma_latency));
+    links_.push_back(Link{static_cast<int>(links_.size()), LinkType::kPeer, a,
+                          b,
+                          std::make_unique<BandwidthServer>(
+                              peer_bw, cm.peer_dma_latency)});
   }
 
   if (options.inter_socket_bw > 0 && options.num_sockets > 1) {
-    inter_socket_link_ = std::make_unique<BandwidthServer>(
-        options.inter_socket_bw, cm.inter_socket_latency);
+    links_.push_back(Link{static_cast<int>(links_.size()),
+                          LinkType::kInterSocket, -1, -1,
+                          std::make_unique<BandwidthServer>(
+                              options.inter_socket_bw,
+                              cm.inter_socket_latency)});
   }
 }
 
@@ -63,13 +67,60 @@ Topology::Options Topology::ScaleOutOptions(int num_gpus, int num_sockets) {
 }
 
 int Topology::PeerLinkOf(int gpu_a, int gpu_b) const {
-  for (const auto& p : peer_links_) {
-    if ((p.gpu_a == gpu_a && p.gpu_b == gpu_b) ||
-        (p.gpu_a == gpu_b && p.gpu_b == gpu_a)) {
-      return p.id;
+  for (const Link& l : links_) {
+    if (l.type == LinkType::kPeer &&
+        ((l.gpu_a == gpu_a && l.gpu_b == gpu_b) ||
+         (l.gpu_a == gpu_b && l.gpu_b == gpu_a))) {
+      return l.id - num_pcie_links();
     }
   }
   return -1;
+}
+
+Topology::Hops Topology::Route(MemNodeId src, MemNodeId dst) const {
+  Hops route;
+  auto add = [&route](int link, MemNodeId to) {
+    route.hop[route.count++] = Hop{link, to};
+  };
+  const MemNode& from = mem_nodes_.at(src);
+  const MemNode& to = mem_nodes_.at(dst);
+  if (src == dst) return route;
+  if (!from.is_gpu && !to.is_gpu) {
+    if (has_inter_socket_link()) add(links_.back().id, dst);
+  } else if (!from.is_gpu || !to.is_gpu) {
+    add(PcieLinkOf((from.is_gpu ? from : to).owner.index), dst);
+  } else if (const int p = PeerLinkOf(from.owner.index, to.owner.index);
+             p >= 0) {
+    add(num_pcie_links() + p, dst);
+  } else {
+    const GpuInfo& g = gpus_[from.owner.index];
+    add(g.pcie_link, sockets_[g.socket].mem);
+    add(PcieLinkOf(to.owner.index), dst);
+  }
+  return route;
+}
+
+double Topology::HopRate(int link, bool pageable_src) const {
+  const Link& l = links_.at(link);
+  return pageable_src && l.type == LinkType::kPcie
+             ? cost_model().pcie_pageable_bw
+             : l.server->rate();
+}
+
+VTime Topology::RouteSeconds(const Hops& route, double bytes, uint64_t columns,
+                             bool pageable_src) const {
+  VTime t = 0;
+  bool pageable = pageable_src;
+  for (const Hop& hop : route) {
+    const Link& l = links_[hop.link];
+    const double reservations = l.type == LinkType::kInterSocket
+                                    ? 1.0
+                                    : static_cast<double>(columns);
+    t += reservations * l.server->latency() +
+         bytes / HopRate(hop.link, pageable);
+    pageable = false;
+  }
+  return t;
 }
 
 MemAccess Topology::CanAccess(DeviceId dev, MemNodeId node) const {
@@ -99,37 +150,35 @@ std::string Topology::Describe(VTime epoch) const {
        << (mem_nodes_[s.mem].capacity >> 20) << " MiB modeled, "
        << socket_dram_[s.id]->total_rate() / 1e9 << " GB/s)";
     if (live) {
-      os << " backlog " << socket_dram_[s.id]->active_workers() << " worker(s)";
+      os << " backlog " << socket_dram_[s.id]->workers_overlapping(epoch)
+         << " worker(s)";
     }
     os << "\n";
   }
   for (const auto& g : gpus_) {
     os << "  gpu" << g.id << ": mem node " << g.mem << " ("
        << (mem_nodes_[g.mem].capacity >> 20) << " MiB modeled, "
-       << cost_model().gpu_mem_bw / 1e9 << " GB/s), PCIe link " << g.pcie_link
-       << " -> socket" << g.socket << " ("
-       << pcie_links_[g.pcie_link]->rate() / 1e9 << " GB/s)";
-    if (live) {
-      os << " backlog "
-         << MaxT(0.0, pcie_links_[g.pcie_link]->free_at() - epoch) * 1e3 << " ms";
-    }
-    os << "\n";
+       << cost_model().gpu_mem_bw / 1e9 << " GB/s) on socket" << g.socket
+       << "\n";
   }
-  for (const auto& p : peer_links_) {
-    os << "  peer link " << p.id << ": gpu" << p.gpu_a << " <-> gpu" << p.gpu_b
-       << " (NVLink-class, " << peer_link_servers_[p.id]->rate() / 1e9 << " GB/s)";
-    if (live) {
-      os << " backlog "
-         << MaxT(0.0, peer_link_servers_[p.id]->free_at() - epoch) * 1e3 << " ms";
+  for (const Link& l : links_) {
+    switch (l.type) {
+      case LinkType::kPcie:
+        os << "  PCIe link " << l.id << ": gpu" << l.gpu_a << " -> socket"
+           << gpus_[l.gpu_a].socket << " (";
+        break;
+      case LinkType::kPeer:
+        os << "  peer link " << l.id - num_pcie_links() << ": gpu" << l.gpu_a
+           << " <-> gpu" << l.gpu_b << " (link " << l.id << ", NVLink-class, ";
+        break;
+      case LinkType::kInterSocket:
+        os << "  inter-socket link: " << num_sockets() << " socket(s) (link "
+           << l.id << ", ";
+        break;
     }
-    os << "\n";
-  }
-  if (inter_socket_link_) {
-    os << "  inter-socket link: " << num_sockets() << " socket(s) ("
-       << inter_socket_link_->rate() / 1e9 << " GB/s)";
+    os << l.server->rate() / 1e9 << " GB/s)";
     if (live) {
-      os << " backlog "
-         << MaxT(0.0, inter_socket_link_->free_at() - epoch) * 1e3 << " ms";
+      os << " backlog " << MaxT(0.0, l.server->free_at() - epoch) * 1e3 << " ms";
     }
     os << "\n";
   }

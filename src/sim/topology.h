@@ -54,9 +54,10 @@ enum class MemAccess {
 /// \brief Static + dynamic description of the simulated heterogeneous server.
 ///
 /// Owns the virtual-time bandwidth resources: one cross-session DramServer per
-/// socket DRAM and one BandwidthServer per PCIe link. Capacities are modeled
-/// numbers (used for fits-in-GPU-memory decisions); physical allocation is on
-/// demand and much smaller.
+/// socket DRAM and one BandwidthServer per interconnect link, every link in
+/// one table (see Link). Capacities are modeled numbers (used for
+/// fits-in-GPU-memory decisions); physical allocation is on demand and much
+/// smaller.
 class Topology {
  public:
   struct Options {
@@ -100,14 +101,41 @@ class Topology {
     int id;
     MemNodeId mem;
     int socket;      ///< socket whose PCIe root it hangs off
-    int pcie_link;   ///< index into pcie_links()
+    int pcie_link;   ///< link id of its PCIe link
     int sim_threads;
   };
 
-  struct PeerLink {
-    int id;          ///< index into peer_link()
-    int gpu_a;
-    int gpu_b;
+  enum class LinkType { kPcie, kPeer, kInterSocket };
+
+  /// \brief One interconnect link. All links live in one table with one id
+  /// order: the PCIe links first (one per GPU, in GPU order), then the GPU
+  /// peer links (peer link p is link num_pcie_links() + p), then the
+  /// inter-socket link when the fabric has one. DMA queues, fault-injection
+  /// link ids and the coster's per-link backlog all use these ids.
+  struct Link {
+    int id;
+    LinkType type;
+    int gpu_a = -1;  ///< kPcie: its GPU; kPeer: one end
+    int gpu_b = -1;  ///< kPeer: the other end
+    std::unique_ptr<BandwidthServer> server;
+  };
+
+  /// One hop of a route: the link crossed and the memory node it lands on.
+  struct Hop {
+    int link = -1;
+    MemNodeId to = kInvalidMemNode;
+  };
+
+  /// The hops from one memory node to another, in order: at most two, held
+  /// inline so that routing a block allocates nothing.
+  struct Hops {
+    Hop hop[2];
+    int count = 0;
+
+    const Hop* begin() const { return hop; }
+    const Hop* end() const { return hop + count; }
+    bool empty() const { return count == 0; }
+    const Hop& back() const { return hop[count - 1]; }
   };
 
   explicit Topology(const Options& options);
@@ -143,24 +171,60 @@ class Topology {
   /// PCIe link used to move data between host memory and a GPU's memory.
   int PcieLinkOf(int gpu) const { return gpus_.at(gpu).pcie_link; }
 
-  /// Peer link directly connecting two GPUs, or -1 when there is none and a
-  /// GPU<->GPU move must stage through host memory over two PCIe hops.
+  /// Peer link p directly connecting two GPUs (link id num_pcie_links() + p),
+  /// or -1 when there is none and a GPU<->GPU move must stage through host
+  /// memory over two PCIe hops.
   int PeerLinkOf(int gpu_a, int gpu_b) const;
 
-  /// Virtual-time resources.
-  BandwidthServer& pcie_link(int link) { return *pcie_links_.at(link); }
-  const BandwidthServer& pcie_link(int link) const { return *pcie_links_.at(link); }
-  int num_pcie_links() const { return static_cast<int>(pcie_links_.size()); }
-  BandwidthServer& peer_link(int link) { return *peer_link_servers_.at(link); }
-  const BandwidthServer& peer_link(int link) const {
-    return *peer_link_servers_.at(link);
+  /// \brief The links a block crosses from memory node `src` to `dst`: the
+  /// mem-move's route, which the coster prices hop for hop.
+  ///  - Same node: no hop.
+  ///  - Two sockets' DRAM: the inter-socket link if the fabric has one (a CPU
+  ///    reads remote DRAM in place), otherwise no hop.
+  ///  - Host memory <-> GPU, either direction: that GPU's PCIe link.
+  ///  - GPU -> GPU: their peer link if one exists; otherwise PCIe into the
+  ///    source GPU's socket, then PCIe into the destination GPU.
+  Hops Route(MemNodeId src, MemNodeId dst) const;
+
+  /// Bytes per virtual second of a hop over `link`. A PCIe hop whose source
+  /// block is unpinned (`pageable_src`) runs at CostModel::pcie_pageable_bw,
+  /// because the DMA engine stages it through a bounce buffer. Peer and
+  /// inter-socket hops always run at the link's rate.
+  double HopRate(int link, bool pageable_src) const;
+
+  /// Uncontended virtual seconds that one block of `bytes`, moved as
+  /// `columns` column transfers, takes along `route`. Each hop costs
+  /// reservations × link latency + bytes / HopRate: one reservation per
+  /// column on a DMA hop (PCIe, peer), one per block on an inter-socket read.
+  /// Only the first hop reads the source block; later hops read pinned
+  /// staging blocks.
+  VTime RouteSeconds(const Hops& route, double bytes, uint64_t columns,
+                     bool pageable_src) const;
+
+  /// Virtual-time resources, indexed by link id.
+  int num_links() const { return static_cast<int>(links_.size()); }
+  const Link& link_info(int link) const { return links_.at(link); }
+  BandwidthServer& link(int link) { return *links_.at(link).server; }
+  const BandwidthServer& link(int link) const { return *links_.at(link).server; }
+  int num_pcie_links() const { return num_gpus(); }
+  BandwidthServer& pcie_link(int l) { return link(l); }
+  const BandwidthServer& pcie_link(int l) const { return link(l); }
+  int num_peer_links() const {
+    return static_cast<int>(options_.peer_links.size());
   }
-  int num_peer_links() const { return static_cast<int>(peer_link_servers_.size()); }
-  const PeerLink& peer_link_info(int link) const { return peer_links_.at(link); }
-  /// The inter-socket link exists only when Options::inter_socket_bw > 0.
-  bool has_inter_socket_link() const { return inter_socket_link_ != nullptr; }
-  BandwidthServer& inter_socket_link() { return *inter_socket_link_; }
-  const BandwidthServer& inter_socket_link() const { return *inter_socket_link_; }
+  BandwidthServer& peer_link(int p) { return link(num_pcie_links() + p); }
+  const BandwidthServer& peer_link(int p) const {
+    return link(num_pcie_links() + p);
+  }
+  /// The inter-socket link exists only when Options::inter_socket_bw > 0 and
+  /// there is more than one socket; it is the last link in the table.
+  bool has_inter_socket_link() const {
+    return !links_.empty() && links_.back().type == LinkType::kInterSocket;
+  }
+  BandwidthServer& inter_socket_link() { return *links_.back().server; }
+  const BandwidthServer& inter_socket_link() const {
+    return *links_.back().server;
+  }
   DramServer& socket_dram(int socket) { return *socket_dram_.at(socket); }
   const DramServer& socket_dram(int socket) const { return *socket_dram_.at(socket); }
 
@@ -170,9 +234,7 @@ class Topology {
   /// rewind-all-clocks reset, safe with other queries still in flight.
   VTime LinkHorizon() const {
     VTime h = 0;
-    for (const auto& link : pcie_links_) h = MaxT(h, link->free_at());
-    for (const auto& link : peer_link_servers_) h = MaxT(h, link->free_at());
-    if (inter_socket_link_) h = MaxT(h, inter_socket_link_->free_at());
+    for (const Link& l : links_) h = MaxT(h, l.server->free_at());
     return h;
   }
 
@@ -203,7 +265,8 @@ class Topology {
 
   /// Full fabric description: sockets, GPUs, per-link type/bandwidth and peer
   /// adjacency. Pass a session epoch (>= 0) to additionally print the live
-  /// per-link and per-socket backlog that a query anchored there would see.
+  /// backlog a query anchored there would see: each link's work queued past
+  /// the epoch and each socket's workers whose DRAM intervals overlap it.
   std::string Describe(VTime epoch = -1.0) const;
 
  private:
@@ -211,10 +274,7 @@ class Topology {
   std::vector<Socket> sockets_;
   std::vector<GpuInfo> gpus_;
   std::vector<MemNode> mem_nodes_;
-  std::vector<PeerLink> peer_links_;
-  std::vector<std::unique_ptr<BandwidthServer>> pcie_links_;
-  std::vector<std::unique_ptr<BandwidthServer>> peer_link_servers_;
-  std::unique_ptr<BandwidthServer> inter_socket_link_;
+  std::vector<Link> links_;
   std::vector<std::unique_ptr<DramServer>> socket_dram_;
 };
 

@@ -226,6 +226,75 @@ TEST_F(RuntimeTest, MemMoveGpuToGpuStagesThroughHost) {
   EXPECT_EQ(system_.blocks().manager(system_.topology().gpu(1).mem).in_use(), 0u);
 }
 
+TEST_F(RuntimeTest, EveryRouteDeliversAtItsPricedTime) {
+  // Hop-level symmetry of the mem-move and the coster: for every ordered
+  // pair of memory nodes, one single-column pinned block delivered on an
+  // idle server is ready at its consumer exactly at the time the coster
+  // prices the route at, and it reserved exactly the route's links.
+  sim::Topology::Options no_mesh = sim::Topology::ScaleOutOptions(4);
+  no_mesh.peer_links.clear();
+  const sim::Topology::Options fabrics[] = {
+      sim::Topology::Options{},           // paper server: staged GPU<->GPU
+      sim::Topology::ScaleOutOptions(4),  // peer mesh + inter-socket link
+      no_mesh,                            // inter-socket link, staged GPUs
+  };
+  const uint64_t bytes = 4096;
+  for (const sim::Topology::Options& fabric : fabrics) {
+    const int nodes = sim::Topology(fabric).num_mem_nodes();
+    for (sim::MemNodeId src = 0; src < nodes; ++src) {
+      for (sim::MemNodeId dst = 0; dst < nodes; ++dst) {
+        System::Options o = SmallSystem();
+        o.topology = fabric;
+        o.topology.cores_per_socket = 2;
+        o.topology.gpu_sim_threads = 2;
+        System system(o);  // idle: every link free at 0
+        const sim::Topology& topo = system.topology();
+        RecordingProcessor::Log log;
+        WorkerGroup group(
+            &system, {topo.mem_node(dst).owner},
+            [&log](WorkerInstance&) {
+              return std::make_unique<RecordingProcessor>(&log);
+            },
+            nullptr, 8, {0.0});
+        Edge::Options opts;
+        opts.policy = Edge::Policy::kRoundRobin;
+        opts.control_cost = 0;
+        opts.crossing_latency = 0;
+        Edge edge(&system, opts, group.instance_ptrs());
+        group.Start();
+        edge.AddProducer();
+        DataMsg msg;
+        msg.rows = 1;
+        memory::BlockHandle h;
+        h.block = system.blocks().Acquire(src, src);
+        h.rows = 1;
+        h.bytes = bytes;
+        msg.cols.push_back(h);
+        edge.Push(std::move(msg), src);
+        edge.CloseProducer();
+        group.Join();
+
+        const sim::Topology::Hops route = topo.Route(src, dst);
+        const std::string pair = "node " + std::to_string(src) + " -> " +
+                                 std::to_string(dst) + " on " +
+                                 std::to_string(topo.num_links()) + " links";
+        ASSERT_EQ(log.by_instance[0].size(), 1u) << pair;
+        EXPECT_EQ(log.by_instance[0][0].ready_at,
+                  topo.RouteSeconds(route, bytes, /*columns=*/1,
+                                    /*pageable_src=*/false))
+            << pair;
+        for (int l = 0; l < topo.num_links(); ++l) {
+          bool on_route = false;
+          for (const sim::Topology::Hop& hop : route) on_route |= hop.link == l;
+          EXPECT_EQ(topo.link(l).free_at() > 0, on_route)
+              << pair << ", link " << l;
+        }
+        system.blocks().FlushReleases();
+      }
+    }
+  }
+}
+
 TEST_F(RuntimeTest, ReleaseMsgBlocksSkipsForeignBlocks) {
   memory::Block foreign;  // table-resident: owner == nullptr
   foreign.node = system_.topology().socket(0).mem;

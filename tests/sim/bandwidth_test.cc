@@ -162,22 +162,6 @@ TEST(BandwidthServer, ProbeThenAnchoredReserveSurvivesRacingSessions) {
   EXPECT_GE(server.free_at(), kDur);
 }
 
-TEST(BandwidthServer, ConcurrentSetRateAndReserve) {
-  // rate_ is read by Reserve/ReserveBytes while set_rate writes it (fault
-  // plane degrading a link mid-flight). Must be TSan-clean.
-  BandwidthServer server(1e9);
-  std::thread writer([&] {
-    for (int i = 1; i <= 1000; ++i) server.set_rate(1e9 + i);
-  });
-  std::thread reader([&] {
-    for (int i = 0; i < 1000; ++i) server.Reserve(1000, 0.0);
-  });
-  writer.join();
-  reader.join();
-  EXPECT_GT(server.free_at(), 0.0);
-  EXPECT_GE(server.rate(), 1e9);
-}
-
 TEST(DramServer, PerWorkerCapUntilSaturation) {
   DramServer dram(45e9, 6e9);
   EXPECT_DOUBLE_EQ(dram.EffectiveRate(), 6e9);  // idle: full per-core rate
@@ -194,24 +178,25 @@ TEST(DramServer, PerWorkerCapUntilSaturation) {
 
 TEST(DramServer, SessionsSplitTheAggregate) {
   DramServer dram(45e9, 6e9);
-  // Session 10 runs 6 workers: its divisor is its own count only.
+  const double bytes = 45e6;
+  VTime end = 0;
+  // Session 10 runs 6 workers: its divisor is its own count only, so its
+  // blocks take the caller's uncontended closed form.
   const uint64_t a = dram.Register(10, /*epoch=*/0.0, 6);
-  EXPECT_EQ(dram.workers_besides(10), 0);
-  EXPECT_EQ(dram.active_sessions(), 1);
+  EXPECT_FALSE(dram.BlockEnd(10, 6, bytes, 0.0, 2.5, &end));
   // Session 11 arrives with 6 more: each session now sees the other's workers
-  // in its fluid-share divisor (6 own + 6 besides = 45/12 each).
+  // in its fluid-share divisor (6 own + 6 others = 45/12 each).
   const uint64_t b = dram.Register(11, /*epoch=*/2.5, 6);
-  EXPECT_EQ(dram.workers_besides(10), 6);
-  EXPECT_EQ(dram.workers_besides(11), 6);
+  ASSERT_TRUE(dram.BlockEnd(10, 6, bytes, 0.0, 2.5, &end));
+  EXPECT_DOUBLE_EQ(end, 2.5 + bytes / (45e9 / 12));
+  ASSERT_TRUE(dram.BlockEnd(11, 6, bytes, 0.0, 2.5, &end));
+  EXPECT_DOUBLE_EQ(end, 2.5 + bytes / (45e9 / 12));
   EXPECT_EQ(dram.active_workers(), 12);
-  EXPECT_EQ(dram.active_sessions(), 2);
   EXPECT_DOUBLE_EQ(dram.EffectiveRate(), 45e9 / 12);
-  EXPECT_DOUBLE_EQ(dram.min_epoch(), 0.0);
   dram.Release(a);
-  EXPECT_EQ(dram.workers_besides(11), 0);
-  EXPECT_DOUBLE_EQ(dram.min_epoch(), 2.5);
+  EXPECT_FALSE(dram.BlockEnd(11, 6, bytes, 0.0, 2.5, &end));
   dram.Release(b);
-  EXPECT_EQ(dram.active_sessions(), 0);
+  EXPECT_EQ(dram.active_workers(), 0);
 }
 
 TEST(DramServer, OneSessionMayHoldSeveralRegistrations) {
@@ -220,10 +205,12 @@ TEST(DramServer, OneSessionMayHoldSeveralRegistrations) {
   DramServer dram(45e9, 6e9);
   const uint64_t build = dram.Register(7, 0.0, 2);
   const uint64_t fact = dram.Register(7, 0.0, 4);
-  EXPECT_EQ(dram.workers_besides(7), 0);
+  VTime end = 0;
+  EXPECT_FALSE(dram.BlockEnd(7, 4, 1e6, 0.0, 0.0, &end));
   EXPECT_EQ(dram.active_workers(), 6);
-  EXPECT_EQ(dram.active_sessions(), 1);
-  EXPECT_EQ(dram.workers_besides(8), 6);  // another session sees all of them
+  // Another session sees all of them: 6 own + 6 others = 45/12.
+  ASSERT_TRUE(dram.BlockEnd(8, 6, 1e6, 0.0, 0.0, &end));
+  EXPECT_DOUBLE_EQ(end, 1e6 / (45e9 / 12));
   dram.Release(build);
   dram.Release(fact);
 }

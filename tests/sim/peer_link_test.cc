@@ -26,6 +26,11 @@ class PeerLinkTest : public ::testing::Test {
  protected:
   PeerLinkTest() : topo_(Topology::ScaleOutOptions(2)), dma_(&topo_) {}
 
+  /// Link id of the peer link between the two GPUs.
+  int PeerLink() const {
+    return topo_.num_pcie_links() + topo_.PeerLinkOf(0, 1);
+  }
+
   double OneTransfer(uint64_t bytes) const {
     const CostModel& cm = topo_.cost_model();
     return cm.peer_dma_latency + bytes / cm.nvlink_bw;
@@ -48,7 +53,7 @@ TEST_F(PeerLinkTest, FunctionalCopy) {
   std::iota(src.begin(), src.end(), 0);
   std::vector<uint8_t> dst(4096, 0);
   TransferTicket t =
-      dma_.TransferPeer(src.data(), dst.data(), src.size(), 0, 0.0);
+      dma_.Transfer(src.data(), dst.data(), src.size(), PeerLink(), 0.0);
   t.Wait();
   EXPECT_EQ(std::memcmp(src.data(), dst.data(), src.size()), 0);
 }
@@ -56,7 +61,7 @@ TEST_F(PeerLinkTest, FunctionalCopy) {
 TEST_F(PeerLinkTest, ModeledTimeMatchesNvlinkRate) {
   std::vector<uint8_t> buf(1 << 20), dst(1 << 20);
   TransferTicket t =
-      dma_.TransferPeer(buf.data(), dst.data(), buf.size(), 0, 0.0);
+      dma_.Transfer(buf.data(), dst.data(), buf.size(), PeerLink(), 0.0);
   EXPECT_NEAR(t.ready_at(), OneTransfer(1 << 20), 1e-12);
   t.Wait();
 }
@@ -66,10 +71,10 @@ TEST_F(PeerLinkTest, TwoSessionsQueueFifoOnOneLink) {
   // Session A (epoch 0) and session B (same epoch) share the one NVLink:
   // whichever reserves second queues behind the first, FIFO, and each sees
   // session-local completion times.
-  TransferTicket a =
-      dma_.TransferPeer(buf.data(), dst.data(), buf.size(), 0, 0.0, 0.0);
-  TransferTicket b =
-      dma_.TransferPeer(buf.data(), dst.data(), buf.size(), 0, 0.0, 0.0);
+  TransferTicket a = dma_.Transfer(buf.data(), dst.data(), buf.size(),
+                                   PeerLink(), 0.0, false, 0.0);
+  TransferTicket b = dma_.Transfer(buf.data(), dst.data(), buf.size(),
+                                   PeerLink(), 0.0, false, 0.0);
   const double one = OneTransfer(1 << 20);
   EXPECT_NEAR(a.ready_at(), one, 1e-12);
   EXPECT_NEAR(b.ready_at(), 2 * one, 1e-12);
@@ -80,8 +85,9 @@ TEST_F(PeerLinkTest, TwoSessionsQueueFifoOnOneLink) {
 TEST_F(PeerLinkTest, ContentionNeverSpeedsUpATransfer) {
   std::vector<uint8_t> buf(1 << 20), dst(1 << 20);
   // Solo reference on a fresh session anchored at the link horizon.
-  TransferTicket solo = dma_.TransferPeer(buf.data(), dst.data(), buf.size(),
-                                          0, 0.0, topo_.LinkHorizon());
+  TransferTicket solo = dma_.Transfer(buf.data(), dst.data(), buf.size(),
+                                      PeerLink(), 0.0, false,
+                                      topo_.LinkHorizon());
   const double solo_t = solo.ready_at();
   solo.Wait();
   // Four same-epoch sessions contend for the link: completion order is the
@@ -90,8 +96,8 @@ TEST_F(PeerLinkTest, ContentionNeverSpeedsUpATransfer) {
   const VTime epoch = topo_.LinkHorizon();
   std::vector<TransferTicket> tickets;
   for (int i = 0; i < 4; ++i) {
-    tickets.push_back(
-        dma_.TransferPeer(buf.data(), dst.data(), buf.size(), 0, 0.0, epoch));
+    tickets.push_back(dma_.Transfer(buf.data(), dst.data(), buf.size(),
+                                    PeerLink(), 0.0, false, epoch));
   }
   double prev = 0;
   for (size_t i = 0; i < tickets.size(); ++i) {
@@ -202,10 +208,12 @@ TEST(PeerRouteE2ETest, StaticRouteEstimatePrefersPeerHop) {
   no_mesh.peer_links.clear();
   const sim::Topology staged(no_mesh);
   const uint64_t bytes = 1 << 20;
-  const sim::VTime peer_t =
-      plan::PlanCoster::EstimateGpuToGpuTransfer(meshed, 0, 3, bytes, 4);
-  const sim::VTime staged_t =
-      plan::PlanCoster::EstimateGpuToGpuTransfer(staged, 0, 3, bytes, 4);
+  auto gpu0_to_gpu3 = [&](const sim::Topology& topo) {
+    return topo.RouteSeconds(topo.Route(topo.gpu(0).mem, topo.gpu(3).mem),
+                             bytes, /*columns=*/4, /*pageable_src=*/false);
+  };
+  const sim::VTime peer_t = gpu0_to_gpu3(meshed);
+  const sim::VTime staged_t = gpu0_to_gpu3(staged);
   EXPECT_LT(peer_t, staged_t);
   const auto& cm = meshed.cost_model();
   EXPECT_NEAR(peer_t, 4 * cm.peer_dma_latency + bytes / cm.nvlink_bw, 1e-12);

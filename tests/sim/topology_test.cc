@@ -132,6 +132,17 @@ TEST(Topology, DescribePrintsFabricAndLiveBacklog) {
   // The drained view at the horizon reports zero backlog everywhere.
   const std::string drained = topo.Describe(topo.LinkHorizon());
   EXPECT_NE(drained.find("backlog 0 ms"), std::string::npos);
+
+  // A socket's backlog counts the workers whose DRAM intervals overlap the
+  // epoch, closed intervals included: three workers over [0, 1) are there
+  // at 0.5 although none is registered any more.
+  DramServer& dram = topo.socket_dram(0);
+  dram.Release(dram.Register(/*session=*/1, /*start=*/0.0, 3), /*end=*/1.0);
+  const std::string mid = topo.Describe(/*epoch=*/0.5);
+  const size_t socket0 = mid.find("socket0:");
+  ASSERT_NE(socket0, std::string::npos);
+  const std::string line = mid.substr(socket0, mid.find('\n', socket0) - socket0);
+  EXPECT_NE(line.find("backlog 3 worker(s)"), std::string::npos) << line;
 }
 
 TEST(Topology, LinkHorizonCoversPeerAndInterSocketLinks) {
