@@ -26,8 +26,8 @@ int main() {
     sim::VTime last = 0;
     const int kBlocks = 64;
     for (int i = 0; i < kBlocks; ++i) {
-      last = system.dma().TransferSync(src->data, dst->data, src->capacity,
-                                       topo.PcieLinkOf(0), 0.0);
+      last = system.dma().Transfer(src->data, dst->data, src->capacity,
+                                   topo.PcieLinkOf(0), 0.0);
     }
     const double gb = kBlocks * src->capacity / 1e9;
     std::printf("DMA probe: %.0f MiB host->gpu0 in %.3f ms modeled (%.1f GB/s)\n",

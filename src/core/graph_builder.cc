@@ -418,6 +418,13 @@ Status GraphBuilder::Run(QueryCompiler* compiler, QueryResult* result) {
 
   // Pass 3 (plan order): attach won replicas and collect the stages this
   // query executes itself — in the exact order the non-shared path uses.
+  // `replica_ready` is each unit's latest replica completion, attached or
+  // built, in session-local time (0 for a unit without one).
+  std::map<int, sim::VTime> replica_ready;
+  auto note_ready = [&](int unit, sim::VTime t) {
+    sim::VTime& ready = replica_ready[unit];
+    ready = sim::MaxT(ready, t);
+  };
   for (size_t si = 0; si < spec_.build_stages.size(); ++si) {
     const StageSpec& stage = spec_.build_stages[si];
     if (stage_acq[si] < 0) {
@@ -435,10 +442,10 @@ Status GraphBuilder::Run(QueryCompiler* compiler, QueryResult* result) {
         // arrival's negative time clamps to init_clock below: the artifact
         // already exists, so it pays nothing).
         for (const auto& [unit, ready] : acq.lease.ready_at) {
-          const sim::DeviceId dev = HtRegistry::DeviceOf(unit);
-          hts.NoteBuildDone(session.query_id, dev, ready - session.epoch);
-          result->builds.push_back(
-              {stage.span.join_id, dev, 0, ready - session.epoch});
+          note_ready(unit, ready - session.epoch);
+          result->builds.push_back({stage.span.join_id,
+                                    HtRegistry::DeviceOf(unit), 0,
+                                    ready - session.epoch});
         }
         ++result->shared_attaches;
         break;
@@ -458,8 +465,8 @@ Status GraphBuilder::Run(QueryCompiler* compiler, QueryResult* result) {
   // So the build phase's DRAM intervals reserve each socket's widest build,
   // not the sum over joins. They open at the modeled build start; each
   // socket's is closed (not discarded) at that socket's fact-phase start once
-  // the unit watermarks are known, so [init_clock, socket start) stays on the
-  // timeline for later sessions.
+  // the units' replica readiness is known, so [init_clock, socket start)
+  // stays on the timeline for later sessions.
   SocketWorkers build_workers;
   for (const StageSpec* stage : exec_builds) {
     CountWorkers(*stage, /*concurrent=*/false, &build_workers);
@@ -525,6 +532,7 @@ Status GraphBuilder::Run(QueryCompiler* compiler, QueryResult* result) {
     std::map<int, sim::VTime> ready_at;
     for (const auto& [unit, d] : done) {
       unit_free[unit] = d.done;
+      note_ready(unit, d.done);
       ready_at[unit] = session.epoch + d.done;
       result->builds.push_back(d);
     }
@@ -546,13 +554,15 @@ Status GraphBuilder::Run(QueryCompiler* compiler, QueryResult* result) {
   }
 
   // Each probe instance starts when the replicas on its own unit are ready
-  // (built here, or attached: NoteBuildDone above), so CPU sockets need not
-  // idle while the GPUs' tables still cross PCIe; the load-balance router
-  // steers early fact blocks to the instances already running. Every other
-  // fact-side clock — the segmenter, filter and gather stages — starts at the
-  // earliest probe unit's start.
+  // (built here, or attached), so CPU sockets need not idle while the GPUs'
+  // tables still cross PCIe; the load-balance router steers early fact blocks
+  // to the instances already running. Every other fact-side clock — the
+  // segmenter, filter and gather stages — starts at the earliest probe unit's
+  // start.
   auto unit_ready = [&](sim::DeviceId dev) {
-    return sim::MaxT(init_clock, hts.build_done(session.query_id, dev));
+    auto it = replica_ready.find(HtRegistry::UnitOf(dev));
+    return sim::MaxT(init_clock,
+                     it != replica_ready.end() ? it->second : 0.0);
   };
   const size_t n_fact = spec_.fact_stages.size();
   std::vector<std::vector<sim::VTime>> starts(n_fact);

@@ -43,8 +43,6 @@ void HtRegistry::DropQuery(uint64_t query) {
   // registered under its content key stays live for future attachers.
   tables_.erase(tables_.lower_bound(Key{query, kIntMin, kIntMin}),
                 tables_.lower_bound(Key{query + 1, kIntMin, kIntMin}));
-  build_done_.erase(build_done_.lower_bound({query, kIntMin}),
-                    build_done_.lower_bound({query + 1, kIntMin}));
 }
 
 void HtRegistry::EvictStaleLocked(const std::string& table, uint64_t epoch) {

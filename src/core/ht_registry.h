@@ -40,10 +40,7 @@ struct SharedBuildLease {
 /// The registry is System-owned and shared by every in-flight query, so keys
 /// carry the owning query id: two concurrent queries joining the same dimension
 /// table build into disjoint namespaces instead of colliding on (join id, unit).
-/// The build-completion watermarks are kept per (query, unit): a probe
-/// instance starts when the replicas on its own unit are built, not when the
-/// slowest unit's are. `DropQuery` releases a finished query's tables and
-/// watermarks.
+/// `DropQuery` releases a finished query's tables.
 ///
 /// \par Shared-build promotion (cross-query reuse)
 /// When the serving layer enables it, read-only replica sets are additionally
@@ -75,21 +72,7 @@ class HtRegistry {
                              int payload_width);
   jit::JoinHashTable* Get(uint64_t query, int join_id, sim::DeviceId unit) const;
 
-  /// Raises `query`'s watermark on `dev`'s unit to session-local time `t`:
-  /// a replica on that unit is complete (built, or attached and ready) at `t`.
-  void NoteBuildDone(uint64_t query, sim::DeviceId dev, sim::VTime t) {
-    std::lock_guard<std::mutex> lock(mu_);
-    sim::VTime& done = build_done_[{query, UnitOf(dev)}];
-    done = sim::MaxT(done, t);
-  }
-  /// Latest completion among `query`'s replicas on `dev`'s unit (0 if none).
-  sim::VTime build_done(uint64_t query, sim::DeviceId dev) const {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = build_done_.find({query, UnitOf(dev)});
-    return it != build_done_.end() ? it->second : 0.0;
-  }
-
-  /// Releases every hash table (alias) and the watermarks of a finished query.
+  /// Releases every hash table (alias) of a finished query.
   void DropQuery(uint64_t query);
 
   /// \name Shared-build promotion
@@ -171,7 +154,6 @@ class HtRegistry {
   mutable std::mutex mu_;
   std::condition_variable shared_cv_;
   std::map<Key, std::shared_ptr<jit::JoinHashTable>> tables_;
-  std::map<std::pair<uint64_t, int>, sim::VTime> build_done_;  // (query, unit)
   std::map<std::string, SharedEntry> shared_;
   SharedStats shared_stats_;
 };

@@ -57,33 +57,16 @@ class VmProcessor : public BlockProcessor {
 };
 
 void VmProcessor::Init(WorkerInstance& inst) {
-  if (cfg_->programs != nullptr) {
-    // Cached finalization: the N instances of this span share one compiled
-    // program per device kind (finalized exactly once).
-    auto r = cfg_->programs->GetOrCompile(inst.provider(), cfg_->pipeline);
-    if (!r.ok()) {
-      // Validation rejections (e.g. a statically-zero divisor) surface as
-      // QueryResult::status: the instance drains its input without executing.
-      inst.NoteError(r.status());
-      return;
-    }
-    program_ = std::move(r.value());
-  } else {
-    auto local =
-        std::make_shared<jit::PipelineProgram>(cfg_->pipeline.program);
-    local->input_widths.clear();
-    local->input_widths.reserve(cfg_->pipeline.input_cols.size());
-    for (const ColSlot& slot : cfg_->pipeline.input_cols) {
-      local->input_widths.push_back(slot.width);
-    }
-    local->n_input_cols = static_cast<int>(cfg_->pipeline.input_cols.size());
-    Status st = inst.provider().ConvertToMachineCode(local.get());
-    if (!st.ok()) {
-      inst.NoteError(std::move(st));
-      return;
-    }
-    program_ = std::move(local);
+  // Cached finalization: the N instances of this span share one compiled
+  // program per device kind (finalized exactly once).
+  auto r = cfg_->programs->GetOrCompile(inst.provider(), cfg_->pipeline);
+  if (!r.ok()) {
+    // Validation rejections (e.g. a statically-zero divisor) surface as
+    // QueryResult::status: the instance drains its input without executing.
+    inst.NoteError(r.status());
+    return;
   }
+  program_ = std::move(r.value());
 
   const auto& pipeline = cfg_->pipeline;
   size_t n_slots = pipeline.ht_join_slots.size();
@@ -340,8 +323,7 @@ void VmProcessor::Finish(WorkerInstance& inst) {
   }
   switch (cfg_->role) {
     case plan::StageRole::kBuild:
-      cfg_->hts->NoteBuildDone(cfg_->query_id, inst.device(), inst.clock());
-      break;
+      break;  // nothing to flush; GraphBuilder::Run reads the writers' clocks
 
     case plan::StageRole::kFilterStage: {
       // Flush the partially-filled hash-pack blocks.

@@ -13,10 +13,9 @@ namespace hetex::core {
 
 /// \brief Everything a worker group needs to run one compiled stage.
 ///
-/// One StageConfig is shared by all instances of a group; each instance finalizes
-/// its own copy of the program through its device provider and binds its own
-/// state (the paper's per-device pipeline template + per-instance state creation,
-/// §4.2).
+/// One StageConfig is shared by all instances of a group; the instances share
+/// one program finalized per device kind and each binds its own state (the
+/// paper's per-device pipeline template + per-instance state creation, §4.2).
 struct StageConfig {
   plan::StageRole role = plan::StageRole::kProbe;
   CompiledPipeline pipeline;
@@ -25,8 +24,8 @@ struct StageConfig {
   /// HtRegistry so concurrent queries never collide on (join id, unit).
   uint64_t query_id = 0;
 
-  /// Per-device program cache: the group's N instances finalize each distinct
-  /// span program exactly once. Null = every instance finalizes its own copy.
+  /// Per-device program cache (the System's): the group's N instances
+  /// finalize each distinct span program exactly once.
   ProgramCache* programs = nullptr;
 
   HtRegistry* hts = nullptr;

@@ -44,21 +44,23 @@ uint64_t ProgramCache::Signature(const CompiledPipeline& pipeline) {
   return h;
 }
 
-bool ProgramCache::Matches(const Entry& e, const CompiledPipeline& pipeline) {
+bool ProgramCache::Matches(const jit::PipelineProgram& compiled,
+                           const CompiledPipeline& pipeline) {
   const jit::PipelineProgram& p = pipeline.program;
-  if (e.label != p.label || e.n_regs != p.n_regs ||
-      e.n_local_accs != p.n_local_accs || e.code.size() != p.code.size() ||
-      e.widths.size() != pipeline.input_cols.size()) {
+  if (compiled.label != p.label || compiled.n_regs != p.n_regs ||
+      compiled.n_local_accs != p.n_local_accs ||
+      compiled.code.size() != p.code.size() ||
+      compiled.input_widths.size() != pipeline.input_cols.size()) {
     return false;
   }
   for (int i = 0; i < p.n_local_accs; ++i) {
-    if (e.funcs[i] != p.local_acc_funcs[i]) return false;
+    if (compiled.local_acc_funcs[i] != p.local_acc_funcs[i]) return false;
   }
-  for (size_t i = 0; i < e.code.size(); ++i) {
-    if (!SameInstr(e.code[i], p.code[i])) return false;
+  for (size_t i = 0; i < p.code.size(); ++i) {
+    if (!SameInstr(compiled.code[i], p.code[i])) return false;
   }
-  for (size_t i = 0; i < e.widths.size(); ++i) {
-    if (e.widths[i] != pipeline.input_cols[i].width) return false;
+  for (size_t i = 0; i < compiled.input_widths.size(); ++i) {
+    if (compiled.input_widths[i] != pipeline.input_cols[i].width) return false;
   }
   return true;
 }
@@ -77,9 +79,9 @@ Result<std::shared_ptr<const jit::PipelineProgram>> ProgramCache::GetOrCompile(
   std::lock_guard<std::mutex> lock(mu_);
   auto& chain = entries_[key];
   for (const Entry& e : chain) {
-    if (Matches(e, pipeline)) {
+    if (Matches(*e, pipeline)) {
       ++counters_[kind].hits;
-      return e.compiled;
+      return e;
     }
   }
 
@@ -98,20 +100,9 @@ Result<std::shared_ptr<const jit::PipelineProgram>> ProgramCache::GetOrCompile(
       compiled->native->origin == jit::NativeKernel::Origin::kDisk) {
     ++counters_[kind].disk_hits;
   }
-  Entry e;
-  e.code = pipeline.program.code;
-  e.label = pipeline.program.label;
-  e.widths.reserve(pipeline.input_cols.size());
-  for (const ColSlot& slot : pipeline.input_cols) e.widths.push_back(slot.width);
-  e.n_regs = pipeline.program.n_regs;
-  e.n_local_accs = pipeline.program.n_local_accs;
-  for (int i = 0; i < pipeline.program.n_local_accs; ++i) {
-    e.funcs[i] = pipeline.program.local_acc_funcs[i];
-  }
-  e.compiled = compiled;
-  chain.push_back(std::move(e));
+  chain.push_back(compiled);
   ++counters_[kind].misses;
-  return std::shared_ptr<const jit::PipelineProgram>(std::move(compiled));
+  return chain.back();
 }
 
 ProgramCache::Counters ProgramCache::counters(sim::DeviceType type) const {

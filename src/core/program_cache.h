@@ -45,21 +45,17 @@ class ProgramCache {
   void Clear();
 
  private:
-  struct Entry {
-    std::vector<jit::Instr> code;       // template code (pre-finalize identity)
-    std::vector<uint32_t> widths;       // binding schema: input column widths
-    std::string label;                  // span identity (runtime diagnostics)
-    int n_regs = 0;
-    int n_local_accs = 0;
-    jit::AggFunc funcs[jit::kMaxLocalAccs] = {};
-    std::shared_ptr<const jit::PipelineProgram> compiled;
-  };
+  using Entry = std::shared_ptr<const jit::PipelineProgram>;
 
   static uint64_t Signature(const CompiledPipeline& pipeline);
-  static bool Matches(const Entry& e, const CompiledPipeline& pipeline);
+  /// Finalization keeps the template's code, label, registers, accumulators
+  /// and binding widths, so a compiled program is compared directly.
+  static bool Matches(const jit::PipelineProgram& compiled,
+                      const CompiledPipeline& pipeline);
 
   mutable std::mutex mu_;
-  // (device kind + tier policy, signature) -> entries (same-hash chain).
+  // (device kind + tier policy, signature) -> compiled programs (same-hash
+  // chain).
   std::map<std::pair<int, uint64_t>, std::vector<Entry>> entries_;
   Counters counters_[2];  // indexed by sim::DeviceType
 };

@@ -84,7 +84,6 @@ DataMsg Edge::MoveToNode(DataMsg msg, sim::MemNodeId target_node,
   Status fail = Status::OK();
 
   for (auto& h : msg.cols) {
-    if (!fail.ok()) break;
     if (h.node() == target_node) {
       // Already local: forward the handle, no transfer (paper §3.2).
       if (h.block->owner != nullptr) memory::BlockManager::AddRef(h.block);
@@ -96,13 +95,13 @@ DataMsg Edge::MoveToNode(DataMsg msg, sim::MemNodeId target_node,
         << "host-to-host moves need no mem-move on this server";
 
     // One DMA per hop of the route, each landing in a fresh block on the
-    // hop's node. The second hop of a staged GPU->GPU route reads the first
-    // hop's staging block; the consumer releases it after the transfer.
+    // hop's node and starting when the previous hop completed. The second hop
+    // of a staged GPU->GPU route reads the first hop's staging block, which is
+    // free again once that copy returned.
     memory::BlockHandle moved = h;
-    sim::TransferTicket ticket;
+    moved.ready_at = msg.ready_at;
     memory::Block* staged = nullptr;  // the previous hop's landing block
     for (const sim::Topology::Hop& hop : topo.Route(h.node(), target_node)) {
-      if (staged != nullptr) ticket.Wait();  // functional ordering
       Status acquire_error = Status::OK();
       memory::Block* dst = system_->blocks().Acquire(
           hop.to, producer_node, &acquire_error,
@@ -115,48 +114,28 @@ DataMsg Edge::MoveToNode(DataMsg msg, sim::MemNodeId target_node,
         fail = inj.OnDmaTransfer(hop.link);
         if (!fail.ok()) system_->blocks().Release(dst, producer_node);
       }
-      if (!fail.ok()) {
-        if (staged != nullptr) system_->blocks().Release(staged, producer_node);
-        break;
-      }
+      if (!fail.ok()) break;
       HETEX_CHECK(dst->capacity >= moved.bytes) << "staging block too small";
-      ticket = system_->dma().Transfer(
-          moved.data(), dst->data, moved.bytes, hop.link,
-          staged != nullptr ? ticket.ready_at() : msg.ready_at,
+      moved.ready_at = system_->dma().Transfer(
+          moved.data(), dst->data, moved.bytes, hop.link, moved.ready_at,
           !moved.block->pinned, options_.epoch);
-      if (staged != nullptr) out.release_after_wait.push_back(staged);
+      if (staged != nullptr) system_->blocks().Release(staged, producer_node);
       staged = moved.block = dst;
-      moved.ready_at = ticket.ready_at();
     }
-    if (!fail.ok()) break;
+    if (!fail.ok()) {
+      if (staged != nullptr) system_->blocks().Release(staged, producer_node);
+      break;
+    }
     out.cols.push_back(moved);
-    out.tickets.push_back(ticket);
-    if (h.block->owner != nullptr) {
-      // The DMA still reads the source: hand a reference to the consumer to
-      // release once the transfer completed.
-      memory::BlockManager::AddRef(h.block);
-      out.release_after_wait.push_back(h.block);
-    }
   }
-  if (!fail.ok()) {
-    // Undo the partial move: wait out any already-scheduled DMAs (their
-    // functional memcpys must not scribble into blocks we hand back to the
-    // arena), then release everything staged so far plus the original payload.
-    // The consumer receives an empty message carrying only the error.
-    for (const auto& ticket : out.tickets) ticket.Wait();
-    for (memory::Block* b : out.release_after_wait) {
-      if (b->owner != nullptr) system_->blocks().Release(b, producer_node);
-    }
-    out.release_after_wait.clear();
-    out.tickets.clear();
-    ReleaseMsgBlocks(system_, out, producer_node);
-    ReleaseMsgBlocks(system_, msg, producer_node);
-    out.error = std::move(fail);
-    return out;
-  }
-  // The producer's own references are no longer needed: the consumer-held
-  // references above (moved handles / post-DMA releases) keep everything alive.
+  // The copies are done: the producer's references to the sources go back
+  // now, and on failure the consumer receives an empty message carrying only
+  // the error.
   ReleaseMsgBlocks(system_, msg, producer_node);
+  if (!fail.ok()) {
+    ReleaseMsgBlocks(system_, out, producer_node);
+    out.error = std::move(fail);
+  }
   return out;
 }
 
@@ -205,8 +184,7 @@ void Edge::Push(DataMsg msg, sim::MemNodeId producer_node) {
       options_.control->cancelled.load(std::memory_order_relaxed)) {
     // Cancelled query: stop moving data, just drop the payload. (Error-marked
     // messages still flow — the terminal status is stamped by the scheduler,
-    // but consumers must observe the fault to stop cleanly.) Messages at this
-    // point carry no tickets yet; mem-move attaches them after routing.
+    // but consumers must observe the fault to stop cleanly.)
     ReleaseMsgBlocks(system_, msg, producer_node);
     return;
   }
@@ -332,11 +310,6 @@ void WorkerGroup::RunInstance(WorkerInstance& inst) {
   processor->Init(inst);
   while (auto msg = inst.channel().Pop()) {
     inst.NoteDequeued();
-    for (const auto& ticket : msg->tickets) ticket.Wait();
-    for (memory::Block* b : msg->release_after_wait) {
-      if (b->owner != nullptr) system_->blocks().Release(b, inst.node());
-    }
-    msg->release_after_wait.clear();
     // A mem-move failure marker, a cancellation or an expired deadline all put
     // the instance into error-drain mode: ProcessMsg becomes a no-op, the
     // channel keeps draining (so producers never block on backpressure), and

@@ -17,7 +17,6 @@
 #include "core/system.h"
 #include "jit/device_provider.h"
 #include "jit/hash_table.h"
-#include "sim/dma_engine.h"
 
 namespace hetex::core {
 
@@ -25,15 +24,14 @@ namespace hetex::core {
 /// of a batch of tuples, plus virtual-time metadata.
 ///
 /// This is pure control plane — routing a DataMsg never touches tuple data
-/// (paper §3.1). The mem-move machinery attaches DMA tickets when it schedules
-/// transfers; the consumer waits on them before reading.
+/// (paper §3.1). The mem-move replaces a handle the consumer cannot read in
+/// place with a copy on the consumer's node, ready at the copy's DMA
+/// completion time.
 struct DataMsg {
   std::vector<memory::BlockHandle> cols;
   uint64_t rows = 0;
   sim::VTime ready_at = 0;
   uint64_t tag = 0;  ///< routing tag (hash bucket / broadcast target id)
-  std::vector<sim::TransferTicket> tickets;
-  std::vector<memory::Block*> release_after_wait;  ///< DMA sources to free
 
   /// Mem-move failure marker: when an edge's data-flow half could not deliver
   /// this message (injected DMA fault, staging exhaustion, cancellation), it
@@ -41,10 +39,11 @@ struct DataMsg {
   /// `cols`; the consumer lifts the error into its instance and drains.
   Status error = Status::OK();
 
-  /// Latest virtual time at which every column block (and transfer) is ready.
+  /// Latest virtual time at which the message and every column block (moved
+  /// ones at their DMA completion) are ready.
   sim::VTime ReadyAt() const {
     sim::VTime t = ready_at;
-    for (const auto& ticket : tickets) t = sim::MaxT(t, ticket.ready_at());
+    for (const auto& h : cols) t = sim::MaxT(t, h.ready_at);
     return t;
   }
 };
@@ -130,11 +129,12 @@ class WorkerInstance {
 /// consumer instances.
 ///
 /// The routing decision moves only the block handle; when a chosen consumer
-/// cannot access a block's memory node, the mem-move half of the edge acquires a
-/// staging block on the consumer-local node and schedules an asynchronous DMA,
-/// attaching the ticket to the message (paper §3.2). Broadcast duplicates data
-/// flow here (one copy per distinct target node, reference-shared within a node);
-/// the router half only routes the resulting (block, target-id) pairs.
+/// cannot access a block's memory node, the mem-move half of the edge copies
+/// the block into a staging block on the consumer-local node, one DMA per hop
+/// of the route, and hands the consumer a handle ready at the last hop's
+/// completion time (paper §3.2). Broadcast duplicates data flow here (one copy
+/// per distinct target node, reference-shared within a node); the router half
+/// only routes the resulting (block, target-id) pairs.
 class Edge {
  public:
   enum class Policy {
@@ -183,8 +183,9 @@ class Edge {
 
  private:
   void DeliverTo(WorkerInstance* target, DataMsg msg, sim::MemNodeId producer_node);
-  /// Copies `msg`'s blocks to `target_node`, attaching tickets. Returns the
-  /// rewritten message.
+  /// Copies `msg`'s blocks to `target_node` and releases the producer's
+  /// references to the sources. Returns the rewritten message: moved handles
+  /// are ready at their DMA completion; on failure, an error marker.
   DataMsg MoveToNode(DataMsg msg, sim::MemNodeId target_node,
                      sim::MemNodeId producer_node);
 

@@ -9,13 +9,13 @@ System::System(Options options)
       fault_(options.faults),
       memory_(topology_),
       blocks_(topology_, options.blocks),
+      dma_(&topology_),
       reuse_(options.reuse),
       tier_policy_(options.tier_policy) {
   blocks_.set_fault_injector(&fault_);
   if (reuse_.result_cache) {
     result_cache_ = std::make_unique<ResultCache>(reuse_.result_cache_bytes);
   }
-  dma_ = std::make_unique<sim::DmaEngine>(&topology_);
   for (int g = 0; g < topology_.num_gpus(); ++g) {
     gpus_.push_back(
         std::make_unique<sim::GpuDevice>(topology_.gpu(g), &topology_.cost_model()));

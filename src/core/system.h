@@ -57,7 +57,7 @@ class System {
 
   sim::Topology& topology() { return topology_; }
   const sim::CostModel& cost_model() const { return topology_.cost_model(); }
-  sim::DmaEngine& dma() { return *dma_; }
+  sim::DmaEngine& dma() { return dma_; }
   sim::GpuDevice& gpu(int i) { return *gpus_.at(i); }
   int num_gpus() const { return static_cast<int>(gpus_.size()); }
   memory::MemoryRegistry& memory() { return memory_; }
@@ -125,7 +125,7 @@ class System {
   sim::FaultInjector fault_;  ///< before blocks_: registered into it at construction
   memory::MemoryRegistry memory_;
   memory::BlockRegistry blocks_;
-  std::unique_ptr<sim::DmaEngine> dma_;
+  sim::DmaEngine dma_;
   std::vector<std::unique_ptr<sim::GpuDevice>> gpus_;
   storage::Catalog catalog_;
   ProgramCache program_cache_;

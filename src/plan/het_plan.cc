@@ -345,9 +345,7 @@ HetPlan BuildHetPlan(const QuerySpec& spec, const ExecPolicy& policy,
   } else {
     // Fig. 1e shape: per-branch filter stage + hash-pack, one shared hash
     // router (the exchange), then per-branch join stages.
-    const int buckets = policy.hash_router_buckets > 0
-                            ? policy.hash_router_buckets
-                            : static_cast<int>(layout.probe_instances.size());
+    const int buckets = static_cast<int>(layout.probe_instances.size());
     const std::string key =
         spec.joins.empty() ? "tuple-hash" : spec.joins[0].probe_key;
     // Asymmetric per-branch stages: stage A (filter + hash-pack) on the CPU

@@ -94,7 +94,6 @@ struct ExecPolicy {
   /// connected by a hash-pack + hash router (exercises the paper's Fig. 1e shape;
   /// default keeps the fused single-stage plan the optimizer prefers).
   bool split_probe_stage = false;
-  int hash_router_buckets = 0;     ///< 0: one bucket per consumer
 
   /// Asymmetric per-branch stages (requires split_probe_stage and kHybrid):
   /// the filter stage (stage A) runs on the CPU workers only while the

@@ -34,7 +34,6 @@ Topology::Topology(const Options& options) : options_(options) {
     gpus_.push_back(GpuInfo{g, node, socket, link, options.gpu_sim_threads});
   }
 
-  const double peer_bw = options.peer_bw > 0 ? options.peer_bw : cm.nvlink_bw;
   for (const auto& [a, b] : options.peer_links) {
     HETEX_CHECK(a >= 0 && a < num_gpus() && b >= 0 && b < num_gpus() && a != b)
         << "bad peer link gpu" << a << "<->gpu" << b;
@@ -43,7 +42,7 @@ Topology::Topology(const Options& options) : options_(options) {
     links_.push_back(Link{static_cast<int>(links_.size()), LinkType::kPeer, a,
                           b,
                           std::make_unique<BandwidthServer>(
-                              peer_bw, cm.peer_dma_latency)});
+                              cm.nvlink_bw, cm.peer_dma_latency)});
   }
 
   if (options.inter_socket_bw > 0 && options.num_sockets > 1) {

@@ -69,12 +69,11 @@ class Topology {
     int gpu_sim_threads = 4;                ///< host threads emulating one GPU
     CostModel cost_model = CostModel::Paper();
 
-    /// NVLink-class GPU peer links, one BandwidthServer each: {a, b} connects
-    /// gpu a <-> gpu b. Empty (the default) models the paper server — no peer
-    /// fabric, GPU<->GPU traffic stages through host memory over PCIe.
+    /// NVLink-class GPU peer links, one BandwidthServer each running at
+    /// cost_model.nvlink_bw: {a, b} connects gpu a <-> gpu b. Empty (the
+    /// default) models the paper server — no peer fabric, GPU<->GPU traffic
+    /// stages through host memory over PCIe.
     std::vector<std::pair<int, int>> peer_links;
-    /// Peer-link bandwidth in B/s; 0 uses cost_model.nvlink_bw.
-    double peer_bw = 0;
     /// Inter-socket (UPI/QPI) link bandwidth in B/s. 0 (the default) disables
     /// the link: cross-socket reads are free, exactly the pre-fabric model.
     double inter_socket_bw = 0;
@@ -110,7 +109,7 @@ class Topology {
   /// \brief One interconnect link. All links live in one table with one id
   /// order: the PCIe links first (one per GPU, in GPU order), then the GPU
   /// peer links (peer link p is link num_pcie_links() + p), then the
-  /// inter-socket link when the fabric has one. DMA queues, fault-injection
+  /// inter-socket link when the fabric has one. DMA transfers, fault-injection
   /// link ids and the coster's per-link backlog all use these ids.
   struct Link {
     int id;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <map>
 
 #include "core/system.h"
@@ -26,6 +27,8 @@ class RecordingProcessor : public BlockProcessor {
   struct Log {
     std::mutex mu;
     std::map<int, std::vector<DataMsg>> by_instance;  // copies (handles only)
+    /// The first column's bytes of each message, by instance.
+    std::map<int, std::vector<std::vector<uint8_t>>> payloads;
   };
 
   explicit RecordingProcessor(Log* log) : log_(log) {}
@@ -44,6 +47,10 @@ class RecordingProcessor : public BlockProcessor {
       stub.bytes = h.bytes;
       stub.ready_at = h.node();  // smuggle the node id for assertions
       copy.cols.push_back(stub);
+    }
+    if (!msg.cols.empty()) {
+      const auto* data = reinterpret_cast<const uint8_t*>(msg.cols[0].data());
+      log_->payloads[inst.id()].emplace_back(data, data + msg.cols[0].bytes);
     }
     log_->by_instance[inst.id()].push_back(std::move(copy));
   }
@@ -228,9 +235,11 @@ TEST_F(RuntimeTest, MemMoveGpuToGpuStagesThroughHost) {
 
 TEST_F(RuntimeTest, EveryRouteDeliversAtItsPricedTime) {
   // Hop-level symmetry of the mem-move and the coster: for every ordered
-  // pair of memory nodes, one single-column pinned block delivered on an
-  // idle server is ready at its consumer exactly at the time the coster
-  // prices the route at, and it reserved exactly the route's links.
+  // pair of memory nodes, one single-column block delivered on an idle server
+  // is ready at its consumer exactly at the time the coster prices the route
+  // at, and it reserved exactly the route's links. Host sources run pinned
+  // and unpinned (a pageable first hop); either way the consumer reads the
+  // source's bytes and every staging block returns to its arena.
   sim::Topology::Options no_mesh = sim::Topology::ScaleOutOptions(4);
   no_mesh.peer_links.clear();
   const sim::Topology::Options fabrics[] = {
@@ -240,58 +249,134 @@ TEST_F(RuntimeTest, EveryRouteDeliversAtItsPricedTime) {
   };
   const uint64_t bytes = 4096;
   for (const sim::Topology::Options& fabric : fabrics) {
-    const int nodes = sim::Topology(fabric).num_mem_nodes();
-    for (sim::MemNodeId src = 0; src < nodes; ++src) {
-      for (sim::MemNodeId dst = 0; dst < nodes; ++dst) {
-        System::Options o = SmallSystem();
-        o.topology = fabric;
-        o.topology.cores_per_socket = 2;
-        o.topology.gpu_sim_threads = 2;
-        System system(o);  // idle: every link free at 0
-        const sim::Topology& topo = system.topology();
-        RecordingProcessor::Log log;
-        WorkerGroup group(
-            &system, {topo.mem_node(dst).owner},
-            [&log](WorkerInstance&) {
-              return std::make_unique<RecordingProcessor>(&log);
-            },
-            nullptr, 8, {0.0});
-        Edge::Options opts;
-        opts.policy = Edge::Policy::kRoundRobin;
-        opts.control_cost = 0;
-        opts.crossing_latency = 0;
-        Edge edge(&system, opts, group.instance_ptrs());
-        group.Start();
-        edge.AddProducer();
-        DataMsg msg;
-        msg.rows = 1;
-        memory::BlockHandle h;
-        h.block = system.blocks().Acquire(src, src);
-        h.rows = 1;
-        h.bytes = bytes;
-        msg.cols.push_back(h);
-        edge.Push(std::move(msg), src);
-        edge.CloseProducer();
-        group.Join();
+    const sim::Topology shape(fabric);
+    for (sim::MemNodeId src = 0; src < shape.num_mem_nodes(); ++src) {
+      for (sim::MemNodeId dst = 0; dst < shape.num_mem_nodes(); ++dst) {
+        for (const bool pinned : {true, false}) {
+          if (!pinned && shape.mem_node(src).is_gpu) continue;
+          System::Options o = SmallSystem();
+          o.topology = fabric;
+          o.topology.cores_per_socket = 2;
+          o.topology.gpu_sim_threads = 2;
+          System system(o);  // idle: every link free at 0
+          const sim::Topology& topo = system.topology();
+          RecordingProcessor::Log log;
+          WorkerGroup group(
+              &system, {topo.mem_node(dst).owner},
+              [&log](WorkerInstance&) {
+                return std::make_unique<RecordingProcessor>(&log);
+              },
+              nullptr, 8, {0.0});
+          Edge::Options opts;
+          opts.policy = Edge::Policy::kRoundRobin;
+          opts.control_cost = 0;
+          opts.crossing_latency = 0;
+          Edge edge(&system, opts, group.instance_ptrs());
+          group.Start();
+          edge.AddProducer();
+          DataMsg msg;
+          msg.rows = 1;
+          memory::BlockHandle h;
+          h.block = system.blocks().Acquire(src, src);
+          h.block->pinned = pinned;  // unpinned: pageable host memory
+          std::vector<uint8_t> pattern(bytes);
+          for (uint64_t i = 0; i < bytes; ++i) {
+            pattern[i] = static_cast<uint8_t>(i * 7 + src);
+          }
+          std::memcpy(h.block->data, pattern.data(), bytes);
+          h.rows = 1;
+          h.bytes = bytes;
+          msg.cols.push_back(h);
+          edge.Push(std::move(msg), src);
+          edge.CloseProducer();
+          group.Join();
 
-        const sim::Topology::Hops route = topo.Route(src, dst);
-        const std::string pair = "node " + std::to_string(src) + " -> " +
-                                 std::to_string(dst) + " on " +
-                                 std::to_string(topo.num_links()) + " links";
-        ASSERT_EQ(log.by_instance[0].size(), 1u) << pair;
-        EXPECT_EQ(log.by_instance[0][0].ready_at,
-                  topo.RouteSeconds(route, bytes, /*columns=*/1,
-                                    /*pageable_src=*/false))
-            << pair;
-        for (int l = 0; l < topo.num_links(); ++l) {
-          bool on_route = false;
-          for (const sim::Topology::Hop& hop : route) on_route |= hop.link == l;
-          EXPECT_EQ(topo.link(l).free_at() > 0, on_route)
-              << pair << ", link " << l;
+          const sim::Topology::Hops route = topo.Route(src, dst);
+          const std::string pair =
+              "node " + std::to_string(src) + " -> " + std::to_string(dst) +
+              (pinned ? " pinned" : " unpinned") + " on " +
+              std::to_string(topo.num_links()) + " links";
+          ASSERT_EQ(log.by_instance[0].size(), 1u) << pair;
+          EXPECT_EQ(log.by_instance[0][0].ready_at,
+                    topo.RouteSeconds(route, bytes, /*columns=*/1,
+                                      /*pageable_src=*/!pinned))
+              << pair;
+          EXPECT_EQ(log.payloads[0].at(0), pattern) << pair;
+          for (int l = 0; l < topo.num_links(); ++l) {
+            bool on_route = false;
+            for (const sim::Topology::Hop& hop : route) {
+              on_route |= hop.link == l;
+            }
+            EXPECT_EQ(topo.link(l).free_at() > 0, on_route)
+                << pair << ", link " << l;
+          }
+          system.blocks().FlushReleases();
+          for (sim::MemNodeId n = 0; n < topo.num_mem_nodes(); ++n) {
+            EXPECT_EQ(system.blocks().manager(n).in_use(), 0u)
+                << pair << ", arena of node " << n;
+          }
         }
-        system.blocks().FlushReleases();
       }
     }
+  }
+}
+
+TEST_F(RuntimeTest, StagedMoveFailingOnItsSecondHopDeliversAnErrorMarker) {
+  // Paper server: GPU0 -> GPU1 stages through host memory. An injected fault
+  // on the second DMA must reach the consumer as an error marker, and the
+  // source, the first hop's staging block and the failed hop's block all go
+  // back to their arenas.
+  const double kDmaRate = 0.5;
+  // The DMA site's draws are pinned per operation: pick a seed whose first
+  // draw passes and second fails.
+  uint64_t seed = 1;
+  for (;; ++seed) {
+    sim::FaultOptions f;
+    f.enabled = true;
+    f.seed = seed;
+    f.dma_fault_rate = kDmaRate;
+    sim::FaultInjector probe(f);
+    if (probe.OnDmaTransfer(0).ok() && !probe.OnDmaTransfer(0).ok()) break;
+  }
+  System::Options o = SmallSystem();
+  o.faults = sim::FaultOptions{};
+  o.faults.enabled = true;
+  o.faults.seed = seed;
+  o.faults.dma_fault_rate = kDmaRate;
+  System system(o);
+  const sim::Topology& topo = system.topology();
+  RecordingProcessor::Log log;
+  WorkerGroup group(
+      &system, {sim::DeviceId::Gpu(1)},
+      [&log](WorkerInstance&) {
+        return std::make_unique<RecordingProcessor>(&log);
+      },
+      nullptr, 8, {0.0});
+  Edge::Options opts;
+  opts.policy = Edge::Policy::kRoundRobin;
+  Edge edge(&system, opts, group.instance_ptrs());
+  group.Start();
+  edge.AddProducer();
+  const sim::MemNodeId gpu0 = topo.gpu(0).mem;
+  DataMsg msg;
+  msg.rows = 4;
+  memory::BlockHandle h;
+  h.block = system.blocks().Acquire(gpu0, gpu0);
+  h.rows = 4;
+  h.bytes = 16;
+  msg.cols.push_back(h);
+  edge.Push(std::move(msg), gpu0);
+  edge.CloseProducer();
+  group.Join();
+
+  ASSERT_EQ(log.by_instance[0].size(), 1u);
+  EXPECT_TRUE(log.by_instance[0][0].cols.empty());
+  EXPECT_EQ(group.instance(0).error().code(), StatusCode::kUnavailable)
+      << group.instance(0).error().ToString();
+  EXPECT_EQ(system.fault().counters().dma_faults, 1u);
+  system.blocks().FlushReleases();
+  for (sim::MemNodeId n = 0; n < topo.num_mem_nodes(); ++n) {
+    EXPECT_EQ(system.blocks().manager(n).in_use(), 0u) << "arena of node " << n;
   }
 }
 
@@ -364,28 +449,10 @@ TEST_F(RuntimeTest, HtRegistryKeyedByQueryJoinAndUnit) {
   EXPECT_EQ(hts.Get(7, 0, sim::DeviceId::Cpu(0)), a);
   EXPECT_EQ(hts.Get(7, 1, sim::DeviceId::Cpu(0)), c);
   EXPECT_EQ(hts.Get(8, 0, sim::DeviceId::Cpu(0)), d);
-  // Build watermarks are per (query, unit): the max over the replicas built
-  // on that unit, whatever their join.
-  const sim::DeviceId cpu0 = sim::DeviceId::Cpu(0);
-  const sim::DeviceId gpu0 = sim::DeviceId::Gpu(0);
-  hts.NoteBuildDone(7, cpu0, 0.5);
-  hts.NoteBuildDone(7, cpu0, 0.3);
-  hts.NoteBuildDone(7, gpu0, 1.2);
-  hts.NoteBuildDone(8, cpu0, 0.9);
-  EXPECT_DOUBLE_EQ(hts.build_done(7, cpu0), 0.5);  // per-unit max
-  EXPECT_DOUBLE_EQ(hts.build_done(7, gpu0), 1.2);  // units do not mix
-  EXPECT_DOUBLE_EQ(hts.build_done(8, cpu0), 0.9);  // queries do not mix
-  EXPECT_DOUBLE_EQ(hts.build_done(8, gpu0), 0.0);
-  // CPU socket 1 and GPU 1 are distinct units from socket 0 / GPU 0.
-  EXPECT_DOUBLE_EQ(hts.build_done(7, sim::DeviceId::Cpu(1)), 0.0);
-  EXPECT_DOUBLE_EQ(hts.build_done(7, sim::DeviceId::Gpu(1)), 0.0);
   EXPECT_EQ(hts.NumTables(7), 3);
   hts.DropQuery(7);
   EXPECT_EQ(hts.NumTables(7), 0);
-  EXPECT_DOUBLE_EQ(hts.build_done(7, cpu0), 0.0);
-  EXPECT_DOUBLE_EQ(hts.build_done(7, gpu0), 0.0);
-  EXPECT_EQ(hts.Get(8, 0, cpu0), d);  // other queries intact
-  EXPECT_DOUBLE_EQ(hts.build_done(8, cpu0), 0.9);
+  EXPECT_EQ(hts.Get(8, 0, sim::DeviceId::Cpu(0)), d);  // other queries intact
 }
 
 TEST_F(RuntimeTest, LoadBalanceRoutesAroundLateStartingInstance) {

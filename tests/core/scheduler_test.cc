@@ -483,9 +483,18 @@ TEST(SchedulerTest, CancelRunningQueryStopsCooperativelyAndReleasesAll) {
   SubmitOptions opts;
   opts.policy = PinnedHybrid();
 
+  // Hold every GPU staging block, so the query cannot finish before the
+  // cancel lands: its first mem-move into a GPU waits for a block until the
+  // cancellation wakes it.
+  std::vector<std::pair<memory::BlockManager*, memory::Block*>> held;
+  for (sim::MemNodeId node : env.system->GpuNodes()) {
+    memory::BlockManager& arena = env.system->blocks().manager(node);
+    while (memory::Block* b = arena.Acquire()) held.emplace_back(&arena, b);
+  }
   QueryHandle a = scheduler.Submit(spec, opts);
   EXPECT_TRUE(scheduler.Cancel(a).ok());
   QueryResult ra = scheduler.Wait(a);
+  for (auto [arena, b] : held) arena->Release(b);
   EXPECT_EQ(ra.status.code(), StatusCode::kCancelled) << ra.status.ToString();
   EXPECT_TRUE(ra.rows.empty());  // the authoritative stamp clears partials
 

@@ -22,8 +22,7 @@ TEST_F(DmaTest, FunctionalCopy) {
   std::vector<uint8_t> src(4096);
   std::iota(src.begin(), src.end(), 0);
   std::vector<uint8_t> dst(4096, 0);
-  TransferTicket t = dma_.Transfer(src.data(), dst.data(), src.size(), 0, 0.0);
-  t.Wait();
+  dma_.Transfer(src.data(), dst.data(), src.size(), 0, 0.0);
   EXPECT_EQ(std::memcmp(src.data(), dst.data(), src.size()), 0);
 }
 
@@ -32,62 +31,54 @@ TEST_F(DmaTest, ModeledTimeMatchesLinkRate) {
   std::vector<uint8_t> dst(1 << 20);
   const double expected = topo_.cost_model().dma_latency +
                           (1 << 20) / topo_.cost_model().pcie_bw;
-  TransferTicket t = dma_.Transfer(buf.data(), dst.data(), buf.size(), 0, 0.0);
-  EXPECT_NEAR(t.ready_at(), expected, 1e-12);
-  t.Wait();  // buffers must outlive the async copy
+  const VTime t = dma_.Transfer(buf.data(), dst.data(), buf.size(), 0, 0.0);
+  EXPECT_NEAR(t, expected, 1e-12);
 }
 
 TEST_F(DmaTest, PageableHalvesThroughput) {
   std::vector<uint8_t> buf(1 << 20), dst(1 << 20);
-  TransferTicket pinned = dma_.Transfer(buf.data(), dst.data(), buf.size(), 0, 0.0);
+  const VTime pinned = dma_.Transfer(buf.data(), dst.data(), buf.size(), 0, 0.0);
   // Fresh session anchored past the pinned transfer: the link looks idle.
   const VTime epoch = topo_.LinkHorizon();
-  TransferTicket pageable =
+  const VTime pageable =
       dma_.Transfer(buf.data(), dst.data(), buf.size(), 0, 0.0,
                     /*pageable=*/true, epoch);
   const auto& cm = topo_.cost_model();
-  EXPECT_GT(pageable.ready_at(), pinned.ready_at() * 1.5);
-  EXPECT_NEAR(pageable.ready_at() - cm.dma_latency,
+  EXPECT_GT(pageable, pinned * 1.5);
+  EXPECT_NEAR(pageable - cm.dma_latency,
               (1 << 20) / cm.pcie_pageable_bw, 1e-9);
-  pinned.Wait();
-  pageable.Wait();
 }
 
 TEST_F(DmaTest, ConcurrentSessionsContendOnOneLink) {
   std::vector<uint8_t> buf(1 << 20), dst(1 << 20);
   // Session A (epoch 0) and session B (same epoch) share link 0: whichever
   // reserves second queues behind the first, and both see session-local times.
-  TransferTicket a = dma_.Transfer(buf.data(), dst.data(), buf.size(), 0, 0.0,
-                                   false, 0.0);
-  TransferTicket b = dma_.Transfer(buf.data(), dst.data(), buf.size(), 0, 0.0,
-                                   false, 0.0);
+  const VTime a = dma_.Transfer(buf.data(), dst.data(), buf.size(), 0, 0.0,
+                                false, 0.0);
+  const VTime b = dma_.Transfer(buf.data(), dst.data(), buf.size(), 0, 0.0,
+                                false, 0.0);
   const double one = topo_.cost_model().dma_latency +
                      (1 << 20) / topo_.cost_model().pcie_bw;
-  EXPECT_NEAR(a.ready_at(), one, 1e-12);
-  EXPECT_NEAR(b.ready_at(), 2 * one, 1e-12);
-  a.Wait();
-  b.Wait();
+  EXPECT_NEAR(a, one, 1e-12);
+  EXPECT_NEAR(b, 2 * one, 1e-12);
 }
 
 TEST_F(DmaTest, TransfersOnOneLinkQueue) {
   std::vector<uint8_t> buf(1 << 20), dst(1 << 20);
-  TransferTicket t1 = dma_.Transfer(buf.data(), dst.data(), buf.size(), 0, 0.0);
-  TransferTicket t2 = dma_.Transfer(buf.data(), dst.data(), buf.size(), 0, 0.0);
-  EXPECT_GT(t2.ready_at(), t1.ready_at());
-  t1.Wait();
-  t2.Wait();
+  const VTime t1 = dma_.Transfer(buf.data(), dst.data(), buf.size(), 0, 0.0);
+  const VTime t2 = dma_.Transfer(buf.data(), dst.data(), buf.size(), 0, 0.0);
+  EXPECT_GT(t2, t1);
 }
 
 TEST_F(DmaTest, SeparateLinksRunInParallel) {
-  // Distinct buffers per link: the two links' workers really do copy in
-  // parallel in wall clock, so sharing a destination would be a data race.
+  // In virtual time, not wall clock: both copies run on this thread, but
+  // each link is its own queue, so the second transfer does not wait for the
+  // first.
   std::vector<uint8_t> buf1(1 << 20), dst1(1 << 20);
   std::vector<uint8_t> buf2(1 << 20), dst2(1 << 20);
-  TransferTicket t1 = dma_.Transfer(buf1.data(), dst1.data(), buf1.size(), 0, 0.0);
-  TransferTicket t2 = dma_.Transfer(buf2.data(), dst2.data(), buf2.size(), 1, 0.0);
-  EXPECT_DOUBLE_EQ(t1.ready_at(), t2.ready_at());  // independent virtual queues
-  t1.Wait();
-  t2.Wait();
+  const VTime t1 = dma_.Transfer(buf1.data(), dst1.data(), buf1.size(), 0, 0.0);
+  const VTime t2 = dma_.Transfer(buf2.data(), dst2.data(), buf2.size(), 1, 0.0);
+  EXPECT_DOUBLE_EQ(t1, t2);  // independent virtual queues
 }
 
 class GpuDeviceTest : public ::testing::Test {
@@ -240,11 +231,10 @@ TEST_F(GpuDeviceTest, UvaBytesAnchorAtKernelGapNotStreamHorizon) {
   // kernel is pushed past the kernel's transfer, not past the far horizon.
   DmaEngine dma(&topo_);
   std::vector<uint8_t> buf(1 << 20), dst(1 << 20);
-  TransferTicket t =
+  const VTime t =
       dma.Transfer(buf.data(), dst.data(), buf.size(), 0, 0.0, false, 0.0);
-  EXPECT_GT(t.ready_at(), transfer);
-  EXPECT_LT(t.ready_at(), transfer + 1e-3);
-  t.Wait();
+  EXPECT_GT(t, transfer);
+  EXPECT_LT(t, transfer + 1e-3);
 }
 
 TEST_F(GpuDeviceTest, UvaKernelStaysAnchoredWhenLinkQueueingOutgrowsTheGap) {
@@ -256,7 +246,7 @@ TEST_F(GpuDeviceTest, UvaKernelStaysAnchoredWhenLinkQueueingOutgrowsTheGap) {
   // stack stream occupancy instead.
   DmaEngine dma(&topo_);
   std::vector<uint8_t> buf(12 << 20), dst(12 << 20);
-  TransferTicket t =  // ~1 ms of link-0 backlog the UVA bytes queue behind
+  const VTime t =  // ~1 ms of link-0 backlog the UVA bytes queue behind
       dma.Transfer(buf.data(), dst.data(), buf.size(), 0, 0.0, false, 0.0);
 
   auto noop = [](const KernelCtx&) {};
@@ -274,9 +264,8 @@ TEST_F(GpuDeviceTest, UvaKernelStaysAnchoredWhenLinkQueueingOutgrowsTheGap) {
   // than the gap; the kernel must stay at the probed start regardless.
   EXPECT_DOUBLE_EQ(r.start, 0.0);
   EXPECT_NEAR(r.end,
-              t.ready_at() + 1'000'000 / cm.pcie_bw + cm.kernel_launch_latency,
+              t + 1'000'000 / cm.pcie_bw + cm.kernel_launch_latency,
               1e-6);
-  t.Wait();
 }
 
 TEST_F(GpuDeviceTest, DmaQueuesBehindUvaKernel) {
@@ -291,13 +280,12 @@ TEST_F(GpuDeviceTest, DmaQueuesBehindUvaKernel) {
   gpu_.LaunchKernel(kernel, 64, 32, opts);
 
   std::vector<uint8_t> buf(1 << 20), dst(1 << 20);
-  TransferTicket t =
+  const VTime t =
       dma.Transfer(buf.data(), dst.data(), buf.size(), 0, 0.0, false, 0.0);
   const auto& cm = topo_.cost_model();
   const double solo = cm.dma_latency + (1 << 20) / cm.pcie_bw;
   // Queued behind the kernel's ~1 ms of link occupancy.
-  EXPECT_GT(t.ready_at(), solo + 0.9e-3);
-  t.Wait();
+  EXPECT_GT(t, solo + 0.9e-3);
 }
 
 TEST_F(GpuDeviceTest, UvaKernelQueuesBehindDma) {
@@ -305,7 +293,7 @@ TEST_F(GpuDeviceTest, UvaKernelQueuesBehindDma) {
   // kernel's transfer (and therefore the kernel) is pushed out.
   DmaEngine dma(&topo_);
   std::vector<uint8_t> buf(12 << 20), dst(12 << 20);
-  TransferTicket t =
+  const VTime t =
       dma.Transfer(buf.data(), dst.data(), buf.size(), 0, 0.0, false, 0.0);
 
   auto kernel = [&](const KernelCtx& ctx) {
@@ -317,11 +305,10 @@ TEST_F(GpuDeviceTest, UvaKernelQueuesBehindDma) {
   const auto& cm = topo_.cost_model();
   // Solo the kernel would finish in launch + 1MB/12GB/s; behind 12 MB of DMA
   // it cannot end before the DMA drained plus its own bytes.
-  EXPECT_GT(r.end, t.ready_at());
+  EXPECT_GT(r.end, t);
   EXPECT_NEAR(r.end,
-              t.ready_at() + 1'000'000 / cm.pcie_bw + cm.kernel_launch_latency,
+              t + 1'000'000 / cm.pcie_bw + cm.kernel_launch_latency,
               1e-6);
-  t.Wait();
 }
 
 TEST_F(GpuDeviceTest, EpochPastStreamBacklogStartsFresh) {

@@ -52,18 +52,15 @@ TEST_F(PeerLinkTest, FunctionalCopy) {
   std::vector<uint8_t> src(4096);
   std::iota(src.begin(), src.end(), 0);
   std::vector<uint8_t> dst(4096, 0);
-  TransferTicket t =
-      dma_.Transfer(src.data(), dst.data(), src.size(), PeerLink(), 0.0);
-  t.Wait();
+  dma_.Transfer(src.data(), dst.data(), src.size(), PeerLink(), 0.0);
   EXPECT_EQ(std::memcmp(src.data(), dst.data(), src.size()), 0);
 }
 
 TEST_F(PeerLinkTest, ModeledTimeMatchesNvlinkRate) {
   std::vector<uint8_t> buf(1 << 20), dst(1 << 20);
-  TransferTicket t =
+  const VTime t =
       dma_.Transfer(buf.data(), dst.data(), buf.size(), PeerLink(), 0.0);
-  EXPECT_NEAR(t.ready_at(), OneTransfer(1 << 20), 1e-12);
-  t.Wait();
+  EXPECT_NEAR(t, OneTransfer(1 << 20), 1e-12);
 }
 
 TEST_F(PeerLinkTest, TwoSessionsQueueFifoOnOneLink) {
@@ -71,42 +68,37 @@ TEST_F(PeerLinkTest, TwoSessionsQueueFifoOnOneLink) {
   // Session A (epoch 0) and session B (same epoch) share the one NVLink:
   // whichever reserves second queues behind the first, FIFO, and each sees
   // session-local completion times.
-  TransferTicket a = dma_.Transfer(buf.data(), dst.data(), buf.size(),
-                                   PeerLink(), 0.0, false, 0.0);
-  TransferTicket b = dma_.Transfer(buf.data(), dst.data(), buf.size(),
-                                   PeerLink(), 0.0, false, 0.0);
+  const VTime a = dma_.Transfer(buf.data(), dst.data(), buf.size(),
+                                PeerLink(), 0.0, false, 0.0);
+  const VTime b = dma_.Transfer(buf.data(), dst.data(), buf.size(),
+                                PeerLink(), 0.0, false, 0.0);
   const double one = OneTransfer(1 << 20);
-  EXPECT_NEAR(a.ready_at(), one, 1e-12);
-  EXPECT_NEAR(b.ready_at(), 2 * one, 1e-12);
-  a.Wait();
-  b.Wait();
+  EXPECT_NEAR(a, one, 1e-12);
+  EXPECT_NEAR(b, 2 * one, 1e-12);
 }
 
 TEST_F(PeerLinkTest, ContentionNeverSpeedsUpATransfer) {
   std::vector<uint8_t> buf(1 << 20), dst(1 << 20);
   // Solo reference on a fresh session anchored at the link horizon.
-  TransferTicket solo = dma_.Transfer(buf.data(), dst.data(), buf.size(),
-                                      PeerLink(), 0.0, false,
-                                      topo_.LinkHorizon());
-  const double solo_t = solo.ready_at();
-  solo.Wait();
+  const VTime solo_t = dma_.Transfer(buf.data(), dst.data(), buf.size(),
+                                     PeerLink(), 0.0, false,
+                                     topo_.LinkHorizon());
   // Four same-epoch sessions contend for the link: completion order is the
   // issue order, every transfer takes at least the solo time, and each later
   // one only ever finishes later — contention never speeds anything up.
   const VTime epoch = topo_.LinkHorizon();
-  std::vector<TransferTicket> tickets;
+  std::vector<VTime> done;
   for (int i = 0; i < 4; ++i) {
-    tickets.push_back(dma_.Transfer(buf.data(), dst.data(), buf.size(),
-                                    PeerLink(), 0.0, false, epoch));
+    done.push_back(dma_.Transfer(buf.data(), dst.data(), buf.size(),
+                                 PeerLink(), 0.0, false, epoch));
   }
   double prev = 0;
-  for (size_t i = 0; i < tickets.size(); ++i) {
-    EXPECT_GE(tickets[i].ready_at(), solo_t - 1e-12) << "transfer " << i;
-    EXPECT_GT(tickets[i].ready_at(), prev) << "transfer " << i;
-    EXPECT_NEAR(tickets[i].ready_at(), (i + 1) * solo_t, 1e-9);
-    prev = tickets[i].ready_at();
+  for (size_t i = 0; i < done.size(); ++i) {
+    EXPECT_GE(done[i], solo_t - 1e-12) << "transfer " << i;
+    EXPECT_GT(done[i], prev) << "transfer " << i;
+    EXPECT_NEAR(done[i], (i + 1) * solo_t, 1e-9);
+    prev = done[i];
   }
-  for (auto& t : tickets) t.Wait();
 }
 
 TEST_F(PeerLinkTest, PeerBacklogRaisesLinkHorizon) {
