@@ -201,7 +201,13 @@ void ReportSpanTiers(core::System& system, const core::GraphBuilder& builder,
 
   if (print) std::printf("span tiers + program cache:\n");
   for (const auto& stage : spec.build_stages) {
-    report_stage(stage, "build", compiler.CompileSpan(stage.span, nullptr));
+    const core::GraphBuilder::BuildPipelines pipelines =
+        builder.CompileBuildPipelines(stage, &compiler);
+    if (stage.filter_stage >= 0) {
+      report_stage(spec.build_filter_stages[stage.filter_stage], "build",
+                   pipelines.filter);
+    }
+    report_stage(stage, "build", pipelines.build);
   }
   // Fact stages compile through the same schema-threading path execution uses.
   const std::vector<core::CompiledPipeline> pipelines =

@@ -1,5 +1,6 @@
 #include "core/compiler.h"
 
+#include <algorithm>
 #include <functional>
 #include <set>
 
@@ -99,9 +100,10 @@ CompiledPipeline QueryCompiler::CompileSpan(
   switch (span.role) {
     case plan::StageRole::kBuild:
       HETEX_CHECK(span.join_id >= 0) << "build span without a join id stamp";
-      return CompileBuild(span.join_id);
+      return CompileBuild(span.join_id, upstream_schema);
     case plan::StageRole::kFilterStage:
-      return CompileFilterStage(span.n_buckets);
+      return span.join_id >= 0 ? CompileBuildFilter(span.join_id)
+                               : CompileFilterStage(span.n_buckets);
     case plan::StageRole::kProbe:
       return CompileProbe(upstream_schema);
     case plan::StageRole::kGather:
@@ -111,15 +113,22 @@ CompiledPipeline QueryCompiler::CompileSpan(
   return {};
 }
 
-CompiledPipeline QueryCompiler::CompileBuild(int join_id) const {
+CompiledPipeline QueryCompiler::CompileBuild(
+    int join_id, const std::vector<ColSlot>* input_schema) const {
   const auto& join = spec_->joins.at(join_id);
   const storage::Table& table = catalog_->at(join.build_table);
 
   CompiledPipeline out;
   ProgramBuilder b;
-  PipelineResolver cols(&table, &out.input_cols);
+  PipelineResolver cols = input_schema == nullptr
+                              ? PipelineResolver(&table, &out.input_cols)
+                              : PipelineResolver(*input_schema, &out.input_cols);
 
-  if (join.build_filter != nullptr) {
+  if (input_schema != nullptr) {
+    // Packed survivors of a build-side filter stage: the filter already ran,
+    // and the wire columns bind positionally (see CompileProbe).
+    for (const auto& slot : *input_schema) cols.ResolveColumn(slot.name, b);
+  } else if (join.build_filter != nullptr) {
     const int pred = join.build_filter->Gen(b, cols);
     b.EmitOp(OpCode::kFilter, pred);
   }
@@ -292,6 +301,37 @@ CompiledPipeline QueryCompiler::CompileFilterStage(int n_buckets) const {
   b.EmitOp(OpCode::kEmit, first, static_cast<int>(regs.size()), tag, /*tagged=*/1);
 
   out.program = b.Finalize(spec_->name + ".filter-stage");
+  return out;
+}
+
+CompiledPipeline QueryCompiler::CompileBuildFilter(int join_id) const {
+  const auto& join = spec_->joins.at(join_id);
+  const storage::Table& table = catalog_->at(join.build_table);
+
+  CompiledPipeline out;
+  ProgramBuilder b;
+  PipelineResolver cols(&table, &out.input_cols);
+
+  if (join.build_filter != nullptr) {
+    const int pred = join.build_filter->Gen(b, cols);
+    b.EmitOp(OpCode::kFilter, pred);
+  }
+
+  // Surviving columns: the build key, then the payload columns it does not
+  // repeat. A broadcast feeds every replica, so the emit is untagged.
+  std::vector<std::string> kept = {join.build_key};
+  for (const auto& p : join.payload) {
+    if (std::find(kept.begin(), kept.end(), p) == kept.end()) kept.push_back(p);
+  }
+  std::vector<int> regs;
+  for (const auto& name : kept) {
+    regs.push_back(cols.ResolveColumn(name, b));
+    out.output_cols.push_back({name, table.column(name).width()});
+  }
+  const int first = MakeContiguous(b, regs);
+  b.EmitOp(OpCode::kEmit, first, static_cast<int>(regs.size()), 0, /*tagged=*/0);
+
+  out.program = b.Finalize(spec_->name + ".build-filter[" + join.build_table + "]");
   return out;
 }
 

@@ -58,12 +58,16 @@ class QueryCompiler {
   /// plan::AnalyzePlan cuts the DAG into spans).
   ///
   /// `upstream_schema` is the producer span's emit schema when the span reads
-  /// packed intermediate blocks (stage B of a split plan) instead of a table.
+  /// packed intermediate blocks (stage B of a split plan, or a build fed by a
+  /// build-side filter stage) instead of a table.
   CompiledPipeline CompileSpan(const plan::Span& span,
                                const std::vector<ColSlot>* upstream_schema) const;
 
   /// Build pipeline of join `j`: filter + key/payload extraction + HT insert.
-  CompiledPipeline CompileBuild(int join_id) const;
+  /// When `input_schema` is non-null, the pipeline reads that packed schema
+  /// (the survivors of a build-side filter stage) and skips the filter.
+  CompiledPipeline CompileBuild(
+      int join_id, const std::vector<ColSlot>* input_schema = nullptr) const;
 
   /// The fused fact pipeline: filters, all probe loops, local aggregation.
   /// When `input_schema` is non-null, the pipeline reads that schema (stage B of
@@ -73,6 +77,10 @@ class QueryCompiler {
   /// Stage A of a split plan: filter + hash-pack emit of the surviving columns.
   /// `n_buckets` hash-pack buckets keyed on the first join's probe key.
   CompiledPipeline CompileFilterStage(int n_buckets) const;
+
+  /// Build-side filter stage of join `join_id` (hybrid plans): the build
+  /// filter + an untagged pack emit of the survivors' build key and payload.
+  CompiledPipeline CompileBuildFilter(int join_id) const;
 
   /// Global merge of partial aggregates (the gather pipeline).
   CompiledPipeline CompileGather() const;

@@ -46,13 +46,15 @@ ProcessorFactory FactoryFor(const StageConfig* cfg) {
 
 int LoweredSpec::TotalInstances() const {
   int total = 0;
-  for (const auto& s : build_stages) total += static_cast<int>(s.instances.size());
-  for (const auto& s : fact_stages) total += static_cast<int>(s.instances.size());
+  for (const auto* stages : {&build_filter_stages, &build_stages, &fact_stages}) {
+    for (const auto& s : *stages) total += static_cast<int>(s.instances.size());
+  }
   return total;
 }
 
 int LoweredSpec::TotalEdges() const {
-  return static_cast<int>(build_stages.size() + fact_stages.size());
+  return static_cast<int>(build_filter_stages.size() + build_stages.size() +
+                          fact_stages.size());
 }
 
 std::string LoweredSpec::ToString() const {
@@ -62,9 +64,7 @@ std::string LoweredSpec::ToString() const {
      << " instance(s)\n";
   auto print_stage = [&os](const StageSpec& stage, const char* label) {
     os << label << " " << plan::StageRoleName(stage.span.role);
-    if (stage.span.role == plan::StageRole::kBuild) {
-      os << " ht[" << stage.span.join_id << "]";
-    }
+    if (stage.span.join_id >= 0) os << " ht[" << stage.span.join_id << "]";
     os << " x" << stage.instances.size() << " [";
     for (size_t i = 0; i < stage.instances.size(); ++i) {
       os << (i ? " " : "") << stage.instances[i].ToString();
@@ -79,7 +79,12 @@ std::string LoweredSpec::ToString() const {
     }
     os << " control=" << stage.in.options.control_cost << "\n";
   };
-  for (const auto& stage : build_stages) print_stage(stage, "build stage:");
+  for (const auto& stage : build_stages) {
+    if (stage.filter_stage >= 0) {
+      print_stage(build_filter_stages[stage.filter_stage], "build stage:");
+    }
+    print_stage(stage, "build stage:");
+  }
   for (const auto& stage : fact_stages) print_stage(stage, "fact stage:");
   return os.str();
 }
@@ -102,6 +107,7 @@ Status GraphBuilder::Analyze() {
       out.branch_nodes.push_back(branch.nodes);
     }
     out.instances = stage.instances;
+    out.cores = stage.cores;
     static_cast<plan::Exchange&>(out.in) = stage.in;
     Edge::Options& options = out.in.options;
     if (stage.in.router != -1) {
@@ -116,8 +122,12 @@ Status GraphBuilder::Analyze() {
     options.mem_move = !stage.in.uva;
     return out;
   };
+  for (const plan::Stage& stage : analysis->build_filter_stages) {
+    spec_.build_filter_stages.push_back(lower(stage));
+  }
   for (const plan::Stage& stage : analysis->build_stages) {
     StageSpec lowered = lower(stage);
+    lowered.filter_stage = stage.filter_stage;
     // A unit's instances fill one replica together: each unit receives every
     // block once, rotated over its instances.
     lowered.in.options.unit_broadcast =
@@ -222,6 +232,18 @@ std::vector<CompiledPipeline> GraphBuilder::CompileFactPipelines(
   return out;
 }
 
+GraphBuilder::BuildPipelines GraphBuilder::CompileBuildPipelines(
+    const StageSpec& stage, QueryCompiler* compiler) const {
+  BuildPipelines out;
+  if (stage.filter_stage >= 0) {
+    out.filter = compiler->CompileSpan(
+        spec_.build_filter_stages[stage.filter_stage].span, nullptr);
+  }
+  out.build = compiler->CompileSpan(
+      stage.span, stage.filter_stage >= 0 ? &out.filter.output_cols : nullptr);
+  return out;
+}
+
 Status GraphBuilder::Run(QueryCompiler* compiler, QueryResult* result) {
   const plan::HetPlan& plan = *plan_;
   if (spec_.fact_stages.empty()) {
@@ -231,10 +253,15 @@ Status GraphBuilder::Run(QueryCompiler* compiler, QueryResult* result) {
   // The session anchors this query on the shared virtual timeline: its epoch
   // offsets every reservation on contended resources (PCIe links, GPU
   // streams), its id namespaces the hash tables in the System-shared registry.
-  const QuerySession session =
+  QuerySession session =
       session_ != nullptr
           ? *session_
           : QuerySession{system_->NextQueryId(), system_->VirtualHorizon()};
+  // Every run stops as a whole on its first failure (QueryControl::Fail); an
+  // unscheduled run gets a control of its own for that.
+  QueryControl local_control;
+  if (session.control == nullptr) session.control = &local_control;
+  const QueryControl* control = session.control;
   HtRegistry& hts = system_->hts();
   // The namespace only lives for the run; release it on every exit path.
   struct HtNamespaceGuard {
@@ -267,9 +294,10 @@ Status GraphBuilder::Run(QueryCompiler* compiler, QueryResult* result) {
     return cfg;
   };
 
-  // Lifts the first per-instance runtime error (e.g. division by zero) out of
-  // a joined worker group.
-  auto group_error = [](WorkerGroup& group) {
+  // Lifts the run's first failure, else the first per-instance runtime error
+  // (e.g. division by zero), out of a joined worker group.
+  auto group_error = [control](WorkerGroup& group) {
+    if (Status st = control->failure(); !st.ok()) return st;
     for (int i = 0; i < group.size(); ++i) {
       if (!group.instance(i).error().ok()) return group.instance(i).error();
     }
@@ -305,7 +333,7 @@ Status GraphBuilder::Run(QueryCompiler* compiler, QueryResult* result) {
     *out = std::make_unique<SourceDriver>(system_, table, std::move(indices),
                                           block_rows, edge, clock,
                                           seg.per_block_cost);
-    (*out)->set_control(session.control);
+    (*out)->set_control(control);
     return Status::OK();
   };
 
@@ -401,13 +429,11 @@ Status GraphBuilder::Run(QueryCompiler* compiler, QueryResult* result) {
                      [&](size_t a, size_t b) { return acqs[a].key < acqs[b].key; });
     for (size_t idx : order) {
       SharedAcq& acq = acqs[idx];
-      acq.lease = hts.AcquireShared(acq.key, session.query_id, session.control,
+      acq.lease = hts.AcquireShared(acq.key, session.query_id, control,
                                     acq.table, acq.epoch);
       if (acq.lease.role == SharedBuildLease::Role::kCancelled) {
         // Build roles already won are failed over by shared_guard on return.
-        return session.control != nullptr &&
-                       session.control->deadline_hit.load(
-                           std::memory_order_relaxed)
+        return control->deadline_hit.load(std::memory_order_relaxed)
                    ? Status::DeadlineExceeded(
                          "query deadline expired while waiting on a shared "
                          "hash-table build")
@@ -462,35 +488,127 @@ Status GraphBuilder::Run(QueryCompiler* compiler, QueryResult* result) {
   // Each unit runs this query's builds one join after another, in plan order,
   // on all of its instances: a join's instances on a unit start when that
   // unit's previous build ended (dependency order, not host thread timing).
-  // So the build phase's DRAM intervals reserve each socket's widest build,
-  // not the sum over joins. They open at the modeled build start; each
+  // Build-side filter stages run on the same cores before the builds. So the
+  // build phase's DRAM intervals reserve each socket's widest stage, not the
+  // sum over joins. They open at the modeled build start; each
   // socket's is closed (not discarded) at that socket's fact-phase start once
   // the units' replica readiness is known, so [init_clock, socket start)
   // stays on the timeline for later sessions.
   SocketWorkers build_workers;
   for (const StageSpec* stage : exec_builds) {
     CountWorkers(*stage, /*concurrent=*/false, &build_workers);
+    if (stage->filter_stage >= 0) {
+      CountWorkers(spec_.build_filter_stages[stage->filter_stage],
+                   /*concurrent=*/false, &build_workers);
+    }
   }
   DramPhaseGuard build_dram(&system_->topology(), session, build_workers,
                             [&](int) { return init_clock; });
   std::map<int, sim::VTime> unit_free;  // unit key -> end of its latest build
-  for (const StageSpec* stage_ptr : exec_builds) {
-    const StageSpec& stage = *stage_ptr;
-    const int join = stage.span.join_id;
-    // Hand-mutated plans reach here through ExecutePlan: a stamped join id
-    // the query does not have must surface as a Status, not a crash.
+  auto free_at = [&](sim::DeviceId dev) {
+    auto it = unit_free.find(HtRegistry::UnitOf(dev));
+    return it != unit_free.end() ? it->second : init_clock;
+  };
+
+  // End of each core's latest build-side filter instance (see plan::Core).
+  std::map<plan::Core, sim::VTime> filter_end;
+
+  // A build-side filter stage runs to completion on its CPU workers, each
+  // starting when its core's previous filter instance ended. Its packed
+  // survivors come back in replay order — (ready time, producer instance,
+  // sequence) — with the node holding them.
+  struct Survivor {
+    DataMsg msg;
+    sim::MemNodeId node;
+  };
+  auto run_build_filter = [&](const StageSpec& stage, CompiledPipeline pipeline,
+                              std::vector<Survivor>* survivors) -> Status {
+    RuntimeStage rt;
+    rt.cfg = make_config(stage);
+    rt.cfg->pipeline = std::move(pipeline);
+    std::vector<std::vector<DataMsg>> collected(stage.instances.size());
+    rt.cfg->collect = &collected;
+    std::vector<sim::VTime> starts;
+    for (const plan::Core& core : stage.cores) {
+      auto it = filter_end.find(core);
+      starts.push_back(it != filter_end.end() ? it->second : init_clock);
+    }
+    rt.group = std::make_unique<WorkerGroup>(
+        system_, stage.instances, FactoryFor(rt.cfg.get()), nullptr,
+        channel_capacity, std::move(starts), session.epoch, session.query_id,
+        control);
+    rt.edge = std::make_unique<Edge>(system_, session_edge_options(stage),
+                                     rt.group->instance_ptrs());
+    HETEX_RETURN_NOT_OK(
+        make_source(stage, *rt.cfg, rt.edge.get(), init_clock, &rt.source));
+    rt.group->Start();
+    rt.source->Start();
+    rt.source->Join();
+    rt.group->Join();
+    result->stats.Add(rt.group->total_stats());
+    for (int k = 0; k < rt.group->size(); ++k) {
+      const WorkerInstance& inst = rt.group->instance(k);
+      filter_end[stage.cores[k]] = inst.clock();
+      for (DataMsg& msg : collected[k]) {
+        survivors->push_back({std::move(msg), inst.node()});
+      }
+    }
+    // Instance-major collection keeps (instance, sequence) order among equal
+    // ready times.
+    std::stable_sort(survivors->begin(), survivors->end(),
+                     [](const Survivor& a, const Survivor& b) {
+                       return a.msg.ready_at < b.msg.ready_at;
+                     });
+    return group_error(*rt.group);
+  };
+
+  // Hand-mutated plans reach here through ExecutePlan: a stamped join id the
+  // query does not have must surface as a Status, not a crash.
+  for (const StageSpec* stage : exec_builds) {
+    const int join = stage->span.join_id;
     if (join < 0 || join >= static_cast<int>(compiler->spec().joins.size())) {
       return Status::InvalidArgument(
           "build span stamped with join id " + std::to_string(join) +
           " but the query has " +
           std::to_string(compiler->spec().joins.size()) + " join(s)");
     }
+  }
+
+  // One stage per core at a time: every core first runs its share of the
+  // build-side filter stages, one after another, then its builds. So the
+  // GPUs' survivors are ready after the sockets' filters alone, not behind
+  // the sockets' own builds. Survivors still held on an early return go back
+  // to their arenas.
+  struct HeldSurvivors {
+    System* system;
+    std::vector<std::vector<Survivor>> by_build;
+    ~HeldSurvivors() {
+      for (auto& survivors : by_build) {
+        for (Survivor& sv : survivors) ReleaseMsgBlocks(system, sv.msg, sv.node);
+      }
+    }
+  } held{system_, std::vector<std::vector<Survivor>>(exec_builds.size())};
+  std::vector<BuildPipelines> build_pipelines(exec_builds.size());
+  for (size_t b = 0; b < exec_builds.size(); ++b) {
+    build_pipelines[b] = CompileBuildPipelines(*exec_builds[b], compiler);
+    if (exec_builds[b]->filter_stage < 0) continue;
+    HETEX_RETURN_NOT_OK(run_build_filter(
+        spec_.build_filter_stages[exec_builds[b]->filter_stage],
+        std::move(build_pipelines[b].filter), &held.by_build[b]));
+  }
+
+  for (size_t b = 0; b < exec_builds.size(); ++b) {
+    const StageSpec& stage = *exec_builds[b];
+    const int join = stage.span.join_id;
     RuntimeStage rt;
     rt.cfg = make_config(stage);
-    rt.cfg->pipeline = compiler->CompileSpan(stage.span, nullptr);
-    // One replica per unit, created before any of its writers runs.
+    rt.cfg->pipeline = std::move(build_pipelines[b].build);
+    // One replica per unit, created before any of its writers runs. An
+    // instance starts after its unit's previous build and after its core's
+    // filter instances.
     std::vector<sim::VTime> starts;
-    for (const auto& dev : stage.instances) {
+    for (size_t k = 0; k < stage.instances.size(); ++k) {
+      const sim::DeviceId dev = stage.instances[k];
       const int unit = HtRegistry::UnitOf(dev);
       auto [it, fresh] = rt.cfg->build_replicas.try_emplace(unit);
       if (fresh) {
@@ -501,20 +619,35 @@ Status GraphBuilder::Run(QueryCompiler* compiler, QueryResult* result) {
             compiler->JoinPayloadWidth(join));
       }
       ++it->second.writers;
-      auto free = unit_free.find(unit);
-      starts.push_back(free != unit_free.end() ? free->second : init_clock);
+      auto filtered = filter_end.find(stage.cores[k]);
+      starts.push_back(filtered != filter_end.end()
+                           ? sim::MaxT(free_at(dev), filtered->second)
+                           : free_at(dev));
     }
     rt.group = std::make_unique<WorkerGroup>(
         system_, stage.instances, FactoryFor(rt.cfg.get()), nullptr,
         channel_capacity, std::move(starts), session.epoch, session.query_id,
-        session.control);
+        control);
     rt.edge = std::make_unique<Edge>(system_, session_edge_options(stage),
                                      rt.group->instance_ptrs());
-    HETEX_RETURN_NOT_OK(
-        make_source(stage, *rt.cfg, rt.edge.get(), init_clock, &rt.source));
-    rt.group->Start();
-    rt.source->Start();
-    rt.source->Join();
+    if (stage.filter_stage < 0) {
+      HETEX_RETURN_NOT_OK(
+          make_source(stage, *rt.cfg, rt.edge.get(), init_clock, &rt.source));
+      rt.group->Start();
+      rt.source->Start();
+      rt.source->Join();
+    } else {
+      // One thread replays the survivors into the broadcast, so which
+      // instance inserts which block, and the order in which each GPU link
+      // is reserved, depend only on data and plan.
+      rt.group->Start();
+      rt.edge->AddProducer();
+      for (Survivor& sv : held.by_build[b]) {
+        rt.edge->Push(std::move(sv.msg), sv.node);
+      }
+      held.by_build[b].clear();
+      rt.edge->CloseProducer();
+    }
     rt.group->Join();
     result->stats.Add(rt.group->total_stats());
     HETEX_RETURN_NOT_OK(group_error(*rt.group));
@@ -539,9 +672,8 @@ Status GraphBuilder::Run(QueryCompiler* compiler, QueryResult* result) {
     // Cooperative cancellation/deadline stops leave cleanly-joined build
     // groups with partial hash tables; those must never be published.
     const bool stopped =
-        session.control != nullptr &&
-        (session.control->cancelled.load(std::memory_order_relaxed) ||
-         session.control->deadline_hit.load(std::memory_order_relaxed));
+        control->stopped.load(std::memory_order_relaxed) ||
+        control->deadline_hit.load(std::memory_order_relaxed);
     for (SharedAcq& acq : acqs) {
       if (stopped || acq.stage != &stage ||
           acq.lease.role != SharedBuildLease::Role::kBuild) {
@@ -631,7 +763,7 @@ Status GraphBuilder::Run(QueryCompiler* compiler, QueryResult* result) {
     rt.group = std::make_unique<WorkerGroup>(
         system_, stage.instances, FactoryFor(rt.cfg.get()), downstream,
         channel_capacity, std::move(starts[i]), session.epoch,
-        session.query_id, session.control);
+        session.query_id, control);
     rt.edge = std::make_unique<Edge>(system_, session_edge_options(stage),
                                      rt.group->instance_ptrs());
     downstream = rt.edge.get();

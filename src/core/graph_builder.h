@@ -27,15 +27,23 @@ struct StageSpec {
   plan::Span span;                      ///< representative span (first branch)
   std::vector<std::vector<int>> branch_nodes;  ///< per-branch span node chains
   std::vector<sim::DeviceId> instances;        ///< concatenated branch placements
+  std::vector<plan::Core> cores;               ///< the core of each instance
   EdgeSpec in;
+  /// Build stages: index of the build-side filter stage feeding this one in
+  /// LoweredSpec::build_filter_stages (-1: segmenter-fed).
+  int filter_stage = -1;
 };
 
 /// \brief The physical-graph description lowered from a validated HetPlan:
 /// what GraphBuilder instantiates and what plan_explorer prints.
 struct LoweredSpec {
-  /// Join-build stages, each a self-contained source→edge→group graph. Each
-  /// unit runs them one after another, in this order, before the fact side.
+  /// Join-build stages, each a self-contained source→edge→group graph, or
+  /// fed by its build-side filter stage. Each unit runs them one after
+  /// another, in this order, before the fact side.
   std::vector<StageSpec> build_stages;
+  /// Build-side filter stages (segmenter→edge→group), each run to completion
+  /// before the build stage it feeds.
+  std::vector<StageSpec> build_filter_stages;
   /// Fact-side stages in consumer→producer order: gather first, then the probe
   /// stage, then (split plans) the filter stage; the last one is segmenter-fed.
   std::vector<StageSpec> fact_stages;
@@ -55,8 +63,9 @@ struct LoweredSpec {
 /// operators and the parameters BuildHetPlan stamped on them, the same
 /// analysis PlanCoster prices); Run() instantiates SourceDrivers, Edges and
 /// WorkerGroups from that spec and orchestrates the phased execution (builds
-/// one join after another on each unit, then the fact graph, each probe
-/// instance gated on the hash-table replicas of its own unit). Any
+/// one join after another on each unit — a filter-fed build after its filter
+/// stage — then the fact graph, each probe instance gated on the hash-table
+/// replicas of its own unit). Any
 /// plan shape whose spans classify — split filter/probe stages, per-edge
 /// policy/placement/granularity mutations — runs without executor changes.
 ///
@@ -90,6 +99,17 @@ class GraphBuilder {
   /// (consumer first).
   std::vector<CompiledPipeline> CompileFactPipelines(
       QueryCompiler* compiler) const;
+
+  /// A build stage's pipelines: the build-side filter stage feeding it (an
+  /// empty pipeline when segmenter-fed) and the build, which then reads that
+  /// stage's packed survivors. Shared by Run() and tooling like
+  /// CompileFactPipelines.
+  struct BuildPipelines {
+    CompiledPipeline filter;
+    CompiledPipeline build;
+  };
+  BuildPipelines CompileBuildPipelines(const StageSpec& stage,
+                                       QueryCompiler* compiler) const;
 
   /// Instantiates the runtime objects from the analyzed spec and executes the
   /// query, filling `result` (rows, modeled/virtual time, work stats).

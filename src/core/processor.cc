@@ -176,7 +176,11 @@ void VmProcessor::PushPending(WorkerInstance& inst, sim::VTime ready_at) {
   for (auto& msg : pending_) {
     msg.ready_at = ready_at;
     for (auto& h : msg.cols) h.ready_at = ready_at;
-    cfg_->out->Push(std::move(msg), inst.node());
+    if (cfg_->collect != nullptr) {
+      (*cfg_->collect)[inst.id()].push_back(std::move(msg));
+    } else {
+      cfg_->out->Push(std::move(msg), inst.node());
+    }
   }
   pending_.clear();
 }

@@ -31,6 +31,10 @@ struct StageConfig {
   HtRegistry* hts = nullptr;
   Edge* out = nullptr;          ///< downstream edge (null for gather)
   ResultSink* result = nullptr; ///< gather only
+  /// Build-side filter stages: instance i appends its packed output to
+  /// (*collect)[i] instead of pushing it into `out`; GraphBuilder replays the
+  /// blocks into the build's broadcast in a fixed order.
+  std::vector<std::vector<DataMsg>>* collect = nullptr;
 
   /// Build stages: the join replica of each unit (HtRegistry::UnitOf key),
   /// created once before the group starts, and how many of the group's

@@ -8,14 +8,16 @@ namespace hetex::core {
 
 WorkerInstance::WorkerInstance(int id, sim::DeviceId device, System* system,
                                size_t channel_capacity, sim::VTime epoch,
-                               uint64_t query_id)
+                               uint64_t query_id, const QueryControl* control)
     : id_(id),
       device_(device),
       system_(system),
+      control_(control),
       provider_(system->MakeProvider(device)),
       channel_(channel_capacity) {
   provider_->set_session_epoch(epoch);
   provider_->set_session_id(query_id);
+  if (control != nullptr) provider_->set_stop_flag(&control->stopped);
 }
 
 Edge::Edge(System* system, Options options, std::vector<WorkerInstance*> consumers)
@@ -105,7 +107,7 @@ DataMsg Edge::MoveToNode(DataMsg msg, sim::MemNodeId target_node,
       Status acquire_error = Status::OK();
       memory::Block* dst = system_->blocks().Acquire(
           hop.to, producer_node, &acquire_error,
-          options_.control != nullptr ? &options_.control->cancelled : nullptr);
+          options_.control != nullptr ? &options_.control->stopped : nullptr);
       if (dst == nullptr) {
         fail = std::move(acquire_error);
       } else if (sim::FaultInjector& inj = system_->fault(); inj.enabled()) {
@@ -134,6 +136,7 @@ DataMsg Edge::MoveToNode(DataMsg msg, sim::MemNodeId target_node,
   ReleaseMsgBlocks(system_, msg, producer_node);
   if (!fail.ok()) {
     ReleaseMsgBlocks(system_, out, producer_node);
+    if (options_.control != nullptr) options_.control->Fail(fail);
     out.error = std::move(fail);
   }
   return out;
@@ -181,10 +184,10 @@ void Edge::DeliverTo(WorkerInstance* target, DataMsg msg,
 
 void Edge::Push(DataMsg msg, sim::MemNodeId producer_node) {
   if (options_.control != nullptr && msg.error.ok() &&
-      options_.control->cancelled.load(std::memory_order_relaxed)) {
-    // Cancelled query: stop moving data, just drop the payload. (Error-marked
-    // messages still flow — the terminal status is stamped by the scheduler,
-    // but consumers must observe the fault to stop cleanly.)
+      options_.control->stopped.load(std::memory_order_relaxed)) {
+    // Stopped run (cancelled, or failed elsewhere): stop moving data, just
+    // drop the payload. (Error-marked messages still flow — consumers must
+    // observe the fault to stop cleanly.)
     ReleaseMsgBlocks(system_, msg, producer_node);
     return;
   }
@@ -275,7 +278,7 @@ WorkerGroup::WorkerGroup(System* system, std::vector<sim::DeviceId> devices,
   int id = 0;
   for (const auto& dev : devices) {
     instances_.push_back(std::make_unique<WorkerInstance>(
-        id++, dev, system, channel_capacity, epoch, query_id));
+        id++, dev, system, channel_capacity, epoch, query_id, control));
   }
 }
 
@@ -310,10 +313,11 @@ void WorkerGroup::RunInstance(WorkerInstance& inst) {
   processor->Init(inst);
   while (auto msg = inst.channel().Pop()) {
     inst.NoteDequeued();
-    // A mem-move failure marker, a cancellation or an expired deadline all put
-    // the instance into error-drain mode: ProcessMsg becomes a no-op, the
-    // channel keeps draining (so producers never block on backpressure), and
-    // Finish's error path runs the usual cleanup.
+    // A mem-move failure marker or a stopped run (cancellation, an expired
+    // deadline, a failure elsewhere) puts the instance into error-drain mode:
+    // ProcessMsg becomes a no-op, the channel keeps draining (so producers
+    // never block on backpressure), and Finish's error path runs the usual
+    // cleanup.
     if (!msg->error.ok()) inst.NoteError(std::move(msg->error));
     if (control_ != nullptr && inst.error().ok()) {
       inst.NoteError(control_->CheckLive(inst.clock()));

@@ -62,9 +62,11 @@ class WorkerInstance {
   /// provider's reservations on shared resources (GPU streams). `query_id`
   /// identifies the session in the cross-session resource registries (DRAM
   /// fluid shares exclude the query's own registration from the divisor).
+  /// The instance's first error stops the run `control` names, and the
+  /// provider's staging waits return at once when it stops.
   WorkerInstance(int id, sim::DeviceId device, System* system,
                  size_t channel_capacity, sim::VTime epoch = 0.0,
-                 uint64_t query_id = 0);
+                 uint64_t query_id = 0, const QueryControl* control = nullptr);
 
   int id() const { return id_; }
   sim::DeviceId device() const { return device_; }
@@ -86,10 +88,13 @@ class WorkerInstance {
 
   /// First runtime error of this instance (e.g. a division-by-zero surfaced by
   /// the JIT tiers). Set by the instance's own worker thread; read by the
-  /// orchestrator after Join() and lifted into QueryResult::status.
+  /// orchestrator after Join() and lifted into QueryResult::status. The first
+  /// error also stops the whole run (QueryControl::Fail).
   const Status& error() const { return error_; }
   void NoteError(Status st) {
-    if (error_.ok() && !st.ok()) error_ = std::move(st);
+    if (!error_.ok() || st.ok()) return;
+    error_ = std::move(st);
+    if (control_ != nullptr) control_->Fail(error_);
   }
 
   /// Estimated virtual time at which this instance would finish everything
@@ -115,6 +120,7 @@ class WorkerInstance {
   int id_;
   sim::DeviceId device_;
   System* system_;
+  const QueryControl* control_;
   std::unique_ptr<jit::DeviceProvider> provider_;
   Channel channel_;
   sim::VTime clock_ = 0;
@@ -161,9 +167,9 @@ class Edge {
     /// the shared PCIe links are anchored at `epoch + session-local time`, so
     /// concurrent queries charge each other link contention.
     sim::VTime epoch = 0;
-    /// Owning query's cancellation/deadline state; a cancelled query's edges
-    /// drop (and release) further messages instead of moving them. Null =
-    /// uncontrolled session.
+    /// Owning query's cancellation/deadline state; a stopped run's edges
+    /// drop (and release) further messages instead of moving them, and a
+    /// failed move stops the run. Null = uncontrolled session.
     const QueryControl* control = nullptr;
   };
 

@@ -154,6 +154,7 @@ void QueryScheduler::RunTask(Task* task, QuerySession session) {
     task->control.deadline =
         deadline >= 0 ? deadline - task->queue_wait - backoff : -1;
     task->control.deadline_hit.store(false, std::memory_order_relaxed);
+    task->control.ResetFailure();
 
     // Result-cache hit: answer from the cached rows instead of executing.
     // The hit pays the admission queue wait (it held a slot like any query)
@@ -350,7 +351,7 @@ Status QueryScheduler::Cancel(QueryHandle handle) {
     // Never admitted: terminate in place. No slot or budget was consumed, but
     // a cancelled queue head may have been the admission blocker — re-admit.
     waiting_.erase(queued);
-    task->control.cancelled.store(true, std::memory_order_relaxed);
+    task->control.Cancel();
     task->result.status =
         Status::Cancelled("query cancelled while queued for admission");
     task->result.query_id = task->id;
@@ -363,7 +364,7 @@ Status QueryScheduler::Cancel(QueryHandle handle) {
   // Running: cooperative stop. Segmenters quit, edges drop messages, blocked
   // staging acquisitions observing this flag wake with kCancelled; RunTask
   // stamps the terminal status.
-  task->control.cancelled.store(true, std::memory_order_relaxed);
+  task->control.Cancel();
   return Status::OK();
 }
 

@@ -86,7 +86,8 @@ class DeviceProvider {
   virtual void* AllocStateVar(uint64_t bytes) = 0;
   virtual void FreeStateVar(void* ptr) = 0;
 
-  /// Acquires/releases a staging block from the local block arena.
+  /// Acquires/releases a staging block from the local block arena. A wait
+  /// for a free block returns null at once when the stop flag is set.
   virtual memory::Block* GetBuffer() = 0;
   virtual void ReleaseBuffer(memory::Block* block) = 0;
 
@@ -140,12 +141,17 @@ class DeviceProvider {
   void set_fault_injector(sim::FaultInjector* fault) { fault_ = fault; }
   sim::FaultInjector* fault_injector() const { return fault_; }
 
+  /// The owning run's stop flag (core::QueryControl::stopped); null = none.
+  void set_stop_flag(const std::atomic<bool>* stop) { stop_ = stop; }
+  const std::atomic<bool>* stop_flag() const { return stop_; }
+
  private:
   TierPolicy tier_policy_ = TierPolicy::kAuto;
   KernelCache* kernel_cache_ = nullptr;
   sim::VTime session_epoch_ = 0.0;
   uint64_t session_id_ = 0;
   sim::FaultInjector* fault_ = nullptr;
+  const std::atomic<bool>* stop_ = nullptr;
 };
 
 /// CPU provider: single-threaded worker pinned to one socket; streaming bandwidth

@@ -173,7 +173,7 @@ Status Run(const PipelineProgram& program, ExecCtx& ctx, uint64_t rows) {
 }
 
 void FlushLocalAccsAtomic(const PipelineProgram& program, const int64_t* local_accs,
-                          std::atomic<int64_t>* shared_accs, bool count_atomic_cost,
+                          std::atomic<int64_t>* shared_accs, uint64_t leaders,
                           sim::CostStats* stats) {
   for (int i = 0; i < program.n_local_accs; ++i) {
     // Partial accumulators merge, they don't re-apply: a COUNT partial is a
@@ -183,9 +183,7 @@ void FlushLocalAccsAtomic(const PipelineProgram& program, const int64_t* local_a
                           : program.local_acc_funcs[i];
     AggApplyAtomic(f, &shared_accs[i], local_accs[i]);
   }
-  if (count_atomic_cost) {
-    stats->atomics += static_cast<uint64_t>(program.n_local_accs);
-  }
+  stats->atomics += leaders * static_cast<uint64_t>(program.n_local_accs);
 }
 
 }  // namespace hetex::jit

@@ -30,10 +30,11 @@ Status Run(const PipelineProgram& program, ExecCtx& ctx, uint64_t rows);
 
 /// Folds per-thread local accumulators into shared (device-resident) accumulators
 /// with worker-scoped atomics — the tail of the paper's Listing 1 pipeline 9
-/// (neighborhood reduce + leader atomic). `count_atomic_cost` is true for the
-/// neighborhood leader only, modeling the warp-level reduction's cost profile.
+/// (neighborhood reduce + leader atomic). `leaders` is the number of
+/// neighborhood leaders the folded threads include: only a leader's atomics
+/// are charged, modeling the warp-level reduction's cost profile.
 void FlushLocalAccsAtomic(const PipelineProgram& program, const int64_t* local_accs,
-                          std::atomic<int64_t>* shared_accs, bool count_atomic_cost,
+                          std::atomic<int64_t>* shared_accs, uint64_t leaders,
                           sim::CostStats* stats);
 
 }  // namespace hetex::jit

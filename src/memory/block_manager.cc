@@ -126,11 +126,12 @@ Block* BlockRegistry::Acquire(sim::MemNodeId target, sim::MemNodeId requester,
     ReclaimNode(target, /*steal_prefetch=*/++attempts > 100);
     if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) {
       return fail(Status::Cancelled(
-          "staging-block acquisition abandoned: query cancelled while waiting "
+          "staging-block acquisition abandoned: query stopped while waiting "
           "for node " +
           std::to_string(target)));
     }
     if (std::chrono::steady_clock::now() >= deadline) {
+      acquire_timeouts_.fetch_add(1, std::memory_order_relaxed);
       return fail(Status::ResourceExhausted(
           "staging-block arena exhausted on node " + std::to_string(target) +
           " and no in-flight query released memory within the acquire "

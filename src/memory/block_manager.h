@@ -96,9 +96,9 @@ class BlockRegistry {
   /// waits — but boundedly. It returns nullptr (with the named reason in
   /// `error`, when given) on: a sustained-exhaustion timeout
   /// (kResourceExhausted), an injected exhaustion spike (kResourceExhausted),
-  /// or a query cancellation observed through `cancel` (kCancelled) — the
-  /// cooperative wake-up that lets a cancelled query stop waiting for memory
-  /// another query holds.
+  /// or a stop observed through `cancel` (kCancelled) — the cooperative
+  /// wake-up that lets a cancelled or already-failed query stop waiting for
+  /// memory.
   Block* Acquire(sim::MemNodeId target, sim::MemNodeId requester,
                  Status* error = nullptr,
                  const std::atomic<bool>* cancel = nullptr);
@@ -122,6 +122,9 @@ class BlockRegistry {
   /// Number of remote batch round-trips performed (for tests/ablation).
   uint64_t remote_roundtrips() const { return remote_roundtrips_; }
 
+  /// Number of acquisitions that failed on the acquire timeout (for tests).
+  uint64_t acquire_timeouts() const { return acquire_timeouts_; }
+
  private:
   struct RemoteCache {
     std::mutex mu;
@@ -138,6 +141,7 @@ class BlockRegistry {
   std::vector<std::unique_ptr<BlockManager>> managers_;
   std::vector<RemoteCache> caches_;  ///< indexed [requester * nodes + target]
   std::atomic<uint64_t> remote_roundtrips_{0};
+  std::atomic<uint64_t> acquire_timeouts_{0};
   sim::FaultInjector* fault_ = nullptr;
 };
 

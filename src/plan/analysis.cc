@@ -70,12 +70,12 @@ Result<PlanAnalysis> AnalyzePlan(const HetPlan& plan, const sim::Topology& topo)
 
   // Walks consumer→producer from `top` collecting one pipeline span and
   // classifying it by its relational content (kJoinBuild → build, kGather →
-  // gather, kHashPack without probes → filter stage, otherwise probe); stops
-  // at the first transport operator or producer-side pack, which becomes
-  // `feed`.
+  // gather, a pack or hash-pack without probes or aggregation → filter stage,
+  // otherwise probe); stops at the first transport operator or producer-side
+  // pack, which becomes `feed`.
   auto collect_span = [&](int top, Span* span, int* feed) -> Status {
     bool has_build = false, has_probe = false, has_gather = false;
-    bool has_hash_pack = false;
+    bool has_pack = false, has_agg = false;
     int cur = top;
     while (true) {
       const HetOpNode& n = plan.node(cur);
@@ -108,8 +108,15 @@ Result<PlanAnalysis> AnalyzePlan(const HetPlan& plan, const sim::Topology& topo)
           has_gather = true;
           break;
         case Kind::kHashPack:
-          has_hash_pack = true;
+          has_pack = true;
           span->n_buckets = n.n_buckets > 0 ? n.n_buckets : 1;
+          break;
+        case Kind::kPack:
+          has_pack = true;
+          break;
+        case Kind::kReduceLocal:
+        case Kind::kGroupByLocal:
+          has_agg = true;
           break;
         default:
           break;
@@ -125,12 +132,13 @@ Result<PlanAnalysis> AnalyzePlan(const HetPlan& plan, const sim::Topology& topo)
       }
       cur = child;
     }
-    // A hash-pack only makes the span a filter stage when no probe runs in
-    // it; a span that probes and hash-packs is still a probe pipeline.
+    // A pack only makes the span a filter stage when neither a probe nor an
+    // aggregation runs in it; a span that probes and packs partials is still
+    // a probe pipeline.
     span->role = has_build    ? StageRole::kBuild
                  : has_gather ? StageRole::kGather
-                 : (has_hash_pack && !has_probe) ? StageRole::kFilterStage
-                                                 : StageRole::kProbe;
+                 : (has_pack && !has_probe && !has_agg) ? StageRole::kFilterStage
+                                                        : StageRole::kProbe;
     return Status::OK();
   };
 
@@ -241,6 +249,10 @@ Result<PlanAnalysis> AnalyzePlan(const HetPlan& plan, const sim::Topology& topo)
       stage->instances.insert(stage->instances.end(), branch.instances.begin(),
                               branch.instances.end());
     }
+    std::map<std::pair<sim::DeviceType, int>, int> next;  // unit -> ordinal
+    for (const auto& dev : stage->instances) {
+      stage->cores.push_back({dev, next[{dev.type, dev.index}]++});
+    }
     return Status::OK();
   };
 
@@ -304,7 +316,39 @@ Result<PlanAnalysis> AnalyzePlan(const HetPlan& plan, const sim::Topology& topo)
     if (g.stage.span().role != StageRole::kBuild) {
       return Status::Internal("join-probe child span is not a build pipeline");
     }
-    if (g.stage.in.segmenter == -1) {
+    if (!g.stage.in.producer_tops.empty()) {
+      // A build-side filter stage: its packed survivors feed the build's
+      // broadcast, and it reads the dimension through its own segmenter.
+      Stage filter;
+      std::vector<int> feeds;
+      for (int top : g.stage.in.producer_tops) {
+        Span span;
+        int feed = -1;
+        HETEX_RETURN_NOT_OK(collect_span(top, &span, &feed));
+        span.join_id = g.stage.span().join_id;
+        filter.branches.push_back(std::move(span));
+        feeds.push_back(feed);
+      }
+      HETEX_RETURN_NOT_OK(parse_feed(feeds, &filter));
+      HETEX_RETURN_NOT_OK(finish_stage(&filter));
+      if (filter.span().role != StageRole::kFilterStage ||
+          filter.in.segmenter == -1) {
+        return Status::Unsupported(
+            "build stage fed by a packed producer other than a segmenter-fed "
+            "filter stage");
+      }
+      // Each dimension row must reach one filter instance: a broadcast would
+      // pack (and every replica insert) each survivor once per instance.
+      if (filter.in.router != -1 &&
+          plan.node(filter.in.router).policy == RouterPolicy::kBroadcast) {
+        return Status::InvalidArgument(
+            "build-side filter stage of join " +
+            std::to_string(g.stage.span().join_id) +
+            " is fed by a broadcast: every instance would pack every row");
+      }
+      g.stage.filter_stage = static_cast<int>(out.build_filter_stages.size());
+      out.build_filter_stages.push_back(std::move(filter));
+    } else if (g.stage.in.segmenter == -1) {
       return Status::Internal("build stage without a source segmenter");
     }
     out.build_stages.push_back(std::move(g.stage));
@@ -350,16 +394,25 @@ Result<PlanAnalysis> AnalyzePlan(const HetPlan& plan, const sim::Topology& topo)
   // A UVA edge skips the mem-move for every consumer of the exchange, so its
   // blocks must stay host-addressable: GPU-placed producers would emit
   // device-resident blocks no other unit can address in place.
-  for (size_t i = 0; i + 1 < out.fact_stages.size(); ++i) {
-    const Stage& stage = out.fact_stages[i];
-    if (!stage.in.uva || stage.in.producer_tops.empty()) continue;
-    for (const auto& dev : out.fact_stages[i + 1].instances) {
+  auto check_uva_feed = [](const Stage& stage, const Stage& producer) {
+    if (!stage.in.uva) return Status::OK();
+    for (const auto& dev : producer.instances) {
       if (dev.is_gpu()) {
         return Status::InvalidArgument(
             "UVA exchange fed by GPU-placed producer " + dev.ToString() +
             ": device-resident blocks cannot be addressed in place");
       }
     }
+    return Status::OK();
+  };
+  for (size_t i = 0; i + 1 < out.fact_stages.size(); ++i) {
+    if (out.fact_stages[i].in.producer_tops.empty()) continue;
+    HETEX_RETURN_NOT_OK(check_uva_feed(out.fact_stages[i], out.fact_stages[i + 1]));
+  }
+  for (const Stage& stage : out.build_stages) {
+    if (stage.filter_stage < 0) continue;
+    HETEX_RETURN_NOT_OK(
+        check_uva_feed(stage, out.build_filter_stages[stage.filter_stage]));
   }
 
   // Packed wire schemas bind positionally, so only chains whose schemas the

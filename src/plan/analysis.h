@@ -2,6 +2,7 @@
 #define HETEX_PLAN_ANALYSIS_H_
 
 #include <cstdint>
+#include <tuple>
 #include <vector>
 
 #include "common/status.h"
@@ -15,7 +16,8 @@ namespace hetex::plan {
 /// What a pipeline span computes, classified by its relational content.
 enum class StageRole {
   kBuild,        ///< feeds a join hash table (pipeline breaker into state)
-  kFilterStage,  ///< stage A of a split plan: filter + hash-pack emit
+  kFilterStage,  ///< filter + pack emit: stage A of a split plan (hash-pack),
+                 ///< or a build-side filter stage (span join id >= 0)
   kProbe,        ///< fused filter/probe/local-aggregate stage
   kGather,       ///< global merge of partials, writes the result
 };
@@ -29,7 +31,7 @@ struct Span {
   StageRole role = StageRole::kProbe;
   std::vector<int> nodes;                ///< plan node ids, consumer→producer
   std::vector<sim::DeviceId> instances;  ///< placement stamped on the span nodes
-  int join_id = -1;                      ///< kBuild: join whose HT the span feeds
+  int join_id = -1;  ///< kBuild, build-side kFilterStage: join whose HT it feeds
   int n_buckets = 1;                     ///< kFilterStage: hash-pack fanout
   /// Consumer-side decoration of the exchange feeding this branch: a kCpu2Gpu
   /// crossing enters it, and (`uva`) that crossing reads producer memory in
@@ -49,13 +51,30 @@ struct Exchange {
   bool uva = false;  ///< a crossing on either side addresses memory over UVA
 };
 
+/// \brief A core: a unit (a socket, or a GPU) and an ordinal among one
+/// stage's instances on that unit. A socket's k-th build-side filter instance
+/// and its k-th build instance run on the same core, one stage at a time.
+struct Core {
+  sim::DeviceId unit;
+  int ordinal = 0;
+
+  friend bool operator<(const Core& a, const Core& b) {
+    return std::tuple(a.unit.type, a.unit.index, a.ordinal) <
+           std::tuple(b.unit.type, b.unit.index, b.ordinal);
+  }
+};
+
 /// \brief One stage: the branches one exchange feeds, run as one worker group.
 /// Branches agree on role, join id and bucket count (they compile to one
 /// program); each keeps its own placement and crossing flags.
 struct Stage {
   std::vector<Span> branches;            ///< plan order; front() is representative
   std::vector<sim::DeviceId> instances;  ///< concatenated branch placements
+  std::vector<Core> cores;               ///< the core of each instance
   Exchange in;
+  /// Build stages fed by a build-side filter stage: its index in
+  /// PlanAnalysis::build_filter_stages (-1: fed by its own segmenter).
+  int filter_stage = -1;
 
   const Span& span() const { return branches.front(); }
 };
@@ -63,8 +82,13 @@ struct Stage {
 /// \brief The execution shape a plan decides: the runtime graph GraphBuilder
 /// instantiates and the stages PlanCoster prices are both read from here.
 struct PlanAnalysis {
-  /// Join-build stages in discovery order, each fed by its own segmenter.
+  /// Join-build stages in discovery order, each fed by its own segmenter or
+  /// by the build-side filter stage its `filter_stage` names.
   std::vector<Stage> build_stages;
+  /// Build-side filter stages (hybrid plans, joins with a build filter): each
+  /// reads its dimension through a segmenter, filters it on CPU workers and
+  /// packs the survivors' build key and payload (span join id = the join).
+  std::vector<Stage> build_filter_stages;
   /// Fact-side stages consumer→producer: gather first, then the probe stage,
   /// then (split plans) the filter stage; the last one is segmenter-fed.
   std::vector<Stage> fact_stages;
@@ -82,8 +106,9 @@ struct PlanAnalysis {
 /// GPU-placed producers (device-resident blocks cannot be addressed in place);
 /// the fact chain ends in a gather, holds no build span, and threads its wire
 /// schemas (a probe reads a filter stage or the table, a filter stage reads
-/// the table, a gather reads probe partials). A plan failing any of them is a
-/// Status here, for the lowering and the coster alike.
+/// the table, a gather reads probe partials); a build reads its table or a
+/// segmenter-fed filter stage. A plan failing any of them is a Status here,
+/// for the lowering and the coster alike.
 Result<PlanAnalysis> AnalyzePlan(const HetPlan& plan, const sim::Topology& topo);
 
 /// \brief Rows per scan block of `segmenter` feeding `instances`.

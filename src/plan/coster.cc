@@ -5,6 +5,7 @@
 #include <map>
 #include <set>
 #include <sstream>
+#include <tuple>
 
 #include "plan/analysis.h"
 
@@ -322,30 +323,71 @@ Result<CostEstimate> PlanCoster::Cost(const HetPlan& plan) const {
     return p;
   };
 
-  auto build_profile = [&](size_t j, uint64_t* n_cols) {
+  // Width of `cols` in `join`'s build table.
+  auto dimension_width = [&](const JoinSpec& join, const std::set<std::string>& cols) {
+    const storage::Table* t = catalog_->Get(join.build_table);
+    double width = 0;
+    for (const auto& c : cols) {
+      width += t != nullptr && t->FindColumn(c) >= 0 ? t->column(c).width() : 8;
+    }
+    return width;
+  };
+  auto filter_columns = [](const JoinSpec& join) {
+    std::set<std::string> cols;
+    if (join.build_filter != nullptr) join.build_filter->CollectColumns(&cols);
+    return cols;
+  };
+  // Width and column count of the dimension columns join j's build scan reads
+  // (filter, key and payload).
+  auto dimension_scan = [&](const JoinSpec& join, uint64_t* n_cols) {
+    std::set<std::string> cols = filter_columns(join);
+    cols.insert(join.build_key);
+    for (const auto& c : join.payload) cols.insert(c);
+    *n_cols = cols.size();
+    return dimension_width(join, cols);
+  };
+  auto build_sel = [&](size_t j) {
+    return j < cards_.join_selectivities.size() ? cards_.join_selectivities[j] : 1;
+  };
+
+  // Per-tuple profile of join j's build. `packed`: the input is a build-side
+  // filter stage's survivors (key and payload as 8-byte wire columns, the
+  // filter already applied).
+  auto build_profile = [&](size_t j, bool packed, uint64_t* n_cols) {
     Profile p;
     const JoinSpec* join = j < spec_->joins.size() ? &spec_->joins[j] : nullptr;
     double in_width = 8;
     *n_cols = 1;
     double sel = 1.0;
-    if (join != nullptr) {
-      const storage::Table* t = catalog_->Get(join->build_table);
-      std::set<std::string> cols;
-      if (join->build_filter != nullptr) join->build_filter->CollectColumns(&cols);
-      cols.insert(join->build_key);
-      for (const auto& c : join->payload) cols.insert(c);
-      in_width = 0;
-      for (const auto& c : cols) {
-        in_width += t != nullptr && t->FindColumn(c) >= 0 ? t->column(c).width() : 8;
-      }
-      *n_cols = cols.size();
+    if (join != nullptr && packed) {
+      *n_cols = 1 + join->payload.size();
+      in_width = 8.0 * static_cast<double>(*n_cols);
+      p.ops += 1;
+    } else if (join != nullptr) {
+      in_width = dimension_scan(*join, n_cols);
       p.ops += ExprOps(join->build_filter) + 1;
-      sel = j < cards_.join_selectivities.size() ? cards_.join_selectivities[j] : 1;
+      sel = build_sel(j);
     }
     p.bytes_read = in_width;
     p.ops += sel * 3;
     p.AddAccess(cm, ht_bytes(j), sel);
     p.atomics += sel;
+    return p;
+  };
+
+  // Per-tuple profile of join j's build-side filter stage: every row loads
+  // the filter's columns, a survivor also its key and payload, which it packs.
+  auto build_filter_profile = [&](size_t j, uint64_t* n_cols) {
+    Profile p;
+    const JoinSpec& join = spec_->joins[j];
+    const double sel = build_sel(j);
+    const double scan = dimension_scan(join, n_cols);
+    const double filter_width = dimension_width(join, filter_columns(join));
+    p.bytes_read = filter_width + sel * (scan - filter_width);
+    p.ops += ExprOps(join.build_filter) + 1;
+    const double out_cols = 1 + static_cast<double>(join.payload.size());
+    p.ops += sel * (2 + out_cols);
+    p.bytes_written = sel * 8 * out_cols;
     return p;
   };
 
@@ -517,46 +559,116 @@ Result<CostEstimate> PlanCoster::Cost(const HetPlan& plan) const {
   // The runtime's build schedule: every unit receives each block once,
   // rotated over its W instances (priced at the W-way fluid share), and runs
   // the joins one after another — a unit's build phase is the sum over joins.
-  std::map<std::pair<bool, int>, sim::VTime> unit_build;  // (gpu?, index)
-  for (const Stage& stage : shape.build_stages) {
-    const int join_id = stage.span().join_id;
-    const size_t j = join_id >= 0 ? static_cast<size_t>(join_id) : 0;
-    const uint64_t rows =
-        j < cards_.build_input_rows.size() ? cards_.build_input_rows[j] : 1;
-    const HetOpNode& seg = plan.node(stage.in.segmenter);
-    const storage::Table* src_table = catalog_->Get(seg.table);
-    const uint64_t block_rows = ScanBlockRows(seg, stage.instances, src_table,
-                                              *topo_, options_.pack_block_rows);
-    const uint64_t blocks = std::max<uint64_t>(1, CeilDiv(rows, block_rows));
-
-    uint64_t n_cols = 1;
-    const Profile profile = build_profile(j, &n_cols);
-    const double in_width = profile.bytes_read;
-    std::vector<InstanceCost> insts = stage_instances(
-        stage, profile, std::min(block_rows, std::max<uint64_t>(1, rows)),
-        in_width, n_cols, src_table);
-    std::map<std::pair<bool, int>, std::vector<size_t>> by_unit;
-    for (size_t k = 0; k < stage.instances.size(); ++k) {
-      by_unit[{stage.instances[k].is_gpu(), stage.instances[k].index}].push_back(k);
-    }
-    for (const auto& [unit, members] : by_unit) {
-      sim::VTime done = 0;
-      for (size_t r = 0; r < members.size(); ++r) {
-        InstanceCost& ic = insts[members[r]];
-        ic.blocks = blocks / members.size() + (r < blocks % members.size() ? 1 : 0);
-        done = sim::MaxT(done, static_cast<double>(ic.blocks) * ic.block_time);
-      }
-      unit_build[unit] += done;
-    }
-    const sim::VTime source = static_cast<double>(blocks) *
-                              (seg.per_block_cost + stage_control(stage));
-    est.build = sim::MaxT(est.build, source);
+  // Build-side filter stages run first, each core's one after another, and
+  // their builds receive the survivors' packed blocks: a socket builds after
+  // its cores' filters, a GPU pipelines behind the filters' output.
+  using Unit = std::pair<bool, int>;  // (gpu?, index)
+  auto unit_of = [](sim::DeviceId dev) { return Unit{dev.is_gpu(), dev.index}; };
+  std::map<Unit, sim::VTime> unit_build;
+  std::map<Core, sim::VTime> core_filter;  // core -> end of its filter share
+  sim::VTime filters_done = 0;  // the latest core's filter end so far
+  auto note_transfer = [&](const std::vector<InstanceCost>& insts) {
     add_link_busy(&build_link_busy, insts);
     for (const auto& ic : insts) {
       est.transfer = sim::MaxT(
           est.transfer, static_cast<double>(ic.blocks) * ic.transfer_time);
     }
+  };
+  // Blocks of `stage`'s segmenter over `rows` rows: (blocks, rows per block);
+  // the source's per-block cost bounds the build phase.
+  auto scan_blocks = [&](const Stage& stage, uint64_t rows,
+                         const storage::Table** src_table) {
+    const HetOpNode& seg = plan.node(stage.in.segmenter);
+    *src_table = catalog_->Get(seg.table);
+    const uint64_t block_rows = ScanBlockRows(seg, stage.instances, *src_table,
+                                              *topo_, options_.pack_block_rows);
+    const uint64_t blocks = std::max<uint64_t>(1, CeilDiv(rows, block_rows));
+    est.build = sim::MaxT(est.build, static_cast<double>(blocks) *
+                                         (seg.per_block_cost + stage_control(stage)));
+    return std::make_pair(blocks, std::min(block_rows, std::max<uint64_t>(1, rows)));
+  };
+  for (const Stage& stage : shape.build_stages) {
+    const int join_id = stage.span().join_id;
+    const size_t j = join_id >= 0 ? static_cast<size_t>(join_id) : 0;
+    const uint64_t rows =
+        j < cards_.build_input_rows.size() ? cards_.build_input_rows[j] : 1;
+    const bool filtered = stage.filter_stage >= 0 && j < spec_->joins.size();
+
+    // Filter stage: the dimension's blocks distributed over its instances,
+    // each core's share after its previous ones.
+    std::set<Unit> filter_units;
+    uint64_t filter_instances = 0;
+    if (filtered) {
+      const Stage& fs = shape.build_filter_stages[stage.filter_stage];
+      const storage::Table* src_table = nullptr;
+      const auto [blocks, rows_per_block] = scan_blocks(fs, rows, &src_table);
+      uint64_t n_cols = 1;
+      const Profile profile = build_filter_profile(j, &n_cols);
+      std::vector<InstanceCost> insts = stage_instances(
+          fs, profile, rows_per_block, profile.bytes_read, n_cols, src_table);
+      DistributeBlocks(stage_policy(fs), blocks, &insts);
+      for (size_t k = 0; k < insts.size(); ++k) {
+        sim::VTime& t = core_filter[fs.cores[k]];
+        t += static_cast<double>(insts[k].blocks) * insts[k].block_time;
+        filters_done = sim::MaxT(filters_done, t);
+        filter_units.insert(unit_of(fs.instances[k]));
+      }
+      filter_instances = fs.instances.size();
+      note_transfer(insts);
+    }
+
+    // Build: raw dimension blocks from the segmenter, or the survivors' packed
+    // blocks (each filter instance flushes a partial one at its end).
+    uint64_t blocks = 0;
+    uint64_t rows_per_block = 1;
+    uint64_t n_cols = 1;
+    const Profile profile = build_profile(j, filtered, &n_cols);
+    const storage::Table* src_table = nullptr;
+    if (filtered) {
+      const uint64_t survivors = cards_.build_rows[j];
+      blocks = CeilDiv(survivors, options_.pack_block_rows) + filter_instances;
+      rows_per_block = std::max<uint64_t>(
+          1, std::min<uint64_t>(options_.pack_block_rows, survivors / blocks));
+    } else {
+      std::tie(blocks, rows_per_block) = scan_blocks(stage, rows, &src_table);
+    }
+    std::vector<InstanceCost> insts = stage_instances(
+        stage, profile, rows_per_block, profile.bytes_read, n_cols, src_table);
+    std::map<Unit, std::vector<size_t>> by_unit;
+    for (size_t k = 0; k < stage.instances.size(); ++k) {
+      by_unit[unit_of(stage.instances[k])].push_back(k);
+    }
+    for (const auto& [unit, members] : by_unit) {
+      sim::VTime done = 0;
+      sim::VTime block_time = 0;
+      for (size_t r = 0; r < members.size(); ++r) {
+        InstanceCost& ic = insts[members[r]];
+        ic.blocks = blocks / members.size() + (r < blocks % members.size() ? 1 : 0);
+        done = sim::MaxT(done, static_cast<double>(ic.blocks) * ic.block_time);
+        block_time = sim::MaxT(block_time, ic.block_time);
+      }
+      sim::VTime& t = unit_build[unit];
+      if (!filtered || filter_units.count(unit) > 0) {
+        t += done;
+      } else {
+        // The blocks stream in while the filter runs; the partial ones its
+        // instances flush at their ends arrive last.
+        const uint64_t tail = std::min(blocks, filter_instances);
+        const double streamed =
+            static_cast<double>(blocks - tail) / static_cast<double>(members.size());
+        t = sim::MaxT(t + streamed * block_time, filters_done) +
+            static_cast<double>(tail) * block_time;
+      }
+    }
+    note_transfer(insts);
   }
+  // A unit with filter instances builds after its slowest core's filters.
+  std::map<Unit, sim::VTime> unit_filters;
+  for (const auto& [core, t] : core_filter) {
+    sim::VTime& u = unit_filters[unit_of(core.unit)];
+    u = sim::MaxT(u, t);
+  }
+  for (const auto& [unit, t] : unit_filters) unit_build[unit] += t;
   for (const auto& [unit, t] : unit_build) est.build = sim::MaxT(est.build, t);
   // Build networks share the links (and queue behind in-flight queries): the
   // phase cannot beat any link's total occupancy.

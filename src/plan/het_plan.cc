@@ -197,9 +197,21 @@ HetPlan BuildHetPlan(const QuerySpec& spec, const ExecPolicy& policy,
     return id;
   };
 
+  // Per-device-type probe instances: the placement of each branch's span nodes.
+  std::vector<sim::DeviceId> cpu_instances;
+  std::vector<sim::DeviceId> gpu_instances;
+  for (const auto& dev : layout.probe_instances) {
+    (dev.is_cpu() ? cpu_instances : gpu_instances).push_back(dev);
+  }
+
   // --- Build subplans: one shared segmenter+broadcast per join, one build chain
   // per participating device unit. A socket's chain runs on all of that
   // socket's probe workers, which fill its single replica together.
+  //
+  // A hybrid plan filters each filtered dimension once, on its CPU workers,
+  // and broadcasts only the survivors' packed key and payload columns: the
+  // GPUs' replicas then cross PCIe as survivors instead of raw columns.
+  const bool hybrid = layout.routers_present && layout.has_cpu && layout.has_gpu;
   auto build_dop = [&](sim::DeviceId unit) {
     return unit.is_gpu() ? 1
                          : static_cast<int>(std::count(layout.probe_instances.begin(),
@@ -210,11 +222,24 @@ HetPlan BuildHetPlan(const QuerySpec& spec, const ExecPolicy& policy,
   std::vector<std::vector<int>> gpu_builds;
   for (size_t j = 0; j < spec.joins.size(); ++j) {
     const JoinSpec& join = spec.joins[j];
+    const bool filter_stage = hybrid && join.build_filter != nullptr;
     const int seg = b.Add(Kind::kSegmenter, kCpu, join.build_table, {});
     stamp_segmenter(seg, join.build_table);
     int feed = seg;
+    if (filter_stage) {
+      const int dop = static_cast<int>(cpu_instances.size());
+      feed = b.Add(Kind::kRouter, kCpu, "policy=round-robin", {seg}, dop);
+      stamp_router(feed, RouterPolicy::kRoundRobin);
+      feed = b.Add(Kind::kMemMove, kCpu, "to consumer-local memory", {feed}, dop);
+      feed = place(b.Add(Kind::kUnpack, kCpu, "", {feed}, dop), cpu_instances);
+      feed = place(b.Add(Kind::kFilter, kCpu, join.build_filter->ToString(),
+                         {feed}, dop),
+                   cpu_instances);
+      feed = place(b.Add(Kind::kPack, kCpu, "survivors' key, payload", {feed}, dop),
+                   cpu_instances);
+    }
     if (layout.routers_present) {
-      feed = b.Add(Kind::kRouter, kCpu, "policy=broadcast(target-id)", {seg});
+      feed = b.Add(Kind::kRouter, kCpu, "policy=broadcast(target-id)", {feed});
       stamp_router(feed, RouterPolicy::kBroadcast);
     }
     cpu_builds.emplace_back();
@@ -239,7 +264,7 @@ HetPlan BuildHetPlan(const QuerySpec& spec, const ExecPolicy& policy,
         plan.node(chain).uva = !layout.routers_present;
       }
       chain = place(b.Add(Kind::kUnpack, dev_type, "", {chain}, dop), instances);
-      if (join.build_filter != nullptr) {
+      if (join.build_filter != nullptr && !filter_stage) {
         chain = place(b.Add(Kind::kFilter, dev_type, join.build_filter->ToString(),
                             {chain}, dop),
                       instances);
@@ -266,12 +291,6 @@ HetPlan BuildHetPlan(const QuerySpec& spec, const ExecPolicy& policy,
                                                 : RouterPolicy::kRoundRobin);
   }
 
-  // Per-device-type probe instances: the placement of each branch's span nodes.
-  std::vector<sim::DeviceId> cpu_instances;
-  std::vector<sim::DeviceId> gpu_instances;
-  for (const auto& dev : layout.probe_instances) {
-    (dev.is_cpu() ? cpu_instances : gpu_instances).push_back(dev);
-  }
   const bool split = policy.split_probe_stage && layout.routers_present;
 
   // Transport from `feed` onto a branch's device type: mem-move + crossing +

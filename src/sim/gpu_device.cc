@@ -38,23 +38,27 @@ void GpuDevice::WorkerLoop(int worker) {
       grid = grid_threads_;
       block_dim = block_dim_;
     }
-    CostStats& stats = worker_stats_[worker];
-    const int sim_threads = static_cast<int>(workers_.size());
     // Worker `worker` simulates logical threads worker, worker+P, worker+2P, ...
-    for (int tid = worker; tid < grid; tid += sim_threads) {
-      KernelCtx ctx;
-      ctx.thread_id = tid;
-      ctx.num_threads = grid;
-      ctx.block_id = tid / block_dim;
-      ctx.block_dim = block_dim;
-      ctx.lane = tid % block_dim;
-      ctx.stats = &stats;
-      (*fn)(ctx);
-    }
+    RunThreads(*fn, worker, static_cast<int>(workers_.size()), grid, block_dim,
+               &worker_stats_[worker]);
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (--workers_remaining_ == 0) cv_done_.notify_all();
     }
+  }
+}
+
+void GpuDevice::RunThreads(const KernelFn& fn, int first, int step, int grid,
+                           int block_dim, CostStats* stats) {
+  for (int tid = first; tid < grid; tid += step) {
+    KernelCtx ctx;
+    ctx.thread_id = tid;
+    ctx.num_threads = grid;
+    ctx.block_id = tid / block_dim;
+    ctx.block_dim = block_dim;
+    ctx.lane = tid % block_dim;
+    ctx.stats = stats;
+    fn(ctx);
   }
 }
 
@@ -65,7 +69,10 @@ GpuDevice::LaunchResult GpuDevice::LaunchKernel(const KernelFn& fn, int grid_thr
   // Kernels on one GPU serialize, functionally and in virtual time.
   std::lock_guard<std::mutex> launch_lock(launch_mu_);
 
-  {
+  if (opts.on_caller) {
+    for (auto& s : worker_stats_) s = CostStats{};
+    RunThreads(fn, 0, 1, grid_threads, block_dim, &worker_stats_[0]);
+  } else {
     std::unique_lock<std::mutex> lock(mu_);
     for (auto& s : worker_stats_) s = CostStats{};
     current_fn_ = &fn;

@@ -71,6 +71,10 @@ class GpuDevice {
     /// UVA kernel and vice versa, instead of the bytes vanishing into a
     /// private stream-bandwidth discount. Null = device-memory kernel.
     BandwidthServer* uva_link = nullptr;
+    /// Run every logical thread on the launching thread instead of the
+    /// simulation workers: for a small kernel the hand-off to the pool costs
+    /// more host time than it saves. The modeled result is the same.
+    bool on_caller = false;
   };
 
   /// Launches a kernel over `grid_threads` logical threads (blocks of `block_dim`)
@@ -105,6 +109,9 @@ class GpuDevice {
 
  private:
   void WorkerLoop(int worker);
+  /// Runs logical threads first, first + step, ... of the grid into `stats`.
+  static void RunThreads(const KernelFn& fn, int first, int step, int grid,
+                         int block_dim, CostStats* stats);
 
   Topology::GpuInfo info_;
   const CostModel* cost_model_;

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "plan/het_plan.h"
 #include "test_util.h"
 
@@ -125,6 +129,76 @@ TEST_F(GraphBuilderTest, HybridLoweringMergesBranchesOfOneExchange) {
   const auto result = env_.Run(spec, TestEnv::Tune(ExecPolicy::Hybrid(3)));
   ASSERT_TRUE(result.status.ok()) << result.status.ToString();
   EXPECT_EQ(result.rows, env_.Reference(spec));
+}
+
+TEST_F(GraphBuilderTest, HybridFiltersEachFilteredDimensionOnceOnTheHost) {
+  for (const auto& [flight, idx] : {std::pair{2, 1}, {3, 1}}) {
+    const auto spec = env_.ssb->Query(flight, idx);
+    const ExecPolicy policy = TestEnv::Tune(ExecPolicy::Hybrid(3));
+    const HetPlan plan = Plan(spec, policy);
+    GraphBuilder builder(env_.system.get(), &plan);
+    ASSERT_TRUE(builder.Analyze().ok());
+    const LoweredSpec& lowered = builder.spec();
+    QueryCompiler compiler(spec, env_.system->catalog(), env_.system->cost_model());
+
+    // Each filtered join: a CPU filter stage whose wire schema is exactly the
+    // build key and payload, feeding a unit broadcast to every replica. A
+    // join without a build filter keeps its segmenter-fed build.
+    size_t filtered = 0;
+    for (const StageSpec& build : lowered.build_stages) {
+      const plan::JoinSpec& join = spec.joins.at(build.span.join_id);
+      EXPECT_EQ(build.in.options.policy, Edge::Policy::kBroadcast);
+      EXPECT_TRUE(build.in.options.unit_broadcast);
+      EXPECT_EQ(build.instances.size(), 5u);  // 2 + 1 socket workers, 2 GPUs
+      if (join.build_filter == nullptr) {
+        EXPECT_EQ(build.filter_stage, -1) << spec.name;
+        EXPECT_GE(build.in.segmenter, 0) << spec.name;
+        continue;
+      }
+      ++filtered;
+      ASSERT_GE(build.filter_stage, 0) << spec.name << " " << join.build_table;
+      EXPECT_EQ(build.in.segmenter, -1);
+      const StageSpec& filter = lowered.build_filter_stages.at(build.filter_stage);
+      EXPECT_EQ(filter.span.role, plan::StageRole::kFilterStage);
+      EXPECT_EQ(filter.span.join_id, build.span.join_id);
+      EXPECT_EQ(filter.in.options.policy, Edge::Policy::kRoundRobin);
+      EXPECT_GE(filter.in.segmenter, 0);
+      ASSERT_EQ(filter.instances.size(), 3u);
+      for (const auto& dev : filter.instances) EXPECT_TRUE(dev.is_cpu());
+
+      const GraphBuilder::BuildPipelines pipelines =
+          builder.CompileBuildPipelines(build, &compiler);
+      std::vector<std::string> expected = {join.build_key};
+      expected.insert(expected.end(), join.payload.begin(), join.payload.end());
+      std::vector<std::string> wire, read;
+      for (const auto& col : pipelines.filter.output_cols) wire.push_back(col.name);
+      for (const auto& col : pipelines.build.input_cols) read.push_back(col.name);
+      EXPECT_EQ(wire, expected) << spec.name << " " << join.build_table;
+      EXPECT_EQ(read, wire) << spec.name << " " << join.build_table;
+    }
+    EXPECT_GT(filtered, 0u);
+    EXPECT_EQ(lowered.build_filter_stages.size(), filtered);
+    EXPECT_EQ(lowered.TotalEdges(),
+              static_cast<int>(spec.joins.size() + filtered) + 2);
+
+    const auto result = env_.Run(spec, policy);
+    ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+    EXPECT_EQ(result.rows, env_.Reference(spec));
+
+    // Single-device plans keep the one-stage build chain: no filter stage,
+    // every build fed by its own segmenter, the filter inside the build span.
+    for (const ExecPolicy& single : {ExecPolicy::CpuOnly(4), ExecPolicy::GpuOnly()}) {
+      const HetPlan single_plan = Plan(spec, TestEnv::Tune(single));
+      const LoweredSpec lowered_single = Lower(single_plan);
+      EXPECT_TRUE(lowered_single.build_filter_stages.empty());
+      ASSERT_EQ(lowered_single.build_stages.size(), spec.joins.size());
+      for (const StageSpec& build : lowered_single.build_stages) {
+        EXPECT_EQ(build.filter_stage, -1);
+        EXPECT_GE(build.in.segmenter, 0);
+      }
+      EXPECT_EQ(CountKind(single_plan, HetOpNode::Kind::kPack), 1);  // partials
+    }
+  }
 }
 
 TEST_F(GraphBuilderTest, SplitPlanLowersSharedHashExchange) {

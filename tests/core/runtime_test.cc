@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstring>
 #include <map>
+#include <utility>
 
 #include "core/system.h"
 #include "test_util.h"
@@ -681,6 +683,92 @@ TEST_F(RuntimeTest, OneWorkerPerSocketKeepsSingleWriterBuilds) {
   ASSERT_EQ(a.unit_ready.size(), b.unit_ready.size());
   for (size_t i = 0; i < a.unit_ready.size(); ++i) {
     EXPECT_EQ(a.unit_ready[i].start, b.unit_ready[i].start);
+  }
+}
+
+TEST_F(RuntimeTest, FilteredGpuReplicasAreReadyEarlierUnderHybrid) {
+  // The fact table lives in GPU memory, so the dimensions are the only data
+  // crossing PCIe. A hybrid plan filters each filtered dimension once on the
+  // sockets and ships only the survivors' key and payload, so every GPU
+  // replica of a filtered join is ready before the GPU-only plan's, which
+  // ships and filters the raw columns on each GPU. (A filter that keeps most
+  // of a small dimension, like Q3.1's 6 of 7 years of `date`, saves almost
+  // no bytes and is a near-tie: these queries filter selectively.)
+  test::TestEnv env(8'000, 2, 2, ReuseOptions{});
+  ASSERT_TRUE(env.system->catalog()
+                  .at("lineorder")
+                  .Place(env.system->GpuNodes(), &env.system->memory())
+                  .ok());
+  for (const auto& [flight, idx] : {std::pair{2, 1}, {4, 1}, {4, 2}}) {
+    const plan::QuerySpec spec = env.ssb->Query(flight, idx);
+    const QueryResult hybrid =
+        env.Run(spec, test::TestEnv::Tune(plan::ExecPolicy::Hybrid()));
+    const QueryResult gpu =
+        env.Run(spec, test::TestEnv::Tune(plan::ExecPolicy::GpuOnly()));
+    ASSERT_TRUE(hybrid.status.ok()) << hybrid.status.ToString();
+    ASSERT_TRUE(gpu.status.ok()) << gpu.status.ToString();
+    EXPECT_EQ(hybrid.rows, env.Reference(spec));
+    int compared = 0;
+    for (const auto& h : hybrid.builds) {
+      if (!h.unit.is_gpu() || spec.joins[h.join_id].build_filter == nullptr) {
+        continue;
+      }
+      for (const auto& g : gpu.builds) {
+        if (g.join_id != h.join_id || g.unit != h.unit) continue;
+        ++compared;
+        EXPECT_LT(h.done, g.done) << spec.name << " join " << h.join_id
+                                  << " on " << h.unit.ToString();
+      }
+    }
+    EXPECT_GE(compared, 2 * 2) << spec.name;  // >= 2 filtered joins x 2 GPUs
+  }
+}
+
+TEST_F(RuntimeTest, StagingExhaustionStopsTheRunAtItsFirstFailure) {
+  // A split plan on the paper server's 24 cores opens 26 hash-pack buckets of
+  // 3 columns per filter instance: 78 staging blocks, more than a socket's
+  // arena of 64 holds even for one instance. The first acquisition that
+  // times out stops the whole run, so the query fails after about one
+  // timeout instead of one per waiting pipeline and message, and every
+  // staging block goes back.
+  constexpr double kTimeout = 0.25;
+  System::Options o;
+  o.reuse = ReuseOptions{};
+  o.faults = sim::FaultOptions{};
+  o.blocks.block_bytes = 16 << 10;
+  o.blocks.host_arena_blocks = 64;
+  o.blocks.gpu_arena_blocks = 128;
+  o.blocks.acquire_timeout_seconds = kTimeout;
+  System system(o);
+  ssb::Ssb::Options d;
+  d.lineorder_rows = 60'000;
+  d.scale = 0.002;
+  ssb::Ssb ssb(d, &system.catalog());
+  for (const char* name : {"lineorder", "date", "customer", "supplier", "part"}) {
+    ASSERT_TRUE(system.catalog().at(name).Place(system.HostNodes(),
+                                                &system.memory()).ok());
+  }
+  plan::ExecPolicy policy = plan::ExecPolicy::Hybrid();
+  policy.split_probe_stage = true;
+  policy.block_rows = 512;
+  QueryExecutor executor(&system);
+  const auto start = std::chrono::steady_clock::now();
+  const QueryResult r = executor.Execute(ssb.Query(1, 1), policy);
+  const double elapsed =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count();
+  EXPECT_EQ(r.status.code(), StatusCode::kResourceExhausted)
+      << r.status.ToString();
+  EXPECT_TRUE(r.rows.empty());
+  // The instances start waiting together, so a few whose deadlines fall in
+  // the instant before the stop lands may time out with the first.
+  EXPECT_GE(system.blocks().acquire_timeouts(), 1u);
+  EXPECT_LE(system.blocks().acquire_timeouts(), 4u)
+      << "the first timeout did not stop the run's other waits";
+  EXPECT_LT(elapsed, 20 * kTimeout);
+  system.blocks().FlushReleases();
+  for (int node = 0; node < system.topology().num_mem_nodes(); ++node) {
+    EXPECT_EQ(system.blocks().manager(node).in_use(), 0u) << "node " << node;
   }
 }
 

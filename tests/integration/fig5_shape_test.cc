@@ -1,21 +1,17 @@
 // Fig. 5 shape gate: with the fact table host-resident and streaming over
 // PCIe, the hybrid plan must be no slower than the best single-device plan.
 // HetExchange's routers hand each block to whichever consumer is ready, so
-// adding the GPUs can only help — provided the CPU sockets are not held back
-// until the GPUs' hash-table replicas have crossed PCIe.
-//
-// With parallel socket builds, the join queries of this fixture are near-ties
-// between hybrid and CPU-only: the GPU replicas finish after or just before
-// the CPU-only plan does, so hybrid gains nothing there, and a per-query
-// `hybrid <= cpu` on one sample is decided by the load-balance router's
-// host-timing spread. The gate therefore asserts what is deterministic:
-//   - per query, hybrid is no slower than GPU-only;
-//   - per query, every hybrid CPU probe unit starts at exactly the CPU-only
-//     plan's start on that socket (the GPUs never delay the sockets);
+// adding the GPUs can only help — provided the GPUs' hash tables are not
+// late. A hybrid plan filters each filtered dimension once on the host and
+// ships only its survivors to the GPU replicas, so the GPUs join the probe
+// early enough to take load off the sockets on every query. The sockets
+// share the dimension filter with their builds, so a hybrid socket may start
+// probing later than it does in the CPU-only plan; the gate asserts the
+// outcome, not the schedule:
+//   - per query, hybrid is no slower than CPU-only and no slower than
+//     GPU-only;
 //   - across the suite, the Fig. 5 bar total: hybrid is no slower than the
 //     best of CPU-only and GPU-only.
-// The per-query strict form returns once fact dispatch is decided in virtual
-// time (ROADMAP open item 3).
 
 #include <algorithm>
 
@@ -92,19 +88,9 @@ TEST_F(Fig5ShapeTest, HybridNoSlowerThanBestSingleDevicePlan) {
         << spec.name << ": hybrid " << hybrid.modeled_seconds
         << " s vs GPU-only " << gpu.modeled_seconds << " s";
 
-    int cpu_units = 0;
-    for (const auto& h : hybrid.unit_ready) {
-      if (!h.unit.is_cpu()) continue;
-      ++cpu_units;
-      const auto c = std::find_if(
-          cpu.unit_ready.begin(), cpu.unit_ready.end(),
-          [&](const auto& u) { return u.unit == h.unit; });
-      ASSERT_NE(c, cpu.unit_ready.end()) << spec.name << " " << h.unit.ToString();
-      EXPECT_EQ(h.start, c->start)
-          << spec.name << ": hybrid " << h.unit.ToString() << " starts at "
-          << h.start << " s, CPU-only at " << c->start << " s";
-    }
-    EXPECT_EQ(cpu_units, 2) << spec.name;
+    EXPECT_LE(hybrid.modeled_seconds, cpu.modeled_seconds)
+        << spec.name << ": hybrid " << hybrid.modeled_seconds
+        << " s vs CPU-only " << cpu.modeled_seconds << " s";
 
     sum_cpu += cpu.modeled_seconds;
     sum_gpu += gpu.modeled_seconds;

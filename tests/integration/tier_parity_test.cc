@@ -26,6 +26,9 @@ namespace {
 /// streams; any stats divergence is a tier bug, not scheduling noise. The
 /// shared-build mode runs two workers on the one socket: both fill the
 /// socket's replica, so every insert pays the bucket-head CAS in all tiers.
+/// The hybrid mode (one CPU worker plus the GPU) filters each filtered
+/// dimension in a build-side filter stage and builds both replicas from its
+/// packed survivors.
 struct ParityEnv {
   explicit ParityEnv(jit::TierPolicy policy, bool codegen = false) {
     core::System::Options opts;
@@ -86,7 +89,8 @@ struct ParityCase {
   int flight;
   int idx;
   int mode;  // 0 cpu-fused, 1 cpu-split, 2 gpu-fused, 3 gpu-split,
-             // 4 cpu-fused with a two-writer shared build
+             // 4 cpu-fused with a two-writer shared build,
+             // 5 hybrid-fused (build-side filter stages, packed-input builds)
 };
 
 class TierParityTest : public ::testing::TestWithParam<ParityCase> {
@@ -106,7 +110,8 @@ class TierParityTest : public ::testing::TestWithParam<ParityCase> {
   }
 
   static plan::ExecPolicy PolicyFor(int mode) {
-    plan::ExecPolicy policy = mode == 4 ? plan::ExecPolicy::CpuOnly(2)
+    plan::ExecPolicy policy = mode == 5   ? plan::ExecPolicy::Hybrid(1, {0})
+                              : mode == 4 ? plan::ExecPolicy::CpuOnly(2)
                               : (mode == 0 || mode == 1)
                                   ? plan::ExecPolicy::CpuOnly(1)
                                   : plan::ExecPolicy::GpuOnly({0});
@@ -166,15 +171,16 @@ std::vector<ParityCase> AllCases() {
   const int flights[4] = {3, 3, 4, 3};
   for (int f = 1; f <= 4; ++f) {
     for (int i = 1; i <= flights[f - 1]; ++i) {
-      for (int mode = 0; mode < 5; ++mode) cases.push_back({f, i, mode});
+      for (int mode = 0; mode < 6; ++mode) cases.push_back({f, i, mode});
     }
   }
   return cases;
 }
 
 std::string CaseName(const ::testing::TestParamInfo<ParityCase>& info) {
-  static const char* kModes[5] = {"CpuFused", "CpuSplit", "GpuFused", "GpuSplit",
-                                  "CpuSharedBuild"};
+  static const char* kModes[6] = {"CpuFused",       "CpuSplit", "GpuFused",
+                                  "GpuSplit",       "CpuSharedBuild",
+                                  "HybridFused"};
   return "Q" + std::to_string(info.param.flight) + std::to_string(info.param.idx) +
          kModes[info.param.mode];
 }

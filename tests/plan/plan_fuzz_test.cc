@@ -1,7 +1,8 @@
 // Plan-mutation property/fuzz test: seeded random mutations of enumerated
 // HetPlans — placement flips, router-policy perturbations, DOP changes,
 // segmentation-granularity changes (the PR 4 GPU-granularity-clamp class of
-// bug), UVA flips and channel-capacity changes — must either
+// bug), UVA flips, channel-capacity changes, and placement or router flips of
+// a hybrid plan's build-side filter stage — must either
 //
 //   (a) fail ValidateHetPlan with a message naming the offending node (and
 //       rule), or
@@ -65,7 +66,7 @@ bool Mutate(Rng& rng, const sim::Topology& topo, HetPlan* plan, bool* benign,
     return sim::DeviceId::Cpu(static_cast<int>(rng.Uniform(topo.num_sockets())));
   };
 
-  switch (rng.Uniform(7)) {
+  switch (rng.Uniform(8)) {
     case 0: {  // placement flip: retarget one instance of one span
       const int id = pick([](const HetOpNode& n) { return !n.placement.empty(); });
       if (id < 0) return false;
@@ -133,6 +134,48 @@ bool Mutate(Rng& rng, const sim::Topology& topo, HetPlan* plan, bool* benign,
       n.uva = !n.uva;
       *trace += " uva(node " + std::to_string(id) + " -> " +
                 (n.uva ? "on" : "off") + ")";
+      return true;
+    }
+    case 7: {  // build-side filter stage: its placement or its router policy
+      // The stage's top is the pack feeding a build broadcast; its span
+      // placement and the router below it are what the lowering reads.
+      std::vector<int> packs;
+      for (const HetOpNode& n : plan->nodes) {
+        if (n.kind != Kind::kRouter || n.policy != RouterPolicy::kBroadcast) continue;
+        for (int c : n.children) {
+          if (plan->node(c).kind == Kind::kPack) packs.push_back(c);
+        }
+      }
+      if (packs.empty()) return false;
+      const int pack = packs[rng.Uniform(packs.size())];
+      if (rng.NextBool(0.5)) {
+        HetOpNode& n = plan->node(pack);
+        if (n.placement.empty()) return false;
+        const size_t slot = rng.Uniform(n.placement.size());
+        n.placement[slot] = random_device();
+        *trace += " filter-stage flip(node " + std::to_string(pack) + " slot " +
+                  std::to_string(slot) + " -> " + n.placement[slot].ToString() +
+                  ")";
+        return true;
+      }
+      int router = pack;
+      for (size_t steps = 0; plan->node(router).kind != Kind::kRouter; ++steps) {
+        if (plan->node(router).children.empty() || steps > plan->nodes.size()) {
+          return false;
+        }
+        router = plan->node(router).children[0];
+      }
+      static const RouterPolicy kPolicies[] = {
+          RouterPolicy::kRoundRobin, RouterPolicy::kLoadBalance,
+          RouterPolicy::kHash, RouterPolicy::kBroadcast, RouterPolicy::kUnion};
+      HetOpNode& n = plan->node(router);
+      const RouterPolicy next = kPolicies[rng.Uniform(5)];
+      if (n.policy == RouterPolicy::kBroadcast || next == RouterPolicy::kBroadcast) {
+        *benign = false;  // every filter instance would pack every row
+      }
+      n.policy = next;
+      *trace += " filter-stage policy(node " + std::to_string(router) + " -> " +
+                RouterPolicyName(next) + ")";
       return true;
     }
     default: {  // channel capacity (router queue depth / backpressure)

@@ -119,6 +119,28 @@ TEST_F(GpuDeviceTest, StatsAggregateAcrossWorkers) {
   EXPECT_EQ(r.stats.tuples, 200u);
 }
 
+TEST_F(GpuDeviceTest, OnCallerLaunchRunsTheSameThreadsAndTime) {
+  constexpr int kGrid = 257;
+  std::vector<std::atomic<int>> hits(kGrid);
+  auto kernel = [&](const KernelCtx& ctx) {
+    hits[ctx.thread_id].fetch_add(1);
+    EXPECT_EQ(ctx.lane, ctx.thread_id % ctx.block_dim);
+    ctx.stats->tuples += 2;
+  };
+  GpuDevice::LaunchOptions pooled;
+  pooled.earliest = 1e-3;
+  GpuDevice::LaunchOptions on_caller = pooled;
+  on_caller.on_caller = true;
+  GpuDevice idle(topo_.gpu(0), &topo_.cost_model());  // a stream of its own
+  const auto a = gpu_.LaunchKernel(kernel, kGrid, 32, pooled);
+  const auto b = idle.LaunchKernel(kernel, kGrid, 32, on_caller);
+  for (int i = 0; i < kGrid; ++i) EXPECT_EQ(hits[i].load(), 2) << "tid " << i;
+  EXPECT_EQ(a.stats.tuples, 2u * kGrid);
+  EXPECT_EQ(b.stats.tuples, a.stats.tuples);
+  EXPECT_EQ(b.start, a.start);
+  EXPECT_EQ(b.end, a.end);
+}
+
 TEST_F(GpuDeviceTest, LaunchLatencyCharged) {
   auto noop = [](const KernelCtx&) {};
   auto r = gpu_.LaunchKernel(noop, 64, 32, 0.0);
