@@ -150,11 +150,11 @@ struct SpanTier {
 void ReportSpanTiers(core::System& system, const core::GraphBuilder& builder,
                      const plan::QuerySpec& query,
                      std::vector<SpanTier>* out = nullptr, bool print = true) {
-  const core::LoweredSpec& spec = builder.spec();
+  const plan::PlanAnalysis& analysis = builder.analysis();
   core::QueryCompiler compiler(query, system.catalog(), system.cost_model());
   core::ProgramCache& cache = system.program_cache();
 
-  auto report_stage = [&](const core::StageSpec& stage, const char* label,
+  auto report_stage = [&](const plan::Stage& stage, const char* label,
                           const core::CompiledPipeline& pipeline) {
     const auto before_cpu = cache.counters(sim::DeviceType::kCpu);
     const auto before_gpu = cache.counters(sim::DeviceType::kGpu);
@@ -165,7 +165,7 @@ void ReportSpanTiers(core::System& system, const core::GraphBuilder& builder,
       if (!r.ok()) {
         if (print) {
           std::printf("  %s %s: compile failed: %s\n", label,
-                      plan::StageRoleName(stage.span.role),
+                      plan::StageRoleName(stage.span().role),
                       r.status().ToString().c_str());
         }
         return;
@@ -178,7 +178,7 @@ void ReportSpanTiers(core::System& system, const core::GraphBuilder& builder,
     const auto after_cpu = cache.counters(sim::DeviceType::kCpu);
     const auto after_gpu = cache.counters(sim::DeviceType::kGpu);
     const std::string span_name =
-        std::string(label) + " " + plan::StageRoleName(stage.span.role);
+        std::string(label) + " " + plan::StageRoleName(stage.span().role);
     if (out != nullptr) {
       out->push_back({span_name, TierName(program->EffectiveTier()),
                       program->EffectiveTierReason()});
@@ -200,11 +200,11 @@ void ReportSpanTiers(core::System& system, const core::GraphBuilder& builder,
   };
 
   if (print) std::printf("span tiers + program cache:\n");
-  for (const auto& stage : spec.build_stages) {
+  for (const auto& stage : analysis.build_stages) {
     const core::GraphBuilder::BuildPipelines pipelines =
         builder.CompileBuildPipelines(stage, &compiler);
     if (stage.filter_stage >= 0) {
-      report_stage(spec.build_filter_stages[stage.filter_stage], "build",
+      report_stage(analysis.build_filter_stages[stage.filter_stage], "build",
                    pipelines.filter);
     }
     report_stage(stage, "build", pipelines.build);
@@ -213,7 +213,7 @@ void ReportSpanTiers(core::System& system, const core::GraphBuilder& builder,
   const std::vector<core::CompiledPipeline> pipelines =
       builder.CompileFactPipelines(&compiler);
   for (size_t i = 0; i < pipelines.size(); ++i) {
-    report_stage(spec.fact_stages[i], "fact", pipelines[i]);
+    report_stage(analysis.fact_stages[i], "fact", pipelines[i]);
   }
 }
 
@@ -514,7 +514,7 @@ int main(int argc, char** argv) {
     core::GraphBuilder builder(&system, &plan);
     const Status lowered = builder.Analyze();
     if (lowered.ok()) {
-      std::printf("%s", builder.spec().ToString().c_str());
+      std::printf("%s", builder.Describe().c_str());
       ReportSpanTiers(system, builder, spec);
       std::printf("\n");
     } else {

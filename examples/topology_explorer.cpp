@@ -43,13 +43,13 @@ int main() {
     const sim::VTime epoch = system.VirtualHorizon();
     sim::GpuDevice& gpu = system.gpu(0);
     auto noop = [](const sim::KernelCtx&) {};
-    auto r = gpu.LaunchKernel(noop, gpu.default_grid(), 32, 0.0, 0.0, epoch);
+    auto r = gpu.LaunchKernel(noop, gpu.default_grid(), 32, 0.0, epoch);
     std::printf("kernel launch latency: %.1f us modeled\n", (r.end - r.start) * 1e6);
 
     auto touch = [](const sim::KernelCtx& ctx) {
       ctx.stats->bytes_read += 64 << 20;  // this logical thread streamed 64 MiB
     };
-    r = gpu.LaunchKernel(touch, 1, 1, 0.0, 0.0, epoch);
+    r = gpu.LaunchKernel(touch, 1, 1, 0.0, epoch);
     std::printf("streaming kernel: 64 MiB at %.0f GB/s modeled (%.3f ms)\n",
                 (64 << 20) / (r.end - r.start) / 1e9, (r.end - r.start) * 1e3);
   }

@@ -103,7 +103,7 @@ CompiledPipeline QueryCompiler::CompileSpan(
       return CompileBuild(span.join_id, upstream_schema);
     case plan::StageRole::kFilterStage:
       return span.join_id >= 0 ? CompileBuildFilter(span.join_id)
-                               : CompileFilterStage(span.n_buckets);
+                               : CompileFilterStage();
     case plan::StageRole::kProbe:
       return CompileProbe(upstream_schema);
     case plan::StageRole::kGather:
@@ -256,7 +256,7 @@ CompiledPipeline QueryCompiler::CompileProbe(
   return out;
 }
 
-CompiledPipeline QueryCompiler::CompileFilterStage(int n_buckets) const {
+CompiledPipeline QueryCompiler::CompileFilterStage() const {
   HETEX_CHECK(!spec_->joins.empty()) << "split plans need at least one join";
   const storage::Table& fact = catalog_->at(spec_->fact_table);
 
@@ -297,7 +297,6 @@ CompiledPipeline QueryCompiler::CompileFilterStage(int n_buckets) const {
   const int key = cols.ResolveColumn(spec_->joins[0].probe_key, b);
   const int tag = b.AllocReg();
   b.EmitOp(OpCode::kHash, tag, key);
-  HETEX_CHECK(n_buckets >= 1);
   b.EmitOp(OpCode::kEmit, first, static_cast<int>(regs.size()), tag, /*tagged=*/1);
 
   out.program = b.Finalize(spec_->name + ".filter-stage");

@@ -74,9 +74,10 @@ class QueryCompiler {
   /// a split plan) instead of the fact table.
   CompiledPipeline CompileProbe(const std::vector<ColSlot>* input_schema) const;
 
-  /// Stage A of a split plan: filter + hash-pack emit of the surviving columns.
-  /// `n_buckets` hash-pack buckets keyed on the first join's probe key.
-  CompiledPipeline CompileFilterStage(int n_buckets) const;
+  /// Stage A of a split plan: filter + hash-pack emit of the surviving columns,
+  /// tagged with the hash of the first join's probe key (the emit picks bucket
+  /// hash % its target count).
+  CompiledPipeline CompileFilterStage() const;
 
   /// Build-side filter stage of join `join_id` (hybrid plans): the build
   /// filter + an untagged pack emit of the survivors' build key and payload.

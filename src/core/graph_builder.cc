@@ -15,129 +15,71 @@ namespace hetex::core {
 
 namespace {
 
-Edge::Policy LowerPolicy(plan::RouterPolicy policy) {
-  switch (policy) {
-    case plan::RouterPolicy::kRoundRobin: return Edge::Policy::kRoundRobin;
-    case plan::RouterPolicy::kLoadBalance: return Edge::Policy::kLoadBalance;
-    case plan::RouterPolicy::kHash: return Edge::Policy::kHash;
-    case plan::RouterPolicy::kBroadcast: return Edge::Policy::kBroadcast;
-    // A union funnels every producer into the single downstream instance set;
-    // with one consumer per message the rotation is immaterial.
-    case plan::RouterPolicy::kUnion: return Edge::Policy::kRoundRobin;
-  }
-  return Edge::Policy::kRoundRobin;
-}
-
-const char* PolicyName(Edge::Policy policy) {
-  switch (policy) {
-    case Edge::Policy::kRoundRobin: return "round-robin";
-    case Edge::Policy::kLoadBalance: return "load-balance";
-    case Edge::Policy::kHash: return "hash";
-    case Edge::Policy::kBroadcast: return "broadcast";
-  }
-  return "?";
-}
-
 ProcessorFactory FactoryFor(const StageConfig* cfg) {
   return [cfg](WorkerInstance&) { return MakeVmProcessor(cfg); };
 }
 
 }  // namespace
 
-int LoweredSpec::TotalInstances() const {
-  int total = 0;
-  for (const auto* stages : {&build_filter_stages, &build_stages, &fact_stages}) {
-    for (const auto& s : *stages) total += static_cast<int>(s.instances.size());
+Status GraphBuilder::Analyze() {
+  Result<plan::PlanAnalysis> analysis =
+      plan::AnalyzePlan(*plan_, system_->topology());
+  analysis_ = analysis.ok() ? std::move(analysis).value() : plan::PlanAnalysis{};
+  return analysis.status();
+}
+
+Edge::Options GraphBuilder::EdgeOptions(const plan::Stage& stage) {
+  Edge::Options options;
+  options.policy = stage.in.policy;
+  options.control_cost = stage.in.control_cost;
+  options.crossing_latency = stage.in.crossing_latency;
+  // Relational operators are data-location agnostic: every exchange fixes
+  // locality on the consumer side unless the plan opted into UVA addressing.
+  options.mem_move = !stage.in.uva;
+  // A unit's build instances fill one replica together: each unit receives
+  // every block once, rotated over its instances.
+  options.unit_broadcast = stage.span().role == plan::StageRole::kBuild &&
+                           options.policy == plan::RouterPolicy::kBroadcast;
+  return options;
+}
+
+std::string GraphBuilder::Describe() const {
+  const plan::PlanAnalysis& a = analysis_;
+  size_t instances = 0;
+  for (const auto* stages : {&a.build_filter_stages, &a.build_stages, &a.fact_stages}) {
+    for (const plan::Stage& s : *stages) instances += s.instances.size();
   }
-  return total;
-}
-
-int LoweredSpec::TotalEdges() const {
-  return static_cast<int>(build_filter_stages.size() + build_stages.size() +
-                          fact_stages.size());
-}
-
-std::string LoweredSpec::ToString() const {
   std::ostringstream os;
-  os << "lowered graph: " << build_stages.size() << " build stage(s), "
-     << fact_stages.size() << " fact stage(s), " << TotalInstances()
+  os << "lowered graph: " << a.build_stages.size() << " build stage(s), "
+     << a.fact_stages.size() << " fact stage(s), " << instances
      << " instance(s)\n";
-  auto print_stage = [&os](const StageSpec& stage, const char* label) {
-    os << label << " " << plan::StageRoleName(stage.span.role);
-    if (stage.span.join_id >= 0) os << " ht[" << stage.span.join_id << "]";
+  auto print_stage = [&](const plan::Stage& stage, const char* label) {
+    const plan::Span& span = stage.span();
+    os << label << " " << plan::StageRoleName(span.role);
+    if (span.join_id >= 0) os << " ht[" << span.join_id << "]";
     os << " x" << stage.instances.size() << " [";
     for (size_t i = 0; i < stage.instances.size(); ++i) {
       os << (i ? " " : "") << stage.instances[i].ToString();
     }
     os << "]\n";
-    os << "  edge: policy=" << PolicyName(stage.in.options.policy)
-       << (stage.in.options.unit_broadcast ? "(per-unit rotation)" : "")
-       << (stage.in.options.mem_move ? " mem-move" : " no-mem-move")
+    const Edge::Options options = EdgeOptions(stage);
+    os << "  edge: policy=" << plan::RouterPolicyName(options.policy)
+       << (options.unit_broadcast ? "(per-unit rotation)" : "")
+       << (options.mem_move ? " mem-move" : " no-mem-move")
        << (stage.in.uva ? " uva" : "");
-    if (stage.in.options.crossing_latency > 0) {
-      os << " crossing=" << stage.in.options.crossing_latency;
+    if (options.crossing_latency > 0) {
+      os << " crossing=" << options.crossing_latency;
     }
-    os << " control=" << stage.in.options.control_cost << "\n";
+    os << " control=" << options.control_cost << "\n";
   };
-  for (const auto& stage : build_stages) {
+  for (const plan::Stage& stage : a.build_stages) {
     if (stage.filter_stage >= 0) {
-      print_stage(build_filter_stages[stage.filter_stage], "build stage:");
+      print_stage(a.build_filter_stages[stage.filter_stage], "build stage:");
     }
     print_stage(stage, "build stage:");
   }
-  for (const auto& stage : fact_stages) print_stage(stage, "fact stage:");
+  for (const plan::Stage& stage : a.fact_stages) print_stage(stage, "fact stage:");
   return os.str();
-}
-
-Status GraphBuilder::Analyze() {
-  spec_ = LoweredSpec{};
-  Result<plan::PlanAnalysis> analysis =
-      plan::AnalyzePlan(*plan_, system_->topology());
-  if (!analysis.ok()) return analysis.status();
-  spec_.channel_capacity = plan_->channel_capacity;
-  spec_.init_latency = analysis->init_latency;
-
-  // Lowers one analysed stage; its exchange becomes the edge options.
-  // Relational operators are data-location agnostic: every exchange fixes
-  // locality on the consumer side unless the plan opted into UVA addressing.
-  auto lower = [&](const plan::Stage& stage) {
-    StageSpec out;
-    out.span = stage.span();
-    for (const plan::Span& branch : stage.branches) {
-      out.branch_nodes.push_back(branch.nodes);
-    }
-    out.instances = stage.instances;
-    out.cores = stage.cores;
-    static_cast<plan::Exchange&>(out.in) = stage.in;
-    Edge::Options& options = out.in.options;
-    if (stage.in.router != -1) {
-      const plan::HetOpNode& r = plan_->node(stage.in.router);
-      options.policy = LowerPolicy(r.policy);
-      options.control_cost = r.control_cost;
-    } else {
-      options.policy = Edge::Policy::kRoundRobin;
-      options.control_cost = 0;
-    }
-    options.crossing_latency = stage.in.crossing_latency;
-    options.mem_move = !stage.in.uva;
-    return out;
-  };
-  for (const plan::Stage& stage : analysis->build_filter_stages) {
-    spec_.build_filter_stages.push_back(lower(stage));
-  }
-  for (const plan::Stage& stage : analysis->build_stages) {
-    StageSpec lowered = lower(stage);
-    lowered.filter_stage = stage.filter_stage;
-    // A unit's instances fill one replica together: each unit receives every
-    // block once, rotated over its instances.
-    lowered.in.options.unit_broadcast =
-        lowered.in.options.policy == Edge::Policy::kBroadcast;
-    spec_.build_stages.push_back(std::move(lowered));
-  }
-  for (const plan::Stage& stage : analysis->fact_stages) {
-    spec_.fact_stages.push_back(lower(stage));
-  }
-  return Status::OK();
 }
 
 namespace {
@@ -160,7 +102,7 @@ using SocketWorkers = std::map<int, int>;
 
 /// Folds `stage`'s CPU workers into `out`: added when the phase runs its
 /// stages concurrently, maxed in when they run one after another.
-void CountWorkers(const StageSpec& stage, bool concurrent, SocketWorkers* out) {
+void CountWorkers(const plan::Stage& stage, bool concurrent, SocketWorkers* out) {
   SocketWorkers mine;
   for (const auto& dev : stage.instances) {
     if (dev.is_cpu()) mine[dev.index] += 1;
@@ -220,10 +162,10 @@ std::vector<CompiledPipeline> GraphBuilder::CompileFactPipelines(
     QueryCompiler* compiler) const {
   // Pipelines compile producer→consumer so a stage can read its producer's emit
   // schema (stage B of split plans reads stage A's surviving columns).
-  const size_t n_fact = spec_.fact_stages.size();
+  const size_t n_fact = analysis_.fact_stages.size();
   std::vector<CompiledPipeline> out(n_fact);
   for (size_t i = n_fact; i-- > 0;) {
-    const plan::Span& span = spec_.fact_stages[i].span;
+    const plan::Span& span = analysis_.fact_stages[i].span();
     const bool packed_input =
         span.role == plan::StageRole::kProbe && i + 1 < n_fact;
     out[i] = compiler->CompileSpan(
@@ -233,20 +175,20 @@ std::vector<CompiledPipeline> GraphBuilder::CompileFactPipelines(
 }
 
 GraphBuilder::BuildPipelines GraphBuilder::CompileBuildPipelines(
-    const StageSpec& stage, QueryCompiler* compiler) const {
+    const plan::Stage& stage, QueryCompiler* compiler) const {
   BuildPipelines out;
   if (stage.filter_stage >= 0) {
     out.filter = compiler->CompileSpan(
-        spec_.build_filter_stages[stage.filter_stage].span, nullptr);
+        analysis_.build_filter_stages[stage.filter_stage].span(), nullptr);
   }
   out.build = compiler->CompileSpan(
-      stage.span, stage.filter_stage >= 0 ? &out.filter.output_cols : nullptr);
+      stage.span(), stage.filter_stage >= 0 ? &out.filter.output_cols : nullptr);
   return out;
 }
 
 Status GraphBuilder::Run(QueryCompiler* compiler, QueryResult* result) {
   const plan::HetPlan& plan = *plan_;
-  if (spec_.fact_stages.empty()) {
+  if (analysis_.fact_stages.empty()) {
     return Status::Internal("lowered graph has no fact stages (Analyze not run?)");
   }
 
@@ -271,20 +213,21 @@ Status GraphBuilder::Run(QueryCompiler* compiler, QueryResult* result) {
   } ht_guard{&hts, session.query_id};
 
   ResultSink sink;
-  const sim::VTime init_clock = spec_.init_latency;
+  const sim::VTime init_clock = analysis_.init_latency;
   const uint64_t block_bytes = system_->blocks().options().block_bytes;
-  const size_t channel_capacity = static_cast<size_t>(spec_.channel_capacity);
+  const size_t channel_capacity = static_cast<size_t>(plan.channel_capacity);
 
-  auto session_edge_options = [&](const StageSpec& stage) {
-    Edge::Options options = stage.in.options;
+  // The edge feeding `stage`'s group, created once the group exists.
+  auto make_edge = [&](const plan::Stage& stage, WorkerGroup& group) {
+    Edge::Options options = EdgeOptions(stage);
     options.epoch = session.epoch;
     options.control = session.control;
-    return options;
+    return std::make_unique<Edge>(system_, options, group.instance_ptrs());
   };
 
-  auto make_config = [&](const StageSpec& stage) {
+  auto make_config = [&](const plan::Stage& stage) {
     auto cfg = std::make_unique<StageConfig>();
-    cfg->role = stage.span.role;
+    cfg->role = stage.span().role;
     if (cfg->role == plan::StageRole::kGather) cfg->result = &sink;
     cfg->query_id = session.query_id;
     cfg->hts = &hts;
@@ -304,7 +247,7 @@ Status GraphBuilder::Run(QueryCompiler* compiler, QueryResult* result) {
     return Status::OK();
   };
 
-  auto make_source = [&](const StageSpec& stage, const StageConfig& cfg,
+  auto make_source = [&](const plan::Stage& stage, const StageConfig& cfg,
                          Edge* edge, sim::VTime clock,
                          std::unique_ptr<SourceDriver>* out) -> Status {
     const plan::HetOpNode& seg = plan.node(stage.in.segmenter);
@@ -350,12 +293,12 @@ Status GraphBuilder::Run(QueryCompiler* compiler, QueryResult* result) {
     std::string key;
     std::string table;   ///< build table (stale-generation GC grouping)
     uint64_t epoch = 0;  ///< the table's mutation epoch the key embeds
-    const StageSpec* stage = nullptr;
+    const plan::Stage* stage = nullptr;
     SharedBuildLease lease;
     bool published = false;
   };
   std::vector<SharedAcq> acqs;
-  std::vector<const StageSpec*> exec_builds;  // stages this query runs itself
+  std::vector<const plan::Stage*> exec_builds;  // stages this query runs itself
 
   // Every unpublished build role is failed on exit, success or not: waiters
   // blocked on this query's in-flight shared builds must always wake, and the
@@ -374,8 +317,8 @@ Status GraphBuilder::Run(QueryCompiler* compiler, QueryResult* result) {
   } shared_guard{&hts, &acqs};
 
   const bool share_builds = system_->reuse().shared_builds;
-  auto shared_build_key = [&](const StageSpec& stage, SharedAcq* acq) {
-    const plan::JoinSpec& j = compiler->spec().joins[stage.span.join_id];
+  auto shared_build_key = [&](const plan::Stage& stage, SharedAcq* acq) {
+    const plan::JoinSpec& j = compiler->spec().joins[stage.span().join_id];
     const storage::Table* table = system_->catalog().Get(j.build_table);
     acq->table = j.build_table;
     acq->epoch = table != nullptr ? table->mutation_epoch() : 0;
@@ -387,14 +330,15 @@ Status GraphBuilder::Run(QueryCompiler* compiler, QueryResult* result) {
       os << (i ? "," : "") << j.payload[i];
     }
     os << ";cap=" << plan::JoinHtCapacity(j, system_->catalog())
-       << ";w=" << compiler->JoinPayloadWidth(stage.span.join_id);
+       << ";w=" << compiler->JoinPayloadWidth(stage.span().join_id);
     // Exact unit-set match: Analyze() proved the build placement covers every
     // probe unit, so a replica set built for the same units covers them too.
-    std::vector<int> units;
-    for (const auto& dev : stage.instances) units.push_back(HtRegistry::UnitOf(dev));
+    std::vector<sim::DeviceId> units = stage.instances;
     std::sort(units.begin(), units.end());
     os << ";units=";
-    for (size_t i = 0; i < units.size(); ++i) os << (i ? "," : "") << units[i];
+    for (size_t i = 0; i < units.size(); ++i) {
+      os << (i ? "," : "") << units[i].ToString();
+    }
     acq->key = os.str();
   };
 
@@ -403,9 +347,10 @@ Status GraphBuilder::Run(QueryCompiler* compiler, QueryResult* result) {
   // plans, which must surface through the execution loop below exactly as
   // without sharing — map to no acquisition.
   std::vector<int> stage_acq;  // per build stage: index into acqs, or -1
-  for (const StageSpec& stage : spec_.build_stages) {
-    if (!share_builds || stage.span.join_id < 0 ||
-        stage.span.join_id >= static_cast<int>(compiler->spec().joins.size())) {
+  for (const plan::Stage& stage : analysis_.build_stages) {
+    const int join = stage.span().join_id;
+    if (!share_builds || join < 0 ||
+        join >= static_cast<int>(compiler->spec().joins.size())) {
       stage_acq.push_back(-1);
       continue;
     }
@@ -446,13 +391,13 @@ Status GraphBuilder::Run(QueryCompiler* compiler, QueryResult* result) {
   // query executes itself — in the exact order the non-shared path uses.
   // `replica_ready` is each unit's latest replica completion, attached or
   // built, in session-local time (0 for a unit without one).
-  std::map<int, sim::VTime> replica_ready;
-  auto note_ready = [&](int unit, sim::VTime t) {
+  std::map<sim::DeviceId, sim::VTime> replica_ready;
+  auto note_ready = [&](sim::DeviceId unit, sim::VTime t) {
     sim::VTime& ready = replica_ready[unit];
     ready = sim::MaxT(ready, t);
   };
-  for (size_t si = 0; si < spec_.build_stages.size(); ++si) {
-    const StageSpec& stage = spec_.build_stages[si];
+  for (size_t si = 0; si < analysis_.build_stages.size(); ++si) {
+    const plan::Stage& stage = analysis_.build_stages[si];
     if (stage_acq[si] < 0) {
       exec_builds.push_back(&stage);
       continue;
@@ -462,16 +407,15 @@ Status GraphBuilder::Run(QueryCompiler* compiler, QueryResult* result) {
       case SharedBuildLease::Role::kCancelled:
         break;  // unreachable: pass 2 returned
       case SharedBuildLease::Role::kAttach:
-        hts.AttachShared(acq.key, session.query_id, stage.span.join_id);
+        hts.AttachShared(acq.key, session.query_id, stage.span().join_id);
         // The key pins the unit set, so every instance's unit has a replica;
         // its readiness is translated into this session's local time (a late
         // arrival's negative time clamps to init_clock below: the artifact
         // already exists, so it pays nothing).
         for (const auto& [unit, ready] : acq.lease.ready_at) {
           note_ready(unit, ready - session.epoch);
-          result->builds.push_back({stage.span.join_id,
-                                    HtRegistry::DeviceOf(unit), 0,
-                                    ready - session.epoch});
+          result->builds.push_back(
+              {stage.span().join_id, unit, 0, ready - session.epoch});
         }
         ++result->shared_attaches;
         break;
@@ -495,18 +439,18 @@ Status GraphBuilder::Run(QueryCompiler* compiler, QueryResult* result) {
   // the units' replica readiness is known, so [init_clock, socket start)
   // stays on the timeline for later sessions.
   SocketWorkers build_workers;
-  for (const StageSpec* stage : exec_builds) {
+  for (const plan::Stage* stage : exec_builds) {
     CountWorkers(*stage, /*concurrent=*/false, &build_workers);
     if (stage->filter_stage >= 0) {
-      CountWorkers(spec_.build_filter_stages[stage->filter_stage],
+      CountWorkers(analysis_.build_filter_stages[stage->filter_stage],
                    /*concurrent=*/false, &build_workers);
     }
   }
   DramPhaseGuard build_dram(&system_->topology(), session, build_workers,
                             [&](int) { return init_clock; });
-  std::map<int, sim::VTime> unit_free;  // unit key -> end of its latest build
+  std::map<sim::DeviceId, sim::VTime> unit_free;  // end of its latest build
   auto free_at = [&](sim::DeviceId dev) {
-    auto it = unit_free.find(HtRegistry::UnitOf(dev));
+    auto it = unit_free.find(dev);
     return it != unit_free.end() ? it->second : init_clock;
   };
 
@@ -521,7 +465,7 @@ Status GraphBuilder::Run(QueryCompiler* compiler, QueryResult* result) {
     DataMsg msg;
     sim::MemNodeId node;
   };
-  auto run_build_filter = [&](const StageSpec& stage, CompiledPipeline pipeline,
+  auto run_build_filter = [&](const plan::Stage& stage, CompiledPipeline pipeline,
                               std::vector<Survivor>* survivors) -> Status {
     RuntimeStage rt;
     rt.cfg = make_config(stage);
@@ -537,8 +481,7 @@ Status GraphBuilder::Run(QueryCompiler* compiler, QueryResult* result) {
         system_, stage.instances, FactoryFor(rt.cfg.get()), nullptr,
         channel_capacity, std::move(starts), session.epoch, session.query_id,
         control);
-    rt.edge = std::make_unique<Edge>(system_, session_edge_options(stage),
-                                     rt.group->instance_ptrs());
+    rt.edge = make_edge(stage, *rt.group);
     HETEX_RETURN_NOT_OK(
         make_source(stage, *rt.cfg, rt.edge.get(), init_clock, &rt.source));
     rt.group->Start();
@@ -564,8 +507,8 @@ Status GraphBuilder::Run(QueryCompiler* compiler, QueryResult* result) {
 
   // Hand-mutated plans reach here through ExecutePlan: a stamped join id the
   // query does not have must surface as a Status, not a crash.
-  for (const StageSpec* stage : exec_builds) {
-    const int join = stage->span.join_id;
+  for (const plan::Stage* stage : exec_builds) {
+    const int join = stage->span().join_id;
     if (join < 0 || join >= static_cast<int>(compiler->spec().joins.size())) {
       return Status::InvalidArgument(
           "build span stamped with join id " + std::to_string(join) +
@@ -593,13 +536,13 @@ Status GraphBuilder::Run(QueryCompiler* compiler, QueryResult* result) {
     build_pipelines[b] = CompileBuildPipelines(*exec_builds[b], compiler);
     if (exec_builds[b]->filter_stage < 0) continue;
     HETEX_RETURN_NOT_OK(run_build_filter(
-        spec_.build_filter_stages[exec_builds[b]->filter_stage],
+        analysis_.build_filter_stages[exec_builds[b]->filter_stage],
         std::move(build_pipelines[b].filter), &held.by_build[b]));
   }
 
   for (size_t b = 0; b < exec_builds.size(); ++b) {
-    const StageSpec& stage = *exec_builds[b];
-    const int join = stage.span.join_id;
+    const plan::Stage& stage = *exec_builds[b];
+    const int join = stage.span().join_id;
     RuntimeStage rt;
     rt.cfg = make_config(stage);
     rt.cfg->pipeline = std::move(build_pipelines[b].build);
@@ -609,8 +552,7 @@ Status GraphBuilder::Run(QueryCompiler* compiler, QueryResult* result) {
     std::vector<sim::VTime> starts;
     for (size_t k = 0; k < stage.instances.size(); ++k) {
       const sim::DeviceId dev = stage.instances[k];
-      const int unit = HtRegistry::UnitOf(dev);
-      auto [it, fresh] = rt.cfg->build_replicas.try_emplace(unit);
+      auto [it, fresh] = rt.cfg->build_replicas.try_emplace(dev);
       if (fresh) {
         it->second.ht = hts.Create(
             session.query_id, join, dev,
@@ -628,8 +570,7 @@ Status GraphBuilder::Run(QueryCompiler* compiler, QueryResult* result) {
         system_, stage.instances, FactoryFor(rt.cfg.get()), nullptr,
         channel_capacity, std::move(starts), session.epoch, session.query_id,
         control);
-    rt.edge = std::make_unique<Edge>(system_, session_edge_options(stage),
-                                     rt.group->instance_ptrs());
+    rt.edge = make_edge(stage, *rt.group);
     if (stage.filter_stage < 0) {
       HETEX_RETURN_NOT_OK(
           make_source(stage, *rt.cfg, rt.edge.get(), init_clock, &rt.source));
@@ -653,16 +594,16 @@ Status GraphBuilder::Run(QueryCompiler* compiler, QueryResult* result) {
     HETEX_RETURN_NOT_OK(group_error(*rt.group));
 
     // A replica is complete when the last of its writers finished.
-    std::map<int, QueryResult::BuildDone> done;  // unit key -> completion
+    std::map<sim::DeviceId, QueryResult::BuildDone> done;  // unit -> completion
     for (int k = 0; k < rt.group->size(); ++k) {
       const WorkerInstance& inst = rt.group->instance(k);
-      QueryResult::BuildDone& d = done[HtRegistry::UnitOf(inst.device())];
+      QueryResult::BuildDone& d = done[inst.device()];
       d.join_id = join;
       d.unit = inst.device();
       d.dop += 1;
       d.done = sim::MaxT(d.done, inst.clock());
     }
-    std::map<int, sim::VTime> ready_at;
+    std::map<sim::DeviceId, sim::VTime> ready_at;
     for (const auto& [unit, d] : done) {
       unit_free[unit] = d.done;
       note_ready(unit, d.done);
@@ -692,19 +633,19 @@ Status GraphBuilder::Run(QueryCompiler* compiler, QueryResult* result) {
   // segmenter, filter and gather stages — starts at the earliest probe unit's
   // start.
   auto unit_ready = [&](sim::DeviceId dev) {
-    auto it = replica_ready.find(HtRegistry::UnitOf(dev));
+    auto it = replica_ready.find(dev);
     return sim::MaxT(init_clock,
                      it != replica_ready.end() ? it->second : 0.0);
   };
-  const size_t n_fact = spec_.fact_stages.size();
+  const size_t n_fact = analysis_.fact_stages.size();
   std::vector<std::vector<sim::VTime>> starts(n_fact);
-  std::map<int, QueryResult::UnitReady> probe_units;  // unit key -> readiness
+  std::map<sim::DeviceId, QueryResult::UnitReady> probe_units;
   for (size_t i = 0; i < n_fact; ++i) {
-    const StageSpec& stage = spec_.fact_stages[i];
-    if (stage.span.role != plan::StageRole::kProbe) continue;
+    const plan::Stage& stage = analysis_.fact_stages[i];
+    if (stage.span().role != plan::StageRole::kProbe) continue;
     for (const auto& dev : stage.instances) {
       starts[i].push_back(unit_ready(dev));
-      probe_units[HtRegistry::UnitOf(dev)] = {dev, starts[i].back()};
+      probe_units[dev] = {dev, starts[i].back()};
     }
   }
   const auto earliest = std::min_element(
@@ -721,7 +662,7 @@ Status GraphBuilder::Run(QueryCompiler* compiler, QueryResult* result) {
   // its own replicas' readiness.
   std::map<int, sim::VTime> socket_start;
   for (size_t i = 0; i < n_fact; ++i) {
-    const StageSpec& stage = spec_.fact_stages[i];
+    const plan::Stage& stage = analysis_.fact_stages[i];
     if (starts[i].empty()) starts[i].assign(stage.instances.size(), fact_start);
     for (size_t k = 0; k < stage.instances.size(); ++k) {
       if (!stage.instances[k].is_cpu()) continue;
@@ -743,20 +684,20 @@ Status GraphBuilder::Run(QueryCompiler* compiler, QueryResult* result) {
   // Instantiation runs consumer→producer: each group needs its downstream edge,
   // each edge needs its consumer group's instances.
   SocketWorkers fact_workers;
-  for (const StageSpec& stage : spec_.fact_stages) {
+  for (const plan::Stage& stage : analysis_.fact_stages) {
     CountWorkers(stage, /*concurrent=*/true, &fact_workers);
   }
   DramPhaseGuard dram(&system_->topology(), session, fact_workers,
                       phase_boundary);
   std::vector<RuntimeStage> stages;
   Edge* downstream = nullptr;
-  for (size_t i = 0; i < spec_.fact_stages.size(); ++i) {
-    const StageSpec& stage = spec_.fact_stages[i];
+  for (size_t i = 0; i < n_fact; ++i) {
+    const plan::Stage& stage = analysis_.fact_stages[i];
     RuntimeStage rt;
     rt.cfg = make_config(stage);
     rt.cfg->pipeline = std::move(pipelines[i]);
     rt.cfg->out = downstream;
-    if (stage.span.role == plan::StageRole::kFilterStage &&
+    if (stage.span().role == plan::StageRole::kFilterStage &&
         downstream != nullptr) {
       rt.cfg->n_buckets = downstream->num_consumers();
     }
@@ -764,8 +705,7 @@ Status GraphBuilder::Run(QueryCompiler* compiler, QueryResult* result) {
         system_, stage.instances, FactoryFor(rt.cfg.get()), downstream,
         channel_capacity, std::move(starts[i]), session.epoch,
         session.query_id, control);
-    rt.edge = std::make_unique<Edge>(system_, session_edge_options(stage),
-                                     rt.group->instance_ptrs());
+    rt.edge = make_edge(stage, *rt.group);
     downstream = rt.edge.get();
     if (stage.in.segmenter != -1) {
       Status st = make_source(stage, *rt.cfg, rt.edge.get(), fact_start,

@@ -13,59 +13,17 @@
 
 namespace hetex::core {
 
-/// \brief Transport between pipeline spans: one analysed HetPlan exchange
-/// (router plus its mem-move / device-crossing converter decoration, or a
-/// direct segmenter feed in bare plans) lowered to Edge options.
-struct EdgeSpec : plan::Exchange {
-  Edge::Options options;
-};
-
-/// \brief One runtime stage: a worker group (the merged, identically-programmed
-/// spans of every device-type branch fed by the same exchange) plus the edge —
-/// and possibly the source driver — feeding it.
-struct StageSpec {
-  plan::Span span;                      ///< representative span (first branch)
-  std::vector<std::vector<int>> branch_nodes;  ///< per-branch span node chains
-  std::vector<sim::DeviceId> instances;        ///< concatenated branch placements
-  std::vector<plan::Core> cores;               ///< the core of each instance
-  EdgeSpec in;
-  /// Build stages: index of the build-side filter stage feeding this one in
-  /// LoweredSpec::build_filter_stages (-1: segmenter-fed).
-  int filter_stage = -1;
-};
-
-/// \brief The physical-graph description lowered from a validated HetPlan:
-/// what GraphBuilder instantiates and what plan_explorer prints.
-struct LoweredSpec {
-  /// Join-build stages, each a self-contained source→edge→group graph, or
-  /// fed by its build-side filter stage. Each unit runs them one after
-  /// another, in this order, before the fact side.
-  std::vector<StageSpec> build_stages;
-  /// Build-side filter stages (segmenter→edge→group), each run to completion
-  /// before the build stage it feeds.
-  std::vector<StageSpec> build_filter_stages;
-  /// Fact-side stages in consumer→producer order: gather first, then the probe
-  /// stage, then (split plans) the filter stage; the last one is segmenter-fed.
-  std::vector<StageSpec> fact_stages;
-  sim::VTime init_latency = 0;    ///< router bring-up watermark (max over stamps)
-  uint64_t channel_capacity = 16;
-
-  int TotalInstances() const;
-  int TotalEdges() const;
-  std::string ToString() const;
-};
-
 /// \brief Lowers a validated HetPlan into the runtime graph and runs it.
 ///
 /// This is the paper's encapsulation contract made executable: the plan — not
-/// the engine — decides the execution shape. Analyze() lowers the stages and
-/// exchanges plan::AnalyzePlan partitions the DAG into (using only the
-/// operators and the parameters BuildHetPlan stamped on them, the same
-/// analysis PlanCoster prices); Run() instantiates SourceDrivers, Edges and
-/// WorkerGroups from that spec and orchestrates the phased execution (builds
-/// one join after another on each unit — a filter-fed build after its filter
-/// stage — then the fact graph, each probe instance gated on the hash-table
-/// replicas of its own unit). Any
+/// the engine — decides the execution shape. Analyze() runs plan::AnalyzePlan,
+/// which partitions the DAG into stages and exchanges using only the operators
+/// and the parameters BuildHetPlan stamped on them (the same analysis
+/// PlanCoster prices); Run() instantiates a WorkerGroup per analysed stage, an
+/// Edge per exchange (EdgeOptions) and a SourceDriver per segmenter, and
+/// orchestrates the phased execution (builds one join after another on each
+/// unit — a filter-fed build after its filter stage — then the fact graph,
+/// each probe instance gated on the hash-table replicas of its own unit). Any
 /// plan shape whose spans classify — split filter/probe stages, per-edge
 /// policy/placement/granularity mutations — runs without executor changes.
 ///
@@ -83,12 +41,22 @@ class GraphBuilder {
                const QuerySession* session = nullptr)
       : system_(system), plan_(plan), session_(session) {}
 
-  /// Analyzes the plan (plan::AnalyzePlan) and lowers its exchanges into the
-  /// lowered spec. Fails (rather than CHECKs) on shapes the runtime cannot
-  /// instantiate, so callers can surface the Status in QueryResult.
+  /// Analyzes the plan (plan::AnalyzePlan). Fails (rather than CHECKs) on
+  /// shapes the runtime cannot instantiate, so callers can surface the Status
+  /// in QueryResult.
   Status Analyze();
 
-  const LoweredSpec& spec() const { return spec_; }
+  /// The analysed stages Run() instantiates.
+  const plan::PlanAnalysis& analysis() const { return analysis_; }
+
+  /// The edge `stage`'s exchange lowers to: the router's policy and control
+  /// cost, the crossing latency, a mem-move unless the exchange addresses
+  /// memory over UVA, and a unit broadcast on build edges. Run() adds the
+  /// session.
+  static Edge::Options EdgeOptions(const plan::Stage& stage);
+
+  /// The runtime graph as text: each stage's role, instances and edge.
+  std::string Describe() const;
 
   /// \brief Compiles the fact-chain span pipelines producer→consumer, threading
   /// packed wire schemas (stage B of a split plan reads stage A's emit schema).
@@ -108,18 +76,18 @@ class GraphBuilder {
     CompiledPipeline filter;
     CompiledPipeline build;
   };
-  BuildPipelines CompileBuildPipelines(const StageSpec& stage,
+  BuildPipelines CompileBuildPipelines(const plan::Stage& stage,
                                        QueryCompiler* compiler) const;
 
-  /// Instantiates the runtime objects from the analyzed spec and executes the
-  /// query, filling `result` (rows, modeled/virtual time, work stats).
+  /// Instantiates the runtime objects from the analysed stages and executes
+  /// the query, filling `result` (rows, modeled/virtual time, work stats).
   Status Run(QueryCompiler* compiler, QueryResult* result);
 
  private:
   System* system_;
   const plan::HetPlan* plan_;
   const QuerySession* session_;
-  LoweredSpec spec_;
+  plan::PlanAnalysis analysis_;
 };
 
 }  // namespace hetex::core

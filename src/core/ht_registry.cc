@@ -10,6 +10,8 @@ namespace hetex::core {
 
 namespace {
 constexpr int kIntMin = std::numeric_limits<int>::min();
+/// Orders before every unit: the lower end of a (query, join) key range.
+constexpr sim::DeviceId kFirstUnit{sim::DeviceType::kCpu, kIntMin};
 }  // namespace
 
 jit::JoinHashTable* HtRegistry::Create(uint64_t query, int join_id,
@@ -17,7 +19,7 @@ jit::JoinHashTable* HtRegistry::Create(uint64_t query, int join_id,
                                        memory::MemoryManager* mm,
                                        uint64_t capacity, int payload_width) {
   std::lock_guard<std::mutex> lock(mu_);
-  const Key key{query, join_id, UnitOf(unit)};
+  const Key key{query, join_id, unit};
   HETEX_CHECK(tables_.find(key) == tables_.end())
       << "duplicate hash table for query " << query << " join " << join_id;
   auto ht = std::make_shared<jit::JoinHashTable>(mm, capacity, payload_width);
@@ -29,7 +31,7 @@ jit::JoinHashTable* HtRegistry::Create(uint64_t query, int join_id,
 jit::JoinHashTable* HtRegistry::Get(uint64_t query, int join_id,
                                     sim::DeviceId unit) const {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = tables_.find(Key{query, join_id, UnitOf(unit)});
+  auto it = tables_.find(Key{query, join_id, unit});
   HETEX_CHECK(it != tables_.end())
       << "no hash table for query " << query << " join " << join_id
       << " on unit " << unit.ToString();
@@ -41,8 +43,8 @@ void HtRegistry::DropQuery(uint64_t query) {
   // Keys order by query first: erase the contiguous [ (query,min), (query+1,min) )
   // range. Aliases of shared replicas only drop a reference — the replica set
   // registered under its content key stays live for future attachers.
-  tables_.erase(tables_.lower_bound(Key{query, kIntMin, kIntMin}),
-                tables_.lower_bound(Key{query + 1, kIntMin, kIntMin}));
+  tables_.erase(tables_.lower_bound(Key{query, kIntMin, kFirstUnit}),
+                tables_.lower_bound(Key{query + 1, kIntMin, kFirstUnit}));
 }
 
 void HtRegistry::EvictStaleLocked(const std::string& table, uint64_t epoch) {
@@ -118,7 +120,7 @@ SharedBuildLease HtRegistry::AcquireShared(const std::string& content_key,
 
 void HtRegistry::PublishShared(const std::string& content_key, uint64_t query,
                                int join_id,
-                               std::map<int, sim::VTime> ready_at) {
+                               std::map<sim::DeviceId, sim::VTime> ready_at) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = shared_.find(content_key);
@@ -127,7 +129,7 @@ void HtRegistry::PublishShared(const std::string& content_key, uint64_t query,
                 it->second.builder == query)
         << "publish without the build role for key " << content_key;
     SharedEntry& entry = it->second;
-    for (auto t = tables_.lower_bound(Key{query, join_id, kIntMin});
+    for (auto t = tables_.lower_bound(Key{query, join_id, kFirstUnit});
          t != tables_.end() && std::get<0>(t->first) == query &&
          std::get<1>(t->first) == join_id;
          ++t) {
@@ -137,8 +139,8 @@ void HtRegistry::PublishShared(const std::string& content_key, uint64_t query,
         << "publish with no built replicas for key " << content_key;
     for (const auto& [unit, ht] : entry.replicas) {
       HETEX_CHECK(ready_at.count(unit) != 0)
-          << "publish without a ready time for unit " << unit << " of key "
-          << content_key;
+          << "publish without a ready time for unit " << unit.ToString()
+          << " of key " << content_key;
     }
     entry.ready_at = std::move(ready_at);
     entry.state = SharedEntry::State::kReady;
@@ -206,7 +208,7 @@ uint64_t HtRegistry::TotalHtBytes() const {
 int HtRegistry::NumTables(uint64_t query) const {
   std::lock_guard<std::mutex> lock(mu_);
   int n = 0;
-  for (auto it = tables_.lower_bound(Key{query, kIntMin, kIntMin});
+  for (auto it = tables_.lower_bound(Key{query, kIntMin, kFirstUnit});
        it != tables_.end() && std::get<0>(it->first) == query; ++it) {
     ++n;
   }

@@ -26,16 +26,16 @@ struct SharedBuildLease {
     kCancelled,  ///< caller was cancelled while waiting for an in-flight build
   };
   Role role = Role::kPrivate;
-  /// kAttach only: absolute virtual time each unit's replica completed at
-  /// (unit key -> time). An attacher's probes on a unit wait for that unit's
-  /// replica only (charged to their modeled latency); attachers arriving
-  /// later pay nothing — the artifact exists.
-  std::map<int, sim::VTime> ready_at;
+  /// kAttach only: absolute virtual time each unit's replica completed at.
+  /// An attacher's probes on a unit wait for that unit's replica only
+  /// (charged to their modeled latency); attachers arriving later pay
+  /// nothing — the artifact exists.
+  std::map<sim::DeviceId, sim::VTime> ready_at;
 };
 
 /// \brief Join hash tables shared between build and probe pipelines, keyed by
 /// (query, join id, device unit). A "unit" is one CPU socket or one GPU — the
-/// replica granularity of broadcast hash joins.
+/// replica granularity of broadcast hash joins — named by its sim::DeviceId.
 ///
 /// The registry is System-owned and shared by every in-flight query, so keys
 /// carry the owning query id: two concurrent queries joining the same dimension
@@ -56,17 +56,6 @@ struct SharedBuildLease {
 /// DropQuery only releases a query's aliases, never a live shared replica.
 class HtRegistry {
  public:
-  /// Unit key of a device: sockets and GPUs occupy disjoint ranges.
-  static int UnitOf(sim::DeviceId dev) {
-    return dev.is_cpu() ? dev.index : kGpuUnitBase + dev.index;
-  }
-  /// The device a unit key names (inverse of UnitOf).
-  static sim::DeviceId DeviceOf(int unit) {
-    return unit < kGpuUnitBase ? sim::DeviceId::Cpu(unit)
-                               : sim::DeviceId::Gpu(unit - kGpuUnitBase);
-  }
-  static constexpr int kGpuUnitBase = 1000;
-
   jit::JoinHashTable* Create(uint64_t query, int join_id, sim::DeviceId unit,
                              memory::MemoryManager* mm, uint64_t capacity,
                              int payload_width);
@@ -101,10 +90,10 @@ class HtRegistry {
 
   /// Builder success: shares the replicas `query` built for `join_id` under
   /// the key (the builder's own namespace keeps its aliases) and wakes the
-  /// waiters. `ready_at` maps each replica's unit key to the absolute virtual
+  /// waiters. `ready_at` maps each replica's unit to the absolute virtual
   /// time that replica completed at; it must cover every published replica.
   void PublishShared(const std::string& content_key, uint64_t query,
-                     int join_id, std::map<int, sim::VTime> ready_at);
+                     int join_id, std::map<sim::DeviceId, sim::VTime> ready_at);
 
   /// Builder failure: marks the entry failed and wakes the waiters; the first
   /// to re-acquire is promoted to builder (counted as a failover).
@@ -131,16 +120,16 @@ class HtRegistry {
   int NumTables(uint64_t query) const;
 
  private:
-  using Key = std::tuple<uint64_t, int, int>;  // (query, join id, unit)
+  using Key = std::tuple<uint64_t, int, sim::DeviceId>;  // (query, join, unit)
 
   struct SharedEntry {
     enum class State { kBuilding, kReady, kFailed };
     State state = State::kBuilding;
     uint64_t builder = 0;  ///< query currently holding the build role
-    std::map<int, sim::VTime> ready_at;  // unit -> absolute completion
+    std::map<sim::DeviceId, sim::VTime> ready_at;  // absolute completion
     std::string table;   ///< source table the content key embeds (GC grouping)
     uint64_t epoch = 0;  ///< table mutation epoch the replicas were built at
-    std::map<int, std::shared_ptr<jit::JoinHashTable>> replicas;  // unit -> ht
+    std::map<sim::DeviceId, std::shared_ptr<jit::JoinHashTable>> replicas;
   };
 
   /// Erases `table`'s shared entries from mutation epochs other than `epoch`:

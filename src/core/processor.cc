@@ -77,7 +77,7 @@ void VmProcessor::Init(WorkerInstance& inst) {
 
   if (cfg_->role == plan::StageRole::kBuild) {
     const StageConfig::BuildReplica& replica =
-        cfg_->build_replicas.at(HtRegistry::UnitOf(inst.device()));
+        cfg_->build_replicas.at(inst.device());
     ht_slots_[0] = replica.ht;
     shared_ht_insert_ = replica.writers > 1;
   } else {

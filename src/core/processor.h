@@ -36,14 +36,14 @@ struct StageConfig {
   /// blocks into the build's broadcast in a fixed order.
   std::vector<std::vector<DataMsg>>* collect = nullptr;
 
-  /// Build stages: the join replica of each unit (HtRegistry::UnitOf key),
-  /// created once before the group starts, and how many of the group's
-  /// instances insert into it — more than one pay the bucket-head CAS.
+  /// Build stages: the join replica of each unit, created once before the
+  /// group starts, and how many of the group's instances insert into it —
+  /// more than one pay the bucket-head CAS.
   struct BuildReplica {
     jit::JoinHashTable* ht = nullptr;
     int writers = 0;
   };
-  std::map<int, BuildReplica> build_replicas;
+  std::map<sim::DeviceId, BuildReplica> build_replicas;
 
   // Emit configuration.
   uint64_t block_bytes = 1ull << 20;

@@ -23,12 +23,14 @@ WorkerInstance::WorkerInstance(int id, sim::DeviceId device, System* system,
 Edge::Edge(System* system, Options options, std::vector<WorkerInstance*> consumers)
     : system_(system), options_(options), consumers_(std::move(consumers)) {
   HETEX_CHECK(!consumers_.empty()) << "edge with no consumers";
-  std::map<int, size_t> group_of;  // unit (or consumer) -> broadcast group
+  std::map<sim::DeviceId, size_t> group_of;  // unit -> broadcast group
   for (size_t i = 0; i < consumers_.size(); ++i) {
-    const int key = options_.unit_broadcast
-                        ? HtRegistry::UnitOf(consumers_[i]->device())
-                        : static_cast<int>(i);
-    auto [it, fresh] = group_of.emplace(key, broadcast_groups_.size());
+    if (!options_.unit_broadcast) {
+      broadcast_groups_.push_back({static_cast<int>(i)});
+      continue;
+    }
+    auto [it, fresh] =
+        group_of.emplace(consumers_[i]->device(), broadcast_groups_.size());
     if (fresh) broadcast_groups_.emplace_back();
     broadcast_groups_[it->second].push_back(static_cast<int>(i));
   }
@@ -197,7 +199,7 @@ void Edge::Push(DataMsg msg, sim::MemNodeId producer_node) {
     msg.ready_at += options_.crossing_latency;
   }
 
-  if (options_.policy == Policy::kBroadcast) {
+  if (options_.policy == plan::RouterPolicy::kBroadcast) {
     // Mem-move owns broadcast (data-flow duplication); the router then routes by
     // target id — from its perspective this is just a hash policy (§3.1). A
     // unit broadcast rotates each unit's copy over that unit's consumers in
@@ -219,16 +221,17 @@ void Edge::Push(DataMsg msg, sim::MemNodeId producer_node) {
 
   WorkerInstance* target = nullptr;
   switch (options_.policy) {
-    case Policy::kRoundRobin: {
+    case plan::RouterPolicy::kRoundRobin:
+    case plan::RouterPolicy::kUnion: {
       target = consumers_[rr_next_.fetch_add(1, std::memory_order_relaxed) %
                           consumers_.size()];
       break;
     }
-    case Policy::kHash: {
+    case plan::RouterPolicy::kHash: {
       target = consumers_[msg.tag % consumers_.size()];
       break;
     }
-    case Policy::kLoadBalance: {
+    case plan::RouterPolicy::kLoadBalance: {
       // GPU-resident blocks go to their local GPU (avoids absurd device->host->
       // device round trips); everything else goes to the least-backlogged
       // consumer in virtual time.
@@ -256,7 +259,7 @@ void Edge::Push(DataMsg msg, sim::MemNodeId producer_node) {
       if (target == nullptr) target = consumers_[0];
       break;
     }
-    case Policy::kBroadcast:
+    case plan::RouterPolicy::kBroadcast:
       break;  // handled above
   }
   DeliverTo(target, std::move(msg), producer_node);

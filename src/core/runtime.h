@@ -12,11 +12,11 @@
 #include <vector>
 
 #include "common/mpmc_queue.h"
-#include "core/ht_registry.h"
 #include "core/query_control.h"
 #include "core/system.h"
 #include "jit/device_provider.h"
 #include "jit/hash_table.h"
+#include "plan/het_plan.h"
 
 namespace hetex::core {
 
@@ -143,16 +143,13 @@ class WorkerInstance {
 /// only routes the resulting (block, target-id) pairs.
 class Edge {
  public:
-  enum class Policy {
-    kRoundRobin,   ///< strict rotation (deterministic)
-    kLoadBalance,  ///< least virtual-time backlog (default; GPU-local blocks
-                   ///< prefer their local GPU)
-    kHash,         ///< consumer = tag % consumers (requires hash-packed blocks)
-    kBroadcast,    ///< every consumer receives every message
-  };
-
   struct Options {
-    Policy policy = Policy::kLoadBalance;
+    /// kRoundRobin: strict rotation (deterministic). kLoadBalance: least
+    /// virtual-time backlog; GPU-local blocks prefer their local GPU. kHash:
+    /// consumer = tag % consumers (requires hash-packed blocks). kBroadcast:
+    /// every consumer receives every message. kUnion routes like kRoundRobin
+    /// (it funnels every producer into one consumer set).
+    plan::RouterPolicy policy = plan::RouterPolicy::kLoadBalance;
     bool mem_move = true;            ///< insert the mem-move data-flow half
     double control_cost = 100e-9;    ///< router control-plane cost per message
     /// gpu2cpu task-spawn latency, charged to messages pushed from GPU memory

@@ -38,10 +38,6 @@ bool IsDecorationKind(Kind k) {
 /// them (bare plans route partials straight from pack to gather).
 bool IsProducerTop(Kind k) { return k == Kind::kPack || k == Kind::kHashPack; }
 
-/// A device unit holding one hash-table replica: a CPU socket or a GPU.
-using Unit = std::pair<bool, int>;  // (is GPU, index)
-Unit UnitOf(sim::DeviceId dev) { return {dev.is_gpu(), dev.index}; }
-
 }  // namespace
 
 const char* StageRoleName(StageRole role) {
@@ -108,9 +104,6 @@ Result<PlanAnalysis> AnalyzePlan(const HetPlan& plan, const sim::Topology& topo)
           has_gather = true;
           break;
         case Kind::kHashPack:
-          has_pack = true;
-          span->n_buckets = n.n_buckets > 0 ? n.n_buckets : 1;
-          break;
         case Kind::kPack:
           has_pack = true;
           break;
@@ -184,6 +177,8 @@ Result<PlanAnalysis> AnalyzePlan(const HetPlan& plan, const sim::Topology& topo)
           return Status::Internal("stage branches fed by different routers");
         }
         e.router = cur;
+        e.policy = n.policy;
+        e.control_cost = n.control_cost;
       } else if (n.kind == Kind::kSegmenter) {
         // Bare plan: the source feeds the span directly.
         if (e.segmenter != -1 && e.segmenter != cur) {
@@ -242,16 +237,15 @@ Result<PlanAnalysis> AnalyzePlan(const HetPlan& plan, const sim::Topology& topo)
               std::to_string(limit) + " " + (dev.is_cpu() ? "socket(s)" : "GPU(s)"));
         }
       }
-      if (branch.role != first.role || branch.join_id != first.join_id ||
-          branch.n_buckets != first.n_buckets) {
+      if (branch.role != first.role || branch.join_id != first.join_id) {
         return Status::Internal("exchange feeds inconsistently stamped spans");
       }
       stage->instances.insert(stage->instances.end(), branch.instances.begin(),
                               branch.instances.end());
     }
-    std::map<std::pair<sim::DeviceType, int>, int> next;  // unit -> ordinal
+    std::map<sim::DeviceId, int> next;  // unit -> ordinal
     for (const auto& dev : stage->instances) {
-      stage->cores.push_back({dev, next[{dev.type, dev.index}]++});
+      stage->cores.push_back({dev, next[dev]++});
     }
     return Status::OK();
   };
@@ -339,8 +333,7 @@ Result<PlanAnalysis> AnalyzePlan(const HetPlan& plan, const sim::Topology& topo)
       }
       // Each dimension row must reach one filter instance: a broadcast would
       // pack (and every replica insert) each survivor once per instance.
-      if (filter.in.router != -1 &&
-          plan.node(filter.in.router).policy == RouterPolicy::kBroadcast) {
+      if (filter.in.policy == RouterPolicy::kBroadcast) {
         return Status::InvalidArgument(
             "build-side filter stage of join " +
             std::to_string(g.stage.span().join_id) +
@@ -357,13 +350,13 @@ Result<PlanAnalysis> AnalyzePlan(const HetPlan& plan, const sim::Topology& topo)
   // Broadcast hash joins replicate one table per device unit, built by one
   // build chain (branch): a placement that leaves a probe unit without its
   // replica — or builds two replicas on one unit — is rejected here.
-  std::map<int, std::set<Unit>> build_units;  // join id -> units with a replica
+  std::map<int, std::set<sim::DeviceId>> build_units;  // join -> replica units
   for (const Stage& stage : out.build_stages) {
-    std::set<Unit>& units = build_units[stage.span().join_id];
+    std::set<sim::DeviceId>& units = build_units[stage.span().join_id];
     for (const Span& branch : stage.branches) {
-      std::set<Unit> mine;
+      std::set<sim::DeviceId> mine;
       for (const auto& dev : branch.instances) {
-        if (mine.insert(UnitOf(dev)).second && !units.insert(UnitOf(dev)).second) {
+        if (mine.insert(dev).second && !units.insert(dev).second) {
           return Status::InvalidArgument(
               "join " + std::to_string(stage.span().join_id) +
               " builds two hash-table replicas on unit " + dev.ToString());
@@ -381,7 +374,7 @@ Result<PlanAnalysis> AnalyzePlan(const HetPlan& plan, const sim::Topology& topo)
     }
     for (int j : joins) {
       for (const auto& dev : stage.instances) {
-        if (build_units[j].count(UnitOf(dev)) == 0) {
+        if (build_units[j].count(dev) == 0) {
           return Status::InvalidArgument(
               "probe instance on " + dev.ToString() + " has no join-" +
               std::to_string(j) +

@@ -32,7 +32,6 @@ struct Span {
   std::vector<int> nodes;                ///< plan node ids, consumer→producer
   std::vector<sim::DeviceId> instances;  ///< placement stamped on the span nodes
   int join_id = -1;  ///< kBuild, build-side kFilterStage: join whose HT it feeds
-  int n_buckets = 1;                     ///< kFilterStage: hash-pack fanout
   /// Consumer-side decoration of the exchange feeding this branch: a kCpu2Gpu
   /// crossing enters it, and (`uva`) that crossing reads producer memory in
   /// place over UVA instead of behind a mem-move.
@@ -47,6 +46,10 @@ struct Exchange {
   int router = -1;     ///< plan node id of the kRouter (-1: bare direct feed)
   int segmenter = -1;  ///< plan node id of the kSegmenter feeding the exchange
   std::vector<int> producer_tops;   ///< top plan nodes of the producer spans
+  /// The router's stamped policy and per-message control cost (a bare direct
+  /// feed rotates at no cost).
+  RouterPolicy policy = RouterPolicy::kRoundRobin;
+  double control_cost = 0;
   sim::VTime crossing_latency = 0;  ///< max kGpu2Cpu latency, either side
   bool uva = false;  ///< a crossing on either side addresses memory over UVA
 };
@@ -59,14 +62,13 @@ struct Core {
   int ordinal = 0;
 
   friend bool operator<(const Core& a, const Core& b) {
-    return std::tuple(a.unit.type, a.unit.index, a.ordinal) <
-           std::tuple(b.unit.type, b.unit.index, b.ordinal);
+    return std::tie(a.unit, a.ordinal) < std::tie(b.unit, b.ordinal);
   }
 };
 
 /// \brief One stage: the branches one exchange feeds, run as one worker group.
-/// Branches agree on role, join id and bucket count (they compile to one
-/// program); each keeps its own placement and crossing flags.
+/// Branches agree on role and join id (they compile to one program); each
+/// keeps its own placement and crossing flags.
 struct Stage {
   std::vector<Span> branches;            ///< plan order; front() is representative
   std::vector<sim::DeviceId> instances;  ///< concatenated branch placements

@@ -413,14 +413,6 @@ Result<CostEstimate> PlanCoster::Cost(const HetPlan& plan) const {
     return frac;
   };
 
-  auto stage_policy = [&](const Stage& stage) {
-    return stage.in.router >= 0 ? plan.node(stage.in.router).policy
-                                : RouterPolicy::kRoundRobin;
-  };
-  auto stage_control = [&](const Stage& stage) {
-    return stage.in.router >= 0 ? plan.node(stage.in.router).control_cost : 0.0;
-  };
-
   auto stage_instances = [&](const Stage& stage, const Profile& profile,
                              uint64_t block_rows, double in_width,
                              uint64_t cols,
@@ -445,13 +437,12 @@ Result<CostEstimate> PlanCoster::Cost(const HetPlan& plan) const {
     // Load-balance routers pin GPU-resident blocks to their local GPU when
     // that GPU is among the consumers — those fractions never travel, and no
     // other instance ever receives them. Credit the route accordingly.
-    const RouterPolicy pol = stage_policy(stage);
     std::vector<char> gpu_inst(static_cast<size_t>(topo_->num_gpus()), 0);
     for (const auto& dev : stage.instances) {
       if (dev.is_gpu()) gpu_inst[static_cast<size_t>(dev.index)] = 1;
     }
     auto lb_pinned = [&](int src_gpu) {
-      return pol == RouterPolicy::kLoadBalance && src_gpu >= 0 &&
+      return stage.in.policy == RouterPolicy::kLoadBalance && src_gpu >= 0 &&
              src_gpu < topo_->num_gpus() &&
              gpu_inst[static_cast<size_t>(src_gpu)] != 0;
     };
@@ -562,9 +553,7 @@ Result<CostEstimate> PlanCoster::Cost(const HetPlan& plan) const {
   // Build-side filter stages run first, each core's one after another, and
   // their builds receive the survivors' packed blocks: a socket builds after
   // its cores' filters, a GPU pipelines behind the filters' output.
-  using Unit = std::pair<bool, int>;  // (gpu?, index)
-  auto unit_of = [](sim::DeviceId dev) { return Unit{dev.is_gpu(), dev.index}; };
-  std::map<Unit, sim::VTime> unit_build;
+  std::map<sim::DeviceId, sim::VTime> unit_build;
   std::map<Core, sim::VTime> core_filter;  // core -> end of its filter share
   sim::VTime filters_done = 0;  // the latest core's filter end so far
   auto note_transfer = [&](const std::vector<InstanceCost>& insts) {
@@ -583,8 +572,8 @@ Result<CostEstimate> PlanCoster::Cost(const HetPlan& plan) const {
     const uint64_t block_rows = ScanBlockRows(seg, stage.instances, *src_table,
                                               *topo_, options_.pack_block_rows);
     const uint64_t blocks = std::max<uint64_t>(1, CeilDiv(rows, block_rows));
-    est.build = sim::MaxT(est.build, static_cast<double>(blocks) *
-                                         (seg.per_block_cost + stage_control(stage)));
+    const double per_block = seg.per_block_cost + stage.in.control_cost;
+    est.build = sim::MaxT(est.build, static_cast<double>(blocks) * per_block);
     return std::make_pair(blocks, std::min(block_rows, std::max<uint64_t>(1, rows)));
   };
   for (const Stage& stage : shape.build_stages) {
@@ -596,7 +585,7 @@ Result<CostEstimate> PlanCoster::Cost(const HetPlan& plan) const {
 
     // Filter stage: the dimension's blocks distributed over its instances,
     // each core's share after its previous ones.
-    std::set<Unit> filter_units;
+    std::set<sim::DeviceId> filter_units;
     uint64_t filter_instances = 0;
     if (filtered) {
       const Stage& fs = shape.build_filter_stages[stage.filter_stage];
@@ -606,12 +595,12 @@ Result<CostEstimate> PlanCoster::Cost(const HetPlan& plan) const {
       const Profile profile = build_filter_profile(j, &n_cols);
       std::vector<InstanceCost> insts = stage_instances(
           fs, profile, rows_per_block, profile.bytes_read, n_cols, src_table);
-      DistributeBlocks(stage_policy(fs), blocks, &insts);
+      DistributeBlocks(fs.in.policy, blocks, &insts);
       for (size_t k = 0; k < insts.size(); ++k) {
         sim::VTime& t = core_filter[fs.cores[k]];
         t += static_cast<double>(insts[k].blocks) * insts[k].block_time;
         filters_done = sim::MaxT(filters_done, t);
-        filter_units.insert(unit_of(fs.instances[k]));
+        filter_units.insert(fs.instances[k]);
       }
       filter_instances = fs.instances.size();
       note_transfer(insts);
@@ -634,9 +623,9 @@ Result<CostEstimate> PlanCoster::Cost(const HetPlan& plan) const {
     }
     std::vector<InstanceCost> insts = stage_instances(
         stage, profile, rows_per_block, profile.bytes_read, n_cols, src_table);
-    std::map<Unit, std::vector<size_t>> by_unit;
+    std::map<sim::DeviceId, std::vector<size_t>> by_unit;
     for (size_t k = 0; k < stage.instances.size(); ++k) {
-      by_unit[unit_of(stage.instances[k])].push_back(k);
+      by_unit[stage.instances[k]].push_back(k);
     }
     for (const auto& [unit, members] : by_unit) {
       sim::VTime done = 0;
@@ -663,9 +652,9 @@ Result<CostEstimate> PlanCoster::Cost(const HetPlan& plan) const {
     note_transfer(insts);
   }
   // A unit with filter instances builds after its slowest core's filters.
-  std::map<Unit, sim::VTime> unit_filters;
+  std::map<sim::DeviceId, sim::VTime> unit_filters;
   for (const auto& [core, t] : core_filter) {
-    sim::VTime& u = unit_filters[unit_of(core.unit)];
+    sim::VTime& u = unit_filters[core.unit];
     u = sim::MaxT(u, t);
   }
   for (const auto& [unit, t] : unit_filters) unit_build[unit] += t;
@@ -708,7 +697,7 @@ Result<CostEstimate> PlanCoster::Cost(const HetPlan& plan) const {
       const sim::CostStats s = p.Scale(partials);
       est.gather =
           cm.WorkCost(s, cm.cpu, cm.cpu_core_bw) +
-          static_cast<double>(probe_out_rows.size()) * stage_control(stage);
+          static_cast<double>(probe_out_rows.size()) * stage.in.control_cost;
       continue;
     }
 
@@ -739,11 +728,11 @@ Result<CostEstimate> PlanCoster::Cost(const HetPlan& plan) const {
                                   std::max(1.0, rows_in / blocks)))));
     std::vector<InstanceCost> insts = stage_instances(
         stage, profile, rows_per_block, in_width, n_cols, src_table);
-    sim::VTime done = DistributeBlocks(stage_policy(stage), blocks, &insts);
+    sim::VTime done = DistributeBlocks(stage.in.policy, blocks, &insts);
 
     const double per_block_src = seg != nullptr ? seg->per_block_cost : 0.0;
     done = sim::MaxT(done, static_cast<double>(blocks) *
-                               (per_block_src + stage_control(stage)));
+                               (per_block_src + stage.in.control_cost));
     stage_done.push_back(done);
     add_link_busy(&fact_link_busy, insts);
     sim::VTime slowest_block = 0;

@@ -364,7 +364,6 @@ HetPlan BuildHetPlan(const QuerySpec& spec, const ExecPolicy& policy,
   } else {
     // Fig. 1e shape: per-branch filter stage + hash-pack, one shared hash
     // router (the exchange), then per-branch join stages.
-    const int buckets = static_cast<int>(layout.probe_instances.size());
     const std::string key =
         spec.joins.empty() ? "tuple-hash" : spec.joins[0].probe_key;
     // Asymmetric per-branch stages: stage A (filter + hash-pack) on the CPU
@@ -384,7 +383,6 @@ HetPlan BuildHetPlan(const QuerySpec& spec, const ExecPolicy& policy,
       chain = place(b.Add(Kind::kHashPack, dev_type, "by hash(" + key + ")",
                           {chain}, dop),
                     *instances);
-      plan.node(chain).n_buckets = buckets;
       if (dev_type == kGpu) {
         chain = b.Add(Kind::kGpu2Cpu, kCpu, "", {chain}, dop);
       }

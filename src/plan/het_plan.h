@@ -69,7 +69,6 @@ struct HetOpNode {
   std::vector<sim::DeviceId> placement;
   std::string table;           ///< kSegmenter: catalog table to segment
   int join_id = -1;            ///< kJoinBuild / kJoinProbe
-  int n_buckets = 0;           ///< kHashPack: hash-partition fanout
   /// kCpu2Gpu: the crossing addresses producer memory in place over UVA
   /// (no mem-move below; waives the §3.3 rule-3 requirement).
   bool uva = false;
@@ -82,13 +81,12 @@ struct HetOpNode {
   static const char* KindName(Kind kind);
 };
 
-/// True when a kCpu2Gpu crossing addresses producer memory in place over UVA —
-/// the stamped flag, or an explicit "UVA ..." detail prefix in hand-written
-/// plans. Shared by the §3.3 rule-3 waiver and the lowering so the two can
-/// never disagree on what counts as a UVA crossing.
+/// True when a kCpu2Gpu crossing addresses producer memory in place over UVA:
+/// its stamped `uva` flag (the detail string is only printed). Shared by the
+/// §3.3 rule-3 waiver and the lowering so the two can never disagree on what
+/// counts as a UVA crossing.
 inline bool IsUvaCrossing(const HetOpNode& n) {
-  return n.kind == HetOpNode::Kind::kCpu2Gpu &&
-         (n.uva || n.detail.rfind("UVA", 0) == 0);
+  return n.kind == HetOpNode::Kind::kCpu2Gpu && n.uva;
 }
 
 /// The heterogeneity-aware plan: a DAG of HetOpNodes rooted at kResult.

@@ -86,8 +86,9 @@ struct ExecPolicy {
   /// host memory via UVA, as the paper's non-HetExchange GPU configuration does.
   bool use_hetexchange = true;
 
-  /// Input columns pre-loaded in GPU device memory (the Fig. 4 regime for GPU
-  /// systems). Only meaningful for kGpuOnly.
+  /// A label only: no engine code reads it. Where the input columns live (the
+  /// Fig. 4 regime keeps them in GPU memory) is decided by storage::Table::Place
+  /// before the query runs, and the plan reads the placed chunks.
   bool data_on_gpu = false;
 
   /// Split the fact pipeline into a filter stage and a join/aggregate stage

@@ -34,6 +34,10 @@ struct DeviceId {
     return a.type == b.type && a.index == b.index;
   }
   friend bool operator!=(const DeviceId& a, const DeviceId& b) { return !(a == b); }
+  /// Sockets before GPUs, each by index: the order of every per-unit map.
+  friend bool operator<(const DeviceId& a, const DeviceId& b) {
+    return a.type != b.type ? a.type < b.type : a.index < b.index;
+  }
 
   std::string ToString() const {
     return (is_cpu() ? "cpu" : "gpu") + std::to_string(index);

@@ -129,7 +129,7 @@ TEST_F(CompilerTest, GatherForGroupByReadsKeyColumn) {
 TEST_F(CompilerTest, FilterStageEmitsSurvivingFactColumns) {
   auto spec = Spec();
   QueryCompiler compiler(spec, catalog_, cm_);
-  CompiledPipeline p = compiler.CompileFilterStage(4);
+  CompiledPipeline p = compiler.CompileFilterStage();
   // Needs fk (probe key) and y (agg input); x only feeds the filter.
   ASSERT_EQ(p.output_cols.size(), 2u);
   EXPECT_EQ(p.output_cols[0].name, "fk");
@@ -144,7 +144,7 @@ TEST_F(CompilerTest, FilterStageEmitsSurvivingFactColumns) {
 TEST_F(CompilerTest, StageBReadsStageASchema) {
   auto spec = Spec();
   QueryCompiler compiler(spec, catalog_, cm_);
-  CompiledPipeline a = compiler.CompileFilterStage(2);
+  CompiledPipeline a = compiler.CompileFilterStage();
   CompiledPipeline b = compiler.CompileProbe(&a.output_cols);
   ASSERT_EQ(b.input_cols.size(), a.output_cols.size());
   for (size_t i = 0; i < b.input_cols.size(); ++i) {

@@ -32,11 +32,11 @@ class GraphBuilderTest : public ::testing::Test {
     return plan::BuildHetPlan(spec, policy, env_.system->topology());
   }
 
-  LoweredSpec Lower(const HetPlan& plan) {
+  plan::PlanAnalysis Lower(const HetPlan& plan) {
     GraphBuilder builder(env_.system.get(), &plan);
     Status st = builder.Analyze();
     EXPECT_TRUE(st.ok()) << st.ToString();
-    return builder.spec();
+    return builder.analysis();
   }
 
   TestEnv env_;
@@ -47,7 +47,7 @@ class GraphBuilderTest : public ::testing::Test {
 TEST_F(GraphBuilderTest, CpuOnlyLoweringMatchesPlan) {
   const auto spec = env_.ssb->Query(3, 1);
   const HetPlan plan = Plan(spec, TestEnv::Tune(ExecPolicy::CpuOnly(4)));
-  const LoweredSpec lowered = Lower(plan);
+  const plan::PlanAnalysis lowered = Lower(plan);
 
   // One build stage per join, instanced per the kJoinBuild replicas' DOP:
   // each socket's replica is built by all of its probe workers.
@@ -61,26 +61,28 @@ TEST_F(GraphBuilderTest, CpuOnlyLoweringMatchesPlan) {
   }
   int lowered_build_instances = 0;
   for (const auto& s : lowered.build_stages) {
-    EXPECT_EQ(s.span.role, plan::StageRole::kBuild);
-    EXPECT_EQ(s.in.options.policy, Edge::Policy::kBroadcast);
-    EXPECT_TRUE(s.in.options.unit_broadcast);
+    EXPECT_EQ(s.span().role, plan::StageRole::kBuild);
+    const Edge::Options edge = GraphBuilder::EdgeOptions(s);
+    EXPECT_EQ(edge.policy, plan::RouterPolicy::kBroadcast);
+    EXPECT_TRUE(edge.unit_broadcast);
     lowered_build_instances += static_cast<int>(s.instances.size());
   }
   EXPECT_EQ(lowered_build_instances, plan_build_instances);
   // The probe stage's fact router keeps every-consumer-gets-one semantics.
-  EXPECT_FALSE(lowered.fact_stages[1].in.options.unit_broadcast);
+  EXPECT_FALSE(GraphBuilder::EdgeOptions(lowered.fact_stages[1]).unit_broadcast);
 
   // Fused plan: gather + probe stages; probe DOP = the fact router's fanout.
   ASSERT_EQ(lowered.fact_stages.size(), 2u);
-  EXPECT_EQ(lowered.fact_stages[0].span.role, plan::StageRole::kGather);
+  EXPECT_EQ(lowered.fact_stages[0].span().role, plan::StageRole::kGather);
   EXPECT_EQ(lowered.fact_stages[0].instances.size(), 1u);
-  EXPECT_EQ(lowered.fact_stages[1].span.role, plan::StageRole::kProbe);
+  EXPECT_EQ(lowered.fact_stages[1].span().role, plan::StageRole::kProbe);
   EXPECT_EQ(lowered.fact_stages[1].instances.size(), 4u);
   for (const auto& dev : lowered.fact_stages[1].instances) {
     EXPECT_TRUE(dev.is_cpu());
   }
-  EXPECT_EQ(lowered.fact_stages[1].in.options.policy, Edge::Policy::kLoadBalance);
-  EXPECT_EQ(lowered.TotalEdges(), static_cast<int>(spec.joins.size()) + 2);
+  EXPECT_EQ(GraphBuilder::EdgeOptions(lowered.fact_stages[1]).policy,
+            plan::RouterPolicy::kLoadBalance);
+  EXPECT_TRUE(lowered.build_filter_stages.empty());
 
   const auto result = env_.Run(spec, TestEnv::Tune(ExecPolicy::CpuOnly(4)));
   ASSERT_TRUE(result.status.ok()) << result.status.ToString();
@@ -90,14 +92,18 @@ TEST_F(GraphBuilderTest, CpuOnlyLoweringMatchesPlan) {
 TEST_F(GraphBuilderTest, GpuOnlyLoweringMatchesPlan) {
   const auto spec = env_.ssb->Query(1, 1);
   const HetPlan plan = Plan(spec, TestEnv::Tune(ExecPolicy::GpuOnly()));
-  const LoweredSpec lowered = Lower(plan);
+  const plan::PlanAnalysis lowered = Lower(plan);
 
   ASSERT_EQ(lowered.fact_stages.size(), 2u);
-  const StageSpec& probe = lowered.fact_stages[1];
+  const plan::Stage& probe = lowered.fact_stages[1];
   EXPECT_EQ(probe.instances.size(), 2u);  // both GPUs of the test topology
   for (const auto& dev : probe.instances) EXPECT_TRUE(dev.is_gpu());
-  // The device->host partials crossing stamps its latency on the union edge.
-  EXPECT_GT(lowered.fact_stages[0].in.options.crossing_latency, 0.0);
+  // The device->host partials crossing stamps its latency on the union edge,
+  // which rotates its single consumer like round-robin.
+  const Edge::Options gather_edge =
+      GraphBuilder::EdgeOptions(lowered.fact_stages[0]);
+  EXPECT_GT(gather_edge.crossing_latency, 0.0);
+  EXPECT_EQ(gather_edge.policy, plan::RouterPolicy::kUnion);
   // Routers present: bring-up latency lifted from the plan stamps.
   EXPECT_GT(lowered.init_latency, 0.0);
 
@@ -109,16 +115,16 @@ TEST_F(GraphBuilderTest, GpuOnlyLoweringMatchesPlan) {
 TEST_F(GraphBuilderTest, HybridLoweringMergesBranchesOfOneExchange) {
   const auto spec = env_.ssb->Query(2, 1);
   const HetPlan plan = Plan(spec, TestEnv::Tune(ExecPolicy::Hybrid(3)));
-  const LoweredSpec lowered = Lower(plan);
+  const plan::PlanAnalysis lowered = Lower(plan);
 
   // The CPU and GPU branches of the DAG share the fact router: one worker
   // group, CPU instances first (the plan's branch order).
   ASSERT_EQ(lowered.fact_stages.size(), 2u);
-  const StageSpec& probe = lowered.fact_stages[1];
+  const plan::Stage& probe = lowered.fact_stages[1];
   ASSERT_EQ(probe.instances.size(), 5u);  // 3 CPU workers + 2 GPUs
   EXPECT_TRUE(probe.instances[0].is_cpu());
   EXPECT_TRUE(probe.instances[4].is_gpu());
-  ASSERT_EQ(probe.branch_nodes.size(), 2u);
+  ASSERT_EQ(probe.branches.size(), 2u);
 
   // Build stages replicate per unit (2 sockets + 2 GPUs); each socket's
   // replica is built by its probe workers: 2 on socket 0, 1 on socket 1.
@@ -138,17 +144,18 @@ TEST_F(GraphBuilderTest, HybridFiltersEachFilteredDimensionOnceOnTheHost) {
     const HetPlan plan = Plan(spec, policy);
     GraphBuilder builder(env_.system.get(), &plan);
     ASSERT_TRUE(builder.Analyze().ok());
-    const LoweredSpec& lowered = builder.spec();
+    const plan::PlanAnalysis& lowered = builder.analysis();
     QueryCompiler compiler(spec, env_.system->catalog(), env_.system->cost_model());
 
     // Each filtered join: a CPU filter stage whose wire schema is exactly the
     // build key and payload, feeding a unit broadcast to every replica. A
     // join without a build filter keeps its segmenter-fed build.
     size_t filtered = 0;
-    for (const StageSpec& build : lowered.build_stages) {
-      const plan::JoinSpec& join = spec.joins.at(build.span.join_id);
-      EXPECT_EQ(build.in.options.policy, Edge::Policy::kBroadcast);
-      EXPECT_TRUE(build.in.options.unit_broadcast);
+    for (const plan::Stage& build : lowered.build_stages) {
+      const plan::JoinSpec& join = spec.joins.at(build.span().join_id);
+      const Edge::Options edge = GraphBuilder::EdgeOptions(build);
+      EXPECT_EQ(edge.policy, plan::RouterPolicy::kBroadcast);
+      EXPECT_TRUE(edge.unit_broadcast);
       EXPECT_EQ(build.instances.size(), 5u);  // 2 + 1 socket workers, 2 GPUs
       if (join.build_filter == nullptr) {
         EXPECT_EQ(build.filter_stage, -1) << spec.name;
@@ -158,10 +165,12 @@ TEST_F(GraphBuilderTest, HybridFiltersEachFilteredDimensionOnceOnTheHost) {
       ++filtered;
       ASSERT_GE(build.filter_stage, 0) << spec.name << " " << join.build_table;
       EXPECT_EQ(build.in.segmenter, -1);
-      const StageSpec& filter = lowered.build_filter_stages.at(build.filter_stage);
-      EXPECT_EQ(filter.span.role, plan::StageRole::kFilterStage);
-      EXPECT_EQ(filter.span.join_id, build.span.join_id);
-      EXPECT_EQ(filter.in.options.policy, Edge::Policy::kRoundRobin);
+      const plan::Stage& filter = lowered.build_filter_stages.at(build.filter_stage);
+      EXPECT_EQ(filter.span().role, plan::StageRole::kFilterStage);
+      EXPECT_EQ(filter.span().join_id, build.span().join_id);
+      const Edge::Options filter_edge = GraphBuilder::EdgeOptions(filter);
+      EXPECT_EQ(filter_edge.policy, plan::RouterPolicy::kRoundRobin);
+      EXPECT_FALSE(filter_edge.unit_broadcast);
       EXPECT_GE(filter.in.segmenter, 0);
       ASSERT_EQ(filter.instances.size(), 3u);
       for (const auto& dev : filter.instances) EXPECT_TRUE(dev.is_cpu());
@@ -178,8 +187,8 @@ TEST_F(GraphBuilderTest, HybridFiltersEachFilteredDimensionOnceOnTheHost) {
     }
     EXPECT_GT(filtered, 0u);
     EXPECT_EQ(lowered.build_filter_stages.size(), filtered);
-    EXPECT_EQ(lowered.TotalEdges(),
-              static_cast<int>(spec.joins.size() + filtered) + 2);
+    EXPECT_EQ(lowered.build_stages.size(), spec.joins.size());
+    EXPECT_EQ(lowered.fact_stages.size(), 2u);
 
     const auto result = env_.Run(spec, policy);
     ASSERT_TRUE(result.status.ok()) << result.status.ToString();
@@ -189,10 +198,10 @@ TEST_F(GraphBuilderTest, HybridFiltersEachFilteredDimensionOnceOnTheHost) {
     // every build fed by its own segmenter, the filter inside the build span.
     for (const ExecPolicy& single : {ExecPolicy::CpuOnly(4), ExecPolicy::GpuOnly()}) {
       const HetPlan single_plan = Plan(spec, TestEnv::Tune(single));
-      const LoweredSpec lowered_single = Lower(single_plan);
+      const plan::PlanAnalysis lowered_single = Lower(single_plan);
       EXPECT_TRUE(lowered_single.build_filter_stages.empty());
       ASSERT_EQ(lowered_single.build_stages.size(), spec.joins.size());
-      for (const StageSpec& build : lowered_single.build_stages) {
+      for (const plan::Stage& build : lowered_single.build_stages) {
         EXPECT_EQ(build.filter_stage, -1);
         EXPECT_GE(build.in.segmenter, 0);
       }
@@ -206,14 +215,15 @@ TEST_F(GraphBuilderTest, SplitPlanLowersSharedHashExchange) {
   ExecPolicy policy = TestEnv::Tune(ExecPolicy::Hybrid(2));
   policy.split_probe_stage = true;
   const HetPlan plan = Plan(spec, policy);
-  const LoweredSpec lowered = Lower(plan);
+  const plan::PlanAnalysis lowered = Lower(plan);
 
   ASSERT_EQ(lowered.fact_stages.size(), 3u);
-  EXPECT_EQ(lowered.fact_stages[0].span.role, plan::StageRole::kGather);
-  EXPECT_EQ(lowered.fact_stages[1].span.role, plan::StageRole::kProbe);
-  EXPECT_EQ(lowered.fact_stages[2].span.role, plan::StageRole::kFilterStage);
+  EXPECT_EQ(lowered.fact_stages[0].span().role, plan::StageRole::kGather);
+  EXPECT_EQ(lowered.fact_stages[1].span().role, plan::StageRole::kProbe);
+  EXPECT_EQ(lowered.fact_stages[2].span().role, plan::StageRole::kFilterStage);
   // Stage A and stage B are connected by the single hash exchange of the plan.
-  EXPECT_EQ(lowered.fact_stages[1].in.options.policy, Edge::Policy::kHash);
+  EXPECT_EQ(GraphBuilder::EdgeOptions(lowered.fact_stages[1]).policy,
+            plan::RouterPolicy::kHash);
   EXPECT_EQ(lowered.fact_stages[1].instances.size(),
             lowered.fact_stages[2].instances.size());
 
@@ -226,12 +236,12 @@ TEST_F(GraphBuilderTest, BareCpuLoweringHasNoRouters) {
   const auto spec = env_.ssb->Query(1, 2);
   const ExecPolicy policy = TestEnv::Tune(ExecPolicy::Bare(sim::DeviceType::kCpu));
   const HetPlan plan = Plan(spec, policy);
-  const LoweredSpec lowered = Lower(plan);
+  const plan::PlanAnalysis lowered = Lower(plan);
 
   EXPECT_EQ(lowered.init_latency, 0.0);  // no routers to bring up
   for (const auto& s : lowered.build_stages) {
     EXPECT_EQ(s.in.router, -1);
-    EXPECT_EQ(s.in.options.control_cost, 0.0);
+    EXPECT_EQ(GraphBuilder::EdgeOptions(s).control_cost, 0.0);
     EXPECT_EQ(s.instances.size(), 1u);
   }
   ASSERT_EQ(lowered.fact_stages.size(), 2u);
@@ -248,19 +258,21 @@ TEST_F(GraphBuilderTest, BareGpuLoweringUsesUva) {
   const HetPlan plan = Plan(spec, policy);
   // Bare plans now carry the UVA marker, so they validate like any other plan.
   EXPECT_TRUE(plan::ValidateHetPlan(plan).ok());
-  const LoweredSpec lowered = Lower(plan);
+  const plan::PlanAnalysis lowered = Lower(plan);
 
   // UVA addressing: no mem-move on the segmenter-fed edges.
   for (const auto& s : lowered.build_stages) {
     EXPECT_TRUE(s.in.uva);
-    EXPECT_FALSE(s.in.options.mem_move);
+    EXPECT_FALSE(GraphBuilder::EdgeOptions(s).mem_move);
   }
-  const StageSpec& probe = lowered.fact_stages.back();
+  const plan::Stage& probe = lowered.fact_stages.back();
   EXPECT_TRUE(probe.in.uva);
-  EXPECT_FALSE(probe.in.options.mem_move);
+  EXPECT_FALSE(GraphBuilder::EdgeOptions(probe).mem_move);
   // Partials still cross device->host with a real move.
-  EXPECT_TRUE(lowered.fact_stages[0].in.options.mem_move);
-  EXPECT_GT(lowered.fact_stages[0].in.options.crossing_latency, 0.0);
+  const Edge::Options gather_edge =
+      GraphBuilder::EdgeOptions(lowered.fact_stages[0]);
+  EXPECT_TRUE(gather_edge.mem_move);
+  EXPECT_GT(gather_edge.crossing_latency, 0.0);
 
   const auto result = env_.Run(spec, policy);
   ASSERT_TRUE(result.status.ok()) << result.status.ToString();
@@ -398,10 +410,10 @@ TEST_F(GraphBuilderTest, DescribeRendersStagesAndEdges) {
   const HetPlan plan = Plan(spec, TestEnv::Tune(ExecPolicy::Hybrid(2)));
   GraphBuilder builder(env_.system.get(), &plan);
   ASSERT_TRUE(builder.Analyze().ok());
-  const std::string s = builder.spec().ToString();
+  const std::string s = builder.Describe();
   for (const char* expected :
        {"build stage:", "fact stage:", "gather", "probe", "policy=broadcast",
-        "policy=load-balance", "mem-move"}) {
+        "policy=load-balance", "policy=union", "mem-move"}) {
     EXPECT_NE(s.find(expected), std::string::npos) << "missing " << expected;
   }
 }

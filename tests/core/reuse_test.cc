@@ -56,15 +56,14 @@ TEST(ReuseTest, SingleFlightDedupUnderRace) {
             query, /*join_id=*/0, sim::DeviceId::Cpu(0), Cpu0Memory(env),
             /*capacity=*/64, /*payload_width=*/1);
         ASSERT_NE(ht, nullptr);
-        const int unit = HtRegistry::UnitOf(sim::DeviceId::Cpu(0));
-        registry.PublishShared(key, query, /*join_id=*/0, {{unit, kBuildDone}});
+        registry.PublishShared(key, query, /*join_id=*/0,
+                               {{sim::DeviceId::Cpu(0), kBuildDone}});
       } else {
         ASSERT_EQ(lease.role, SharedBuildLease::Role::kAttach);
         attaches.fetch_add(1);
         // Virtual-time gate: every attacher observes the build's completion
         // epoch, regardless of when it won the race to the registry.
-        if (lease.ready_at.at(HtRegistry::UnitOf(sim::DeviceId::Cpu(0))) !=
-            kBuildDone) {
+        if (lease.ready_at.at(sim::DeviceId::Cpu(0)) != kBuildDone) {
           bad_ready_at.fetch_add(1);
         }
         EXPECT_GT(registry.AttachShared(key, query, /*join_id=*/7), 0);
@@ -89,8 +88,8 @@ TEST(ReuseTest, AttacherSeesEachUnitsOwnReadyAt) {
   test::TestEnv env(4'000);
   HtRegistry registry;
   const std::string key = "dim@0;per-unit-test";
-  const int cpu0 = HtRegistry::UnitOf(sim::DeviceId::Cpu(0));
-  const int gpu0 = HtRegistry::UnitOf(sim::DeviceId::Gpu(0));
+  const sim::DeviceId cpu0 = sim::DeviceId::Cpu(0);
+  const sim::DeviceId gpu0 = sim::DeviceId::Gpu(0);
   ASSERT_EQ(registry.AcquireShared(key, 1, nullptr).role,
             SharedBuildLease::Role::kBuild);
   registry.Create(1, 0, sim::DeviceId::Cpu(0), Cpu0Memory(env), 64, 1);
@@ -99,7 +98,8 @@ TEST(ReuseTest, AttacherSeesEachUnitsOwnReadyAt) {
 
   const SharedBuildLease lease = registry.AcquireShared(key, 2, nullptr);
   ASSERT_EQ(lease.role, SharedBuildLease::Role::kAttach);
-  EXPECT_EQ(lease.ready_at, (std::map<int, sim::VTime>{{cpu0, 2.0}, {gpu0, 5.0}}));
+  EXPECT_EQ(lease.ready_at,
+            (std::map<sim::DeviceId, sim::VTime>{{cpu0, 2.0}, {gpu0, 5.0}}));
   EXPECT_EQ(registry.AttachShared(key, 2, /*join_id=*/3), 2);
   EXPECT_EQ(registry.Get(2, 3, sim::DeviceId::Cpu(0)),
             registry.Get(1, 0, sim::DeviceId::Cpu(0)));
@@ -125,8 +125,7 @@ TEST(ReuseTest, FailedBuildPromotesExactlyOneWaiter) {
       if (lease.role == SharedBuildLease::Role::kBuild) {
         builds.fetch_add(1);
         registry.Create(query, 0, sim::DeviceId::Cpu(0), Cpu0Memory(env), 64, 1);
-        registry.PublishShared(key, query, 0,
-                               {{HtRegistry::UnitOf(sim::DeviceId::Cpu(0)), 1.0}});
+        registry.PublishShared(key, query, 0, {{sim::DeviceId::Cpu(0), 1.0}});
       } else {
         ASSERT_EQ(lease.role, SharedBuildLease::Role::kAttach);
         attaches.fetch_add(1);
@@ -193,8 +192,7 @@ TEST(ReuseTest, StaleGenerationEvictedOnNewEpochAcquire) {
   ASSERT_EQ(registry.AcquireShared("dim@0;gc-test", 1, nullptr, "dim", 0).role,
             SharedBuildLease::Role::kBuild);
   registry.Create(1, 0, sim::DeviceId::Cpu(0), Cpu0Memory(env), 64, 1);
-  registry.PublishShared("dim@0;gc-test", 1, 0,
-                         {{HtRegistry::UnitOf(sim::DeviceId::Cpu(0)), 1.0}});
+  registry.PublishShared("dim@0;gc-test", 1, 0, {{sim::DeviceId::Cpu(0), 1.0}});
   EXPECT_EQ(registry.NumSharedEntries(), 1);
 
   ASSERT_EQ(registry.AcquireShared("dim@1;gc-test", 2, nullptr, "dim", 1).role,
@@ -380,13 +378,10 @@ TEST(ReuseTest, AttacherSeesEachUnitsLastParallelWriter) {
   ASSERT_EQ(attacher.shared_attaches, static_cast<int>(spec.joins.size()));
 
   // (join, unit) -> completion, per side.
-  std::map<std::pair<int, int>, core::QueryResult::BuildDone> built, attached;
-  for (const auto& b : builder.builds) {
-    built[{b.join_id, core::HtRegistry::UnitOf(b.unit)}] = b;
-  }
-  for (const auto& b : attacher.builds) {
-    attached[{b.join_id, core::HtRegistry::UnitOf(b.unit)}] = b;
-  }
+  std::map<std::pair<int, sim::DeviceId>, core::QueryResult::BuildDone> built,
+      attached;
+  for (const auto& b : builder.builds) built[{b.join_id, b.unit}] = b;
+  for (const auto& b : attacher.builds) attached[{b.join_id, b.unit}] = b;
   ASSERT_EQ(built.size(), 4 * spec.joins.size());  // 2 sockets + 2 GPUs
   ASSERT_EQ(attached.size(), built.size());
   for (const auto& [key, b] : built) {

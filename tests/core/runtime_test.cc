@@ -101,7 +101,7 @@ TEST_F(RuntimeTest, RoundRobinDistributesEvenly) {
   WorkerGroup group(&system_, {sim::DeviceId::Cpu(0), sim::DeviceId::Cpu(1)},
                     Recorder(), nullptr, 8, {0.0, 0.0});
   Edge::Options opts;
-  opts.policy = Edge::Policy::kRoundRobin;
+  opts.policy = plan::RouterPolicy::kRoundRobin;
   Edge edge(&system_, opts, group.instance_ptrs());
   Drive(edge, group, 10);
   EXPECT_EQ(log_.by_instance[0].size(), 5u);
@@ -112,7 +112,7 @@ TEST_F(RuntimeTest, HashPolicyRoutesByTag) {
   WorkerGroup group(&system_, {sim::DeviceId::Cpu(0), sim::DeviceId::Cpu(1)},
                     Recorder(), nullptr, 8, {0.0, 0.0});
   Edge::Options opts;
-  opts.policy = Edge::Policy::kHash;
+  opts.policy = plan::RouterPolicy::kHash;
   Edge edge(&system_, opts, group.instance_ptrs());
   Drive(edge, group, 9);
   for (const auto& msg : log_.by_instance[0]) EXPECT_EQ(msg.tag % 2, 0u);
@@ -123,7 +123,7 @@ TEST_F(RuntimeTest, BroadcastReachesEveryConsumer) {
   WorkerGroup group(&system_, {sim::DeviceId::Cpu(0), sim::DeviceId::Cpu(1)},
                     Recorder(), nullptr, 8, {0.0, 0.0});
   Edge::Options opts;
-  opts.policy = Edge::Policy::kBroadcast;
+  opts.policy = plan::RouterPolicy::kBroadcast;
   Edge edge(&system_, opts, group.instance_ptrs());
   Drive(edge, group, 4);
   EXPECT_EQ(log_.by_instance[0].size(), 4u);
@@ -141,7 +141,7 @@ TEST_F(RuntimeTest, MemMoveCopiesToGpuAndAttachesTicket) {
   WorkerGroup group(&system_, {sim::DeviceId::Gpu(0)}, Recorder(), nullptr, 8,
                     {0.0});
   Edge::Options opts;
-  opts.policy = Edge::Policy::kRoundRobin;
+  opts.policy = plan::RouterPolicy::kRoundRobin;
   opts.mem_move = true;
   Edge edge(&system_, opts, group.instance_ptrs());
   Drive(edge, group, 3);
@@ -160,7 +160,7 @@ TEST_F(RuntimeTest, HostConsumersGetZeroCopyHandles) {
   WorkerGroup group(&system_, {sim::DeviceId::Cpu(1)}, Recorder(), nullptr, 8,
                     {0.0});
   Edge::Options opts;
-  opts.policy = Edge::Policy::kRoundRobin;
+  opts.policy = plan::RouterPolicy::kRoundRobin;
   Edge edge(&system_, opts, group.instance_ptrs());
   Drive(edge, group, 2);
   // Socket-0 blocks consumed by socket-1 worker without a move (coherent host).
@@ -174,7 +174,7 @@ TEST_F(RuntimeTest, LoadBalanceKeepsGpuResidentBlocksLocal) {
   WorkerGroup group(&system_, {sim::DeviceId::Gpu(0), sim::DeviceId::Gpu(1)},
                     Recorder(), nullptr, 8, {0.0, 0.0});
   Edge::Options opts;
-  opts.policy = Edge::Policy::kLoadBalance;
+  opts.policy = plan::RouterPolicy::kLoadBalance;
   Edge edge(&system_, opts, group.instance_ptrs());
 
   group.Start();
@@ -205,7 +205,7 @@ TEST_F(RuntimeTest, MemMoveGpuToGpuStagesThroughHost) {
   WorkerGroup group(&system_, {sim::DeviceId::Gpu(1)}, Recorder(), nullptr, 8,
                     {0.0});
   Edge::Options opts;
-  opts.policy = Edge::Policy::kRoundRobin;
+  opts.policy = plan::RouterPolicy::kRoundRobin;
   opts.mem_move = true;
   Edge edge(&system_, opts, group.instance_ptrs());
 
@@ -270,7 +270,7 @@ TEST_F(RuntimeTest, EveryRouteDeliversAtItsPricedTime) {
               },
               nullptr, 8, {0.0});
           Edge::Options opts;
-          opts.policy = Edge::Policy::kRoundRobin;
+          opts.policy = plan::RouterPolicy::kRoundRobin;
           opts.control_cost = 0;
           opts.crossing_latency = 0;
           Edge edge(&system, opts, group.instance_ptrs());
@@ -355,7 +355,7 @@ TEST_F(RuntimeTest, StagedMoveFailingOnItsSecondHopDeliversAnErrorMarker) {
       },
       nullptr, 8, {0.0});
   Edge::Options opts;
-  opts.policy = Edge::Policy::kRoundRobin;
+  opts.policy = plan::RouterPolicy::kRoundRobin;
   Edge edge(&system, opts, group.instance_ptrs());
   group.Start();
   edge.AddProducer();
@@ -402,7 +402,7 @@ TEST_F(RuntimeTest, SourceDriverSlicesChunksIntoBlocks) {
   WorkerGroup group(&system_, {sim::DeviceId::Cpu(0)}, Recorder(), nullptr, 8,
                     {0.0});
   Edge::Options opts;
-  opts.policy = Edge::Policy::kRoundRobin;
+  opts.policy = plan::RouterPolicy::kRoundRobin;
   Edge edge(&system_, opts, group.instance_ptrs());
   group.Start();
   SourceDriver source(&system_, t, {0}, /*block_rows=*/128, &edge, 0.0);
@@ -464,7 +464,7 @@ TEST_F(RuntimeTest, LoadBalanceRoutesAroundLateStartingInstance) {
   WorkerGroup group(&system_, {sim::DeviceId::Cpu(0), sim::DeviceId::Cpu(1)},
                     Recorder(), nullptr, 8, {1.0, 0.0});
   Edge::Options opts;
-  opts.policy = Edge::Policy::kLoadBalance;
+  opts.policy = plan::RouterPolicy::kLoadBalance;
   Edge edge(&system_, opts, group.instance_ptrs());
   Drive(edge, group, 6);
   EXPECT_EQ(log_.by_instance[0].size(), 0u);
@@ -479,7 +479,7 @@ TEST_F(RuntimeTest, CrossingLatencyChargedOnlyToGpuProducedMessages) {
   WorkerGroup group(&system_, {sim::DeviceId::Cpu(0)}, Recorder(), nullptr, 8,
                     {0.0});
   Edge::Options opts;
-  opts.policy = Edge::Policy::kRoundRobin;
+  opts.policy = plan::RouterPolicy::kRoundRobin;
   opts.control_cost = 1e-7;
   opts.crossing_latency = 1e-3;
   Edge edge(&system_, opts, group.instance_ptrs());
@@ -507,13 +507,13 @@ TEST_F(RuntimeTest, CrossingLatencyChargedOnlyToGpuProducedMessages) {
 class InsertingProcessor : public BlockProcessor {
  public:
   struct Shared {
-    std::map<int, jit::JoinHashTable*> replicas;  // unit key -> replica
+    std::map<sim::DeviceId, jit::JoinHashTable*> replicas;
     std::mutex mu;
     std::map<int, int> blocks;  // instance id -> blocks consumed
   };
   explicit InsertingProcessor(Shared* shared) : shared_(shared) {}
   void Init(WorkerInstance& inst) override {
-    ht_ = shared_->replicas.at(HtRegistry::UnitOf(inst.device()));
+    ht_ = shared_->replicas.at(inst.device());
   }
   void ProcessMsg(WorkerInstance& inst, DataMsg& msg) override {
     const auto* keys = reinterpret_cast<const int64_t*>(msg.cols[0].data());
@@ -543,15 +543,15 @@ TEST_F(RuntimeTest, UnitBroadcastFillsEachReplicaOnceAcrossItsInstances) {
   auto& mm = system_.memory().manager(system_.topology().socket(0).mem);
   jit::JoinHashTable socket0(&mm, kRows, 1);
   jit::JoinHashTable socket1(&mm, kRows, 1);
-  shared.replicas = {{0, &socket0}, {1, &socket1}};
   const sim::DeviceId cpu0 = sim::DeviceId::Cpu(0);
+  shared.replicas = {{cpu0, &socket0}, {sim::DeviceId::Cpu(1), &socket1}};
   WorkerGroup group(&system_, {cpu0, cpu0, cpu0, sim::DeviceId::Cpu(1)},
                     [&](WorkerInstance&) {
                       return std::make_unique<InsertingProcessor>(&shared);
                     },
                     nullptr, 8, {0.0, 0.0, 0.0, 0.0});
   Edge::Options opts;
-  opts.policy = Edge::Policy::kBroadcast;
+  opts.policy = plan::RouterPolicy::kBroadcast;
   opts.unit_broadcast = true;
   Edge edge(&system_, opts, group.instance_ptrs());
   group.Start();

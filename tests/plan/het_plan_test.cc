@@ -279,26 +279,24 @@ TEST_F(HetPlanTest, ValidatorNamesTheFailingNode) {
   // A hand-mutated plan whose un-marked crossing breaks rule 3 must report
   // *which* node failed, not just which rule (the status reaches
   // QueryResult::status, where "cpu2gpu without mem-move" alone is useless
-  // in a 40-node plan).
-  HetPlan plan = BuildHetPlan(JoinQuery(), ExecPolicy::Bare(sim::DeviceType::kGpu),
-                              topo_);
-  int broken_node = -1;
-  for (size_t i = 0; i < plan.nodes.size(); ++i) {
-    if (plan.nodes[i].kind == HetOpNode::Kind::kCpu2Gpu) {
-      // Strip the UVA marker: the crossing now needs a mem-move below.
-      plan.nodes[i].uva = false;
-      plan.nodes[i].detail = "zero-copy launch";
-      broken_node = static_cast<int>(i);
-      break;
-    }
+  // in a 40-node plan). The `uva` flag is the only UVA marker: a crossing
+  // that keeps its "UVA zero-copy" detail is still un-marked.
+  const HetPlan bare = BuildHetPlan(
+      JoinQuery(), ExecPolicy::Bare(sim::DeviceType::kGpu), topo_);
+  int crossings = 0;
+  for (size_t i = 0; i < bare.nodes.size(); ++i) {
+    if (bare.nodes[i].kind != HetOpNode::Kind::kCpu2Gpu) continue;
+    ++crossings;
+    HetPlan plan = bare;
+    ASSERT_EQ(plan.nodes[i].detail.rfind("UVA zero-copy", 0), 0u);
+    plan.nodes[i].uva = false;  // the crossing now needs a mem-move below
+    const Status st = ValidateHetPlan(plan);
+    ASSERT_FALSE(st.ok()) << "node " << i;
+    EXPECT_NE(st.message().find("node " + std::to_string(i)), std::string::npos)
+        << st.ToString();
+    EXPECT_NE(st.message().find("rule 3"), std::string::npos) << st.ToString();
   }
-  ASSERT_GE(broken_node, 0);
-  const Status st = ValidateHetPlan(plan);
-  ASSERT_FALSE(st.ok());
-  EXPECT_NE(st.message().find("node " + std::to_string(broken_node)),
-            std::string::npos)
-      << st.ToString();
-  EXPECT_NE(st.message().find("rule 3"), std::string::npos) << st.ToString();
+  EXPECT_EQ(crossings, 2);  // the build launch and the probe launch
 }
 
 TEST_F(HetPlanTest, ValidatorRejectsChildlessCrossing) {

@@ -164,16 +164,6 @@ TEST_F(GpuDeviceTest, StreamingCostUsesDeviceBandwidth) {
               1e-5);
 }
 
-TEST_F(GpuDeviceTest, StreamBwOverrideForUva) {
-  auto kernel = [&](const KernelCtx& ctx) {
-    if (ctx.thread_id == 0) ctx.stats->bytes_read += 12'000'000;
-  };
-  auto r = gpu_.LaunchKernel(kernel, 64, 32, 0.0, topo_.cost_model().pcie_bw);
-  // 12 MB at PCIe 12 GB/s = 1 ms.
-  EXPECT_NEAR(r.end - r.start, 1e-3 + topo_.cost_model().kernel_launch_latency,
-              1e-5);
-}
-
 // ---------------------------------------------------------------------------
 // UVA link occupancy: a zero-copy kernel's streamed bytes reserve real
 // occupancy on the PCIe link BandwidthServer, exactly like DMA.
@@ -183,18 +173,16 @@ TEST_F(GpuDeviceTest, UvaKernelMatchesStreamDiscountOnIdleLink) {
   auto kernel = [&](const KernelCtx& ctx) {
     if (ctx.thread_id == 0) ctx.stats->bytes_read += 12'000'000;
   };
-  // Old model: bandwidth discounted to the PCIe rate on the GPU stream only.
-  auto discounted =
-      gpu_.LaunchKernel(kernel, 64, 32, 0.0, topo_.cost_model().pcie_bw);
-  // New model: the bytes reserve the link itself. On an idle link the modeled
-  // kernel duration is identical — the recalibration-free equivalence that
-  // keeps solo bare-GPU baselines unchanged.
+  // The bytes reserve the link itself. On an idle link the modeled kernel
+  // duration is the stream-bandwidth discount's: launch latency plus the
+  // bytes at the PCIe rate — the recalibration-free equivalence that keeps
+  // solo bare-GPU baselines unchanged.
   GpuDevice::LaunchOptions opts;
-  opts.epoch = gpu_.stream_free_at();  // fresh session, idle stream
   opts.uva_link = &topo_.pcie_link(topo_.PcieLinkOf(0));
   auto charged = gpu_.LaunchKernel(kernel, 64, 32, opts);
-  EXPECT_NEAR(charged.end - charged.start, discounted.end - discounted.start,
-              1e-9);
+  const CostModel& cm = topo_.cost_model();
+  EXPECT_NEAR(charged.end - charged.start,
+              cm.kernel_launch_latency + 12'000'000 / cm.pcie_bw, 1e-9);
 }
 
 TEST_F(GpuDeviceTest, UvaKernelBytesOccupyTheLink) {
@@ -338,7 +326,7 @@ TEST_F(GpuDeviceTest, EpochPastStreamBacklogStartsFresh) {
   gpu_.LaunchKernel(noop, 64, 32, 0.0);
   EXPECT_GT(gpu_.stream_free_at(), 0.0);
   // New session anchored at the stream horizon: its kernel starts at local 0.
-  auto r = gpu_.LaunchKernel(noop, 64, 32, 0.0, 0.0, gpu_.stream_free_at());
+  auto r = gpu_.LaunchKernel(noop, 64, 32, 0.0, gpu_.stream_free_at());
   EXPECT_DOUBLE_EQ(r.start, 0.0);
 }
 
@@ -346,8 +334,8 @@ TEST_F(GpuDeviceTest, ConcurrentSessionsSerializeOnStream) {
   auto noop = [](const KernelCtx&) {};
   // Session A fills the stream; session B (same epoch 0) queues behind it and
   // sees the wait in its session-local window.
-  auto a = gpu_.LaunchKernel(noop, 64, 32, 0.0, 0.0, 0.0);
-  auto b = gpu_.LaunchKernel(noop, 64, 32, 0.0, 0.0, 0.0);
+  auto a = gpu_.LaunchKernel(noop, 64, 32, 0.0, 0.0);
+  auto b = gpu_.LaunchKernel(noop, 64, 32, 0.0, 0.0);
   EXPECT_DOUBLE_EQ(b.start, a.end);
 }
 
