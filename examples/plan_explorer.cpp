@@ -17,7 +17,9 @@
 // enumerated plan's *estimated* virtual-time cost next to its *measured*
 // virtual time (every candidate is executed), with the picked plan marked.
 // For the picked plan it prints when each probe unit (CPU socket or GPU)
-// started: the time that unit's hash-table replicas were ready.
+// started: the time that unit's hash-table replicas were ready. Each query
+// also prints the order its fused pipeline probes the joins in
+// (plan::ProbeOrder), by build table.
 //
 // Both modes open with the full fabric: every socket and GPU, per-link
 // type/bandwidth (PCIe, NVLink-class peer, inter-socket), peer adjacency, and
@@ -47,6 +49,7 @@
 #include "core/scheduler.h"
 #include "core/system.h"
 #include "jit/kernel_cache.h"
+#include "plan/analysis.h"
 #include "plan/het_plan.h"
 #include "plan/optimizer.h"
 #include "sim/topology.h"
@@ -311,11 +314,20 @@ bool ReportOptimizer(core::System& system, core::System& reuse_sys,
   }
 
   const ReuseReport reuse = CollectReuse(reuse_sys, spec);
+  // The nesting of the fused pipeline's probe loops, by build table.
+  std::vector<std::string> probe_order;
+  for (const int j : plan::ProbeOrder(spec, system.catalog(), system.cost_model())) {
+    probe_order.push_back(spec.joins[j].build_table);
+  }
 
   if (json) {
-    std::printf("%s{\"query\": \"%s\", \"picked\": \"%s\",\n\"spans\": [",
+    std::printf("%s{\"query\": \"%s\", \"picked\": \"%s\",\n\"probe_order\": [",
                 first_json ? "" : ",\n", spec.name.c_str(),
                 opt.best().label.c_str());
+    for (size_t i = 0; i < probe_order.size(); ++i) {
+      std::printf("%s\"%s\"", i == 0 ? "" : ", ", probe_order[i].c_str());
+    }
+    std::printf("],\n\"spans\": [");
     const std::vector<SpanTier> tiers = CollectSpanTiers(system, spec);
     for (size_t i = 0; i < tiers.size(); ++i) {
       std::printf("%s\n  {\"span\": \"%s\", \"tier\": \"%s\", \"reason\": \"%s\"}",
@@ -352,8 +364,12 @@ bool ReportOptimizer(core::System& system, core::System& reuse_sys,
                 reuse.cache_hit_second ? "true" : "false", reuse.miss_modeled_s,
                 reuse.hit_modeled_s);
   } else {
-    std::printf("=== optimizer: %s ===\n%s\n", spec.name.c_str(),
+    std::printf("=== optimizer: %s ===\n%s\nprobe order:", spec.name.c_str(),
                 opt.cards.ToString().c_str());
+    for (size_t i = 0; i < probe_order.size(); ++i) {
+      std::printf("%s %s", i == 0 ? "" : ",", probe_order[i].c_str());
+    }
+    std::printf("\n");
     std::printf("%-26s %12s %12s  %s\n", "candidate", "estimated", "measured",
                 "");
     for (size_t i = 0; i < rows.size(); ++i) {

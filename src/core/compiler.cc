@@ -220,18 +220,21 @@ CompiledPipeline QueryCompiler::CompileProbe(
              cost_model_->RandomAccessClass(ht_bytes));
   };
 
-  // Nested probe loops, innermost body = the aggregation tail.
-  std::function<void(size_t)> gen_join = [&](size_t j) {
-    if (j == spec_->joins.size()) {
+  // Nested probe loops in plan::ProbeOrder, innermost body = the aggregation
+  // tail. Each probe reads the hash-table slot of its join id.
+  const std::vector<int> order = plan::ProbeOrder(*spec_, *catalog_, *cost_model_);
+  std::function<void(size_t)> gen_join = [&](size_t depth) {
+    if (depth == order.size()) {
       gen_tail();
       return;
     }
+    const int j = order[depth];
     const auto& join = spec_->joins[j];
     const int cls =
         cost_model_->RandomAccessClass(plan::JoinHtBytes(join, *catalog_));
     const int key = cols.ResolveColumn(join.probe_key, b);
     const int iter = b.AllocReg();
-    b.EmitOp(OpCode::kHtProbeInit, iter, key, static_cast<int>(j), 0, 0, cls);
+    b.EmitOp(OpCode::kHtProbeInit, iter, key, j, 0, 0, cls);
     const int loop = b.NewLabel();
     const int exit = b.NewLabel();
     b.Bind(loop);
@@ -239,14 +242,14 @@ CompiledPipeline QueryCompiler::CompileProbe(
     if (!join.payload.empty()) {
       const int first = b.AllocReg();
       for (size_t i = 1; i < join.payload.size(); ++i) b.AllocReg();
-      b.EmitOp(OpCode::kHtLoadPayload, first, iter, static_cast<int>(j),
+      b.EmitOp(OpCode::kHtLoadPayload, first, iter, j,
                static_cast<int>(join.payload.size()));
       for (size_t i = 0; i < join.payload.size(); ++i) {
         cols.BindPayload(join.payload[i], first + static_cast<int>(i));
       }
     }
-    gen_join(j + 1);
-    b.EmitOp(OpCode::kHtIterNext, iter, key, static_cast<int>(j), 0, 0, cls);
+    gen_join(depth + 1);
+    b.EmitOp(OpCode::kHtIterNext, iter, key, j, 0, 0, cls);
     b.EmitOp(OpCode::kJmp, loop);
     b.Bind(exit);
   };

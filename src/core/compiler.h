@@ -45,9 +45,9 @@ jit::AggFunc MergeFunc(jit::AggFunc f);
 ///
 /// This is the produce()/consume() stage of the paper's §4.1: relational operators
 /// contribute straight-line VM code in consume order (filters first, then the
-/// probe loops of each join, then accumulation), and HetExchange operators define
-/// the pipeline boundaries. Hash-table random-access size classes are stamped into
-/// the code from the modeled table footprints.
+/// probe loops of the joins nested in plan::ProbeOrder, then accumulation), and
+/// HetExchange operators define the pipeline boundaries. Hash-table random-access
+/// size classes are stamped into the code from the modeled table footprints.
 class QueryCompiler {
  public:
   QueryCompiler(const plan::QuerySpec& spec, const storage::Catalog& catalog,
@@ -69,9 +69,11 @@ class QueryCompiler {
   CompiledPipeline CompileBuild(
       int join_id, const std::vector<ColSlot>* input_schema = nullptr) const;
 
-  /// The fused fact pipeline: filters, all probe loops, local aggregation.
-  /// When `input_schema` is non-null, the pipeline reads that schema (stage B of
-  /// a split plan) instead of the fact table.
+  /// The fused fact pipeline: filters, then one probe loop per join nested in
+  /// plan::ProbeOrder (the loop of join j reads hash-table slot j), then local
+  /// aggregation in the innermost body. When `input_schema` is non-null, the
+  /// pipeline reads that schema (stage B of a split plan) instead of the fact
+  /// table.
   CompiledPipeline CompileProbe(const std::vector<ColSlot>* input_schema) const;
 
   /// Stage A of a split plan: filter + hash-pack emit of the surviving columns,

@@ -191,6 +191,8 @@ Status GraphBuilder::Run(QueryCompiler* compiler, QueryResult* result) {
   if (analysis_.fact_stages.empty()) {
     return Status::Internal("lowered graph has no fact stages (Analyze not run?)");
   }
+  HETEX_RETURN_NOT_OK(plan::CheckUvaSources(plan, analysis_, system_->catalog(),
+                                            system_->topology()));
 
   // The session anchors this query on the shared virtual timeline: its epoch
   // offsets every reservation on contended resources (PCIe links, GPU

@@ -81,6 +81,8 @@ class GraphBuilder {
 
   /// Instantiates the runtime objects from the analysed stages and executes
   /// the query, filling `result` (rows, modeled/virtual time, work stats).
+  /// A UVA source the placed data makes unreadable (plan::CheckUvaSources)
+  /// fails before any stage starts.
   Status Run(QueryCompiler* compiler, QueryResult* result);
 
  private:

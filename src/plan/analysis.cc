@@ -1,7 +1,9 @@
 #include "plan/analysis.h"
 
 #include <algorithm>
+#include <limits>
 #include <map>
+#include <numeric>
 #include <set>
 #include <string>
 #include <unordered_map>
@@ -459,6 +461,29 @@ uint64_t ScanBlockRows(const HetOpNode& segmenter,
                    : stamped;
 }
 
+Status CheckUvaSources(const HetPlan& plan, const PlanAnalysis& analysis,
+                       const storage::Catalog& catalog, const sim::Topology& topo) {
+  for (const auto* stages : {&analysis.build_filter_stages, &analysis.build_stages,
+                             &analysis.fact_stages}) {
+    for (const Stage& stage : *stages) {
+      if (!stage.in.uva || stage.in.segmenter < 0) continue;
+      const std::string& name = plan.node(stage.in.segmenter).table;
+      const storage::Table* table = catalog.Get(name);
+      if (table == nullptr) continue;  // the source reports a missing table
+      for (const auto& chunk : table->chunks()) {
+        for (const auto& dev : stage.instances) {
+          if (topo.CanAccess(dev, chunk.node) != sim::MemAccess::kNone) continue;
+          return Status::InvalidArgument(
+              "UVA exchange: " + dev.ToString() + " cannot address table '" +
+              name + "' in place on " + topo.mem_node(chunk.node).owner.ToString() +
+              " memory (a UVA edge has no mem-move)");
+        }
+      }
+    }
+  }
+  return Status::OK();
+}
+
 uint64_t TableRows(const storage::Table& t) {
   if (t.rows() > 0) return t.rows();
   uint64_t placed = 0;
@@ -478,6 +503,28 @@ uint64_t JoinHtBytes(const JoinSpec& join, const storage::Catalog& catalog) {
   const uint64_t capacity = JoinHtCapacity(join, catalog);
   const uint64_t stride = (2 + join.payload.size()) * sizeof(int64_t);
   return capacity * stride + capacity * 2 * sizeof(int64_t);
+}
+
+std::vector<int> ProbeOrder(const QuerySpec& spec, const storage::Catalog& catalog,
+                            const sim::CostModel& cost_model) {
+  std::vector<double> rank(spec.joins.size(),
+                           std::numeric_limits<double>::infinity());
+  for (size_t j = 0; j < spec.joins.size(); ++j) {
+    const JoinSpec& join = spec.joins[j];
+    const storage::Table* table = catalog.Get(join.build_table);
+    const uint64_t rows = table != nullptr ? TableRows(*table) : 0;
+    if (join.build_rows_estimate == 0 || rows == 0) continue;
+    const double s = static_cast<double>(join.build_rows_estimate) /
+                     static_cast<double>(rows);
+    if (s >= 1.0) continue;
+    rank[j] = cost_model.RandomAccessCost(cost_model.cpu, JoinHtBytes(join, catalog)) /
+              (1.0 - s);
+  }
+  std::vector<int> order(spec.joins.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(),
+                   [&](int a, int b) { return rank[a] < rank[b]; });
+  return order;
 }
 
 }  // namespace hetex::plan

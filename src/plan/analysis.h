@@ -126,6 +126,16 @@ uint64_t ScanBlockRows(const HetOpNode& segmenter,
                        const storage::Table* table, const sim::Topology& topo,
                        uint64_t staging_rows);
 
+/// \brief Fails with InvalidArgument when a segmenter-fed UVA exchange of
+/// `analysis` feeds an instance that cannot address a chunk of the scanned
+/// table in place (a GPU reading another GPU's memory): a UVA edge skips the
+/// mem-move, so every block must be readable where the table placed it.
+///
+/// Placement belongs to the data, not the plan, so this is checked against
+/// `catalog` by the lowering (before any stage starts) and the coster alike.
+Status CheckUvaSources(const HetPlan& plan, const PlanAnalysis& analysis,
+                       const storage::Catalog& catalog, const sim::Topology& topo);
+
 /// Rows of `t`: staging rows, or the placed chunk totals when staging was
 /// dropped (DropStaging keeps the placed data, and its row counts, intact).
 uint64_t TableRows(const storage::Table& t);
@@ -137,6 +147,19 @@ uint64_t JoinHtCapacity(const JoinSpec& join, const storage::Catalog& catalog);
 /// Modeled bytes of `join`'s hash table: entries plus a bucket array of ~2x
 /// entries. Picks the random-access size class of its probes and inserts.
 uint64_t JoinHtBytes(const JoinSpec& join, const storage::Catalog& catalog);
+
+/// \brief Join ids in the order the fused probe pipeline nests its probe
+/// loops: cheapest access per eliminated row first.
+///
+/// A join ranks by c / (1 - s): c is the CPU cost of one access in its hash
+/// table's size class (JoinHtBytes), s = min(1, build_rows_estimate /
+/// TableRows(build table)), the catalog estimate that also sizes the table.
+/// A join that eliminates nothing (s >= 1) or has no estimate probes last;
+/// ties keep spec order. The compiler nests the loops in this order and the
+/// coster prices the rows reaching each probe in it. A span compiles to one
+/// program for every device kind it runs on, so the rank uses CPU costs.
+std::vector<int> ProbeOrder(const QuerySpec& spec, const storage::Catalog& catalog,
+                            const sim::CostModel& cost_model);
 
 }  // namespace hetex::plan
 

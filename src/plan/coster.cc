@@ -225,6 +225,7 @@ Result<CostEstimate> PlanCoster::Cost(const HetPlan& plan) const {
   Result<PlanAnalysis> analysis = AnalyzePlan(plan, *topo_);
   if (!analysis.ok()) return analysis.status();
   const PlanAnalysis& shape = analysis.value();
+  HETEX_RETURN_NOT_OK(CheckUvaSources(plan, shape, *catalog_, *topo_));
 
   CostEstimate est;
   est.init = shape.init_latency;
@@ -283,8 +284,16 @@ Result<CostEstimate> PlanCoster::Cost(const HetPlan& plan) const {
     return s;
   }();
 
+  auto build_sel = [&](size_t j) {
+    return j < cards_.join_selectivities.size() ? cards_.join_selectivities[j] : 1;
+  };
+
   // Per-tuple profile of a probe span. `from_table`: fused scan (filter still
   // to run) vs the packed stage-B input of a split plan (filter already done).
+  // The probes run in the compiler's nesting order, so each join is priced for
+  // the rows the joins before it let through. A payload load reads the entry
+  // its probe already paid for: ops, no access.
+  const std::vector<int> probe_order = ProbeOrder(*spec_, *catalog_, cm);
   auto probe_profile = [&](bool from_table) {
     Profile p;
     p.bytes_read = from_table ? scan_width : wire_width;
@@ -293,15 +302,12 @@ Result<CostEstimate> PlanCoster::Cost(const HetPlan& plan) const {
       p.ops += filter_ops + 1;
       reach = cards_.fact_selectivity;
     }
-    for (size_t j = 0; j < spec_->joins.size(); ++j) {
+    for (const int j : probe_order) {
       p.ops += reach * 4;  // probe init + loop control
       p.AddAccess(cm, ht_bytes(j), reach);
-      const double s =
-          j < cards_.join_selectivities.size() ? cards_.join_selectivities[j] : 1;
-      reach *= s;
+      reach *= build_sel(j);
       if (!spec_->joins[j].payload.empty()) {
         p.ops += reach * (1 + static_cast<double>(spec_->joins[j].payload.size()));
-        p.AddAccess(cm, ht_bytes(j), reach);
       }
     }
     if (spec_->group_by.empty()) {
@@ -345,9 +351,6 @@ Result<CostEstimate> PlanCoster::Cost(const HetPlan& plan) const {
     for (const auto& c : join.payload) cols.insert(c);
     *n_cols = cols.size();
     return dimension_width(join, cols);
-  };
-  auto build_sel = [&](size_t j) {
-    return j < cards_.join_selectivities.size() ? cards_.join_selectivities[j] : 1;
   };
 
   // Per-tuple profile of join j's build. `packed`: the input is a build-side

@@ -104,7 +104,8 @@ class PlanCoster {
              const sim::Topology& topo, Options options = {});
 
   /// Estimates the virtual-time cost of `plan`. Fails (instead of guessing)
-  /// with AnalyzePlan's Status on exactly the plans the lowering rejects.
+  /// with AnalyzePlan's or CheckUvaSources' Status on exactly the plans the
+  /// lowering rejects.
   Result<CostEstimate> Cost(const HetPlan& plan) const;
 
   const CardinalityEstimate& cards() const { return cards_; }

@@ -59,9 +59,41 @@ TEST_F(CompilerTest, ProbeInputColsAreLazyAndDeduplicated) {
 TEST_F(CompilerTest, ProbeBindsJoinSlotsInOrder) {
   auto spec = Spec();
   spec.joins.push_back({"dim", nullptr, "k", {}, "fk"});
+  spec.joins[1].build_rows_estimate = 2;  // keeps a fifth: probes first
   QueryCompiler compiler(spec, catalog_, cm_);
   CompiledPipeline p = compiler.CompileProbe(nullptr);
   EXPECT_EQ(p.ht_join_slots, (std::vector<int>{0, 1}));
+  // The loops nest in plan::ProbeOrder; each probe reads its join's slot.
+  std::vector<int> probed;
+  for (const auto& instr : p.program.code) {
+    if (instr.op == jit::OpCode::kHtProbeInit) probed.push_back(instr.c);
+  }
+  EXPECT_EQ(probed, plan::ProbeOrder(spec, catalog_, cm_));
+  EXPECT_EQ(probed, (std::vector<int>{1, 0}));
+}
+
+TEST_F(CompilerTest, ProbeOrderRanksByAccessCostPerEliminatedRow) {
+  // A 2200-byte cache threshold makes a `dim` hash table with a payload
+  // column LLC-class and one without cache-class (JoinHtBytes at an estimate
+  // of 2 rows: 2640 vs 2112 bytes).
+  sim::CostModel cm = cm_;
+  cm.near_bytes = 2200;
+  auto join = [](uint64_t estimate, std::vector<std::string> payload) {
+    plan::JoinSpec j{"dim", nullptr, "k", std::move(payload), "fk"};
+    j.build_rows_estimate = estimate;
+    return j;
+  };
+  auto spec = Spec();
+  // Equally selective (a fifth of 10 rows): the LLC-class join moves behind.
+  spec.joins = {join(2, {"attr"}), join(2, {})};
+  EXPECT_EQ(plan::ProbeOrder(spec, catalog_, cm), (std::vector<int>{1, 0}));
+  // An unfiltered join (s = 1) and one without an estimate go last, in spec
+  // order, behind even an LLC-class join that keeps half the rows.
+  spec.joins = {join(10, {}), join(0, {}), join(5, {"attr"})};
+  EXPECT_EQ(plan::ProbeOrder(spec, catalog_, cm), (std::vector<int>{2, 0, 1}));
+  // Ties keep spec order.
+  spec.joins = {join(2, {}), join(2, {}), join(2, {"attr"}), join(2, {})};
+  EXPECT_EQ(plan::ProbeOrder(spec, catalog_, cm), (std::vector<int>{0, 1, 3, 2}));
 }
 
 TEST_F(CompilerTest, ScalarReduceUsesLocalAccs) {

@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "plan/coster.h"
 #include "plan/het_plan.h"
 #include "test_util.h"
 
@@ -277,6 +278,30 @@ TEST_F(GraphBuilderTest, BareGpuLoweringUsesUva) {
   const auto result = env_.Run(spec, policy);
   ASSERT_TRUE(result.status.ok()) << result.status.ToString();
   EXPECT_EQ(result.rows, env_.Reference(spec));
+}
+
+TEST_F(GraphBuilderTest, BareGpuCannotReadAnotherGpusChunksOverUva) {
+  const auto spec = env_.ssb->Query(1, 2);
+  // The fact table across both GPUs: bare GPU 0 reads its source in place,
+  // and GPU 1's memory is not addressable from GPU 0.
+  HETEX_CHECK_OK(env_.system->catalog().at("lineorder").Place(
+      env_.system->GpuNodes(), &env_.system->memory()));
+  const HetPlan plan =
+      Plan(spec, TestEnv::Tune(ExecPolicy::Bare(sim::DeviceType::kGpu)));
+  QueryExecutor executor(env_.system.get());
+  const auto result = executor.ExecutePlan(spec, plan);
+  EXPECT_EQ(result.status.code(), StatusCode::kInvalidArgument)
+      << result.status.ToString();
+  EXPECT_NE(result.status.message().find("cannot address table 'lineorder'"),
+            std::string::npos)
+      << result.status.ToString();
+  EXPECT_TRUE(result.rows.empty());
+  // The coster rejects the plan with the same Status.
+  const plan::PlanCoster coster(spec, env_.system->catalog(),
+                                env_.system->topology());
+  const Result<plan::CostEstimate> est = coster.Cost(plan);
+  ASSERT_FALSE(est.ok());
+  EXPECT_EQ(est.status().ToString(), result.status.ToString());
 }
 
 // --- The acceptance proof: mutating the *plan* changes execution behavior,
