@@ -85,8 +85,8 @@ PipelineProgram FilterEmitProgram() {
 /// filter→probe→agg, the fused fact pipeline in its SSB Q1 form: a
 /// three-predicate conjunctive filter (quantity < 25, 1 <= discount <= 3,
 /// ~25% combined), a probe of the date dimension, and SUM(price * discount
-/// + payload) + COUNT.
-PipelineProgram FilterProbeAggProgram() {
+/// + payload) + COUNT. The probe is stamped with the date table's layout.
+PipelineProgram FilterProbeAggProgram(const jit::JoinHashTable::Layout& date) {
   ProgramBuilder b;
   const int qty = b.AllocReg();
   b.EmitOp(OpCode::kLoadCol, qty, 0);
@@ -118,7 +118,8 @@ PipelineProgram FilterProbeAggProgram() {
   b.EmitOp(OpCode::kMul, revenue, price, disc);
 
   const int iter = b.AllocReg();
-  b.EmitOp(OpCode::kHtProbeInit, iter, k, 0);
+  b.EmitOp(OpCode::kHtProbeInit, iter, k, 0, 0,
+           static_cast<int64_t>(date.WidthCode()));
   const int loop = b.NewLabel();
   const int exit = b.NewLabel();
   b.Bind(loop);
@@ -298,7 +299,7 @@ int main(int argc, char** argv) {
   const BenchData data = MakeData(rows, kBuildRows);
 
   memory::MemoryManager mm(/*node=*/0, /*capacity=*/1ull << 30);
-  jit::JoinHashTable ht(&mm, kBuildRows, /*payload_width=*/1);
+  jit::JoinHashTable ht(&mm, jit::JoinHashTable::Layout(kBuildRows, 8, {8}));
   for (uint64_t i = 0; i < kBuildRows; ++i) {
     const int64_t key = static_cast<int64_t>(i + 1);
     const int64_t payload = static_cast<int64_t>(i & 0xFF);
@@ -313,7 +314,8 @@ int main(int argc, char** argv) {
 
   std::vector<Shape> shapes;
   shapes.push_back({"filter_emit", FilterEmitProgram(), nullptr, true, {}});
-  shapes.push_back({"filter_probe_agg", FilterProbeAggProgram(), &ht, false, {}});
+  shapes.push_back(
+      {"filter_probe_agg", FilterProbeAggProgram(ht.layout()), &ht, false, {}});
   for (Shape& shape : shapes) shape.native = BuildNative(shape.program, copts);
 
   constexpr int kIters = 5;

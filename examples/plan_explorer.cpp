@@ -19,7 +19,9 @@
 // For the picked plan it prints when each probe unit (CPU socket or GPU)
 // started: the time that unit's hash-table replicas were ready. Each query
 // also prints the order its fused pipeline probes the joins in
-// (plan::ProbeOrder), by build table.
+// (plan::ProbeOrder), by build table, and under it each join's hash table in
+// that order: its bytes (plan::JoinHtBytes, what every replica allocates) and
+// size class (near / mid / far, CostModel::RandomAccessClass).
 //
 // Both modes open with the full fabric: every socket and GPU, per-link
 // type/bandwidth (PCIe, NVLink-class peer, inter-socket), peer adjacency, and
@@ -314,10 +316,17 @@ bool ReportOptimizer(core::System& system, core::System& reuse_sys,
   }
 
   const ReuseReport reuse = CollectReuse(reuse_sys, spec);
-  // The nesting of the fused pipeline's probe loops, by build table.
+  // The nesting of the fused pipeline's probe loops, by build table, and the
+  // footprint and size class of each join's hash table in that order.
+  static const char* const kClassNames[3] = {"near", "mid", "far"};
   std::vector<std::string> probe_order;
+  std::vector<uint64_t> ht_bytes;
+  std::vector<const char*> ht_class;
   for (const int j : plan::ProbeOrder(spec, system.catalog(), system.cost_model())) {
     probe_order.push_back(spec.joins[j].build_table);
+    ht_bytes.push_back(plan::JoinHtBytes(spec.joins[j], system.catalog()));
+    ht_class.push_back(
+        kClassNames[system.cost_model().RandomAccessClass(ht_bytes.back())]);
   }
 
   if (json) {
@@ -326,6 +335,12 @@ bool ReportOptimizer(core::System& system, core::System& reuse_sys,
                 opt.best().label.c_str());
     for (size_t i = 0; i < probe_order.size(); ++i) {
       std::printf("%s\"%s\"", i == 0 ? "" : ", ", probe_order[i].c_str());
+    }
+    std::printf("],\n\"hash_tables\": [");
+    for (size_t i = 0; i < probe_order.size(); ++i) {
+      std::printf("%s{\"table\": \"%s\", \"bytes\": %llu, \"class\": \"%s\"}",
+                  i == 0 ? "" : ", ", probe_order[i].c_str(),
+                  static_cast<unsigned long long>(ht_bytes[i]), ht_class[i]);
     }
     std::printf("],\n\"spans\": [");
     const std::vector<SpanTier> tiers = CollectSpanTiers(system, spec);
@@ -368,6 +383,11 @@ bool ReportOptimizer(core::System& system, core::System& reuse_sys,
                 opt.cards.ToString().c_str());
     for (size_t i = 0; i < probe_order.size(); ++i) {
       std::printf("%s %s", i == 0 ? "" : ",", probe_order[i].c_str());
+    }
+    std::printf("\nhash tables:");
+    for (size_t i = 0; i < probe_order.size(); ++i) {
+      std::printf("%s %s %llu B %s", i == 0 ? "" : ",", probe_order[i].c_str(),
+                  static_cast<unsigned long long>(ht_bytes[i]), ht_class[i]);
     }
     std::printf("\n");
     std::printf("%-26s %12s %12s  %s\n", "candidate", "estimated", "measured",

@@ -230,11 +230,12 @@ CompiledPipeline QueryCompiler::CompileProbe(
     }
     const int j = order[depth];
     const auto& join = spec_->joins[j];
-    const int cls =
-        cost_model_->RandomAccessClass(plan::JoinHtBytes(join, *catalog_));
+    const jit::JoinHashTable::Layout layout = plan::JoinHtLayout(join, *catalog_);
+    const int cls = cost_model_->RandomAccessClass(layout.Bytes());
     const int key = cols.ResolveColumn(join.probe_key, b);
     const int iter = b.AllocReg();
-    b.EmitOp(OpCode::kHtProbeInit, iter, key, j, 0, 0, cls);
+    b.EmitOp(OpCode::kHtProbeInit, iter, key, j, 0,
+             static_cast<int64_t>(layout.WidthCode()), cls);
     const int loop = b.NewLabel();
     const int exit = b.NewLabel();
     b.Bind(loop);

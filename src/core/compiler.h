@@ -91,10 +91,6 @@ class QueryCompiler {
   /// Schema of the partial-aggregate messages probe instances emit.
   std::vector<ColSlot> PartialsSchema() const;
 
-  int JoinPayloadWidth(int join_id) const {
-    return static_cast<int>(spec_->joins.at(join_id).payload.size());
-  }
-
   const plan::QuerySpec& spec() const { return *spec_; }
 
  private:

@@ -37,7 +37,7 @@ Edge::Options GraphBuilder::EdgeOptions(const plan::Stage& stage) {
   // locality on the consumer side unless the plan opted into UVA addressing.
   options.mem_move = !stage.in.uva;
   // A unit's build instances fill one replica together: each unit receives
-  // every block once, rotated over its instances.
+  // every block once, on the instance given the fewest rows so far.
   options.unit_broadcast = stage.span().role == plan::StageRole::kBuild &&
                            options.policy == plan::RouterPolicy::kBroadcast;
   return options;
@@ -64,7 +64,7 @@ std::string GraphBuilder::Describe() const {
     os << "]\n";
     const Edge::Options options = EdgeOptions(stage);
     os << "  edge: policy=" << plan::RouterPolicyName(options.policy)
-       << (options.unit_broadcast ? "(per-unit rotation)" : "")
+       << (options.unit_broadcast ? "(per-unit fewest-rows)" : "")
        << (options.mem_move ? " mem-move" : " no-mem-move")
        << (stage.in.uva ? " uva" : "");
     if (options.crossing_latency > 0) {
@@ -331,8 +331,7 @@ Status GraphBuilder::Run(QueryCompiler* compiler, QueryResult* result) {
     for (size_t i = 0; i < j.payload.size(); ++i) {
       os << (i ? "," : "") << j.payload[i];
     }
-    os << ";cap=" << plan::JoinHtCapacity(j, system_->catalog())
-       << ";w=" << compiler->JoinPayloadWidth(stage.span().join_id);
+    os << ";" << plan::JoinHtLayout(j, system_->catalog()).ToString();
     // Exact unit-set match: Analyze() proved the build placement covers every
     // probe unit, so a replica set built for the same units covers them too.
     std::vector<sim::DeviceId> units = stage.instances;
@@ -556,11 +555,12 @@ Status GraphBuilder::Run(QueryCompiler* compiler, QueryResult* result) {
       const sim::DeviceId dev = stage.instances[k];
       auto [it, fresh] = rt.cfg->build_replicas.try_emplace(dev);
       if (fresh) {
-        it->second.ht = hts.Create(
+        Result<jit::JoinHashTable*> ht = hts.Create(
             session.query_id, join, dev,
             &system_->memory().manager(system_->topology().LocalMemNode(dev)),
-            plan::JoinHtCapacity(compiler->spec().joins[join], system_->catalog()),
-            compiler->JoinPayloadWidth(join));
+            plan::JoinHtLayout(compiler->spec().joins[join], system_->catalog()));
+        if (!ht.ok()) return ht.status();
+        it->second.ht = ht.value();
       }
       ++it->second.writers;
       auto filtered = filter_end.find(stage.cores[k]);

@@ -14,15 +14,15 @@ constexpr int kIntMin = std::numeric_limits<int>::min();
 constexpr sim::DeviceId kFirstUnit{sim::DeviceType::kCpu, kIntMin};
 }  // namespace
 
-jit::JoinHashTable* HtRegistry::Create(uint64_t query, int join_id,
-                                       sim::DeviceId unit,
-                                       memory::MemoryManager* mm,
-                                       uint64_t capacity, int payload_width) {
+Result<jit::JoinHashTable*> HtRegistry::Create(
+    uint64_t query, int join_id, sim::DeviceId unit, memory::MemoryManager* mm,
+    const jit::JoinHashTable::Layout& layout) {
+  HETEX_RETURN_NOT_OK(layout.Check());
   std::lock_guard<std::mutex> lock(mu_);
   const Key key{query, join_id, unit};
   HETEX_CHECK(tables_.find(key) == tables_.end())
       << "duplicate hash table for query " << query << " join " << join_id;
-  auto ht = std::make_shared<jit::JoinHashTable>(mm, capacity, payload_width);
+  auto ht = std::make_shared<jit::JoinHashTable>(mm, layout);
   jit::JoinHashTable* raw = ht.get();
   tables_[key] = std::move(ht);
   return raw;

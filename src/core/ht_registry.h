@@ -45,7 +45,7 @@ struct SharedBuildLease {
 /// \par Shared-build promotion (cross-query reuse)
 /// When the serving layer enables it, read-only replica sets are additionally
 /// registered under a *content key* (table + mutation epoch + build predicate
-/// + key/payload schema + capacity + unit set) with single-flight build
+/// + key/payload schema + layout + unit set) with single-flight build
 /// deduplication: the first query to AcquireShared a key becomes the builder
 /// (Role::kBuild) and must later PublishShared or FailShared; concurrent
 /// queries on the same key block until the build resolves and then attach
@@ -56,9 +56,12 @@ struct SharedBuildLease {
 /// DropQuery only releases a query's aliases, never a live shared replica.
 class HtRegistry {
  public:
-  jit::JoinHashTable* Create(uint64_t query, int join_id, sim::DeviceId unit,
-                             memory::MemoryManager* mm, uint64_t capacity,
-                             int payload_width);
+  /// Creates the replica of `join_id` on `unit`, allocating exactly
+  /// `layout.Bytes()` from `mm`; fails with the layout's named Status
+  /// (JoinHashTable::Layout::Check) before allocating anything.
+  Result<jit::JoinHashTable*> Create(uint64_t query, int join_id,
+                                     sim::DeviceId unit, memory::MemoryManager* mm,
+                                     const jit::JoinHashTable::Layout& layout);
   jit::JoinHashTable* Get(uint64_t query, int join_id, sim::DeviceId unit) const;
 
   /// Releases every hash table (alias) of a finished query.

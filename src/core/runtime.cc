@@ -1,6 +1,7 @@
 #include "core/runtime.h"
 
 #include <algorithm>
+#include <tuple>
 
 #include "common/logging.h"
 
@@ -23,6 +24,9 @@ WorkerInstance::WorkerInstance(int id, sim::DeviceId device, System* system,
 Edge::Edge(System* system, Options options, std::vector<WorkerInstance*> consumers)
     : system_(system), options_(options), consumers_(std::move(consumers)) {
   HETEX_CHECK(!consumers_.empty()) << "edge with no consumers";
+  // The consumers' group has not started yet: each clock is its start time.
+  for (const WorkerInstance* c : consumers_) starts_.push_back(c->clock());
+  routed_rows_.assign(consumers_.size(), 0);
   std::map<sim::DeviceId, size_t> group_of;  // unit -> broadcast group
   for (size_t i = 0; i < consumers_.size(); ++i) {
     if (!options_.unit_broadcast) {
@@ -202,11 +206,21 @@ void Edge::Push(DataMsg msg, sim::MemNodeId producer_node) {
   if (options_.policy == plan::RouterPolicy::kBroadcast) {
     // Mem-move owns broadcast (data-flow duplication); the router then routes by
     // target id — from its perspective this is just a hash policy (§3.1). A
-    // unit broadcast rotates each unit's copy over that unit's consumers in
-    // message order, so which instance builds which block is deterministic.
-    const uint64_t seq = rr_next_.fetch_add(1, std::memory_order_relaxed);
+    // unit broadcast hands each unit's copy to the unit's consumer given the
+    // fewest rows so far (ties: the earliest start, then the first), so a
+    // replica's writers share its inserts evenly even when blocks differ in
+    // size, as a build-side filter's survivors do. Which instance builds
+    // which block depends only on the message order.
+    std::lock_guard<std::mutex> lock(broadcast_mu_);
     for (const std::vector<int>& group : broadcast_groups_) {
-      const int i = group[seq % group.size()];
+      int i = group.front();
+      for (const int c : group) {
+        if (std::tie(routed_rows_[c], starts_[c]) <
+            std::tie(routed_rows_[i], starts_[i])) {
+          i = c;
+        }
+      }
+      routed_rows_[i] += msg.rows;
       DataMsg copy;
       copy.rows = msg.rows;
       copy.ready_at = msg.ready_at;
@@ -274,14 +288,14 @@ WorkerGroup::WorkerGroup(System* system, std::vector<sim::DeviceId> devices,
     : system_(system),
       factory_(std::move(factory)),
       out_(out),
-      control_(control),
-      start_clocks_(std::move(start_clocks)) {
-  HETEX_CHECK(start_clocks_.size() == devices.size())
+      control_(control) {
+  HETEX_CHECK(start_clocks.size() == devices.size())
       << "worker group needs one start clock per device";
   int id = 0;
   for (const auto& dev : devices) {
     instances_.push_back(std::make_unique<WorkerInstance>(
-        id++, dev, system, channel_capacity, epoch, query_id, control));
+        id, dev, system, channel_capacity, epoch, query_id, control));
+    instances_.back()->set_clock(start_clocks[id++]);
   }
 }
 
@@ -299,7 +313,6 @@ void WorkerGroup::Start() {
     if (inst->device().is_cpu()) socket_workers[inst->device().index] += 1;
   }
   for (auto& inst : instances_) {
-    inst->set_clock(start_clocks_[inst->id()]);
     if (inst->device().is_cpu()) {
       static_cast<jit::CpuProvider&>(inst->provider())
           .set_socket_concurrency(socket_workers[inst->device().index]);

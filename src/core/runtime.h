@@ -156,9 +156,10 @@ class Edge {
     /// (a hybrid exchange's CPU producers never cross a device boundary).
     sim::VTime crossing_latency = 0;
     /// kBroadcast only: deliver each message once per device unit (a CPU
-    /// socket or a GPU), rotating among that unit's consumers — the build
-    /// edge of a replica several instances fill together. Off, every consumer
-    /// receives every message.
+    /// socket or a GPU), to the unit's consumer given the fewest rows so far
+    /// (ties: the earliest start, then the first) — the build edge of a
+    /// replica several instances fill together. Off, every consumer receives
+    /// every message.
     bool unit_broadcast = false;
     /// Absolute arrival time of the owning query session: DMA reservations on
     /// the shared PCIe links are anchored at `epoch + session-local time`, so
@@ -170,6 +171,8 @@ class Edge {
     const QueryControl* control = nullptr;
   };
 
+  /// Build it before the consumers' group starts: a unit broadcast reads
+  /// each consumer's start time off its clock.
   Edge(System* system, Options options, std::vector<WorkerInstance*> consumers);
 
   /// Registers a producer; the edge closes consumer channels once every producer
@@ -200,6 +203,10 @@ class Edge {
   std::vector<std::vector<int>> broadcast_groups_;
   std::atomic<int> producers_{0};
   std::atomic<uint64_t> rr_next_{0};
+  /// Unit broadcast: each consumer's start time and the rows routed to it.
+  std::mutex broadcast_mu_;
+  std::vector<sim::VTime> starts_;
+  std::vector<uint64_t> routed_rows_;
 };
 
 /// Releases every block of a message from `holder_node`'s perspective (skipping
@@ -247,7 +254,6 @@ class WorkerGroup {
   ProcessorFactory factory_;
   Edge* out_;
   const QueryControl* control_ = nullptr;
-  std::vector<sim::VTime> start_clocks_;
   std::vector<std::unique_ptr<WorkerInstance>> instances_;
   std::vector<std::thread> threads_;
   sim::VTime max_end_ = 0;

@@ -2,8 +2,11 @@
 
 #include <dlfcn.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
+#include <map>
 
 #include "common/hash.h"
 #include "common/logging.h"
@@ -39,8 +42,11 @@ void HxHookEmit(void* target, const int64_t* vals, int n,
   *bytes_written += tmp.bytes_written;
 }
 
-void HxHookHtInsert(void* ht, int64_t key, const int64_t* payload) {
-  static_cast<JoinHashTable*>(ht)->Insert(key, payload);
+void HxHookHtInsert(void* ht, int64_t key, const int64_t* payload,
+                    uint64_t* bytes_written) {
+  auto* table = static_cast<JoinHashTable*>(ht);
+  table->Insert(key, payload);
+  *bytes_written += table->layout().stride();
 }
 
 void HxHookGroupBy(void* ht, int64_t key, const int64_t* vals, int atomic,
@@ -78,6 +84,39 @@ std::string RegName(int r) { return "r" + std::to_string(r); }
 std::string ImmStr(int64_t v) {
   if (v == INT64_MIN) return "(-9223372036854775807LL - 1)";
   return std::to_string(v) + "LL";
+}
+
+/// A Layout::WidthCode in hex: one digit per field width, the key's last.
+std::string WidthCodeHex(uint64_t code) {
+  char buf[24];
+  std::snprintf(buf, sizeof(buf), "0x%llx", static_cast<unsigned long long>(code));
+  return buf;
+}
+
+/// Sign-extending load of `field` from the entry at `entry` (a C++ byte
+/// pointer expression).
+std::string LoadField(const std::string& entry, JoinHashTable::Layout::Field field) {
+  return "hx_ld" + std::to_string(field.width) + "(" + entry + " + " +
+         std::to_string(field.offset) + ")";
+}
+
+/// Address of entry `index` of slot `s`, laid out as `layout`.
+std::string EntryAddr(int s, const std::string& index,
+                      const JoinHashTable::Layout& layout) {
+  return "hx_e" + std::to_string(s) + " + (uint64_t)" + index + " * " +
+         std::to_string(layout.stride()) + "u";
+}
+
+/// Walks slot `s`'s chain from entry `hx_e` to the first entry whose key is
+/// `hx_k`, counting every entry visited in `hx_hops` (JoinHashTable::
+/// FindKeyFrom).
+std::string ChainWalk(int s, const JoinHashTable::Layout& layout) {
+  return "      while (hx_e >= 0) {\n"
+         "        const unsigned char* hx_p = " + EntryAddr(s, "hx_e", layout) + ";\n"
+         "        hx_hops += 1;\n"
+         "        if (" + LoadField("hx_p", layout.key()) + " == hx_k) break;\n"
+         "        hx_e = " + LoadField("hx_p", layout.next()) + ";\n"
+         "      }\n";
 }
 
 const char* ClsCounter(uint8_t cls) {
@@ -224,6 +263,8 @@ GenerateResult GenerateSource(const PipelineProgram& program) {
   std::vector<char> is_target(n + 1, 0);
   uint64_t cols_used = 0;
   uint32_t probe_slots = 0;
+  int payload_loads[kMaxHtSlots] = {};     // payload values loaded, per slot
+  uint64_t width_codes[kMaxHtSlots] = {};  // stamped by each slot's probe init
   bool uses_emit = false, uses_insert = false, uses_groupby = false;
   int emit_sites = 0, bucketed_emits = 0, emit_width = 0;
   for (const Instr& in : code) {
@@ -244,8 +285,13 @@ GenerateResult GenerateSource(const PipelineProgram& program) {
         is_target[in.b] = 1;
         break;
       case OpCode::kHtProbeInit:
-      case OpCode::kHtIterNext:
+        width_codes[in.c] = static_cast<uint64_t>(in.imm);
+        probe_slots |= 1u << in.c;
+        break;
       case OpCode::kHtLoadPayload:
+        payload_loads[in.c] = std::max<int>(payload_loads[in.c], in.d);
+        [[fallthrough]];
+      case OpCode::kHtIterNext:
         probe_slots |= 1u << in.c;
         break;
       case OpCode::kEmit:
@@ -258,6 +304,18 @@ GenerateResult GenerateSource(const PipelineProgram& program) {
       case OpCode::kGroupByAgg: uses_groupby = true; break;
       default: break;
     }
+  }
+
+  // Every probed slot's entry layout, from the width code its probe init
+  // carries: the chain walks and payload loads are generated for it.
+  std::map<int, JoinHashTable::Layout> layouts;
+  for (int s = 0; s < kMaxHtSlots; ++s) {
+    if (((probe_slots >> s) & 1u) == 0) continue;
+    const auto layout = JoinHashTable::Layout::FromWidthCode(width_codes[s]);
+    if (!layout.Check().ok() || layout.payload_count() < payload_loads[s]) {
+      return fallback("hash-table slot " + S(s) + " probed without its entry layout");
+    }
+    layouts.emplace(s, layout);
   }
 
   // Batched emit (single-emit shapes, e.g. filter→emit scans): rows accumulate
@@ -295,23 +353,29 @@ GenerateResult GenerateSource(const PipelineProgram& program) {
       "  k ^= k >> 33;\n"
       "  return k;\n"
       "}\n"
+      "// Sign-extending loads of a hash-table entry's 4- and 8-byte fields.\n"
+      "inline int64_t hx_ld4(const unsigned char* p) {\n"
+      "  int32_t v; memcpy(&v, p, 4); return v;\n"
+      "}\n"
+      "inline int64_t hx_ld8(const unsigned char* p) {\n"
+      "  int64_t v; memcpy(&v, p, 8); return v;\n"
+      "}\n"
       "typedef void (*hx_emit_fn)(void*, const int64_t*, int, uint64_t*);\n"
       "typedef void (*hx_emit_batch_fn)(void*, const int64_t* const*, int, uint64_t, uint64_t*);\n"
-      "typedef void (*hx_insert_fn)(void*, int64_t, const int64_t*);\n"
+      "typedef void (*hx_insert_fn)(void*, int64_t, const int64_t*, uint64_t*);\n"
       "typedef void (*hx_groupby_fn)(void*, int64_t, const int64_t*, int, uint64_t*);\n"
       "}  // namespace\n"
       "\n"
       "extern \"C\" int hx_kernel(\n"
       "    const void* const* cols, void* emit0, void* const* emit_targets,\n"
       "    int64_t n_emit_targets, int64_t* local_accs,\n"
-      "    const int64_t* const* ht_heads, const int64_t* const* ht_entries,\n"
-      "    const uint64_t* ht_masks, const uint64_t* ht_strides,\n"
-      "    void* const* ht_objs, uint64_t* stats,\n"
+      "    const int32_t* const* ht_heads, const unsigned char* const* ht_entries,\n"
+      "    const uint64_t* ht_masks, void* const* ht_objs, uint64_t* stats,\n"
       "    uint64_t row_begin, uint64_t row_step, uint64_t rows,\n"
       "    int atomic_mode, const void* const* hooks) {\n"
       "  (void)cols; (void)emit0; (void)emit_targets; (void)n_emit_targets;\n"
       "  (void)local_accs; (void)ht_heads; (void)ht_entries; (void)ht_masks;\n"
-      "  (void)ht_strides; (void)ht_objs; (void)atomic_mode; (void)hooks;\n";
+      "  (void)ht_objs; (void)atomic_mode; (void)hooks;\n";
 
   // Hoisted bindings: columns, probe-slot raw layout, hook pointers.
   for (int c = 0; c < program.n_input_cols; ++c) {
@@ -320,13 +384,13 @@ GenerateResult GenerateSource(const PipelineProgram& program) {
              " = (const unsigned char*)cols[" + S(c) + "];\n";
     }
   }
-  for (int s = 0; s < kMaxHtSlots; ++s) {
-    if ((probe_slots >> s) & 1u) {
-      out += "  const int64_t* const hx_h" + S(s) + " = ht_heads[" + S(s) + "];\n";
-      out += "  const int64_t* const hx_e" + S(s) + " = ht_entries[" + S(s) + "];\n";
-      out += "  const uint64_t hx_m" + S(s) + " = ht_masks[" + S(s) + "];\n";
-      out += "  const uint64_t hx_s" + S(s) + " = ht_strides[" + S(s) + "];\n";
-    }
+  for (const auto& [s, layout] : layouts) {
+    out += "  // slot " + S(s) + ": " + S(layout.stride()) +
+           "-byte entries, width code " + WidthCodeHex(width_codes[s]) + "\n";
+    out += "  const int32_t* const hx_h" + S(s) + " = ht_heads[" + S(s) + "];\n";
+    out += "  const unsigned char* const hx_e" + S(s) + " = ht_entries[" + S(s) +
+           "];\n";
+    out += "  const uint64_t hx_m" + S(s) + " = ht_masks[" + S(s) + "];\n";
   }
   if (uses_emit && !batch_emit) {
     out += "  const hx_emit_fn hx_emit = (hx_emit_fn)hooks[" + S(kHookEmit) + "];\n";
@@ -548,33 +612,25 @@ GenerateResult GenerateSource(const PipelineProgram& program) {
           }
           out += " };";
           out += " hx_insert(ht_objs[" + S(in.a) + "], " + fold.Use(in.b) +
-                 ", hx_v);";
+                 ", hx_v, &s_bw);";
         } else {
           out += " hx_insert(ht_objs[" + S(in.a) + "], " + fold.Use(in.b) +
-                 ", (const int64_t*)0);";
+                 ", (const int64_t*)0, &s_bw);";
         }
         out += " }\n";
         out += std::string("    ") + ClsCounter(in.cls) + " += 1;\n";
         out += std::string("    s_at += (uint64_t)((atomic_mode & ") +
                S(kAtomicHtInsert) + ") != 0);\n";
-        out += "    s_bw += " + S((2 + in.d) * 8) + ";\n";
         break;
       }
       case OpCode::kHtProbeInit: {
-        const std::string s = S(in.c);
         out += "    { const int64_t hx_k = " + fold.Use(in.b) + ";\n";
         out += "      const uint64_t hx_b = hx_mix64((uint64_t)hx_k) & hx_m" +
-               s + ";\n";
-        out += "      int64_t hx_e = __atomic_load_n(&hx_h" + s +
+               S(in.c) + ";\n";
+        out += "      int64_t hx_e = __atomic_load_n(&hx_h" + S(in.c) +
                "[hx_b], __ATOMIC_ACQUIRE);\n";
         out += "      uint64_t hx_hops = 0;\n";
-        out += "      while (hx_e >= 0) {\n";
-        out += "        const int64_t* hx_p = hx_e" + s +
-               " + (uint64_t)hx_e * hx_s" + s + ";\n";
-        out += "        hx_hops += 1;\n";
-        out += "        if (hx_p[0] == hx_k) break;\n";
-        out += "        hx_e = hx_p[1];\n";
-        out += "      }\n";
+        out += ChainWalk(in.c, layouts.at(in.c));
         out += "      " + RegName(in.a) + " = hx_e;\n";
         out += std::string("      ") + ClsCounter(in.cls) +
                " += 1 + hx_hops; }\n";
@@ -582,29 +638,25 @@ GenerateResult GenerateSource(const PipelineProgram& program) {
         break;
       }
       case OpCode::kHtIterNext: {
-        const std::string s = S(in.c);
+        const JoinHashTable::Layout& layout = layouts.at(in.c);
         out += "    { const int64_t hx_k = " + fold.Use(in.b) + ";\n";
-        out += "      int64_t hx_e = hx_e" + s + "[(uint64_t)" +
-               fold.Use(in.a) + " * hx_s" + s + " + 1];\n";
+        out += "      int64_t hx_e = " +
+               LoadField(EntryAddr(in.c, fold.Use(in.a), layout), layout.next()) +
+               ";\n";
         out += "      uint64_t hx_hops = 0;\n";
-        out += "      while (hx_e >= 0) {\n";
-        out += "        const int64_t* hx_p = hx_e" + s +
-               " + (uint64_t)hx_e * hx_s" + s + ";\n";
-        out += "        hx_hops += 1;\n";
-        out += "        if (hx_p[0] == hx_k) break;\n";
-        out += "        hx_e = hx_p[1];\n";
-        out += "      }\n";
+        out += ChainWalk(in.c, layout);
         out += "      " + RegName(in.a) + " = hx_e;\n";
         out += std::string("      ") + ClsCounter(in.cls) + " += hx_hops; }\n";
         fold.Kill(in.a);
         break;
       }
       case OpCode::kHtLoadPayload: {
-        const std::string s = S(in.c);
-        out += "    { const int64_t* hx_p = hx_e" + s + " + (uint64_t)" +
-               fold.Use(in.b) + " * hx_s" + s + " + 2;\n";
+        const JoinHashTable::Layout& layout = layouts.at(in.c);
+        out += "    { const unsigned char* hx_p = " +
+               EntryAddr(in.c, fold.Use(in.b), layout) + ";\n";
         for (int i = 0; i < in.d; ++i) {
-          out += "      " + RegName(in.a + i) + " = hx_p[" + S(i) + "];\n";
+          out += "      " + RegName(in.a + i) + " = " +
+                 LoadField("hx_p", layout.payload(i)) + ";\n";
           fold.Kill(in.a + i);
         }
         out += "    }\n";
@@ -704,6 +756,7 @@ GenerateResult GenerateSource(const PipelineProgram& program) {
   res.source = std::move(out);
   res.signature = HashBytes(res.source.data(), res.source.size());
   res.join_slot_mask = probe_slots;
+  for (const auto& [s, layout] : layouts) res.slot_layouts[s] = width_codes[s];
   return res;
 }
 
@@ -732,28 +785,33 @@ Status RunNative(const PipelineProgram& program, ExecCtx& ctx, uint64_t rows) {
     cols[i] = ctx.cols[i].base;
   }
 
-  static_assert(sizeof(std::atomic<int64_t>) == sizeof(int64_t) &&
-                    std::atomic<int64_t>::is_always_lock_free,
-                "bucket heads must be bit-compatible with a plain int64 array");
-  const int64_t* heads[kMaxHtSlots] = {};
-  const int64_t* entries[kMaxHtSlots] = {};
+  static_assert(sizeof(std::atomic<int32_t>) == sizeof(int32_t) &&
+                    std::atomic<int32_t>::is_always_lock_free,
+                "bucket heads must be bit-compatible with a plain int32 array");
+  const int32_t* heads[kMaxHtSlots] = {};
+  const unsigned char* entries[kMaxHtSlots] = {};
   uint64_t masks[kMaxHtSlots] = {};
-  uint64_t strides[kMaxHtSlots] = {};
   for (int s = 0; s < kMaxHtSlots; ++s) {
     if ((kernel->join_slot_mask >> s) & 1u) {
       const auto* ht = static_cast<const JoinHashTable*>(ctx.ht_slots[s]);
-      heads[s] = reinterpret_cast<const int64_t*>(ht->raw_heads());
-      entries[s] = ht->raw_entries();
+      if (ht->layout().WidthCode() != kernel->slot_layouts[s]) {
+        return Status::Internal(
+            "native kernel '" + program.label + "': hash-table slot " +
+            std::to_string(s) + " bound with layout width code " +
+            WidthCodeHex(ht->layout().WidthCode()) + ", compiled for " +
+            WidthCodeHex(kernel->slot_layouts[s]));
+      }
+      heads[s] = reinterpret_cast<const int32_t*>(ht->raw_heads());
+      entries[s] = reinterpret_cast<const unsigned char*>(ht->raw_entries());
       masks[s] = ht->bucket_mask();
-      strides[s] = ht->stride();
     }
   }
 
   uint64_t s[kStatCount] = {};
   const int rc = kernel->fn(
       cols, ctx.emit, reinterpret_cast<void* const*>(ctx.emit_targets),
-      ctx.n_emit_targets, ctx.local_accs, heads, entries, masks, strides,
-      ctx.ht_slots, s, ctx.row_begin, ctx.row_step, rows,
+      ctx.n_emit_targets, ctx.local_accs, heads, entries, masks, ctx.ht_slots, s,
+      ctx.row_begin, ctx.row_step, rows,
       (ctx.atomic_group_update ? kAtomicGroupBy : 0) |
           (ctx.atomic_ht_insert ? kAtomicHtInsert : 0),
       kHookTable);

@@ -1,6 +1,7 @@
 #ifndef HETEX_JIT_CODEGEN_H_
 #define HETEX_JIT_CODEGEN_H_
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -34,7 +35,10 @@ namespace hetex::jit {
 /// version are never loaded — they recompile instead.
 /// v2: hook table grew kHookEmitBatch (batched emit for single-emit shapes).
 /// v3: `atomic_mode` is a bit set (kAtomicGroupBy | kAtomicHtInsert).
-inline constexpr uint32_t kCodegenAbiVersion = 3;
+/// v4: join hash tables are packed (JoinHashTable::Layout): int32 heads and
+///     links, byte entries laid out from each probe's stamped width code;
+///     the insert hook reports the entry's bytes.
+inline constexpr uint32_t kCodegenAbiVersion = 4;
 
 /// Bits of a kernel's `atomic_mode` argument: which worker-scoped atomics the
 /// launching provider pays for (ExecCtx::atomic_group_update / atomic_ht_insert).
@@ -61,7 +65,7 @@ enum : int {
 /// Indices into the hook (C function pointer) table.
 enum : int {
   kHookEmit = 0,     ///< void(void* EmitTarget, const int64_t* vals, int n, uint64_t* bytes_written)
-  kHookHtInsert,     ///< void(void* JoinHashTable, int64_t key, const int64_t* payload)
+  kHookHtInsert,     ///< void(void* JoinHashTable, int64_t key, const int64_t* payload, uint64_t* bytes_written)
   kHookGroupBy,      ///< void(void* AggHashTable, int64_t key, const int64_t* vals, int atomic, uint64_t* probes)
   kHookEmitBatch,    ///< void(void* EmitTarget, const int64_t* const* vals (column-major), int n_vals, uint64_t n, uint64_t* bytes_written)
   kHookCount,
@@ -78,10 +82,9 @@ typedef int (*NativeKernelFn)(
     void* const* emit_targets,         // hash-pack bucket targets (nullable)
     int64_t n_emit_targets,
     int64_t* local_accs,               // instance/thread-local accumulators
-    const int64_t* const* ht_heads,    // per HT slot: bucket-head array (join slots)
-    const int64_t* const* ht_entries,  // per HT slot: entry storage
+    const int32_t* const* ht_heads,    // per HT slot: bucket heads (entry index, -1 = empty)
+    const unsigned char* const* ht_entries,  // per HT slot: packed entries
     const uint64_t* ht_masks,          // per HT slot: bucket mask
-    const uint64_t* ht_strides,        // per HT slot: int64 slots per entry
     void* const* ht_objs,              // raw ht_slots, for insert/group-by hooks
     uint64_t* stats,                   // kStat* counters (accumulated into)
     uint64_t row_begin, uint64_t row_step, uint64_t rows,
@@ -112,6 +115,9 @@ struct NativeKernel {
   std::string label;            ///< pipeline label (diagnostics)
   std::string error;            ///< compile/load failure detail (state == kFailed)
   uint32_t join_slot_mask = 0;  ///< HT slots probed inline (RunNative marshaling)
+  /// Per probed slot: the Layout::WidthCode the kernel's entry accesses were
+  /// generated for (RunNative refuses a table of another layout).
+  std::array<uint64_t, kMaxHtSlots> slot_layouts{};
 };
 
 /// Result of a codegen attempt: either the full translation unit, or the named
@@ -122,6 +128,7 @@ struct GenerateResult {
   std::string reason;           ///< fallback reason when source is empty
   uint64_t signature = 0;       ///< content hash of `source` (cache key)
   uint32_t join_slot_mask = 0;  ///< HT slots the kernel probes inline
+  std::array<uint64_t, kMaxHtSlots> slot_layouts{};  ///< see NativeKernel
 };
 
 /// Attempts to translate a validated program into a self-contained C++ TU.

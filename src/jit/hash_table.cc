@@ -1,5 +1,6 @@
 #include "jit/hash_table.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 
@@ -14,44 +15,110 @@ uint64_t NextPow2(uint64_t v) {
 }
 }  // namespace
 
-JoinHashTable::JoinHashTable(memory::MemoryManager* mm, uint64_t capacity,
-                             int payload_width)
-    : mm_(mm),
-      capacity_(capacity == 0 ? 1 : capacity),
-      payload_width_(payload_width),
-      stride_(2 + static_cast<uint64_t>(payload_width)) {
-  const uint64_t buckets = NextPow2(capacity_ * 2);
+JoinHashTable::Layout::Layout(uint64_t capacity, uint32_t key_width,
+                              const std::vector<uint32_t>& payload_widths)
+    : capacity_(capacity == 0 ? 1 : capacity),
+      n_payload_(static_cast<int>(payload_widths.size())),
+      fields_{} {
+  fields_[0] = {0, key_width};
+  fields_[1] = {key_width, sizeof(int32_t)};  // next: a 32-bit entry index
+  uint32_t offset = key_width + sizeof(int32_t);
+  for (int i = 0; i < n_payload_; ++i) {
+    if (i < kMaxPayload) fields_[2 + i] = {offset, payload_widths[i]};
+    offset += payload_widths[i];
+  }
+  stride_ = offset;
+}
+
+Status JoinHashTable::Layout::Check() const {
+  if (capacity_ > kMaxCapacity) {
+    return Status::InvalidArgument(
+        "join hash table of " + std::to_string(capacity_) +
+        " entries overflows its 32-bit entry index (at most " +
+        std::to_string(kMaxCapacity) + ")");
+  }
+  if (n_payload_ > kMaxPayload) {
+    return Status::InvalidArgument("join hash table with " +
+                                   std::to_string(n_payload_) +
+                                   " payload values (at most " +
+                                   std::to_string(kMaxPayload) + ")");
+  }
+  for (int f = 0; f < 2 + n_payload_; ++f) {
+    if (fields_[f].width != 4 && fields_[f].width != 8) {
+      return Status::InvalidArgument("join hash table field of " +
+                                     std::to_string(fields_[f].width) +
+                                     " bytes (4 or 8)");
+    }
+  }
+  return Status::OK();
+}
+
+uint64_t JoinHashTable::Layout::buckets() const { return NextPow2(capacity_ * 2); }
+
+uint64_t JoinHashTable::Layout::Bytes() const {
+  return capacity_ * stride_ + buckets() * sizeof(int32_t);
+}
+
+uint64_t JoinHashTable::Layout::WidthCode() const {
+  uint64_t code = 0;
+  for (int i = std::min(n_payload_, kMaxPayload); i-- > 0;) {
+    code = (code << 4) | payload(i).width;
+  }
+  return (code << 4) | key().width;
+}
+
+JoinHashTable::Layout JoinHashTable::Layout::FromWidthCode(uint64_t code) {
+  std::vector<uint32_t> payload;
+  for (uint64_t rest = code >> 4; rest != 0; rest >>= 4) {
+    payload.push_back(static_cast<uint32_t>(rest & 0xF));
+  }
+  return Layout(1, static_cast<uint32_t>(code & 0xF), payload);
+}
+
+std::string JoinHashTable::Layout::ToString() const {
+  std::string out = "cap=" + std::to_string(capacity_) +
+                    ";key=" + std::to_string(key().width) + ";payload=";
+  for (int i = 0; i < n_payload_ && i < kMaxPayload; ++i) {
+    out += (i ? "," : "") + std::to_string(payload(i).width);
+  }
+  return out;
+}
+
+JoinHashTable::JoinHashTable(memory::MemoryManager* mm, const Layout& layout)
+    : mm_(mm), layout_(layout) {
+  const Status checked = layout_.Check();
+  HETEX_CHECK(checked.ok()) << checked.ToString();
+  const uint64_t buckets = layout_.buckets();
   bucket_mask_ = buckets - 1;
-  const uint64_t head_bytes = buckets * sizeof(std::atomic<int64_t>);
-  const uint64_t entry_bytes = capacity_ * stride_ * sizeof(int64_t);
-  bytes_ = head_bytes + entry_bytes;
-  auto alloc = mm_->Allocate(bytes_);
+  auto alloc = mm_->Allocate(layout_.Bytes());
   HETEX_CHECK(alloc.ok()) << "join hash table allocation: "
                           << alloc.status().ToString();
   raw_ = alloc.value();
-  heads_ = static_cast<std::atomic<int64_t>*>(raw_);
+  heads_ = static_cast<std::atomic<int32_t>*>(raw_);
   for (uint64_t i = 0; i < buckets; ++i) {
     heads_[i].store(-1, std::memory_order_relaxed);
   }
-  entries_ = reinterpret_cast<int64_t*>(static_cast<std::byte*>(raw_) + head_bytes);
+  entries_ = static_cast<std::byte*>(raw_) + buckets * sizeof(int32_t);
 }
 
 JoinHashTable::~JoinHashTable() { mm_->Free(raw_); }
 
 void JoinHashTable::Insert(int64_t key, const int64_t* payload) {
   const uint64_t idx = cursor_.fetch_add(1, std::memory_order_relaxed);
-  HETEX_CHECK(idx < capacity_) << "join hash table over capacity (" << capacity_
-                               << ")";
-  int64_t* e = EntryAt(static_cast<int64_t>(idx));
-  e[0] = key;
-  for (int i = 0; i < payload_width_; ++i) e[2 + i] = payload[i];
-  const uint64_t b = HashMix64(static_cast<uint64_t>(key)) & bucket_mask_;
-  int64_t head = heads_[b].load(std::memory_order_relaxed);
+  HETEX_CHECK(idx < layout_.capacity())
+      << "join hash table over capacity (" << layout_.capacity() << ")";
+  std::byte* e = entries_ + idx * layout_.stride();
+  Store(e, layout_.key(), key);
+  for (int i = 0; i < layout_.payload_count(); ++i) {
+    Store(e, layout_.payload(i), payload[i]);
+  }
+  std::atomic<int32_t>& head = heads_[BucketOf(key)];
+  int32_t first = head.load(std::memory_order_relaxed);
   do {
-    e[1] = head;
-  } while (!heads_[b].compare_exchange_weak(head, static_cast<int64_t>(idx),
-                                            std::memory_order_release,
-                                            std::memory_order_relaxed));
+    Store(e, layout_.next(), first);
+  } while (!head.compare_exchange_weak(first, static_cast<int32_t>(idx),
+                                       std::memory_order_release,
+                                       std::memory_order_relaxed));
 }
 
 AggHashTable::AggHashTable(memory::MemoryManager* mm, uint64_t capacity, int n_aggs,

@@ -2,7 +2,10 @@
 #define HETEX_JIT_HASH_TABLE_H_
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <string>
 #include <vector>
 
 #include "common/hash.h"
@@ -55,7 +58,7 @@ inline int64_t AggIdentity(AggFunc f) {
   return 0;
 }
 
-/// \brief Chained hash table for joins: int64 key -> fixed-width int64 payload.
+/// \brief Chained hash table for joins: key -> fixed payload, packed.
 ///
 /// Build is lock-free (atomic CAS on bucket heads, atomic bump allocation of
 /// entries) so the same structure serves CPU task-parallel builds and simulated
@@ -63,23 +66,82 @@ inline int64_t AggIdentity(AggFunc f) {
 /// atomics, exactly as in the paper's Fig. 3. Probing is wait-free.
 class JoinHashTable {
  public:
-  /// \param capacity maximum number of entries (known from table stats at plan
-  ///        time; the prototype does not rehash, matching typical codegen engines)
-  /// \param payload_width int64 payload values carried per entry
-  JoinHashTable(memory::MemoryManager* mm, uint64_t capacity, int payload_width);
+  /// \brief The packed layout of a join hash table, defined once: the table
+  /// allocates exactly Bytes(), the three JIT tiers read keys, links and
+  /// payloads through its fields, and the coster sizes the table with it
+  /// (plan::JoinHtBytes).
+  ///
+  /// Bucket heads and chain links are 32-bit entry indexes; -1 marks an empty
+  /// one. An entry is `key | next | payload...` with no padding: the key and
+  /// each payload value take their build column's width (4 or 8 bytes) and
+  /// are sign-extended on load.
+  class Layout {
+   public:
+    /// Payload values one entry carries at most (a VM insert's register window).
+    static constexpr int kMaxPayload = 8;
+    /// Entries a 32-bit index addresses (-1 is the empty marker).
+    static constexpr uint64_t kMaxCapacity = INT32_MAX;
+
+    /// Byte offset and width of one field within an entry.
+    struct Field {
+      uint32_t offset = 0;
+      uint32_t width = 0;
+    };
+
+    /// `capacity` entries (0 counts as 1); `key_width` and each of
+    /// `payload_widths` is a build column's width in bytes.
+    Layout(uint64_t capacity, uint32_t key_width,
+           const std::vector<uint32_t>& payload_widths);
+
+    /// InvalidArgument when the entries overflow a 32-bit index, a width is
+    /// not 4 or 8, or there are more than kMaxPayload payload values.
+    Status Check() const;
+
+    uint64_t capacity() const { return capacity_; }
+    int payload_count() const { return n_payload_; }
+    const Field& key() const { return fields_[0]; }
+    const Field& next() const { return fields_[1]; }
+    const Field& payload(int i) const { return fields_[2 + i]; }
+    /// Bytes per entry.
+    uint32_t stride() const { return stride_; }
+    /// Bucket heads: the next power of two of 2 x capacity.
+    uint64_t buckets() const;
+    /// Footprint: capacity x stride entry bytes plus 4 bytes per bucket head.
+    uint64_t Bytes() const;
+
+    /// The field widths in one integer, a nibble each: the key's lowest,
+    /// then each payload's. The compiler stamps it on a probe loop's
+    /// kHtProbeInit, and the tier-2 codegen lays the slot's chain walk and
+    /// payload loads out from it at generation time.
+    uint64_t WidthCode() const;
+    /// The layout (of one entry) whose widths `code` holds (WidthCode).
+    static Layout FromWidthCode(uint64_t code);
+
+    /// `cap=C;key=W;payload=W,W` (shared-build keys, diagnostics).
+    std::string ToString() const;
+
+   private:
+    uint64_t capacity_;
+    int n_payload_;
+    uint32_t stride_;
+    Field fields_[2 + kMaxPayload];
+  };
+
+  /// \param layout checked (Layout::Check); the table does not rehash, so
+  ///        its capacity comes from table stats at plan time, as in typical
+  ///        codegen engines
+  JoinHashTable(memory::MemoryManager* mm, const Layout& layout);
   ~JoinHashTable();
 
   JoinHashTable(const JoinHashTable&) = delete;
   JoinHashTable& operator=(const JoinHashTable&) = delete;
 
-  /// Inserts key + payload; thread-safe.
+  /// Inserts key + payload (layout().payload_count() values), each stored at
+  /// its field's width; thread-safe.
   void Insert(int64_t key, const int64_t* payload);
 
   /// Returns the first entry index of the chain for `key`'s bucket (-1 if empty).
-  int64_t ProbeHead(int64_t key) const {
-    const uint64_t b = HashMix64(static_cast<uint64_t>(key)) & bucket_mask_;
-    return heads_[b].load(std::memory_order_acquire);
-  }
+  int64_t ProbeHead(int64_t key) const { return HeadOfBucket(BucketOf(key)); }
 
   /// Batched-probe decomposition: the vectorized tier hashes a whole batch of
   /// keys in one pass (BucketOf), then resolves heads with software-pipelined
@@ -102,53 +164,70 @@ class JoinHashTable {
   /// links traversed (cost accounting).
   int64_t FindKeyFrom(int64_t entry, int64_t key, uint64_t* hops) const {
     while (entry >= 0) {
-      const int64_t* e = EntryAt(entry);
+      const std::byte* e = EntryAt(entry);
       ++*hops;
-      if (e[0] == key) return entry;
-      entry = e[1];
+      if (Load(e, layout_.key()) == key) return entry;
+      entry = Load(e, layout_.next());
     }
     return entry;
   }
 
   /// Next chain entry after `entry`.
-  int64_t NextEntry(int64_t entry) const { return EntryAt(entry)[1]; }
+  int64_t NextEntry(int64_t entry) const {
+    return Load(EntryAt(entry), layout_.next());
+  }
 
-  const int64_t* PayloadOf(int64_t entry) const { return EntryAt(entry) + 2; }
+  /// Payload value `i` of `entry`, sign-extended.
+  int64_t PayloadAt(int64_t entry, int i) const {
+    return Load(EntryAt(entry), layout_.payload(i));
+  }
 
+  const Layout& layout() const { return layout_; }
   uint64_t size() const { return cursor_.load(std::memory_order_relaxed); }
-  uint64_t capacity() const { return capacity_; }
-  int payload_width() const { return payload_width_; }
 
-  /// Total footprint in bytes — drives the random-access size class in the cost
-  /// model (cache-resident dimension tables probe fast; DRAM-sized ones do not).
-  uint64_t bytes() const { return bytes_; }
+  /// Total footprint in bytes (layout().Bytes()) — drives the random-access
+  /// size class in the cost model (cache-resident dimension tables probe
+  /// fast; DRAM-sized ones do not).
+  uint64_t bytes() const { return layout_.Bytes(); }
 
   /// Raw layout accessors for the tier-2 codegen backend, which unrolls probe
   /// loops into inline bucket-chain walks over these arrays (jit/codegen.cc).
-  /// `raw_heads()` is bit-compatible with a plain int64_t array (asserted at
-  /// the single cast site); entries are `stride()` int64 slots each:
-  /// [key, next, payload...].
-  const std::atomic<int64_t>* raw_heads() const { return heads_; }
-  const int64_t* raw_entries() const { return entries_; }
+  /// `raw_heads()` is bit-compatible with a plain int32_t array (asserted at
+  /// the single cast site); entries are `layout().stride()` bytes each, read
+  /// through `layout().key()`, `layout().next()` and `layout().payload(i)`.
+  const std::atomic<int32_t>* raw_heads() const { return heads_; }
+  const std::byte* raw_entries() const { return entries_; }
   uint64_t bucket_mask() const { return bucket_mask_; }
-  uint64_t stride() const { return stride_; }
 
  private:
-  const int64_t* EntryAt(int64_t i) const {
-    return entries_ + static_cast<uint64_t>(i) * stride_;
+  /// Loads a field, sign-extending a 4-byte one.
+  static int64_t Load(const std::byte* e, Layout::Field f) {
+    if (f.width == 4) {
+      int32_t v;
+      std::memcpy(&v, e + f.offset, 4);
+      return v;
+    }
+    int64_t v;
+    std::memcpy(&v, e + f.offset, 8);
+    return v;
   }
-  int64_t* EntryAt(int64_t i) {
-    return entries_ + static_cast<uint64_t>(i) * stride_;
+  static void Store(std::byte* e, Layout::Field f, int64_t v) {
+    if (f.width == 4) {
+      const int32_t narrow = static_cast<int32_t>(v);
+      std::memcpy(e + f.offset, &narrow, 4);
+    } else {
+      std::memcpy(e + f.offset, &v, 8);
+    }
+  }
+  const std::byte* EntryAt(int64_t i) const {
+    return entries_ + static_cast<uint64_t>(i) * layout_.stride();
   }
 
   memory::MemoryManager* mm_;
-  uint64_t capacity_;
-  int payload_width_;
-  uint64_t stride_;       ///< int64 slots per entry: key, next, payload...
+  Layout layout_;
   uint64_t bucket_mask_;
-  uint64_t bytes_ = 0;
-  std::atomic<int64_t>* heads_ = nullptr;
-  int64_t* entries_ = nullptr;
+  std::atomic<int32_t>* heads_ = nullptr;
+  std::byte* entries_ = nullptr;
   std::atomic<uint64_t> cursor_{0};
   void* raw_ = nullptr;
 };

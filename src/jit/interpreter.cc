@@ -93,7 +93,7 @@ Status RunRows(const PipelineProgram& program, ExecCtx& ctx, uint64_t rows) {
           // A replica written by one CPU worker elides the CAS (single thread
           // per worker, paper Fig. 3); GPUs and shared CPU replicas pay it.
           if (ctx.atomic_ht_insert) ++stats->atomics;
-          stats->bytes_written += (2 + in.d) * sizeof(int64_t);
+          stats->bytes_written += ht->layout().stride();
           ++pc;
           break;
         }
@@ -116,8 +116,9 @@ Status RunRows(const PipelineProgram& program, ExecCtx& ctx, uint64_t rows) {
         }
         case OpCode::kHtLoadPayload: {
           auto* ht = static_cast<JoinHashTable*>(ctx.ht_slots[in.c]);
-          const int64_t* payload = ht->PayloadOf(regs[in.b]);
-          for (int i = 0; i < in.d; ++i) regs[in.a + i] = payload[i];
+          for (int i = 0; i < in.d; ++i) {
+            regs[in.a + i] = ht->PayloadAt(regs[in.b], i);
+          }
           ++pc;
           break;
         }

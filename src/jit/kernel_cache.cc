@@ -131,6 +131,7 @@ std::shared_ptr<NativeKernel> KernelCache::GetOrBuild(const GenerateResult& gen,
     kernel->signature = gen.signature;
     kernel->label = label;
     kernel->join_slot_mask = gen.join_slot_mask;
+    kernel->slot_layouts = gen.slot_layouts;
     chain.push_back(Entry{gen.source, kernel});
     if (options_.async) {
       queue_.emplace_back(

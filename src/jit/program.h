@@ -42,7 +42,8 @@ enum class OpCode : uint8_t {
   kJmpIfFalse,  ///< if (!regs[a]) pc = b
   kJmpIfNeg,    ///< if (regs[a] < 0) pc = b
   kHtInsert,    ///< join HT slot a: insert key regs[b], payload regs[c..c+d)
-  kHtProbeInit, ///< regs[a] = first entry matching key regs[b] in join HT slot c
+  kHtProbeInit, ///< regs[a] = first entry matching key regs[b] in join HT slot c;
+                ///< imm = the slot's JoinHashTable::Layout::WidthCode()
   kHtIterNext,  ///< regs[a] = next entry matching key regs[b] in join HT slot c,
                 ///< starting after entry regs[a]
   kHtLoadPayload, ///< regs[a..a+d) = payload of entry regs[b] in join HT slot c

@@ -498,8 +498,7 @@ class VecRunner {
         }
         CountAccess(stats, in.cls, static_cast<uint64_t>(n));
         if (ctx_.atomic_ht_insert) stats->atomics += static_cast<uint64_t>(n);
-        stats->bytes_written +=
-            static_cast<uint64_t>(n) * (2 + in.d) * sizeof(int64_t);
+        stats->bytes_written += static_cast<uint64_t>(n) * ht->layout().stride();
         break;
       }
       case VecStep::Kind::kHtLoadPayload: {
@@ -507,18 +506,10 @@ class VecRunner {
         const int64_t* entry = L.reg(in.b);
         int64_t* out[8];
         for (int i = 0; i < in.d; ++i) out[i] = L.reg(in.a + i);
-        if (in.d == 1) {
-          int64_t* o0 = out[0];
-          for (int k = 0; k < n; ++k) {
-            const int32_t lane = sel[k];
-            o0[lane] = ht->PayloadOf(entry[lane])[0];
-          }
-        } else {
-          for (int k = 0; k < n; ++k) {
-            const int32_t lane = sel[k];
-            const int64_t* payload = ht->PayloadOf(entry[lane]);
-            for (int i = 0; i < in.d; ++i) out[i][lane] = payload[i];
-          }
+        for (int k = 0; k < n; ++k) {
+          const int32_t lane = sel[k];
+          const int64_t e = entry[lane];
+          for (int i = 0; i < in.d; ++i) out[i][lane] = ht->PayloadAt(e, i);
         }
         break;
       }

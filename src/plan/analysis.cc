@@ -499,10 +499,23 @@ uint64_t JoinHtCapacity(const JoinSpec& join, const storage::Catalog& catalog) {
   return std::max<uint64_t>(1, table != nullptr ? TableRows(*table) : 0);
 }
 
+uint32_t ColumnWidth(const storage::Table* table, const std::string& column) {
+  return table != nullptr && table->FindColumn(column) >= 0
+             ? table->column(column).width()
+             : 8;
+}
+
+jit::JoinHashTable::Layout JoinHtLayout(const JoinSpec& join,
+                                        const storage::Catalog& catalog) {
+  const storage::Table* table = catalog.Get(join.build_table);
+  std::vector<uint32_t> payload;
+  for (const auto& col : join.payload) payload.push_back(ColumnWidth(table, col));
+  return jit::JoinHashTable::Layout(JoinHtCapacity(join, catalog),
+                                    ColumnWidth(table, join.build_key), payload);
+}
+
 uint64_t JoinHtBytes(const JoinSpec& join, const storage::Catalog& catalog) {
-  const uint64_t capacity = JoinHtCapacity(join, catalog);
-  const uint64_t stride = (2 + join.payload.size()) * sizeof(int64_t);
-  return capacity * stride + capacity * 2 * sizeof(int64_t);
+  return JoinHtLayout(join, catalog).Bytes();
 }
 
 std::vector<int> ProbeOrder(const QuerySpec& spec, const storage::Catalog& catalog,

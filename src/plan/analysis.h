@@ -144,8 +144,20 @@ uint64_t TableRows(const storage::Table& t);
 /// headroom (the build CHECKs on overflow), else the build table's rows.
 uint64_t JoinHtCapacity(const JoinSpec& join, const storage::Catalog& catalog);
 
-/// Modeled bytes of `join`'s hash table: entries plus a bucket array of ~2x
-/// entries. Picks the random-access size class of its probes and inserts.
+/// Bytes one row of `column` takes: its catalog width, or 8 (an int64
+/// register) when `table` is null or lacks the column. Hash-table fields and
+/// packed columns are stored at this width.
+uint32_t ColumnWidth(const storage::Table* table, const std::string& column);
+
+/// Packed layout of `join`'s hash table: JoinHtCapacity entries, the key and
+/// each payload value at its build column's width (ColumnWidth). Every
+/// replica of the join is created with it.
+jit::JoinHashTable::Layout JoinHtLayout(const JoinSpec& join,
+                                        const storage::Catalog& catalog);
+
+/// Bytes of `join`'s hash table, exactly what each replica allocates
+/// (JoinHtLayout(...).Bytes()). Picks the random-access size class of its
+/// probes and inserts.
 uint64_t JoinHtBytes(const JoinSpec& join, const storage::Catalog& catalog);
 
 /// \brief Join ids in the order the fused probe pipeline nests its probe

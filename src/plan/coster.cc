@@ -231,7 +231,8 @@ Result<CostEstimate> PlanCoster::Cost(const HetPlan& plan) const {
   est.init = shape.init_latency;
 
   // --- Schema-derived widths. Fact columns a fused scan reads; the packed
-  // wire columns a split plan ships between stages (8-byte registers).
+  // wire columns a split plan ships between stages, each at its fact width
+  // (the width the pack writes).
   const storage::Table* fact = catalog_->Get(spec_->fact_table);
   std::set<std::string> payloads;
   for (const auto& join : spec_->joins) {
@@ -256,13 +257,13 @@ Result<CostEstimate> PlanCoster::Cost(const HetPlan& plan) const {
   };
   const std::set<std::string> scan_cols = fact_col_set(/*include_filter=*/true);
   const std::set<std::string> wire_cols = fact_col_set(/*include_filter=*/false);
-  double scan_width = 0;
-  for (const auto& c : scan_cols) {
-    scan_width += fact != nullptr && fact->FindColumn(c) >= 0
-                      ? fact->column(c).width()
-                      : 8;
-  }
-  const double wire_width = 8.0 * static_cast<double>(wire_cols.size());
+  auto fact_width = [&](const std::set<std::string>& cols) {
+    double width = 0;
+    for (const auto& c : cols) width += ColumnWidth(fact, c);
+    return width;
+  };
+  const double scan_width = fact_width(scan_cols);
+  const double wire_width = fact_width(wire_cols);
 
   // --- Hash-table footprints: the generated code's access size classes.
   auto ht_bytes = [&](size_t j) -> uint64_t {
@@ -333,9 +334,7 @@ Result<CostEstimate> PlanCoster::Cost(const HetPlan& plan) const {
   auto dimension_width = [&](const JoinSpec& join, const std::set<std::string>& cols) {
     const storage::Table* t = catalog_->Get(join.build_table);
     double width = 0;
-    for (const auto& c : cols) {
-      width += t != nullptr && t->FindColumn(c) >= 0 ? t->column(c).width() : 8;
-    }
+    for (const auto& c : cols) width += ColumnWidth(t, c);
     return width;
   };
   auto filter_columns = [](const JoinSpec& join) {
@@ -343,19 +342,25 @@ Result<CostEstimate> PlanCoster::Cost(const HetPlan& plan) const {
     if (join.build_filter != nullptr) join.build_filter->CollectColumns(&cols);
     return cols;
   };
+  // The columns a build-side filter stage packs for join j's build: the key
+  // and the payload, each at its dimension width.
+  auto packed_columns = [](const JoinSpec& join) {
+    std::set<std::string> cols(join.payload.begin(), join.payload.end());
+    cols.insert(join.build_key);
+    return cols;
+  };
   // Width and column count of the dimension columns join j's build scan reads
   // (filter, key and payload).
   auto dimension_scan = [&](const JoinSpec& join, uint64_t* n_cols) {
     std::set<std::string> cols = filter_columns(join);
-    cols.insert(join.build_key);
-    for (const auto& c : join.payload) cols.insert(c);
+    cols.merge(packed_columns(join));
     *n_cols = cols.size();
     return dimension_width(join, cols);
   };
 
   // Per-tuple profile of join j's build. `packed`: the input is a build-side
-  // filter stage's survivors (key and payload as 8-byte wire columns, the
-  // filter already applied).
+  // filter stage's survivors (the filter already applied). An insert writes
+  // one entry of the join's hash-table layout.
   auto build_profile = [&](size_t j, bool packed, uint64_t* n_cols) {
     Profile p;
     const JoinSpec* join = j < spec_->joins.size() ? &spec_->joins[j] : nullptr;
@@ -363,8 +368,9 @@ Result<CostEstimate> PlanCoster::Cost(const HetPlan& plan) const {
     *n_cols = 1;
     double sel = 1.0;
     if (join != nullptr && packed) {
-      *n_cols = 1 + join->payload.size();
-      in_width = 8.0 * static_cast<double>(*n_cols);
+      const std::set<std::string> cols = packed_columns(*join);
+      *n_cols = cols.size();
+      in_width = dimension_width(*join, cols);
       p.ops += 1;
     } else if (join != nullptr) {
       in_width = dimension_scan(*join, n_cols);
@@ -375,6 +381,9 @@ Result<CostEstimate> PlanCoster::Cost(const HetPlan& plan) const {
     p.ops += sel * 3;
     p.AddAccess(cm, ht_bytes(j), sel);
     p.atomics += sel;
+    if (join != nullptr) {
+      p.bytes_written = sel * JoinHtLayout(*join, *catalog_).stride();
+    }
     return p;
   };
 
@@ -390,7 +399,7 @@ Result<CostEstimate> PlanCoster::Cost(const HetPlan& plan) const {
     p.ops += ExprOps(join.build_filter) + 1;
     const double out_cols = 1 + static_cast<double>(join.payload.size());
     p.ops += sel * (2 + out_cols);
-    p.bytes_written = sel * 8 * out_cols;
+    p.bytes_written = sel * dimension_width(join, packed_columns(join));
     return p;
   };
 
@@ -550,9 +559,10 @@ Result<CostEstimate> PlanCoster::Cost(const HetPlan& plan) const {
   };
 
   // ------------------------------------------------------------------ builds
-  // The runtime's build schedule: every unit receives each block once,
-  // rotated over its W instances (priced at the W-way fluid share), and runs
-  // the joins one after another — a unit's build phase is the sum over joins.
+  // The runtime's build schedule: every unit receives each block once, on
+  // its instance with the fewest rows so far (priced as an even share of the
+  // blocks over its W instances), and runs the joins one after another — a
+  // unit's build phase is the sum over joins.
   // Build-side filter stages run first, each core's one after another, and
   // their builds receive the survivors' packed blocks: a socket builds after
   // its cores' filters, a GPU pipelines behind the filters' output.

@@ -73,16 +73,19 @@ TEST_F(CompilerTest, ProbeBindsJoinSlotsInOrder) {
 }
 
 TEST_F(CompilerTest, ProbeOrderRanksByAccessCostPerEliminatedRow) {
-  // A 2200-byte cache threshold makes a `dim` hash table with a payload
+  // A 1700-byte cache threshold makes a `dim` hash table with a payload
   // column LLC-class and one without cache-class (JoinHtBytes at an estimate
-  // of 2 rows: 2640 vs 2112 bytes).
+  // of 2 rows: 66 entries of 12 vs 8 bytes plus 256 4-byte heads, 1816 vs
+  // 1552 bytes).
   sim::CostModel cm = cm_;
-  cm.near_bytes = 2200;
+  cm.near_bytes = 1700;
   auto join = [](uint64_t estimate, std::vector<std::string> payload) {
     plan::JoinSpec j{"dim", nullptr, "k", std::move(payload), "fk"};
     j.build_rows_estimate = estimate;
     return j;
   };
+  ASSERT_EQ(plan::JoinHtBytes(join(2, {"attr"}), catalog_), 1816u);
+  ASSERT_EQ(plan::JoinHtBytes(join(2, {}), catalog_), 1552u);
   auto spec = Spec();
   // Equally selective (a fifth of 10 rows): the LLC-class join moves behind.
   spec.joins = {join(2, {"attr"}), join(2, {})};

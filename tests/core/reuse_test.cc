@@ -52,10 +52,10 @@ TEST(ReuseTest, SingleFlightDedupUnderRace) {
           registry.AcquireShared(key, query, /*control=*/nullptr);
       if (lease.role == SharedBuildLease::Role::kBuild) {
         builds.fetch_add(1);
-        jit::JoinHashTable* ht = registry.Create(
+        const Result<jit::JoinHashTable*> ht = registry.Create(
             query, /*join_id=*/0, sim::DeviceId::Cpu(0), Cpu0Memory(env),
-            /*capacity=*/64, /*payload_width=*/1);
-        ASSERT_NE(ht, nullptr);
+            jit::JoinHashTable::Layout(/*capacity=*/64, 8, {8}));
+        ASSERT_TRUE(ht.ok()) << ht.status().ToString();
         registry.PublishShared(key, query, /*join_id=*/0,
                                {{sim::DeviceId::Cpu(0), kBuildDone}});
       } else {
@@ -92,8 +92,10 @@ TEST(ReuseTest, AttacherSeesEachUnitsOwnReadyAt) {
   const sim::DeviceId gpu0 = sim::DeviceId::Gpu(0);
   ASSERT_EQ(registry.AcquireShared(key, 1, nullptr).role,
             SharedBuildLease::Role::kBuild);
-  registry.Create(1, 0, sim::DeviceId::Cpu(0), Cpu0Memory(env), 64, 1);
-  registry.Create(1, 0, sim::DeviceId::Gpu(0), Cpu0Memory(env), 64, 1);
+  registry.Create(1, 0, sim::DeviceId::Cpu(0), Cpu0Memory(env),
+                  jit::JoinHashTable::Layout(64, 8, {8}));
+  registry.Create(1, 0, sim::DeviceId::Gpu(0), Cpu0Memory(env),
+                  jit::JoinHashTable::Layout(64, 8, {8}));
   registry.PublishShared(key, 1, 0, {{cpu0, 2.0}, {gpu0, 5.0}});
 
   const SharedBuildLease lease = registry.AcquireShared(key, 2, nullptr);
@@ -124,7 +126,8 @@ TEST(ReuseTest, FailedBuildPromotesExactlyOneWaiter) {
       const SharedBuildLease lease = registry.AcquireShared(key, query, nullptr);
       if (lease.role == SharedBuildLease::Role::kBuild) {
         builds.fetch_add(1);
-        registry.Create(query, 0, sim::DeviceId::Cpu(0), Cpu0Memory(env), 64, 1);
+        registry.Create(query, 0, sim::DeviceId::Cpu(0), Cpu0Memory(env),
+                        jit::JoinHashTable::Layout(64, 8, {8}));
         registry.PublishShared(key, query, 0, {{sim::DeviceId::Cpu(0), 1.0}});
       } else {
         ASSERT_EQ(lease.role, SharedBuildLease::Role::kAttach);
@@ -191,7 +194,8 @@ TEST(ReuseTest, StaleGenerationEvictedOnNewEpochAcquire) {
   HtRegistry registry;
   ASSERT_EQ(registry.AcquireShared("dim@0;gc-test", 1, nullptr, "dim", 0).role,
             SharedBuildLease::Role::kBuild);
-  registry.Create(1, 0, sim::DeviceId::Cpu(0), Cpu0Memory(env), 64, 1);
+  registry.Create(1, 0, sim::DeviceId::Cpu(0), Cpu0Memory(env),
+                  jit::JoinHashTable::Layout(64, 8, {8}));
   registry.PublishShared("dim@0;gc-test", 1, 0, {{sim::DeviceId::Cpu(0), 1.0}});
   EXPECT_EQ(registry.NumSharedEntries(), 1);
 

@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "core/system.h"
+#include "plan/analysis.h"
 #include "test_util.h"
 
 namespace hetex::core {
@@ -66,20 +67,28 @@ class RuntimeTest : public ::testing::Test {
  protected:
   RuntimeTest() : system_(SmallSystem()) {}
 
-  /// Sends `n` single-column host blocks through an edge into `group`.
+  /// Sends `n` single-column host blocks of 10 rows through an edge into
+  /// `group`.
   void Drive(Edge& edge, WorkerGroup& group, int n) {
+    Drive(edge, group, std::vector<uint64_t>(n, 10));
+  }
+
+  /// Sends one single-column host block per entry of `rows`, of that many
+  /// 4-byte rows.
+  void Drive(Edge& edge, WorkerGroup& group,
+             const std::vector<uint64_t>& rows) {
     group.Start();
     edge.AddProducer();
     const sim::MemNodeId host = system_.topology().socket(0).mem;
-    for (int i = 0; i < n; ++i) {
+    for (size_t i = 0; i < rows.size(); ++i) {
       memory::Block* block = system_.blocks().Acquire(host, host);
       DataMsg msg;
-      msg.rows = 10;
+      msg.rows = rows[i];
       msg.tag = static_cast<uint64_t>(i);
       memory::BlockHandle h;
       h.block = block;
-      h.rows = 10;
-      h.bytes = 40;
+      h.rows = rows[i];
+      h.bytes = rows[i] * 4;
       msg.cols.push_back(h);
       edge.Push(std::move(msg), host);
     }
@@ -439,12 +448,13 @@ TEST_F(RuntimeTest, BacklogUsesPriorUntilEmaWarm) {
 TEST_F(RuntimeTest, HtRegistryKeyedByQueryJoinAndUnit) {
   HtRegistry hts;
   auto& mm = system_.memory().manager(0);
-  jit::JoinHashTable* a = hts.Create(7, 0, sim::DeviceId::Cpu(0), &mm, 16, 0);
-  jit::JoinHashTable* b = hts.Create(7, 0, sim::DeviceId::Gpu(0), &mm, 16, 0);
-  jit::JoinHashTable* c = hts.Create(7, 1, sim::DeviceId::Cpu(0), &mm, 16, 0);
+  const jit::JoinHashTable::Layout layout(16, 8, {});
+  jit::JoinHashTable* a = *hts.Create(7, 0, sim::DeviceId::Cpu(0), &mm, layout);
+  jit::JoinHashTable* b = *hts.Create(7, 0, sim::DeviceId::Gpu(0), &mm, layout);
+  jit::JoinHashTable* c = *hts.Create(7, 1, sim::DeviceId::Cpu(0), &mm, layout);
   // Same (join, unit) under a different query id: a disjoint namespace, not a
   // duplicate-table crash — the concurrent-queries collision case.
-  jit::JoinHashTable* d = hts.Create(8, 0, sim::DeviceId::Cpu(0), &mm, 16, 0);
+  jit::JoinHashTable* d = *hts.Create(8, 0, sim::DeviceId::Cpu(0), &mm, layout);
   EXPECT_NE(a, b);
   EXPECT_NE(a, c);
   EXPECT_NE(a, d);
@@ -455,6 +465,45 @@ TEST_F(RuntimeTest, HtRegistryKeyedByQueryJoinAndUnit) {
   hts.DropQuery(7);
   EXPECT_EQ(hts.NumTables(7), 0);
   EXPECT_EQ(hts.Get(8, 0, sim::DeviceId::Cpu(0)), d);  // other queries intact
+}
+
+// The coster's footprint is the replica's allocation. Q4.1's customer join
+// (4-byte c_custkey, 4-byte c_nation payload) at an estimate of 24,000 rows:
+// 31,264 entries of 12 bytes plus 65,536 4-byte bucket heads.
+TEST(HtRegistryTest, JoinHtBytesIsTheReplicaCreateAllocates) {
+  test::TestEnv env(/*lineorder_rows=*/1000);
+  plan::QuerySpec spec = env.ssb->Query(4, 1);
+  plan::JoinSpec& customer = spec.joins.at(0);
+  ASSERT_EQ(customer.build_table, "customer");
+  customer.build_rows_estimate = 24'000;
+  const storage::Catalog& catalog = env.system->catalog();
+  EXPECT_EQ(plan::JoinHtBytes(customer, catalog), 637'312u);
+
+  HtRegistry hts;
+  auto& mm = env.system->memory().manager(0);
+  const uint64_t before = mm.used();
+  const Result<jit::JoinHashTable*> ht = hts.Create(
+      1, 0, sim::DeviceId::Cpu(0), &mm, plan::JoinHtLayout(customer, catalog));
+  ASSERT_TRUE(ht.ok()) << ht.status().ToString();
+  EXPECT_EQ((*ht)->bytes(), plan::JoinHtBytes(customer, catalog));
+  EXPECT_GE(mm.used() - before, plan::JoinHtBytes(customer, catalog));
+}
+
+// A replica whose entries a 32-bit index cannot address is refused where it
+// is created, with a named Status and before any allocation.
+TEST_F(RuntimeTest, HtRegistryRefusesAReplicaBeyondA32BitEntryIndex) {
+  HtRegistry hts;
+  auto& mm = system_.memory().manager(0);
+  const uint64_t before = mm.used();
+  const Result<jit::JoinHashTable*> ht = hts.Create(
+      7, 0, sim::DeviceId::Cpu(0), &mm,
+      jit::JoinHashTable::Layout(jit::JoinHashTable::Layout::kMaxCapacity + 1, 4, {4}));
+  ASSERT_FALSE(ht.ok());
+  EXPECT_EQ(ht.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(ht.status().message().find("32-bit entry index"), std::string::npos)
+      << ht.status().ToString();
+  EXPECT_EQ(mm.used(), before);
+  EXPECT_EQ(hts.NumTables(7), 0);
 }
 
 TEST_F(RuntimeTest, LoadBalanceRoutesAroundLateStartingInstance) {
@@ -529,10 +578,41 @@ class InsertingProcessor : public BlockProcessor {
   jit::JoinHashTable* ht_ = nullptr;
 };
 
+TEST_F(RuntimeTest, UnitBroadcastHandsEachBlockToTheUnitsLeastLoadedInstance) {
+  // Socket 0 fills a replica on three instances that start at 2, 1 and 0 us,
+  // socket 1 on one. Each unit's copy of a block goes to the instance given
+  // the fewest rows so far, ties to the one that starts first. Blocks of
+  // uneven size (a build-side filter's survivors) are then shared by rows;
+  // rotating them in message order would give socket 0's instances 400, 150
+  // and 100 rows.
+  WorkerGroup group(&system_,
+                    {sim::DeviceId::Cpu(0), sim::DeviceId::Cpu(0),
+                     sim::DeviceId::Cpu(0), sim::DeviceId::Cpu(1)},
+                    Recorder(), nullptr, 8, {2e-6, 1e-6, 0.0, 0.0});
+  Edge::Options opts;
+  opts.policy = plan::RouterPolicy::kBroadcast;
+  opts.unit_broadcast = true;
+  Edge edge(&system_, opts, group.instance_ptrs());
+  Drive(edge, group, std::vector<uint64_t>{300, 100, 100, 100, 50});
+
+  auto rows_of = [&](int instance) {
+    std::vector<uint64_t> rows;
+    for (const DataMsg& msg : log_.by_instance[instance]) {
+      rows.push_back(msg.rows);
+    }
+    return rows;
+  };
+  EXPECT_EQ(rows_of(0), (std::vector<uint64_t>{100, 50}));
+  EXPECT_EQ(rows_of(1), (std::vector<uint64_t>{100, 100}));
+  EXPECT_EQ(rows_of(2), (std::vector<uint64_t>{300}));
+  EXPECT_EQ(rows_of(3), (std::vector<uint64_t>{300, 100, 100, 100, 50}));
+}
+
 TEST_F(RuntimeTest, UnitBroadcastFillsEachReplicaOnceAcrossItsInstances) {
   // Socket 0 builds its replica on three instances, socket 1 on one. The
-  // build edge delivers every block once per unit, rotated over the unit's
-  // instances, and the three writers CAS into one lock-free table.
+  // build edge delivers every block once per unit, to the unit's instance
+  // given the fewest rows so far, and the three writers CAS into one
+  // lock-free table.
   storage::Table* t = system_.catalog().CreateTable("dim");
   storage::Column* c = t->AddColumn("k", storage::ColType::kInt64);
   constexpr int kRows = 1000;
@@ -541,8 +621,9 @@ TEST_F(RuntimeTest, UnitBroadcastFillsEachReplicaOnceAcrossItsInstances) {
 
   InsertingProcessor::Shared shared;
   auto& mm = system_.memory().manager(system_.topology().socket(0).mem);
-  jit::JoinHashTable socket0(&mm, kRows, 1);
-  jit::JoinHashTable socket1(&mm, kRows, 1);
+  const jit::JoinHashTable::Layout layout(kRows, 8, {8});
+  jit::JoinHashTable socket0(&mm, layout);
+  jit::JoinHashTable socket1(&mm, layout);
   const sim::DeviceId cpu0 = sim::DeviceId::Cpu(0);
   shared.replicas = {{cpu0, &socket0}, {sim::DeviceId::Cpu(1), &socket1}};
   WorkerGroup group(&system_, {cpu0, cpu0, cpu0, sim::DeviceId::Cpu(1)},
@@ -577,7 +658,7 @@ TEST_F(RuntimeTest, UnitBroadcastFillsEachReplicaOnceAcrossItsInstances) {
       uint64_t hops = 0;
       const int64_t e = ht->FindKeyFrom(ht->ProbeHead(key), key, &hops);
       ASSERT_GE(e, 0) << "key " << key << " missing";
-      EXPECT_EQ(ht->PayloadOf(e)[0], key);
+      EXPECT_EQ(ht->PayloadAt(e, 0), key);
       EXPECT_LT(ht->FindKeyFrom(ht->NextEntry(e), key, &hops), 0)
           << "key " << key << " inserted twice";
     }
@@ -586,11 +667,11 @@ TEST_F(RuntimeTest, UnitBroadcastFillsEachReplicaOnceAcrossItsInstances) {
 
 TEST_F(RuntimeTest, ParallelBuildReadinessIsBitIdenticalOverRepeats) {
   // Each socket's two probe workers build its replicas together. Which
-  // instance builds which block is fixed by the rotation, and each unit runs
-  // the joins one after another, so every replica's completion — and every
-  // probe unit's start — is a pure function of data and plan. (Each repeat
-  // gets a fresh server: later sessions on one server start at later epochs,
-  // where absolute-time link reservations round differently.)
+  // instance builds which block is fixed by the message order, and each unit
+  // runs the joins one after another, so every replica's completion — and
+  // every probe unit's start — is a pure function of data and plan. (Each
+  // repeat gets a fresh server: later sessions on one server start at later
+  // epochs, where absolute-time link reservations round differently.)
   auto run_once = [] {
     test::TestEnv env(8'000, 2, 2, ReuseOptions{});
     const plan::QuerySpec spec = env.ssb->Query(2, 1);  // three joins

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "plan/analysis.h"
 #include "test_util.h"
 
 namespace hetex {
@@ -66,15 +67,17 @@ TEST(EndToEnd, BareGpuUvaMatchesReference) {
 }
 
 // Q3.1 on hetbench's SSB dimensions (120k customers, 30k suppliers): both
-// filters keep a fifth, but the customer hash table is LLC-class and the
-// supplier one cache-class, so the fused pipeline probes supplier first and
-// only a fifth of the fact rows reach the customer probe. The second run
-// attaches the first run's shared builds, so its counters hold only the fact
-// side, where the customer probe makes every LLC-class access: about 1.6 per
-// probing row (bucket head plus chain walk), 0.31 per fact row. Probing
-// customer first costs at least one per fact row.
+// filters keep a fifth. Under a 512 KiB cache threshold the customer hash
+// table (637,312 B) is LLC-class and the supplier one (159,904 B) cache-class,
+// so the fused pipeline probes supplier first and only a fifth of the fact
+// rows reach the customer probe. The second run attaches the first run's
+// shared builds, so its counters hold only the fact side, where the customer
+// probe makes every LLC-class access: about 1.6 per probing row (bucket head
+// plus chain walk), 0.31 per fact row. Probing customer first costs at least
+// one per fact row.
 TEST(EndToEnd, Q31ProbesTheLlcClassTableBehindTheCacheClassOne) {
   core::System::Options opts;
+  opts.topology.cost_model.near_bytes = 512 << 10;
   opts.reuse.shared_builds = true;
   opts.topology.cores_per_socket = 2;
   opts.topology.gpu_capacity = 1ull << 30;
@@ -94,6 +97,18 @@ TEST(EndToEnd, Q31ProbesTheLlcClassTableBehindTheCacheClassOne) {
         system.catalog().at(name).Place(system.HostNodes(), &system.memory()));
   }
   const auto spec = ssb.Query(3, 1);
+  const sim::CostModel& cm = system.cost_model();
+  auto size_class = [&](const char* table) {
+    for (const auto& join : spec.joins) {
+      if (join.build_table == table) {
+        return cm.RandomAccessClass(plan::JoinHtBytes(join, system.catalog()));
+      }
+    }
+    return -1;
+  };
+  ASSERT_EQ(size_class("customer"), 1);
+  ASSERT_EQ(size_class("supplier"), 0);
+  ASSERT_EQ(size_class("date"), 0);
   const auto policy = TestEnv::Tune(ExecPolicy::CpuOnly(2));
   core::QueryExecutor executor(&system);
   const auto built = executor.Execute(spec, policy);

@@ -29,6 +29,11 @@ namespace {
 /// The hybrid mode (one CPU worker plus the GPU) filters each filtered
 /// dimension in a build-side filter stage and builds both replicas from its
 /// packed survivors.
+///
+/// Besides the 13 SSB queries (4-byte columns throughout) the matrix runs one
+/// query over a wide-key star (WideQuery): an 8-byte join key, negative and
+/// beyond int32, with an 8-byte and a 4-byte payload, so the packed hash-table
+/// entries mix field widths.
 struct ParityEnv {
   explicit ParityEnv(jit::TierPolicy policy, bool codegen = false) {
     core::System::Options opts;
@@ -56,10 +61,59 @@ struct ParityEnv {
     ssb_opts.lineorder_rows = 20'000;
     ssb_opts.scale = 0.002;
     ssb = std::make_unique<ssb::Ssb>(ssb_opts, &system->catalog());
-    for (const char* name : {"lineorder", "date", "customer", "supplier", "part"}) {
+    AddWideStar();
+    for (const char* name : {"lineorder", "date", "customer", "supplier", "part",
+                             "wide_dim", "wide_fact"}) {
       HETEX_CHECK_OK(
           system->catalog().at(name).Place(system->HostNodes(), &system->memory()));
     }
+  }
+
+  /// 600 dimension rows keyed (i - 300) * 2^33 - i; 20,000 fact rows whose
+  /// keys also name 100 absent dimension rows.
+  void AddWideStar() {
+    auto key_of = [](int64_t i) { return (i - 300) * (int64_t{1} << 33) - i; };
+    storage::Table* dim = system->catalog().CreateTable("wide_dim");
+    storage::Column* key = dim->AddColumn("w_key", storage::ColType::kInt64);
+    storage::Column* big = dim->AddColumn("w_big", storage::ColType::kInt64);
+    storage::Column* small = dim->AddColumn("w_small", storage::ColType::kInt32);
+    storage::Column* flag = dim->AddColumn("w_flag", storage::ColType::kInt32);
+    for (int64_t i = 0; i < 600; ++i) {
+      key->Append(key_of(i));
+      big->Append((i - 200) * (int64_t{1} << 34) + 5);
+      small->Append(i % 7 - 3);
+      flag->Append(i % 3);
+    }
+    storage::Table* fact = system->catalog().CreateTable("wide_fact");
+    storage::Column* fkey = fact->AddColumn("f_key", storage::ColType::kInt64);
+    storage::Column* val = fact->AddColumn("f_val", storage::ColType::kInt32);
+    for (int64_t r = 0; r < 20'000; ++r) {
+      fkey->Append(key_of(r * 7919 % 700));
+      val->Append(r % 100 - 50);
+    }
+  }
+
+  /// Group by the 4-byte payload, sum the fact value plus the 8-byte one.
+  static plan::QuerySpec WideQuery() {
+    plan::QuerySpec q;
+    q.name = "Qwide";
+    q.fact_table = "wide_fact";
+    q.fact_filter = plan::Gt(plan::Col("f_val"), plan::Lit(-40));
+    plan::JoinSpec join{"wide_dim", plan::Ne(plan::Col("w_flag"), plan::Lit(0)),
+                        "w_key", {"w_big", "w_small"}, "f_key"};
+    join.build_rows_estimate = 400;
+    q.joins.push_back(std::move(join));
+    q.group_by = {plan::Col("w_small")};
+    q.aggs.push_back(
+        {plan::Add(plan::Col("f_val"), plan::Col("w_big")), jit::AggFunc::kSum, "s"});
+    q.aggs.push_back({nullptr, jit::AggFunc::kCount, "n"});
+    q.expected_groups = 16;
+    return q;
+  }
+
+  /// SSB query `flight`.`idx`, or WideQuery for flight 0.
+  plan::QuerySpec Query(int flight, int idx) const {
+    return flight == 0 ? WideQuery() : ssb->Query(flight, idx);
   }
 
   static const std::string& KernelDir() {
@@ -86,7 +140,7 @@ struct ParityEnv {
 };
 
 struct ParityCase {
-  int flight;
+  int flight;  // 0: ParityEnv::WideQuery
   int idx;
   int mode;  // 0 cpu-fused, 1 cpu-split, 2 gpu-fused, 3 gpu-split,
              // 4 cpu-fused with a two-writer shared build,
@@ -122,9 +176,9 @@ class TierParityTest : public ::testing::TestWithParam<ParityCase> {
 
 TEST_P(TierParityTest, IdenticalResultsAndCostStats) {
   const auto& c = GetParam();
-  const auto spec_i = interp_env()->ssb->Query(c.flight, c.idx);
-  const auto spec_v = vec_env()->ssb->Query(c.flight, c.idx);
-  const auto spec_n = native_env()->ssb->Query(c.flight, c.idx);
+  const auto spec_i = interp_env()->Query(c.flight, c.idx);
+  const auto spec_v = vec_env()->Query(c.flight, c.idx);
+  const auto spec_n = native_env()->Query(c.flight, c.idx);
   const plan::ExecPolicy policy = PolicyFor(c.mode);
 
   const jit::VectorizerCounters vbefore = jit::GetVectorizerCounters();
@@ -139,7 +193,10 @@ TEST_P(TierParityTest, IdenticalResultsAndCostStats) {
   ASSERT_TRUE(vec.status.ok()) << vec.status.ToString();
   ASSERT_TRUE(native.status.ok()) << native.status.ToString();
 
-  // Identical results.
+  // Identical results, and the reference's.
+  EXPECT_EQ(interp.rows,
+            ssb::ReferenceExecute(spec_i, interp_env()->system->catalog()))
+      << spec_i.name;
   EXPECT_EQ(interp.rows, vec.rows) << spec_i.name;
   EXPECT_EQ(interp.rows, native.rows) << spec_i.name;
 
@@ -174,6 +231,7 @@ std::vector<ParityCase> AllCases() {
       for (int mode = 0; mode < 6; ++mode) cases.push_back({f, i, mode});
     }
   }
+  for (int mode = 0; mode < 6; ++mode) cases.push_back({0, 0, mode});
   return cases;
 }
 
@@ -181,6 +239,7 @@ std::string CaseName(const ::testing::TestParamInfo<ParityCase>& info) {
   static const char* kModes[6] = {"CpuFused",       "CpuSplit", "GpuFused",
                                   "GpuSplit",       "CpuSharedBuild",
                                   "HybridFused"};
+  if (info.param.flight == 0) return std::string("Wide") + kModes[info.param.mode];
   return "Q" + std::to_string(info.param.flight) + std::to_string(info.param.idx) +
          kModes[info.param.mode];
 }

@@ -17,26 +17,28 @@ class HashTableTest : public ::testing::Test {
   memory::MemoryManager mm_;
 };
 
+using Layout = JoinHashTable::Layout;
+
 TEST_F(HashTableTest, InsertAndProbeSingleMatch) {
-  JoinHashTable ht(&mm_, 16, 2);
+  JoinHashTable ht(&mm_, Layout(16, 8, {8, 8}));
   int64_t payload[2] = {100, 200};
   ht.Insert(7, payload);
   uint64_t hops = 0;
   int64_t e = ht.FindKeyFrom(ht.ProbeHead(7), 7, &hops);
   ASSERT_GE(e, 0);
-  EXPECT_EQ(ht.PayloadOf(e)[0], 100);
-  EXPECT_EQ(ht.PayloadOf(e)[1], 200);
+  EXPECT_EQ(ht.PayloadAt(e, 0), 100);
+  EXPECT_EQ(ht.PayloadAt(e, 1), 200);
 }
 
 TEST_F(HashTableTest, MissingKeyProbesToMinusOne) {
-  JoinHashTable ht(&mm_, 16, 0);
+  JoinHashTable ht(&mm_, Layout(16, 8, {}));
   ht.Insert(1, nullptr);
   uint64_t hops = 0;
   EXPECT_EQ(ht.FindKeyFrom(ht.ProbeHead(999), 999, &hops), -1);
 }
 
 TEST_F(HashTableTest, DuplicateKeysChainAllMatches) {
-  JoinHashTable ht(&mm_, 16, 1);
+  JoinHashTable ht(&mm_, Layout(16, 8, {8}));
   for (int64_t i = 0; i < 5; ++i) {
     int64_t payload = i * 10;
     ht.Insert(42, &payload);
@@ -45,7 +47,7 @@ TEST_F(HashTableTest, DuplicateKeysChainAllMatches) {
   std::vector<int64_t> found;
   for (int64_t e = ht.FindKeyFrom(ht.ProbeHead(42), 42, &hops); e >= 0;
        e = ht.FindKeyFrom(ht.NextEntry(e), 42, &hops)) {
-    found.push_back(ht.PayloadOf(e)[0]);
+    found.push_back(ht.PayloadAt(e, 0));
   }
   std::sort(found.begin(), found.end());
   EXPECT_EQ(found, (std::vector<int64_t>{0, 10, 20, 30, 40}));
@@ -53,7 +55,7 @@ TEST_F(HashTableTest, DuplicateKeysChainAllMatches) {
 
 TEST_F(HashTableTest, ChainsSkipColldingOtherKeys) {
   // Fill densely so bucket collisions are certain, then verify exact matching.
-  JoinHashTable ht(&mm_, 1000, 1);
+  JoinHashTable ht(&mm_, Layout(1000, 8, {8}));
   for (int64_t k = 0; k < 1000; ++k) {
     int64_t payload = k * 3;
     ht.Insert(k, &payload);
@@ -62,23 +64,48 @@ TEST_F(HashTableTest, ChainsSkipColldingOtherKeys) {
   for (int64_t k = 0; k < 1000; ++k) {
     int64_t e = ht.FindKeyFrom(ht.ProbeHead(k), k, &hops);
     ASSERT_GE(e, 0) << "key " << k;
-    EXPECT_EQ(ht.PayloadOf(e)[0], k * 3);
+    EXPECT_EQ(ht.PayloadAt(e, 0), k * 3);
     EXPECT_EQ(ht.FindKeyFrom(ht.NextEntry(e), k, &hops), -1);
   }
 }
 
 TEST_F(HashTableTest, NegativeKeysWork) {
-  JoinHashTable ht(&mm_, 8, 1);
+  JoinHashTable ht(&mm_, Layout(8, 8, {8}));
   int64_t payload = 5;
   ht.Insert(-12345, &payload);
   uint64_t hops = 0;
   EXPECT_GE(ht.FindKeyFrom(ht.ProbeHead(-12345), -12345, &hops), 0);
 }
 
+TEST_F(HashTableTest, FieldsKeepTheirWidthsAndSignExtend) {
+  // A 4-byte key with an 8-byte and a 4-byte payload, and an 8-byte key:
+  // negative and beyond-int32 values come back exactly.
+  JoinHashTable narrow(&mm_, Layout(8, 4, {8, 4}));
+  const int64_t wide_payload[2] = {-(int64_t{1} << 40), -3};
+  narrow.Insert(-7, wide_payload);
+  uint64_t hops = 0;
+  const int64_t e = narrow.FindKeyFrom(narrow.ProbeHead(-7), -7, &hops);
+  ASSERT_GE(e, 0);
+  EXPECT_EQ(narrow.PayloadAt(e, 0), -(int64_t{1} << 40));
+  EXPECT_EQ(narrow.PayloadAt(e, 1), -3);
+  EXPECT_EQ(narrow.NextEntry(e), -1);
+
+  JoinHashTable wide(&mm_, Layout(8, 8, {4}));
+  const int64_t key = -(int64_t{1} << 35) - 1;
+  const int64_t payload = INT32_MIN;
+  wide.Insert(key, &payload);
+  const int64_t w = wide.FindKeyFrom(wide.ProbeHead(key), key, &hops);
+  ASSERT_GE(w, 0);
+  EXPECT_EQ(wide.PayloadAt(w, 0), INT32_MIN);
+  // The low 32 bits alone are another key.
+  const int64_t low = static_cast<int32_t>(key);
+  EXPECT_EQ(wide.FindKeyFrom(wide.ProbeHead(low), low, &hops), -1);
+}
+
 TEST_F(HashTableTest, ConcurrentBuildFindsEverything) {
   constexpr int kThreads = 8;
   constexpr int kPerThread = 2000;
-  JoinHashTable ht(&mm_, kThreads * kPerThread, 1);
+  JoinHashTable ht(&mm_, Layout(kThreads * kPerThread, 8, {8}));
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
@@ -94,21 +121,49 @@ TEST_F(HashTableTest, ConcurrentBuildFindsEverything) {
   for (int64_t k = 0; k < kThreads * kPerThread; k += 97) {
     int64_t e = ht.FindKeyFrom(ht.ProbeHead(k), k, &hops);
     ASSERT_GE(e, 0);
-    EXPECT_EQ(ht.PayloadOf(e)[0], k);
+    EXPECT_EQ(ht.PayloadAt(e, 0), k);
   }
 }
 
 TEST_F(HashTableTest, BytesReflectFootprint) {
-  JoinHashTable small(&mm_, 16, 0);
-  JoinHashTable big(&mm_, 100000, 4);
-  EXPECT_GT(big.bytes(), small.bytes());
-  EXPECT_GE(big.bytes(), 100000 * (2 + 4) * 8ull);
+  // An entry is key | next | payload... at the columns' widths, no padding;
+  // the heads are 4-byte indexes, NextPow2(2 x capacity) of them.
+  constexpr uint64_t kCapacity = 100000;
+  constexpr uint64_t kHeadBytes = 262144 * 4;
+  const std::vector<std::vector<uint32_t>> payloads = {{}, {4}, {8, 4}};
+  for (const uint32_t key : {4u, 8u}) {
+    for (const auto& payload : payloads) {
+      const Layout layout(kCapacity, key, payload);
+      uint32_t stride = key + 4;
+      for (const uint32_t w : payload) stride += w;
+      EXPECT_EQ(layout.stride(), stride);
+      EXPECT_EQ(layout.Bytes(), kCapacity * stride + kHeadBytes);
+      const uint64_t before = mm_.used();
+      JoinHashTable ht(&mm_, layout);
+      EXPECT_EQ(ht.bytes(), layout.Bytes());
+      EXPECT_EQ(mm_.used() - before, (layout.Bytes() + 63) / 64 * 64);
+    }
+  }
+  // A 4-byte key with one 4-byte payload: 12 bytes an entry.
+  EXPECT_EQ(Layout(kCapacity, 4, {4}).stride(), 12u);
+}
+
+TEST_F(HashTableTest, LayoutRejectsWhatA32BitIndexOrItsFieldsCannotHold) {
+  // Checked on the layout alone: nothing is allocated.
+  EXPECT_TRUE(Layout(Layout::kMaxCapacity, 4, {4}).Check().ok());
+  const Status over = Layout(Layout::kMaxCapacity + 1, 4, {4}).Check();
+  EXPECT_EQ(over.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(over.message().find("32-bit entry index"), std::string::npos)
+      << over.ToString();
+  EXPECT_EQ(Layout(16, 2, {}).Check().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(Layout(16, 4, std::vector<uint32_t>(9, 4)).Check().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST_F(HashTableTest, MemoryReturnedOnDestruction) {
   const uint64_t before = mm_.used();
   {
-    JoinHashTable ht(&mm_, 1000, 2);
+    JoinHashTable ht(&mm_, Layout(1000, 8, {8, 8}));
     EXPECT_GT(mm_.used(), before);
   }
   EXPECT_EQ(mm_.used(), before);

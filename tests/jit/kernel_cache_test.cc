@@ -4,6 +4,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <unistd.h>
@@ -12,6 +13,7 @@
 #include "jit/codegen.h"
 #include "jit/interpreter.h"
 #include "jit/program.h"
+#include "memory/memory_manager.h"
 #include "test_util.h"
 
 namespace hetex::jit {
@@ -80,6 +82,32 @@ PipelineProgram DivProgram() {
   return p;
 }
 
+/// Probes slot 0 with input column 0 and emits each match's payload; the
+/// probe carries `layout`'s width code, as the query compiler stamps it.
+PipelineProgram ProbeEmitProgram(const JoinHashTable::Layout& layout) {
+  ProgramBuilder b;
+  const int key = b.AllocReg();
+  b.EmitOp(OpCode::kLoadCol, key, 0);
+  const int iter = b.AllocReg();
+  b.EmitOp(OpCode::kHtProbeInit, iter, key, 0, 0,
+           static_cast<int64_t>(layout.WidthCode()));
+  const int loop = b.NewLabel();
+  const int exit = b.NewLabel();
+  b.Bind(loop);
+  b.EmitOp(OpCode::kJmpIfNeg, iter, exit);
+  const int payload = b.AllocReg();
+  b.EmitOp(OpCode::kHtLoadPayload, payload, iter, 0, 1);
+  b.EmitOp(OpCode::kEmit, payload, 1);
+  b.EmitOp(OpCode::kHtIterNext, iter, key, 0);
+  b.EmitOp(OpCode::kJmp, loop);
+  b.Bind(exit);
+  PipelineProgram p = b.Finalize("kc-probe-emit");
+  p.n_input_cols = 1;
+  p.input_widths = {8};
+  p.finalized = true;
+  return p;
+}
+
 struct RunOutput {
   Status status;
   std::vector<int64_t> emitted;
@@ -88,8 +116,10 @@ struct RunOutput {
 
 /// Runs `program` over int64 columns through RunRows (tier 0) or RunNative
 /// (tier 2, requires program.native ready), capturing emitted rows and stats.
+/// `ht` (nullable) is bound to hash-table slot 0.
 RunOutput Execute(const PipelineProgram& program,
-                  const std::vector<std::vector<int64_t>>& cols, bool native) {
+                  const std::vector<std::vector<int64_t>>& cols, bool native,
+                  JoinHashTable* ht = nullptr) {
   RunOutput out;
   std::vector<ColumnBinding> bindings;
   for (const auto& c : cols) {
@@ -101,7 +131,7 @@ RunOutput Execute(const PipelineProgram& program,
   emit.capacity = 1024;
   emit.ResetCursor();
   int64_t accs[kMaxLocalAccs] = {};
-  void* slots[kMaxHtSlots] = {};
+  void* slots[kMaxHtSlots] = {ht};
 
   ExecCtx ctx;
   ctx.cols = bindings.data();
@@ -265,6 +295,79 @@ TEST(KernelCacheTest, CorruptedObjectIsRejectedAndRecompiled) {
     EXPECT_EQ(kernel->origin, NativeKernel::Origin::kCompiled);
     EXPECT_EQ(cache.counters().rejected_objects, 1u);
   }
+}
+
+// A kernel built against the previous ABI (v3: int64 hash-table entries)
+// must never be loaded: its sidecar's ABI stamp rejects it, the rejection is
+// counted and the kernel is recompiled.
+TEST(KernelCacheTest, PreviousAbiObjectIsRejectedAndRecompiled) {
+  const PipelineProgram program = FilterMathProgram();
+  const GenerateResult gen = GenerateSource(program);
+  ASSERT_FALSE(gen.source.empty()) << gen.reason;
+  const CodegenOptions opts = SyncOptions("abi");
+  {
+    KernelCache cold(opts);
+    ASSERT_TRUE(cold.GetOrBuild(gen, program.label)->ready());
+  }
+  fs::path meta_path;
+  for (const auto& entry : fs::directory_iterator(opts.kernel_dir)) {
+    if (entry.path().extension() == ".meta") meta_path = entry.path();
+  }
+  ASSERT_FALSE(meta_path.empty());
+  std::string meta;
+  {
+    std::ifstream in(meta_path);
+    meta.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  const std::string current = "abi " + std::to_string(kCodegenAbiVersion) + "\n";
+  const size_t at = meta.find(current);
+  ASSERT_NE(at, std::string::npos) << meta;
+  meta.replace(at, current.size(),
+               "abi " + std::to_string(kCodegenAbiVersion - 1) + "\n");
+  std::ofstream(meta_path, std::ios::trunc) << meta;
+
+  KernelCache cache(opts);
+  auto kernel = cache.GetOrBuild(gen, program.label);
+  ASSERT_TRUE(kernel->ready()) << kernel->error;
+  EXPECT_EQ(kernel->origin, NativeKernel::Origin::kCompiled);
+  EXPECT_EQ(cache.counters().rejected_objects, 1u);
+  EXPECT_EQ(cache.counters().disk_hits, 0u);
+  EXPECT_EQ(cache.counters().compiles, 1u);
+}
+
+// A kernel's chain walks and payload loads are generated for the entry
+// layout its probe carries: it reads a table of that layout exactly like the
+// interpreter, and refuses a table of another layout with a named Status.
+TEST(KernelCacheTest, NativeProbeReadsItsStampedLayoutAndRefusesAnother) {
+  memory::MemoryManager mm(0, 1ull << 24);
+  const JoinHashTable::Layout layout(64, 8, {4});
+  JoinHashTable ht(&mm, layout);
+  std::vector<std::vector<int64_t>> cols(1);
+  for (int64_t k = -20; k < 20; ++k) {
+    const int64_t payload = -3 * k;
+    ht.Insert(k * (int64_t{1} << 33), &payload);
+    cols[0].push_back((k + 5) * (int64_t{1} << 33));  // 5 keys miss
+  }
+  const PipelineProgram program = ProbeEmitProgram(layout);
+  const GenerateResult gen = GenerateSource(program);
+  ASSERT_FALSE(gen.source.empty()) << gen.reason;
+  KernelCache cache(SyncOptions("layout"));
+  PipelineProgram native_prog = program;
+  native_prog.native = cache.GetOrBuild(gen, program.label);
+  ASSERT_TRUE(native_prog.native->ready()) << native_prog.native->error;
+
+  const RunOutput interp = Execute(program, cols, /*native=*/false, &ht);
+  const RunOutput native = Execute(native_prog, cols, /*native=*/true, &ht);
+  ASSERT_TRUE(native.status.ok()) << native.status.ToString();
+  EXPECT_EQ(interp.emitted.size(), 35u);
+  EXPECT_EQ(interp.emitted, native.emitted);
+  ExpectStatsEq(interp.stats, native.stats);
+
+  JoinHashTable narrow_key(&mm, JoinHashTable::Layout(64, 4, {4}));
+  const RunOutput refused = Execute(native_prog, cols, /*native=*/true, &narrow_key);
+  EXPECT_EQ(refused.status.code(), StatusCode::kInternal);
+  EXPECT_NE(refused.status.message().find("width code"), std::string::npos)
+      << refused.status.ToString();
 }
 
 TEST(KernelCacheTest, ConcurrentRequestsCoalesceToOneCompile) {

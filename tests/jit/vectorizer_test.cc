@@ -235,7 +235,8 @@ TEST(Vectorizer, AggLocalParity) {
 /// chain-walk access accounting.
 TEST(Vectorizer, ProbeLoopMultiMatchParity) {
   memory::MemoryManager mm(0, 1ull << 24);
-  JoinHashTable ht(&mm, 300, /*payload_width=*/2);
+  // 4-byte keys, an 8-byte and a 4-byte payload: a packed mixed-width entry.
+  JoinHashTable ht(&mm, JoinHashTable::Layout(300, 4, {8, 4}));
   for (int64_t k = 1; k <= 50; ++k) {
     // Key k inserted k%4+1 times with distinct payloads: multi-match chains.
     for (int64_t dup = 0; dup <= k % 4; ++dup) {
@@ -291,8 +292,8 @@ TEST(Vectorizer, ProbeLoopMultiMatchParity) {
 /// Nested probe loops (two joins) with a group-by style tail.
 TEST(Vectorizer, NestedProbeParity) {
   memory::MemoryManager mm(0, 1ull << 24);
-  JoinHashTable ht0(&mm, 64, 1);
-  JoinHashTable ht1(&mm, 64, 1);
+  JoinHashTable ht0(&mm, JoinHashTable::Layout(64, 4, {4}));
+  JoinHashTable ht1(&mm, JoinHashTable::Layout(64, 4, {4}));
   for (int64_t k = 1; k <= 40; ++k) {
     const int64_t p0 = k * 2;
     ht0.Insert(k, &p0);
@@ -375,7 +376,7 @@ TEST(Vectorizer, HtInsertParity) {
   }
 
   auto run = [&](ExecTier tier, sim::CostStats* stats) {
-    JoinHashTable ht(&mm, 600, 1);
+    JoinHashTable ht(&mm, JoinHashTable::Layout(600, 8, {8}));
     DiffHarness h;
     h.cols = cols;
     h.ht_slots[0] = &ht;
@@ -385,7 +386,7 @@ TEST(Vectorizer, HtInsertParity) {
     uint64_t hops = 0;
     const int64_t e = ht.FindKeyFrom(ht.ProbeHead(42), 42, &hops);
     EXPECT_GE(e, 0);
-    return ht.PayloadOf(e)[0];
+    return ht.PayloadAt(e, 0);
   };
   sim::CostStats si, sv;
   const int64_t pi = run(ExecTier::kInterpreter, &si);
