@@ -21,7 +21,8 @@
 // also prints the order its fused pipeline probes the joins in
 // (plan::ProbeOrder), by build table, and under it each join's hash table in
 // that order: its bytes (plan::JoinHtBytes, what every replica allocates) and
-// size class (near / mid / far, CostModel::RandomAccessClass).
+// size class (near / mid / far, CostModel::RandomAccessClass), then the picked
+// run's random accesses per fact row by size class.
 //
 // Both modes open with the full fabric: every socket and GPU, per-link
 // type/bandwidth (PCIe, NVLink-class peer, inter-socket), peer adjacency, and
@@ -299,15 +300,17 @@ bool ReportOptimizer(core::System& system, core::System& reuse_sys,
   double best_measured = -1;
   // Per probe unit, when the picked plan's probe instances started (their
   // unit's hash-table replicas were ready), and per (join, unit) replica its
-  // build DOP and completion.
+  // build DOP and completion; the picked run's cost counters.
   std::vector<core::QueryResult::UnitReady> unit_ready;
   std::vector<core::QueryResult::BuildDone> builds;
+  sim::CostStats picked_stats;
   for (const auto& rc : opt.ranked) {
     const core::QueryResult r = executor.ExecutePlan(spec, rc.candidate.plan);
     const double measured = r.status.ok() ? r.modeled_seconds : -1;
     if (rows.empty()) {
       unit_ready = r.unit_ready;
       builds = r.builds;
+      picked_stats = r.stats;
     }
     if (measured >= 0 && (best_measured < 0 || measured < best_measured)) {
       best_measured = measured;
@@ -328,6 +331,13 @@ bool ReportOptimizer(core::System& system, core::System& reuse_sys,
     ht_class.push_back(
         kClassNames[system.cost_model().RandomAccessClass(ht_bytes.back())]);
   }
+  // The picked run's random accesses (hash-table builds, probes and
+  // group-bys) per fact row, by size class.
+  const double fact_rows =
+      static_cast<double>(system.catalog().at(spec.fact_table).rows());
+  const double per_row[3] = {picked_stats.near_accesses / fact_rows,
+                             picked_stats.mid_accesses / fact_rows,
+                             picked_stats.far_accesses / fact_rows};
 
   if (json) {
     std::printf("%s{\"query\": \"%s\", \"picked\": \"%s\",\n\"probe_order\": [",
@@ -342,7 +352,11 @@ bool ReportOptimizer(core::System& system, core::System& reuse_sys,
                   i == 0 ? "" : ", ", probe_order[i].c_str(),
                   static_cast<unsigned long long>(ht_bytes[i]), ht_class[i]);
     }
-    std::printf("],\n\"spans\": [");
+    std::printf("],\n\"accesses_per_fact_row\": {");
+    for (int c = 0; c < 3; ++c) {
+      std::printf("%s\"%s\": %.6f", c == 0 ? "" : ", ", kClassNames[c], per_row[c]);
+    }
+    std::printf("},\n\"spans\": [");
     const std::vector<SpanTier> tiers = CollectSpanTiers(system, spec);
     for (size_t i = 0; i < tiers.size(); ++i) {
       std::printf("%s\n  {\"span\": \"%s\", \"tier\": \"%s\", \"reason\": \"%s\"}",
@@ -389,6 +403,8 @@ bool ReportOptimizer(core::System& system, core::System& reuse_sys,
       std::printf("%s %s %llu B %s", i == 0 ? "" : ",", probe_order[i].c_str(),
                   static_cast<unsigned long long>(ht_bytes[i]), ht_class[i]);
     }
+    std::printf("\naccesses/fact row:");
+    for (int c = 0; c < 3; ++c) std::printf(" %s %.3g", kClassNames[c], per_row[c]);
     std::printf("\n");
     std::printf("%-26s %12s %12s  %s\n", "candidate", "estimated", "measured",
                 "");

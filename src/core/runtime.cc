@@ -296,6 +296,7 @@ WorkerGroup::WorkerGroup(System* system, std::vector<sim::DeviceId> devices,
     instances_.push_back(std::make_unique<WorkerInstance>(
         id, dev, system, channel_capacity, epoch, query_id, control));
     instances_.back()->set_clock(start_clocks[id++]);
+    instances_.back()->ShareBlockCost(&block_costs_[dev]);
   }
 }
 
@@ -328,7 +329,6 @@ void WorkerGroup::RunInstance(WorkerInstance& inst) {
   auto processor = factory_(inst);
   processor->Init(inst);
   while (auto msg = inst.channel().Pop()) {
-    inst.NoteDequeued();
     // A mem-move failure marker or a stopped run (cancellation, an expired
     // deadline, a failure elsewhere) puts the instance into error-drain mode:
     // ProcessMsg becomes a no-op, the channel keeps draining (so producers
@@ -341,6 +341,7 @@ void WorkerGroup::RunInstance(WorkerInstance& inst) {
     const sim::VTime before = inst.clock();
     processor->ProcessMsg(inst, *msg);
     inst.NoteBlockCost(inst.clock() - before);
+    inst.NoteDone();
     ReleaseMsgBlocks(system_, *msg, inst.node());
   }
   processor->Finish(inst);

@@ -97,24 +97,33 @@ class WorkerInstance {
     if (control_ != nullptr) control_->Fail(error_);
   }
 
-  /// Estimated virtual time at which this instance would finish everything
-  /// already queued for it — the router's load-balancing signal (virtual-time
-  /// equivalent of the paper's queue-backpressure balancing). `cost_prior` is
-  /// the router's bandwidth-based per-block estimate, used until the observed
-  /// per-block EMA warms up.
+  /// Estimated virtual time at which this instance would finish every block
+  /// routed to it — the router's load-balancing signal (virtual-time
+  /// equivalent of the paper's queue-backpressure balancing). A block counts
+  /// until it is done, so the block in progress counts too. The per-block
+  /// cost is the EMA its device's instances observed (ShareBlockCost);
+  /// `cost_prior`, the router's bandwidth-based estimate, stands in until one
+  /// of them finishes a block. So an instance whose thread has not run yet is
+  /// priced like its running peers, not by a prior that may be far off.
   double EstimatedBacklog(double cost_prior) const {
-    const double ema = ema_block_cost_.load(std::memory_order_relaxed);
+    const double ema = block_cost_->load(std::memory_order_relaxed);
     const double per_block = ema > 0 ? ema : cost_prior;
     return clock_shared_.load(std::memory_order_relaxed) +
            pending_.load(std::memory_order_relaxed) * per_block;
   }
   void NoteEnqueued() { pending_.fetch_add(1, std::memory_order_relaxed); }
-  void NoteDequeued() { pending_.fetch_sub(1, std::memory_order_relaxed); }
+  void NoteDone() { pending_.fetch_sub(1, std::memory_order_relaxed); }
+  /// Folds one block's cost into the shared EMA: the virtual time the
+  /// instance's clock advanced, waiting for the block included (a GPU's
+  /// blocks wait for their PCIe copy).
   void NoteBlockCost(double cost) {
-    const double prev = ema_block_cost_.load(std::memory_order_relaxed);
-    ema_block_cost_.store(prev == 0 ? cost : 0.75 * prev + 0.25 * cost,
-                          std::memory_order_relaxed);
+    const double prev = block_cost_->load(std::memory_order_relaxed);
+    block_cost_->store(prev == 0 ? cost : 0.75 * prev + 0.25 * cost,
+                       std::memory_order_relaxed);
   }
+  /// Makes `cost` the per-block cost EMA this instance reads and feeds
+  /// (default: its own); it must outlive the instance.
+  void ShareBlockCost(std::atomic<double>* cost) { block_cost_ = cost; }
 
  private:
   int id_;
@@ -126,7 +135,8 @@ class WorkerInstance {
   sim::VTime clock_ = 0;
   std::atomic<double> clock_shared_{0};
   std::atomic<int> pending_{0};
-  std::atomic<double> ema_block_cost_{0};
+  std::atomic<double> own_block_cost_{0};
+  std::atomic<double>* block_cost_ = &own_block_cost_;
   sim::CostStats stats_;
   Status error_;
 };
@@ -228,7 +238,8 @@ using ProcessorFactory =
 
 /// \brief A group of identically-programmed pipeline instances (one per device in
 /// `devices`), each consuming from its own channel. Instance i starts at
-/// session-local virtual time `start_clocks[i]` (one entry per device).
+/// session-local virtual time `start_clocks[i]` (one entry per device). The
+/// instances on one device share one per-block cost estimate.
 class WorkerGroup {
  public:
   WorkerGroup(System* system, std::vector<sim::DeviceId> devices,
@@ -254,6 +265,8 @@ class WorkerGroup {
   ProcessorFactory factory_;
   Edge* out_;
   const QueryControl* control_ = nullptr;
+  /// One per-block cost EMA per device; outlives the instances that read it.
+  std::map<sim::DeviceId, std::atomic<double>> block_costs_;
   std::vector<std::unique_ptr<WorkerInstance>> instances_;
   std::vector<std::thread> threads_;
   sim::VTime max_end_ = 0;

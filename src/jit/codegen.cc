@@ -42,16 +42,19 @@ void HxHookEmit(void* target, const int64_t* vals, int n,
   *bytes_written += tmp.bytes_written;
 }
 
-void HxHookHtInsert(void* ht, int64_t key, const int64_t* payload,
-                    uint64_t* bytes_written) {
+int HxHookHtInsert(void* ht, int64_t key, const int64_t* payload,
+                   uint64_t* bytes_written) {
   auto* table = static_cast<JoinHashTable*>(ht);
-  table->Insert(key, payload);
+  if (!table->Insert(key, payload)) return 1;
   *bytes_written += table->layout().stride();
+  return 0;
 }
 
-void HxHookGroupBy(void* ht, int64_t key, const int64_t* vals, int atomic,
-                   uint64_t* probes) {
-  static_cast<AggHashTable*>(ht)->Update(key, vals, atomic != 0, probes);
+int HxHookGroupBy(void* ht, int64_t key, const int64_t* vals, int atomic,
+                  uint64_t* probes) {
+  return static_cast<AggHashTable*>(ht)->Update(key, vals, atomic != 0, probes)
+             ? 0
+             : 1;
 }
 
 // Batched emit: column-major lane buffers, identity selection. AppendBatch is
@@ -362,14 +365,14 @@ GenerateResult GenerateSource(const PipelineProgram& program) {
       "}\n"
       "typedef void (*hx_emit_fn)(void*, const int64_t*, int, uint64_t*);\n"
       "typedef void (*hx_emit_batch_fn)(void*, const int64_t* const*, int, uint64_t, uint64_t*);\n"
-      "typedef void (*hx_insert_fn)(void*, int64_t, const int64_t*, uint64_t*);\n"
-      "typedef void (*hx_groupby_fn)(void*, int64_t, const int64_t*, int, uint64_t*);\n"
+      "typedef int (*hx_insert_fn)(void*, int64_t, const int64_t*, uint64_t*);\n"
+      "typedef int (*hx_groupby_fn)(void*, int64_t, const int64_t*, int, uint64_t*);\n"
       "}  // namespace\n"
       "\n"
       "extern \"C\" int hx_kernel(\n"
       "    const void* const* cols, void* emit0, void* const* emit_targets,\n"
       "    int64_t n_emit_targets, int64_t* local_accs,\n"
-      "    const int32_t* const* ht_heads, const unsigned char* const* ht_entries,\n"
+      "    const uint64_t* const* ht_heads, const unsigned char* const* ht_entries,\n"
       "    const uint64_t* ht_masks, void* const* ht_objs, uint64_t* stats,\n"
       "    uint64_t row_begin, uint64_t row_step, uint64_t rows,\n"
       "    int atomic_mode, const void* const* hooks) {\n"
@@ -387,7 +390,7 @@ GenerateResult GenerateSource(const PipelineProgram& program) {
   for (const auto& [s, layout] : layouts) {
     out += "  // slot " + S(s) + ": " + S(layout.stride()) +
            "-byte entries, width code " + WidthCodeHex(width_codes[s]) + "\n";
-    out += "  const int32_t* const hx_h" + S(s) + " = ht_heads[" + S(s) + "];\n";
+    out += "  const uint64_t* const hx_h" + S(s) + " = ht_heads[" + S(s) + "];\n";
     out += "  const unsigned char* const hx_e" + S(s) + " = ht_entries[" + S(s) +
            "];\n";
     out += "  const uint64_t hx_m" + S(s) + " = ht_masks[" + S(s) + "];\n";
@@ -611,24 +614,26 @@ GenerateResult GenerateSource(const PipelineProgram& program) {
             out += (i ? ", " : " ") + RegName(in.c + i);
           }
           out += " };";
-          out += " hx_insert(ht_objs[" + S(in.a) + "], " + fold.Use(in.b) +
-                 ", hx_v, &s_bw);";
-        } else {
-          out += " hx_insert(ht_objs[" + S(in.a) + "], " + fold.Use(in.b) +
-                 ", (const int64_t*)0, &s_bw);";
         }
-        out += " }\n";
+        out += " if (hx_insert(ht_objs[" + S(in.a) + "], " + fold.Use(in.b) +
+               (in.d > 0 ? ", hx_v" : ", (const int64_t*)0") + ", &s_bw)) {" +
+               " hx_fault = " + S(kKernelJoinHtFull + in.a) +
+               "; goto hx_done; } }\n";
         out += std::string("    ") + ClsCounter(in.cls) + " += 1;\n";
         out += std::string("    s_at += (uint64_t)((atomic_mode & ") +
                S(kAtomicHtInsert) + ") != 0);\n";
         break;
       }
       case OpCode::kHtProbeInit: {
+        // One head load gives the chain and the tag; a clear tag bit ends
+        // the probe there (JoinHashTable::HeadOf).
         out += "    { const int64_t hx_k = " + fold.Use(in.b) + ";\n";
-        out += "      const uint64_t hx_b = hx_mix64((uint64_t)hx_k) & hx_m" +
-               S(in.c) + ";\n";
-        out += "      int64_t hx_e = __atomic_load_n(&hx_h" + S(in.c) +
-               "[hx_b], __ATOMIC_ACQUIRE);\n";
+        out += "      const uint64_t hx_hash = hx_mix64((uint64_t)hx_k);\n";
+        out += "      const uint64_t hx_w = __atomic_load_n(&hx_h" + S(in.c) +
+               "[hx_hash & hx_m" + S(in.c) + "], __ATOMIC_ACQUIRE);\n";
+        out += "      int64_t hx_e = ((hx_w >> (32 + (hx_hash >> " +
+               S(JoinHashTable::kTagShift) +
+               "))) & 1u) ? (int64_t)(int32_t)hx_w : -1;\n";
         out += "      uint64_t hx_hops = 0;\n";
         out += ChainWalk(in.c, layouts.at(in.c));
         out += "      " + RegName(in.a) + " = hx_e;\n";
@@ -687,8 +692,10 @@ GenerateResult GenerateSource(const PipelineProgram& program) {
         for (int i = 0; i < in.d; ++i) out += (i ? ", " : " ") + RegName(in.c + i);
         out += " };\n";
         out += "      uint64_t hx_pr = 0;\n";
-        out += "      hx_groupby(ht_objs[" + S(in.a) + "], " + fold.Use(in.b) +
-               ", hx_v, atomic_mode & " + S(kAtomicGroupBy) + ", &hx_pr);\n";
+        out += "      if (hx_groupby(ht_objs[" + S(in.a) + "], " + fold.Use(in.b) +
+               ", hx_v, atomic_mode & " + S(kAtomicGroupBy) +
+               ", &hx_pr)) { hx_fault = " + S(kKernelGroupByFull + in.a) +
+               "; goto hx_done; }\n";
         out += std::string("      ") + ClsCounter(in.cls) + " += hx_pr; }\n";
         out += std::string("    s_at += (uint64_t)((atomic_mode & ") +
                S(kAtomicGroupBy) + ") != 0) * " + S(in.d) + ";\n";
@@ -785,10 +792,10 @@ Status RunNative(const PipelineProgram& program, ExecCtx& ctx, uint64_t rows) {
     cols[i] = ctx.cols[i].base;
   }
 
-  static_assert(sizeof(std::atomic<int32_t>) == sizeof(int32_t) &&
-                    std::atomic<int32_t>::is_always_lock_free,
-                "bucket heads must be bit-compatible with a plain int32 array");
-  const int32_t* heads[kMaxHtSlots] = {};
+  static_assert(sizeof(std::atomic<uint64_t>) == sizeof(uint64_t) &&
+                    std::atomic<uint64_t>::is_always_lock_free,
+                "bucket heads must be bit-compatible with a plain uint64 array");
+  const uint64_t* heads[kMaxHtSlots] = {};
   const unsigned char* entries[kMaxHtSlots] = {};
   uint64_t masks[kMaxHtSlots] = {};
   for (int s = 0; s < kMaxHtSlots; ++s) {
@@ -801,7 +808,7 @@ Status RunNative(const PipelineProgram& program, ExecCtx& ctx, uint64_t rows) {
             WidthCodeHex(ht->layout().WidthCode()) + ", compiled for " +
             WidthCodeHex(kernel->slot_layouts[s]));
       }
-      heads[s] = reinterpret_cast<const int32_t*>(ht->raw_heads());
+      heads[s] = reinterpret_cast<const uint64_t*>(ht->raw_heads());
       entries[s] = reinterpret_cast<const unsigned char*>(ht->raw_entries());
       masks[s] = ht->bucket_mask();
     }
@@ -826,11 +833,21 @@ Status RunNative(const PipelineProgram& program, ExecCtx& ctx, uint64_t rows) {
   ctx.stats->mid_accesses += s[kStatMid];
   ctx.stats->far_accesses += s[kStatFar];
 
-  if (rc != 0) {
+  if (rc == 0) return Status::OK();
+  if (rc == kKernelDivByZero) {
     return Status::Internal("division by zero in pipeline '" + program.label +
                             "'");
   }
-  return Status::OK();
+  if (rc >= kKernelJoinHtFull && rc < kKernelJoinHtFull + kMaxHtSlots) {
+    return static_cast<const JoinHashTable*>(ctx.ht_slots[rc - kKernelJoinHtFull])
+        ->OverCapacity(program.label);
+  }
+  if (rc >= kKernelGroupByFull && rc < kKernelGroupByFull + kMaxHtSlots) {
+    return static_cast<const AggHashTable*>(ctx.ht_slots[rc - kKernelGroupByFull])
+        ->OverCapacity(program.label);
+  }
+  return Status::Internal("native kernel '" + program.label +
+                          "' returned unknown code " + std::to_string(rc));
 }
 
 // ---------------------------------------------------------------------------

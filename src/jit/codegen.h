@@ -38,7 +38,11 @@ namespace hetex::jit {
 /// v4: join hash tables are packed (JoinHashTable::Layout): int32 heads and
 ///     links, byte entries laid out from each probe's stamped width code;
 ///     the insert hook reports the entry's bytes.
-inline constexpr uint32_t kCodegenAbiVersion = 4;
+/// v5: a bucket head is a 64-bit word, a 32-bit chain index and a 32-bit
+///     tag (JoinHashTable::TagBit); the insert and group-by hooks return
+///     nonzero when the table is full, and the kernel returns which slot
+///     overflowed (kKernel*).
+inline constexpr uint32_t kCodegenAbiVersion = 5;
 
 /// Bits of a kernel's `atomic_mode` argument: which worker-scoped atomics the
 /// launching provider pays for (ExecCtx::atomic_group_update / atomic_ht_insert).
@@ -62,27 +66,35 @@ enum : int {
   kStatCount,
 };
 
-/// Indices into the hook (C function pointer) table.
+/// Indices into the hook (C function pointer) table. The insert and
+/// group-by hooks return nonzero when the table is full.
 enum : int {
   kHookEmit = 0,     ///< void(void* EmitTarget, const int64_t* vals, int n, uint64_t* bytes_written)
-  kHookHtInsert,     ///< void(void* JoinHashTable, int64_t key, const int64_t* payload, uint64_t* bytes_written)
-  kHookGroupBy,      ///< void(void* AggHashTable, int64_t key, const int64_t* vals, int atomic, uint64_t* probes)
+  kHookHtInsert,     ///< int(void* JoinHashTable, int64_t key, const int64_t* payload, uint64_t* bytes_written)
+  kHookGroupBy,      ///< int(void* AggHashTable, int64_t key, const int64_t* vals, int atomic, uint64_t* probes)
   kHookEmitBatch,    ///< void(void* EmitTarget, const int64_t* const* vals (column-major), int n_vals, uint64_t n, uint64_t* bytes_written)
   kHookCount,
+};
+
+/// A kernel's return code: 0 on success, else the fault that stopped it
+/// (partial counters are already written back).
+enum : int {
+  kKernelDivByZero = 1,
+  kKernelJoinHtFull = 2,  ///< + the slot whose insert found its table full
+  kKernelGroupByFull = kKernelJoinHtFull + kMaxHtSlots,  ///< + the slot
 };
 
 extern "C" {
 /// Entry point of a generated kernel (`hx_kernel` in the shared object).
 /// Everything crosses as flat arrays/scalars so the generated source never
-/// includes an engine header. Returns 0 on success, 1 on division by zero
-/// (partial counters are already written back).
+/// includes an engine header. Returns 0 or a kKernel* fault.
 typedef int (*NativeKernelFn)(
     const void* const* cols,           // input column base pointers
     void* emit0,                       // EmitTarget* (nullable)
     void* const* emit_targets,         // hash-pack bucket targets (nullable)
     int64_t n_emit_targets,
     int64_t* local_accs,               // instance/thread-local accumulators
-    const int32_t* const* ht_heads,    // per HT slot: bucket heads (entry index, -1 = empty)
+    const uint64_t* const* ht_heads,   // per HT slot: bucket head words (tag | entry index)
     const unsigned char* const* ht_entries,  // per HT slot: packed entries
     const uint64_t* ht_masks,          // per HT slot: bucket mask
     void* const* ht_objs,              // raw ht_slots, for insert/group-by hooks

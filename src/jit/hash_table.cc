@@ -13,6 +13,9 @@ uint64_t NextPow2(uint64_t v) {
   if (v < 2) return 2;
   return std::bit_ceil(v);
 }
+
+/// An empty bucket's head word: no tag bit set, the chain index -1.
+constexpr uint64_t kEmptyHead = UINT32_MAX;
 }  // namespace
 
 JoinHashTable::Layout::Layout(uint64_t capacity, uint32_t key_width,
@@ -53,10 +56,12 @@ Status JoinHashTable::Layout::Check() const {
   return Status::OK();
 }
 
-uint64_t JoinHashTable::Layout::buckets() const { return NextPow2(capacity_ * 2); }
+uint64_t JoinHashTable::Layout::buckets() const {
+  return NextPow2(capacity_ * 2) / 2;
+}
 
 uint64_t JoinHashTable::Layout::Bytes() const {
-  return capacity_ * stride_ + buckets() * sizeof(int32_t);
+  return capacity_ * stride_ + buckets() * sizeof(uint64_t);
 }
 
 uint64_t JoinHashTable::Layout::WidthCode() const {
@@ -94,31 +99,41 @@ JoinHashTable::JoinHashTable(memory::MemoryManager* mm, const Layout& layout)
   HETEX_CHECK(alloc.ok()) << "join hash table allocation: "
                           << alloc.status().ToString();
   raw_ = alloc.value();
-  heads_ = static_cast<std::atomic<int32_t>*>(raw_);
+  heads_ = static_cast<std::atomic<uint64_t>*>(raw_);
   for (uint64_t i = 0; i < buckets; ++i) {
-    heads_[i].store(-1, std::memory_order_relaxed);
+    heads_[i].store(kEmptyHead, std::memory_order_relaxed);
   }
-  entries_ = static_cast<std::byte*>(raw_) + buckets * sizeof(int32_t);
+  entries_ = static_cast<std::byte*>(raw_) + buckets * sizeof(uint64_t);
 }
 
 JoinHashTable::~JoinHashTable() { mm_->Free(raw_); }
 
-void JoinHashTable::Insert(int64_t key, const int64_t* payload) {
+bool JoinHashTable::Insert(int64_t key, const int64_t* payload) {
   const uint64_t idx = cursor_.fetch_add(1, std::memory_order_relaxed);
-  HETEX_CHECK(idx < layout_.capacity())
-      << "join hash table over capacity (" << layout_.capacity() << ")";
+  if (idx >= layout_.capacity()) return false;
   std::byte* e = entries_ + idx * layout_.stride();
   Store(e, layout_.key(), key);
   for (int i = 0; i < layout_.payload_count(); ++i) {
     Store(e, layout_.payload(i), payload[i]);
   }
-  std::atomic<int32_t>& head = heads_[BucketOf(key)];
-  int32_t first = head.load(std::memory_order_relaxed);
+  const uint64_t hash = Hash(key);
+  std::atomic<uint64_t>& head = heads_[hash & bucket_mask_];
+  uint64_t word = head.load(std::memory_order_relaxed);
+  // The new word keeps the bucket's tag bits, adds the key's and points at
+  // the new entry, whose link takes the old chain.
+  const uint64_t tag = TagBit(hash);
   do {
-    Store(e, layout_.next(), first);
-  } while (!head.compare_exchange_weak(first, static_cast<int32_t>(idx),
-                                       std::memory_order_release,
-                                       std::memory_order_relaxed));
+    Store(e, layout_.next(), static_cast<int32_t>(word));
+  } while (!head.compare_exchange_weak(
+      word, (word & ~uint64_t{UINT32_MAX}) | tag | idx,
+      std::memory_order_release, std::memory_order_relaxed));
+  return true;
+}
+
+Status JoinHashTable::OverCapacity(const std::string& pipeline) const {
+  return Status::OutOfMemory("join hash table of pipeline '" + pipeline +
+                             "' over capacity (" +
+                             std::to_string(layout_.capacity()) + " entries)");
 }
 
 AggHashTable::AggHashTable(memory::MemoryManager* mm, uint64_t capacity, int n_aggs,
@@ -154,11 +169,14 @@ AggHashTable::~AggHashTable() {
   mm_->Free(raw_accs_);
 }
 
-void AggHashTable::Update(int64_t key, const int64_t* vals, bool atomic,
+bool AggHashTable::Update(int64_t key, const int64_t* vals, bool atomic,
                           uint64_t* probes) {
   HETEX_CHECK(key != kEmpty) << "reserved group key";
   uint64_t slot = HashMix64(static_cast<uint64_t>(key)) & slot_mask_;
-  while (true) {
+  // A failed update leaves its key behind, so writers that go on past an
+  // overflow can fill every slot: an absent key then gives up after one pass.
+  for (uint64_t inspected = 0;; ++inspected) {
+    if (inspected == slots_) return false;
     ++*probes;
     int64_t cur = keys_[slot].load(std::memory_order_acquire);
     if (cur == key) break;
@@ -167,7 +185,7 @@ void AggHashTable::Update(int64_t key, const int64_t* vals, bool atomic,
       if (keys_[slot].compare_exchange_strong(expected, key,
                                               std::memory_order_acq_rel)) {
         const uint64_t n = used_.fetch_add(1, std::memory_order_relaxed) + 1;
-        HETEX_CHECK(n * 2 <= slots_) << "agg hash table over capacity";
+        if (n * 2 > slots_) return false;
         break;
       }
       if (expected == key) break;  // lost the race to the same key
@@ -181,6 +199,13 @@ void AggHashTable::Update(int64_t key, const int64_t* vals, bool atomic,
   } else {
     for (int a = 0; a < n_aggs_; ++a) AggApply(funcs_[a], acc + a, vals[a]);
   }
+  return true;
+}
+
+Status AggHashTable::OverCapacity(const std::string& pipeline) const {
+  return Status::OutOfMemory("group-by hash table of pipeline '" + pipeline +
+                             "' over capacity (" + std::to_string(slots_ / 2) +
+                             " groups)");
 }
 
 }  // namespace hetex::jit

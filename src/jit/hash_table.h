@@ -1,6 +1,7 @@
 #ifndef HETEX_JIT_HASH_TABLE_H_
 #define HETEX_JIT_HASH_TABLE_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -71,10 +72,12 @@ class JoinHashTable {
   /// payloads through its fields, and the coster sizes the table with it
   /// (plan::JoinHtBytes).
   ///
-  /// Bucket heads and chain links are 32-bit entry indexes; -1 marks an empty
-  /// one. An entry is `key | next | payload...` with no padding: the key and
-  /// each payload value take their build column's width (4 or 8 bytes) and
-  /// are sign-extended on load.
+  /// A bucket head is one 64-bit word: the low 32 bits are the entry index
+  /// of the bucket's chain (-1 when empty), the high 32 bits its tag, one
+  /// bit per key hash class (TagBit). Chain links are 32-bit entry indexes,
+  /// -1 ending the chain. An entry is `key | next | payload...` with no
+  /// padding: the key and each payload value take their build column's
+  /// width (4 or 8 bytes) and are sign-extended on load.
   class Layout {
    public:
     /// Payload values one entry carries at most (a VM insert's register window).
@@ -104,9 +107,11 @@ class JoinHashTable {
     const Field& payload(int i) const { return fields_[2 + i]; }
     /// Bytes per entry.
     uint32_t stride() const { return stride_; }
-    /// Bucket heads: the next power of two of 2 x capacity.
+    /// Bucket heads: half the next power of two of 2 x capacity, so the
+    /// 8-byte heads take the bytes 4-byte heads for twice as many buckets
+    /// would.
     uint64_t buckets() const;
-    /// Footprint: capacity x stride entry bytes plus 4 bytes per bucket head.
+    /// Footprint: capacity x stride entry bytes plus 8 bytes per bucket head.
     uint64_t Bytes() const;
 
     /// The field widths in one integer, a nibble each: the key's lowest,
@@ -127,6 +132,17 @@ class JoinHashTable {
     Field fields_[2 + kMaxPayload];
   };
 
+  /// The tag bit of a key's hash class, at its place in the head word: bit
+  /// 32 + the hash's top 5 bits. A bucket index takes at most the hash's
+  /// low 31 bits (buckets() <= 2^31), so the tag and the bucket are
+  /// independent. The tier-2 codegen emits the same expression.
+  static constexpr int kTagShift = 64 - 5;
+  static uint64_t TagBit(uint64_t hash) {
+    return uint64_t{1} << (32 + (hash >> kTagShift));
+  }
+  /// The hash a key's bucket and tag derive from.
+  static uint64_t Hash(int64_t key) { return HashMix64(static_cast<uint64_t>(key)); }
+
   /// \param layout checked (Layout::Check); the table does not rehash, so
   ///        its capacity comes from table stats at plan time, as in typical
   ///        codegen engines
@@ -137,23 +153,31 @@ class JoinHashTable {
   JoinHashTable& operator=(const JoinHashTable&) = delete;
 
   /// Inserts key + payload (layout().payload_count() values), each stored at
-  /// its field's width; thread-safe.
-  void Insert(int64_t key, const int64_t* payload);
+  /// its field's width, and sets the key's tag bit in the same CAS that
+  /// links the entry; thread-safe. Returns false, inserting nothing, once
+  /// the table holds its capacity (see OverCapacity).
+  bool Insert(int64_t key, const int64_t* payload);
 
-  /// Returns the first entry index of the chain for `key`'s bucket (-1 if empty).
-  int64_t ProbeHead(int64_t key) const { return HeadOfBucket(BucketOf(key)); }
+  /// What a tier returns when an insert of pipeline `pipeline` found the
+  /// table full: a terminal OutOfMemory (a retry overflows again) naming the
+  /// pipeline, whose label names the build table, and the capacity.
+  Status OverCapacity(const std::string& pipeline) const;
+
+  /// Returns the first entry index of the chain for `key`'s bucket, or -1
+  /// when the bucket's tag rules the key out (or the bucket is empty).
+  int64_t ProbeHead(int64_t key) const { return HeadOf(Hash(key)); }
 
   /// Batched-probe decomposition: the vectorized tier hashes a whole batch of
-  /// keys in one pass (BucketOf), then resolves heads with software-pipelined
+  /// keys in one pass (Hash), then resolves heads with software-pipelined
   /// prefetching — the lookahead a tuple-at-a-time interpreter cannot do.
-  uint64_t BucketOf(int64_t key) const {
-    return HashMix64(static_cast<uint64_t>(key)) & bucket_mask_;
+  /// One head load gives both the chain and the tag, and a key its tag
+  /// rules out gets -1, so PrefetchEntry skips it.
+  int64_t HeadOf(uint64_t hash) const {
+    const uint64_t word = heads_[hash & bucket_mask_].load(std::memory_order_acquire);
+    return (word & TagBit(hash)) != 0 ? static_cast<int32_t>(word) : -1;
   }
-  int64_t HeadOfBucket(uint64_t bucket) const {
-    return heads_[bucket].load(std::memory_order_acquire);
-  }
-  void PrefetchBucketSlot(uint64_t bucket) const {
-    __builtin_prefetch(&heads_[bucket], 0, 1);
+  void PrefetchHead(uint64_t hash) const {
+    __builtin_prefetch(&heads_[hash & bucket_mask_], 0, 1);
   }
   void PrefetchEntry(int64_t entry) const {
     if (entry >= 0) __builtin_prefetch(EntryAt(entry), 0, 1);
@@ -183,7 +207,10 @@ class JoinHashTable {
   }
 
   const Layout& layout() const { return layout_; }
-  uint64_t size() const { return cursor_.load(std::memory_order_relaxed); }
+  /// Entries inserted (at most the capacity).
+  uint64_t size() const {
+    return std::min(cursor_.load(std::memory_order_relaxed), layout_.capacity());
+  }
 
   /// Total footprint in bytes (layout().Bytes()) — drives the random-access
   /// size class in the cost model (cache-resident dimension tables probe
@@ -192,10 +219,11 @@ class JoinHashTable {
 
   /// Raw layout accessors for the tier-2 codegen backend, which unrolls probe
   /// loops into inline bucket-chain walks over these arrays (jit/codegen.cc).
-  /// `raw_heads()` is bit-compatible with a plain int32_t array (asserted at
-  /// the single cast site); entries are `layout().stride()` bytes each, read
-  /// through `layout().key()`, `layout().next()` and `layout().payload(i)`.
-  const std::atomic<int32_t>* raw_heads() const { return heads_; }
+  /// `raw_heads()` is bit-compatible with a plain uint64_t array (asserted at
+  /// the single cast site) of head words; entries are `layout().stride()`
+  /// bytes each, read through `layout().key()`, `layout().next()` and
+  /// `layout().payload(i)`.
+  const std::atomic<uint64_t>* raw_heads() const { return heads_; }
   const std::byte* raw_entries() const { return entries_; }
   uint64_t bucket_mask() const { return bucket_mask_; }
 
@@ -226,7 +254,7 @@ class JoinHashTable {
   memory::MemoryManager* mm_;
   Layout layout_;
   uint64_t bucket_mask_;
-  std::atomic<int32_t>* heads_ = nullptr;
+  std::atomic<uint64_t>* heads_ = nullptr;
   std::byte* entries_ = nullptr;
   std::atomic<uint64_t> cursor_{0};
   void* raw_ = nullptr;
@@ -246,9 +274,16 @@ class AggHashTable {
   AggHashTable(const AggHashTable&) = delete;
   AggHashTable& operator=(const AggHashTable&) = delete;
 
-  /// Finds or creates the group for `key` and folds `vals` in.
+  /// Finds or creates the group for `key` and folds `vals` in. Returns
+  /// false, folding nothing, when a new group takes the table past half its
+  /// slots (see OverCapacity).
   /// \param probes incremented once per slot inspected (cost accounting)
-  void Update(int64_t key, const int64_t* vals, bool atomic, uint64_t* probes);
+  bool Update(int64_t key, const int64_t* vals, bool atomic, uint64_t* probes);
+
+  /// What a tier returns when an update of pipeline `pipeline` overflowed
+  /// the group-by: a terminal OutOfMemory naming the pipeline and the
+  /// groups the table holds.
+  Status OverCapacity(const std::string& pipeline) const;
 
   /// Number of occupied groups.
   uint64_t size() const { return used_.load(std::memory_order_relaxed); }

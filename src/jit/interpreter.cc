@@ -88,7 +88,10 @@ Status RunRows(const PipelineProgram& program, ExecCtx& ctx, uint64_t rows) {
           break;
         case OpCode::kHtInsert: {
           auto* ht = static_cast<JoinHashTable*>(ctx.ht_slots[in.a]);
-          ht->Insert(regs[in.b], &regs[in.c]);
+          if (!ht->Insert(regs[in.b], &regs[in.c])) {
+            status = ht->OverCapacity(program.label);
+            goto done;
+          }
           CountAccess(stats, in.cls);
           // A replica written by one CPU worker elides the CAS (single thread
           // per worker, paper Fig. 3); GPUs and shared CPU replicas pay it.
@@ -129,7 +132,11 @@ Status RunRows(const PipelineProgram& program, ExecCtx& ctx, uint64_t rows) {
         case OpCode::kGroupByAgg: {
           auto* ht = static_cast<AggHashTable*>(ctx.ht_slots[in.a]);
           uint64_t probes = 0;
-          ht->Update(regs[in.b], &regs[in.c], ctx.atomic_group_update, &probes);
+          if (!ht->Update(regs[in.b], &regs[in.c], ctx.atomic_group_update,
+                          &probes)) {
+            status = ht->OverCapacity(program.label);
+            goto done;
+          }
           CountAccess(stats, in.cls, probes);
           if (ctx.atomic_group_update) stats->atomics += in.d;
           ++pc;

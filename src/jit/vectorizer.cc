@@ -334,8 +334,8 @@ struct Level {
   std::vector<uint64_t> rows;
   std::vector<int32_t> sel;
   std::vector<int32_t> scratch;
-  std::vector<int64_t> entries_tmp;   ///< loop expansion: bucket heads
-  std::vector<uint64_t> buckets_tmp;  ///< loop expansion / emit: bucket per lane
+  std::vector<int64_t> entries_tmp;   ///< loop expansion: chain heads
+  std::vector<uint64_t> buckets_tmp;  ///< loop expansion: key hashes; emit: buckets
   std::vector<int32_t> src_tmp;       ///< loop expansion: parent lane per match
   std::vector<int32_t> emit_starts;   ///< emit partition: per-bucket offsets
   std::vector<int32_t> emit_cursor;
@@ -494,7 +494,7 @@ class VecRunner {
         for (int k = 0; k < n; ++k) {
           const int32_t lane = sel[k];
           for (int i = 0; i < in.d; ++i) tmp[i] = payload[i][lane];
-          ht->Insert(key[lane], tmp);
+          if (!ht->Insert(key[lane], tmp)) return ht->OverCapacity(p_.label);
         }
         CountAccess(stats, in.cls, static_cast<uint64_t>(n));
         if (ctx_.atomic_ht_insert) stats->atomics += static_cast<uint64_t>(n);
@@ -558,7 +558,9 @@ class VecRunner {
         for (int k = 0; k < n; ++k) {
           const int32_t lane = sel[k];
           for (int i = 0; i < in.d; ++i) tmp[i] = vals[i][lane];
-          ht->Update(key[lane], tmp, atomic, &probes);
+          if (!ht->Update(key[lane], tmp, atomic, &probes)) {
+            return ht->OverCapacity(p_.label);
+          }
         }
         CountAccess(stats, in.cls, probes);
         if (atomic) stats->atomics += static_cast<uint64_t>(in.d) * n;
@@ -722,24 +724,23 @@ class VecRunner {
     const int64_t* key = P.reg(loop.probe.b);
     constexpr int kPrefetchDist = 16;
 
-    // Pass 1: hash every selected key into its bucket index (pure compute,
-    // one tight loop). Pass 2: resolve bucket heads with software-pipelined
-    // prefetching (the lookahead a tuple-at-a-time interpreter can't do),
-    // prefetching each head entry for the chain walk of pass 3.
+    // Pass 1: hash every selected key (pure compute, one tight loop); the
+    // hash gives both its bucket and its tag. Pass 2: resolve bucket heads
+    // with software-pipelined prefetching (the lookahead a tuple-at-a-time
+    // interpreter can't do), prefetching the first entry of each chain the
+    // tag does not rule out for the chain walk of pass 3.
     C.EnsureLanes(std::max<uint64_t>(static_cast<uint64_t>(n), kVecBatchRows),
                   vp_.n_regs);
     if (C.entries_tmp.size() < static_cast<size_t>(n)) C.entries_tmp.resize(n);
     if (C.buckets_tmp.size() < static_cast<size_t>(n)) C.buckets_tmp.resize(n);
     if (C.src_tmp.size() < C.stride) C.src_tmp.resize(C.stride);
-    uint64_t* buckets = C.buckets_tmp.data();
-    for (int k = 0; k < n; ++k) buckets[k] = ht->BucketOf(key[sel[k]]);
+    uint64_t* hashes = C.buckets_tmp.data();
+    for (int k = 0; k < n; ++k) hashes[k] = JoinHashTable::Hash(key[sel[k]]);
     int64_t* heads = C.entries_tmp.data();
-    for (int k = 0; k < kPrefetchDist && k < n; ++k) {
-      ht->PrefetchBucketSlot(buckets[k]);
-    }
+    for (int k = 0; k < kPrefetchDist && k < n; ++k) ht->PrefetchHead(hashes[k]);
     for (int k = 0; k < n; ++k) {
-      if (k + kPrefetchDist < n) ht->PrefetchBucketSlot(buckets[k + kPrefetchDist]);
-      heads[k] = ht->HeadOfBucket(buckets[k]);
+      if (k + kPrefetchDist < n) ht->PrefetchHead(hashes[k + kPrefetchDist]);
+      heads[k] = ht->HeadOf(hashes[k]);
       ht->PrefetchEntry(heads[k]);
     }
 

@@ -445,6 +445,31 @@ TEST_F(RuntimeTest, BacklogUsesPriorUntilEmaWarm) {
   EXPECT_DOUBLE_EQ(inst.EstimatedBacklog(0.25), 1.2);
 }
 
+// An instance whose thread has not run yet is priced by the cost its
+// device's running peers observed, not by the router's prior: a prior 2x too
+// high made the router hand the running instances twice their share.
+TEST_F(RuntimeTest, BacklogUsesTheCostItsDevicesInstancesObserved) {
+  WorkerGroup group(&system_,
+                    {sim::DeviceId::Cpu(0), sim::DeviceId::Cpu(0),
+                     sim::DeviceId::Cpu(1)},
+                    Recorder(), nullptr, 8, {1.0, 1.0, 1.0});
+  WorkerInstance& running = group.instance(0);
+  WorkerInstance& idle_peer = group.instance(1);
+  WorkerInstance& other_socket = group.instance(2);
+  for (WorkerInstance* inst : group.instance_ptrs()) {
+    inst->NoteEnqueued();
+    inst->NoteEnqueued();
+  }
+  running.NoteBlockCost(0.1);
+  EXPECT_DOUBLE_EQ(running.EstimatedBacklog(0.25), 1.2);
+  EXPECT_DOUBLE_EQ(idle_peer.EstimatedBacklog(0.25), 1.2);
+  EXPECT_DOUBLE_EQ(other_socket.EstimatedBacklog(0.25), 1.5);
+  // A block counts until it is done.
+  running.set_clock(1.1);
+  running.NoteDone();
+  EXPECT_DOUBLE_EQ(running.EstimatedBacklog(0.25), 1.2);
+}
+
 TEST_F(RuntimeTest, HtRegistryKeyedByQueryJoinAndUnit) {
   HtRegistry hts;
   auto& mm = system_.memory().manager(0);

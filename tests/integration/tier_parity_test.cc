@@ -5,6 +5,7 @@
 #include <string>
 #include <unistd.h>
 
+#include "core/scheduler.h"
 #include "jit/codegen.h"
 #include "jit/kernel_cache.h"
 #include "jit/vectorizer.h"
@@ -35,12 +36,15 @@ namespace {
 /// beyond int32, with an 8-byte and a 4-byte payload, so the packed hash-table
 /// entries mix field widths.
 struct ParityEnv {
-  explicit ParityEnv(jit::TierPolicy policy, bool codegen = false) {
+  /// `gpu_sim_threads` 1 runs the GPU's logical threads in one sequential
+  /// pass per launch.
+  explicit ParityEnv(jit::TierPolicy policy, bool codegen = false,
+                     int gpu_sim_threads = 1) {
     core::System::Options opts;
     opts.topology.num_sockets = 1;
     opts.topology.cores_per_socket = 2;
     opts.topology.num_gpus = 1;
-    opts.topology.gpu_sim_threads = 1;  // sequential logical threads
+    opts.topology.gpu_sim_threads = gpu_sim_threads;
     opts.topology.host_capacity_per_socket = 4ull << 30;
     opts.topology.gpu_capacity = 1ull << 30;
     opts.blocks.block_bytes = 64 << 10;
@@ -246,6 +250,121 @@ std::string CaseName(const ::testing::TestParamInfo<ParityCase>& info) {
 
 INSTANTIATE_TEST_SUITE_P(FullSsbMatrix, TierParityTest,
                          ::testing::ValuesIn(AllCases()), CaseName);
+
+/// A hash table that a build or a group-by overflows fails its query with a
+/// terminal OutOfMemory naming the table's pipeline and capacity, the same in
+/// every tier, instead of aborting the process. Both capacities come from
+/// public QuerySpec fields: a join's `build_rows_estimate` and the query's
+/// `expected_groups`. Each case gets a fresh environment, so it can check that
+/// the failed query released what it held, and the GPU runs four
+/// logical-thread passes per launch against one group-by table.
+class TierParityOverflowTest : public ::testing::TestWithParam<int> {
+ protected:
+  void SetUp() override {
+    const int tier = GetParam();
+    env_ = std::make_unique<ParityEnv>(
+        tier == 0   ? jit::TierPolicy::kForceInterpreter
+        : tier == 1 ? jit::TierPolicy::kForceVectorized
+                    : jit::TierPolicy::kAuto,
+        /*codegen=*/tier == 2, /*gpu_sim_threads=*/4);
+  }
+
+  /// Q4.1 whose part join is sized for one row: its 65 entries hold fewer
+  /// than the parts of MFGR#1 and MFGR#2.
+  plan::QuerySpec UndersizedJoin() const {
+    plan::QuerySpec q = env_->ssb->Query(4, 1);
+    EXPECT_EQ(q.joins[2].build_table, "part");
+    q.joins[2].build_rows_estimate = 1;
+    return q;
+  }
+
+  /// Q3.1 sized for `groups` of its more than 4 groups.
+  plan::QuerySpec UndersizedGroupBy(uint64_t groups) const {
+    plan::QuerySpec q = env_->ssb->Query(3, 1);
+    q.expected_groups = groups;
+    return q;
+  }
+
+  static void ExpectOverCapacity(const core::QueryResult& r,
+                                 const std::string& what) {
+    EXPECT_EQ(r.status.code(), StatusCode::kOutOfMemory) << r.status.ToString();
+    EXPECT_NE(r.status.message().find(what), std::string::npos)
+        << r.status.ToString();
+    EXPECT_TRUE(r.rows.empty());
+  }
+
+  /// Everything the failed query held is back: its hash-table namespace and
+  /// every staging block.
+  void ExpectReleased(const core::QueryResult& r) const {
+    EXPECT_EQ(env_->system->hts().NumTables(r.query_id), 0);
+    for (sim::MemNodeId node : env_->system->HostNodes()) {
+      EXPECT_EQ(env_->system->blocks().manager(node).in_use(), 0u) << "node " << node;
+    }
+    for (sim::MemNodeId node : env_->system->GpuNodes()) {
+      EXPECT_EQ(env_->system->blocks().manager(node).in_use(), 0u) << "node " << node;
+    }
+  }
+
+  /// Tier 2 really ran the failing pipelines natively.
+  void ExpectNativeRan(const jit::CodegenCounters& before) const {
+    if (GetParam() != 2) return;
+    EXPECT_GT(jit::GetCodegenCounters().native_invocations,
+              before.native_invocations);
+  }
+
+  std::unique_ptr<ParityEnv> env_;
+};
+
+TEST_P(TierParityOverflowTest, JoinOverCapacityFailsTheQuery) {
+  const jit::CodegenCounters before = jit::GetCodegenCounters();
+  const core::QueryResult r =
+      env_->Run(UndersizedJoin(), plan::ExecPolicy::CpuOnly(2));
+  ExpectOverCapacity(
+      r, "join hash table of pipeline 'Q4.1.build[part]' over capacity "
+         "(65 entries)");
+  ExpectReleased(r);
+  ExpectNativeRan(before);
+}
+
+TEST_P(TierParityOverflowTest, GroupByOverCapacityFailsTheQuery) {
+  const jit::CodegenCounters before = jit::GetCodegenCounters();
+  const core::QueryResult r =
+      env_->Run(UndersizedGroupBy(4), plan::ExecPolicy::CpuOnly(2));
+  ExpectOverCapacity(
+      r, "group-by hash table of pipeline 'Q3.1.probe' over capacity (4 groups)");
+  ExpectReleased(r);
+  ExpectNativeRan(before);
+}
+
+// Each GPU pass stops at its own first failed update, and a failed update
+// keeps its slot: with 2 groups in 4 slots, the third pass's first new group
+// finds every slot taken and must fail rather than probe forever.
+TEST_P(TierParityOverflowTest, GpuGroupByOverCapacityFailsTheQuery) {
+  const core::QueryResult r =
+      env_->Run(UndersizedGroupBy(2), plan::ExecPolicy::GpuOnly({0}));
+  ExpectOverCapacity(
+      r, "group-by hash table of pipeline 'Q3.1.probe' over capacity (2 groups)");
+  ExpectReleased(r);
+}
+
+// The overflow repeats on every attempt, so the scheduler surfaces it at once.
+TEST_P(TierParityOverflowTest, SchedulerDoesNotRetryAnOverflow) {
+  core::QueryScheduler scheduler(env_->system.get(), {.max_concurrent = 1});
+  core::SubmitOptions opts;
+  opts.policy = test::TestEnv::Tune(plan::ExecPolicy::CpuOnly(2));
+  for (const plan::QuerySpec& spec : {UndersizedJoin(), UndersizedGroupBy(4)}) {
+    const core::QueryResult r = scheduler.Wait(scheduler.Submit(spec, opts));
+    ExpectOverCapacity(r, "over capacity");
+    EXPECT_EQ(r.retries, 0) << spec.name;
+    EXPECT_FALSE(r.degraded) << spec.name;
+    ExpectReleased(r);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Tiers, TierParityOverflowTest, ::testing::Values(0, 1, 2),
+                         [](const ::testing::TestParamInfo<int>& info) {
+                           return "Tier" + std::to_string(info.param);
+                         });
 
 /// The auto-tier environment really exercises the vectorized backend across
 /// the matrix: the fused/split SSB pipelines all lower (no fallbacks), and at

@@ -123,11 +123,19 @@ TEST_F(HashTableTest, ConcurrentBuildFindsEverything) {
     ASSERT_GE(e, 0);
     EXPECT_EQ(ht.PayloadAt(e, 0), k);
   }
+  // The CAS that linked each entry set its key's tag bit: no concurrent
+  // insert into the same bucket lost one.
+  for (int64_t k = 0; k < kThreads * kPerThread; ++k) {
+    const uint64_t hash = JoinHashTable::Hash(k);
+    const uint64_t word = ht.raw_heads()[hash & ht.bucket_mask()].load();
+    ASSERT_NE(word & JoinHashTable::TagBit(hash), 0u) << "key " << k;
+  }
 }
 
 TEST_F(HashTableTest, BytesReflectFootprint) {
   // An entry is key | next | payload... at the columns' widths, no padding;
-  // the heads are 4-byte indexes, NextPow2(2 x capacity) of them.
+  // the heads take NextPow2(2 x capacity) x 4 bytes: half as many 8-byte
+  // words.
   constexpr uint64_t kCapacity = 100000;
   constexpr uint64_t kHeadBytes = 262144 * 4;
   const std::vector<std::vector<uint32_t>> payloads = {{}, {4}, {8, 4}};
@@ -146,6 +154,57 @@ TEST_F(HashTableTest, BytesReflectFootprint) {
   }
   // A 4-byte key with one 4-byte payload: 12 bytes an entry.
   EXPECT_EQ(Layout(kCapacity, 4, {4}).stride(), 12u);
+  // A capacity of 1 has one 8-byte head.
+  EXPECT_EQ(Layout(1, 4, {}).buckets(), 1u);
+  EXPECT_EQ(Layout(1, 4, {}).Bytes(), 8u + 8u);
+}
+
+TEST_F(HashTableTest, InsertBeyondCapacityFailsWithATerminalStatus) {
+  JoinHashTable ht(&mm_, Layout(4, 8, {}));
+  for (int64_t k = 0; k < 4; ++k) EXPECT_TRUE(ht.Insert(k, nullptr));
+  EXPECT_FALSE(ht.Insert(4, nullptr));
+  EXPECT_EQ(ht.size(), 4u);
+  uint64_t hops = 0;
+  EXPECT_EQ(ht.FindKeyFrom(ht.ProbeHead(4), 4, &hops), -1);
+  const Status st = ht.OverCapacity("Q.build[dim]");
+  EXPECT_EQ(st.code(), StatusCode::kOutOfMemory);
+  EXPECT_FALSE(IsTransientFault(st.code()));
+  EXPECT_NE(st.message().find("'Q.build[dim]' over capacity (4 entries)"),
+            std::string::npos)
+      << st.ToString();
+}
+
+TEST_F(HashTableTest, AggUpdateBeyondCapacityFailsWithATerminalStatus) {
+  AggFunc funcs[1] = {AggFunc::kSum};
+  AggHashTable ht(&mm_, 4, 1, funcs);  // 8 slots hold 4 groups
+  uint64_t probes = 0;
+  const int64_t one = 1;
+  for (int64_t k = 0; k < 4; ++k) EXPECT_TRUE(ht.Update(k, &one, false, &probes));
+  EXPECT_TRUE(ht.Update(0, &one, false, &probes));  // an existing group folds
+  EXPECT_FALSE(ht.Update(4, &one, false, &probes));
+  const Status st = ht.OverCapacity("Q.probe");
+  EXPECT_EQ(st.code(), StatusCode::kOutOfMemory);
+  EXPECT_FALSE(IsTransientFault(st.code()));
+  EXPECT_NE(st.message().find("group-by hash table of pipeline 'Q.probe' over "
+                              "capacity (4 groups)"),
+            std::string::npos)
+      << st.ToString();
+}
+
+// A failed update keeps the slot its key took, so writers that go on past
+// the overflow can fill the table: a new key then fails after one pass over
+// the slots instead of probing forever, and existing groups still fold.
+TEST_F(HashTableTest, AggUpdateFailsOnceEverySlotIsTaken) {
+  AggFunc funcs[1] = {AggFunc::kSum};
+  AggHashTable ht(&mm_, 1, 1, funcs);  // 2 slots hold 1 group
+  uint64_t probes = 0;
+  const int64_t one = 1;
+  EXPECT_TRUE(ht.Update(0, &one, false, &probes));
+  EXPECT_FALSE(ht.Update(1, &one, false, &probes));  // takes the last slot
+  probes = 0;
+  EXPECT_FALSE(ht.Update(2, &one, false, &probes));
+  EXPECT_EQ(probes, 2u);
+  EXPECT_TRUE(ht.Update(0, &one, false, &probes));
 }
 
 TEST_F(HashTableTest, LayoutRejectsWhatA32BitIndexOrItsFieldsCannotHold) {

@@ -13,6 +13,7 @@
 #include "jit/codegen.h"
 #include "jit/interpreter.h"
 #include "jit/program.h"
+#include "jit/vectorizer.h"
 #include "memory/memory_manager.h"
 #include "test_util.h"
 
@@ -114,9 +115,10 @@ struct RunOutput {
   sim::CostStats stats;
 };
 
-/// Runs `program` over int64 columns through RunRows (tier 0) or RunNative
-/// (tier 2, requires program.native ready), capturing emitted rows and stats.
-/// `ht` (nullable) is bound to hash-table slot 0.
+/// Runs `program` over int64 columns through RunNative (tier 2, requires
+/// program.native ready), RunRowsVectorized (tier 1, when the program carries
+/// its vectorized lowering) or RunRows (tier 0), capturing emitted rows and
+/// stats. `ht` (nullable) is bound to hash-table slot 0.
 RunOutput Execute(const PipelineProgram& program,
                   const std::vector<std::vector<int64_t>>& cols, bool native,
                   JoinHashTable* ht = nullptr) {
@@ -143,7 +145,9 @@ RunOutput Execute(const PipelineProgram& program,
   ctx.row_begin = 0;
   ctx.row_step = 1;
   const uint64_t rows = cols.empty() ? 0 : cols[0].size();
-  out.status = native ? RunNative(program, ctx, rows) : RunRows(program, ctx, rows);
+  out.status = native                   ? RunNative(program, ctx, rows)
+               : program.vec != nullptr ? RunRowsVectorized(program, ctx, rows)
+                                        : RunRows(program, ctx, rows);
   for (uint64_t i = 0; i < emit.rows(); ++i) out.emitted.push_back(storage[i]);
   return out;
 }
@@ -297,9 +301,9 @@ TEST(KernelCacheTest, CorruptedObjectIsRejectedAndRecompiled) {
   }
 }
 
-// A kernel built against the previous ABI (v3: int64 hash-table entries)
-// must never be loaded: its sidecar's ABI stamp rejects it, the rejection is
-// counted and the kernel is recompiled.
+// A kernel built against the previous ABI (v4: 32-bit bucket heads without
+// tags) must never be loaded: its sidecar's ABI stamp rejects it, the
+// rejection is counted and the kernel is recompiled.
 TEST(KernelCacheTest, PreviousAbiObjectIsRejectedAndRecompiled) {
   const PipelineProgram program = FilterMathProgram();
   const GenerateResult gen = GenerateSource(program);
@@ -368,6 +372,73 @@ TEST(KernelCacheTest, NativeProbeReadsItsStampedLayoutAndRefusesAnother) {
   EXPECT_EQ(refused.status.code(), StatusCode::kInternal);
   EXPECT_NE(refused.status.message().find("width code"), std::string::npos)
       << refused.status.ToString();
+}
+
+// A bucket head carries a tag bit per key hash class. A probe whose key's
+// bit is clear ends at the head: one counted access in every tier, where
+// walking the bucket's chain cost 1 + its length. A key whose bit another key
+// set walks the chain and still misses, and duplicate keys yield every match.
+TEST(KernelCacheTest, TaggedHeadsChargeIdenticalAccessesInEveryTier) {
+  memory::MemoryManager mm(0, 1ull << 24);
+  const JoinHashTable::Layout layout(64, 8, {4});
+  JoinHashTable ht(&mm, layout);
+  for (int64_t k = 0; k < 40; ++k) ht.Insert(k, &k);
+  for (const int64_t payload : {70, 700}) ht.Insert(7, &payload);
+  // The length of the chain a bucket head points at (tag aside).
+  const auto chain_of = [&](int64_t key) {
+    const uint64_t hash = JoinHashTable::Hash(key);
+    uint64_t n = 0;
+    for (int64_t e = static_cast<int32_t>(
+             ht.raw_heads()[hash & ht.bucket_mask()].load());
+         e >= 0; e = ht.NextEntry(e)) {
+      ++n;
+    }
+    return n;
+  };
+  int64_t clear = -1, collides = -1;
+  for (int64_t k = 1000; clear < 0 || collides < 0; ++k) {
+    if (chain_of(k) == 0) continue;
+    const uint64_t hash = JoinHashTable::Hash(k);
+    const uint64_t word = ht.raw_heads()[hash & ht.bucket_mask()].load();
+    ((word & JoinHashTable::TagBit(hash)) != 0 ? collides : clear) = k;
+  }
+
+  const PipelineProgram program = ProbeEmitProgram(layout);
+  PipelineProgram vec_prog = program;
+  vec_prog.vec = TryVectorize(program).program;
+  ASSERT_NE(vec_prog.vec, nullptr);
+  vec_prog.tier = ExecTier::kVectorized;
+  const GenerateResult gen = GenerateSource(program);
+  ASSERT_FALSE(gen.source.empty()) << gen.reason;
+  KernelCache cache(SyncOptions("tags"));
+  PipelineProgram native_prog = program;
+  native_prog.native = cache.GetOrBuild(gen, program.label);
+  ASSERT_TRUE(native_prog.native->ready()) << native_prog.native->error;
+
+  struct Case {
+    int64_t key;
+    std::vector<int64_t> matches;  // chain order: the last inserted first
+    uint64_t accesses;
+  };
+  const Case cases[] = {
+      {clear, {}, 1},
+      {collides, {}, 1 + chain_of(collides)},
+      {7, {700, 70, 7}, 1 + chain_of(7)},
+  };
+  ASSERT_GE(chain_of(clear), 1u);  // untagged heads walked this chain
+  for (const Case& c : cases) {
+    const std::vector<std::vector<int64_t>> cols = {{c.key}};
+    const RunOutput interp = Execute(program, cols, /*native=*/false, &ht);
+    const RunOutput vec = Execute(vec_prog, cols, /*native=*/false, &ht);
+    const RunOutput native = Execute(native_prog, cols, /*native=*/true, &ht);
+    for (const RunOutput* out : {&interp, &vec, &native}) {
+      ASSERT_TRUE(out->status.ok()) << out->status.ToString();
+      EXPECT_EQ(out->emitted, c.matches) << "key " << c.key;
+      ExpectStatsEq(interp.stats, out->stats);
+    }
+    // The head alone for a ruled-out key, else the head and every entry.
+    EXPECT_EQ(interp.stats.near_accesses, c.accesses) << "key " << c.key;
+  }
 }
 
 TEST(KernelCacheTest, ConcurrentRequestsCoalesceToOneCompile) {
