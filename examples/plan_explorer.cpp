@@ -22,7 +22,10 @@
 // (plan::ProbeOrder), by build table, and under it each join's hash table in
 // that order: its bytes (plan::JoinHtBytes, what every replica allocates) and
 // size class (near / mid / far, CostModel::RandomAccessClass), then the picked
-// run's random accesses per fact row by size class.
+// run's random accesses per fact row by size class. Last comes the picked
+// run's partitioned merge: its instance count and unit, the partial groups
+// the probes shipped to it, and its tail (modeled time minus the last probe
+// end).
 //
 // Both modes open with the full fabric: every socket and GPU, per-link
 // type/bandwidth (PCIe, NVLink-class peer, inter-socket), peer adjacency, and
@@ -304,6 +307,12 @@ bool ReportOptimizer(core::System& system, core::System& reuse_sys,
   std::vector<core::QueryResult::UnitReady> unit_ready;
   std::vector<core::QueryResult::BuildDone> builds;
   sim::CostStats picked_stats;
+  // The picked run's partitioned merge: its instances and their unit, the
+  // partial groups the probes shipped, and its tail past the last probe end.
+  size_t merge_instances = 0;
+  std::string merge_unit = "-";
+  uint64_t partial_rows = 0;
+  double merge_tail_us = 0;
   for (const auto& rc : opt.ranked) {
     const core::QueryResult r = executor.ExecutePlan(spec, rc.candidate.plan);
     const double measured = r.status.ok() ? r.modeled_seconds : -1;
@@ -311,6 +320,10 @@ bool ReportOptimizer(core::System& system, core::System& reuse_sys,
       unit_ready = r.unit_ready;
       builds = r.builds;
       picked_stats = r.stats;
+      merge_instances = r.merges.size();
+      if (!r.merges.empty()) merge_unit = r.merges.front().unit.ToString();
+      partial_rows = r.partial_rows;
+      merge_tail_us = (r.modeled_seconds - r.probe_end) * 1e6;
     }
     if (measured >= 0 && (best_measured < 0 || measured < best_measured)) {
       best_measured = measured;
@@ -384,7 +397,11 @@ bool ReportOptimizer(core::System& system, core::System& reuse_sys,
                   builds[i].unit.ToString().c_str(), builds[i].dop,
                   builds[i].done);
     }
-    std::printf("\n],\n\"reuse\": {\"shared_builds_first_run\": %d, "
+    std::printf("\n],\n\"merge\": {\"instances\": %zu, \"partial_rows\": %llu, "
+                "\"tail_us\": %.6f},",
+                merge_instances, static_cast<unsigned long long>(partial_rows),
+                merge_tail_us);
+    std::printf("\n\"reuse\": {\"shared_builds_first_run\": %d, "
                 "\"shared_attaches_second_run\": %d, "
                 "\"cache_hit_second_run\": %s, "
                 "\"cache_miss_modeled_s\": %.9f, "
@@ -426,7 +443,9 @@ bool ReportOptimizer(core::System& system, core::System& reuse_sys,
       std::printf(" ht[%d]/%s x%d->%.6fs", b.join_id, b.unit.ToString().c_str(),
                   b.dop, b.done);
     }
-    std::printf("\n");
+    std::printf("\nmerge: x%zu on %s, %llu partial rows, tail %.1f µs\n",
+                merge_instances, merge_unit.c_str(),
+                static_cast<unsigned long long>(partial_rows), merge_tail_us);
     std::printf("serving-layer reuse (shared builds + result cache on):\n");
     std::printf("  run 1: built+published %d shared hash table(s)\n",
                 reuse.shared_builds_first);

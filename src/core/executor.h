@@ -97,6 +97,25 @@ struct QueryResult {
     sim::VTime done = 0;
   };
   std::vector<BuildDone> builds;
+  /// One fact-phase instance: its core (the unit, and its ordinal among the
+  /// stage's instances there, as plan::Core) and its session-local start and
+  /// end. A merge instance also counts the result rows it emitted.
+  struct CoreSpan {
+    sim::DeviceId unit;
+    int ordinal = 0;
+    sim::VTime start = 0;
+    sim::VTime end = 0;
+    uint64_t rows = 0;
+  };
+  /// The probe stage's instances and the partitioned merge's, in stage order.
+  /// Merge instance k owns hash partition k of the partial groups and starts
+  /// on its core once the core's probe instance ended. `probe_end` is the
+  /// latest probe end, so the merge's tail is `modeled_seconds - probe_end`;
+  /// `partial_rows` counts the partial groups the probes shipped to it.
+  std::vector<CoreSpan> probes;
+  std::vector<CoreSpan> merges;
+  sim::VTime probe_end = 0;
+  uint64_t partial_rows = 0;
 };
 
 /// Opaque handle to a query submitted to the concurrent scheduler.

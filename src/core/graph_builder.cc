@@ -1,6 +1,7 @@
 #include "core/graph_builder.h"
 
 #include <algorithm>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -154,6 +155,62 @@ class DramPhaseGuard {
   sim::Topology* topo_;
   sim::VTime epoch_;
   std::vector<std::pair<int, uint64_t>> tokens_;
+};
+
+/// The packed output a stage collected (a build-side filter's survivors, a
+/// probe stage's partial groups), held for one thread to replay into the next
+/// stage's edge in (ready time, producer instance, sequence) order: which
+/// consumer takes which message, and the order in which links are reserved,
+/// then depend only on data and plan. Whatever is still held when the run
+/// returns early goes back to its arena.
+class Replay {
+ public:
+  explicit Replay(System* system) : system_(system) {}
+  ~Replay() {
+    for (Held& h : held_) ReleaseMsgBlocks(system_, h.msg, h.node);
+  }
+  Replay(const Replay&) = delete;
+  Replay& operator=(const Replay&) = delete;
+
+  /// Takes a joined group's collection ((*collected)[k]: instance k's
+  /// messages in emission order) and notes the producers' latest end.
+  void Collect(WorkerGroup& group, std::vector<std::vector<DataMsg>>* collected) {
+    for (int k = 0; k < group.size(); ++k) {
+      const WorkerInstance& inst = group.instance(k);
+      closed_at_ = sim::MaxT(closed_at_, inst.clock());
+      for (DataMsg& msg : (*collected)[k]) held_.push_back({std::move(msg), inst.node()});
+      (*collected)[k].clear();
+    }
+    // Instance-major collection keeps (instance, sequence) order among equal
+    // ready times.
+    std::stable_sort(held_.begin(), held_.end(), [](const Held& a, const Held& b) {
+      return a.msg.ready_at < b.msg.ready_at;
+    });
+  }
+
+  uint64_t rows() const {
+    uint64_t n = 0;
+    for (const Held& h : held_) n += h.msg.rows;
+    return n;
+  }
+
+  /// Pushes every held message into `edge` as its one producer, whose stream
+  /// ends at the collected producers' latest end.
+  void Into(Edge* edge) {
+    edge->AddProducer();
+    for (Held& h : held_) edge->Push(std::move(h.msg), h.node);
+    held_.clear();
+    edge->CloseProducer(closed_at_);
+  }
+
+ private:
+  struct Held {
+    DataMsg msg;
+    sim::MemNodeId node;
+  };
+  System* system_;
+  std::vector<Held> held_;
+  sim::VTime closed_at_ = 0;
 };
 
 }  // namespace
@@ -460,14 +517,9 @@ Status GraphBuilder::Run(QueryCompiler* compiler, QueryResult* result) {
 
   // A build-side filter stage runs to completion on its CPU workers, each
   // starting when its core's previous filter instance ended. Its packed
-  // survivors come back in replay order — (ready time, producer instance,
-  // sequence) — with the node holding them.
-  struct Survivor {
-    DataMsg msg;
-    sim::MemNodeId node;
-  };
+  // survivors are held for replay.
   auto run_build_filter = [&](const plan::Stage& stage, CompiledPipeline pipeline,
-                              std::vector<Survivor>* survivors) -> Status {
+                              Replay* survivors) -> Status {
     RuntimeStage rt;
     rt.cfg = make_config(stage);
     rt.cfg->pipeline = std::move(pipeline);
@@ -491,18 +543,9 @@ Status GraphBuilder::Run(QueryCompiler* compiler, QueryResult* result) {
     rt.group->Join();
     result->stats.Add(rt.group->total_stats());
     for (int k = 0; k < rt.group->size(); ++k) {
-      const WorkerInstance& inst = rt.group->instance(k);
-      filter_end[stage.cores[k]] = inst.clock();
-      for (DataMsg& msg : collected[k]) {
-        survivors->push_back({std::move(msg), inst.node()});
-      }
+      filter_end[stage.cores[k]] = rt.group->instance(k).clock();
     }
-    // Instance-major collection keeps (instance, sequence) order among equal
-    // ready times.
-    std::stable_sort(survivors->begin(), survivors->end(),
-                     [](const Survivor& a, const Survivor& b) {
-                       return a.msg.ready_at < b.msg.ready_at;
-                     });
+    survivors->Collect(*rt.group, &collected);
     return group_error(*rt.group);
   };
 
@@ -521,24 +564,16 @@ Status GraphBuilder::Run(QueryCompiler* compiler, QueryResult* result) {
   // One stage per core at a time: every core first runs its share of the
   // build-side filter stages, one after another, then its builds. So the
   // GPUs' survivors are ready after the sockets' filters alone, not behind
-  // the sockets' own builds. Survivors still held on an early return go back
-  // to their arenas.
-  struct HeldSurvivors {
-    System* system;
-    std::vector<std::vector<Survivor>> by_build;
-    ~HeldSurvivors() {
-      for (auto& survivors : by_build) {
-        for (Survivor& sv : survivors) ReleaseMsgBlocks(system, sv.msg, sv.node);
-      }
-    }
-  } held{system_, std::vector<std::vector<Survivor>>(exec_builds.size())};
+  // the sockets' own builds.
+  std::deque<Replay> survivors;
   std::vector<BuildPipelines> build_pipelines(exec_builds.size());
   for (size_t b = 0; b < exec_builds.size(); ++b) {
+    survivors.emplace_back(system_);
     build_pipelines[b] = CompileBuildPipelines(*exec_builds[b], compiler);
     if (exec_builds[b]->filter_stage < 0) continue;
     HETEX_RETURN_NOT_OK(run_build_filter(
         analysis_.build_filter_stages[exec_builds[b]->filter_stage],
-        std::move(build_pipelines[b].filter), &held.by_build[b]));
+        std::move(build_pipelines[b].filter), &survivors[b]));
   }
 
   for (size_t b = 0; b < exec_builds.size(); ++b) {
@@ -584,12 +619,7 @@ Status GraphBuilder::Run(QueryCompiler* compiler, QueryResult* result) {
       // instance inserts which block, and the order in which each GPU link
       // is reserved, depend only on data and plan.
       rt.group->Start();
-      rt.edge->AddProducer();
-      for (Survivor& sv : held.by_build[b]) {
-        rt.edge->Push(std::move(sv.msg), sv.node);
-      }
-      held.by_build[b].clear();
-      rt.edge->CloseProducer();
+      survivors[b].Into(rt.edge.get());
     }
     rt.group->Join();
     result->stats.Add(rt.group->total_stats());
@@ -631,9 +661,9 @@ Status GraphBuilder::Run(QueryCompiler* compiler, QueryResult* result) {
   // Each probe instance starts when the replicas on its own unit are ready
   // (built here, or attached), so CPU sockets need not idle while the GPUs'
   // tables still cross PCIe; the load-balance router steers early fact blocks
-  // to the instances already running. Every other fact-side clock — the
-  // segmenter, filter and gather stages — starts at the earliest probe unit's
-  // start.
+  // to the instances already running. The segmenter's and a split plan's
+  // filter stage's clocks start at the earliest probe unit's start; the
+  // merge starts per core, once the probes ended.
   auto unit_ready = [&](sim::DeviceId dev) {
     auto it = replica_ready.find(dev);
     return sim::MaxT(init_clock,
@@ -682,25 +712,47 @@ Status GraphBuilder::Run(QueryCompiler* compiler, QueryResult* result) {
 
   // -------------------------------------------------------------- fact stages
   std::vector<CompiledPipeline> pipelines = CompileFactPipelines(compiler);
+  // AnalyzePlan: the gather merges the partials of the probe stage below it.
+  const plan::Stage& merge = analysis_.fact_stages.front();
+  const plan::Stage& probe = analysis_.fact_stages[1];
+  const std::vector<sim::VTime> probe_starts = starts[1];
+  std::map<plan::Core, int> probe_on;  // core -> its probe instance
+  for (size_t k = 0; k < probe.cores.size(); ++k) {
+    probe_on[probe.cores[k]] = static_cast<int>(k);
+  }
 
-  // Instantiation runs consumer→producer: each group needs its downstream edge,
-  // each edge needs its consumer group's instances.
+  // A merge instance runs on its core after the core's probe instance, so
+  // only a merge core that no probe instance occupies adds a worker.
   SocketWorkers fact_workers;
-  for (const plan::Stage& stage : analysis_.fact_stages) {
-    CountWorkers(stage, /*concurrent=*/true, &fact_workers);
+  for (size_t i = 1; i < n_fact; ++i) {
+    CountWorkers(analysis_.fact_stages[i], /*concurrent=*/true, &fact_workers);
+  }
+  for (size_t k = 0; k < merge.cores.size(); ++k) {
+    if (merge.instances[k].is_cpu() && probe_on.count(merge.cores[k]) == 0) {
+      fact_workers[merge.instances[k].index] += 1;
+    }
   }
   DramPhaseGuard dram(&system_->topology(), session, fact_workers,
                       phase_boundary);
+
+  // The producer stages, instantiated consumer→producer (each group needs
+  // its downstream edge, each edge its consumer group's instances): the probe
+  // stage, which collects its partial groups split into one hash partition
+  // per merge instance, then a split plan's filter stage.
+  std::vector<std::vector<DataMsg>> collected(probe.instances.size());
+  Replay partials(system_);
   std::vector<RuntimeStage> stages;
   Edge* downstream = nullptr;
-  for (size_t i = 0; i < n_fact; ++i) {
+  for (size_t i = 1; i < n_fact; ++i) {
     const plan::Stage& stage = analysis_.fact_stages[i];
     RuntimeStage rt;
     rt.cfg = make_config(stage);
     rt.cfg->pipeline = std::move(pipelines[i]);
     rt.cfg->out = downstream;
-    if (stage.span().role == plan::StageRole::kFilterStage &&
-        downstream != nullptr) {
+    if (i == 1) {
+      rt.cfg->collect = &collected;
+      rt.cfg->n_buckets = static_cast<int>(merge.instances.size());
+    } else if (stage.span().role == plan::StageRole::kFilterStage) {
       rt.cfg->n_buckets = downstream->num_consumers();
     }
     rt.group = std::make_unique<WorkerGroup>(
@@ -725,19 +777,53 @@ Status GraphBuilder::Run(QueryCompiler* compiler, QueryResult* result) {
     if (rt.source != nullptr) rt.source->Join();
   }
   for (auto it = stages.rbegin(); it != stages.rend(); ++it) it->group->Join();
-  for (auto& rt : stages) {
-    Status st = group_error(*rt.group);
-    if (!st.ok()) {
-      for (auto& rt2 : stages) result->stats.Add(rt2.group->total_stats());
-      return st;
-    }
+  WorkerGroup& probe_group = *stages.front().group;
+  partials.Collect(probe_group, &collected);
+  for (auto& rt : stages) result->stats.Add(rt.group->total_stats());
+  for (auto& rt : stages) HETEX_RETURN_NOT_OK(group_error(*rt.group));
+
+  for (int k = 0; k < probe_group.size(); ++k) {
+    const sim::VTime end = probe_group.instance(k).clock();
+    result->probes.push_back(
+        {probe.cores[k].unit, probe.cores[k].ordinal, probe_starts[k], end});
+    result->probe_end = sim::MaxT(result->probe_end, end);
   }
 
+  // The merge: instance k starts on its core when the core's probe instance
+  // ended (one stage per core at a time, plan::Core), or with the fact phase
+  // on a core without one, and takes its partition of the partials in
+  // replay order. The stream ends at the latest probe end, so the merge
+  // never ends before its last producer, even one with no partials.
+  RuntimeStage rt;
+  rt.cfg = make_config(merge);
+  rt.cfg->pipeline = std::move(pipelines[0]);
+  std::vector<sim::VTime> merge_starts;
+  for (const plan::Core& core : merge.cores) {
+    auto it = probe_on.find(core);
+    merge_starts.push_back(it != probe_on.end()
+                               ? probe_group.instance(it->second).clock()
+                               : fact_start);
+  }
+  rt.group = std::make_unique<WorkerGroup>(
+      system_, merge.instances, FactoryFor(rt.cfg.get()), nullptr,
+      channel_capacity, merge_starts, session.epoch, session.query_id, control);
+  rt.edge = make_edge(merge, *rt.group);
+  result->partial_rows = partials.rows();
+  rt.group->Start();
+  partials.Into(rt.edge.get());
+  rt.group->Join();
+  result->stats.Add(rt.group->total_stats());
+  HETEX_RETURN_NOT_OK(group_error(*rt.group));
+
   result->rows = sink.TakeRows();
-  result->modeled_seconds =
-      sim::MaxT(sink.done_at(), stages.front().group->max_end());
+  std::sort(result->rows.begin(), result->rows.end());
+  for (int k = 0; k < rt.group->size(); ++k) {
+    result->merges.push_back({merge.cores[k].unit, merge.cores[k].ordinal,
+                              merge_starts[k], rt.group->instance(k).clock(),
+                              sink.emitted(k)});
+  }
+  result->modeled_seconds = sim::MaxT(sink.done_at(), rt.group->max_end());
   dram.Close([&](int) { return result->modeled_seconds; });
-  for (auto& rt : stages) result->stats.Add(rt.group->total_stats());
   return Status::OK();
 }
 

@@ -23,7 +23,8 @@ namespace hetex::core {
 /// Edge per exchange (EdgeOptions) and a SourceDriver per segmenter, and
 /// orchestrates the phased execution (builds one join after another on each
 /// unit — a filter-fed build after its filter stage — then the fact graph,
-/// each probe instance gated on the hash-table replicas of its own unit). Any
+/// each probe instance gated on the hash-table replicas of its own unit, then
+/// the merge of the partials' hash partitions on the probes' cores). Any
 /// plan shape whose spans classify — split filter/probe stages, per-edge
 /// policy/placement/granularity mutations — runs without executor changes.
 ///

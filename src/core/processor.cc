@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/hash.h"
 #include "common/logging.h"
 #include "jit/device_provider.h"
 
@@ -39,10 +40,16 @@ class VmProcessor : public BlockProcessor {
   /// Moves a filled bucket into pending_ as a DataMsg (ready_at patched later).
   void StashBucket(PackBucket& bucket);
   void PushPending(WorkerInstance& inst, sim::VTime ready_at);
-  /// Packs arbitrary rows (partials, group dumps) into blocks and pushes them.
+  /// Hands one output message downstream: into the collection, or the edge.
+  void Ship(WorkerInstance& inst, DataMsg msg);
+  /// Packs the partial groups of one merge partition (`tag`) into blocks
+  /// and ships them.
   void EmitRowsDownstream(WorkerInstance& inst,
                           const std::vector<std::vector<int64_t>>& rows,
-                          sim::VTime ready_at);
+                          uint64_t tag, sim::VTime ready_at);
+  /// Rows of this instance's group-by table (key, aggregates...), or of its
+  /// scalar accumulators.
+  std::vector<std::vector<int64_t>> AggregateRows() const;
 
   const StageConfig* cfg_;
   std::shared_ptr<const jit::PipelineProgram> program_;
@@ -54,6 +61,7 @@ class VmProcessor : public BlockProcessor {
   std::vector<std::unique_ptr<PackBucket>> buckets_;
   std::vector<DataMsg> pending_;
   std::unique_ptr<std::byte[]> scratch_;  ///< failed-refill write target
+  bool merged_ = false;  ///< gather: merged at least one partial message
 };
 
 void VmProcessor::Init(WorkerInstance& inst) {
@@ -172,21 +180,26 @@ void VmProcessor::StashBucket(PackBucket& bucket) {
   pending_.push_back(std::move(msg));
 }
 
+void VmProcessor::Ship(WorkerInstance& inst, DataMsg msg) {
+  if (cfg_->collect != nullptr) {
+    (*cfg_->collect)[inst.id()].push_back(std::move(msg));
+  } else {
+    cfg_->out->Push(std::move(msg), inst.node());
+  }
+}
+
 void VmProcessor::PushPending(WorkerInstance& inst, sim::VTime ready_at) {
   for (auto& msg : pending_) {
     msg.ready_at = ready_at;
     for (auto& h : msg.cols) h.ready_at = ready_at;
-    if (cfg_->collect != nullptr) {
-      (*cfg_->collect)[inst.id()].push_back(std::move(msg));
-    } else {
-      cfg_->out->Push(std::move(msg), inst.node());
-    }
+    Ship(inst, std::move(msg));
   }
   pending_.clear();
 }
 
 void VmProcessor::ProcessMsg(WorkerInstance& inst, DataMsg& msg) {
   if (!inst.error().ok()) return;  // already failed: drain without executing
+  merged_ = true;
   const auto& pipeline = cfg_->pipeline;
   HETEX_CHECK(msg.cols.size() == pipeline.input_cols.size())
       << "schema mismatch in " << program_->label << ": got " << msg.cols.size()
@@ -275,7 +288,7 @@ void VmProcessor::ProcessMsg(WorkerInstance& inst, DataMsg& msg) {
 
 void VmProcessor::EmitRowsDownstream(WorkerInstance& inst,
                                      const std::vector<std::vector<int64_t>>& rows,
-                                     sim::VTime ready_at) {
+                                     uint64_t tag, sim::VTime ready_at) {
   if (rows.empty()) return;
   const auto schema_width = rows[0].size();
   const uint64_t cap = BucketCapacityRows();
@@ -285,6 +298,7 @@ void VmProcessor::EmitRowsDownstream(WorkerInstance& inst,
     DataMsg msg;
     msg.rows = n;
     msg.ready_at = ready_at;
+    msg.tag = tag;
     std::vector<memory::Block*> blocks;
     for (size_t c = 0; c < schema_width; ++c) {
       memory::Block* block = inst.provider().GetBuffer();
@@ -305,9 +319,31 @@ void VmProcessor::EmitRowsDownstream(WorkerInstance& inst,
       msg.cols.push_back(h);
       blocks.push_back(block);
     }
-    cfg_->out->Push(std::move(msg), inst.node());
+    Ship(inst, std::move(msg));
     next += n;
   }
+}
+
+std::vector<std::vector<int64_t>> VmProcessor::AggregateRows() const {
+  std::vector<std::vector<int64_t>> rows;
+  if (agg_ht_ != nullptr) {
+    agg_ht_->ForEach([&](int64_t key, const int64_t* accs) {
+      std::vector<int64_t> row;
+      row.push_back(key);
+      for (int i = 0; i < cfg_->pipeline.n_group_vals; ++i) row.push_back(accs[i]);
+      rows.push_back(std::move(row));
+    });
+  } else if (program_->n_local_accs > 0) {
+    // GPU instances accumulate into device-resident shared state.
+    std::vector<int64_t> row;
+    for (int i = 0; i < program_->n_local_accs; ++i) {
+      row.push_back(shared_accs_ != nullptr
+                        ? shared_accs_[i].load(std::memory_order_relaxed)
+                        : instance_accs_[i]);
+    }
+    rows.push_back(std::move(row));
+  }
+  return rows;
 }
 
 void VmProcessor::Finish(WorkerInstance& inst) {
@@ -344,57 +380,39 @@ void VmProcessor::Finish(WorkerInstance& inst) {
     }
 
     case plan::StageRole::kProbe: {
-      // Pipeline breaker: ship this instance's partial aggregates downstream
-      // (the paper's pipelines 3/8: read local reduction, insert into the
-      // gpu2cpu queue / router).
-      std::vector<std::vector<int64_t>> partials;
-      if (agg_ht_ != nullptr) {
-        agg_ht_->ForEach([&](int64_t key, const int64_t* accs) {
-          std::vector<int64_t> row;
-          row.push_back(key);
-          for (int i = 0; i < cfg_->pipeline.n_group_vals; ++i) {
-            row.push_back(accs[i]);
-          }
-          partials.push_back(std::move(row));
-        });
-      } else if (program_->n_local_accs > 0) {
-        std::vector<int64_t> row;
-        for (int i = 0; i < program_->n_local_accs; ++i) {
-          row.push_back(shared_accs_ != nullptr
-                            ? shared_accs_[i].load(std::memory_order_relaxed)
-                            : instance_accs_[i]);
-        }
-        partials.push_back(std::move(row));
+      // Pipeline breaker: ship this instance's partial aggregates to the
+      // merge (the paper's pipelines 3/8: read local reduction, insert into
+      // the gpu2cpu queue / router), split by group hash into one partition
+      // per merge instance so each group meets on exactly one of them. The
+      // split's hash is charged as compute; a scalar aggregate, or a single
+      // merge instance, ships one unsplit partition.
+      std::vector<std::vector<int64_t>> partials = AggregateRows();
+      const int parts = cfg_->n_buckets;
+      if (agg_ht_ == nullptr || parts <= 1) {
+        EmitRowsDownstream(inst, partials, 0, inst.clock());
+        break;
       }
-      EmitRowsDownstream(inst, partials, inst.clock());
+      std::vector<std::vector<std::vector<int64_t>>> by_part(parts);
+      for (auto& row : partials) {
+        by_part[MergePartition(row[0], parts)].push_back(std::move(row));
+      }
+      sim::CostStats hash;
+      hash.ops = partials.size();
+      const sim::CostModel& cm = inst.system().cost_model();
+      inst.stats().Add(hash);
+      inst.set_clock(inst.clock() +
+                     cm.ComputeTime(hash, is_gpu(inst) ? cm.gpu : cm.cpu));
+      for (int k = 0; k < parts && inst.error().ok(); ++k) {
+        EmitRowsDownstream(inst, by_part[k], static_cast<uint64_t>(k), inst.clock());
+      }
       break;
     }
 
     case plan::StageRole::kGather: {
+      // One merge instance of several emits only the groups it merged: a
+      // scalar aggregate's partials all reach instance 0.
       HETEX_CHECK(cfg_->result != nullptr);
-      if (agg_ht_ != nullptr) {
-        std::vector<std::vector<int64_t>> rows;
-        agg_ht_->ForEach([&](int64_t key, const int64_t* accs) {
-          std::vector<int64_t> row;
-          row.push_back(key);
-          for (int i = 0; i < cfg_->pipeline.n_group_vals; ++i) {
-            row.push_back(accs[i]);
-          }
-          rows.push_back(std::move(row));
-        });
-        std::sort(rows.begin(), rows.end());
-        for (auto& row : rows) cfg_->result->AddRow(std::move(row), inst.clock());
-      } else if (program_->n_local_accs > 0) {
-        // GPU-placed gathers accumulate into device-resident shared state
-        // (same split as the kProbe partials path above).
-        std::vector<int64_t> row;
-        for (int i = 0; i < program_->n_local_accs; ++i) {
-          row.push_back(shared_accs_ != nullptr
-                            ? shared_accs_[i].load(std::memory_order_relaxed)
-                            : instance_accs_[i]);
-        }
-        cfg_->result->AddRow(std::move(row), inst.clock());
-      }
+      if (merged_) cfg_->result->AddRows(inst.id(), AggregateRows(), inst.clock());
       break;
     }
   }
@@ -413,6 +431,11 @@ void VmProcessor::Finish(WorkerInstance& inst) {
 
 std::unique_ptr<BlockProcessor> MakeVmProcessor(const StageConfig* config) {
   return std::make_unique<VmProcessor>(config);
+}
+
+int MergePartition(int64_t group_key, int partitions) {
+  return static_cast<int>(HashMix64(static_cast<uint64_t>(group_key)) %
+                          static_cast<uint64_t>(partitions));
 }
 
 }  // namespace hetex::core

@@ -31,9 +31,10 @@ struct StageConfig {
   HtRegistry* hts = nullptr;
   Edge* out = nullptr;          ///< downstream edge (null for gather)
   ResultSink* result = nullptr; ///< gather only
-  /// Build-side filter stages: instance i appends its packed output to
-  /// (*collect)[i] instead of pushing it into `out`; GraphBuilder replays the
-  /// blocks into the build's broadcast in a fixed order.
+  /// Build-side filter stages and probe stages: instance i appends its packed
+  /// output (survivors, or partial groups) to (*collect)[i] instead of
+  /// pushing it into `out`; GraphBuilder replays the blocks into the next
+  /// stage's edge in a fixed order.
   std::vector<std::vector<DataMsg>>* collect = nullptr;
 
   /// Build stages: the join replica of each unit, created once before the
@@ -47,7 +48,10 @@ struct StageConfig {
 
   // Emit configuration.
   uint64_t block_bytes = 1ull << 20;
-  int n_buckets = 1;            ///< hash-pack buckets (>1 only for kFilterStage)
+  /// Hash-pack buckets: a split plan's filter stage packs one per probe
+  /// instance, a probe stage splits its partial groups into one per merge
+  /// instance (MergePartition).
+  int n_buckets = 1;
 
   // Bare-GPU (UVA) mode: kernels may read host-resident blocks over PCIe;
   // their streamed bytes reserve occupancy on the GPU's link BandwidthServer.
@@ -56,6 +60,10 @@ struct StageConfig {
 
 /// Creates the block processor for one instance of a stage.
 std::unique_ptr<BlockProcessor> MakeVmProcessor(const StageConfig* config);
+
+/// The merge instance, of `partitions`, that owns `group_key`: every probe
+/// instance sends a group's partial to the same one.
+int MergePartition(int64_t group_key, int partitions);
 
 }  // namespace hetex::core
 

@@ -40,9 +40,18 @@ Edge::Edge(System* system, Options options, std::vector<WorkerInstance*> consume
   }
 }
 
-void Edge::CloseProducer() {
+void Edge::CloseProducer(sim::VTime at) {
+  sim::VTime closed_at;
+  {
+    std::lock_guard<std::mutex> lock(close_mu_);
+    closed_at_ = sim::MaxT(closed_at_, at);
+    closed_at = closed_at_;
+  }
   if (producers_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    for (WorkerInstance* c : consumers_) c->channel().Close();
+    for (WorkerInstance* c : consumers_) {
+      c->NoteInputClosed(closed_at);
+      c->channel().Close();
+    }
   }
 }
 
@@ -246,17 +255,21 @@ void Edge::Push(DataMsg msg, sim::MemNodeId producer_node) {
       break;
     }
     case plan::RouterPolicy::kLoadBalance: {
-      // GPU-resident blocks go to their local GPU (avoids absurd device->host->
-      // device round trips); everything else goes to the least-backlogged
-      // consumer in virtual time.
+      // A GPU-resident block goes to its own GPU when that GPU is a consumer
+      // (no device->host->device round trip); every other block, and one
+      // whose GPU is not a consumer, goes to the least-backlogged consumer in
+      // virtual time.
       const sim::MemNodeId node = msg.cols.empty() ? -1 : msg.cols[0].node();
-      const bool gpu_resident = node >= 0 && topo.mem_node(node).is_gpu;
+      const bool pinned =
+          node >= 0 && topo.mem_node(node).is_gpu &&
+          std::any_of(consumers_.begin(), consumers_.end(),
+                      [&](const WorkerInstance* c) { return c->node() == node; });
       uint64_t msg_bytes = 0;
       for (const auto& h : msg.cols) msg_bytes += h.bytes;
       const sim::CostModel& cm = topo.cost_model();
       double best = 0;
       for (WorkerInstance* c : consumers_) {
-        if (gpu_resident && c->node() != node) continue;
+        if (pinned && c->node() != node) continue;
         // Bandwidth-based prior: a GPU consumer of non-local data is PCIe-bound;
         // a CPU worker streams at (at best) one core's share of its socket.
         double prior_rate = cm.cpu_core_bw;
@@ -270,7 +283,6 @@ void Edge::Push(DataMsg msg, sim::MemNodeId producer_node) {
           best = backlog;
         }
       }
-      if (target == nullptr) target = consumers_[0];
       break;
     }
     case plan::RouterPolicy::kBroadcast:
@@ -344,8 +356,10 @@ void WorkerGroup::RunInstance(WorkerInstance& inst) {
     inst.NoteDone();
     ReleaseMsgBlocks(system_, *msg, inst.node());
   }
+  // End of stream: the instance cannot flush before its last producer closed.
+  inst.AdvanceTo(inst.input_closed_at());
   processor->Finish(inst);
-  if (out_ != nullptr) out_->CloseProducer();
+  if (out_ != nullptr) out_->CloseProducer(inst.clock());
 }
 
 void WorkerGroup::Join() {
@@ -418,7 +432,7 @@ void SourceDriver::Run() {
       out_->Push(std::move(msg), producer_node);
     }
   }
-  out_->CloseProducer();
+  out_->CloseProducer(clock_);
 }
 
 }  // namespace hetex::core

@@ -125,6 +125,12 @@ class WorkerInstance {
   /// (default: its own); it must outlive the instance.
   void ShareBlockCost(std::atomic<double>* cost) { block_cost_ = cost; }
 
+  /// End of this instance's input stream: the latest clock at which one of
+  /// its edge's producers closed. Set by the last producer to close, before
+  /// the channel closes, so the instance reads it once Pop() has drained.
+  sim::VTime input_closed_at() const { return input_closed_at_; }
+  void NoteInputClosed(sim::VTime at) { input_closed_at_ = at; }
+
  private:
   int id_;
   sim::DeviceId device_;
@@ -137,6 +143,7 @@ class WorkerInstance {
   std::atomic<int> pending_{0};
   std::atomic<double> own_block_cost_{0};
   std::atomic<double>* block_cost_ = &own_block_cost_;
+  sim::VTime input_closed_at_ = 0;
   sim::CostStats stats_;
   Status error_;
 };
@@ -155,10 +162,12 @@ class Edge {
  public:
   struct Options {
     /// kRoundRobin: strict rotation (deterministic). kLoadBalance: least
-    /// virtual-time backlog; GPU-local blocks prefer their local GPU. kHash:
-    /// consumer = tag % consumers (requires hash-packed blocks). kBroadcast:
-    /// every consumer receives every message. kUnion routes like kRoundRobin
-    /// (it funnels every producer into one consumer set).
+    /// virtual-time backlog; a GPU-resident block goes to its own GPU when
+    /// that GPU is a consumer, and is balanced over every consumer when it
+    /// is not. kHash: consumer = tag % consumers (requires hash-packed
+    /// blocks). kBroadcast: every consumer receives every message. kUnion
+    /// routes like kRoundRobin (it funnels every producer into one consumer
+    /// set).
     plan::RouterPolicy policy = plan::RouterPolicy::kLoadBalance;
     bool mem_move = true;            ///< insert the mem-move data-flow half
     double control_cost = 100e-9;    ///< router control-plane cost per message
@@ -188,7 +197,11 @@ class Edge {
   /// Registers a producer; the edge closes consumer channels once every producer
   /// called CloseProducer().
   void AddProducer() { producers_.fetch_add(1, std::memory_order_relaxed); }
-  void CloseProducer();
+  /// Ends one producer's stream at its session-local clock `at`. Once the
+  /// last producer closed, every consumer learns the latest such clock
+  /// (WorkerInstance::input_closed_at): no consumer finishes before its
+  /// last producer has closed.
+  void CloseProducer(sim::VTime at = 0);
 
   /// Routes one message. `producer_node` identifies the pushing pipeline's
   /// memory node (block-manager batching is keyed by it).
@@ -212,6 +225,8 @@ class Edge {
   /// per consumer unless Options::unit_broadcast).
   std::vector<std::vector<int>> broadcast_groups_;
   std::atomic<int> producers_{0};
+  std::mutex close_mu_;
+  sim::VTime closed_at_ = 0;  ///< latest producer close so far
   std::atomic<uint64_t> rr_next_{0};
   /// Unit broadcast: each consumer's start time and the rows routed to it.
   std::mutex broadcast_mu_;
@@ -305,12 +320,14 @@ class SourceDriver {
   bool started_ = false;
 };
 
-/// Collects final result rows with a virtual-time watermark.
+/// Collects final result rows with a virtual-time watermark, and how many
+/// rows each merge instance emitted.
 class ResultSink {
  public:
-  void AddRow(std::vector<int64_t> row, sim::VTime t) {
+  void AddRows(int instance, std::vector<std::vector<int64_t>> rows, sim::VTime t) {
     std::lock_guard<std::mutex> lock(mu_);
-    rows_.push_back(std::move(row));
+    emitted_[instance] += rows.size();
+    for (auto& row : rows) rows_.push_back(std::move(row));
     done_at_ = sim::MaxT(done_at_, t);
   }
 
@@ -322,10 +339,16 @@ class ResultSink {
     std::lock_guard<std::mutex> lock(mu_);
     return done_at_;
   }
+  uint64_t emitted(int instance) const {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = emitted_.find(instance);
+    return it != emitted_.end() ? it->second : 0;
+  }
 
  private:
   mutable std::mutex mu_;
   std::vector<std::vector<int64_t>> rows_;
+  std::map<int, uint64_t> emitted_;
   sim::VTime done_at_ = 0;
 };
 

@@ -432,7 +432,7 @@ Result<PlanAnalysis> AnalyzePlan(const HetPlan& plan, const sim::Topology& topo)
         }
         break;
       case StageRole::kGather:
-        if (producer != nullptr && *producer != StageRole::kProbe) {
+        if (producer == nullptr || *producer != StageRole::kProbe) {
           return Status::Unsupported("gather stage must consume probe partials");
         }
         break;

@@ -19,7 +19,7 @@ enum class StageRole {
   kFilterStage,  ///< filter + pack emit: stage A of a split plan (hash-pack),
                  ///< or a build-side filter stage (span join id >= 0)
   kProbe,        ///< fused filter/probe/local-aggregate stage
-  kGather,       ///< global merge of partials, writes the result
+  kGather,       ///< merge of the partials' hash partitions, writes the result
 };
 
 const char* StageRoleName(StageRole role);

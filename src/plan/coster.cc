@@ -695,21 +695,48 @@ Result<CostEstimate> PlanCoster::Cost(const HetPlan& plan) const {
     latency_constants += stage.in.crossing_latency;
 
     if (role == StageRole::kGather) {
-      // Partial-aggregate merge: one row per group per probe instance (scalar
-      // aggregation: one row per instance).
+      // The partitioned merge. Each probe instance ships one row per group
+      // it saw (a scalar aggregate: one row), split by group hash into one
+      // partition per merge instance when there are several; the last
+      // producer's split is on the tail. Merge instance k merges a 1/P share
+      // of all partials at its P-way share of its socket's bandwidth.
       const double cap = spec_->group_by.empty()
                              ? 1.0
                              : static_cast<double>(spec_->expected_groups);
       double partials = 0;
-      for (double r : probe_out_rows) partials += std::min(cap, std::max(r, 1.0));
+      double most = 0;  // one producer's partials
+      for (double r : probe_out_rows) {
+        const double rows = std::min(cap, std::max(r, 1.0));
+        partials += rows;
+        most = std::max(most, rows);
+      }
       if (probe_out_rows.empty()) partials = 1;
+      const size_t merges = stage.instances.size();
       Profile p;
       p.bytes_read = 8.0 * (1 + static_cast<double>(n_aggs));
       p.ops = static_cast<double>(n_aggs) + 2;
       if (!spec_->group_by.empty()) p.AddAccess(cm, agg_ht_bytes, 1);
-      const sim::CostStats s = p.Scale(partials);
+      const sim::CostStats share = p.Scale(partials / static_cast<double>(merges));
+      std::map<int, int> socket_merges;
+      for (const auto& dev : stage.instances) {
+        if (dev.is_cpu()) socket_merges[dev.index] += 1;
+      }
+      sim::VTime merge = 0;
+      for (const auto& dev : stage.instances) {
+        merge = sim::MaxT(
+            merge, dev.is_cpu()
+                       ? cm.WorkCost(share, cm.cpu,
+                                     std::min(cm.cpu_core_bw,
+                                              cm.cpu_socket_bw /
+                                                  socket_merges[dev.index]))
+                       : cm.WorkCost(share, cm.gpu, cm.gpu_mem_bw));
+      }
+      sim::CostStats split;
+      if (merges > 1 && !spec_->group_by.empty()) {
+        split.ops = static_cast<uint64_t>(std::llround(most));
+      }
       est.gather =
-          cm.WorkCost(s, cm.cpu, cm.cpu_core_bw) +
+          cm.ComputeTime(split, cm.cpu) + merge +
           static_cast<double>(probe_out_rows.size()) * stage.in.control_cost;
       continue;
     }

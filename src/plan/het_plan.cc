@@ -327,7 +327,11 @@ HetPlan BuildHetPlan(const QuerySpec& spec, const ExecPolicy& policy,
                                               : Kind::kGroupByLocal,
                         dev_type, "", {chain}, dop),
                   instances);
-    chain = place(b.Add(Kind::kPack, dev_type, "partials", {chain}, dop), instances);
+    chain = place(b.Add(Kind::kHashPack, dev_type,
+                        spec.group_by.empty() ? "partials"
+                                              : "partials by hash(group key)",
+                        {chain}, dop),
+                  instances);
     if (dev_type == kGpu) {
       chain = b.Add(Kind::kGpu2Cpu, kCpu, "async device->host queue", {chain}, dop);
       plan.node(chain).crossing_latency = cm.task_spawn_latency;
@@ -401,11 +405,23 @@ HetPlan BuildHetPlan(const QuerySpec& spec, const ExecPolicy& policy,
     }
   }
 
+  // Partitioned merge: a hash router hands each merge instance one hash
+  // partition of the partial groups. There is one merge instance per CPU
+  // probe instance on the gather socket, each run on that instance's core
+  // once its probe ended. A scalar aggregate, a bare plan or a gather socket
+  // without CPU probe instances merges on one.
+  const sim::DeviceId gather_unit = sim::DeviceId::Cpu(layout.gather_socket);
+  int merge_dop = 1;
+  if (layout.routers_present && !spec.group_by.empty()) {
+    merge_dop = std::max<int>(
+        1, static_cast<int>(std::count(cpu_instances.begin(), cpu_instances.end(),
+                                       gather_unit)));
+  }
   int top;
   if (layout.routers_present) {
-    top = b.Add(Kind::kRouter, kCpu, "policy=union", std::move(branch_tops));
-    stamp_router(top, RouterPolicy::kUnion);
-    top = b.Add(Kind::kMemMove, kCpu, "partials to gather", {top});
+    top = b.Add(Kind::kRouter, kCpu, "policy=hash", std::move(branch_tops), merge_dop);
+    stamp_router(top, RouterPolicy::kHash);
+    top = b.Add(Kind::kMemMove, kCpu, "partials to merge", {top}, merge_dop);
   } else {
     HETEX_CHECK(branch_tops.size() == 1);
     top = branch_tops[0];
@@ -413,8 +429,8 @@ HetPlan BuildHetPlan(const QuerySpec& spec, const ExecPolicy& policy,
   top = place(b.Add(Kind::kGather, kCpu,
                     spec.group_by.empty() ? "global reduce"
                                           : "global group-by merge",
-                    {top}),
-              {sim::DeviceId::Cpu(layout.gather_socket)});
+                    {top}, merge_dop),
+              std::vector<sim::DeviceId>(merge_dop, gather_unit));
   plan.root = b.Add(Kind::kResult, kCpu, spec.name, {top});
   return plan;
 }
@@ -541,6 +557,25 @@ Status ValidateHetPlan(const HetPlan& plan) {
             "rule 3: " + node_ref(i, n) + " is not marked UVA and has no "
             "mem-move fixing locality below (found " +
             node_ref(static_cast<size_t>(n.children.at(0)), below) + ")");
+      }
+    }
+
+    // Rule 4, merge side: a gather with several merge instances owns one
+    // hash partition of the partial groups each, so only a hash router may
+    // feed it; any other policy would merge one group on two instances.
+    if (n.kind == Kind::kGather && n.placement.size() > 1) {
+      int c = n.children.empty() ? -1 : n.children[0];
+      for (size_t steps = 0;
+           c >= 0 && plan.node(c).kind == Kind::kMemMove && steps < plan.nodes.size();
+           ++steps) {
+        c = plan.node(c).children.empty() ? -1 : plan.node(c).children[0];
+      }
+      if (c < 0 || plan.node(c).kind != Kind::kRouter ||
+          plan.node(c).policy != RouterPolicy::kHash) {
+        return Status::Internal(
+            "rule 4: " + node_ref(i, n) + " runs " +
+            std::to_string(n.placement.size()) +
+            " merge instances but is not fed by a hash router");
       }
     }
 

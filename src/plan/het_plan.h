@@ -20,7 +20,7 @@ struct Layout {
   /// participating CPU socket plus one per participating GPU.
   std::vector<sim::DeviceId> build_units;
 
-  /// Socket hosting the final gather/global-reduce instance.
+  /// Socket hosting the merge of partial aggregates (the gather instances).
   int gather_socket = 0;
 
   bool routers_present = true;   ///< false in bare (no-HetExchange) mode
@@ -113,7 +113,8 @@ HetPlan BuildHetPlan(const QuerySpec& spec, const ExecPolicy& policy,
 ///  2. every CPU->GPU (GPU->CPU) boundary is a Cpu2Gpu (Gpu2Cpu) operator;
 ///  3. a MemMove precedes every device-crossing into a GPU pipeline (relational
 ///     operators must be data-location agnostic);
-///  4. hash-policy routers are fed by hash-packs (block hash-homogeneity).
+///  4. hash-policy routers are fed by hash-packs (block hash-homogeneity),
+///     and a gather with several merge instances by a hash router.
 Status ValidateHetPlan(const HetPlan& plan);
 
 /// Checks that a policy's device placement exists on the topology before the

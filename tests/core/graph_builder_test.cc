@@ -73,9 +73,13 @@ TEST_F(GraphBuilderTest, CpuOnlyLoweringMatchesPlan) {
   EXPECT_FALSE(GraphBuilder::EdgeOptions(lowered.fact_stages[1]).unit_broadcast);
 
   // Fused plan: gather + probe stages; probe DOP = the fact router's fanout.
+  // The merge runs one instance per probe worker on the gather socket, fed
+  // by a hash router.
   ASSERT_EQ(lowered.fact_stages.size(), 2u);
   EXPECT_EQ(lowered.fact_stages[0].span().role, plan::StageRole::kGather);
-  EXPECT_EQ(lowered.fact_stages[0].instances.size(), 1u);
+  EXPECT_EQ(lowered.fact_stages[0].instances.size(), 2u);
+  EXPECT_EQ(GraphBuilder::EdgeOptions(lowered.fact_stages[0]).policy,
+            plan::RouterPolicy::kHash);
   EXPECT_EQ(lowered.fact_stages[1].span().role, plan::StageRole::kProbe);
   EXPECT_EQ(lowered.fact_stages[1].instances.size(), 4u);
   for (const auto& dev : lowered.fact_stages[1].instances) {
@@ -99,12 +103,13 @@ TEST_F(GraphBuilderTest, GpuOnlyLoweringMatchesPlan) {
   const plan::Stage& probe = lowered.fact_stages[1];
   EXPECT_EQ(probe.instances.size(), 2u);  // both GPUs of the test topology
   for (const auto& dev : probe.instances) EXPECT_TRUE(dev.is_gpu());
-  // The device->host partials crossing stamps its latency on the union edge,
-  // which rotates its single consumer like round-robin.
+  // The device->host partials crossing stamps its latency on the merge's
+  // hash edge; with no CPU probe worker the merge has one instance.
   const Edge::Options gather_edge =
       GraphBuilder::EdgeOptions(lowered.fact_stages[0]);
   EXPECT_GT(gather_edge.crossing_latency, 0.0);
-  EXPECT_EQ(gather_edge.policy, plan::RouterPolicy::kUnion);
+  EXPECT_EQ(gather_edge.policy, plan::RouterPolicy::kHash);
+  EXPECT_EQ(lowered.fact_stages[0].instances.size(), 1u);
   // Routers present: bring-up latency lifted from the plan stamps.
   EXPECT_GT(lowered.init_latency, 0.0);
 
@@ -206,7 +211,8 @@ TEST_F(GraphBuilderTest, HybridFiltersEachFilteredDimensionOnceOnTheHost) {
         EXPECT_EQ(build.filter_stage, -1);
         EXPECT_GE(build.in.segmenter, 0);
       }
-      EXPECT_EQ(CountKind(single_plan, HetOpNode::Kind::kPack), 1);  // partials
+      EXPECT_EQ(CountKind(single_plan, HetOpNode::Kind::kPack), 0);
+      EXPECT_EQ(CountKind(single_plan, HetOpNode::Kind::kHashPack), 1);  // partials
     }
   }
 }
@@ -362,12 +368,12 @@ TEST_F(GraphBuilderTest, InvalidPlanIsRejectedBeforeExecution) {
   const auto spec = env_.ssb->Query(1, 1);
   HetPlan plan = Plan(spec, TestEnv::Tune(ExecPolicy::CpuOnly(2)));
 
-  // Flip the union router's *stamped* policy — the field the lowering actually
+  // Flip the fact router's *stamped* policy — the field the lowering actually
   // executes — without touching the cosmetic detail string: rule 4 (hash
   // routers need hash-packed input) must reject the plan before anything runs.
   for (auto& node : plan.nodes) {
     if (node.kind == HetOpNode::Kind::kRouter &&
-        node.policy == plan::RouterPolicy::kUnion) {
+        node.policy == plan::RouterPolicy::kLoadBalance) {
       node.policy = plan::RouterPolicy::kHash;
     }
   }
@@ -403,12 +409,15 @@ TEST_F(GraphBuilderTest, PlanCycleSurfacesAsStatusNotHang) {
   const auto result = executor.ExecutePlan(spec, plan);
   EXPECT_FALSE(result.status.ok());
 
-  // Cross-stage cycle: point the fact router back at the probe span's pack, so
-  // the fact chain re-discovers the same producer top forever if unguarded.
+  // Cross-stage cycle: point the fact router back at the probe span's
+  // partials pack, so the fact chain re-discovers the same producer top
+  // forever if unguarded.
   HetPlan looped = Plan(spec, TestEnv::Tune(ExecPolicy::CpuOnly(2)));
   int pack = -1;
   for (size_t i = 0; i < looped.nodes.size(); ++i) {
-    if (looped.nodes[i].kind == HetOpNode::Kind::kPack) pack = static_cast<int>(i);
+    if (looped.nodes[i].kind == HetOpNode::Kind::kHashPack) {
+      pack = static_cast<int>(i);
+    }
   }
   ASSERT_GE(pack, 0);
   for (auto& node : looped.nodes) {
@@ -438,7 +447,7 @@ TEST_F(GraphBuilderTest, DescribeRendersStagesAndEdges) {
   const std::string s = builder.Describe();
   for (const char* expected :
        {"build stage:", "fact stage:", "gather", "probe", "policy=broadcast",
-        "policy=load-balance", "policy=union", "mem-move"}) {
+        "policy=load-balance", "policy=hash", "mem-move"}) {
     EXPECT_NE(s.find(expected), std::string::npos) << "missing " << expected;
   }
 }

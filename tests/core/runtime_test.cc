@@ -208,6 +208,92 @@ TEST_F(RuntimeTest, LoadBalanceKeepsGpuResidentBlocksLocal) {
   system_.blocks().FlushReleases();
 }
 
+TEST_F(RuntimeTest, LoadBalancePinsGpuResidentBlocksOnlyToAConsumingGpu) {
+  const sim::MemNodeId gpu1 = system_.topology().gpu(1).mem;
+  auto push_gpu_blocks = [&](Edge& edge, WorkerGroup& group, int n) {
+    group.Start();
+    edge.AddProducer();
+    for (int i = 0; i < n; ++i) {
+      memory::Block* block = system_.blocks().Acquire(gpu1, gpu1);
+      DataMsg msg;
+      msg.rows = 1;
+      memory::BlockHandle h;
+      h.block = block;
+      h.rows = 1;
+      h.bytes = 8;
+      msg.cols.push_back(h);
+      edge.Push(std::move(msg), gpu1);
+    }
+    edge.CloseProducer();
+    group.Join();
+  };
+  Edge::Options opts;
+  opts.policy = plan::RouterPolicy::kLoadBalance;
+
+  // No consumer on gpu1: its blocks are balanced over every CPU worker (each
+  // copied to the worker's socket), not all handed to the first consumer.
+  {
+    WorkerGroup group(&system_,
+                      {sim::DeviceId::Cpu(0), sim::DeviceId::Cpu(0),
+                       sim::DeviceId::Cpu(1), sim::DeviceId::Cpu(1)},
+                      Recorder(), nullptr, 8, {0.0, 0.0, 0.0, 0.0});
+    Edge edge(&system_, opts, group.instance_ptrs());
+    push_gpu_blocks(edge, group, 16);
+    for (int k = 0; k < 4; ++k) {
+      EXPECT_GT(log_.by_instance[k].size(), 0u) << "consumer " << k;
+    }
+  }
+  system_.blocks().FlushReleases();
+  log_.by_instance.clear();
+
+  // gpu1 consumes too: every gpu1-resident block stays there.
+  {
+    WorkerGroup group(&system_,
+                      {sim::DeviceId::Cpu(0), sim::DeviceId::Cpu(1),
+                       sim::DeviceId::Gpu(1)},
+                      Recorder(), nullptr, 8, {0.0, 0.0, 0.0});
+    Edge edge(&system_, opts, group.instance_ptrs());
+    push_gpu_blocks(edge, group, 6);
+    EXPECT_EQ(log_.by_instance[0].size(), 0u);
+    EXPECT_EQ(log_.by_instance[1].size(), 0u);
+    EXPECT_EQ(log_.by_instance[2].size(), 6u);
+  }
+  system_.blocks().FlushReleases();
+}
+
+TEST_F(RuntimeTest, ConsumerFinishesNoEarlierThanItsLastProducerClosed) {
+  // Three consumers: one receives a block, one receives nothing, and one
+  // starts past every producer's close.
+  WorkerGroup group(&system_,
+                    {sim::DeviceId::Cpu(0), sim::DeviceId::Cpu(1),
+                     sim::DeviceId::Cpu(0)},
+                    Recorder(), nullptr, 8, {1e-6, 2e-6, 9e-6});
+  Edge::Options opts;
+  opts.policy = plan::RouterPolicy::kRoundRobin;
+  Edge edge(&system_, opts, group.instance_ptrs());
+  group.Start();
+  edge.AddProducer();
+  edge.AddProducer();
+  const sim::MemNodeId host = system_.topology().socket(0).mem;
+  DataMsg msg;
+  msg.rows = 10;
+  memory::BlockHandle h;
+  h.block = system_.blocks().Acquire(host, host);
+  h.rows = 10;
+  h.bytes = 40;
+  msg.cols.push_back(h);
+  edge.Push(std::move(msg), host);
+  // The later producer in virtual time closes first in wall-clock time.
+  edge.CloseProducer(5e-6);
+  edge.CloseProducer(3e-6);
+  group.Join();
+  ASSERT_EQ(log_.by_instance[0].size(), 1u);
+  EXPECT_EQ(group.instance(0).clock(), 5e-6);
+  EXPECT_EQ(group.instance(1).clock(), 5e-6);
+  EXPECT_EQ(group.instance(2).clock(), 9e-6);
+  system_.blocks().FlushReleases();
+}
+
 TEST_F(RuntimeTest, MemMoveGpuToGpuStagesThroughHost) {
   // No peer access on this server: gpu0-resident blocks consumed by gpu1 hop
   // through the source GPU's host socket (two DMA legs, §3.2).

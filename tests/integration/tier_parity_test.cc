@@ -29,7 +29,9 @@ namespace {
 /// socket's replica, so every insert pays the bucket-head CAS in all tiers.
 /// The hybrid mode (one CPU worker plus the GPU) filters each filtered
 /// dimension in a build-side filter stage and builds both replicas from its
-/// packed survivors.
+/// packed survivors. The hybrid split mode adds the shared hash exchange and
+/// runs two CPU workers, so its group-bys merge on two instances, each
+/// owning one hash partition of the partial groups.
 ///
 /// Besides the 13 SSB queries (4-byte columns throughout) the matrix runs one
 /// query over a wide-key star (WideQuery): an 8-byte join key, negative and
@@ -148,7 +150,8 @@ struct ParityCase {
   int idx;
   int mode;  // 0 cpu-fused, 1 cpu-split, 2 gpu-fused, 3 gpu-split,
              // 4 cpu-fused with a two-writer shared build,
-             // 5 hybrid-fused (build-side filter stages, packed-input builds)
+             // 5 hybrid-fused (build-side filter stages, packed-input builds),
+             // 6 hybrid-split with two CPU workers (a two-instance merge)
 };
 
 class TierParityTest : public ::testing::TestWithParam<ParityCase> {
@@ -168,12 +171,13 @@ class TierParityTest : public ::testing::TestWithParam<ParityCase> {
   }
 
   static plan::ExecPolicy PolicyFor(int mode) {
-    plan::ExecPolicy policy = mode == 5   ? plan::ExecPolicy::Hybrid(1, {0})
+    plan::ExecPolicy policy = mode == 6   ? plan::ExecPolicy::Hybrid(2, {0})
+                              : mode == 5 ? plan::ExecPolicy::Hybrid(1, {0})
                               : mode == 4 ? plan::ExecPolicy::CpuOnly(2)
                               : (mode == 0 || mode == 1)
                                   ? plan::ExecPolicy::CpuOnly(1)
                                   : plan::ExecPolicy::GpuOnly({0});
-    policy.split_probe_stage = (mode == 1 || mode == 3);
+    policy.split_probe_stage = (mode == 1 || mode == 3 || mode == 6);
     return policy;
   }
 };
@@ -232,17 +236,17 @@ std::vector<ParityCase> AllCases() {
   const int flights[4] = {3, 3, 4, 3};
   for (int f = 1; f <= 4; ++f) {
     for (int i = 1; i <= flights[f - 1]; ++i) {
-      for (int mode = 0; mode < 6; ++mode) cases.push_back({f, i, mode});
+      for (int mode = 0; mode < 7; ++mode) cases.push_back({f, i, mode});
     }
   }
-  for (int mode = 0; mode < 6; ++mode) cases.push_back({0, 0, mode});
+  for (int mode = 0; mode < 7; ++mode) cases.push_back({0, 0, mode});
   return cases;
 }
 
 std::string CaseName(const ::testing::TestParamInfo<ParityCase>& info) {
-  static const char* kModes[6] = {"CpuFused",       "CpuSplit", "GpuFused",
+  static const char* kModes[7] = {"CpuFused",       "CpuSplit", "GpuFused",
                                   "GpuSplit",       "CpuSharedBuild",
-                                  "HybridFused"};
+                                  "HybridFused",    "HybridSplit"};
   if (info.param.flight == 0) return std::string("Wide") + kModes[info.param.mode];
   return "Q" + std::to_string(info.param.flight) + std::to_string(info.param.idx) +
          kModes[info.param.mode];

@@ -199,7 +199,7 @@ TEST_F(HetPlanTest, StampsLoweringParameters) {
         break;
     }
   }
-  EXPECT_GE(routers, 3);      // broadcast + fact + union
+  EXPECT_GE(routers, 3);      // broadcast + fact + merge
   EXPECT_EQ(segmenters, 2);   // dim + fact
   EXPECT_GT(placed_spans, 0);
   EXPECT_EQ(crossing_stamps, 1);  // the async device->host partials queue
@@ -219,8 +219,9 @@ TEST_F(HetPlanTest, StampsRouterPolicies) {
   }
   EXPECT_EQ(broadcast, 1);
   EXPECT_EQ(lb, 1);
-  EXPECT_EQ(hash, 1);  // one shared hash exchange, not one per branch
-  EXPECT_EQ(un, 1);
+  // One shared hash exchange (not one per branch), and the merge's.
+  EXPECT_EQ(hash, 2);
+  EXPECT_EQ(un, 0);
 }
 
 TEST_F(HetPlanTest, GatherPlacementStampedOnHostSocket) {

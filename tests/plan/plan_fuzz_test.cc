@@ -1,8 +1,9 @@
 // Plan-mutation property/fuzz test: seeded random mutations of enumerated
 // HetPlans — placement flips, router-policy perturbations, DOP changes,
 // segmentation-granularity changes (the PR 4 GPU-granularity-clamp class of
-// bug), UVA flips, channel-capacity changes, and placement or router flips of
-// a hybrid plan's build-side filter stage — must either
+// bug), UVA flips, channel-capacity changes, placement or router flips of a
+// hybrid plan's build-side filter stage, and the gather's placement or merge
+// instance count — must either
 //
 //   (a) fail ValidateHetPlan with a message naming the offending node (and
 //       rule), or
@@ -66,7 +67,7 @@ bool Mutate(Rng& rng, const sim::Topology& topo, HetPlan* plan, bool* benign,
     return sim::DeviceId::Cpu(static_cast<int>(rng.Uniform(topo.num_sockets())));
   };
 
-  switch (rng.Uniform(8)) {
+  switch (rng.Uniform(9)) {
     case 0: {  // placement flip: retarget one instance of one span
       const int id = pick([](const HetOpNode& n) { return !n.placement.empty(); });
       if (id < 0) return false;
@@ -176,6 +177,32 @@ bool Mutate(Rng& rng, const sim::Topology& topo, HetPlan* plan, bool* benign,
       n.policy = next;
       *trace += " filter-stage policy(node " + std::to_string(router) + " -> " +
                 RouterPolicyName(next) + ")";
+      return true;
+    }
+    case 8: {  // the merge: retarget a gather instance, or add or drop one
+      const int id = pick([](const HetOpNode& n) { return n.kind == Kind::kGather; });
+      if (id < 0) return false;
+      HetOpNode& n = plan->node(id);
+      switch (rng.Uniform(3)) {
+        case 0: {
+          const size_t slot = rng.Uniform(n.placement.size());
+          n.placement[slot] = random_device();
+          *trace += " gather flip(node " + std::to_string(id) + " slot " +
+                    std::to_string(slot) + " -> " + n.placement[slot].ToString() +
+                    ")";
+          break;
+        }
+        case 1:
+          n.placement.push_back(random_device());
+          *trace += " gather dop+(node " + std::to_string(id) + ")";
+          break;
+        default:
+          if (n.placement.size() < 2) return false;
+          n.placement.pop_back();
+          *trace += " gather dop-(node " + std::to_string(id) + ")";
+          break;
+      }
+      n.dop = static_cast<int>(n.placement.size());
       return true;
     }
     default: {  // channel capacity (router queue depth / backpressure)
