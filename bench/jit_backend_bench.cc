@@ -69,10 +69,8 @@ PipelineProgram FilterEmitProgram() {
   b.EmitOp(OpCode::kLoadCol, a, 0);
   const int k = b.AllocReg();
   b.EmitOp(OpCode::kLoadCol, k, 1);
-  const int threshold = b.AllocReg();
-  b.EmitOp(OpCode::kConst, threshold, 0, 0, 0, 25);  // ~50% pass
   const int pred = b.AllocReg();
-  b.EmitOp(OpCode::kCmpLt, pred, a, threshold);
+  b.EmitLit(OpCode::kCmpLt, pred, a, 25);  // ~50% pass
   b.EmitOp(OpCode::kFilter, pred);
   const int first = b.AllocReg();
   b.AllocReg();
@@ -82,33 +80,27 @@ PipelineProgram FilterEmitProgram() {
   return Lower(b.Finalize("bench.filter-emit"));
 }
 
-/// filter→probe→agg, the fused fact pipeline in its SSB Q1 form: a
-/// three-predicate conjunctive filter (quantity < 25, 1 <= discount <= 3,
-/// ~25% combined), a probe of the date dimension, and SUM(price * discount
-/// + payload) + COUNT. The probe is stamped with the date table's layout.
+/// filter→probe→agg, the fused fact pipeline in its SSB Q1 form: three
+/// literal conjunct filters (quantity < 25, 1 <= discount <= 3, ~25%
+/// combined) after the loads of both predicate columns, a probe of the date
+/// dimension, and SUM(price * discount + payload) + COUNT. The probe is
+/// stamped with the date table's layout, and its keys are unique (the
+/// dimension's primary key), so it stops at the first match.
 PipelineProgram FilterProbeAggProgram(const jit::JoinHashTable::Layout& date) {
   ProgramBuilder b;
   const int qty = b.AllocReg();
   b.EmitOp(OpCode::kLoadCol, qty, 0);
   const int disc = b.AllocReg();
   b.EmitOp(OpCode::kLoadCol, disc, 2);
-  const int c25 = b.AllocReg();
-  b.EmitOp(OpCode::kConst, c25, 0, 0, 0, 25);
-  const int c1 = b.AllocReg();
-  b.EmitOp(OpCode::kConst, c1, 0, 0, 0, 1);
-  const int c3 = b.AllocReg();
-  b.EmitOp(OpCode::kConst, c3, 0, 0, 0, 3);
   const int p0 = b.AllocReg();
-  b.EmitOp(OpCode::kCmpLt, p0, qty, c25);
+  b.EmitLit(OpCode::kCmpLt, p0, qty, 25);
+  b.EmitOp(OpCode::kFilter, p0);
   const int p1 = b.AllocReg();
-  b.EmitOp(OpCode::kCmpGe, p1, disc, c1);
+  b.EmitLit(OpCode::kCmpGe, p1, disc, 1);
+  b.EmitOp(OpCode::kFilter, p1);
   const int p2 = b.AllocReg();
-  b.EmitOp(OpCode::kCmpLe, p2, disc, c3);
-  const int p01 = b.AllocReg();
-  b.EmitOp(OpCode::kAnd, p01, p0, p1);
-  const int pred = b.AllocReg();
-  b.EmitOp(OpCode::kAnd, pred, p01, p2);
-  b.EmitOp(OpCode::kFilter, pred);
+  b.EmitLit(OpCode::kCmpLe, p2, disc, 3);
+  b.EmitOp(OpCode::kFilter, p2);
   // Survivor columns resolve after the filter, as the query compiler emits them.
   const int k = b.AllocReg();
   b.EmitOp(OpCode::kLoadCol, k, 1);
@@ -118,12 +110,9 @@ PipelineProgram FilterProbeAggProgram(const jit::JoinHashTable::Layout& date) {
   b.EmitOp(OpCode::kMul, revenue, price, disc);
 
   const int iter = b.AllocReg();
-  b.EmitOp(OpCode::kHtProbeInit, iter, k, 0, 0,
-           static_cast<int64_t>(date.WidthCode()));
-  const int loop = b.NewLabel();
   const int exit = b.NewLabel();
-  b.Bind(loop);
-  b.EmitOp(OpCode::kJmpIfNeg, iter, exit);
+  b.EmitOp(OpCode::kHtProbeInit, iter, k, 0, exit,
+           static_cast<int64_t>(date.WidthCode()));
   const int payload = b.AllocReg();
   b.EmitOp(OpCode::kHtLoadPayload, payload, iter, 0, 1);
   const int keyed = b.AllocReg();
@@ -132,8 +121,6 @@ PipelineProgram FilterProbeAggProgram(const jit::JoinHashTable::Layout& date) {
   b.EmitOp(OpCode::kAggLocal, sum, keyed, static_cast<int>(AggFunc::kSum));
   const int cnt = b.AllocLocalAcc(AggFunc::kCount);
   b.EmitOp(OpCode::kAggLocal, cnt, payload, static_cast<int>(AggFunc::kCount));
-  b.EmitOp(OpCode::kHtIterNext, iter, k, 0);
-  b.EmitOp(OpCode::kJmp, loop);
   b.Bind(exit);
   return Lower(b.Finalize("bench.filter-probe-agg"));
 }

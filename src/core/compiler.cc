@@ -128,9 +128,8 @@ CompiledPipeline QueryCompiler::CompileBuild(
     // Packed survivors of a build-side filter stage: the filter already ran,
     // and the wire columns bind positionally (see CompileProbe).
     for (const auto& slot : *input_schema) cols.ResolveColumn(slot.name, b);
-  } else if (join.build_filter != nullptr) {
-    const int pred = join.build_filter->Gen(b, cols);
-    b.EmitOp(OpCode::kFilter, pred);
+  } else {
+    plan::GenFilter(join.build_filter, b, cols);
   }
   const int key = cols.ResolveColumn(join.build_key, b);
   std::vector<int> payload_regs;
@@ -170,10 +169,7 @@ CompiledPipeline QueryCompiler::CompileProbe(
   }
 
   // Filters were already applied by stage A in split plans.
-  if (input_schema == nullptr && spec_->fact_filter != nullptr) {
-    const int pred = spec_->fact_filter->Gen(b, cols);
-    b.EmitOp(OpCode::kFilter, pred);
-  }
+  if (input_schema == nullptr) plan::GenFilter(spec_->fact_filter, b, cols);
 
   for (int j = 0; j < static_cast<int>(spec_->joins.size()); ++j) {
     out.ht_join_slots.push_back(j);
@@ -221,7 +217,9 @@ CompiledPipeline QueryCompiler::CompileProbe(
   };
 
   // Nested probe loops in plan::ProbeOrder, innermost body = the aggregation
-  // tail. Each probe reads the hash-table slot of its join id.
+  // tail. Each probe reads the hash-table slot of its join id; a miss branches
+  // to the loop's exit, and a further match of a key that is not unique
+  // branches back into the body.
   const std::vector<int> order = plan::ProbeOrder(*spec_, *catalog_, *cost_model_);
   std::function<void(size_t)> gen_join = [&](size_t depth) {
     if (depth == order.size()) {
@@ -234,12 +232,11 @@ CompiledPipeline QueryCompiler::CompileProbe(
     const int cls = cost_model_->RandomAccessClass(layout.Bytes());
     const int key = cols.ResolveColumn(join.probe_key, b);
     const int iter = b.AllocReg();
-    b.EmitOp(OpCode::kHtProbeInit, iter, key, j, 0,
-             static_cast<int64_t>(layout.WidthCode()), cls);
-    const int loop = b.NewLabel();
     const int exit = b.NewLabel();
-    b.Bind(loop);
-    b.EmitOp(OpCode::kJmpIfNeg, iter, exit);
+    const int body = b.NewLabel();
+    b.EmitOp(OpCode::kHtProbeInit, iter, key, j, exit,
+             static_cast<int64_t>(layout.WidthCode()), cls);
+    b.Bind(body);
     if (!join.payload.empty()) {
       const int first = b.AllocReg();
       for (size_t i = 1; i < join.payload.size(); ++i) b.AllocReg();
@@ -250,8 +247,9 @@ CompiledPipeline QueryCompiler::CompileProbe(
       }
     }
     gen_join(depth + 1);
-    b.EmitOp(OpCode::kHtIterNext, iter, key, j, 0, 0, cls);
-    b.EmitOp(OpCode::kJmp, loop);
+    if (!plan::JoinKeyUnique(join, *catalog_)) {
+      b.EmitOp(OpCode::kHtIterNext, iter, key, j, body, 0, cls);
+    }
     b.Bind(exit);
   };
   gen_join(0);
@@ -268,10 +266,7 @@ CompiledPipeline QueryCompiler::CompileFilterStage() const {
   ProgramBuilder b;
   PipelineResolver cols(&fact, &out.input_cols);
 
-  if (spec_->fact_filter != nullptr) {
-    const int pred = spec_->fact_filter->Gen(b, cols);
-    b.EmitOp(OpCode::kFilter, pred);
-  }
+  plan::GenFilter(spec_->fact_filter, b, cols);
 
   // Surviving columns: everything the probe stage needs from the fact table.
   std::set<std::string> needed;
@@ -315,10 +310,7 @@ CompiledPipeline QueryCompiler::CompileBuildFilter(int join_id) const {
   ProgramBuilder b;
   PipelineResolver cols(&table, &out.input_cols);
 
-  if (join.build_filter != nullptr) {
-    const int pred = join.build_filter->Gen(b, cols);
-    b.EmitOp(OpCode::kFilter, pred);
-  }
+  plan::GenFilter(join.build_filter, b, cols);
 
   // Surviving columns: the build key, then the payload columns it does not
   // repeat. A broadcast feeds every replica, so the emit is untagged.

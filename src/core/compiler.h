@@ -44,10 +44,14 @@ jit::AggFunc MergeFunc(jit::AggFunc f);
 /// \brief Generates the fused pipeline programs for a query.
 ///
 /// This is the produce()/consume() stage of the paper's §4.1: relational operators
-/// contribute straight-line VM code in consume order (filters first, then the
-/// probe loops of the joins nested in plan::ProbeOrder, then accumulation), and
-/// HetExchange operators define the pipeline boundaries. Hash-table random-access
-/// size classes are stamped into the code from the modeled table footprints.
+/// contribute straight-line VM code in consume order (filters first, one
+/// kFilter per AND conjunct after the loads of every column the predicate
+/// reads — plan::GenFilter —, then the probe loops of the joins nested in
+/// plan::ProbeOrder, then accumulation), and HetExchange operators define the
+/// pipeline boundaries. Literal operands ride in their instructions, and the
+/// probe of a unique build key (plan::JoinKeyUnique) stops at its first match.
+/// Hash-table random-access size classes are stamped into the code from the
+/// modeled table footprints.
 class QueryCompiler {
  public:
   QueryCompiler(const plan::QuerySpec& spec, const storage::Catalog& catalog,

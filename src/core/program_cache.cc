@@ -13,7 +13,7 @@ inline uint64_t Mix(uint64_t h, uint64_t v) {
 
 bool SameInstr(const jit::Instr& a, const jit::Instr& b) {
   return a.op == b.op && a.cls == b.cls && a.a == b.a && a.b == b.b &&
-         a.c == b.c && a.d == b.d && a.imm == b.imm;
+         a.c == b.c && a.d == b.d && a.imm == b.imm && a.lit == b.lit;
 }
 
 }  // namespace
@@ -22,7 +22,8 @@ uint64_t ProgramCache::Signature(const CompiledPipeline& pipeline) {
   const jit::PipelineProgram& p = pipeline.program;
   uint64_t h = 0xc0de;
   for (const jit::Instr& in : p.code) {
-    h = Mix(h, static_cast<uint64_t>(in.op) | (static_cast<uint64_t>(in.cls) << 8));
+    h = Mix(h, static_cast<uint64_t>(in.op) | (static_cast<uint64_t>(in.cls) << 8) |
+                   (static_cast<uint64_t>(in.lit) << 16));
     h = Mix(h, (static_cast<uint64_t>(static_cast<uint16_t>(in.a)) << 48) |
                    (static_cast<uint64_t>(static_cast<uint16_t>(in.b)) << 32) |
                    (static_cast<uint64_t>(static_cast<uint16_t>(in.c)) << 16) |

@@ -148,6 +148,14 @@ struct Fold {
   void Clear() { known = 0; }
 
   std::string Use(int r) const { return Known(r) ? ImmStr(val[r]) : RegName(r); }
+
+  /// The right operand of binary ALU instruction `in`: known when it is a
+  /// literal or a register holding a constant.
+  bool RhsKnown(const Instr& in) const { return in.lit || Known(in.c); }
+  int64_t RhsVal(const Instr& in) const { return in.lit ? in.imm : val[in.c]; }
+  std::string RhsUse(const Instr& in) const {
+    return RhsKnown(in) ? ImmStr(RhsVal(in)) : RegName(in.c);
+  }
 };
 
 // Two's-complement wraparound arithmetic for generation-time folding: identical
@@ -271,21 +279,16 @@ GenerateResult GenerateSource(const PipelineProgram& program) {
   bool uses_emit = false, uses_insert = false, uses_groupby = false;
   int emit_sites = 0, bucketed_emits = 0, emit_width = 0;
   for (const Instr& in : code) {
+    if (const int16_t* target = BranchTarget(in); target != nullptr) {
+      if (*target < 0 || *target >= n) return fallback("jump target out of range");
+      is_target[*target] = 1;
+    }
     switch (in.op) {
       case OpCode::kLoadCol:
         if (in.b < 0 || in.b >= program.n_input_cols) {
           return fallback("load of column outside binding schema");
         }
         cols_used |= 1ull << in.b;
-        break;
-      case OpCode::kJmp:
-        if (in.a < 0 || in.a >= n) return fallback("jump target out of range");
-        is_target[in.a] = 1;
-        break;
-      case OpCode::kJmpIfFalse:
-      case OpCode::kJmpIfNeg:
-        if (in.b < 0 || in.b >= n) return fallback("jump target out of range");
-        is_target[in.b] = 1;
         break;
       case OpCode::kHtProbeInit:
         width_codes[in.c] = static_cast<uint64_t>(in.imm);
@@ -464,8 +467,8 @@ GenerateResult GenerateSource(const PipelineProgram& program) {
       case OpCode::kMul: {
         const char* sym = in.op == OpCode::kAdd ? "+"
                           : in.op == OpCode::kSub ? "-" : "*";
-        if (fold.Known(in.b) && fold.Known(in.c)) {
-          const int64_t x = fold.val[in.b], y = fold.val[in.c];
+        if (fold.Known(in.b) && fold.RhsKnown(in)) {
+          const int64_t x = fold.val[in.b], y = fold.RhsVal(in);
           const int64_t v = in.op == OpCode::kAdd   ? WrapAdd(x, y)
                             : in.op == OpCode::kSub ? WrapSub(x, y)
                                                     : WrapMul(x, y);
@@ -473,14 +476,14 @@ GenerateResult GenerateSource(const PipelineProgram& program) {
           fold.Set(in.a, v);
         } else {
           out += "    " + RegName(in.a) + " = " + fold.Use(in.b) + " " + sym +
-                 " " + fold.Use(in.c) + ";\n";
+                 " " + fold.RhsUse(in) + ";\n";
           fold.Kill(in.a);
         }
         break;
       }
       case OpCode::kDiv: {
-        if (fold.Known(in.c) && fold.val[in.c] != 0) {
-          const int64_t d = fold.val[in.c];
+        if (fold.RhsKnown(in) && fold.RhsVal(in) != 0) {
+          const int64_t d = fold.RhsVal(in);
           if (fold.Known(in.b) && !(fold.val[in.b] == INT64_MIN && d == -1)) {
             const int64_t v = fold.val[in.b] / d;
             out += "    " + RegName(in.a) + " = " + ImmStr(v) + ";\n";
@@ -491,7 +494,7 @@ GenerateResult GenerateSource(const PipelineProgram& program) {
                    ImmStr(d) + ";\n";
             fold.Kill(in.a);
           }
-        } else if (fold.Known(in.c)) {  // divisor proven zero
+        } else if (fold.RhsKnown(in)) {  // divisor proven zero
           out += "    hx_fault = 1; goto hx_done;\n";
           fold.Kill(in.a);
         } else {
@@ -525,8 +528,8 @@ GenerateResult GenerateSource(const PipelineProgram& program) {
                           : in.op == OpCode::kCmpGt ? ">"
                           : in.op == OpCode::kCmpGe ? ">="
                           : in.op == OpCode::kCmpEq ? "==" : "!=";
-        if (fold.Known(in.b) && fold.Known(in.c)) {
-          const int64_t x = fold.val[in.b], y = fold.val[in.c];
+        if (fold.Known(in.b) && fold.RhsKnown(in)) {
+          const int64_t x = fold.val[in.b], y = fold.RhsVal(in);
           const bool v = in.op == OpCode::kCmpLt   ? x < y
                          : in.op == OpCode::kCmpLe ? x <= y
                          : in.op == OpCode::kCmpGt ? x > y
@@ -536,7 +539,7 @@ GenerateResult GenerateSource(const PipelineProgram& program) {
           fold.Set(in.a, v ? 1 : 0);
         } else {
           out += "    " + RegName(in.a) + " = " + fold.Use(in.b) + " " + sym +
-                 " " + fold.Use(in.c) + ";\n";
+                 " " + fold.RhsUse(in) + ";\n";
           fold.Kill(in.a);
         }
         break;
@@ -544,15 +547,15 @@ GenerateResult GenerateSource(const PipelineProgram& program) {
       case OpCode::kAnd:
       case OpCode::kOr: {
         const char* sym = in.op == OpCode::kAnd ? "&&" : "||";
-        if (fold.Known(in.b) && fold.Known(in.c)) {
-          const bool v = in.op == OpCode::kAnd
-                             ? (fold.val[in.b] != 0 && fold.val[in.c] != 0)
-                             : (fold.val[in.b] != 0 || fold.val[in.c] != 0);
+        if (fold.Known(in.b) && fold.RhsKnown(in)) {
+          const int64_t x = fold.val[in.b], y = fold.RhsVal(in);
+          const bool v = in.op == OpCode::kAnd ? (x != 0 && y != 0)
+                                               : (x != 0 || y != 0);
           out += "    " + RegName(in.a) + " = " + S(v ? 1 : 0) + ";\n";
           fold.Set(in.a, v ? 1 : 0);
         } else {
           out += "    " + RegName(in.a) + " = (" + fold.Use(in.b) +
-                 " != 0) " + sym + " (" + fold.Use(in.c) + " != 0);\n";
+                 " != 0) " + sym + " (" + fold.RhsUse(in) + " != 0);\n";
           fold.Kill(in.a);
         }
         break;
@@ -598,14 +601,6 @@ GenerateResult GenerateSource(const PipelineProgram& program) {
                  ";\n";
         }
         break;
-      case OpCode::kJmpIfNeg:
-        if (fold.Known(in.a)) {
-          if (fold.val[in.a] < 0) out += "    goto hx_pc_" + S(in.b) + ";\n";
-        } else {
-          out += "    if (" + RegName(in.a) + " < 0) goto hx_pc_" + S(in.b) +
-                 ";\n";
-        }
-        break;
       case OpCode::kHtInsert: {
         out += "    {";
         if (in.d > 0) {
@@ -637,8 +632,8 @@ GenerateResult GenerateSource(const PipelineProgram& program) {
         out += "      uint64_t hx_hops = 0;\n";
         out += ChainWalk(in.c, layouts.at(in.c));
         out += "      " + RegName(in.a) + " = hx_e;\n";
-        out += std::string("      ") + ClsCounter(in.cls) +
-               " += 1 + hx_hops; }\n";
+        out += std::string("      ") + ClsCounter(in.cls) + " += 1 + hx_hops;\n";
+        out += "      if (hx_e < 0) goto hx_pc_" + S(in.d) + "; }\n";
         fold.Kill(in.a);
         break;
       }
@@ -651,7 +646,8 @@ GenerateResult GenerateSource(const PipelineProgram& program) {
         out += "      uint64_t hx_hops = 0;\n";
         out += ChainWalk(in.c, layout);
         out += "      " + RegName(in.a) + " = hx_e;\n";
-        out += std::string("      ") + ClsCounter(in.cls) + " += hx_hops; }\n";
+        out += std::string("      ") + ClsCounter(in.cls) + " += hx_hops;\n";
+        out += "      if (hx_e >= 0) goto hx_pc_" + S(in.d) + "; }\n";
         fold.Kill(in.a);
         break;
       }

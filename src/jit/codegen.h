@@ -18,12 +18,13 @@ namespace hetex::jit {
 ///
 ///  - column loads are typed to the binding schema's widths (no per-row width
 ///    branch),
-///  - constants propagate through the straight-line code, so filters against
-///    literals compile to immediate compares and constant-true/false filters
-///    disappear (their cost accounting does not — all tiers charge identical
+///  - literal operands are immediates, and constants propagate through the
+///    straight-line code, so constant-true/false filters disappear (every
+///    instruction still counts its one op — all tiers charge identical
 ///    CostStats),
-///  - the canonical probe-loop idiom is unrolled into an inline bucket-chain
-///    walk over the hash table's raw arrays (no per-entry virtual dispatch),
+///  - each probe is an inline bucket-chain walk over the hash table's raw
+///    arrays (no per-entry virtual dispatch) that branches past the loop on a
+///    miss, and back into it on a further match,
 ///  - pipeline breakers that need engine state (emit, HT insert, group-by
 ///    update) go through a small C hook table the host passes in.
 ///
@@ -42,7 +43,11 @@ namespace hetex::jit {
 ///     tag (JoinHashTable::TagBit); the insert and group-by hooks return
 ///     nonzero when the table is full, and the kernel returns which slot
 ///     overflowed (kKernel*).
-inline constexpr uint32_t kCodegenAbiVersion = 5;
+/// v6: binary ALU opcodes take a literal right operand (Instr::lit); a probe
+///     init branches to its loop's exit on a miss and an iter-next back to
+///     the body on a match (kJmpIfNeg is gone); a unique build key's probe
+///     has no iter-next.
+inline constexpr uint32_t kCodegenAbiVersion = 6;
 
 /// Bits of a kernel's `atomic_mode` argument: which worker-scoped atomics the
 /// launching provider pays for (ExecCtx::atomic_group_update / atomic_ht_insert).

@@ -11,31 +11,6 @@
 
 namespace hetex::jit {
 
-namespace {
-
-/// True when the opcode computes regs[a] = f(regs[b], regs[c]).
-bool IsBinaryAluOp(OpCode op) {
-  switch (op) {
-    case OpCode::kAdd:
-    case OpCode::kSub:
-    case OpCode::kMul:
-    case OpCode::kDiv:
-    case OpCode::kCmpLt:
-    case OpCode::kCmpLe:
-    case OpCode::kCmpGt:
-    case OpCode::kCmpGe:
-    case OpCode::kCmpEq:
-    case OpCode::kCmpNe:
-    case OpCode::kAnd:
-    case OpCode::kOr:
-      return true;
-    default:
-      return false;
-  }
-}
-
-}  // namespace
-
 Status ValidateProgram(const PipelineProgram& program) {
   const int n = static_cast<int>(program.code.size());
   const int n_regs = program.n_regs;
@@ -73,6 +48,10 @@ Status ValidateProgram(const PipelineProgram& program) {
 
   for (int pc = 0; pc < n; ++pc) {
     const Instr& in = program.code[pc];
+    if (const int16_t* target = BranchTarget(in); target != nullptr) {
+      if (*target < 0) return err("jump to unbound label", pc);
+      if (*target >= n) return err("jump out of range", pc);
+    }
     switch (in.op) {
       case OpCode::kConst:
         if (!reg_ok(in.a)) return err("register out of range", pc);
@@ -92,14 +71,9 @@ Status ValidateProgram(const PipelineProgram& program) {
         if (!reg_ok(in.a)) return err("register out of range", pc);
         break;
       case OpCode::kJmp:
-        if (in.a < 0) return err("jump to unbound label", pc);
-        if (in.a >= n) return err("jump out of range", pc);
         break;
       case OpCode::kJmpIfFalse:
-      case OpCode::kJmpIfNeg:
         if (!reg_ok(in.a)) return err("register out of range", pc);
-        if (in.b < 0) return err("jump to unbound label", pc);
-        if (in.b >= n) return err("jump out of range", pc);
         break;
       case OpCode::kHtInsert:
         if (!slot_ok(in.a)) return err("hash-table slot out of range", pc);
@@ -146,12 +120,14 @@ Status ValidateProgram(const PipelineProgram& program) {
       case OpCode::kEnd:
         break;
       default:
-        if (IsBinaryAluOp(in.op)) {
-          if (!reg_ok(in.a) || !reg_ok(in.b) || !reg_ok(in.c)) {
+        if (IsBinaryAlu(in.op)) {
+          if (!reg_ok(in.a) || !reg_ok(in.b) || (!in.lit && !reg_ok(in.c))) {
             return err("register out of range", pc);
           }
-          if (in.op == OpCode::kDiv && zero_const[in.c]) {
-            return err("divisor register can hold a zero constant", pc);
+          if (in.op == OpCode::kDiv && (in.lit ? in.imm == 0 : zero_const[in.c])) {
+            return err(std::string("divisor register can hold a zero constant") +
+                           (in.lit ? " (a zero literal)" : ""),
+                       pc);
           }
         } else {
           return err("unknown opcode", pc);

@@ -48,7 +48,7 @@ struct ExecResult {
 /// kEnd-termination, jump targets in range and label-patched, register operands
 /// (including windows) within n_regs, hash-table slots and accumulator indices
 /// bound, and rejection of programs whose divisor register can hold a zero
-/// constant.
+/// constant or whose literal divisor is zero.
 Status ValidateProgram(const PipelineProgram& program);
 
 /// \brief Device provider: the device-independent utility interface of the

@@ -1,6 +1,7 @@
 #include "jit/hash_table.h"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cstring>
 
@@ -118,16 +119,51 @@ bool JoinHashTable::Insert(int64_t key, const int64_t* payload) {
   }
   const uint64_t hash = Hash(key);
   std::atomic<uint64_t>& head = heads_[hash & bucket_mask_];
-  uint64_t word = head.load(std::memory_order_relaxed);
-  // The new word keeps the bucket's tag bits, adds the key's and points at
-  // the new entry, whose link takes the old chain.
   const uint64_t tag = TagBit(hash);
-  do {
-    Store(e, layout_.next(), static_cast<int32_t>(word));
-  } while (!head.compare_exchange_weak(
-      word, (word & ~uint64_t{UINT32_MAX}) | tag | idx,
-      std::memory_order_release, std::memory_order_relaxed));
-  return true;
+  const auto link_of = [&](int64_t entry) {
+    return std::atomic_ref<int32_t>(*reinterpret_cast<int32_t*>(
+        entries_ + static_cast<uint64_t>(entry) * layout_.stride() +
+        layout_.next().offset));
+  };
+  const auto key_of = [&](int32_t entry) {
+    return Load(EntryAt(entry), layout_.key());
+  };
+  // A chain stays in descending key order, equal keys newest first, so where
+  // a key sits in its chain — what a probe that stops at its match pays for —
+  // depends on the bucket's keys only, not on the order in which concurrent
+  // builders inserted them. Keys arriving in ascending order, as a primary
+  // key's usually do, go to the head. The entry links in with one CAS: on
+  // the head word, which also sets the key's tag bit, or on its
+  // predecessor's link.
+  uint64_t word = head.load(std::memory_order_acquire);
+  while (true) {
+    const int32_t first = static_cast<int32_t>(word);
+    if (first < 0 || key >= key_of(first)) {
+      link_of(static_cast<int64_t>(idx)).store(first, std::memory_order_relaxed);
+      const uint64_t linked = (word & ~uint64_t{UINT32_MAX}) | tag | idx;
+      if (head.compare_exchange_weak(word, linked, std::memory_order_release,
+                                     std::memory_order_acquire)) {
+        return true;
+      }
+      continue;
+    }
+    head.fetch_or(tag, std::memory_order_relaxed);
+    int32_t pred = first;
+    int32_t succ = link_of(pred).load(std::memory_order_acquire);
+    while (true) {
+      if (succ >= 0 && key_of(succ) > key) {
+        pred = succ;
+        succ = link_of(pred).load(std::memory_order_acquire);
+        continue;
+      }
+      link_of(static_cast<int64_t>(idx)).store(succ, std::memory_order_relaxed);
+      if (link_of(pred).compare_exchange_weak(succ, static_cast<int32_t>(idx),
+                                              std::memory_order_release,
+                                              std::memory_order_acquire)) {
+        return true;
+      }
+    }
+  }
 }
 
 Status JoinHashTable::OverCapacity(const std::string& pipeline) const {

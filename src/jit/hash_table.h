@@ -61,10 +61,11 @@ inline int64_t AggIdentity(AggFunc f) {
 
 /// \brief Chained hash table for joins: key -> fixed payload, packed.
 ///
-/// Build is lock-free (atomic CAS on bucket heads, atomic bump allocation of
-/// entries) so the same structure serves CPU task-parallel builds and simulated
-/// GPU kernels — generated code only differs in which provider supplied the
-/// atomics, exactly as in the paper's Fig. 3. Probing is wait-free.
+/// Build is lock-free (one CAS on a bucket head or a chain link per insert,
+/// atomic bump allocation of entries) so the same structure serves CPU
+/// task-parallel builds and simulated GPU kernels — generated code only
+/// differs in which provider supplied the atomics, exactly as in the paper's
+/// Fig. 3. Probing is wait-free.
 class JoinHashTable {
  public:
   /// \brief The packed layout of a join hash table, defined once: the table
@@ -153,9 +154,11 @@ class JoinHashTable {
   JoinHashTable& operator=(const JoinHashTable&) = delete;
 
   /// Inserts key + payload (layout().payload_count() values), each stored at
-  /// its field's width, and sets the key's tag bit in the same CAS that
-  /// links the entry; thread-safe. Returns false, inserting nothing, once
-  /// the table holds its capacity (see OverCapacity).
+  /// its field's width, and sets the key's tag bit; thread-safe. A bucket's
+  /// chain stays in descending key order (equal keys newest first), so a
+  /// key's position in it does not depend on the order of concurrent
+  /// inserts. Returns false, inserting nothing, once the table holds its
+  /// capacity (see OverCapacity).
   bool Insert(int64_t key, const int64_t* payload);
 
   /// What a tier returns when an insert of pipeline `pipeline` found the

@@ -17,6 +17,12 @@ inline void CountAccess(sim::CostStats* stats, uint8_t cls, uint64_t n = 1) {
   }
 }
 
+/// The right operand of binary ALU instruction `in`: a register, or the
+/// literal in literal mode.
+inline int64_t Rhs(const Instr& in, const int64_t* regs) {
+  return in.lit ? in.imm : regs[in.c];
+}
+
 }  // namespace
 
 Status RunRows(const PipelineProgram& program, ExecCtx& ctx, uint64_t rows) {
@@ -47,28 +53,36 @@ Status RunRows(const PipelineProgram& program, ExecCtx& ctx, uint64_t rows) {
           ++pc;
           break;
         }
-        case OpCode::kAdd: regs[in.a] = regs[in.b] + regs[in.c]; ++pc; break;
-        case OpCode::kSub: regs[in.a] = regs[in.b] - regs[in.c]; ++pc; break;
-        case OpCode::kMul: regs[in.a] = regs[in.b] * regs[in.c]; ++pc; break;
-        case OpCode::kDiv:
-          if (regs[in.c] == 0) {
+        case OpCode::kAdd: regs[in.a] = regs[in.b] + Rhs(in, regs); ++pc; break;
+        case OpCode::kSub: regs[in.a] = regs[in.b] - Rhs(in, regs); ++pc; break;
+        case OpCode::kMul: regs[in.a] = regs[in.b] * Rhs(in, regs); ++pc; break;
+        case OpCode::kDiv: {
+          const int64_t divisor = Rhs(in, regs);
+          if (divisor == 0) {
             status =
                 Status::Internal("division by zero in pipeline '" + program.label +
                                  "'");
             goto done;
           }
-          regs[in.a] = regs[in.b] / regs[in.c];
+          regs[in.a] = regs[in.b] / divisor;
           ++pc;
           break;
+        }
         case OpCode::kShl: regs[in.a] = regs[in.b] << in.imm; ++pc; break;
-        case OpCode::kCmpLt: regs[in.a] = regs[in.b] < regs[in.c]; ++pc; break;
-        case OpCode::kCmpLe: regs[in.a] = regs[in.b] <= regs[in.c]; ++pc; break;
-        case OpCode::kCmpGt: regs[in.a] = regs[in.b] > regs[in.c]; ++pc; break;
-        case OpCode::kCmpGe: regs[in.a] = regs[in.b] >= regs[in.c]; ++pc; break;
-        case OpCode::kCmpEq: regs[in.a] = regs[in.b] == regs[in.c]; ++pc; break;
-        case OpCode::kCmpNe: regs[in.a] = regs[in.b] != regs[in.c]; ++pc; break;
-        case OpCode::kAnd: regs[in.a] = (regs[in.b] != 0) && (regs[in.c] != 0); ++pc; break;
-        case OpCode::kOr: regs[in.a] = (regs[in.b] != 0) || (regs[in.c] != 0); ++pc; break;
+        case OpCode::kCmpLt: regs[in.a] = regs[in.b] < Rhs(in, regs); ++pc; break;
+        case OpCode::kCmpLe: regs[in.a] = regs[in.b] <= Rhs(in, regs); ++pc; break;
+        case OpCode::kCmpGt: regs[in.a] = regs[in.b] > Rhs(in, regs); ++pc; break;
+        case OpCode::kCmpGe: regs[in.a] = regs[in.b] >= Rhs(in, regs); ++pc; break;
+        case OpCode::kCmpEq: regs[in.a] = regs[in.b] == Rhs(in, regs); ++pc; break;
+        case OpCode::kCmpNe: regs[in.a] = regs[in.b] != Rhs(in, regs); ++pc; break;
+        case OpCode::kAnd:
+          regs[in.a] = (regs[in.b] != 0) && (Rhs(in, regs) != 0);
+          ++pc;
+          break;
+        case OpCode::kOr:
+          regs[in.a] = (regs[in.b] != 0) || (Rhs(in, regs) != 0);
+          ++pc;
+          break;
         case OpCode::kNot: regs[in.a] = regs[in.b] == 0; ++pc; break;
         case OpCode::kHash:
           regs[in.a] =
@@ -82,9 +96,6 @@ Status RunRows(const PipelineProgram& program, ExecCtx& ctx, uint64_t rows) {
         case OpCode::kJmp: pc = in.a; break;
         case OpCode::kJmpIfFalse:
           pc = (regs[in.a] == 0) ? in.b : pc + 1;
-          break;
-        case OpCode::kJmpIfNeg:
-          pc = (regs[in.a] < 0) ? in.b : pc + 1;
           break;
         case OpCode::kHtInsert: {
           auto* ht = static_cast<JoinHashTable*>(ctx.ht_slots[in.a]);
@@ -105,7 +116,7 @@ Status RunRows(const PipelineProgram& program, ExecCtx& ctx, uint64_t rows) {
           uint64_t hops = 0;
           regs[in.a] = ht->FindKeyFrom(ht->ProbeHead(regs[in.b]), regs[in.b], &hops);
           CountAccess(stats, in.cls, 1 + hops);
-          ++pc;
+          pc = regs[in.a] < 0 ? in.d : pc + 1;  // a miss skips the loop
           break;
         }
         case OpCode::kHtIterNext: {
@@ -114,7 +125,7 @@ Status RunRows(const PipelineProgram& program, ExecCtx& ctx, uint64_t rows) {
           regs[in.a] =
               ht->FindKeyFrom(ht->NextEntry(regs[in.a]), regs[in.b], &hops);
           CountAccess(stats, in.cls, hops);
-          ++pc;
+          pc = regs[in.a] >= 0 ? in.d : pc + 1;  // a match reruns the body
           break;
         }
         case OpCode::kHtLoadPayload: {

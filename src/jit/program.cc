@@ -27,7 +27,6 @@ const char* OpName(OpCode op) {
     case OpCode::kFilter: return "filter";
     case OpCode::kJmp: return "jmp";
     case OpCode::kJmpIfFalse: return "jmp_if_false";
-    case OpCode::kJmpIfNeg: return "jmp_if_neg";
     case OpCode::kHtInsert: return "ht_insert";
     case OpCode::kHtProbeInit: return "ht_probe_init";
     case OpCode::kHtIterNext: return "ht_iter_next";
@@ -39,10 +38,6 @@ const char* OpName(OpCode op) {
   }
   return "?";
 }
-
-bool IsJump(OpCode op) {
-  return op == OpCode::kJmp || op == OpCode::kJmpIfFalse || op == OpCode::kJmpIfNeg;
-}
 }  // namespace
 
 std::string PipelineProgram::ToString() const {
@@ -53,7 +48,11 @@ std::string PipelineProgram::ToString() const {
   for (const Instr& i : code) {
     os << "  " << pc++ << ": " << OpName(i.op) << " a=" << i.a << " b=" << i.b
        << " c=" << i.c << " d=" << i.d;
-    if (i.imm != 0) os << " imm=" << i.imm;
+    if (i.lit) {
+      os << " lit=" << i.imm;
+    } else if (i.imm != 0) {
+      os << " imm=" << i.imm;
+    }
     if (i.cls != 0) os << " cls=" << static_cast<int>(i.cls);
     os << "\n";
   }
@@ -65,15 +64,15 @@ PipelineProgram ProgramBuilder::Finalize(std::string label_text) {
   if (code_.empty() || code_.back().op != OpCode::kEnd) {
     EmitOp(OpCode::kEnd);
   }
-  // Patch label operands: kJmp target in `a`, conditional targets in `b`.
+  // Patch label operands (BranchTarget) to pcs.
   for (Instr& instr : code_) {
-    if (!IsJump(instr.op)) continue;
-    int16_t& target = instr.op == OpCode::kJmp ? instr.a : instr.b;
-    const int label = target;
+    int16_t* target = BranchTarget(instr);
+    if (target == nullptr) continue;
+    const int label = *target;
     HETEX_CHECK(label >= 0 && label < static_cast<int>(labels_.size()))
         << "jump to unknown label " << label;
     HETEX_CHECK(labels_[label] >= 0) << "jump to unbound label " << label;
-    target = static_cast<int16_t>(labels_[label]);
+    *target = static_cast<int16_t>(labels_[label]);
   }
   PipelineProgram program;
   program.code = std::move(code_);

@@ -22,30 +22,31 @@ namespace hetex::jit {
 enum class OpCode : uint8_t {
   kConst,       ///< regs[a] = imm
   kLoadCol,     ///< regs[a] = input column b at the current row (width-extended)
-  kAdd,         ///< regs[a] = regs[b] + regs[c]
-  kSub,         ///< regs[a] = regs[b] - regs[c]
-  kMul,         ///< regs[a] = regs[b] * regs[c]
-  kDiv,         ///< regs[a] = regs[b] / regs[c]  (c must be nonzero)
+  kAdd,         ///< regs[a] = regs[b] + rhs
+  kSub,         ///< regs[a] = regs[b] - rhs
+  kMul,         ///< regs[a] = regs[b] * rhs
+  kDiv,         ///< regs[a] = regs[b] / rhs  (rhs must be nonzero)
   kShl,         ///< regs[a] = regs[b] << imm
-  kCmpLt,       ///< regs[a] = regs[b] <  regs[c]
-  kCmpLe,       ///< regs[a] = regs[b] <= regs[c]
-  kCmpGt,       ///< regs[a] = regs[b] >  regs[c]
-  kCmpGe,       ///< regs[a] = regs[b] >= regs[c]
-  kCmpEq,       ///< regs[a] = regs[b] == regs[c]
-  kCmpNe,       ///< regs[a] = regs[b] != regs[c]
-  kAnd,         ///< regs[a] = regs[b] && regs[c]
-  kOr,          ///< regs[a] = regs[b] || regs[c]
+  kCmpLt,       ///< regs[a] = regs[b] <  rhs
+  kCmpLe,       ///< regs[a] = regs[b] <= rhs
+  kCmpGt,       ///< regs[a] = regs[b] >  rhs
+  kCmpGe,       ///< regs[a] = regs[b] >= rhs
+  kCmpEq,       ///< regs[a] = regs[b] == rhs
+  kCmpNe,       ///< regs[a] = regs[b] != rhs
+  kAnd,         ///< regs[a] = regs[b] && rhs
+  kOr,          ///< regs[a] = regs[b] || rhs
   kNot,         ///< regs[a] = !regs[b]
   kHash,        ///< regs[a] = HashMix64(regs[b])
   kFilter,      ///< if (!regs[a]) end this tuple
   kJmp,         ///< pc = a (label-resolved)
   kJmpIfFalse,  ///< if (!regs[a]) pc = b
-  kJmpIfNeg,    ///< if (regs[a] < 0) pc = b
   kHtInsert,    ///< join HT slot a: insert key regs[b], payload regs[c..c+d)
   kHtProbeInit, ///< regs[a] = first entry matching key regs[b] in join HT slot c;
+                ///< a miss (-1) branches to pc = d, the probe loop's exit.
                 ///< imm = the slot's JoinHashTable::Layout::WidthCode()
   kHtIterNext,  ///< regs[a] = next entry matching key regs[b] in join HT slot c,
-                ///< starting after entry regs[a]
+                ///< starting after entry regs[a]; a match branches back to
+                ///< pc = d, the loop body (absent when the build key is unique)
   kHtLoadPayload, ///< regs[a..a+d) = payload of entry regs[b] in join HT slot c
   kAggLocal,    ///< local_accs[a] = func(c)(local_accs[a], regs[b])
   kGroupByAgg,  ///< agg HT slot a: fold regs[c..c+d) into group key regs[b]
@@ -53,9 +54,33 @@ enum class OpCode : uint8_t {
   kEnd,         ///< end of tuple program
 };
 
+/// True for the two-operand ALU opcodes, regs[a] = regs[b] op rhs, whose
+/// right operand `rhs` is regs[c] or, in literal mode (Instr::lit), imm.
+inline bool IsBinaryAlu(OpCode op) {
+  switch (op) {
+    case OpCode::kAdd:
+    case OpCode::kSub:
+    case OpCode::kMul:
+    case OpCode::kDiv:
+    case OpCode::kCmpLt:
+    case OpCode::kCmpLe:
+    case OpCode::kCmpGt:
+    case OpCode::kCmpGe:
+    case OpCode::kCmpEq:
+    case OpCode::kCmpNe:
+    case OpCode::kAnd:
+    case OpCode::kOr:
+      return true;
+    default:
+      return false;
+  }
+}
+
 /// One VM instruction. `cls` carries the random-access size class (0 near / 1 mid /
 /// 2 far) for hash-table opcodes, assigned at codegen time from the table's
-/// modeled footprint.
+/// modeled footprint. `lit` is the operand mode of a binary ALU opcode: its
+/// right operand is the literal `imm` instead of regs[c], so a comparison
+/// against a constant is one instruction.
 struct Instr {
   OpCode op;
   uint8_t cls = 0;
@@ -64,7 +89,24 @@ struct Instr {
   int16_t c = 0;
   int16_t d = 0;
   int64_t imm = 0;
+  bool lit = false;
 };
+
+/// The operand holding `in`'s branch target (a label id until
+/// ProgramBuilder::Finalize patches it to a pc), or null for a non-branching
+/// opcode.
+inline const int16_t* BranchTarget(const Instr& in) {
+  switch (in.op) {
+    case OpCode::kJmp: return &in.a;
+    case OpCode::kJmpIfFalse: return &in.b;
+    case OpCode::kHtProbeInit:
+    case OpCode::kHtIterNext: return &in.d;
+    default: return nullptr;
+  }
+}
+inline int16_t* BranchTarget(Instr& in) {
+  return const_cast<int16_t*>(BranchTarget(static_cast<const Instr&>(in)));
+}
 
 inline constexpr int kMaxRegs = 64;
 inline constexpr int kMaxLocalAccs = 8;
@@ -135,8 +177,8 @@ struct PipelineProgram {
 
 /// \brief Incremental builder used by operators' consume() implementations.
 ///
-/// Supports forward labels so that codegen can emit probe loops and short-circuit
-/// filters the way a real JIT emits basic blocks.
+/// Supports forward labels so that codegen can emit probe loops the way a real
+/// JIT emits basic blocks.
 class ProgramBuilder {
  public:
   ProgramBuilder() = default;
@@ -164,8 +206,8 @@ class ProgramBuilder {
     labels_[label] = static_cast<int>(code_.size());
   }
 
-  /// Emits an instruction; for jump opcodes the target operand holds a label id
-  /// until Finalize() patches it.
+  /// Emits an instruction; for branching opcodes the target operand
+  /// (BranchTarget) holds a label id until Finalize() patches it.
   void Emit(Instr instr) { code_.push_back(instr); }
 
   void EmitOp(OpCode op, int a = 0, int b = 0, int c = 0, int d = 0,
@@ -173,6 +215,14 @@ class ProgramBuilder {
     Emit(Instr{op, static_cast<uint8_t>(cls), static_cast<int16_t>(a),
                static_cast<int16_t>(b), static_cast<int16_t>(c),
                static_cast<int16_t>(d), imm});
+  }
+
+  /// Emits binary ALU opcode `op` in literal mode: regs[a] = regs[b] op imm.
+  void EmitLit(OpCode op, int a, int b, int64_t imm) {
+    HETEX_CHECK(IsBinaryAlu(op)) << "literal operand on a non-binary opcode";
+    Instr in{op, 0, static_cast<int16_t>(a), static_cast<int16_t>(b), 0, 0, imm};
+    in.lit = true;
+    Emit(in);
   }
 
   int pc() const { return static_cast<int>(code_.size()); }

@@ -25,26 +25,6 @@ inline void CountAccess(sim::CostStats* stats, uint8_t cls, uint64_t n) {
   }
 }
 
-bool IsBinOp(OpCode op) {
-  switch (op) {
-    case OpCode::kAdd:
-    case OpCode::kSub:
-    case OpCode::kMul:
-    case OpCode::kDiv:
-    case OpCode::kCmpLt:
-    case OpCode::kCmpLe:
-    case OpCode::kCmpGt:
-    case OpCode::kCmpGe:
-    case OpCode::kCmpEq:
-    case OpCode::kCmpNe:
-    case OpCode::kAnd:
-    case OpCode::kOr:
-      return true;
-    default:
-      return false;
-  }
-}
-
 /// Register reads/writes of one straight-line instruction (for the live-in /
 /// poison analysis that decides whether loop expansion is sound).
 void ReadsWrites(const Instr& in, std::vector<int16_t>* reads,
@@ -85,9 +65,9 @@ void ReadsWrites(const Instr& in, std::vector<int16_t>* reads,
       if (in.d != 0) reads->push_back(in.c);
       break;
     default:
-      if (IsBinOp(in.op)) {
+      if (IsBinaryAlu(in.op)) {
         reads->push_back(in.b);
-        reads->push_back(in.c);
+        if (!in.lit) reads->push_back(in.c);
         writes->push_back(in.a);
       }
       break;
@@ -106,15 +86,16 @@ VecStep::Kind StepKindOf(OpCode op) {
     case OpCode::kAggLocal: return VecStep::Kind::kAggLocal;
     case OpCode::kGroupByAgg: return VecStep::Kind::kGroupByAgg;
     case OpCode::kEmit: return VecStep::Kind::kEmit;
-    default: return VecStep::Kind::kBin;  // kShl + IsBinOp, checked by callers
+    default: return VecStep::Kind::kBin;  // kShl + IsBinaryAlu, checked by callers
   }
 }
 
 /// \brief Recursive-descent parser over the flat bytecode.
 ///
 /// Straight-line instructions map 1:1 to vector primitives; the canonical probe
-/// loop idiom (kHtProbeInit / kJmpIfNeg / body / kHtIterNext / kJmp) parses into
-/// a VecLoop. Anything else is a fallback reason, never a silent skip.
+/// idiom (kHtProbeInit / body / kHtIterNext, or kHtProbeInit / body for a
+/// unique build key) parses into a VecLoop. Anything else is a fallback reason,
+/// never a silent skip.
 class Parser {
  public:
   Parser(const PipelineProgram& p, VectorProgram* vp) : p_(p), vp_(vp) {}
@@ -128,7 +109,6 @@ class Parser {
       switch (in.op) {
         case OpCode::kJmp:
         case OpCode::kJmpIfFalse:
-        case OpCode::kJmpIfNeg:
           return Fail("unstructured control flow at pc " + std::to_string(pc));
         case OpCode::kEnd:
           return Fail("kEnd inside the program body at pc " + std::to_string(pc));
@@ -156,7 +136,7 @@ class Parser {
               in.op != OpCode::kNot && in.op != OpCode::kHash &&
               in.op != OpCode::kHtInsert && in.op != OpCode::kHtLoadPayload &&
               in.op != OpCode::kAggLocal && in.op != OpCode::kGroupByAgg &&
-              in.op != OpCode::kEmit && !IsBinOp(in.op)) {
+              in.op != OpCode::kEmit && !IsBinaryAlu(in.op)) {
             return Fail("unsupported opcode at pc " + std::to_string(pc));
           }
           out->push_back({StepKindOf(in.op), in, -1});
@@ -167,35 +147,36 @@ class Parser {
     return true;
   }
 
-  /// Parses the probe-loop idiom starting at `pc` (a kHtProbeInit); on success
-  /// appends a kLoop step and sets `next` to the loop's exit pc.
+  /// Parses the probe idiom starting at `pc` (a kHtProbeInit whose miss
+  /// branches to the loop exit): the body runs up to the exit, closed by a
+  /// kHtIterNext of the same iterator, key and slot that branches back to the
+  /// body — or by nothing when the build key is unique. On success appends a
+  /// kLoop step and sets `next` to the loop's exit pc.
   bool ParseLoop(int pc, int end, int depth, std::vector<VecStep>* out,
                  int* next, bool* has_load) {
     const Instr& probe = p_.code[pc];
-    if (pc + 1 >= end || p_.code[pc + 1].op != OpCode::kJmpIfNeg ||
-        p_.code[pc + 1].a != probe.a) {
-      return Fail("probe not followed by its loop header at pc " +
-                  std::to_string(pc));
-    }
-    const int exit = p_.code[pc + 1].b;
-    if (exit > end || exit - 2 < pc + 2) {
+    const int exit = probe.d;
+    if (exit <= pc || exit > end) {
       return Fail("probe loop exit out of range at pc " + std::to_string(pc));
-    }
-    const Instr& jmp = p_.code[exit - 1];
-    const Instr& iter_next = p_.code[exit - 2];
-    if (jmp.op != OpCode::kJmp || jmp.a != pc + 1 ||
-        iter_next.op != OpCode::kHtIterNext || iter_next.a != probe.a ||
-        iter_next.b != probe.b || iter_next.c != probe.c ||
-        iter_next.cls != probe.cls) {
-      // A cls mismatch would misattribute the chain-walk accesses the
-      // expansion charges wholesale to probe.cls — fall back instead.
-      return Fail("unrecognized probe loop backedge at pc " + std::to_string(pc));
     }
     VecLoop loop;
     loop.probe = probe;
-    loop.iter_next = iter_next;
+    int body_end = exit;
+    const Instr& last = p_.code[exit - 1];
+    if (exit - 1 > pc && last.op == OpCode::kHtIterNext && last.a == probe.a) {
+      if (last.b != probe.b || last.c != probe.c || last.d != pc + 1 ||
+          last.cls != probe.cls) {
+        // A cls mismatch would misattribute the chain-walk accesses the
+        // expansion charges wholesale to probe.cls — fall back instead.
+        return Fail("unrecognized probe loop backedge at pc " +
+                    std::to_string(pc));
+      }
+      body_end = exit - 1;
+    } else {
+      loop.unique = true;
+    }
     bool body_loads = false;
-    if (!ParseBlock(pc + 2, exit - 2, depth + 1, &loop.body, &body_loads)) {
+    if (!ParseBlock(pc + 1, body_end, depth + 1, &loop.body, &body_loads)) {
       return false;
     }
     loop.needs_rows = body_loads;
@@ -294,9 +275,10 @@ class Analyzer {
       for (int16_t r : loop.live_in) {
         if (!read(r)) return false;
       }
-      // After the loop the interpreter leaves the iterator exhausted (-1); the
-      // expansion materializes that only if something reads it. Every other
-      // body-written register is stale in the parent lanes.
+      // After the loop the interpreter leaves the iterator exhausted (-1), or
+      // at a unique key's match; the expansion materializes that only if
+      // something reads it. Every other body-written register is stale in the
+      // parent lanes.
       for (int16_t w = 0; w < kMaxRegs; ++w) {
         if (body_writes[w]) {
           state[w] = 2;
@@ -639,24 +621,38 @@ class VecRunner {
     }
   }
 
-  template <typename SEL>
-  Status RunBin(Level& L, const Instr& in, SEL sel, int n) {
+  /// One binary primitive over the selection: the right operand is a
+  /// register column, or the instruction's literal broadcast to every lane.
+  template <typename SEL, typename F>
+  static inline void Bin(Level& L, const Instr& in, SEL sel, int n, F f) {
     int64_t* a = L.reg(in.a);
     const int64_t* b = L.reg(in.b);
-    const int64_t* c = L.reg(in.c);
+    if (in.lit) {
+      const int64_t y = in.imm;
+      BinLoop(a, b, b, sel, n, [f, y](int64_t x, int64_t) { return f(x, y); });
+    } else {
+      BinLoop(a, b, L.reg(in.c), sel, n, f);
+    }
+  }
+
+  template <typename SEL>
+  Status RunBin(Level& L, const Instr& in, SEL sel, int n) {
     switch (in.op) {
       case OpCode::kAdd:
-        BinLoop(a, b, c, sel, n, [](int64_t x, int64_t y) { return x + y; });
+        Bin(L, in, sel, n, [](int64_t x, int64_t y) { return x + y; });
         break;
       case OpCode::kSub:
-        BinLoop(a, b, c, sel, n, [](int64_t x, int64_t y) { return x - y; });
+        Bin(L, in, sel, n, [](int64_t x, int64_t y) { return x - y; });
         break;
       case OpCode::kMul:
-        BinLoop(a, b, c, sel, n, [](int64_t x, int64_t y) { return x * y; });
+        Bin(L, in, sel, n, [](int64_t x, int64_t y) { return x * y; });
         break;
-      case OpCode::kDiv:
+      case OpCode::kDiv: {
+        int64_t* a = L.reg(in.a);
+        const int64_t* b = L.reg(in.b);
+        const int64_t* c = L.reg(in.c);
         for (int k = 0; k < n; ++k) {
-          const int64_t d = c[sel[k]];
+          const int64_t d = in.lit ? in.imm : c[sel[k]];
           if (d == 0) {
             return Status::Internal("division by zero in pipeline '" + p_.label +
                                     "'");
@@ -664,43 +660,40 @@ class VecRunner {
           a[sel[k]] = b[sel[k]] / d;
         }
         break;
+      }
       case OpCode::kShl: {
+        int64_t* a = L.reg(in.a);
+        const int64_t* b = L.reg(in.b);
         const int64_t imm = in.imm;
         BinLoop(a, b, b, sel, n,
                 [imm](int64_t x, int64_t) { return x << imm; });
         break;
       }
       case OpCode::kCmpLt:
-        BinLoop(a, b, c, sel, n,
-                [](int64_t x, int64_t y) { return int64_t{x < y}; });
+        Bin(L, in, sel, n, [](int64_t x, int64_t y) { return int64_t{x < y}; });
         break;
       case OpCode::kCmpLe:
-        BinLoop(a, b, c, sel, n,
-                [](int64_t x, int64_t y) { return int64_t{x <= y}; });
+        Bin(L, in, sel, n, [](int64_t x, int64_t y) { return int64_t{x <= y}; });
         break;
       case OpCode::kCmpGt:
-        BinLoop(a, b, c, sel, n,
-                [](int64_t x, int64_t y) { return int64_t{x > y}; });
+        Bin(L, in, sel, n, [](int64_t x, int64_t y) { return int64_t{x > y}; });
         break;
       case OpCode::kCmpGe:
-        BinLoop(a, b, c, sel, n,
-                [](int64_t x, int64_t y) { return int64_t{x >= y}; });
+        Bin(L, in, sel, n, [](int64_t x, int64_t y) { return int64_t{x >= y}; });
         break;
       case OpCode::kCmpEq:
-        BinLoop(a, b, c, sel, n,
-                [](int64_t x, int64_t y) { return int64_t{x == y}; });
+        Bin(L, in, sel, n, [](int64_t x, int64_t y) { return int64_t{x == y}; });
         break;
       case OpCode::kCmpNe:
-        BinLoop(a, b, c, sel, n,
-                [](int64_t x, int64_t y) { return int64_t{x != y}; });
+        Bin(L, in, sel, n, [](int64_t x, int64_t y) { return int64_t{x != y}; });
         break;
       case OpCode::kAnd:
-        BinLoop(a, b, c, sel, n, [](int64_t x, int64_t y) {
+        Bin(L, in, sel, n, [](int64_t x, int64_t y) {
           return int64_t{x != 0 && y != 0};
         });
         break;
       case OpCode::kOr:
-        BinLoop(a, b, c, sel, n, [](int64_t x, int64_t y) {
+        Bin(L, in, sel, n, [](int64_t x, int64_t y) {
           return int64_t{x != 0 || y != 0};
         });
         break;
@@ -710,11 +703,11 @@ class VecRunner {
     return Status::OK();
   }
 
-  /// Match-list expansion: walks each selected lane's whole bucket chain once
-  /// (charging exactly the accesses and micro-ops the interpreter's
-  /// probe-init / iter-next sequence would), then runs the body over the
-  /// expanded lanes — in lane-major order, which is the interpreter's
-  /// tuple-major processing order.
+  /// Match-list expansion: walks each selected lane's bucket chain once — to
+  /// its end, or to its first match for a unique key — charging exactly the
+  /// accesses and micro-ops the interpreter's probe-init / iter-next sequence
+  /// would, then runs the body over the expanded lanes — in lane-major order,
+  /// which is the interpreter's tuple-major processing order.
   template <typename SEL>
   Status RunLoop(const VecLoop& loop, int depth, SEL sel, int n) {
     Level& P = levels_[depth];
@@ -772,21 +765,25 @@ class VecRunner {
         citer[m] = e;
         src[m] = lane;
         ++m;
+        if (loop.unique) break;
         hops = 0;
         e = ht->FindKeyFrom(ht->NextEntry(e), kv, &hops);
         accesses += hops;
       }
     }
     if (loop.iter_read_after) {
-      // The interpreter leaves the iterator register exhausted (-1).
+      // The interpreter leaves the iterator register exhausted (-1), or at
+      // the one match of a unique key.
       int64_t* iter = P.reg(loop.probe.a);
       for (int k = 0; k < n; ++k) iter[sel[k]] = -1;
+      if (loop.unique) {
+        for (uint64_t i = 0; i < m; ++i) iter[src[i]] = citer[i];
+      }
     }
     CountAccess(stats, loop.probe.cls, accesses);
-    // Interpreter micro-ops: probe-init once per lane, the loop-header check
-    // once per match plus the exiting check, iter-next and the backedge jump
-    // once per match: n + (m + n) + m + m.
-    stats->ops += 2 * static_cast<uint64_t>(n) + 3 * m;
+    // Interpreter micro-ops: probe-init once per lane, plus iter-next once
+    // per match unless the key is unique.
+    stats->ops += static_cast<uint64_t>(n) + (loop.unique ? 0 : m);
     if (m == 0) return Status::OK();
     HETEX_CHECK(m < (1ull << 31)) << "probe expansion overflows lane index";
 

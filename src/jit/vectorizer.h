@@ -45,19 +45,22 @@ struct VecStep {
 
 /// \brief A probe loop lowered to match-list expansion.
 ///
-/// The row interpreter iterates `kHtProbeInit / kJmpIfNeg / body / kHtIterNext /
-/// kJmp` per tuple; the vectorized tier instead walks each selected lane's whole
-/// bucket chain once, expanding the matches into a child lane set (in lane-major
-/// order, preserving the interpreter's tuple-major processing order), and then
-/// runs the body primitives over the expanded lanes.
+/// The row interpreter runs `kHtProbeInit / body / kHtIterNext` per tuple (a
+/// miss branches past the body, each further match back into it); the
+/// vectorized tier instead walks each selected lane's whole bucket chain once,
+/// expanding the matches into a child lane set (in lane-major order,
+/// preserving the interpreter's tuple-major processing order), and then runs
+/// the body primitives over the expanded lanes. A unique build key's probe has
+/// no kHtIterNext: it expands at most one match per lane.
 struct VecLoop {
-  Instr probe;      ///< the kHtProbeInit (a=iter reg, b=key reg, c=ht slot, cls)
-  Instr iter_next;  ///< the kHtIterNext (kept for operand/accounting checks)
+  Instr probe;  ///< the kHtProbeInit (a=iter reg, b=key reg, c=ht slot, cls)
+  bool unique = false;  ///< no kHtIterNext: the walk stops at the first match
   std::vector<VecStep> body;
   /// Registers the body reads before writing (copied into the expanded lanes).
   std::vector<int16_t> live_in;
   /// True when something after the loop reads the iterator register (the
-  /// expansion must then materialize the interpreter's exhausted -1).
+  /// expansion must then materialize the interpreter's value: -1, or a
+  /// unique key's match).
   bool iter_read_after = false;
   /// True when the body subtree loads input columns (the expansion must then
   /// carry original row numbers into the child lanes).

@@ -518,6 +518,12 @@ uint64_t JoinHtBytes(const JoinSpec& join, const storage::Catalog& catalog) {
   return JoinHtLayout(join, catalog).Bytes();
 }
 
+bool JoinKeyUnique(const JoinSpec& join, const storage::Catalog& catalog) {
+  const storage::Table* table = catalog.Get(join.build_table);
+  const int key = table != nullptr ? table->FindColumn(join.build_key) : -1;
+  return key >= 0 && table->column(key).unique();
+}
+
 std::vector<int> ProbeOrder(const QuerySpec& spec, const storage::Catalog& catalog,
                             const sim::CostModel& cost_model) {
   std::vector<double> rank(spec.joins.size(),

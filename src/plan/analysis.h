@@ -160,6 +160,11 @@ jit::JoinHashTable::Layout JoinHtLayout(const JoinSpec& join,
 /// probes and inserts.
 uint64_t JoinHtBytes(const JoinSpec& join, const storage::Catalog& catalog);
 
+/// True when `join`'s build key is a column declared unique
+/// (storage::Column::unique): its probe stops at the first match, so the
+/// compiled probe has no iter-next and the coster prices none.
+bool JoinKeyUnique(const JoinSpec& join, const storage::Catalog& catalog);
+
 /// \brief Join ids in the order the fused probe pipeline nests its probe
 /// loops: cheapest access per eliminated row first.
 ///

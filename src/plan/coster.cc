@@ -13,34 +13,46 @@ namespace hetex::plan {
 
 namespace {
 
-/// Micro-op estimate of evaluating an expression once (one VM op per node).
-double ExprOps(const ExprPtr& e) {
-  if (e == nullptr) return 0;
-  if (e->kind() != Expr::Kind::kBin) return 1;
-  return 1 + ExprOps(e->lhs()) + ExprOps(e->rhs());
-}
-
-/// Fraction of `t`'s sampled staging rows satisfying `filter`; `fallback` when
-/// the sample is unavailable (dropped staging, missing columns).
-double SampleSelectivity(const storage::Table& t, const ExprPtr& filter,
-                         double fallback) {
-  if (filter == nullptr) return 1.0;
+/// Fractions of `t`'s sampled staging rows that reach each conjunct of
+/// `filter` (Conjuncts: the rows the conjuncts before it passed) and, last,
+/// that pass them all. Empty without a filter or when the sample is
+/// unavailable (dropped staging, missing columns); `sampled` receives the
+/// sample's rows.
+std::vector<double> SampleConjunctReach(const storage::Table& t,
+                                        const ExprPtr& filter, uint64_t* sampled) {
+  *sampled = 0;
+  if (filter == nullptr) return {};
   std::set<std::string> cols;
   filter->CollectColumns(&cols);
   for (const auto& c : cols) {
-    if (t.FindColumn(c) < 0) return fallback;
+    if (t.FindColumn(c) < 0) return {};
   }
-  uint64_t hits = 0;
-  const uint64_t sampled = t.SampleRows(4096, [&](uint64_t r) {
+  const std::vector<ExprPtr> conjuncts = Conjuncts(filter);
+  std::vector<uint64_t> reached(conjuncts.size() + 1, 0);
+  *sampled = t.SampleRows(4096, [&](uint64_t r) {
     const RowGetter row = [&](const std::string& name) {
       return t.column(name).At(r);
     };
-    if (filter->Eval(row) != 0) ++hits;
+    size_t k = 0;
+    ++reached[0];
+    while (k < conjuncts.size() && conjuncts[k]->Eval(row) != 0) ++reached[++k];
   });
-  if (sampled == 0) return fallback;
+  if (*sampled == 0) return {};
+  std::vector<double> reach;
+  for (uint64_t n : reached) {
+    reach.push_back(static_cast<double>(n) / static_cast<double>(*sampled));
+  }
+  return reach;
+}
+
+/// Survival fraction of `filter` from its sampled conjunct reach; `fallback`
+/// when the sample is unavailable.
+double Selectivity(const ExprPtr& filter, const std::vector<double>& reach,
+                   uint64_t sampled, double fallback) {
+  if (filter == nullptr) return 1.0;
+  if (reach.empty()) return fallback;
   // Clamp away from exactly zero: a sample miss is not proof of emptiness.
-  const double sel = static_cast<double>(hits) / static_cast<double>(sampled);
-  return std::max(sel, 0.5 / static_cast<double>(sampled));
+  return std::max(reach.back(), 0.5 / static_cast<double>(sampled));
 }
 
 uint64_t CeilDiv(uint64_t a, uint64_t b) { return b == 0 ? 0 : (a + b - 1) / b; }
@@ -164,8 +176,12 @@ CardinalityEstimate EstimateCardinalities(const QuerySpec& spec,
   CardinalityEstimate c;
   const storage::Table* fact = catalog.Get(spec.fact_table);
   c.fact_rows = fact != nullptr ? std::max<uint64_t>(1, TableRows(*fact)) : 1;
+  uint64_t sampled = 0;
+  if (fact != nullptr) {
+    c.fact_filter_reach = SampleConjunctReach(*fact, spec.fact_filter, &sampled);
+  }
   c.fact_selectivity =
-      fact != nullptr ? SampleSelectivity(*fact, spec.fact_filter, 1.0) : 1.0;
+      Selectivity(spec.fact_filter, c.fact_filter_reach, sampled, 1.0);
 
   double cumulative = c.fact_selectivity;
   for (const JoinSpec& join : spec.joins) {
@@ -178,9 +194,14 @@ CardinalityEstimate EstimateCardinalities(const QuerySpec& spec,
                                               join.build_rows_estimate) /
                                               static_cast<double>(input))
                           : 1.0;
+    std::vector<double> reach;
+    if (build != nullptr) {
+      reach = SampleConjunctReach(*build, join.build_filter, &sampled);
+    }
     const double sel = build != nullptr
-                           ? SampleSelectivity(*build, join.build_filter, fallback)
+                           ? Selectivity(join.build_filter, reach, sampled, fallback)
                            : fallback;
+    c.build_filter_reach.push_back(std::move(reach));
     const uint64_t filtered = std::max<uint64_t>(
         1, static_cast<uint64_t>(std::llround(sel * static_cast<double>(input))));
     c.build_input_rows.push_back(input);
@@ -273,12 +294,6 @@ Result<CostEstimate> PlanCoster::Cost(const HetPlan& plan) const {
   const uint64_t agg_ht_bytes =
       spec_->group_by.empty() ? 0 : spec_->expected_groups * 2 * (8 + 8 * n_aggs);
 
-  const double filter_ops = ExprOps(spec_->fact_filter);
-  double agg_value_ops = 0;
-  for (const auto& agg : spec_->aggs) agg_value_ops += ExprOps(agg.value) + 1;
-  double group_key_ops = 0;
-  for (const auto& g : spec_->group_by) group_key_ops += ExprOps(g) + 2;
-
   const double total_join_sel = [&] {
     double s = 1.0;
     for (double js : cards_.join_selectivities) s *= js;
@@ -289,43 +304,77 @@ Result<CostEstimate> PlanCoster::Cost(const HetPlan& plan) const {
     return j < cards_.join_selectivities.size() ? cards_.join_selectivities[j] : 1;
   };
 
-  // Per-tuple profile of a probe span. `from_table`: fused scan (filter still
-  // to run) vs the packed stage-B input of a split plan (filter already done).
-  // The probes run in the compiler's nesting order, so each join is priced for
-  // the rows the joins before it let through. A payload load reads the entry
-  // its probe already paid for: ops, no access.
+  // Ops the aggregation tail QueryCompiler::CompileProbe emits in the
+  // innermost probe body, given the columns already in registers: each
+  // aggregate's value and its fold, or the group key, one value per
+  // aggregate (a literal 1 for COUNT), their copies into the fold's register
+  // window and the fold.
+  auto tail_ops = [&](std::set<std::string>* loaded) {
+    double ops = 0;
+    if (spec_->group_by.empty()) {
+      for (const auto& agg : spec_->aggs) {
+        ops += (agg.func == jit::AggFunc::kCount ? 0 : agg.value->Ops(loaded)) + 1;
+      }
+      return ops;
+    }
+    ops += CombineGroupKeys(spec_->group_by)->Ops(loaded);
+    for (const auto& agg : spec_->aggs) {
+      ops += agg.func == jit::AggFunc::kCount ? 1 : agg.value->Ops(loaded);
+    }
+    return ops + static_cast<double>(spec_->aggs.size()) + 1;
+  };
+
+  // Per-tuple profile of a probe span, op for op the program CompileProbe
+  // emits. `from_table`: fused scan (the conjunct filter still to run) vs the
+  // packed stage-B input of a split plan (filter done, every wire column
+  // loaded up front). The probes run in the compiler's nesting order, so each
+  // join is priced for the rows the joins before it let through: a key load
+  // on first use, the probe init, and per match a payload load and — unless
+  // the build key is unique — the iter-next. A payload load reads the entry
+  // its probe already paid for: ops, no access. Every row that passed the
+  // filter ends at kEnd.
   const std::vector<int> probe_order = ProbeOrder(*spec_, *catalog_, cm);
   auto probe_profile = [&](bool from_table) {
     Profile p;
-    p.bytes_read = from_table ? scan_width : wire_width;
+    std::set<std::string> loaded;
     double reach = 1.0;
-    if (from_table && spec_->fact_filter != nullptr) {
-      p.ops += filter_ops + 1;
+    if (from_table) {
+      p.bytes_read = scan_width;
+      p.ops += FilterOps(spec_->fact_filter, cards_.fact_filter_reach, &loaded);
       reach = cards_.fact_selectivity;
+    } else {
+      p.bytes_read = wire_width;
+      p.ops += static_cast<double>(wire_cols.size());
+      loaded = wire_cols;
     }
+    p.ops += reach;  // kEnd
     for (const int j : probe_order) {
-      p.ops += reach * 4;  // probe init + loop control
+      const JoinSpec& join = spec_->joins[j];
+      if (loaded.insert(join.probe_key).second) p.ops += reach;
+      p.ops += reach;
       p.AddAccess(cm, ht_bytes(j), reach);
       reach *= build_sel(j);
-      if (!spec_->joins[j].payload.empty()) {
-        p.ops += reach * (1 + static_cast<double>(spec_->joins[j].payload.size()));
-      }
+      if (!join.payload.empty()) p.ops += reach;
+      if (!JoinKeyUnique(join, *catalog_)) p.ops += reach;
+      loaded.insert(join.payload.begin(), join.payload.end());
     }
-    if (spec_->group_by.empty()) {
-      p.ops += reach * agg_value_ops;
-    } else {
-      p.ops += reach * (group_key_ops + agg_value_ops + 1);
-      p.AddAccess(cm, agg_ht_bytes, reach);
-    }
+    p.ops += reach * tail_ops(&loaded);
+    if (!spec_->group_by.empty()) p.AddAccess(cm, agg_ht_bytes, reach);
     return p;
   };
 
+  // Stage A: the conjunct filter, then per survivor the wire columns the
+  // filter did not load, their copies into the emit window, the hash tag,
+  // the emit and kEnd.
   auto filter_stage_profile = [&] {
     Profile p;
     p.bytes_read = scan_width;
-    p.ops += filter_ops + 1;
+    std::set<std::string> loaded;
+    p.ops += FilterOps(spec_->fact_filter, cards_.fact_filter_reach, &loaded);
+    double survivor_ops = 3 + static_cast<double>(wire_cols.size());
+    for (const auto& c : wire_cols) survivor_ops += loaded.count(c) == 0 ? 1 : 0;
     const double survivors = cards_.fact_selectivity;
-    p.ops += survivors * (2 + static_cast<double>(wire_cols.size()));
+    p.ops += survivors * survivor_ops;
     p.bytes_written = survivors * wire_width;
     return p;
   };
@@ -358,8 +407,11 @@ Result<CostEstimate> PlanCoster::Cost(const HetPlan& plan) const {
     return dimension_width(join, cols);
   };
 
-  // Per-tuple profile of join j's build. `packed`: the input is a build-side
-  // filter stage's survivors (the filter already applied). An insert writes
+  // Per-tuple profile of join j's build, op for op CompileBuild's program.
+  // `packed`: the input is a build-side filter stage's survivors (the filter
+  // already applied, every packed column loaded up front); otherwise the
+  // conjunct filter runs first. A survivor loads its key and payload, copies
+  // the payload into the insert window, inserts and ends. An insert writes
   // one entry of the join's hash-table layout.
   auto build_profile = [&](size_t j, bool packed, uint64_t* n_cols) {
     Profile p;
@@ -367,18 +419,28 @@ Result<CostEstimate> PlanCoster::Cost(const HetPlan& plan) const {
     double in_width = 8;
     *n_cols = 1;
     double sel = 1.0;
+    std::set<std::string> loaded;
     if (join != nullptr && packed) {
-      const std::set<std::string> cols = packed_columns(*join);
-      *n_cols = cols.size();
-      in_width = dimension_width(*join, cols);
-      p.ops += 1;
+      loaded = packed_columns(*join);
+      *n_cols = loaded.size();
+      in_width = dimension_width(*join, loaded);
+      p.ops += static_cast<double>(loaded.size());
     } else if (join != nullptr) {
       in_width = dimension_scan(*join, n_cols);
-      p.ops += ExprOps(join->build_filter) + 1;
+      p.ops +=
+          FilterOps(join->build_filter, cards_.build_filter_reach[j], &loaded);
       sel = build_sel(j);
     }
     p.bytes_read = in_width;
-    p.ops += sel * 3;
+    double survivor_ops = 3;
+    if (join != nullptr) {
+      survivor_ops = 2 + static_cast<double>(join->payload.size());
+      if (loaded.insert(join->build_key).second) survivor_ops += 1;
+      for (const auto& c : join->payload) {
+        if (loaded.insert(c).second) survivor_ops += 1;
+      }
+    }
+    p.ops += sel * survivor_ops;
     p.AddAccess(cm, ht_bytes(j), sel);
     p.atomics += sel;
     if (join != nullptr) {
@@ -388,7 +450,8 @@ Result<CostEstimate> PlanCoster::Cost(const HetPlan& plan) const {
   };
 
   // Per-tuple profile of join j's build-side filter stage: every row loads
-  // the filter's columns, a survivor also its key and payload, which it packs.
+  // the filter's columns and runs its conjuncts; a survivor also loads its
+  // key and payload, copies them into the emit window, packs them and ends.
   auto build_filter_profile = [&](size_t j, uint64_t* n_cols) {
     Profile p;
     const JoinSpec& join = spec_->joins[j];
@@ -396,9 +459,12 @@ Result<CostEstimate> PlanCoster::Cost(const HetPlan& plan) const {
     const double scan = dimension_scan(join, n_cols);
     const double filter_width = dimension_width(join, filter_columns(join));
     p.bytes_read = filter_width + sel * (scan - filter_width);
-    p.ops += ExprOps(join.build_filter) + 1;
-    const double out_cols = 1 + static_cast<double>(join.payload.size());
-    p.ops += sel * (2 + out_cols);
+    std::set<std::string> loaded;
+    p.ops += FilterOps(join.build_filter, cards_.build_filter_reach[j], &loaded);
+    const std::set<std::string> kept = packed_columns(join);
+    double survivor_ops = 2 + static_cast<double>(kept.size());
+    for (const auto& c : kept) survivor_ops += loaded.count(c) == 0 ? 1 : 0;
+    p.ops += sel * survivor_ops;
     p.bytes_written = sel * dimension_width(join, packed_columns(join));
     return p;
   };

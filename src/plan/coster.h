@@ -24,8 +24,14 @@ namespace hetex::plan {
 struct CardinalityEstimate {
   uint64_t fact_rows = 0;
   double fact_selectivity = 1.0;            ///< fact-filter survival fraction
+  /// Fraction of sampled fact rows reaching each conjunct of the fact filter
+  /// (plan::Conjuncts), then passing them all; empty when unsampled. Prices
+  /// the conjunct filter the compiler emits (plan::FilterOps).
+  std::vector<double> fact_filter_reach;
   std::vector<uint64_t> build_input_rows;   ///< per join: build-table rows
   std::vector<uint64_t> build_rows;         ///< per join: filtered build side
+  /// Per join: fact_filter_reach's counterpart for the build filter.
+  std::vector<std::vector<double>> build_filter_reach;
   std::vector<double> join_selectivities;   ///< per join: probe survival fraction
   uint64_t output_rows = 0;                 ///< fact rows reaching aggregation
 

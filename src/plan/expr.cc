@@ -30,6 +30,31 @@ ExprPtr Expr::Bin(BinOp op, ExprPtr lhs, ExprPtr rhs) {
   return e;
 }
 
+namespace {
+
+jit::OpCode AluOp(Expr::BinOp op) {
+  using jit::OpCode;
+  switch (op) {
+    case Expr::BinOp::kAdd: return OpCode::kAdd;
+    case Expr::BinOp::kSub: return OpCode::kSub;
+    case Expr::BinOp::kMul: return OpCode::kMul;
+    case Expr::BinOp::kDiv: return OpCode::kDiv;
+    case Expr::BinOp::kShl: return OpCode::kShl;
+    case Expr::BinOp::kLt: return OpCode::kCmpLt;
+    case Expr::BinOp::kLe: return OpCode::kCmpLe;
+    case Expr::BinOp::kGt: return OpCode::kCmpGt;
+    case Expr::BinOp::kGe: return OpCode::kCmpGe;
+    case Expr::BinOp::kEq: return OpCode::kCmpEq;
+    case Expr::BinOp::kNe: return OpCode::kCmpNe;
+    case Expr::BinOp::kAnd: return OpCode::kAnd;
+    case Expr::BinOp::kOr: return OpCode::kOr;
+  }
+  HETEX_CHECK(false) << "unhandled binop";
+  return OpCode::kAdd;
+}
+
+}  // namespace
+
 int Expr::Gen(jit::ProgramBuilder& b, ColumnResolver& cols) const {
   using jit::OpCode;
   switch (kind_) {
@@ -48,30 +73,30 @@ int Expr::Gen(jit::ProgramBuilder& b, ColumnResolver& cols) const {
         b.EmitOp(OpCode::kShl, reg, lr, 0, 0, rhs_->value_);
         return reg;
       }
+      if (rhs_->kind_ == Kind::kConst) {
+        const int reg = b.AllocReg();
+        b.EmitLit(AluOp(op_), reg, lr, rhs_->value_);
+        return reg;
+      }
       const int rr = rhs_->Gen(b, cols);
       const int reg = b.AllocReg();
-      OpCode op;
-      switch (op_) {
-        case BinOp::kAdd: op = OpCode::kAdd; break;
-        case BinOp::kSub: op = OpCode::kSub; break;
-        case BinOp::kMul: op = OpCode::kMul; break;
-        case BinOp::kDiv: op = OpCode::kDiv; break;
-        case BinOp::kLt: op = OpCode::kCmpLt; break;
-        case BinOp::kLe: op = OpCode::kCmpLe; break;
-        case BinOp::kGt: op = OpCode::kCmpGt; break;
-        case BinOp::kGe: op = OpCode::kCmpGe; break;
-        case BinOp::kEq: op = OpCode::kCmpEq; break;
-        case BinOp::kNe: op = OpCode::kCmpNe; break;
-        case BinOp::kAnd: op = OpCode::kAnd; break;
-        case BinOp::kOr: op = OpCode::kOr; break;
-        default: HETEX_CHECK(false) << "unhandled binop"; op = OpCode::kAdd;
-      }
-      b.EmitOp(op, reg, lr, rr);
+      b.EmitOp(AluOp(op_), reg, lr, rr);
       return reg;
     }
   }
   HETEX_CHECK(false);
   return -1;
+}
+
+int Expr::Ops(std::set<std::string>* loaded) const {
+  switch (kind_) {
+    case Kind::kCol: return loaded->insert(col_).second ? 1 : 0;
+    case Kind::kConst: return 1;
+    case Kind::kBin:
+      return lhs_->Ops(loaded) +
+             (rhs_->kind_ == Kind::kConst ? 0 : rhs_->Ops(loaded)) + 1;
+  }
+  return 0;
 }
 
 int64_t Expr::Eval(const RowGetter& row) const {
@@ -142,6 +167,45 @@ std::string Expr::ToString() const {
     }
   }
   return "?";
+}
+
+std::vector<ExprPtr> Conjuncts(const ExprPtr& pred) {
+  std::vector<ExprPtr> out;
+  const std::function<void(const ExprPtr&)> split = [&](const ExprPtr& e) {
+    if (e->kind() == Expr::Kind::kBin && e->op() == Expr::BinOp::kAnd) {
+      split(e->lhs());
+      split(e->rhs());
+    } else {
+      out.push_back(e);
+    }
+  };
+  if (pred != nullptr) split(pred);
+  return out;
+}
+
+void GenFilter(const ExprPtr& pred, jit::ProgramBuilder& b, ColumnResolver& cols) {
+  if (pred == nullptr) return;
+  std::set<std::string> names;
+  pred->CollectColumns(&names);
+  for (const auto& name : names) cols.ResolveColumn(name, b);
+  for (const auto& conjunct : Conjuncts(pred)) {
+    b.EmitOp(jit::OpCode::kFilter, conjunct->Gen(b, cols));
+  }
+}
+
+double FilterOps(const ExprPtr& pred, const std::vector<double>& reach,
+                 std::set<std::string>* loaded) {
+  if (pred == nullptr) return 0;
+  std::set<std::string> names;
+  pred->CollectColumns(&names);
+  double ops = 0;
+  for (const auto& name : names) ops += loaded->insert(name).second ? 1 : 0;
+  const std::vector<ExprPtr> conjuncts = Conjuncts(pred);
+  for (size_t k = 0; k < conjuncts.size(); ++k) {
+    const double r = k < reach.size() ? reach[k] : 1.0;
+    ops += r * (conjuncts[k]->Ops(loaded) + 1);
+  }
+  return ops;
 }
 
 }  // namespace hetex::plan

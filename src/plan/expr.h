@@ -6,6 +6,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "jit/program.h"
 
@@ -44,17 +45,30 @@ class Expr {
   static ExprPtr Bin(BinOp op, ExprPtr lhs, ExprPtr rhs);
 
   /// Emits VM code computing this expression; returns the result register.
+  /// A literal right operand rides in its instruction (Instr::lit); a
+  /// literal anywhere else takes a kConst.
   int Gen(jit::ProgramBuilder& b, ColumnResolver& cols) const;
 
-  /// Interpreted evaluation (reference path).
+  /// VM instructions Gen emits for this expression — the ops one evaluation
+  /// costs. `loaded` names the columns already in registers: a column's first
+  /// use costs its load and joins the set, later uses are free.
+  int Ops(std::set<std::string>* loaded) const;
+
+  /// Interpreted evaluation (reference path). Generated code evaluates a
+  /// filter conjunct by conjunct (GenFilter), so a row that fails one AND
+  /// conjunct never evaluates the later ones — as this evaluation
+  /// short-circuits them. Inside a conjunct nothing short-circuits: both sides
+  /// of an OR (and of an AND under it) are evaluated, so generated code still
+  /// divides by zero on `d = 0 OR a / d > 100` where this evaluation does not.
   int64_t Eval(const RowGetter& row) const;
 
   void CollectColumns(std::set<std::string>* out) const;
   std::string ToString() const;
 
   Kind kind() const { return kind_; }
-  /// Children of a kBin node (null otherwise). Exposed for planner walks
-  /// (e.g. the coster's per-tuple micro-op estimates).
+  /// Operator of a kBin node.
+  BinOp op() const { return op_; }
+  /// Children of a kBin node (null otherwise). Exposed for planner walks.
   const ExprPtr& lhs() const { return lhs_; }
   const ExprPtr& rhs() const { return rhs_; }
 
@@ -68,6 +82,23 @@ class Expr {
   ExprPtr lhs_;
   ExprPtr rhs_;
 };
+
+/// The top-level AND conjuncts of `pred`, left to right (a predicate that is
+/// not an AND is its one conjunct; null has none).
+std::vector<ExprPtr> Conjuncts(const ExprPtr& pred);
+
+/// \brief Emits `pred` as a conjunct filter: first the load of every column it
+/// reads, then one kFilter per conjunct (Conjuncts), so a row stops at the
+/// first conjunct it fails. The loads all precede the first filter, so the
+/// bytes a scan reads do not depend on the conjuncts' selectivity.
+void GenFilter(const ExprPtr& pred, jit::ProgramBuilder& b, ColumnResolver& cols);
+
+/// Expected ops per row of GenFilter(pred): the loads of the columns not in
+/// `loaded` (which then joins them) for every row, and conjunct k's ops plus
+/// its kFilter for the fraction `reach[k]` of rows that passed the conjuncts
+/// before it (missing entries count 1).
+double FilterOps(const ExprPtr& pred, const std::vector<double>& reach,
+                 std::set<std::string>* loaded);
 
 // Convenience constructors for readable query definitions.
 inline ExprPtr Col(std::string name) { return Expr::Col(std::move(name)); }

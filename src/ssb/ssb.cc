@@ -111,6 +111,7 @@ Ssb::Ssb(const Options& options, storage::Catalog* catalog)
 void Ssb::GenerateDate() {
   Table* t = catalog_->CreateTable("date");
   Column* datekey = t->AddColumn("d_datekey", ColType::kInt32);
+  datekey->set_unique(true);
   Column* year = t->AddColumn("d_year", ColType::kInt32);
   Column* yearmonthnum = t->AddColumn("d_yearmonthnum", ColType::kInt32);
   Column* weeknuminyear = t->AddColumn("d_weeknuminyear", ColType::kInt32);
@@ -139,6 +140,7 @@ void Ssb::GenerateCustomer(uint64_t rows) {
   Rng rng(options_.seed ^ 0xC0FFEE);
   Table* t = catalog_->CreateTable("customer");
   Column* key = t->AddColumn("c_custkey", ColType::kInt32);
+  key->set_unique(true);
   Column* city = t->AddColumn("c_city", ColType::kInt32);
   Column* nation = t->AddColumn("c_nation", ColType::kInt32);
   Column* region = t->AddColumn("c_region", ColType::kInt32);
@@ -160,6 +162,7 @@ void Ssb::GenerateSupplier(uint64_t rows) {
   Rng rng(options_.seed ^ 0x5EED5);
   Table* t = catalog_->CreateTable("supplier");
   Column* key = t->AddColumn("s_suppkey", ColType::kInt32);
+  key->set_unique(true);
   Column* city = t->AddColumn("s_city", ColType::kInt32);
   Column* nation = t->AddColumn("s_nation", ColType::kInt32);
   Column* region = t->AddColumn("s_region", ColType::kInt32);
@@ -181,6 +184,7 @@ void Ssb::GeneratePart(uint64_t rows) {
   Rng rng(options_.seed ^ 0xBEEF);
   Table* t = catalog_->CreateTable("part");
   Column* key = t->AddColumn("p_partkey", ColType::kInt32);
+  key->set_unique(true);
   Column* mfgr = t->AddColumn("p_mfgr", ColType::kInt32);
   Column* category = t->AddColumn("p_category", ColType::kInt32);
   Column* brand = t->AddColumn("p_brand1", ColType::kInt32);

@@ -80,12 +80,18 @@ class Column {
   void set_dictionary(const Dictionary* dict) { dict_ = dict; }
   const Dictionary* dictionary() const { return dict_; }
 
+  /// Declares the column's values distinct (a primary key): a hash join
+  /// built on it stops probing at the first match. Table::Place verifies it.
+  void set_unique(bool unique) { unique_ = unique; }
+  bool unique() const { return unique_; }
+
  private:
   std::string name_;
   ColType type_;
   std::vector<int32_t> data32_;
   std::vector<int64_t> data64_;
   const Dictionary* dict_ = nullptr;
+  bool unique_ = false;
 };
 
 }  // namespace hetex::storage

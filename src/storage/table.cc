@@ -1,5 +1,6 @@
 #include "storage/table.h"
 
+#include <algorithm>
 #include <cstring>
 #include <unordered_set>
 
@@ -32,6 +33,18 @@ int Table::FindColumn(const std::string& name) const {
 Status Table::Place(const std::vector<sim::MemNodeId>& nodes,
                     memory::MemoryRegistry* mem, bool pinned) {
   HETEX_CHECK(!nodes.empty());
+  for (const auto& col : columns_) {
+    if (!col->unique()) continue;
+    std::vector<int64_t> values(col->rows());
+    for (uint64_t r = 0; r < values.size(); ++r) values[r] = col->At(r);
+    std::sort(values.begin(), values.end());
+    const auto dup = std::adjacent_find(values.begin(), values.end());
+    if (dup != values.end()) {
+      return Status::InvalidArgument("column '" + col->name() + "' of table '" +
+                                     name_ + "' is declared unique but holds " +
+                                     std::to_string(*dup) + " twice");
+    }
+  }
   Unplace();
   placed_mem_ = mem;
   pinned_ = pinned;
@@ -142,6 +155,7 @@ void Table::DropStaging() {
   for (auto& col : columns_) {
     auto fresh = std::make_unique<Column>(col->name(), col->type());
     fresh->set_dictionary(col->dictionary());
+    fresh->set_unique(col->unique());
     *col = std::move(*fresh);
   }
 }

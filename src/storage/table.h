@@ -68,6 +68,8 @@ class Table {
   /// Distributes rows evenly over `nodes` (one chunk per node), allocating chunk
   /// buffers from each node's memory manager. `pinned` marks host chunks as
   /// DMA-pinned; unpinned chunks transfer at pageable bandwidth (DBMS G, §6.2).
+  /// InvalidArgument, placing nothing, when a column declared unique
+  /// (Column::unique) holds a value twice.
   Status Place(const std::vector<sim::MemNodeId>& nodes,
                memory::MemoryRegistry* mem, bool pinned = true);
 

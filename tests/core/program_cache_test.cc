@@ -86,6 +86,36 @@ TEST(ProgramCache, DistinctProgramsAndSchemasGetDistinctEntries) {
   EXPECT_EQ(c.hits, 1u);
 }
 
+TEST(ProgramCache, LiteralOperandModeGetsItsOwnEntry) {
+  // `v < r0` and `v < 0` differ only in the literal-mode bit: two entries.
+  TestEnv env(2'000);
+  ProgramCache cache;
+  auto provider = env.system->MakeProvider(sim::DeviceId::Cpu(0));
+  auto make = [](bool lit) {
+    CompiledPipeline p;
+    jit::ProgramBuilder b;
+    const int v = b.AllocReg();
+    b.EmitOp(jit::OpCode::kLoadCol, v, 0);
+    const int pred = b.AllocReg();
+    if (lit) {
+      b.EmitLit(jit::OpCode::kCmpLt, pred, v, 0);
+    } else {
+      b.EmitOp(jit::OpCode::kCmpLt, pred, v, v);
+    }
+    b.EmitOp(jit::OpCode::kFilter, pred);
+    p.program = b.Finalize("cache.test[mode]");
+    p.input_cols.push_back({"v", 8});
+    return p;
+  };
+  const auto reg = cache.GetOrCompile(*provider, make(false));
+  const auto lit = cache.GetOrCompile(*provider, make(true));
+  ASSERT_TRUE(reg.ok() && lit.ok());
+  EXPECT_NE(reg.value().get(), lit.value().get());
+  EXPECT_FALSE(reg.value()->code[1].lit);
+  EXPECT_TRUE(lit.value()->code[1].lit);
+  EXPECT_EQ(cache.counters(sim::DeviceType::kCpu).misses, 2u);
+}
+
 TEST(ProgramCache, ValidationFailureIsNotCached) {
   TestEnv env(2'000);
   ProgramCache cache;

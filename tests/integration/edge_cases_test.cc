@@ -1,4 +1,8 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <filesystem>
+#include <string>
 
 #include "test_util.h"
 
@@ -127,6 +131,59 @@ TEST(EdgeCases, DivisionByZeroSurfacesAsQueryStatus) {
   EXPECT_FALSE(r.status.ok());
   EXPECT_NE(r.status.message().find("division by zero"), std::string::npos)
       << r.status.ToString();
+}
+
+TEST(EdgeCases, GuardedDivisionShortCircuits) {
+  // `d != 0 AND a / d > 100`: generated code filters conjunct by conjunct, so
+  // the row whose divisor is zero fails the guard and never divides — in
+  // every tier, as in the reference evaluator.
+  const std::string kernel_dir =
+      (std::filesystem::temp_directory_path() /
+       ("hetex-guarded-div-" + std::to_string(static_cast<long>(::getpid()))))
+          .string();
+  for (const auto tier : {jit::TierPolicy::kForceInterpreter,
+                          jit::TierPolicy::kForceVectorized, jit::TierPolicy::kAuto}) {
+    core::System::Options opts;
+    opts.topology.num_sockets = 1;
+    opts.topology.cores_per_socket = 2;
+    opts.topology.num_gpus = 1;
+    opts.tier_policy = tier;
+    if (tier == jit::TierPolicy::kAuto) {
+      opts.codegen.enabled = true;
+      opts.codegen.async = false;  // every pipeline runs its native kernel
+      opts.codegen.kernel_dir = kernel_dir;
+    }
+    core::System system(opts);
+    auto* t = system.catalog().CreateTable("divtab");
+    auto* a = t->AddColumn("a", storage::ColType::kInt64);
+    auto* d = t->AddColumn("d", storage::ColType::kInt64);
+    for (int i = 0; i < 1000; ++i) {
+      a->Append(i);
+      d->Append(i == 500 ? 0 : 2);
+    }
+    HETEX_CHECK_OK(t->Place(system.HostNodes(), &system.memory()));
+
+    plan::QuerySpec q;
+    q.name = "guarded-div";
+    q.fact_table = "divtab";
+    q.fact_filter = plan::And(
+        plan::Ne(plan::Col("d"), plan::Lit(0)),
+        plan::Gt(plan::Expr::Bin(plan::Expr::BinOp::kDiv, plan::Col("a"),
+                                 plan::Col("d")),
+                 plan::Lit(100)));
+    q.aggs.push_back({nullptr, jit::AggFunc::kCount, "n"});
+    q.expected_groups = 1;
+    const auto expected = ssb::ReferenceExecute(q, system.catalog());
+    ASSERT_EQ(expected, (std::vector<std::vector<int64_t>>{{797}}));
+    for (const auto& policy :
+         {plan::ExecPolicy::CpuOnly(2), plan::ExecPolicy::GpuOnly()}) {
+      core::QueryExecutor executor(&system);
+      const auto r = executor.Execute(q, TestEnv::Tune(policy));
+      ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+      EXPECT_EQ(r.rows, expected) << static_cast<int>(tier);
+    }
+  }
+  std::filesystem::remove_all(kernel_dir);
 }
 
 TEST(EdgeCases, StaticZeroDivisorRejectedAsStatus) {

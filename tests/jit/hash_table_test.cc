@@ -123,12 +123,53 @@ TEST_F(HashTableTest, ConcurrentBuildFindsEverything) {
     ASSERT_GE(e, 0);
     EXPECT_EQ(ht.PayloadAt(e, 0), k);
   }
-  // The CAS that linked each entry set its key's tag bit: no concurrent
-  // insert into the same bucket lost one.
+  // Every insert set its key's tag bit: no concurrent insert into the same
+  // bucket lost one.
   for (int64_t k = 0; k < kThreads * kPerThread; ++k) {
     const uint64_t hash = JoinHashTable::Hash(k);
     const uint64_t word = ht.raw_heads()[hash & ht.bucket_mask()].load();
     ASSERT_NE(word & JoinHashTable::TagBit(hash), 0u) << "key " << k;
+  }
+}
+
+// A chain holds its keys in descending order, so the accesses a probe pays
+// to reach a key's first match are the same however concurrent builders
+// interleaved their inserts.
+TEST_F(HashTableTest, ChainOrderDoesNotDependOnInsertOrder) {
+  constexpr int64_t kKeys = 4000;  // keys 0..1999, each twice; payload = key
+  auto insert = [](JoinHashTable* ht, int64_t i) {
+    const int64_t key = i / 2;
+    ht->Insert(key, &key);
+  };
+  auto hops_to_first_match = [](const JoinHashTable& ht) {
+    std::vector<uint64_t> hops(kKeys / 2);
+    for (int64_t k = 0; k < kKeys / 2; ++k) {
+      EXPECT_GE(ht.FindKeyFrom(ht.ProbeHead(k), k, &hops[k]), 0);
+    }
+    return hops;
+  };
+  JoinHashTable ascending(&mm_, Layout(kKeys, 8, {8}));
+  for (int64_t i = 0; i < kKeys; ++i) insert(&ascending, i);
+  JoinHashTable descending(&mm_, Layout(kKeys, 8, {8}));
+  for (int64_t i = kKeys; i-- > 0;) insert(&descending, i);
+  JoinHashTable concurrent(&mm_, Layout(kKeys, 8, {8}));
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      for (int64_t i = t; i < kKeys; i += 4) insert(&concurrent, i * 7919 % kKeys);
+    });
+  }
+  for (auto& th : threads) th.join();
+  const std::vector<uint64_t> expected = hops_to_first_match(ascending);
+  EXPECT_EQ(hops_to_first_match(descending), expected);
+  EXPECT_EQ(hops_to_first_match(concurrent), expected);
+  for (uint64_t b = 0; b <= concurrent.bucket_mask(); ++b) {
+    int64_t prev = INT64_MAX;
+    for (int64_t e = static_cast<int32_t>(concurrent.raw_heads()[b].load()); e >= 0;
+         e = concurrent.NextEntry(e)) {
+      ASSERT_LE(concurrent.PayloadAt(e, 0), prev) << "bucket " << b;
+      prev = concurrent.PayloadAt(e, 0);
+    }
   }
 }
 

@@ -178,7 +178,7 @@ TEST(Interpreter, GridStrideVisitsDisjointRows) {
 
 TEST(Interpreter, JumpsFormLoops) {
   // Program: counter = col0; loop: emit counter; counter -= 1; if counter != 0
-  // jump back. Exercises backward kJmpIfFalse-free looping via kJmpIfNeg.
+  // jump back. Exercises a forward kJmpIfFalse exit and a backward kJmp.
   ProgramBuilder b;
   const int counter = b.AllocReg();
   b.EmitOp(OpCode::kLoadCol, counter, 0);

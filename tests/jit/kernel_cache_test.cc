@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "jit/codegen.h"
+#include "jit/device_provider.h"
 #include "jit/interpreter.h"
 #include "jit/program.h"
 #include "jit/vectorizer.h"
@@ -90,17 +91,15 @@ PipelineProgram ProbeEmitProgram(const JoinHashTable::Layout& layout) {
   const int key = b.AllocReg();
   b.EmitOp(OpCode::kLoadCol, key, 0);
   const int iter = b.AllocReg();
-  b.EmitOp(OpCode::kHtProbeInit, iter, key, 0, 0,
-           static_cast<int64_t>(layout.WidthCode()));
-  const int loop = b.NewLabel();
   const int exit = b.NewLabel();
-  b.Bind(loop);
-  b.EmitOp(OpCode::kJmpIfNeg, iter, exit);
+  const int body = b.NewLabel();
+  b.EmitOp(OpCode::kHtProbeInit, iter, key, 0, exit,
+           static_cast<int64_t>(layout.WidthCode()));
+  b.Bind(body);
   const int payload = b.AllocReg();
   b.EmitOp(OpCode::kHtLoadPayload, payload, iter, 0, 1);
   b.EmitOp(OpCode::kEmit, payload, 1);
-  b.EmitOp(OpCode::kHtIterNext, iter, key, 0);
-  b.EmitOp(OpCode::kJmp, loop);
+  b.EmitOp(OpCode::kHtIterNext, iter, key, 0, body);
   b.Bind(exit);
   PipelineProgram p = b.Finalize("kc-probe-emit");
   p.n_input_cols = 1;
@@ -189,6 +188,64 @@ TEST(KernelCacheTest, NativeKernelMatchesInterpreterExactly) {
   ASSERT_TRUE(native.status.ok()) << native.status.ToString();
   EXPECT_EQ(interp.emitted, native.emitted);
   ExpectStatsEq(interp.stats, native.stats);
+}
+
+// Every binary opcode in literal mode (Instr::lit): the right operand is the
+// instruction's immediate in all three tiers, and no register backs it.
+TEST(KernelCacheTest, LiteralOperandsMatchInEveryTier) {
+  ProgramBuilder b;
+  const int x = b.AllocReg();
+  b.EmitOp(OpCode::kLoadCol, x, 0);
+  int acc = x;
+  for (const auto& [op, lit] :
+       std::vector<std::pair<OpCode, int64_t>>{{OpCode::kAdd, 3},   {OpCode::kMul, -5},
+                                               {OpCode::kSub, 11},  {OpCode::kDiv, 7},
+                                               {OpCode::kCmpGt, 2}, {OpCode::kOr, 0},
+                                               {OpCode::kAnd, 2}}) {
+    const int r = b.AllocReg();
+    b.EmitLit(op, r, acc, lit);
+    if (op == OpCode::kDiv) {
+      const int keep = b.AllocReg();
+      b.EmitLit(OpCode::kCmpNe, keep, r, 4);  // drops the rows whose quotient is 4
+      b.EmitOp(OpCode::kFilter, keep);
+    }
+    acc = r;
+  }
+  const int le = b.AllocReg();
+  b.EmitLit(OpCode::kCmpLe, le, x, 9);
+  const int out = b.AllocReg();
+  b.EmitOp(OpCode::kAdd, out, acc, le);
+  b.EmitOp(OpCode::kEmit, out, 1);
+  PipelineProgram program = b.Finalize("kc-literals");
+  program.n_input_cols = 1;
+  program.input_widths = {8};
+  program.finalized = true;
+  ASSERT_TRUE(ValidateProgram(program).ok());
+
+  PipelineProgram vec_prog = program;
+  vec_prog.vec = TryVectorize(program).program;
+  ASSERT_NE(vec_prog.vec, nullptr);
+  const GenerateResult gen = GenerateSource(program);
+  ASSERT_FALSE(gen.source.empty()) << gen.reason;
+  KernelCache cache(SyncOptions("literals"));
+  PipelineProgram native_prog = program;
+  native_prog.native = cache.GetOrBuild(gen, program.label);
+  ASSERT_TRUE(native_prog.native->ready()) << native_prog.native->error;
+
+  std::vector<std::vector<int64_t>> cols(1);
+  for (int64_t v = -40; v < 40; ++v) cols[0].push_back(v);
+  const RunOutput interp = Execute(program, cols, /*native=*/false);
+  const RunOutput vec = Execute(vec_prog, cols, /*native=*/false);
+  const RunOutput native = Execute(native_prog, cols, /*native=*/true);
+  ASSERT_TRUE(interp.status.ok()) << interp.status.ToString();
+  EXPECT_EQ(interp.emitted, vec.emitted);
+  EXPECT_EQ(interp.emitted, native.emitted);
+  ExpectStatsEq(interp.stats, vec.stats);
+  ExpectStatsEq(interp.stats, native.stats);
+  // ((v + 3) * -5 - 11) / 7 is 4 for v = -12 and v = -11 only.
+  EXPECT_EQ(interp.stats.tuples, 80u);
+  EXPECT_EQ(interp.emitted.size(), 78u);
+  EXPECT_EQ(interp.emitted.front(), 1 + 1);  // v = -40: quotient 26 > 2, v <= 9
 }
 
 TEST(KernelCacheTest, DivisionByZeroFaultsLikeTheInterpreter) {
@@ -301,9 +358,9 @@ TEST(KernelCacheTest, CorruptedObjectIsRejectedAndRecompiled) {
   }
 }
 
-// A kernel built against the previous ABI (v4: 32-bit bucket heads without
-// tags) must never be loaded: its sidecar's ABI stamp rejects it, the
-// rejection is counted and the kernel is recompiled.
+// A kernel built against the previous ABI (v5: register-only operands and
+// kJmpIfNeg probe loops) must never be loaded: its sidecar's ABI stamp rejects
+// it, the rejection is counted and the kernel is recompiled.
 TEST(KernelCacheTest, PreviousAbiObjectIsRejectedAndRecompiled) {
   const PipelineProgram program = FilterMathProgram();
   const GenerateResult gen = GenerateSource(program);
@@ -326,8 +383,8 @@ TEST(KernelCacheTest, PreviousAbiObjectIsRejectedAndRecompiled) {
   const std::string current = "abi " + std::to_string(kCodegenAbiVersion) + "\n";
   const size_t at = meta.find(current);
   ASSERT_NE(at, std::string::npos) << meta;
-  meta.replace(at, current.size(),
-               "abi " + std::to_string(kCodegenAbiVersion - 1) + "\n");
+  ASSERT_EQ(kCodegenAbiVersion, 6u);
+  meta.replace(at, current.size(), "abi 5\n");
   std::ofstream(meta_path, std::ios::trunc) << meta;
 
   KernelCache cache(opts);
@@ -417,7 +474,7 @@ TEST(KernelCacheTest, TaggedHeadsChargeIdenticalAccessesInEveryTier) {
 
   struct Case {
     int64_t key;
-    std::vector<int64_t> matches;  // chain order: the last inserted first
+    std::vector<int64_t> matches;  // chain order: equal keys newest first
     uint64_t accesses;
   };
   const Case cases[] = {

@@ -55,11 +55,39 @@ TEST(ProgramBuilder, BackwardLabelPatched) {
 TEST(ProgramBuilder, ConditionalTargetsInOperandB) {
   ProgramBuilder b;
   const int l = b.NewLabel();
-  b.EmitOp(OpCode::kJmpIfNeg, 3, l);
+  b.EmitOp(OpCode::kJmpIfFalse, 3, l);
   b.Bind(l);
   PipelineProgram p = b.Finalize("cond");
   EXPECT_EQ(p.code[0].a, 3);  // condition register untouched
   EXPECT_EQ(p.code[0].b, 1);
+}
+
+TEST(ProgramBuilder, ProbeTargetsInOperandD) {
+  // A probe init branches to the loop exit on a miss, an iter-next back to
+  // the body on a match; both carry their target in `d`.
+  ProgramBuilder b;
+  const int exit = b.NewLabel();
+  const int body = b.NewLabel();
+  b.EmitOp(OpCode::kHtProbeInit, 1, 0, 2, exit, /*imm=*/7);
+  b.Bind(body);
+  b.EmitOp(OpCode::kHtLoadPayload, 2, 1, 2, 1);
+  b.EmitOp(OpCode::kHtIterNext, 1, 0, 2, body);
+  b.Bind(exit);
+  PipelineProgram p = b.Finalize("probe");
+  EXPECT_EQ(p.code[0].d, 3);
+  EXPECT_EQ(p.code[0].c, 2);  // slot untouched
+  EXPECT_EQ(p.code[0].imm, 7);
+  EXPECT_EQ(p.code[2].d, 1);
+}
+
+TEST(ProgramBuilder, LiteralOperandModeRidesInTheInstruction) {
+  ProgramBuilder b;
+  b.EmitLit(OpCode::kCmpLt, 1, 0, 25);
+  PipelineProgram p = b.Finalize("lit");
+  EXPECT_TRUE(p.code[0].lit);
+  EXPECT_EQ(p.code[0].imm, 25);
+  EXPECT_NE(p.ToString().find("cmp_lt a=1 b=0 c=0 d=0 lit=25"), std::string::npos)
+      << p.ToString();
 }
 
 TEST(Program, ToStringListsInstructions) {

@@ -87,9 +87,27 @@ TEST(Validation, RejectsJumpOutOfRangeAndUnboundLabels) {
   EXPECT_FALSE(st.ok());
   EXPECT_NE(st.message().find("jump out of range"), std::string::npos);
   // A negative target is an unpatched (unbound) label, reported distinctly.
-  st = ValidateProgram(Raw({I(OpCode::kJmpIfNeg, 0, -1), I(OpCode::kEnd)}, 1));
+  st = ValidateProgram(Raw({I(OpCode::kJmpIfFalse, 0, -1), I(OpCode::kEnd)}, 1));
   EXPECT_FALSE(st.ok());
   EXPECT_NE(st.message().find("unbound label"), std::string::npos);
+}
+
+TEST(Validation, RejectsProbeBranchTargetOutOfRange) {
+  // A probe init's miss target and an iter-next's match target live in `d`.
+  Status st = ValidateProgram(
+      Raw({I(OpCode::kHtProbeInit, 0, 1, 0, 9), I(OpCode::kEnd)}, 2));
+  EXPECT_FALSE(st.ok());
+  EXPECT_NE(st.message().find("jump out of range"), std::string::npos);
+  st = ValidateProgram(Raw({I(OpCode::kHtProbeInit, 0, 1, 0, 2),
+                            I(OpCode::kHtIterNext, 0, 1, 0, -1), I(OpCode::kEnd)},
+                           2));
+  EXPECT_FALSE(st.ok());
+  EXPECT_NE(st.message().find("unbound label"), std::string::npos);
+  EXPECT_TRUE(ValidateProgram(Raw({I(OpCode::kHtProbeInit, 0, 1, 0, 2),
+                                   I(OpCode::kHtIterNext, 0, 1, 0, 1),
+                                   I(OpCode::kEnd)},
+                                  2))
+                  .ok());
 }
 
 TEST(Validation, RejectsLocalAccOutOfRange) {
@@ -114,6 +132,23 @@ TEST(Validation, RejectsZeroConstantDivisor) {
                                    I(OpCode::kDiv, 2, 0, 1), I(OpCode::kEnd)},
                                   3))
                   .ok());
+}
+
+TEST(Validation, RejectsZeroLiteralDivisor) {
+  // regs[1] = regs[0] / 0 in literal mode: the divisor is no register, and
+  // the rejection reads as the register rule's.
+  Instr div = I(OpCode::kDiv, 1, 0, /*c=*/5);
+  div.lit = true;
+  Status st =
+      ValidateProgram(Raw({I(OpCode::kLoadCol, 0, 0), div, I(OpCode::kEnd)}, 2));
+  EXPECT_FALSE(st.ok());
+  EXPECT_NE(st.message().find("divisor register can hold a zero constant"),
+            std::string::npos)
+      << st.ToString();
+  // A nonzero literal passes, and its unused `c` is not a register operand.
+  div.imm = 3;
+  EXPECT_TRUE(
+      ValidateProgram(Raw({I(OpCode::kLoadCol, 0, 0), div, I(OpCode::kEnd)}, 2)).ok());
 }
 
 TEST(Validation, RejectsExcessRegisterPressure) {

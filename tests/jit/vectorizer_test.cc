@@ -249,11 +249,10 @@ TEST(Vectorizer, ProbeLoopMultiMatchParity) {
   const int key = b.AllocReg();
   b.EmitOp(OpCode::kLoadCol, key, 0);
   const int iter = b.AllocReg();
-  b.EmitOp(OpCode::kHtProbeInit, iter, key, 0, 0, 0, /*cls=*/1);
-  const int loop = b.NewLabel();
   const int exit = b.NewLabel();
-  b.Bind(loop);
-  b.EmitOp(OpCode::kJmpIfNeg, iter, exit);
+  const int body = b.NewLabel();
+  b.EmitOp(OpCode::kHtProbeInit, iter, key, 0, exit, 0, /*cls=*/1);
+  b.Bind(body);
   const int pay = b.AllocReg();
   b.AllocReg();
   b.EmitOp(OpCode::kHtLoadPayload, pay, iter, 0, 2);
@@ -266,8 +265,7 @@ TEST(Vectorizer, ProbeLoopMultiMatchParity) {
   b.EmitOp(OpCode::kEmit, first, 2);
   const int sum = b.AllocLocalAcc(AggFunc::kSum);
   b.EmitOp(OpCode::kAggLocal, sum, pay, static_cast<int>(AggFunc::kSum));
-  b.EmitOp(OpCode::kHtIterNext, iter, key, 0, 0, 0, /*cls=*/1);
-  b.EmitOp(OpCode::kJmp, loop);
+  b.EmitOp(OpCode::kHtIterNext, iter, key, 0, body, 0, /*cls=*/1);
   b.Bind(exit);
   PipelineProgram p = b.Finalize("vt.probe");
   {
@@ -305,21 +303,19 @@ TEST(Vectorizer, NestedProbeParity) {
   const int key = b.AllocReg();
   b.EmitOp(OpCode::kLoadCol, key, 0);
   const int it0 = b.AllocReg();
-  b.EmitOp(OpCode::kHtProbeInit, it0, key, 0);
-  const int l0 = b.NewLabel();
   const int x0 = b.NewLabel();
+  const int l0 = b.NewLabel();
+  b.EmitOp(OpCode::kHtProbeInit, it0, key, 0, x0);
   b.Bind(l0);
-  b.EmitOp(OpCode::kJmpIfNeg, it0, x0);
   const int pay0 = b.AllocReg();
   b.EmitOp(OpCode::kHtLoadPayload, pay0, it0, 0, 1);
   const int key1 = b.AllocReg();
   b.EmitOp(OpCode::kLoadCol, key1, 1);  // column load inside the loop body
   const int it1 = b.AllocReg();
-  b.EmitOp(OpCode::kHtProbeInit, it1, key1, 1);
-  const int l1 = b.NewLabel();
   const int x1 = b.NewLabel();
+  const int l1 = b.NewLabel();
+  b.EmitOp(OpCode::kHtProbeInit, it1, key1, 1, x1);
   b.Bind(l1);
-  b.EmitOp(OpCode::kJmpIfNeg, it1, x1);
   const int pay1 = b.AllocReg();
   b.EmitOp(OpCode::kHtLoadPayload, pay1, it1, 1, 1);
   const int v = b.AllocReg();
@@ -328,11 +324,9 @@ TEST(Vectorizer, NestedProbeParity) {
   b.EmitOp(OpCode::kAggLocal, sum, v, static_cast<int>(AggFunc::kSum));
   const int cnt = b.AllocLocalAcc(AggFunc::kCount);
   b.EmitOp(OpCode::kAggLocal, cnt, v, static_cast<int>(AggFunc::kCount));
-  b.EmitOp(OpCode::kHtIterNext, it1, key1, 1);
-  b.EmitOp(OpCode::kJmp, l1);
+  b.EmitOp(OpCode::kHtIterNext, it1, key1, 1, l1);
   b.Bind(x1);
-  b.EmitOp(OpCode::kHtIterNext, it0, key, 0);
-  b.EmitOp(OpCode::kJmp, l0);
+  b.EmitOp(OpCode::kHtIterNext, it0, key, 0, l0);
   b.Bind(x0);
   PipelineProgram p = b.Finalize("vt.nested");
   {
@@ -456,15 +450,13 @@ TEST(VectorizerFallback, LoopBodyRegisterReadAfterLoop) {
   const int key = b.AllocReg();
   b.EmitOp(OpCode::kLoadCol, key, 0);
   const int iter = b.AllocReg();
-  b.EmitOp(OpCode::kHtProbeInit, iter, key, 0);
-  const int loop = b.NewLabel();
   const int exit = b.NewLabel();
-  b.Bind(loop);
-  b.EmitOp(OpCode::kJmpIfNeg, iter, exit);
+  const int body = b.NewLabel();
+  b.EmitOp(OpCode::kHtProbeInit, iter, key, 0, exit);
+  b.Bind(body);
   const int pay = b.AllocReg();
   b.EmitOp(OpCode::kHtLoadPayload, pay, iter, 0, 1);
-  b.EmitOp(OpCode::kHtIterNext, iter, key, 0);
-  b.EmitOp(OpCode::kJmp, loop);
+  b.EmitOp(OpCode::kHtIterNext, iter, key, 0, body);
   b.Bind(exit);
   b.EmitOp(OpCode::kEmit, pay, 1);  // reads the body-written payload after exit
   PipelineProgram p = b.Finalize("vt.stale");

@@ -80,6 +80,30 @@ TEST(CardinalityTest, SampledSelectivitiesMatchKnownSsbFractions) {
   EXPECT_LT(cards.output_rows, cards.fact_rows);
 }
 
+TEST(CardinalityTest, SampledConjunctReachPricesEachConjunctFilter) {
+  TestEnv env(20'000);
+  // Q1.1's fact filter has three conjuncts: every sampled row reaches the
+  // first (lo_discount >= 1, 10 of 11 discounts pass it), and the rows
+  // passing all three are the fact selectivity.
+  const auto spec = env.ssb->Query(1, 1);
+  const auto cards = plan::EstimateCardinalities(spec, env.system->catalog());
+  const std::vector<double>& reach = cards.fact_filter_reach;
+  ASSERT_EQ(reach.size(), 4u);
+  EXPECT_EQ(reach[0], 1.0);
+  EXPECT_NEAR(reach[1], 10.0 / 11, 0.02);
+  EXPECT_NEAR(reach[2], 3.0 / 11, 0.02);
+  EXPECT_DOUBLE_EQ(reach[3], cards.fact_selectivity);
+  // The date join's one conjunct (d_year = 1993) keeps a seventh.
+  ASSERT_EQ(cards.build_filter_reach.size(), 1u);
+  ASSERT_EQ(cards.build_filter_reach[0].size(), 2u);
+  EXPECT_NEAR(cards.build_filter_reach[0][1], 1.0 / 7, 0.01);
+  // Loads of both columns for every row, then each conjunct's compare and
+  // filter for the rows that reach it: the literals ride in the compares.
+  std::set<std::string> loaded;
+  EXPECT_DOUBLE_EQ(plan::FilterOps(spec.fact_filter, reach, &loaded),
+                   2 + 2 * (reach[0] + reach[1] + reach[2]));
+}
+
 TEST(CardinalityTest, BuildSidesReflectFilteredRows) {
   TestEnv env(5'000);
   // Q3.1 filters customer and supplier to one region of five.

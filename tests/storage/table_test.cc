@@ -120,6 +120,28 @@ TEST_F(TableTest, DropStagingKeepsChunks) {
   EXPECT_EQ(t->column("a").width(), 4u); // schema intact
 }
 
+TEST_F(TableTest, PlaceRejectsADuplicateInAColumnDeclaredUnique) {
+  auto t = MakeTable(100);
+  Column* key = &t->column(0);
+  key->set_unique(true);
+  ASSERT_TRUE(t->Place({topo_.socket(0).mem}, &mem_).ok());  // 0..99: distinct
+
+  key->Append(42);  // a second 42 (column b stays 100 rows: not placed)
+  const Status st = t->Place({topo_.socket(0).mem}, &mem_);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+  EXPECT_NE(st.message().find("column 'a' of table 't' is declared unique but "
+                              "holds 42 twice"),
+            std::string::npos)
+      << st.ToString();
+  // The rejected placement placed nothing; the earlier one stays.
+  EXPECT_TRUE(t->placed());
+  EXPECT_EQ(t->chunks()[0].rows, 100u);
+
+  // The declaration survives DropStaging (the compiler reads it after).
+  t->DropStaging();
+  EXPECT_TRUE(t->column(0).unique());
+}
+
 TEST_F(TableTest, ColumnSetBytes) {
   auto t = MakeTable(100);
   EXPECT_EQ(t->ColumnSetBytes({"a"}), 400u);
