@@ -1,19 +1,20 @@
 // JIT backend microbenchmark: rows/sec of the row interpreter (tier 0), the
 // vectorized batch backend (tier 1) and the native codegen backend (tier 2,
 // out-of-process compile + dlopen) on the two pipeline shapes that dominate
-// SSB execution — filter→emit (a split plan's stage A) and filter→probe→agg
-// (the fused fact pipeline). Output is JSON so the speedups — and the kernel
-// cache's cold-compile vs warm-load latencies — are recorded numbers, not
-// claims.
+// SSB execution — filter→emit (a split plan's stage A, over 4-byte columns
+// and over the 1- and 2-byte columns Table::Place narrows small values to)
+// and filter→probe→agg (the fused fact pipeline). Output is JSON so the
+// speedups — and the kernel cache's cold-compile vs warm-load latencies — are
+// recorded numbers, not claims.
 //
 // Usage:
 //   bench_jit_backend_bench [--check] [--rows N]
 //
 // --check exits nonzero if (a) the vectorized tier is not faster than the
-// interpreter on the filter-heavy microbench, or (b) the native tier is slower
-// than the vectorized tier on the fused probe/agg shape — unless codegen fell
-// back for a named, counted reason (missing compiler, unprovable shape), which
-// is reported and tolerated: fallback is a mode, not a failure.
+// interpreter on either filter→emit shape, or (b) the native tier is slower
+// than the vectorized tier on any shape — unless codegen fell back for a
+// named, counted reason (missing compiler, unprovable shape), which is
+// reported and tolerated: fallback is a mode, not a failure.
 //
 // Honors HETEX_KERNEL_DIR / HETEX_COMPILER_CMD: pointing the bench at a warm
 // kernel directory makes the first build a disk load (reported as such, with
@@ -47,12 +48,12 @@ using jit::ProgramBuilder;
 
 /// Finalizes a program for all tiers without a device provider: validation is
 /// assumed (generated here), tier 1 comes straight from the vectorizer, and
-/// the binding schema (four int32 columns, bound positionally by MakeData) is
-/// attached so the tier-2 codegen can specialize column loads.
-PipelineProgram Lower(PipelineProgram p) {
+/// the binding schema (the widths of the columns MakeData binds positionally)
+/// is attached so the tier-2 codegen can specialize column loads.
+PipelineProgram Lower(PipelineProgram p, std::vector<uint32_t> widths) {
   p.finalized = true;
-  p.n_input_cols = 4;
-  p.input_widths = {4, 4, 4, 4};
+  p.n_input_cols = static_cast<int>(widths.size());
+  p.input_widths = std::move(widths);
   jit::VectorizeResult vec = jit::TryVectorize(p);
   HETEX_CHECK(vec.program != nullptr)
       << "bench pipeline failed to vectorize: " << vec.reason;
@@ -61,9 +62,13 @@ PipelineProgram Lower(PipelineProgram p) {
   return p;
 }
 
-/// filter→emit: load two int32 columns, keep rows with a < threshold (~50%),
-/// emit both survivors' columns. The shape of a split plan's stage A.
-PipelineProgram FilterEmitProgram() {
+/// filter→emit: load two columns, keep rows with a < threshold (~50%), emit
+/// both survivors' columns from the registers they loaded into (they sit in
+/// one register window, so the compiler copies nothing). The shape of a split
+/// plan's stage A; `widths` are the two columns' widths, which the emit packs
+/// them at too.
+PipelineProgram FilterEmitProgram(const char* label,
+                                  const std::vector<uint32_t>& widths) {
   ProgramBuilder b;
   const int a = b.AllocReg();
   b.EmitOp(OpCode::kLoadCol, a, 0);
@@ -72,12 +77,8 @@ PipelineProgram FilterEmitProgram() {
   const int pred = b.AllocReg();
   b.EmitLit(OpCode::kCmpLt, pred, a, 25);  // ~50% pass
   b.EmitOp(OpCode::kFilter, pred);
-  const int first = b.AllocReg();
-  b.AllocReg();
-  b.EmitOp(OpCode::kShl, first, a, 0, 0, 0);      // mov
-  b.EmitOp(OpCode::kShl, first + 1, k, 0, 0, 0);  // mov
-  b.EmitOp(OpCode::kEmit, first, 2);
-  return Lower(b.Finalize("bench.filter-emit"));
+  b.EmitOp(OpCode::kEmit, a, 2);
+  return Lower(b.Finalize(label), widths);
 }
 
 /// filter→probe→agg, the fused fact pipeline in its SSB Q1 form: three
@@ -122,7 +123,7 @@ PipelineProgram FilterProbeAggProgram(const jit::JoinHashTable::Layout& date) {
   const int cnt = b.AllocLocalAcc(AggFunc::kCount);
   b.EmitOp(OpCode::kAggLocal, cnt, payload, static_cast<int>(AggFunc::kCount));
   b.Bind(exit);
-  return Lower(b.Finalize("bench.filter-probe-agg"));
+  return Lower(b.Finalize("bench.filter-probe-agg"), {4, 4, 4, 4});
 }
 
 struct BenchData {
@@ -130,7 +131,10 @@ struct BenchData {
   std::vector<int32_t> col_k;     // col 1: join key
   std::vector<int32_t> col_disc;  // col 2: Q1 discount (0..10)
   std::vector<int32_t> col_price; // col 3: Q1 price
-  std::vector<jit::ColumnBinding> bindings;
+  std::vector<int8_t> narrow_a;   // col_a at 1 byte
+  std::vector<int16_t> narrow_k;  // col_k at 2 bytes
+  std::vector<jit::ColumnBinding> bindings;         // the four int32 columns
+  std::vector<jit::ColumnBinding> narrow_bindings;  // narrow_a, narrow_k
   uint64_t rows;
 };
 
@@ -152,6 +156,10 @@ BenchData MakeData(uint64_t rows, uint64_t key_domain) {
   d.bindings.push_back({reinterpret_cast<const std::byte*>(d.col_k.data()), 4});
   d.bindings.push_back({reinterpret_cast<const std::byte*>(d.col_disc.data()), 4});
   d.bindings.push_back({reinterpret_cast<const std::byte*>(d.col_price.data()), 4});
+  d.narrow_a.assign(d.col_a.begin(), d.col_a.end());
+  d.narrow_k.assign(d.col_k.begin(), d.col_k.end());
+  d.narrow_bindings.push_back({reinterpret_cast<const std::byte*>(d.narrow_a.data()), 1});
+  d.narrow_bindings.push_back({reinterpret_cast<const std::byte*>(d.narrow_k.data()), 2});
   return d;
 }
 
@@ -169,8 +177,9 @@ struct NativeBuild {
 struct Shape {
   std::string name;
   PipelineProgram program;
+  const std::vector<jit::ColumnBinding>* cols = nullptr;  // bound positionally
   jit::JoinHashTable* ht = nullptr;  // probe shapes only
-  bool has_emit = false;
+  std::vector<uint32_t> emit_widths;  // emit shapes only: the packed widths
   NativeBuild native;
 };
 
@@ -223,12 +232,16 @@ double Throughput(const Shape& shape, const BenchData& data, Tier tier,
                                      : jit::ExecTier::kInterpreter;
   p.native = tier == Tier::kNative ? shape.native.kernel : nullptr;
 
-  // Reusable emit sink: capacity-bounded, recycled by on_full like a real pack.
-  std::vector<int64_t> out_a(1 << 16), out_k(1 << 16);
+  // Reusable emit sink: capacity-bounded, recycled by on_full like a real
+  // pack, each column packed at its width.
+  constexpr uint64_t kSinkRows = 1 << 16;
+  std::vector<std::vector<std::byte>> sink;
   jit::EmitTarget emit;
-  emit.cols.push_back({reinterpret_cast<std::byte*>(out_a.data()), 8});
-  emit.cols.push_back({reinterpret_cast<std::byte*>(out_k.data()), 8});
-  emit.capacity = out_a.size();
+  for (const uint32_t w : shape.emit_widths) {
+    sink.emplace_back(kSinkRows * w);
+    emit.cols.push_back({sink.back().data(), w});
+  }
+  emit.capacity = kSinkRows;
   emit.on_full = [&emit] { emit.ResetCursor(); };
 
   void* ht_slots[1] = {shape.ht};
@@ -237,8 +250,8 @@ double Throughput(const Shape& shape, const BenchData& data, Tier tier,
     sim::CostStats stats;
     int64_t accs[jit::kMaxLocalAccs] = {};
     jit::ExecCtx ctx;
-    ctx.cols = data.bindings.data();
-    ctx.n_cols = static_cast<int>(data.bindings.size());
+    ctx.cols = shape.cols->data();
+    ctx.n_cols = static_cast<int>(shape.cols->size());
     ctx.emit = &emit;
     ctx.local_accs = accs;
     ctx.ht_slots = ht_slots;
@@ -300,9 +313,13 @@ int main(int argc, char** argv) {
   copts.async = false;  // the bench times the build, it doesn't hide it
 
   std::vector<Shape> shapes;
-  shapes.push_back({"filter_emit", FilterEmitProgram(), nullptr, true, {}});
-  shapes.push_back(
-      {"filter_probe_agg", FilterProbeAggProgram(ht.layout()), &ht, false, {}});
+  shapes.push_back({"filter_emit", FilterEmitProgram("bench.filter-emit", {4, 4}),
+                    &data.bindings, nullptr, {4, 4}, {}});
+  shapes.push_back({"filter_emit_narrow",
+                    FilterEmitProgram("bench.filter-emit-narrow", {1, 2}),
+                    &data.narrow_bindings, nullptr, {1, 2}, {}});
+  shapes.push_back({"filter_probe_agg", FilterProbeAggProgram(ht.layout()),
+                    &data.bindings, &ht, {}, {}});
   for (Shape& shape : shapes) shape.native = BuildNative(shape.program, copts);
 
   constexpr int kIters = 5;
@@ -345,15 +362,11 @@ int main(int argc, char** argv) {
                   shape.native.warm_load_seconds,
                   i + 1 < shapes.size() ? "," : "");
       // Gates: the fused probe/agg shape, where per-tuple control flow is
-      // where specialized native code must beat batch primitives — and
-      // filter_emit, where tier 2 batches survivors through AppendBatch in
-      // 512-row chunks (same path tier 1 rides), so native must at least
-      // match the vectorizer there too.
-      if (check &&
-          (shape.name == "filter_probe_agg" || shape.name == "filter_emit") &&
-          native_speedup < 1.0) {
-        check_failed = true;
-      }
+      // where specialized native code must beat batch primitives — and both
+      // filter→emit shapes, where tier 2 batches survivors through
+      // AppendBatch in 512-row chunks (same path tier 1 rides), so native
+      // must at least match the vectorizer there too.
+      if (check && native_speedup < 1.0) check_failed = true;
     } else {
       std::printf("     \"native_fallback\": \"%s\"}%s\n",
                   shape.native.fallback_reason.c_str(),
@@ -361,7 +374,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "note: tier-2 fallback on %s: %s (counted, gate waived)\n",
                    shape.name.c_str(), shape.native.fallback_reason.c_str());
     }
-    if (check && shape.name == "filter_emit" && speedup <= 1.0) {
+    if (check && !shape.emit_widths.empty() && speedup <= 1.0) {
       check_failed = true;
     }
   }

@@ -345,13 +345,16 @@ bool ReportOptimizer(core::System& system, core::System& reuse_sys,
         kClassNames[system.cost_model().RandomAccessClass(ht_bytes.back())]);
   }
   // The picked run's random accesses (hash-table builds, probes and
-  // group-bys) per fact row, by size class, and its VM ops per fact row.
+  // group-bys) per fact row, by size class, its VM ops and the bytes its
+  // pipelines read (scans at the placed column widths, packed inputs) per
+  // fact row.
   const double fact_rows =
       static_cast<double>(system.catalog().at(spec.fact_table).rows());
   const double per_row[3] = {picked_stats.near_accesses / fact_rows,
                              picked_stats.mid_accesses / fact_rows,
                              picked_stats.far_accesses / fact_rows};
   const double ops_per_row = picked_stats.ops / fact_rows;
+  const double bytes_per_row = picked_stats.bytes_read / fact_rows;
 
   if (json) {
     std::printf("%s{\"query\": \"%s\", \"picked\": \"%s\",\n\"probe_order\": [",
@@ -370,7 +373,9 @@ bool ReportOptimizer(core::System& system, core::System& reuse_sys,
     for (int c = 0; c < 3; ++c) {
       std::printf("%s\"%s\": %.6f", c == 0 ? "" : ", ", kClassNames[c], per_row[c]);
     }
-    std::printf("},\n\"ops_per_fact_row\": %.6f,\n\"spans\": [", ops_per_row);
+    std::printf("},\n\"ops_per_fact_row\": %.6f,\n\"bytes_per_fact_row\": %.6f,"
+                "\n\"spans\": [",
+                ops_per_row, bytes_per_row);
     const std::vector<SpanTier> tiers = CollectSpanTiers(system, spec);
     for (size_t i = 0; i < tiers.size(); ++i) {
       std::printf("%s\n  {\"span\": \"%s\", \"tier\": \"%s\", \"reason\": \"%s\"}",
@@ -424,6 +429,7 @@ bool ReportOptimizer(core::System& system, core::System& reuse_sys,
     std::printf("\naccesses/fact row:");
     for (int c = 0; c < 3; ++c) std::printf(" %s %.3g", kClassNames[c], per_row[c]);
     std::printf("\nops/fact row: %.3g\n", ops_per_row);
+    std::printf("bytes/fact row: %.3g\n", bytes_per_row);
     std::printf("%-26s %12s %12s  %s\n", "candidate", "estimated", "measured",
                 "");
     for (size_t i = 0; i < rows.size(); ++i) {

@@ -85,13 +85,13 @@ core::QueryResult DbmsG::Execute(const plan::QuerySpec& spec,
   }
 
   const uint64_t rows = static_cast<uint64_t>(st.fact_rows * per_gpu);
+  const storage::Table& fact = system_->catalog().at(spec.fact_table);
 
   // Fact-side predicate kernel (materializes a flag column).
   if (spec.fact_filter != nullptr) {
     std::set<std::string> cols;
     spec.fact_filter->CollectColumns(&cols);
     uint64_t width = 0;
-    const storage::Table& fact = system_->catalog().at(spec.fact_table);
     for (const auto& c : cols) width += fact.column(c).width();
     work.bytes_read += rows * width;
     work.bytes_written += rows;  // flag column
@@ -103,7 +103,7 @@ core::QueryResult DbmsG::Execute(const plan::QuerySpec& spec,
   // rows (filters apply after the join, so selectivity does not narrow the
   // probes); each kernel materializes the gathered payload columns.
   for (size_t j = 0; j < spec.joins.size(); ++j) {
-    work.bytes_read += rows * 4;  // key column
+    work.bytes_read += rows * fact.column(spec.joins[j].probe_key).width();
     switch (cm.RandomAccessClass(array_bytes[j])) {
       case 0: work.near_accesses += rows; break;
       case 1: work.mid_accesses += rows; break;

@@ -75,10 +75,18 @@ class PipelineResolver : public plan::ColumnResolver {
   std::map<std::string, int> payload_regs_;
 };
 
-/// Copies `regs` into a freshly-allocated contiguous register range (HT insert,
-/// group-by folds and emits take contiguous register windows).
+/// The first register of a contiguous window holding `regs` (HT inserts,
+/// group-by folds and emits take contiguous register windows). Values that
+/// already sit in consecutive registers — a lone value always does — keep
+/// their own; the rest are copied into a fresh range, one kShl by 0 each.
+/// PlanCoster prices the copies by the same rule (plan::WindowCopies).
 int MakeContiguous(ProgramBuilder& b, const std::vector<int>& regs) {
   HETEX_CHECK(!regs.empty());
+  bool consecutive = true;
+  for (size_t i = 1; i < regs.size(); ++i) {
+    consecutive &= regs[i] == regs[0] + static_cast<int>(i);
+  }
+  if (consecutive) return regs[0];
   const int first = b.AllocReg();
   for (size_t i = 1; i < regs.size(); ++i) b.AllocReg();
   for (size_t i = 0; i < regs.size(); ++i) {

@@ -9,6 +9,7 @@
 #include <map>
 
 #include "common/hash.h"
+#include "common/int_width.h"
 #include "common/logging.h"
 #include "jit/hash_table.h"
 
@@ -265,7 +266,7 @@ GenerateResult GenerateSource(const PipelineProgram& program) {
     return fallback("binding schema unavailable (no input widths)");
   }
   for (int i = 0; i < program.n_input_cols; ++i) {
-    if (program.input_widths[i] != 4 && program.input_widths[i] != 8) {
+    if (!IsIntWidth(program.input_widths[i])) {
       return fallback("unsupported column width " + S(program.input_widths[i]));
     }
   }
@@ -359,7 +360,14 @@ GenerateResult GenerateSource(const PipelineProgram& program) {
       "  k ^= k >> 33;\n"
       "  return k;\n"
       "}\n"
-      "// Sign-extending loads of a hash-table entry's 4- and 8-byte fields.\n"
+      "// Sign-extending loads of a hash-table entry's 1-, 2-, 4- and 8-byte\n"
+      "// fields.\n"
+      "inline int64_t hx_ld1(const unsigned char* p) {\n"
+      "  int8_t v; memcpy(&v, p, 1); return v;\n"
+      "}\n"
+      "inline int64_t hx_ld2(const unsigned char* p) {\n"
+      "  int16_t v; memcpy(&v, p, 2); return v;\n"
+      "}\n"
       "inline int64_t hx_ld4(const unsigned char* p) {\n"
       "  int32_t v; memcpy(&v, p, 4); return v;\n"
       "}\n"
@@ -450,14 +458,11 @@ GenerateResult GenerateSource(const PipelineProgram& program) {
         fold.Set(in.a, in.imm);
         break;
       case OpCode::kLoadCol: {
+        // A typed load at the column's width, sign-extended by the assignment.
         const uint32_t w = program.input_widths[in.b];
-        if (w == 4) {
-          out += "    { int32_t hx_t; memcpy(&hx_t, hx_c" + S(in.b) +
-                 " + hx_row * 4u, 4); " + RegName(in.a) + " = hx_t; }\n";
-        } else {
-          out += "    memcpy(&" + RegName(in.a) + ", hx_c" + S(in.b) +
-                 " + hx_row * 8u, 8);\n";
-        }
+        out += "    { int" + S(8 * w) + "_t hx_t; memcpy(&hx_t, hx_c" + S(in.b) +
+               " + hx_row * " + S(w) + "u, " + S(w) + "); " + RegName(in.a) +
+               " = hx_t; }\n";
         out += "    s_br += " + S(w) + ";\n";
         fold.Kill(in.a);
         break;

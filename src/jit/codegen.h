@@ -47,7 +47,10 @@ namespace hetex::jit {
 ///     init branches to its loop's exit on a miss and an iter-next back to
 ///     the body on a match (kJmpIfNeg is gone); a unique build key's probe
 ///     has no iter-next.
-inline constexpr uint32_t kCodegenAbiVersion = 6;
+/// v7: columns and hash-table fields of 1 and 2 bytes (typed int8_t/int16_t
+///     column loads, hx_ld1/hx_ld2 field loads); an entry leads with its
+///     chain link, then the key and payload, padded to a multiple of 4.
+inline constexpr uint32_t kCodegenAbiVersion = 7;
 
 /// Bits of a kernel's `atomic_mode` argument: which worker-scoped atomics the
 /// launching provider pays for (ExecCtx::atomic_group_update / atomic_ht_insert).

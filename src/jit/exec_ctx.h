@@ -3,31 +3,23 @@
 
 #include <atomic>
 #include <cstdint>
-#include <cstring>
 #include <functional>
 #include <vector>
 
+#include "common/int_width.h"
 #include "common/logging.h"
 #include "sim/cost_model.h"
 
 namespace hetex::jit {
 
 /// Binding of one input column for the current block: base pointer + element
-/// width in bytes (4 or 8). Values are sign-extended into 64-bit VM registers.
+/// width in bytes (1, 2, 4 or 8). Values are sign-extended into 64-bit VM
+/// registers.
 struct ColumnBinding {
   const std::byte* base = nullptr;
   uint32_t width = 8;
 
-  int64_t Load(uint64_t row) const {
-    if (width == 4) {
-      int32_t v;
-      std::memcpy(&v, base + row * 4, 4);
-      return v;
-    }
-    int64_t v;
-    std::memcpy(&v, base + row * 8, 8);
-    return v;
-  }
+  int64_t Load(uint64_t row) const { return LoadInt(base + row * width, width); }
 };
 
 /// \brief Columnar output destination of a pipeline's Emit instruction.
@@ -70,12 +62,7 @@ class EmitTarget {
     uint64_t bytes = 0;
     for (int i = 0; i < n; ++i) {
       Col& c = cols[i];
-      if (c.width == 4) {
-        const int32_t v = static_cast<int32_t>(vals[i]);
-        std::memcpy(c.base + idx * 4, &v, 4);
-      } else {
-        std::memcpy(c.base + idx * 8, &vals[i], 8);
-      }
+      StoreInt(c.base + idx * c.width, c.width, vals[i]);
       bytes += c.width;
     }
     stats->bytes_written += bytes;
@@ -115,29 +102,19 @@ class EmitTarget {
       for (int c = 0; c < n_vals; ++c) {
         const int64_t* src = vals[c];
         Col& col = cols[c];
-        if (col.width == 4) {
+        // The width branch, hoisted out of the row loop: a narrowing copy.
+        DispatchIntWidth(col.width, [&](auto w) {
+          std::byte* dst = col.base + idx * w();
           if (sel == nullptr) {
             for (uint64_t r = 0; r < take; ++r) {
-              const int32_t v = static_cast<int32_t>(src[done + r]);
-              std::memcpy(col.base + (idx + r) * 4, &v, 4);
+              StoreIntAs<w()>(dst + r * w(), src[done + r]);
             }
           } else {
             for (uint64_t r = 0; r < take; ++r) {
-              const int32_t v = static_cast<int32_t>(src[sel[done + r]]);
-              std::memcpy(col.base + (idx + r) * 4, &v, 4);
+              StoreIntAs<w()>(dst + r * w(), src[sel[done + r]]);
             }
           }
-        } else {
-          if (sel == nullptr) {
-            for (uint64_t r = 0; r < take; ++r) {
-              std::memcpy(col.base + (idx + r) * 8, &src[done + r], 8);
-            }
-          } else {
-            for (uint64_t r = 0; r < take; ++r) {
-              std::memcpy(col.base + (idx + r) * 8, &src[sel[done + r]], 8);
-            }
-          }
-        }
+        });
       }
       stats->bytes_written += row_bytes * take;
       done += take;

@@ -24,14 +24,14 @@ JoinHashTable::Layout::Layout(uint64_t capacity, uint32_t key_width,
     : capacity_(capacity == 0 ? 1 : capacity),
       n_payload_(static_cast<int>(payload_widths.size())),
       fields_{} {
-  fields_[0] = {0, key_width};
-  fields_[1] = {key_width, sizeof(int32_t)};  // next: a 32-bit entry index
-  uint32_t offset = key_width + sizeof(int32_t);
+  fields_[0] = {0, sizeof(int32_t)};  // next: a 32-bit entry index
+  fields_[1] = {sizeof(int32_t), key_width};
+  uint32_t offset = sizeof(int32_t) + key_width;
   for (int i = 0; i < n_payload_; ++i) {
     if (i < kMaxPayload) fields_[2 + i] = {offset, payload_widths[i]};
     offset += payload_widths[i];
   }
-  stride_ = offset;
+  stride_ = (offset + 3) & ~uint32_t{3};  // keeps every entry's link aligned
 }
 
 Status JoinHashTable::Layout::Check() const {
@@ -48,10 +48,10 @@ Status JoinHashTable::Layout::Check() const {
                                    std::to_string(kMaxPayload) + ")");
   }
   for (int f = 0; f < 2 + n_payload_; ++f) {
-    if (fields_[f].width != 4 && fields_[f].width != 8) {
+    if (!IsIntWidth(fields_[f].width)) {
       return Status::InvalidArgument("join hash table field of " +
                                      std::to_string(fields_[f].width) +
-                                     " bytes (4 or 8)");
+                                     " bytes (1, 2, 4 or 8)");
     }
   }
   return Status::OK();

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/hash.h"
+#include "common/int_width.h"
 #include "common/status.h"
 #include "memory/memory_manager.h"
 
@@ -76,9 +77,11 @@ class JoinHashTable {
   /// A bucket head is one 64-bit word: the low 32 bits are the entry index
   /// of the bucket's chain (-1 when empty), the high 32 bits its tag, one
   /// bit per key hash class (TagBit). Chain links are 32-bit entry indexes,
-  /// -1 ending the chain. An entry is `key | next | payload...` with no
-  /// padding: the key and each payload value take their build column's
-  /// width (4 or 8 bytes) and are sign-extended on load.
+  /// -1 ending the chain. An entry is `next | key | payload...`: the key and
+  /// each payload value take their build column's width (1, 2, 4 or 8
+  /// bytes, IsIntWidth) and are sign-extended on load. The link leads and
+  /// the stride is padded to a multiple of 4 bytes, so every entry's link
+  /// stays 4-byte aligned for the CAS that links an insert in.
   class Layout {
    public:
     /// Payload values one entry carries at most (a VM insert's register window).
@@ -98,15 +101,15 @@ class JoinHashTable {
            const std::vector<uint32_t>& payload_widths);
 
     /// InvalidArgument when the entries overflow a 32-bit index, a width is
-    /// not 4 or 8, or there are more than kMaxPayload payload values.
+    /// not 1, 2, 4 or 8, or there are more than kMaxPayload payload values.
     Status Check() const;
 
     uint64_t capacity() const { return capacity_; }
     int payload_count() const { return n_payload_; }
-    const Field& key() const { return fields_[0]; }
-    const Field& next() const { return fields_[1]; }
+    const Field& next() const { return fields_[0]; }
+    const Field& key() const { return fields_[1]; }
     const Field& payload(int i) const { return fields_[2 + i]; }
-    /// Bytes per entry.
+    /// Bytes per entry: the fields, padded to a multiple of 4.
     uint32_t stride() const { return stride_; }
     /// Bucket heads: half the next power of two of 2 x capacity, so the
     /// 8-byte heads take the bytes 4-byte heads for twice as many buckets
@@ -231,24 +234,12 @@ class JoinHashTable {
   uint64_t bucket_mask() const { return bucket_mask_; }
 
  private:
-  /// Loads a field, sign-extending a 4-byte one.
+  /// Loads a field, sign-extending a narrow one.
   static int64_t Load(const std::byte* e, Layout::Field f) {
-    if (f.width == 4) {
-      int32_t v;
-      std::memcpy(&v, e + f.offset, 4);
-      return v;
-    }
-    int64_t v;
-    std::memcpy(&v, e + f.offset, 8);
-    return v;
+    return LoadInt(e + f.offset, f.width);
   }
   static void Store(std::byte* e, Layout::Field f, int64_t v) {
-    if (f.width == 4) {
-      const int32_t narrow = static_cast<int32_t>(v);
-      std::memcpy(e + f.offset, &narrow, 4);
-    } else {
-      std::memcpy(e + f.offset, &v, 8);
-    }
+    StoreInt(e + f.offset, f.width, v);
   }
   const std::byte* EntryAt(int64_t i) const {
     return entries_ + static_cast<uint64_t>(i) * layout_.stride();

@@ -5,6 +5,7 @@
 #include <atomic>
 
 #include "common/hash.h"
+#include "common/int_width.h"
 #include "common/logging.h"
 
 namespace hetex::jit {
@@ -400,10 +401,11 @@ class VecRunner {
         // The per-row width branch of ColumnBinding::Load, hoisted to one
         // branch per batch; the common affine unit-stride batch reads the
         // column contiguously (a vectorizable widening copy).
-        if (col.width == 4) {
+        DispatchIntWidth(col.width, [&](auto w) {
+          using T = IntOfWidth<w()>;
           if (L.affine_rows && L.row_step == 1) {
-            const int32_t* __restrict src =
-                reinterpret_cast<const int32_t*>(col.base + L.row0 * 4);
+            const T* __restrict src =
+                reinterpret_cast<const T*>(col.base + L.row0 * w());
             for (int k = 0; k < n; ++k) {
               const int32_t lane = sel[k];
               a[lane] = src[lane];
@@ -411,26 +413,10 @@ class VecRunner {
           } else {
             for (int k = 0; k < n; ++k) {
               const int32_t lane = sel[k];
-              int32_t v;
-              std::memcpy(&v, col.base + L.RowOf(lane) * 4, 4);
-              a[lane] = v;
+              a[lane] = LoadIntAs<w()>(col.base + L.RowOf(lane) * w());
             }
           }
-        } else {
-          if (L.affine_rows && L.row_step == 1) {
-            const int64_t* __restrict src =
-                reinterpret_cast<const int64_t*>(col.base + L.row0 * 8);
-            for (int k = 0; k < n; ++k) {
-              const int32_t lane = sel[k];
-              a[lane] = src[lane];
-            }
-          } else {
-            for (int k = 0; k < n; ++k) {
-              const int32_t lane = sel[k];
-              std::memcpy(&a[lane], col.base + L.RowOf(lane) * 8, 8);
-            }
-          }
-        }
+        });
         stats->bytes_read += static_cast<uint64_t>(col.width) * n;
         break;
       }

@@ -144,9 +144,10 @@ uint64_t TableRows(const storage::Table& t);
 /// headroom (the build CHECKs on overflow), else the build table's rows.
 uint64_t JoinHtCapacity(const JoinSpec& join, const storage::Catalog& catalog);
 
-/// Bytes one row of `column` takes: its catalog width, or 8 (an int64
-/// register) when `table` is null or lacks the column. Hash-table fields and
-/// packed columns are stored at this width.
+/// Bytes one row of `column` takes: its placed width (storage::Column::width,
+/// the narrowest of 1, 2, 4 or 8 bytes its values need), or 8 (an int64
+/// register) when `table` is null or lacks the column. Scans, hash-table
+/// fields and packed columns are stored at this width.
 uint32_t ColumnWidth(const storage::Table* table, const std::string& column);
 
 /// Packed layout of `join`'s hash table: JoinHtCapacity entries, the key and

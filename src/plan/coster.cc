@@ -308,7 +308,7 @@ Result<CostEstimate> PlanCoster::Cost(const HetPlan& plan) const {
   // innermost probe body, given the columns already in registers: each
   // aggregate's value and its fold, or the group key, one value per
   // aggregate (a literal 1 for COUNT), their copies into the fold's register
-  // window and the fold.
+  // window (WindowCopies) and the fold.
   auto tail_ops = [&](std::set<std::string>* loaded) {
     double ops = 0;
     if (spec_->group_by.empty()) {
@@ -318,10 +318,23 @@ Result<CostEstimate> PlanCoster::Cost(const HetPlan& plan) const {
       return ops;
     }
     ops += CombineGroupKeys(spec_->group_by)->Ops(loaded);
+    std::vector<double> value_ops;
     for (const auto& agg : spec_->aggs) {
-      ops += agg.func == jit::AggFunc::kCount ? 1 : agg.value->Ops(loaded);
+      value_ops.push_back(agg.func == jit::AggFunc::kCount ? 1
+                                                           : agg.value->Ops(loaded));
+      ops += value_ops.back();
     }
-    return ops + static_cast<double>(spec_->aggs.size()) + 1;
+    return ops + WindowCopies(value_ops) + 1;
+  };
+  // The ops of columns `cols` loaded in order after `loaded` (which then
+  // holds them): one per column loaded, then the window's copies.
+  auto window_ops = [](const std::vector<std::string>& cols,
+                       std::set<std::string>* loaded) {
+    std::vector<double> value_ops;
+    for (const auto& c : cols) value_ops.push_back(loaded->insert(c).second ? 1 : 0);
+    double ops = WindowCopies(value_ops);
+    for (double v : value_ops) ops += v;
+    return ops;
   };
 
   // Per-tuple profile of a probe span, op for op the program CompileProbe
@@ -371,8 +384,8 @@ Result<CostEstimate> PlanCoster::Cost(const HetPlan& plan) const {
     p.bytes_read = scan_width;
     std::set<std::string> loaded;
     p.ops += FilterOps(spec_->fact_filter, cards_.fact_filter_reach, &loaded);
-    double survivor_ops = 3 + static_cast<double>(wire_cols.size());
-    for (const auto& c : wire_cols) survivor_ops += loaded.count(c) == 0 ? 1 : 0;
+    const double survivor_ops =
+        3 + window_ops({wire_cols.begin(), wire_cols.end()}, &loaded);
     const double survivors = cards_.fact_selectivity;
     p.ops += survivors * survivor_ops;
     p.bytes_written = survivors * wire_width;
@@ -411,8 +424,8 @@ Result<CostEstimate> PlanCoster::Cost(const HetPlan& plan) const {
   // `packed`: the input is a build-side filter stage's survivors (the filter
   // already applied, every packed column loaded up front); otherwise the
   // conjunct filter runs first. A survivor loads its key and payload, copies
-  // the payload into the insert window, inserts and ends. An insert writes
-  // one entry of the join's hash-table layout.
+  // the payload into the insert window (WindowCopies), inserts and ends. An
+  // insert writes one entry of the join's hash-table layout.
   auto build_profile = [&](size_t j, bool packed, uint64_t* n_cols) {
     Profile p;
     const JoinSpec* join = j < spec_->joins.size() ? &spec_->joins[j] : nullptr;
@@ -434,10 +447,19 @@ Result<CostEstimate> PlanCoster::Cost(const HetPlan& plan) const {
     p.bytes_read = in_width;
     double survivor_ops = 3;
     if (join != nullptr) {
-      survivor_ops = 2 + static_cast<double>(join->payload.size());
+      survivor_ops = 2;
       if (loaded.insert(join->build_key).second) survivor_ops += 1;
-      for (const auto& c : join->payload) {
-        if (loaded.insert(c).second) survivor_ops += 1;
+      if (packed) {
+        // The packed columns loaded up front in wire order, the key first:
+        // the payload sits in consecutive registers unless it repeats one.
+        std::set<std::string> seen = {join->build_key};
+        std::vector<double> value_ops;
+        for (const auto& c : join->payload) {
+          value_ops.push_back(seen.insert(c).second ? 1 : 0);
+        }
+        survivor_ops += WindowCopies(value_ops);
+      } else {
+        survivor_ops += window_ops(join->payload, &loaded);
       }
     }
     p.ops += sel * survivor_ops;
@@ -462,8 +484,7 @@ Result<CostEstimate> PlanCoster::Cost(const HetPlan& plan) const {
     std::set<std::string> loaded;
     p.ops += FilterOps(join.build_filter, cards_.build_filter_reach[j], &loaded);
     const std::set<std::string> kept = packed_columns(join);
-    double survivor_ops = 2 + static_cast<double>(kept.size());
-    for (const auto& c : kept) survivor_ops += loaded.count(c) == 0 ? 1 : 0;
+    const double survivor_ops = 2 + window_ops({kept.begin(), kept.end()}, &loaded);
     p.ops += sel * survivor_ops;
     p.bytes_written = sel * dimension_width(join, packed_columns(join));
     return p;

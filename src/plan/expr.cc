@@ -208,4 +208,11 @@ double FilterOps(const ExprPtr& pred, const std::vector<double>& reach,
   return ops;
 }
 
+double WindowCopies(const std::vector<double>& value_ops) {
+  bool consecutive = value_ops.empty() || value_ops[0] >= 1;
+  for (size_t i = 1; i < value_ops.size(); ++i) consecutive &= value_ops[i] == 1;
+  return value_ops.size() <= 1 || consecutive ? 0
+                                              : static_cast<double>(value_ops.size());
+}
+
 }  // namespace hetex::plan

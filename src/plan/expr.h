@@ -100,6 +100,17 @@ void GenFilter(const ExprPtr& pred, jit::ProgramBuilder& b, ColumnResolver& cols
 double FilterOps(const ExprPtr& pred, const std::vector<double>& reach,
                  std::set<std::string>* loaded);
 
+/// \brief Copy ops of one register window (an insert's payload, a group-by
+/// fold's values, an emit's columns): none when its values already sit in
+/// consecutive registers — a lone value always does — else one per value
+/// (QueryCompiler's MakeContiguous).
+/// `value_ops[i]` is the ops value i's code emits when the values are
+/// generated in order. Every emitted instruction allocates one register, so
+/// the values are consecutive when the first emits at least one op and each
+/// later value exactly one: a fresh column load, a literal, or one operator
+/// over registers already held.
+double WindowCopies(const std::vector<double>& value_ops);
+
 // Convenience constructors for readable query definitions.
 inline ExprPtr Col(std::string name) { return Expr::Col(std::move(name)); }
 inline ExprPtr Lit(int64_t v) { return Expr::Lit(v); }

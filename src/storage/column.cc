@@ -1,8 +1,37 @@
 #include "storage/column.h"
 
 #include <algorithm>
+#include <cstring>
 
 namespace hetex::storage {
+
+namespace {
+
+/// A plain typed loop the compiler vectorizes: Place runs it over every
+/// staged value.
+template <typename T>
+void CopyNarrowed(const T* __restrict src, uint64_t rows, uint32_t width,
+                  std::byte* dst) {
+  DispatchIntWidth(width, [&](auto w) {
+    using N = IntOfWidth<w()>;
+    if constexpr (sizeof(N) == sizeof(T)) {
+      std::memcpy(dst, src, rows * sizeof(T));
+    } else {
+      N* __restrict out = reinterpret_cast<N*>(dst);
+      for (uint64_t r = 0; r < rows; ++r) out[r] = static_cast<N>(src[r]);
+    }
+  });
+}
+
+}  // namespace
+
+void Column::CopyPlaced(uint64_t begin, uint64_t rows, std::byte* dst) const {
+  if (type_ == ColType::kInt32) {
+    CopyNarrowed(data32_.data() + begin, rows, width_, dst);
+  } else {
+    CopyNarrowed(data64_.data() + begin, rows, width_, dst);
+  }
+}
 
 Dictionary::Dictionary(std::vector<std::string> values) : values_(std::move(values)) {
   std::sort(values_.begin(), values_.end());

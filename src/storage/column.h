@@ -1,20 +1,23 @@
 #ifndef HETEX_STORAGE_COLUMN_H_
 #define HETEX_STORAGE_COLUMN_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "common/int_width.h"
 #include "common/logging.h"
 
 namespace hetex::storage {
 
-/// Physical column types. Strings are stored as order-preserving dictionary codes
-/// (kInt32) with the Dictionary kept alongside — standard columnar practice.
+/// Staging column types: the integer a data generator appends. Strings are
+/// order-preserving dictionary codes in a kInt32 column, with the Dictionary
+/// kept alongside — standard columnar practice. The type bounds what a column
+/// may hold, not what it stores: Table::Place stores every column, codes
+/// included, at the narrowest width its values need (Column::width).
 enum class ColType { kInt32, kInt64 };
-
-inline uint32_t ColWidth(ColType t) { return t == ColType::kInt32 ? 4 : 8; }
 
 /// \brief Order-preserving string dictionary.
 ///
@@ -43,18 +46,24 @@ class Dictionary {
 
 /// \brief In-build (staging) column: typed append storage filled by data
 /// generators, host-resident. Table::Place() copies staging data into per-node
-/// chunks for engine execution; staging stays available for the reference
-/// evaluator.
+/// chunks for engine execution, each value at the column's placed width;
+/// staging stays available for the reference evaluator.
 class Column {
  public:
-  Column(std::string name, ColType type) : name_(std::move(name)), type_(type) {}
+  Column(std::string name, ColType type)
+      : name_(std::move(name)),
+        type_(type),
+        width_(type == ColType::kInt32 ? 4 : 8) {}
 
   void Append(int64_t v) {
     if (type_ == ColType::kInt32) {
+      v = static_cast<int32_t>(v);  // the value the column holds
       data32_.push_back(static_cast<int32_t>(v));
     } else {
       data64_.push_back(v);
     }
+    lo_ = std::min(lo_, v);
+    hi_ = std::max(hi_, v);
   }
 
   int64_t At(uint64_t row) const {
@@ -73,7 +82,11 @@ class Column {
 
   const std::string& name() const { return name_; }
   ColType type() const { return type_; }
-  uint32_t width() const { return ColWidth(type_); }
+  /// Bytes one placed value takes: the narrowest signed width (1, 2, 4 or 8)
+  /// that held every staged value when Table::Place last ran, kept across
+  /// DropStaging; the type's width before the first placement. Scans, packed
+  /// wire columns and hash-table fields all store the column at this width.
+  uint32_t width() const { return width_; }
   uint64_t bytes() const { return rows() * width(); }
 
   /// Attaches the dictionary of a string-encoded column.
@@ -86,8 +99,21 @@ class Column {
   bool unique() const { return unique_; }
 
  private:
+  friend class Table;
+
+  /// The narrowest width that holds every staged value (1 when empty):
+  /// Append keeps their range, so placement scans nothing for it.
+  uint32_t NarrowestWidth() const {
+    return rows() == 0 ? 1 : NarrowestIntWidth(lo_, hi_);
+  }
+  /// Writes staged rows [begin, begin + rows) to `dst` at width().
+  void CopyPlaced(uint64_t begin, uint64_t rows, std::byte* dst) const;
+
   std::string name_;
   ColType type_;
+  uint32_t width_;
+  int64_t lo_ = INT64_MAX;  ///< least staged value
+  int64_t hi_ = INT64_MIN;  ///< greatest staged value
   std::vector<int32_t> data32_;
   std::vector<int64_t> data64_;
   const Dictionary* dict_ = nullptr;

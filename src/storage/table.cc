@@ -1,7 +1,6 @@
 #include "storage/table.h"
 
 #include <algorithm>
-#include <cstring>
 #include <unordered_set>
 
 #include "common/logging.h"
@@ -49,6 +48,7 @@ Status Table::Place(const std::vector<sim::MemNodeId>& nodes,
   placed_mem_ = mem;
   pinned_ = pinned;
   NoteMutation();  // (re)placement publishes new content to cross-query caches
+  for (auto& col : columns_) col->width_ = col->NarrowestWidth();
 
   const uint64_t total = rows();
   const uint64_t n = nodes.size();
@@ -68,7 +68,7 @@ Status Table::Place(const std::vector<sim::MemNodeId>& nodes,
         return alloc.status();
       }
       auto* dst = static_cast<std::byte*>(alloc.value());
-      std::memcpy(dst, col->raw() + begin * col->width(), chunk_rows * col->width());
+      col->CopyPlaced(begin, chunk_rows, dst);
       chunk.col_data.push_back(dst);
     }
     chunks_.push_back(std::move(chunk));
@@ -156,6 +156,7 @@ void Table::DropStaging() {
     auto fresh = std::make_unique<Column>(col->name(), col->type());
     fresh->set_dictionary(col->dictionary());
     fresh->set_unique(col->unique());
+    fresh->width_ = col->width_;
     *col = std::move(*fresh);
   }
 }

@@ -62,14 +62,16 @@ class Table {
     uint64_t row_begin;
     uint64_t rows;
     sim::MemNodeId node;
-    std::vector<std::byte*> col_data;  ///< one buffer per column
+    std::vector<std::byte*> col_data;  ///< one buffer per column, at its width
   };
 
   /// Distributes rows evenly over `nodes` (one chunk per node), allocating chunk
-  /// buffers from each node's memory manager. `pinned` marks host chunks as
-  /// DMA-pinned; unpinned chunks transfer at pageable bandwidth (DBMS G, §6.2).
-  /// InvalidArgument, placing nothing, when a column declared unique
-  /// (Column::unique) holds a value twice.
+  /// buffers from each node's memory manager. Each column is stored at the
+  /// narrowest signed width its values need (Column::width), so a scan, a
+  /// PCIe transfer or a pack of it moves that many bytes per row. `pinned`
+  /// marks host chunks as DMA-pinned; unpinned chunks transfer at pageable
+  /// bandwidth (DBMS G, §6.2). InvalidArgument, placing nothing, when a
+  /// column declared unique (Column::unique) holds a value twice.
   Status Place(const std::vector<sim::MemNodeId>& nodes,
                memory::MemoryRegistry* mem, bool pinned = true);
 

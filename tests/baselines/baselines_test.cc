@@ -91,7 +91,8 @@ TEST_F(BaselinesTest, DbmsGQ43FailsOnlyWhenWorkingSetExceedsDevice) {
 }
 
 TEST_F(BaselinesTest, DbmsGResidentDataSkipsTransferTime) {
-  const auto spec = env()->ssb->Query(1, 1);
+  // A scan of 4-byte measures: streaming it over PCIe outlasts its kernels.
+  const auto spec = test::WideMeasureScan(*env()->ssb);
   OpStats st = EvaluateWithStats(spec, env()->system->catalog());
   DbmsGOptions resident;
   resident.data_on_gpu = true;

@@ -275,7 +275,8 @@ TEST_F(CompilerTest, Q11FactPipelineOpsPerRowAreExactInEveryTier) {
 //   misses part        5 + 2 + kEnd                    =  8
 //   misses date        7 + 2 + kEnd                    = 10
 //   matches all four   7 + 3 + group key (shl, add) + profit (2 loads,
-//                      sub) + copy + group-by fold + kEnd = 18
+//                      sub) + group-by fold + kEnd    = 17
+// The fold's one value is its own register window: no copy.
 TEST_F(CompilerTest, Q41FactPipelineOpsPerRowAreExactInEveryTier) {
   constexpr int64_t kAmerica = 1, kEurope = 3, kMfgr1 = 0, kMfgr5 = 4;
   AddTable(&catalog_, "customer", {"c_custkey", "c_region", "c_nation"},
@@ -326,11 +327,51 @@ TEST_F(CompilerTest, Q41FactPipelineOpsPerRowAreExactInEveryTier) {
   for (int tier = 0; tier < 3; ++tier) {
     const FactRun r = RunFactPipeline(q, catalog_, cm_, tier);
     EXPECT_EQ(r.stats.tuples, 5u) << "tier " << tier;
-    EXPECT_EQ(r.stats.ops, 3u + 6 + 8 + 10 + 18) << "tier " << tier;
+    EXPECT_EQ(r.stats.ops, 3u + 6 + 8 + 10 + 17) << "tier " << tier;
     const int64_t key = (int64_t{1997} << plan::kGroupKeyBits) + 7;
     EXPECT_EQ(r.groups, (std::vector<std::pair<int64_t, int64_t>>{{key, 40}}))
         << "tier " << tier;
   }
+}
+
+// An insert, fold or emit takes its values as one register window. Values
+// already in consecutive registers — a lone value, or values generated one
+// after another into one register each — are used in place; only scattered
+// values are copied, one kShl by 0 each. The coster prices the same rule.
+TEST_F(CompilerTest, WindowCopiesOnlyScatteredValues) {
+  auto copies = [](const CompiledPipeline& p) {
+    int n = 0;
+    for (const auto& in : p.program.code) {
+      n += in.op == jit::OpCode::kShl && in.imm == 0;
+    }
+    return n;
+  };
+  auto spec = Spec();
+  spec.group_by = {plan::Col("attr")};
+  spec.aggs.push_back({nullptr, jit::AggFunc::kCount, "n"});
+  {
+    QueryCompiler compiler(spec, catalog_, cm_);
+    // Stage A packs fk and y, both loaded after the filter's x.
+    EXPECT_EQ(copies(compiler.CompileFilterStage()), 0);
+    // The build inserts one payload value (attr).
+    EXPECT_EQ(copies(compiler.CompileBuild(0)), 0);
+    // The fold's values: y's load, then COUNT's literal 1.
+    EXPECT_EQ(copies(compiler.CompileProbe(nullptr)), 0);
+    // The gather loads the group key, then each partial in order.
+    EXPECT_EQ(copies(compiler.CompileGather()), 0);
+  }
+  EXPECT_EQ(plan::WindowCopies({1, 1}), 0);
+  // A filter on y loads it with x, ahead of the comparisons: stage A's
+  // window [fk, y] and the fold's [y, 1] are scattered.
+  spec.fact_filter = plan::And(plan::Gt(plan::Col("x"), plan::Lit(5)),
+                               plan::Gt(plan::Col("y"), plan::Lit(0)));
+  QueryCompiler compiler(spec, catalog_, cm_);
+  EXPECT_EQ(copies(compiler.CompileFilterStage()), 2);
+  EXPECT_EQ(copies(compiler.CompileProbe(nullptr)), 2);
+  EXPECT_EQ(plan::WindowCopies({0, 1}), 2);
+  EXPECT_EQ(plan::WindowCopies({0}), 0);
+  EXPECT_EQ(plan::WindowCopies({3, 1, 1}), 0);
+  EXPECT_EQ(plan::WindowCopies({1, 2}), 2);
 }
 
 TEST_F(CompilerTest, ScalarReduceUsesLocalAccs) {

@@ -579,8 +579,10 @@ TEST_F(RuntimeTest, HtRegistryKeyedByQueryJoinAndUnit) {
 }
 
 // The coster's footprint is the replica's allocation. Q4.1's customer join
-// (4-byte c_custkey, 4-byte c_nation payload) at an estimate of 24,000 rows:
-// 31,264 entries of 12 bytes plus 65,536 4-byte bucket heads.
+// at an estimate of 24,000 rows, its fields at the placed columns' widths
+// (2-byte c_custkey, 1-byte c_nation payload): 31,264 entries of 8 bytes
+// (the 4-byte link and 3 bytes of fields, padded to 4) plus 32,768 8-byte
+// bucket heads.
 TEST(HtRegistryTest, JoinHtBytesIsTheReplicaCreateAllocates) {
   test::TestEnv env(/*lineorder_rows=*/1000);
   plan::QuerySpec spec = env.ssb->Query(4, 1);
@@ -588,7 +590,12 @@ TEST(HtRegistryTest, JoinHtBytesIsTheReplicaCreateAllocates) {
   ASSERT_EQ(customer.build_table, "customer");
   customer.build_rows_estimate = 24'000;
   const storage::Catalog& catalog = env.system->catalog();
-  EXPECT_EQ(plan::JoinHtBytes(customer, catalog), 637'312u);
+  const storage::Table& table = catalog.at("customer");
+  ASSERT_EQ(table.column(customer.build_key).width(), 2u);
+  ASSERT_EQ(customer.payload, std::vector<std::string>{"c_nation"});
+  ASSERT_EQ(table.column("c_nation").width(), 1u);
+  EXPECT_EQ(plan::JoinHtLayout(customer, catalog).stride(), 8u);
+  EXPECT_EQ(plan::JoinHtBytes(customer, catalog), 31'264u * 8 + 32'768u * 8);
 
   HtRegistry hts;
   auto& mm = env.system->memory().manager(0);
@@ -668,6 +675,7 @@ class InsertingProcessor : public BlockProcessor {
  public:
   struct Shared {
     std::map<sim::DeviceId, jit::JoinHashTable*> replicas;
+    uint32_t key_width = 8;  ///< the placed key column's width
     std::mutex mu;
     std::map<int, int> blocks;  // instance id -> blocks consumed
   };
@@ -676,8 +684,11 @@ class InsertingProcessor : public BlockProcessor {
     ht_ = shared_->replicas.at(inst.device());
   }
   void ProcessMsg(WorkerInstance& inst, DataMsg& msg) override {
-    const auto* keys = reinterpret_cast<const int64_t*>(msg.cols[0].data());
-    for (uint64_t r = 0; r < msg.rows; ++r) ht_->Insert(keys[r], &keys[r]);
+    const jit::ColumnBinding keys{msg.cols[0].data(), shared_->key_width};
+    for (uint64_t r = 0; r < msg.rows; ++r) {
+      const int64_t key = keys.Load(r);
+      ht_->Insert(key, &key);
+    }
     inst.AdvanceTo(sim::MaxT(inst.clock(), msg.ReadyAt()) + 1e-6);
     std::lock_guard<std::mutex> lock(shared_->mu);
     ++shared_->blocks[inst.id()];
@@ -731,6 +742,7 @@ TEST_F(RuntimeTest, UnitBroadcastFillsEachReplicaOnceAcrossItsInstances) {
   ASSERT_TRUE(t->Place(system_.HostNodes(), &system_.memory()).ok());
 
   InsertingProcessor::Shared shared;
+  shared.key_width = c->width();
   auto& mm = system_.memory().manager(system_.topology().socket(0).mem);
   const jit::JoinHashTable::Layout layout(kRows, 8, {8});
   jit::JoinHashTable socket0(&mm, layout);

@@ -361,9 +361,10 @@ TEST(SchedulerTest, DmaQuerySlowsDownBehindConcurrentUvaQuery) {
 
 TEST(SchedulerTest, OtherSessionsWorkersShrinkDramFluidShare) {
   // One socket x 12 cores, no GPUs: 12 solo workers stream at 45/12 GB/s each.
+  // The scan reads 4-byte measures, so it stays DRAM-bound.
   ContentionEnv env(1, 12, 0, 60'000);
   QueryExecutor executor(env.system.get());
-  const auto spec = env.ssb->Query(1, 1);
+  const auto spec = test::WideMeasureScan(*env.ssb);
   ExecPolicy policy = TestEnv::Tune(ExecPolicy::CpuOnly(12));
   policy.load_balance = false;
 

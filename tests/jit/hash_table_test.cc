@@ -174,17 +174,18 @@ TEST_F(HashTableTest, ChainOrderDoesNotDependOnInsertOrder) {
 }
 
 TEST_F(HashTableTest, BytesReflectFootprint) {
-  // An entry is key | next | payload... at the columns' widths, no padding;
-  // the heads take NextPow2(2 x capacity) x 4 bytes: half as many 8-byte
-  // words.
+  // An entry is next | key | payload... at the columns' widths, padded to a
+  // multiple of 4; the heads take NextPow2(2 x capacity) x 4 bytes: half as
+  // many 8-byte words.
   constexpr uint64_t kCapacity = 100000;
   constexpr uint64_t kHeadBytes = 262144 * 4;
-  const std::vector<std::vector<uint32_t>> payloads = {{}, {4}, {8, 4}};
-  for (const uint32_t key : {4u, 8u}) {
+  const std::vector<std::vector<uint32_t>> payloads = {{}, {1}, {2, 1}, {4}, {8, 4}};
+  for (const uint32_t key : {1u, 2u, 4u, 8u}) {
     for (const auto& payload : payloads) {
       const Layout layout(kCapacity, key, payload);
       uint32_t stride = key + 4;
       for (const uint32_t w : payload) stride += w;
+      stride = (stride + 3) / 4 * 4;
       EXPECT_EQ(layout.stride(), stride);
       EXPECT_EQ(layout.Bytes(), kCapacity * stride + kHeadBytes);
       const uint64_t before = mm_.used();
@@ -193,8 +194,10 @@ TEST_F(HashTableTest, BytesReflectFootprint) {
       EXPECT_EQ(mm_.used() - before, (layout.Bytes() + 63) / 64 * 64);
     }
   }
-  // A 4-byte key with one 4-byte payload: 12 bytes an entry.
+  // A 4-byte key with one 4-byte payload: 12 bytes an entry; a 2-byte key
+  // with a 1-byte payload: 7 bytes of fields, 8 an entry.
   EXPECT_EQ(Layout(kCapacity, 4, {4}).stride(), 12u);
+  EXPECT_EQ(Layout(kCapacity, 2, {1}).stride(), 8u);
   // A capacity of 1 has one 8-byte head.
   EXPECT_EQ(Layout(1, 4, {}).buckets(), 1u);
   EXPECT_EQ(Layout(1, 4, {}).Bytes(), 8u + 8u);
@@ -255,9 +258,72 @@ TEST_F(HashTableTest, LayoutRejectsWhatA32BitIndexOrItsFieldsCannotHold) {
   EXPECT_EQ(over.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(over.message().find("32-bit entry index"), std::string::npos)
       << over.ToString();
-  EXPECT_EQ(Layout(16, 2, {}).Check().code(), StatusCode::kInvalidArgument);
+  // Fields take 1, 2, 4 or 8 bytes, the widths a placed column has.
+  for (const uint32_t w : {1u, 2u, 4u, 8u}) {
+    EXPECT_TRUE(Layout(16, w, {w}).Check().ok()) << w;
+  }
+  for (const uint32_t w : {0u, 3u, 5u, 16u}) {
+    EXPECT_EQ(Layout(16, w, {}).Check().code(), StatusCode::kInvalidArgument) << w;
+    EXPECT_EQ(Layout(16, 4, {1, w}).Check().code(), StatusCode::kInvalidArgument)
+        << w;
+  }
   EXPECT_EQ(Layout(16, 4, std::vector<uint32_t>(9, 4)).Check().code(),
             StatusCode::kInvalidArgument);
+}
+
+// 1- and 2-byte fields pack without padding between them, and every entry's
+// 32-bit link stays 4-byte aligned for the CAS that links an insert in. The
+// width code a probe carries rebuilds the same entry layout.
+TEST_F(HashTableTest, NarrowFieldsKeepEveryLinkAligned) {
+  const std::vector<std::pair<uint32_t, std::vector<uint32_t>>> shapes = {
+      {1, {}}, {2, {1}}, {1, {2, 1}}, {2, {1, 1, 1}}, {8, {1, 2, 4}}};
+  for (const auto& [key_width, payload] : shapes) {
+    const Layout layout(64, key_width, payload);
+    ASSERT_TRUE(layout.Check().ok()) << layout.ToString();
+    EXPECT_EQ(layout.next().offset, 0u);
+    EXPECT_EQ(layout.stride() % 4, 0u) << layout.ToString();
+    uint32_t offset = 4;
+    EXPECT_EQ(layout.key().offset, offset);
+    offset += key_width;
+    for (size_t i = 0; i < payload.size(); ++i) {
+      EXPECT_EQ(layout.payload(static_cast<int>(i)).offset, offset);
+      EXPECT_EQ(layout.payload(static_cast<int>(i)).width, payload[i]);
+      offset += payload[i];
+    }
+
+    const Layout decoded = Layout::FromWidthCode(layout.WidthCode());
+    EXPECT_EQ(decoded.WidthCode(), layout.WidthCode());
+    EXPECT_EQ(decoded.stride(), layout.stride());
+    EXPECT_EQ(decoded.key().width, key_width);
+    EXPECT_EQ(decoded.payload_count(), static_cast<int>(payload.size()));
+
+    // Negative keys and payloads at the type bounds come back exactly, and
+    // every link sits on a 4-byte boundary.
+    JoinHashTable ht(&mm_, layout);
+    const int64_t lo =
+        key_width == 8 ? INT64_MIN + 1 : -(int64_t{1} << (8 * key_width - 1));
+    std::vector<int64_t> keys;
+    for (int64_t i = 0; i < 40; ++i) keys.push_back(lo + i * 3);
+    for (const int64_t key : keys) {
+      std::vector<int64_t> values;
+      for (const uint32_t w : payload) values.push_back(-(int64_t{1} << (8 * w - 1)));
+      ASSERT_TRUE(ht.Insert(key, values.data()));
+    }
+    for (uint64_t e = 0; e < ht.size(); ++e) {
+      const auto link = reinterpret_cast<uintptr_t>(ht.raw_entries()) +
+                        e * layout.stride() + layout.next().offset;
+      EXPECT_EQ(link % 4, 0u) << "entry " << e << " of " << layout.ToString();
+    }
+    for (const int64_t key : keys) {
+      uint64_t hops = 0;
+      const int64_t e = ht.FindKeyFrom(ht.ProbeHead(key), key, &hops);
+      ASSERT_GE(e, 0) << "key " << key << " of " << layout.ToString();
+      for (size_t i = 0; i < payload.size(); ++i) {
+        EXPECT_EQ(ht.PayloadAt(e, static_cast<int>(i)),
+                  -(int64_t{1} << (8 * payload[i] - 1)));
+      }
+    }
+  }
 }
 
 TEST_F(HashTableTest, MemoryReturnedOnDestruction) {

@@ -383,8 +383,8 @@ TEST(KernelCacheTest, PreviousAbiObjectIsRejectedAndRecompiled) {
   const std::string current = "abi " + std::to_string(kCodegenAbiVersion) + "\n";
   const size_t at = meta.find(current);
   ASSERT_NE(at, std::string::npos) << meta;
-  ASSERT_EQ(kCodegenAbiVersion, 6u);
-  meta.replace(at, current.size(), "abi 5\n");
+  ASSERT_EQ(kCodegenAbiVersion, 7u);
+  meta.replace(at, current.size(), "abi 6\n");
   std::ofstream(meta_path, std::ios::trunc) << meta;
 
   KernelCache cache(opts);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/int_width.h"
 #include "memory/memory_manager.h"
 #include "sim/topology.h"
 
@@ -73,14 +74,56 @@ TEST_F(TableTest, PlaceSplitsRowsAcrossNodes) {
 TEST_F(TableTest, PlacedDataMatchesStaging) {
   auto t = MakeTable(100);
   ASSERT_TRUE(t->Place({topo_.socket(0).mem, topo_.socket(1).mem}, &mem_).ok());
+  const uint32_t wa = t->column("a").width();
+  const uint32_t wb = t->column("b").width();
   for (const auto& chunk : t->chunks()) {
-    const auto* a = reinterpret_cast<const int32_t*>(chunk.col_data[0]);
-    const auto* b = reinterpret_cast<const int64_t*>(chunk.col_data[1]);
     for (uint64_t r = 0; r < chunk.rows; ++r) {
-      EXPECT_EQ(a[r], static_cast<int32_t>(chunk.row_begin + r));
-      EXPECT_EQ(b[r], static_cast<int64_t>((chunk.row_begin + r) * 10));
+      EXPECT_EQ(LoadInt(chunk.col_data[0] + r * wa, wa),
+                static_cast<int64_t>(chunk.row_begin + r));
+      EXPECT_EQ(LoadInt(chunk.col_data[1] + r * wb, wb),
+                static_cast<int64_t>((chunk.row_begin + r) * 10));
     }
   }
+}
+
+// Place stores each column at the narrowest signed width that holds its
+// values, whatever its staging type: the width steps up just past the int8,
+// int16 and int32 bounds.
+TEST_F(TableTest, PlacePicksTheNarrowestWidthAtTheTypeBounds) {
+  struct Case {
+    int64_t lo, hi;
+    uint32_t width;
+  };
+  const Case cases[] = {
+      {-128, 127, 1},
+      {-129, 0, 2},
+      {0, 128, 2},
+      {-32768, 32767, 2},
+      {-32769, 0, 4},
+      {0, 32768, 4},
+      {INT32_MIN, INT32_MAX, 4},
+      {int64_t{INT32_MIN} - 1, 0, 8},
+      {0, int64_t{INT32_MAX} + 1, 8},
+  };
+  for (const Case& c : cases) {
+    auto t = std::make_unique<Table>("w");
+    Column* col = t->AddColumn("v", ColType::kInt64);
+    for (int64_t v : {c.lo, c.hi, int64_t{0}}) col->Append(v);
+    EXPECT_EQ(col->width(), 8u);  // the type's width until placed
+    ASSERT_TRUE(t->Place({topo_.socket(0).mem}, &mem_).ok());
+    EXPECT_EQ(col->width(), c.width) << "[" << c.lo << ", " << c.hi << "]";
+    const Table::Chunk& chunk = t->chunks()[0];
+    EXPECT_EQ(LoadInt(chunk.col_data[0], c.width), c.lo);
+    EXPECT_EQ(LoadInt(chunk.col_data[0] + c.width, c.width), c.hi);
+    t->DropStaging();
+    EXPECT_EQ(col->width(), c.width);  // the placed data keeps its width
+  }
+  // An int32 column narrows too (dictionary codes, small measures).
+  auto t = MakeTable(200);
+  ASSERT_TRUE(t->Place({topo_.socket(0).mem}, &mem_).ok());
+  EXPECT_EQ(t->column("a").width(), 2u);  // 0..199
+  EXPECT_EQ(t->column("b").width(), 2u);  // 0..1990
+  EXPECT_EQ(t->ColumnSetBytes({"a", "b"}), 200u * 2 + 200u * 2);
 }
 
 TEST_F(TableTest, RePlaceMovesAndFreesOldChunks) {
@@ -117,7 +160,8 @@ TEST_F(TableTest, DropStagingKeepsChunks) {
   EXPECT_EQ(t->column("a").rows(), 0u);  // staging gone
   EXPECT_TRUE(t->placed());
   EXPECT_EQ(t->chunks()[0].rows, 64u);   // placed data intact
-  EXPECT_EQ(t->column("a").width(), 4u); // schema intact
+  EXPECT_EQ(t->column("a").width(), 1u); // placed width intact (0..63)
+  EXPECT_EQ(t->column("b").width(), 2u); // 0..630
 }
 
 TEST_F(TableTest, PlaceRejectsADuplicateInAColumnDeclaredUnique) {

@@ -30,6 +30,22 @@ inline bool FaultsEnabled() {
   return env != nullptr && std::atoi(env) != 0;
 }
 
+/// A scan that stays bandwidth-bound at any column width: Q1.1's date join,
+/// but its fact filter (passing every row) and its aggregate read the 4-byte
+/// measures lo_extendedprice, lo_supplycost and lo_revenue, so a row loads
+/// about 12 bytes for about 10 ops. SSB's own scans read 1- and 2-byte
+/// columns (lo_discount, lo_quantity) once Table::Place narrows them, and no
+/// longer saturate a socket's DRAM or a PCIe link.
+inline plan::QuerySpec WideMeasureScan(const ssb::Ssb& ssb) {
+  plan::QuerySpec q = ssb.Query(1, 1);
+  q.name = "Q1.1-wide";
+  q.fact_filter = plan::And(plan::Ge(plan::Col("lo_extendedprice"), plan::Lit(0)),
+                            plan::Ge(plan::Col("lo_supplycost"), plan::Lit(0)));
+  q.aggs = {{plan::Add(plan::Col("lo_revenue"), plan::Col("lo_supplycost")),
+             jit::AggFunc::kSum, "s"}};
+  return q;
+}
+
 /// Small simulated server + tiny SSB database for fast tests.
 struct TestEnv {
   /// `reuse` defaults to the env-resolved knobs (HETEX_SHARED_BUILDS /
