@@ -48,7 +48,6 @@
 #include <string>
 #include <vector>
 
-#include "core/compiler.h"
 #include "core/executor.h"
 #include "core/graph_builder.h"
 #include "core/program_cache.h"
@@ -56,6 +55,7 @@
 #include "core/system.h"
 #include "jit/kernel_cache.h"
 #include "plan/analysis.h"
+#include "plan/compiler.h"
 #include "plan/het_plan.h"
 #include "plan/optimizer.h"
 #include "sim/topology.h"
@@ -160,11 +160,11 @@ void ReportSpanTiers(core::System& system, const core::GraphBuilder& builder,
                      const plan::QuerySpec& query,
                      std::vector<SpanTier>* out = nullptr, bool print = true) {
   const plan::PlanAnalysis& analysis = builder.analysis();
-  core::QueryCompiler compiler(query, system.catalog(), system.cost_model());
+  plan::QueryCompiler compiler(query, system.catalog(), system.cost_model());
   core::ProgramCache& cache = system.program_cache();
 
   auto report_stage = [&](const plan::Stage& stage, const char* label,
-                          const core::CompiledPipeline& pipeline) {
+                          const plan::CompiledPipeline& pipeline) {
     const auto before_cpu = cache.counters(sim::DeviceType::kCpu);
     const auto before_gpu = cache.counters(sim::DeviceType::kGpu);
     std::shared_ptr<const jit::PipelineProgram> program;
@@ -219,7 +219,7 @@ void ReportSpanTiers(core::System& system, const core::GraphBuilder& builder,
     report_stage(stage, "build", pipelines.build);
   }
   // Fact stages compile through the same schema-threading path execution uses.
-  const std::vector<core::CompiledPipeline> pipelines =
+  const std::vector<plan::CompiledPipeline> pipelines =
       builder.CompileFactPipelines(&compiler);
   for (size_t i = 0; i < pipelines.size(); ++i) {
     report_stage(analysis.fact_stages[i], "fact", pipelines[i]);
@@ -347,7 +347,7 @@ bool ReportOptimizer(core::System& system, core::System& reuse_sys,
   // The picked run's random accesses (hash-table builds, probes and
   // group-bys) per fact row, by size class, its VM ops and the bytes its
   // pipelines read (scans at the placed column widths, packed inputs) per
-  // fact row.
+  // fact row, and the ops and bytes the coster priced for the pick.
   const double fact_rows =
       static_cast<double>(system.catalog().at(spec.fact_table).rows());
   const double per_row[3] = {picked_stats.near_accesses / fact_rows,
@@ -355,6 +355,9 @@ bool ReportOptimizer(core::System& system, core::System& reuse_sys,
                              picked_stats.far_accesses / fact_rows};
   const double ops_per_row = picked_stats.ops / fact_rows;
   const double bytes_per_row = picked_stats.bytes_read / fact_rows;
+  const sim::CostStats& est = opt.ranked.front().cost.work;
+  const double est_ops_per_row = est.ops / fact_rows;
+  const double est_bytes_per_row = est.bytes_read / fact_rows;
 
   if (json) {
     std::printf("%s{\"query\": \"%s\", \"picked\": \"%s\",\n\"probe_order\": [",
@@ -374,8 +377,9 @@ bool ReportOptimizer(core::System& system, core::System& reuse_sys,
       std::printf("%s\"%s\": %.6f", c == 0 ? "" : ", ", kClassNames[c], per_row[c]);
     }
     std::printf("},\n\"ops_per_fact_row\": %.6f,\n\"bytes_per_fact_row\": %.6f,"
-                "\n\"spans\": [",
-                ops_per_row, bytes_per_row);
+                "\n\"est_ops_per_fact_row\": %.6f,"
+                "\n\"est_bytes_per_fact_row\": %.6f,\n\"spans\": [",
+                ops_per_row, bytes_per_row, est_ops_per_row, est_bytes_per_row);
     const std::vector<SpanTier> tiers = CollectSpanTiers(system, spec);
     for (size_t i = 0; i < tiers.size(); ++i) {
       std::printf("%s\n  {\"span\": \"%s\", \"tier\": \"%s\", \"reason\": \"%s\"}",
@@ -428,8 +432,9 @@ bool ReportOptimizer(core::System& system, core::System& reuse_sys,
     }
     std::printf("\naccesses/fact row:");
     for (int c = 0; c < 3; ++c) std::printf(" %s %.3g", kClassNames[c], per_row[c]);
-    std::printf("\nops/fact row: %.3g\n", ops_per_row);
-    std::printf("bytes/fact row: %.3g\n", bytes_per_row);
+    std::printf("\nops/fact row: %.3g (est %.3g)\n", ops_per_row, est_ops_per_row);
+    std::printf("bytes/fact row: %.3g (est %.3g)\n", bytes_per_row,
+                est_bytes_per_row);
     std::printf("%-26s %12s %12s  %s\n", "candidate", "estimated", "measured",
                 "");
     for (size_t i = 0; i < rows.size(); ++i) {

@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "common/timer.h"
-#include "core/compiler.h"
+#include "plan/compiler.h"
 #include "core/graph_builder.h"
 #include "core/scheduler.h"
 
@@ -119,7 +119,7 @@ QueryResult QueryExecutor::ExecutePlan(const plan::QuerySpec& spec,
   result.status = builder.Analyze();
   if (!result.status.ok()) return result;
 
-  QueryCompiler compiler(spec, system_->catalog(), system_->cost_model());
+  plan::QueryCompiler compiler(spec, system_->catalog(), system_->cost_model());
   result.status = builder.Run(&compiler, &result);
   result.wall_seconds = timer.ElapsedSeconds();
 

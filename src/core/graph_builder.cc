@@ -215,12 +215,12 @@ class Replay {
 
 }  // namespace
 
-std::vector<CompiledPipeline> GraphBuilder::CompileFactPipelines(
-    QueryCompiler* compiler) const {
+std::vector<plan::CompiledPipeline> GraphBuilder::CompileFactPipelines(
+    plan::QueryCompiler* compiler) const {
   // Pipelines compile producer→consumer so a stage can read its producer's emit
   // schema (stage B of split plans reads stage A's surviving columns).
   const size_t n_fact = analysis_.fact_stages.size();
-  std::vector<CompiledPipeline> out(n_fact);
+  std::vector<plan::CompiledPipeline> out(n_fact);
   for (size_t i = n_fact; i-- > 0;) {
     const plan::Span& span = analysis_.fact_stages[i].span();
     const bool packed_input =
@@ -232,7 +232,7 @@ std::vector<CompiledPipeline> GraphBuilder::CompileFactPipelines(
 }
 
 GraphBuilder::BuildPipelines GraphBuilder::CompileBuildPipelines(
-    const plan::Stage& stage, QueryCompiler* compiler) const {
+    const plan::Stage& stage, plan::QueryCompiler* compiler) const {
   BuildPipelines out;
   if (stage.filter_stage >= 0) {
     out.filter = compiler->CompileSpan(
@@ -243,7 +243,7 @@ GraphBuilder::BuildPipelines GraphBuilder::CompileBuildPipelines(
   return out;
 }
 
-Status GraphBuilder::Run(QueryCompiler* compiler, QueryResult* result) {
+Status GraphBuilder::Run(plan::QueryCompiler* compiler, QueryResult* result) {
   const plan::HetPlan& plan = *plan_;
   if (analysis_.fact_stages.empty()) {
     return Status::Internal("lowered graph has no fact stages (Analyze not run?)");
@@ -518,7 +518,8 @@ Status GraphBuilder::Run(QueryCompiler* compiler, QueryResult* result) {
   // A build-side filter stage runs to completion on its CPU workers, each
   // starting when its core's previous filter instance ended. Its packed
   // survivors are held for replay.
-  auto run_build_filter = [&](const plan::Stage& stage, CompiledPipeline pipeline,
+  auto run_build_filter = [&](const plan::Stage& stage,
+                              plan::CompiledPipeline pipeline,
                               Replay* survivors) -> Status {
     RuntimeStage rt;
     rt.cfg = make_config(stage);
@@ -711,7 +712,7 @@ Status GraphBuilder::Run(QueryCompiler* compiler, QueryResult* result) {
   build_dram.Close(phase_boundary);
 
   // -------------------------------------------------------------- fact stages
-  std::vector<CompiledPipeline> pipelines = CompileFactPipelines(compiler);
+  std::vector<plan::CompiledPipeline> pipelines = CompileFactPipelines(compiler);
   // AnalyzePlan: the gather merges the partials of the probe stage below it.
   const plan::Stage& merge = analysis_.fact_stages.front();
   const plan::Stage& probe = analysis_.fact_stages[1];

@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "common/status.h"
-#include "core/compiler.h"
+#include "plan/compiler.h"
 #include "core/executor.h"
 #include "core/runtime.h"
 #include "plan/analysis.h"
@@ -66,25 +66,25 @@ class GraphBuilder {
   /// thread through. Shared by Run() and tooling (plan_explorer's tier report)
   /// so both describe the same programs. Returned in fact-stage order
   /// (consumer first).
-  std::vector<CompiledPipeline> CompileFactPipelines(
-      QueryCompiler* compiler) const;
+  std::vector<plan::CompiledPipeline> CompileFactPipelines(
+      plan::QueryCompiler* compiler) const;
 
   /// A build stage's pipelines: the build-side filter stage feeding it (an
   /// empty pipeline when segmenter-fed) and the build, which then reads that
   /// stage's packed survivors. Shared by Run() and tooling like
   /// CompileFactPipelines.
   struct BuildPipelines {
-    CompiledPipeline filter;
-    CompiledPipeline build;
+    plan::CompiledPipeline filter;
+    plan::CompiledPipeline build;
   };
   BuildPipelines CompileBuildPipelines(const plan::Stage& stage,
-                                       QueryCompiler* compiler) const;
+                                       plan::QueryCompiler* compiler) const;
 
   /// Instantiates the runtime objects from the analysed stages and executes
   /// the query, filling `result` (rows, modeled/virtual time, work stats).
   /// A UVA source the placed data makes unreadable (plan::CheckUvaSources)
   /// fails before any stage starts.
-  Status Run(QueryCompiler* compiler, QueryResult* result);
+  Status Run(plan::QueryCompiler* compiler, QueryResult* result);
 
  private:
   System* system_;

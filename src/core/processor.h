@@ -5,7 +5,7 @@
 #include <memory>
 #include <vector>
 
-#include "core/compiler.h"
+#include "plan/compiler.h"
 #include "core/program_cache.h"
 #include "core/runtime.h"
 
@@ -18,7 +18,7 @@ namespace hetex::core {
 /// paper's per-device pipeline template + per-instance state creation, §4.2).
 struct StageConfig {
   plan::StageRole role = plan::StageRole::kProbe;
-  CompiledPipeline pipeline;
+  plan::CompiledPipeline pipeline;
 
   /// Owning query session: namespaces this stage's hash tables in the shared
   /// HtRegistry so concurrent queries never collide on (join id, unit).

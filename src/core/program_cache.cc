@@ -18,7 +18,7 @@ bool SameInstr(const jit::Instr& a, const jit::Instr& b) {
 
 }  // namespace
 
-uint64_t ProgramCache::Signature(const CompiledPipeline& pipeline) {
+uint64_t ProgramCache::Signature(const plan::CompiledPipeline& pipeline) {
   const jit::PipelineProgram& p = pipeline.program;
   uint64_t h = 0xc0de;
   for (const jit::Instr& in : p.code) {
@@ -36,7 +36,7 @@ uint64_t ProgramCache::Signature(const CompiledPipeline& pipeline) {
     h = Mix(h, static_cast<uint64_t>(p.local_acc_funcs[i]));
   }
   // Binding schema: the input column widths the runtime will bind positionally.
-  for (const ColSlot& slot : pipeline.input_cols) {
+  for (const plan::ColSlot& slot : pipeline.input_cols) {
     h = Mix(h, slot.width);
   }
   // The label is part of the span identity: a shared compiled program would
@@ -46,7 +46,7 @@ uint64_t ProgramCache::Signature(const CompiledPipeline& pipeline) {
 }
 
 bool ProgramCache::Matches(const jit::PipelineProgram& compiled,
-                           const CompiledPipeline& pipeline) {
+                           const plan::CompiledPipeline& pipeline) {
   const jit::PipelineProgram& p = pipeline.program;
   if (compiled.label != p.label || compiled.n_regs != p.n_regs ||
       compiled.n_local_accs != p.n_local_accs ||
@@ -67,7 +67,7 @@ bool ProgramCache::Matches(const jit::PipelineProgram& compiled,
 }
 
 Result<std::shared_ptr<const jit::PipelineProgram>> ProgramCache::GetOrCompile(
-    jit::DeviceProvider& provider, const CompiledPipeline& pipeline) {
+    jit::DeviceProvider& provider, const plan::CompiledPipeline& pipeline) {
   const int kind = static_cast<int>(provider.type());
   // The tier policy is part of the compiled artifact (it decides which tier
   // ConvertToMachineCode installs), so it is part of the key: a forced-
@@ -92,7 +92,7 @@ Result<std::shared_ptr<const jit::PipelineProgram>> ProgramCache::GetOrCompile(
   auto compiled = std::make_shared<jit::PipelineProgram>(pipeline.program);
   compiled->input_widths.clear();
   compiled->input_widths.reserve(pipeline.input_cols.size());
-  for (const ColSlot& slot : pipeline.input_cols) {
+  for (const plan::ColSlot& slot : pipeline.input_cols) {
     compiled->input_widths.push_back(slot.width);
   }
   compiled->n_input_cols = static_cast<int>(pipeline.input_cols.size());

@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "common/status.h"
-#include "core/compiler.h"
+#include "plan/compiler.h"
 #include "jit/device_provider.h"
 
 namespace hetex::core {
@@ -19,9 +19,9 @@ namespace hetex::core {
 /// The N worker instances of a span all request the same program template; the
 /// cache finalizes it once per device kind and hands every instance the same
 /// immutable compiled program. Because the cache lives on the System (not the
-/// per-query QueryCompiler), repeated ExecutePlan runs of the same query also
-/// stop re-finalizing identical programs. Hash collisions are harmless: entries
-/// under one hash are compared field-by-field before reuse.
+/// per-query plan::QueryCompiler), repeated ExecutePlan runs of the same query
+/// also stop re-finalizing identical programs. Hash collisions are harmless:
+/// entries under one hash are compared field-by-field before reuse.
 class ProgramCache {
  public:
   struct Counters {
@@ -35,7 +35,7 @@ class ProgramCache {
   /// Returns the finalized program for `pipeline` on `provider`'s device kind,
   /// finalizing (ConvertToMachineCode) on first use. Thread-safe.
   Result<std::shared_ptr<const jit::PipelineProgram>> GetOrCompile(
-      jit::DeviceProvider& provider, const CompiledPipeline& pipeline);
+      jit::DeviceProvider& provider, const plan::CompiledPipeline& pipeline);
 
   /// Hit/miss counters of one device kind (the per-device view plan_explorer
   /// and the parity/bench tooling print).
@@ -47,11 +47,11 @@ class ProgramCache {
  private:
   using Entry = std::shared_ptr<const jit::PipelineProgram>;
 
-  static uint64_t Signature(const CompiledPipeline& pipeline);
+  static uint64_t Signature(const plan::CompiledPipeline& pipeline);
   /// Finalization keeps the template's code, label, registers, accumulators
   /// and binding widths, so a compiled program is compared directly.
   static bool Matches(const jit::PipelineProgram& compiled,
-                      const CompiledPipeline& pipeline);
+                      const plan::CompiledPipeline& pipeline);
 
   mutable std::mutex mu_;
   // (device kind + tier policy, signature) -> compiled programs (same-hash

@@ -244,8 +244,7 @@ void Edge::Push(DataMsg msg, sim::MemNodeId producer_node) {
 
   WorkerInstance* target = nullptr;
   switch (options_.policy) {
-    case plan::RouterPolicy::kRoundRobin:
-    case plan::RouterPolicy::kUnion: {
+    case plan::RouterPolicy::kRoundRobin: {
       target = consumers_[rr_next_.fetch_add(1, std::memory_order_relaxed) %
                           consumers_.size()];
       break;

@@ -165,9 +165,7 @@ class Edge {
     /// virtual-time backlog; a GPU-resident block goes to its own GPU when
     /// that GPU is a consumer, and is balanced over every consumer when it
     /// is not. kHash: consumer = tag % consumers (requires hash-packed
-    /// blocks). kBroadcast: every consumer receives every message. kUnion
-    /// routes like kRoundRobin (it funnels every producer into one consumer
-    /// set).
+    /// blocks). kBroadcast: every consumer receives every message.
     plan::RouterPolicy policy = plan::RouterPolicy::kLoadBalance;
     bool mem_move = true;            ///< insert the mem-move data-flow half
     double control_cost = 100e-9;    ///< router control-plane cost per message

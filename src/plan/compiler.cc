@@ -1,4 +1,4 @@
-#include "core/compiler.h"
+#include "plan/compiler.h"
 
 #include <algorithm>
 #include <functional>
@@ -6,11 +6,10 @@
 
 #include "common/logging.h"
 
-namespace hetex::core {
+namespace hetex::plan {
 
 using jit::OpCode;
 using jit::ProgramBuilder;
-using plan::ExprPtr;
 
 jit::AggFunc MergeFunc(jit::AggFunc f) {
   return f == jit::AggFunc::kCount ? jit::AggFunc::kSum : f;
@@ -21,7 +20,7 @@ namespace {
 /// Column resolver backing one pipeline's codegen: fact/table columns lower to
 /// kLoadCol (cached per tuple program), probe payload columns resolve to the
 /// registers the enclosing probe loop defined.
-class PipelineResolver : public plan::ColumnResolver {
+class PipelineResolver : public ColumnResolver {
  public:
   /// Table-backed resolver (widths from the table schema).
   PipelineResolver(const storage::Table* table, std::vector<ColSlot>* input_cols)
@@ -79,7 +78,6 @@ class PipelineResolver : public plan::ColumnResolver {
 /// group-by folds and emits take contiguous register windows). Values that
 /// already sit in consecutive registers — a lone value always does — keep
 /// their own; the rest are copied into a fresh range, one kShl by 0 each.
-/// PlanCoster prices the copies by the same rule (plan::WindowCopies).
 int MakeContiguous(ProgramBuilder& b, const std::vector<int>& regs) {
   HETEX_CHECK(!regs.empty());
   bool consecutive = true;
@@ -98,23 +96,23 @@ int MakeContiguous(ProgramBuilder& b, const std::vector<int>& regs) {
 
 }  // namespace
 
-QueryCompiler::QueryCompiler(const plan::QuerySpec& spec,
+QueryCompiler::QueryCompiler(const QuerySpec& spec,
                              const storage::Catalog& catalog,
                              const sim::CostModel& cost_model)
     : spec_(&spec), catalog_(&catalog), cost_model_(&cost_model) {}
 
 CompiledPipeline QueryCompiler::CompileSpan(
-    const plan::Span& span, const std::vector<ColSlot>* upstream_schema) const {
+    const Span& span, const std::vector<ColSlot>* upstream_schema) const {
   switch (span.role) {
-    case plan::StageRole::kBuild:
+    case StageRole::kBuild:
       HETEX_CHECK(span.join_id >= 0) << "build span without a join id stamp";
       return CompileBuild(span.join_id, upstream_schema);
-    case plan::StageRole::kFilterStage:
+    case StageRole::kFilterStage:
       return span.join_id >= 0 ? CompileBuildFilter(span.join_id)
                                : CompileFilterStage();
-    case plan::StageRole::kProbe:
+    case StageRole::kProbe:
       return CompileProbe(upstream_schema);
-    case plan::StageRole::kGather:
+    case StageRole::kGather:
       return CompileGather();
   }
   HETEX_CHECK(false) << "unreachable span role";
@@ -137,7 +135,7 @@ CompiledPipeline QueryCompiler::CompileBuild(
     // and the wire columns bind positionally (see CompileProbe).
     for (const auto& slot : *input_schema) cols.ResolveColumn(slot.name, b);
   } else {
-    plan::GenFilter(join.build_filter, b, cols);
+    GenFilter(join.build_filter, b, cols);
   }
   const int key = cols.ResolveColumn(join.build_key, b);
   std::vector<int> payload_regs;
@@ -147,7 +145,7 @@ CompiledPipeline QueryCompiler::CompileBuild(
   int first = 0;
   if (!payload_regs.empty()) first = MakeContiguous(b, payload_regs);
   const int cls =
-      cost_model_->RandomAccessClass(plan::JoinHtBytes(join, *catalog_));
+      cost_model_->RandomAccessClass(JoinHtBytes(join, *catalog_));
   b.EmitOp(OpCode::kHtInsert, /*ht_slot=*/0, key, first,
            static_cast<int>(payload_regs.size()), 0, cls);
 
@@ -177,7 +175,7 @@ CompiledPipeline QueryCompiler::CompileProbe(
   }
 
   // Filters were already applied by stage A in split plans.
-  if (input_schema == nullptr) plan::GenFilter(spec_->fact_filter, b, cols);
+  if (input_schema == nullptr) GenFilter(spec_->fact_filter, b, cols);
 
   for (int j = 0; j < static_cast<int>(spec_->joins.size()); ++j) {
     out.ht_join_slots.push_back(j);
@@ -197,7 +195,7 @@ CompiledPipeline QueryCompiler::CompileProbe(
       }
       return;
     }
-    const ExprPtr key_expr = plan::CombineGroupKeys(spec_->group_by);
+    const ExprPtr key_expr = CombineGroupKeys(spec_->group_by);
     const int key = key_expr->Gen(b, cols);
     std::vector<int> vals;
     for (const auto& agg : spec_->aggs) {
@@ -224,11 +222,11 @@ CompiledPipeline QueryCompiler::CompileProbe(
              cost_model_->RandomAccessClass(ht_bytes));
   };
 
-  // Nested probe loops in plan::ProbeOrder, innermost body = the aggregation
+  // Nested probe loops in ProbeOrder, innermost body = the aggregation
   // tail. Each probe reads the hash-table slot of its join id; a miss branches
   // to the loop's exit, and a further match of a key that is not unique
   // branches back into the body.
-  const std::vector<int> order = plan::ProbeOrder(*spec_, *catalog_, *cost_model_);
+  const std::vector<int> order = ProbeOrder(*spec_, *catalog_, *cost_model_);
   std::function<void(size_t)> gen_join = [&](size_t depth) {
     if (depth == order.size()) {
       gen_tail();
@@ -236,7 +234,7 @@ CompiledPipeline QueryCompiler::CompileProbe(
     }
     const int j = order[depth];
     const auto& join = spec_->joins[j];
-    const jit::JoinHashTable::Layout layout = plan::JoinHtLayout(join, *catalog_);
+    const jit::JoinHashTable::Layout layout = JoinHtLayout(join, *catalog_);
     const int cls = cost_model_->RandomAccessClass(layout.Bytes());
     const int key = cols.ResolveColumn(join.probe_key, b);
     const int iter = b.AllocReg();
@@ -255,7 +253,7 @@ CompiledPipeline QueryCompiler::CompileProbe(
       }
     }
     gen_join(depth + 1);
-    if (!plan::JoinKeyUnique(join, *catalog_)) {
+    if (!JoinKeyUnique(join, *catalog_)) {
       b.EmitOp(OpCode::kHtIterNext, iter, key, j, body, 0, cls);
     }
     b.Bind(exit);
@@ -274,7 +272,7 @@ CompiledPipeline QueryCompiler::CompileFilterStage() const {
   ProgramBuilder b;
   PipelineResolver cols(&fact, &out.input_cols);
 
-  plan::GenFilter(spec_->fact_filter, b, cols);
+  GenFilter(spec_->fact_filter, b, cols);
 
   // Surviving columns: everything the probe stage needs from the fact table.
   std::set<std::string> needed;
@@ -318,7 +316,7 @@ CompiledPipeline QueryCompiler::CompileBuildFilter(int join_id) const {
   ProgramBuilder b;
   PipelineResolver cols(&table, &out.input_cols);
 
-  plan::GenFilter(join.build_filter, b, cols);
+  GenFilter(join.build_filter, b, cols);
 
   // Surviving columns: the build key, then the payload columns it does not
   // repeat. A broadcast feeds every replica, so the emit is untagged.
@@ -381,4 +379,4 @@ CompiledPipeline QueryCompiler::CompileGather() const {
   return out;
 }
 
-}  // namespace hetex::core
+}  // namespace hetex::plan

@@ -57,37 +57,37 @@ double Selectivity(const ExprPtr& filter, const std::vector<double>& reach,
 
 uint64_t CeilDiv(uint64_t a, uint64_t b) { return b == 0 ? 0 : (a + b - 1) / b; }
 
-// ---------------------------------------------------------------------------
-// Per-tuple work profiles, converted to CostStats for CostModel::WorkCost.
-// ---------------------------------------------------------------------------
-
-struct Profile {
-  double ops = 0;
-  double near = 0, mid = 0, far = 0;
-  double atomics = 0;
-  double bytes_read = 0, bytes_written = 0;
-
-  void AddAccess(const sim::CostModel& cm, uint64_t region_bytes, double p) {
-    switch (cm.RandomAccessClass(region_bytes)) {
-      case 0: near += p; break;
-      case 1: mid += p; break;
-      default: far += p; break;
+/// NotFound naming the first table or column the query's programs read that
+/// `catalog` lacks (the compiler CHECKs on it). Payload columns resolve to
+/// probe registers, not to fact columns.
+Status CheckReadable(const QuerySpec& spec, const storage::Catalog& catalog) {
+  auto read = [&](const std::string& name, const std::set<std::string>& cols) {
+    const storage::Table* t = catalog.Get(name);
+    if (t == nullptr) return Status::NotFound("table '" + name + "' not in the catalog");
+    for (const auto& c : cols) {
+      if (t->FindColumn(c) < 0) {
+        return Status::NotFound("no column '" + c + "' in table " + name);
+      }
     }
+    return Status::OK();
+  };
+  std::set<std::string> fact_cols, tail_cols;
+  if (spec.fact_filter != nullptr) spec.fact_filter->CollectColumns(&fact_cols);
+  for (const auto& agg : spec.aggs) {
+    if (agg.value != nullptr) agg.value->CollectColumns(&tail_cols);
   }
-
-  sim::CostStats Scale(double rows) const {
-    sim::CostStats s;
-    s.tuples = static_cast<uint64_t>(std::llround(rows));
-    s.ops = static_cast<uint64_t>(std::llround(ops * rows));
-    s.near_accesses = static_cast<uint64_t>(std::llround(near * rows));
-    s.mid_accesses = static_cast<uint64_t>(std::llround(mid * rows));
-    s.far_accesses = static_cast<uint64_t>(std::llround(far * rows));
-    s.atomics = static_cast<uint64_t>(std::llround(atomics * rows));
-    s.bytes_read = static_cast<uint64_t>(std::llround(bytes_read * rows));
-    s.bytes_written = static_cast<uint64_t>(std::llround(bytes_written * rows));
-    return s;
+  for (const auto& g : spec.group_by) g->CollectColumns(&tail_cols);
+  for (const JoinSpec& join : spec.joins) {
+    fact_cols.insert(join.probe_key);
+    for (const auto& p : join.payload) tail_cols.erase(p);
+    std::set<std::string> cols(join.payload.begin(), join.payload.end());
+    cols.insert(join.build_key);
+    if (join.build_filter != nullptr) join.build_filter->CollectColumns(&cols);
+    HETEX_RETURN_NOT_OK(read(join.build_table, cols));
   }
-};
+  fact_cols.merge(tail_cols);
+  return read(spec.fact_table, fact_cols);
+}
 
 /// One instance's pricing inputs for a stage.
 struct InstanceCost {
@@ -95,6 +95,7 @@ struct InstanceCost {
   sim::VTime transfer_time = 0;  ///< per-block interconnect share (diagnostic)
   int link = -1;                 ///< link id the per-block transfer occupies
   uint64_t blocks = 0;           ///< assigned by the distribution model
+  sim::CostStats block_stats;    ///< the work of one block
   /// False when a load-balance router can never hand this instance a block:
   /// every source fraction is GPU-resident and pinned to another consumer.
   bool eligible = true;
@@ -136,7 +137,6 @@ sim::VTime DistributeBlocks(RouterPolicy policy, uint64_t total_blocks,
     }
     case RouterPolicy::kRoundRobin:
     case RouterPolicy::kHash:
-    case RouterPolicy::kUnion:
       // Rotation: instance i receives every n-th block.
       for (size_t i = 0; i < n; ++i) {
         (*insts)[i].blocks =
@@ -233,15 +233,125 @@ CardinalityEstimate EstimateCardinalities(const QuerySpec& spec,
   return c;
 }
 
+sim::CostStats RowWork::Scale(double rows) const {
+  auto n = [&](double per_row) {
+    return static_cast<uint64_t>(std::llround(per_row * rows));
+  };
+  sim::CostStats s;
+  s.tuples = n(1);
+  s.ops = n(ops);
+  s.near_accesses = n(near);
+  s.mid_accesses = n(mid);
+  s.far_accesses = n(far);
+  s.atomics = n(atomics);
+  s.bytes_read = n(bytes_read);
+  s.bytes_written = n(bytes_written);
+  return s;
+}
+
+RowWork WalkProgram(const CompiledPipeline& pipeline, const GuardRates& rates,
+                    const QuerySpec& spec, const storage::Catalog& catalog) {
+  using jit::OpCode;
+  const std::vector<jit::Instr>& code = pipeline.program.code;
+  int filters = 0;
+  for (const jit::Instr& in : code) filters += in.op == OpCode::kFilter;
+  double out_width = 0;
+  for (const ColSlot& c : pipeline.output_cols) out_width += c.width;
+  auto rate = [](const std::vector<double>& v, size_t i) {
+    return i < v.size() ? v[i] : 1.0;
+  };
+  RowWork w;
+  auto access = [&](uint8_t cls, double p) {
+    (cls == 0 ? w.near : cls == 1 ? w.mid : w.far) += p;
+  };
+  double reach = 1.0;
+  int filter = 0;
+  std::vector<std::pair<int, double>> loops;  // (exit pc, reach before the probe)
+  for (int pc = 0; pc < static_cast<int>(code.size()); ++pc) {
+    for (; !loops.empty() && loops.back().first == pc; loops.pop_back()) {
+      reach = loops.back().second;
+    }
+    const jit::Instr& in = code[pc];
+    w.ops += reach;
+    switch (in.op) {
+      case OpCode::kLoadCol:
+        w.bytes_read += reach * pipeline.input_cols[in.b].width;
+        break;
+      case OpCode::kFilter:
+        ++filter;
+        reach = filter == filters ? rates.filter_pass
+                                  : rate(rates.filter_reach, static_cast<size_t>(filter));
+        break;
+      case OpCode::kHtProbeInit:
+        access(in.cls, reach);
+        loops.emplace_back(in.d, reach);
+        reach *= rate(rates.join_matches, pipeline.ht_join_slots[in.c]);
+        break;
+      case OpCode::kHtInsert: {
+        const JoinSpec& join = spec.joins[pipeline.ht_join_slots[in.a]];
+        access(in.cls, reach);
+        w.atomics += reach;
+        w.bytes_written += reach * JoinHtLayout(join, catalog).stride();
+        break;
+      }
+      case OpCode::kGroupByAgg:
+        access(in.cls, reach);
+        break;
+      case OpCode::kEmit:
+        w.bytes_written += reach * out_width;
+        break;
+      default:
+        break;
+    }
+  }
+  return w;
+}
+
 PlanCoster::PlanCoster(const QuerySpec& spec, const storage::Catalog& catalog,
                        const sim::Topology& topo, Options options)
     : spec_(&spec),
       catalog_(&catalog),
       topo_(&topo),
       options_(options),
-      cards_(EstimateCardinalities(spec, catalog)) {}
+      cards_(EstimateCardinalities(spec, catalog)),
+      readable_(CheckReadable(spec, catalog)) {
+  if (!readable_.ok()) return;
+  // Each span shape's program, compiled once: its walk depends on the spec,
+  // the catalog and the cardinalities, never on the candidate.
+  const QueryCompiler compiler(spec, catalog, topo.cost_model());
+  const GuardRates fact{cards_.fact_filter_reach, cards_.fact_selectivity,
+                        cards_.join_selectivities};
+  auto price = [&](const CompiledPipeline& p, const GuardRates& rates,
+                   bool full_width = true) {
+    SpanWork out{WalkProgram(p, rates, spec, catalog), p.input_cols.size()};
+    if (full_width) {
+      out.row.bytes_read = 0;
+      for (const ColSlot& c : p.input_cols) out.row.bytes_read += c.width;
+    }
+    return out;
+  };
+  fused_ = price(compiler.CompileProbe(nullptr), fact);
+  gather_ = price(compiler.CompileGather(), {});
+  if (!spec.joins.empty()) {
+    const CompiledPipeline stage_a = compiler.CompileFilterStage();
+    stage_a_ = price(stage_a, fact);
+    stage_b_ = price(compiler.CompileProbe(&stage_a.output_cols),
+                     {{}, 1.0, cards_.join_selectivities});
+  }
+  for (size_t j = 0; j < spec.joins.size(); ++j) {
+    // A build filter's survivors are priced at the join selectivity.
+    const GuardRates build{cards_.build_filter_reach[j],
+                           cards_.join_selectivities[j], {}};
+    const int join = static_cast<int>(j);
+    const CompiledPipeline filter = compiler.CompileBuildFilter(join);
+    build_.push_back(price(compiler.CompileBuild(join), build));
+    filter_.push_back(price(filter, build, /*full_width=*/false));
+    packed_build_.push_back(price(compiler.CompileBuild(join, &filter.output_cols), {}));
+  }
+}
 
 Result<CostEstimate> PlanCoster::Cost(const HetPlan& plan) const {
+  HETEX_RETURN_NOT_OK(readable_);
   const sim::CostModel& cm = topo_->cost_model();
   Result<PlanAnalysis> analysis = AnalyzePlan(plan, *topo_);
   if (!analysis.ok()) return analysis.status();
@@ -250,245 +360,6 @@ Result<CostEstimate> PlanCoster::Cost(const HetPlan& plan) const {
 
   CostEstimate est;
   est.init = shape.init_latency;
-
-  // --- Schema-derived widths. Fact columns a fused scan reads; the packed
-  // wire columns a split plan ships between stages, each at its fact width
-  // (the width the pack writes).
-  const storage::Table* fact = catalog_->Get(spec_->fact_table);
-  std::set<std::string> payloads;
-  for (const auto& join : spec_->joins) {
-    for (const auto& p : join.payload) payloads.insert(p);
-  }
-  auto fact_col_set = [&](bool include_filter) {
-    std::set<std::string> cols;
-    if (include_filter && spec_->fact_filter != nullptr) {
-      spec_->fact_filter->CollectColumns(&cols);
-    }
-    for (const auto& join : spec_->joins) cols.insert(join.probe_key);
-    for (const auto& agg : spec_->aggs) {
-      if (agg.value != nullptr) agg.value->CollectColumns(&cols);
-    }
-    for (const auto& g : spec_->group_by) g->CollectColumns(&cols);
-    std::set<std::string> out;
-    for (const auto& c : cols) {
-      if (payloads.count(c) > 0) continue;
-      if (fact == nullptr || fact->FindColumn(c) >= 0) out.insert(c);
-    }
-    return out;
-  };
-  const std::set<std::string> scan_cols = fact_col_set(/*include_filter=*/true);
-  const std::set<std::string> wire_cols = fact_col_set(/*include_filter=*/false);
-  auto fact_width = [&](const std::set<std::string>& cols) {
-    double width = 0;
-    for (const auto& c : cols) width += ColumnWidth(fact, c);
-    return width;
-  };
-  const double scan_width = fact_width(scan_cols);
-  const double wire_width = fact_width(wire_cols);
-
-  // --- Hash-table footprints: the generated code's access size classes.
-  auto ht_bytes = [&](size_t j) -> uint64_t {
-    return j < spec_->joins.size() ? JoinHtBytes(spec_->joins[j], *catalog_) : 1;
-  };
-  const uint64_t n_aggs = spec_->aggs.size();
-  const uint64_t agg_ht_bytes =
-      spec_->group_by.empty() ? 0 : spec_->expected_groups * 2 * (8 + 8 * n_aggs);
-
-  const double total_join_sel = [&] {
-    double s = 1.0;
-    for (double js : cards_.join_selectivities) s *= js;
-    return s;
-  }();
-
-  auto build_sel = [&](size_t j) {
-    return j < cards_.join_selectivities.size() ? cards_.join_selectivities[j] : 1;
-  };
-
-  // Ops the aggregation tail QueryCompiler::CompileProbe emits in the
-  // innermost probe body, given the columns already in registers: each
-  // aggregate's value and its fold, or the group key, one value per
-  // aggregate (a literal 1 for COUNT), their copies into the fold's register
-  // window (WindowCopies) and the fold.
-  auto tail_ops = [&](std::set<std::string>* loaded) {
-    double ops = 0;
-    if (spec_->group_by.empty()) {
-      for (const auto& agg : spec_->aggs) {
-        ops += (agg.func == jit::AggFunc::kCount ? 0 : agg.value->Ops(loaded)) + 1;
-      }
-      return ops;
-    }
-    ops += CombineGroupKeys(spec_->group_by)->Ops(loaded);
-    std::vector<double> value_ops;
-    for (const auto& agg : spec_->aggs) {
-      value_ops.push_back(agg.func == jit::AggFunc::kCount ? 1
-                                                           : agg.value->Ops(loaded));
-      ops += value_ops.back();
-    }
-    return ops + WindowCopies(value_ops) + 1;
-  };
-  // The ops of columns `cols` loaded in order after `loaded` (which then
-  // holds them): one per column loaded, then the window's copies.
-  auto window_ops = [](const std::vector<std::string>& cols,
-                       std::set<std::string>* loaded) {
-    std::vector<double> value_ops;
-    for (const auto& c : cols) value_ops.push_back(loaded->insert(c).second ? 1 : 0);
-    double ops = WindowCopies(value_ops);
-    for (double v : value_ops) ops += v;
-    return ops;
-  };
-
-  // Per-tuple profile of a probe span, op for op the program CompileProbe
-  // emits. `from_table`: fused scan (the conjunct filter still to run) vs the
-  // packed stage-B input of a split plan (filter done, every wire column
-  // loaded up front). The probes run in the compiler's nesting order, so each
-  // join is priced for the rows the joins before it let through: a key load
-  // on first use, the probe init, and per match a payload load and — unless
-  // the build key is unique — the iter-next. A payload load reads the entry
-  // its probe already paid for: ops, no access. Every row that passed the
-  // filter ends at kEnd.
-  const std::vector<int> probe_order = ProbeOrder(*spec_, *catalog_, cm);
-  auto probe_profile = [&](bool from_table) {
-    Profile p;
-    std::set<std::string> loaded;
-    double reach = 1.0;
-    if (from_table) {
-      p.bytes_read = scan_width;
-      p.ops += FilterOps(spec_->fact_filter, cards_.fact_filter_reach, &loaded);
-      reach = cards_.fact_selectivity;
-    } else {
-      p.bytes_read = wire_width;
-      p.ops += static_cast<double>(wire_cols.size());
-      loaded = wire_cols;
-    }
-    p.ops += reach;  // kEnd
-    for (const int j : probe_order) {
-      const JoinSpec& join = spec_->joins[j];
-      if (loaded.insert(join.probe_key).second) p.ops += reach;
-      p.ops += reach;
-      p.AddAccess(cm, ht_bytes(j), reach);
-      reach *= build_sel(j);
-      if (!join.payload.empty()) p.ops += reach;
-      if (!JoinKeyUnique(join, *catalog_)) p.ops += reach;
-      loaded.insert(join.payload.begin(), join.payload.end());
-    }
-    p.ops += reach * tail_ops(&loaded);
-    if (!spec_->group_by.empty()) p.AddAccess(cm, agg_ht_bytes, reach);
-    return p;
-  };
-
-  // Stage A: the conjunct filter, then per survivor the wire columns the
-  // filter did not load, their copies into the emit window, the hash tag,
-  // the emit and kEnd.
-  auto filter_stage_profile = [&] {
-    Profile p;
-    p.bytes_read = scan_width;
-    std::set<std::string> loaded;
-    p.ops += FilterOps(spec_->fact_filter, cards_.fact_filter_reach, &loaded);
-    const double survivor_ops =
-        3 + window_ops({wire_cols.begin(), wire_cols.end()}, &loaded);
-    const double survivors = cards_.fact_selectivity;
-    p.ops += survivors * survivor_ops;
-    p.bytes_written = survivors * wire_width;
-    return p;
-  };
-
-  // Width of `cols` in `join`'s build table.
-  auto dimension_width = [&](const JoinSpec& join, const std::set<std::string>& cols) {
-    const storage::Table* t = catalog_->Get(join.build_table);
-    double width = 0;
-    for (const auto& c : cols) width += ColumnWidth(t, c);
-    return width;
-  };
-  auto filter_columns = [](const JoinSpec& join) {
-    std::set<std::string> cols;
-    if (join.build_filter != nullptr) join.build_filter->CollectColumns(&cols);
-    return cols;
-  };
-  // The columns a build-side filter stage packs for join j's build: the key
-  // and the payload, each at its dimension width.
-  auto packed_columns = [](const JoinSpec& join) {
-    std::set<std::string> cols(join.payload.begin(), join.payload.end());
-    cols.insert(join.build_key);
-    return cols;
-  };
-  // Width and column count of the dimension columns join j's build scan reads
-  // (filter, key and payload).
-  auto dimension_scan = [&](const JoinSpec& join, uint64_t* n_cols) {
-    std::set<std::string> cols = filter_columns(join);
-    cols.merge(packed_columns(join));
-    *n_cols = cols.size();
-    return dimension_width(join, cols);
-  };
-
-  // Per-tuple profile of join j's build, op for op CompileBuild's program.
-  // `packed`: the input is a build-side filter stage's survivors (the filter
-  // already applied, every packed column loaded up front); otherwise the
-  // conjunct filter runs first. A survivor loads its key and payload, copies
-  // the payload into the insert window (WindowCopies), inserts and ends. An
-  // insert writes one entry of the join's hash-table layout.
-  auto build_profile = [&](size_t j, bool packed, uint64_t* n_cols) {
-    Profile p;
-    const JoinSpec* join = j < spec_->joins.size() ? &spec_->joins[j] : nullptr;
-    double in_width = 8;
-    *n_cols = 1;
-    double sel = 1.0;
-    std::set<std::string> loaded;
-    if (join != nullptr && packed) {
-      loaded = packed_columns(*join);
-      *n_cols = loaded.size();
-      in_width = dimension_width(*join, loaded);
-      p.ops += static_cast<double>(loaded.size());
-    } else if (join != nullptr) {
-      in_width = dimension_scan(*join, n_cols);
-      p.ops +=
-          FilterOps(join->build_filter, cards_.build_filter_reach[j], &loaded);
-      sel = build_sel(j);
-    }
-    p.bytes_read = in_width;
-    double survivor_ops = 3;
-    if (join != nullptr) {
-      survivor_ops = 2;
-      if (loaded.insert(join->build_key).second) survivor_ops += 1;
-      if (packed) {
-        // The packed columns loaded up front in wire order, the key first:
-        // the payload sits in consecutive registers unless it repeats one.
-        std::set<std::string> seen = {join->build_key};
-        std::vector<double> value_ops;
-        for (const auto& c : join->payload) {
-          value_ops.push_back(seen.insert(c).second ? 1 : 0);
-        }
-        survivor_ops += WindowCopies(value_ops);
-      } else {
-        survivor_ops += window_ops(join->payload, &loaded);
-      }
-    }
-    p.ops += sel * survivor_ops;
-    p.AddAccess(cm, ht_bytes(j), sel);
-    p.atomics += sel;
-    if (join != nullptr) {
-      p.bytes_written = sel * JoinHtLayout(*join, *catalog_).stride();
-    }
-    return p;
-  };
-
-  // Per-tuple profile of join j's build-side filter stage: every row loads
-  // the filter's columns and runs its conjuncts; a survivor also loads its
-  // key and payload, copies them into the emit window, packs them and ends.
-  auto build_filter_profile = [&](size_t j, uint64_t* n_cols) {
-    Profile p;
-    const JoinSpec& join = spec_->joins[j];
-    const double sel = build_sel(j);
-    const double scan = dimension_scan(join, n_cols);
-    const double filter_width = dimension_width(join, filter_columns(join));
-    p.bytes_read = filter_width + sel * (scan - filter_width);
-    std::set<std::string> loaded;
-    p.ops += FilterOps(join.build_filter, cards_.build_filter_reach[j], &loaded);
-    const std::set<std::string> kept = packed_columns(join);
-    const double survivor_ops = 2 + window_ops({kept.begin(), kept.end()}, &loaded);
-    p.ops += sel * survivor_ops;
-    p.bytes_written = sel * dimension_width(join, packed_columns(join));
-    return p;
-  };
 
   // --- Instance pricing under the fluid bandwidth-share model.
   auto socket_backlog = [&](int s) {
@@ -512,9 +383,8 @@ Result<CostEstimate> PlanCoster::Cost(const HetPlan& plan) const {
     return frac;
   };
 
-  auto stage_instances = [&](const Stage& stage, const Profile& profile,
-                             uint64_t block_rows, double in_width,
-                             uint64_t cols,
+  auto stage_instances = [&](const Stage& stage, const SpanWork& work,
+                             uint64_t block_rows,
                              const storage::Table* src_table) {
     std::vector<InstanceCost> out;
     // CPU workers share their socket's DRAM bandwidth — with this candidate's
@@ -524,11 +394,12 @@ Result<CostEstimate> PlanCoster::Cost(const HetPlan& plan) const {
     for (const auto& dev : stage.instances) {
       if (dev.is_cpu()) socket_workers[dev.index] += 1;
     }
-    cols = std::max<uint64_t>(1, cols);
+    const uint64_t cols = std::max<uint64_t>(1, work.cols);
     const sim::CostStats block_stats =
-        profile.Scale(static_cast<double>(block_rows));
+        work.row.Scale(static_cast<double>(block_rows));
     const std::map<sim::MemNodeId, double> src_frac = node_fractions(src_table);
-    const double block_bytes = static_cast<double>(block_rows) * in_width;
+    const double block_bytes =
+        static_cast<double>(block_rows) * work.row.bytes_read;
     // An unpinned source table's first PCIe hop runs at the pageable rate,
     // exactly as the runtime's DMA engine charges it (Topology::HopRate).
     const bool pageable =
@@ -548,6 +419,7 @@ Result<CostEstimate> PlanCoster::Cost(const HetPlan& plan) const {
     for (const auto& b : stage.branches) {
       for (const auto& dev : b.instances) {
         InstanceCost ic;
+        ic.block_stats = block_stats;
         if (!src_frac.empty()) {
           ic.eligible = std::any_of(
               src_frac.begin(), src_frac.end(), [&](const auto& node_frac) {
@@ -636,12 +508,15 @@ Result<CostEstimate> PlanCoster::Cost(const HetPlan& plan) const {
                ? options_.link_backlog[l]
                : 0.0;
   };
-  auto add_link_busy = [](std::vector<double>* busy,
-                          const std::vector<InstanceCost>& insts) {
+  // A priced stage: its link occupancy, its work and its transfers' share of
+  // the critical path.
+  auto note_work = [&](std::vector<double>* link_busy,
+                       const std::vector<InstanceCost>& insts) {
     for (const auto& ic : insts) {
-      if (ic.link >= 0 && ic.link < static_cast<int>(busy->size())) {
-        (*busy)[ic.link] += static_cast<double>(ic.blocks) * ic.transfer_time;
-      }
+      const double transfer = static_cast<double>(ic.blocks) * ic.transfer_time;
+      if (ic.link >= 0 && ic.link < n_links) (*link_busy)[ic.link] += transfer;
+      est.work.Add(ic.block_stats.Times(ic.blocks));
+      est.transfer = sim::MaxT(est.transfer, transfer);
     }
   };
 
@@ -656,13 +531,6 @@ Result<CostEstimate> PlanCoster::Cost(const HetPlan& plan) const {
   std::map<sim::DeviceId, sim::VTime> unit_build;
   std::map<Core, sim::VTime> core_filter;  // core -> end of its filter share
   sim::VTime filters_done = 0;  // the latest core's filter end so far
-  auto note_transfer = [&](const std::vector<InstanceCost>& insts) {
-    add_link_busy(&build_link_busy, insts);
-    for (const auto& ic : insts) {
-      est.transfer = sim::MaxT(
-          est.transfer, static_cast<double>(ic.blocks) * ic.transfer_time);
-    }
-  };
   // Blocks of `stage`'s segmenter over `rows` rows: (blocks, rows per block);
   // the source's per-block cost bounds the build phase.
   auto scan_blocks = [&](const Stage& stage, uint64_t rows,
@@ -678,10 +546,15 @@ Result<CostEstimate> PlanCoster::Cost(const HetPlan& plan) const {
   };
   for (const Stage& stage : shape.build_stages) {
     const int join_id = stage.span().join_id;
-    const size_t j = join_id >= 0 ? static_cast<size_t>(join_id) : 0;
-    const uint64_t rows =
-        j < cards_.build_input_rows.size() ? cards_.build_input_rows[j] : 1;
-    const bool filtered = stage.filter_stage >= 0 && j < spec_->joins.size();
+    if (join_id < 0 || join_id >= static_cast<int>(spec_->joins.size())) {
+      return Status::InvalidArgument(
+          "build span stamped with join id " + std::to_string(join_id) +
+          " but the query has " + std::to_string(spec_->joins.size()) +
+          " join(s)");
+    }
+    const size_t j = static_cast<size_t>(join_id);
+    const uint64_t rows = cards_.build_input_rows[j];
+    const bool filtered = stage.filter_stage >= 0;
 
     // Filter stage: the dimension's blocks distributed over its instances,
     // each core's share after its previous ones.
@@ -691,10 +564,8 @@ Result<CostEstimate> PlanCoster::Cost(const HetPlan& plan) const {
       const Stage& fs = shape.build_filter_stages[stage.filter_stage];
       const storage::Table* src_table = nullptr;
       const auto [blocks, rows_per_block] = scan_blocks(fs, rows, &src_table);
-      uint64_t n_cols = 1;
-      const Profile profile = build_filter_profile(j, &n_cols);
-      std::vector<InstanceCost> insts = stage_instances(
-          fs, profile, rows_per_block, profile.bytes_read, n_cols, src_table);
+      std::vector<InstanceCost> insts =
+          stage_instances(fs, filter_[j], rows_per_block, src_table);
       DistributeBlocks(fs.in.policy, blocks, &insts);
       for (size_t k = 0; k < insts.size(); ++k) {
         sim::VTime& t = core_filter[fs.cores[k]];
@@ -703,15 +574,13 @@ Result<CostEstimate> PlanCoster::Cost(const HetPlan& plan) const {
         filter_units.insert(fs.instances[k]);
       }
       filter_instances = fs.instances.size();
-      note_transfer(insts);
+      note_work(&build_link_busy, insts);
     }
 
     // Build: raw dimension blocks from the segmenter, or the survivors' packed
     // blocks (each filter instance flushes a partial one at its end).
     uint64_t blocks = 0;
     uint64_t rows_per_block = 1;
-    uint64_t n_cols = 1;
-    const Profile profile = build_profile(j, filtered, &n_cols);
     const storage::Table* src_table = nullptr;
     if (filtered) {
       const uint64_t survivors = cards_.build_rows[j];
@@ -722,7 +591,7 @@ Result<CostEstimate> PlanCoster::Cost(const HetPlan& plan) const {
       std::tie(blocks, rows_per_block) = scan_blocks(stage, rows, &src_table);
     }
     std::vector<InstanceCost> insts = stage_instances(
-        stage, profile, rows_per_block, profile.bytes_read, n_cols, src_table);
+        stage, filtered ? packed_build_[j] : build_[j], rows_per_block, src_table);
     std::map<sim::DeviceId, std::vector<size_t>> by_unit;
     for (size_t k = 0; k < stage.instances.size(); ++k) {
       by_unit[stage.instances[k]].push_back(k);
@@ -749,7 +618,7 @@ Result<CostEstimate> PlanCoster::Cost(const HetPlan& plan) const {
             static_cast<double>(tail) * block_time;
       }
     }
-    note_transfer(insts);
+    note_work(&build_link_busy, insts);
   }
   // A unit with filter instances builds after its slowest core's filters.
   std::map<sim::DeviceId, sim::VTime> unit_filters;
@@ -769,6 +638,8 @@ Result<CostEstimate> PlanCoster::Cost(const HetPlan& plan) const {
 
   // ------------------------------------------------------------- fact stages
   // Producer→consumer: the source-fed stage is last in the walk order.
+  double total_join_sel = 1.0;
+  for (double js : cards_.join_selectivities) total_join_sel *= js;
   double rows_in = static_cast<double>(cards_.fact_rows);
   bool from_table = true;
   std::vector<double> probe_out_rows;  // per probe instance: surviving rows
@@ -799,17 +670,15 @@ Result<CostEstimate> PlanCoster::Cost(const HetPlan& plan) const {
       }
       if (probe_out_rows.empty()) partials = 1;
       const size_t merges = stage.instances.size();
-      Profile p;
-      p.bytes_read = 8.0 * (1 + static_cast<double>(n_aggs));
-      p.ops = static_cast<double>(n_aggs) + 2;
-      if (!spec_->group_by.empty()) p.AddAccess(cm, agg_ht_bytes, 1);
-      const sim::CostStats share = p.Scale(partials / static_cast<double>(merges));
+      const sim::CostStats share =
+          gather_.row.Scale(partials / static_cast<double>(merges));
       std::map<int, int> socket_merges;
       for (const auto& dev : stage.instances) {
         if (dev.is_cpu()) socket_merges[dev.index] += 1;
       }
       sim::VTime merge = 0;
       for (const auto& dev : stage.instances) {
+        est.work.Add(share);
         merge = sim::MaxT(
             merge, dev.is_cpu()
                        ? cm.WorkCost(share, cm.cpu,
@@ -844,30 +713,27 @@ Result<CostEstimate> PlanCoster::Cost(const HetPlan& plan) const {
     }
     blocks = std::max<uint64_t>(1, blocks);
 
-    const Profile profile = role == StageRole::kFilterStage
-                                ? filter_stage_profile()
-                                : probe_profile(from_table);
-    const double in_width = from_table ? scan_width : wire_width;
-    const uint64_t n_cols = from_table ? scan_cols.size() : wire_cols.size();
+    if (role == StageRole::kFilterStage && spec_->joins.empty()) {
+      return Status::InvalidArgument("split plans need at least one join");
+    }
+    const SpanWork& work = role == StageRole::kFilterStage ? stage_a_
+                           : from_table                    ? fused_
+                                                           : stage_b_;
     const uint64_t rows_per_block = std::max<uint64_t>(
         1, std::min<uint64_t>(block_rows,
                               static_cast<uint64_t>(std::llround(
                                   std::max(1.0, rows_in / blocks)))));
-    std::vector<InstanceCost> insts = stage_instances(
-        stage, profile, rows_per_block, in_width, n_cols, src_table);
+    std::vector<InstanceCost> insts =
+        stage_instances(stage, work, rows_per_block, src_table);
     sim::VTime done = DistributeBlocks(stage.in.policy, blocks, &insts);
 
     const double per_block_src = seg != nullptr ? seg->per_block_cost : 0.0;
     done = sim::MaxT(done, static_cast<double>(blocks) *
                                (per_block_src + stage.in.control_cost));
     stage_done.push_back(done);
-    add_link_busy(&fact_link_busy, insts);
+    note_work(&fact_link_busy, insts);
     sim::VTime slowest_block = 0;
-    for (const auto& ic : insts) {
-      slowest_block = sim::MaxT(slowest_block, ic.block_time);
-      est.transfer = sim::MaxT(
-          est.transfer, static_cast<double>(ic.blocks) * ic.transfer_time);
-    }
+    for (const auto& ic : insts) slowest_block = sim::MaxT(slowest_block, ic.block_time);
     stage_drain.push_back(slowest_block);
 
     // Rows entering the consumer stage / partials entering gather.

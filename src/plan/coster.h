@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "plan/compiler.h"
 #include "plan/het_plan.h"
 #include "plan/query_spec.h"
 #include "sim/topology.h"
@@ -25,8 +26,8 @@ struct CardinalityEstimate {
   uint64_t fact_rows = 0;
   double fact_selectivity = 1.0;            ///< fact-filter survival fraction
   /// Fraction of sampled fact rows reaching each conjunct of the fact filter
-  /// (plan::Conjuncts), then passing them all; empty when unsampled. Prices
-  /// the conjunct filter the compiler emits (plan::FilterOps).
+  /// (plan::Conjuncts), then passing them all; empty when unsampled. Weighs
+  /// the conjunct filter the compiler emits (WalkProgram).
   std::vector<double> fact_filter_reach;
   std::vector<uint64_t> build_input_rows;   ///< per join: build-table rows
   std::vector<uint64_t> build_rows;         ///< per join: filtered build side
@@ -50,9 +51,51 @@ struct CostEstimate {
   sim::VTime probe = 0;     ///< fact-pipeline phase (pipelined stages)
   sim::VTime transfer = 0;  ///< interconnect share of the critical path (diagnostic)
   sim::VTime gather = 0;    ///< final merge of partial aggregates
+  /// The work priced: every priced instance's blocks times its per-block
+  /// counters, over builds, build-side filter stages, fact stages and the
+  /// merge.
+  sim::CostStats work;
 
   std::string ToString() const;
 };
+
+/// Pass rates of the guards in a compiled program (see WalkProgram).
+struct GuardRates {
+  /// Fraction of rows reaching each kFilter, in program order: the conjunct
+  /// reach of CardinalityEstimate. The first kFilter is reached by every
+  /// row; missing entries count 1.
+  std::vector<double> filter_reach;
+  /// Fraction of rows passing the last kFilter.
+  double filter_pass = 1.0;
+  /// Per join id: matches per row that probes its hash table.
+  std::vector<double> join_matches;
+};
+
+/// \brief One input row's expected work in a compiled program: the
+/// counters the runtime charges, each weighted by the fraction of rows that
+/// reach its instruction.
+struct RowWork {
+  double ops = 0;
+  double near = 0, mid = 0, far = 0;
+  double atomics = 0;
+  double bytes_read = 0, bytes_written = 0;
+
+  /// The counters of `rows` input rows.
+  sim::CostStats Scale(double rows) const;
+};
+
+/// \brief Walks `pipeline`'s instructions once. Every instruction costs one
+/// op at its reach. The k-th kFilter leaves `filter_reach[k + 1]` of the rows
+/// (the last one leaves `filter_pass`); the body of a probe loop, from its
+/// kHtProbeInit to its exit pc (Instr::d), runs at the reach before the probe
+/// times the join's `join_matches`, and so does its kHtIterNext. A
+/// kHtProbeInit, kHtInsert and kGroupByAgg add one access of the size class
+/// stamped in Instr::cls; a kHtInsert also adds one atomic and writes one
+/// entry of its join's hash-table layout (JoinHtLayout). A kEmit writes the
+/// output schema's width and a kLoadCol reads its column's width. The walk
+/// follows no other branch: QueryCompiler emits no kJmp or kJmpIfFalse.
+RowWork WalkProgram(const CompiledPipeline& pipeline, const GuardRates& rates,
+                    const QuerySpec& spec, const storage::Catalog& catalog);
 
 /// \brief Prices candidate HetPlans with the same sim::CostModel / DeviceCaps
 /// constants the runtime simulation charges.
@@ -66,6 +109,8 @@ struct CostEstimate {
 /// serialized per link, and policy-dependent block distribution (round-robin
 /// assigns blocks by rotation; load-balance greedily to the least-loaded
 /// instance — the virtual-time analogue of the runtime's backlog balancing).
+/// A block's work is the walk of the program QueryCompiler generates for its
+/// span (WalkProgram), so the coster counts what the tiers run.
 /// It is an estimate, not a simulation: cardinalities come from
 /// CardinalityEstimate, not from execution.
 struct CosterOptions {
@@ -106,22 +151,36 @@ class PlanCoster {
  public:
   using Options = CosterOptions;
 
+  /// Compiles and walks every span program the query's candidates run.
   PlanCoster(const QuerySpec& spec, const storage::Catalog& catalog,
              const sim::Topology& topo, Options options = {});
 
   /// Estimates the virtual-time cost of `plan`. Fails (instead of guessing)
   /// with AnalyzePlan's or CheckUvaSources' Status on exactly the plans the
-  /// lowering rejects.
+  /// lowering rejects, and with NotFound when the catalog lacks a table or
+  /// column the query reads.
   Result<CostEstimate> Cost(const HetPlan& plan) const;
 
   const CardinalityEstimate& cards() const { return cards_; }
 
  private:
+  /// One span program's per-row work and its input column count. Bytes read
+  /// are the full width of every input column, except in a build-side
+  /// filter stage, which reads each column at its reach: charging the walk's
+  /// reach-weighted bytes everywhere moves picks, a recalibration of its own.
+  struct SpanWork {
+    RowWork row;
+    uint64_t cols = 0;
+  };
+
   const QuerySpec* spec_;
   const storage::Catalog* catalog_;
   const sim::Topology* topo_;
   Options options_;
   CardinalityEstimate cards_;
+  Status readable_;  ///< NotFound when the programs cannot be compiled
+  SpanWork fused_, stage_a_, stage_b_, gather_;  ///< stage A/B need a join
+  std::vector<SpanWork> build_, filter_, packed_build_;  ///< per join
 };
 
 }  // namespace hetex::plan

@@ -88,17 +88,6 @@ int Expr::Gen(jit::ProgramBuilder& b, ColumnResolver& cols) const {
   return -1;
 }
 
-int Expr::Ops(std::set<std::string>* loaded) const {
-  switch (kind_) {
-    case Kind::kCol: return loaded->insert(col_).second ? 1 : 0;
-    case Kind::kConst: return 1;
-    case Kind::kBin:
-      return lhs_->Ops(loaded) +
-             (rhs_->kind_ == Kind::kConst ? 0 : rhs_->Ops(loaded)) + 1;
-  }
-  return 0;
-}
-
 int64_t Expr::Eval(const RowGetter& row) const {
   switch (kind_) {
     case Kind::kCol: return row(col_);
@@ -191,28 +180,6 @@ void GenFilter(const ExprPtr& pred, jit::ProgramBuilder& b, ColumnResolver& cols
   for (const auto& conjunct : Conjuncts(pred)) {
     b.EmitOp(jit::OpCode::kFilter, conjunct->Gen(b, cols));
   }
-}
-
-double FilterOps(const ExprPtr& pred, const std::vector<double>& reach,
-                 std::set<std::string>* loaded) {
-  if (pred == nullptr) return 0;
-  std::set<std::string> names;
-  pred->CollectColumns(&names);
-  double ops = 0;
-  for (const auto& name : names) ops += loaded->insert(name).second ? 1 : 0;
-  const std::vector<ExprPtr> conjuncts = Conjuncts(pred);
-  for (size_t k = 0; k < conjuncts.size(); ++k) {
-    const double r = k < reach.size() ? reach[k] : 1.0;
-    ops += r * (conjuncts[k]->Ops(loaded) + 1);
-  }
-  return ops;
-}
-
-double WindowCopies(const std::vector<double>& value_ops) {
-  bool consecutive = value_ops.empty() || value_ops[0] >= 1;
-  for (size_t i = 1; i < value_ops.size(); ++i) consecutive &= value_ops[i] == 1;
-  return value_ops.size() <= 1 || consecutive ? 0
-                                              : static_cast<double>(value_ops.size());
 }
 
 }  // namespace hetex::plan

@@ -49,11 +49,6 @@ class Expr {
   /// literal anywhere else takes a kConst.
   int Gen(jit::ProgramBuilder& b, ColumnResolver& cols) const;
 
-  /// VM instructions Gen emits for this expression — the ops one evaluation
-  /// costs. `loaded` names the columns already in registers: a column's first
-  /// use costs its load and joins the set, later uses are free.
-  int Ops(std::set<std::string>* loaded) const;
-
   /// Interpreted evaluation (reference path). Generated code evaluates a
   /// filter conjunct by conjunct (GenFilter), so a row that fails one AND
   /// conjunct never evaluates the later ones — as this evaluation
@@ -92,24 +87,6 @@ std::vector<ExprPtr> Conjuncts(const ExprPtr& pred);
 /// first conjunct it fails. The loads all precede the first filter, so the
 /// bytes a scan reads do not depend on the conjuncts' selectivity.
 void GenFilter(const ExprPtr& pred, jit::ProgramBuilder& b, ColumnResolver& cols);
-
-/// Expected ops per row of GenFilter(pred): the loads of the columns not in
-/// `loaded` (which then joins them) for every row, and conjunct k's ops plus
-/// its kFilter for the fraction `reach[k]` of rows that passed the conjuncts
-/// before it (missing entries count 1).
-double FilterOps(const ExprPtr& pred, const std::vector<double>& reach,
-                 std::set<std::string>* loaded);
-
-/// \brief Copy ops of one register window (an insert's payload, a group-by
-/// fold's values, an emit's columns): none when its values already sit in
-/// consecutive registers — a lone value always does — else one per value
-/// (QueryCompiler's MakeContiguous).
-/// `value_ops[i]` is the ops value i's code emits when the values are
-/// generated in order. Every emitted instruction allocates one register, so
-/// the values are consecutive when the first emits at least one op and each
-/// later value exactly one: a fresh column load, a literal, or one operator
-/// over registers already held.
-double WindowCopies(const std::vector<double>& value_ops);
 
 // Convenience constructors for readable query definitions.
 inline ExprPtr Col(std::string name) { return Expr::Col(std::move(name)); }

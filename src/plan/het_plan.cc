@@ -82,7 +82,6 @@ const char* RouterPolicyName(RouterPolicy policy) {
     case RouterPolicy::kLoadBalance: return "load-balance";
     case RouterPolicy::kHash: return "hash";
     case RouterPolicy::kBroadcast: return "broadcast";
-    case RouterPolicy::kUnion: return "union";
   }
   return "?";
 }

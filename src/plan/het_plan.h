@@ -37,7 +37,6 @@ enum class RouterPolicy {
   kLoadBalance,  ///< least virtual-time backlog
   kHash,         ///< consumer owns the block's hash partition
   kBroadcast,    ///< every consumer receives every block
-  kUnion,        ///< N producers funnel into one consumer
 };
 
 const char* RouterPolicyName(RouterPolicy policy);

@@ -35,6 +35,13 @@ struct CostStats {
   }
 
   uint64_t TotalBytes() const { return bytes_read + bytes_written; }
+
+  /// These counters `n` times over.
+  CostStats Times(uint64_t n) const {
+    return {bytes_read * n,    bytes_written * n, tuples * n,
+            ops * n,           atomics * n,       near_accesses * n,
+            mid_accesses * n,  far_accesses * n};
+  }
 };
 
 /// \brief Per-device-class execution constants.

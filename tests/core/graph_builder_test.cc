@@ -151,7 +151,7 @@ TEST_F(GraphBuilderTest, HybridFiltersEachFilteredDimensionOnceOnTheHost) {
     GraphBuilder builder(env_.system.get(), &plan);
     ASSERT_TRUE(builder.Analyze().ok());
     const plan::PlanAnalysis& lowered = builder.analysis();
-    QueryCompiler compiler(spec, env_.system->catalog(), env_.system->cost_model());
+    plan::QueryCompiler compiler(spec, env_.system->catalog(), env_.system->cost_model());
 
     // Each filtered join: a CPU filter stage whose wire schema is exactly the
     // build key and payload, feeding a unit broadcast to every replica. A

@@ -9,8 +9,8 @@ namespace {
 
 using test::TestEnv;
 
-CompiledPipeline MakePipeline(int64_t imm, uint32_t width = 8) {
-  CompiledPipeline p;
+plan::CompiledPipeline MakePipeline(int64_t imm, uint32_t width = 8) {
+  plan::CompiledPipeline p;
   jit::ProgramBuilder b;
   const int v = b.AllocReg();
   b.EmitOp(jit::OpCode::kLoadCol, v, 0);
@@ -31,7 +31,7 @@ TEST(ProgramCache, ThirtyTwoInstancesFinalizeOnce) {
   TestEnv env(2'000);
   ProgramCache cache;
   auto provider = env.system->MakeProvider(sim::DeviceId::Cpu(0));
-  const CompiledPipeline pipeline = MakePipeline(42);
+  const plan::CompiledPipeline pipeline = MakePipeline(42);
 
   // A 32-instance worker group: every instance asks for the same span program.
   std::shared_ptr<const jit::PipelineProgram> first;
@@ -57,7 +57,7 @@ TEST(ProgramCache, PerDeviceKindEntriesAndCounters) {
   ProgramCache cache;
   auto cpu = env.system->MakeProvider(sim::DeviceId::Cpu(0));
   auto gpu = env.system->MakeProvider(sim::DeviceId::Gpu(0));
-  const CompiledPipeline pipeline = MakePipeline(7);
+  const plan::CompiledPipeline pipeline = MakePipeline(7);
 
   ASSERT_TRUE(cache.GetOrCompile(*cpu, pipeline).ok());
   ASSERT_TRUE(cache.GetOrCompile(*gpu, pipeline).ok());
@@ -92,7 +92,7 @@ TEST(ProgramCache, LiteralOperandModeGetsItsOwnEntry) {
   ProgramCache cache;
   auto provider = env.system->MakeProvider(sim::DeviceId::Cpu(0));
   auto make = [](bool lit) {
-    CompiledPipeline p;
+    plan::CompiledPipeline p;
     jit::ProgramBuilder b;
     const int v = b.AllocReg();
     b.EmitOp(jit::OpCode::kLoadCol, v, 0);
@@ -120,7 +120,7 @@ TEST(ProgramCache, ValidationFailureIsNotCached) {
   TestEnv env(2'000);
   ProgramCache cache;
   auto provider = env.system->MakeProvider(sim::DeviceId::Cpu(0));
-  CompiledPipeline bad = MakePipeline(1);
+  plan::CompiledPipeline bad = MakePipeline(1);
   bad.program.code.pop_back();  // drop kEnd
   EXPECT_FALSE(cache.GetOrCompile(*provider, bad).ok());
   EXPECT_EQ(cache.size(), 0u);

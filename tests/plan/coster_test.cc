@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 
 #include "plan/enumerator.h"
@@ -97,11 +98,6 @@ TEST(CardinalityTest, SampledConjunctReachPricesEachConjunctFilter) {
   ASSERT_EQ(cards.build_filter_reach.size(), 1u);
   ASSERT_EQ(cards.build_filter_reach[0].size(), 2u);
   EXPECT_NEAR(cards.build_filter_reach[0][1], 1.0 / 7, 0.01);
-  // Loads of both columns for every row, then each conjunct's compare and
-  // filter for the rows that reach it: the literals ride in the compares.
-  std::set<std::string> loaded;
-  EXPECT_DOUBLE_EQ(plan::FilterOps(spec.fact_filter, reach, &loaded),
-                   2 + 2 * (reach[0] + reach[1] + reach[2]));
 }
 
 TEST(CardinalityTest, BuildSidesReflectFilteredRows) {
@@ -419,6 +415,122 @@ TEST(PlanCosterTest, RejectsMalformedPlans) {
       spec, TestEnv::Tune(ExecPolicy::CpuOnly(2)), env.system->topology());
   broken.root = -1;
   EXPECT_FALSE(coster.Cost(broken).ok());
+}
+
+// The coster compiles the query's programs; what the catalog lacks is a
+// named Status, never an abort in the compiler.
+TEST(PlanCosterTest, MissingTableOrColumnIsNotFound) {
+  TestEnv env(5'000);
+  const plan::HetPlan plan = plan::BuildHetPlan(
+      env.ssb->Query(1, 1), TestEnv::Tune(ExecPolicy::CpuOnly(2)),
+      env.system->topology());
+  auto spec = env.ssb->Query(1, 1);
+  spec.joins[0].build_table = "no_such_table";
+  EXPECT_EQ(plan::PlanCoster(spec, env.system->catalog(), env.system->topology())
+                .Cost(plan)
+                .status()
+                .code(),
+            StatusCode::kNotFound);
+  spec = env.ssb->Query(1, 1);
+  spec.aggs[0].value = plan::Col("no_such_column");
+  EXPECT_EQ(plan::PlanCoster(spec, env.system->catalog(), env.system->topology())
+                .Cost(plan)
+                .status()
+                .code(),
+            StatusCode::kNotFound);
+}
+
+// The walk is the runtime's own accounting: fed every guard's exact pass rate
+// on the data, it reproduces the ops and bytes a run charges, for the builds,
+// the fused probe or split stages A and B, and the merge.
+TEST(ProgramWalkTest, ReproducesTheRunsCounters) {
+  TestEnv env(20'000);
+  const storage::Catalog& catalog = env.system->catalog();
+  const sim::CostModel& cm = env.system->cost_model();
+  // Fractions of `t`'s rows reaching each conjunct of `filter` and passing
+  // them all (Expr::Eval over every staging row); `pass` gets the survivors.
+  auto reach = [](const storage::Table& t, const plan::ExprPtr& filter,
+                  std::vector<uint64_t>* pass) {
+    const std::vector<plan::ExprPtr> conjuncts = plan::Conjuncts(filter);
+    std::vector<double> reached(conjuncts.size() + 1, 0);
+    for (uint64_t r = 0; r < t.rows(); ++r) {
+      const plan::RowGetter row = [&](const std::string& c) {
+        return t.column(c).At(r);
+      };
+      size_t k = 0;
+      ++reached[0];
+      while (k < conjuncts.size() && conjuncts[k]->Eval(row) != 0) ++reached[++k];
+      if (k == conjuncts.size()) pass->push_back(r);
+    }
+    for (double& x : reached) x /= static_cast<double>(t.rows());
+    return reached;
+  };
+  for (const plan::QuerySpec& spec : env.ssb->AllQueries()) {
+    const storage::Table& fact = catalog.at(spec.fact_table);
+    const size_t n = spec.joins.size();
+    std::vector<uint64_t> survivors;
+    plan::GuardRates fact_rates;
+    fact_rates.filter_reach = reach(fact, spec.fact_filter, &survivors);
+    fact_rates.filter_pass = fact_rates.filter_reach.back();
+    std::vector<plan::GuardRates> build_rates(n);
+    std::vector<std::map<int64_t, double>> key_rows(n);  // build survivors by key
+    for (size_t j = 0; j < n; ++j) {
+      const plan::JoinSpec& join = spec.joins[j];
+      const storage::Table& dim = catalog.at(join.build_table);
+      std::vector<uint64_t> pass;
+      build_rates[j].filter_reach = reach(dim, join.build_filter, &pass);
+      build_rates[j].filter_pass = build_rates[j].filter_reach.back();
+      for (uint64_t r : pass) key_rows[j][dim.column(join.build_key).At(r)] += 1;
+    }
+    // Matches per probing row, counted in the probe loops' nesting order.
+    std::vector<double> probing(n, 0), matched(n, 0);
+    for (uint64_t r : survivors) {
+      double rows = 1;
+      for (const int j : plan::ProbeOrder(spec, catalog, cm)) {
+        probing[j] += rows;
+        const auto it = key_rows[j].find(fact.column(spec.joins[j].probe_key).At(r));
+        rows *= it != key_rows[j].end() ? it->second : 0;
+        matched[j] += rows;
+        if (rows == 0) break;
+      }
+    }
+    for (size_t j = 0; j < n; ++j) {
+      fact_rates.join_matches.push_back(probing[j] > 0 ? matched[j] / probing[j] : 0);
+    }
+
+    for (const bool split : {false, true}) {
+      ExecPolicy policy = TestEnv::Tune(ExecPolicy::CpuOnly(1));
+      policy.load_balance = false;
+      policy.split_probe_stage = split;
+      const core::QueryResult run = env.Run(spec, policy);
+      ASSERT_TRUE(run.status.ok()) << spec.name << ": " << run.status.ToString();
+
+      const plan::QueryCompiler compiler(spec, catalog, cm);
+      sim::CostStats walked;
+      auto walk = [&](const plan::CompiledPipeline& p, const plan::GuardRates& rates,
+                      uint64_t rows) {
+        walked.Add(plan::WalkProgram(p, rates, spec, catalog)
+                       .Scale(static_cast<double>(rows)));
+      };
+      for (size_t j = 0; j < n; ++j) {
+        walk(compiler.CompileBuild(static_cast<int>(j)), build_rates[j],
+             catalog.at(spec.joins[j].build_table).rows());
+      }
+      if (split) {
+        const plan::CompiledPipeline stage_a = compiler.CompileFilterStage();
+        walk(stage_a, fact_rates, fact.rows());
+        walk(compiler.CompileProbe(&stage_a.output_cols),
+             {{}, 1.0, fact_rates.join_matches}, survivors.size());
+      } else {
+        walk(compiler.CompileProbe(nullptr), fact_rates, fact.rows());
+      }
+      walk(compiler.CompileGather(), {}, run.partial_rows);
+      const std::string what = spec.name + (split ? " split" : " fused");
+      EXPECT_EQ(walked.ops, run.stats.ops) << what;
+      EXPECT_EQ(walked.bytes_read, run.stats.bytes_read) << what;
+      EXPECT_EQ(walked.bytes_written, run.stats.bytes_written) << what;
+    }
+  }
 }
 
 /// Estimate-quality core: the coster must order fused vs split the same way

@@ -12,16 +12,11 @@
 namespace hetex::plan {
 namespace {
 
-/// What a one-row VM run emitted, and the ops it counted.
-struct VmRun {
-  std::vector<int64_t> out;
-  uint64_t ops = 0;
-};
-
-/// Runs the program `gen` emits over one row: columns resolve to kLoadCol on
-/// first use, in order.
-VmRun RunVm(const std::function<void(jit::ProgramBuilder&, ColumnResolver&)>& gen,
-            const std::map<std::string, int64_t>& row) {
+/// Runs the program `gen` emits over one row and returns what it emitted:
+/// columns resolve to kLoadCol on first use, in order.
+std::vector<int64_t> RunVm(
+    const std::function<void(jit::ProgramBuilder&, ColumnResolver&)>& gen,
+    const std::map<std::string, int64_t>& row) {
   // Column storage: one row per column, order of first use.
   std::vector<std::vector<int64_t>> columns;
   std::vector<std::string> names;
@@ -71,7 +66,7 @@ VmRun RunVm(const std::function<void(jit::ProgramBuilder&, ColumnResolver&)>& ge
   ctx.stats = &stats;
   jit::RunRows(program, ctx, 1);
   out.resize(emit.rows());
-  return {out, stats.ops};
+  return out;
 }
 
 /// Evaluates an expression both ways — interpreted Eval() and generated VM
@@ -82,7 +77,7 @@ int64_t EvalViaVm(const ExprPtr& expr,
   const auto gen = [&](jit::ProgramBuilder& b, ColumnResolver& cols) {
     b.EmitOp(jit::OpCode::kEmit, expr->Gen(b, cols), 1);
   };
-  return RunVm(gen, row).out.at(0);
+  return RunVm(gen, row).at(0);
 }
 
 int64_t EvalInterp(const ExprPtr& expr, const std::map<std::string, int64_t>& row) {
@@ -151,25 +146,6 @@ TEST_P(RandomExprTest, InterpreterMatchesGeneratedCode) {
   }
 }
 
-// Expr::Ops is the coster's count of what Gen emits: one op per instruction,
-// a literal right operand riding in its instruction.
-TEST_P(RandomExprTest, OpsCountsTheGeneratedInstructions) {
-  Rng rng(GetParam() * 104729 + 7);
-  for (int iter = 0; iter < 40; ++iter) {
-    const ExprPtr e = RandomExpr(rng, 4);
-    std::map<std::string, int64_t> row;
-    for (char c : {'a', 'b', 'c', 'd'}) row[std::string(1, c)] = 1;
-    const VmRun run = RunVm(
-        [&](jit::ProgramBuilder& b, ColumnResolver& cols) {
-          b.EmitOp(jit::OpCode::kEmit, e->Gen(b, cols), 1);
-        },
-        row);
-    std::set<std::string> loaded;
-    EXPECT_EQ(run.ops, static_cast<uint64_t>(e->Ops(&loaded)) + 2)  // emit, end
-        << e->ToString();
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomExprTest, ::testing::Range(0, 8));
 
 TEST(Expr, ConjunctsSplitTopLevelAndsOnly) {
@@ -183,43 +159,6 @@ TEST(Expr, ConjunctsSplitTopLevelAndsOnly) {
   EXPECT_EQ(conjuncts[2]->ToString(), "(d != 4)");
   EXPECT_TRUE(Conjuncts(nullptr).empty());
   EXPECT_EQ(Conjuncts(Col("a")).size(), 1u);
-}
-
-// A conjunct filter loads every column first, then filters conjunct by
-// conjunct: a row pays only for the conjuncts it reaches, which FilterOps
-// prices from the fraction of rows reaching each.
-TEST(Expr, FilterOpsPricesTheConjunctFilterGenFilterEmits) {
-  const ExprPtr pred =
-      And(And(Ge(Col("a"), Lit(0)), Lt(Add(Col("b"), Col("a")), Lit(5))),
-          Ne(Col("c"), Col("a")));
-  const std::vector<ExprPtr> conjuncts = Conjuncts(pred);
-  std::vector<std::map<std::string, int64_t>> rows;
-  for (int64_t a = -2; a <= 3; ++a) {
-    for (int64_t b = 0; b <= 6; b += 3) {
-      rows.push_back({{"a", a}, {"b", b}, {"c", a % 2}});
-    }
-  }
-  std::vector<double> reached(conjuncts.size() + 1, 0);
-  uint64_t vm_ops = 0;
-  for (const auto& row : rows) {
-    const RowGetter get = [&](const std::string& n) { return row.at(n); };
-    size_t k = 0;
-    ++reached[0];
-    while (k < conjuncts.size() && conjuncts[k]->Eval(get) != 0) ++reached[++k];
-    vm_ops += RunVm([&](jit::ProgramBuilder& b,
-                        ColumnResolver& cols) { GenFilter(pred, b, cols); },
-                    row)
-                  .ops;
-  }
-  const double n = static_cast<double>(rows.size());
-  for (double& r : reached) r /= n;
-  ASSERT_GT(reached[3], 0);
-  ASSERT_LT(reached[1], 1);
-  std::set<std::string> loaded;
-  // Every survivor then runs kEnd.
-  EXPECT_DOUBLE_EQ(static_cast<double>(vm_ops),
-                   n * (FilterOps(pred, reached, &loaded) + reached.back()));
-  EXPECT_EQ(loaded, (std::set<std::string>{"a", "b", "c"}));
 }
 
 }  // namespace

@@ -209,19 +209,17 @@ TEST_F(HetPlanTest, StampsRouterPolicies) {
   ExecPolicy policy = ExecPolicy::Hybrid(4);
   policy.split_probe_stage = true;
   HetPlan plan = BuildHetPlan(JoinQuery(), policy, topo_);
-  int broadcast = 0, lb = 0, hash = 0, un = 0;
+  int broadcast = 0, lb = 0, hash = 0;
   for (const auto& n : plan.nodes) {
     if (n.kind != HetOpNode::Kind::kRouter) continue;
     broadcast += n.policy == RouterPolicy::kBroadcast;
     lb += n.policy == RouterPolicy::kLoadBalance;
     hash += n.policy == RouterPolicy::kHash;
-    un += n.policy == RouterPolicy::kUnion;
   }
   EXPECT_EQ(broadcast, 1);
   EXPECT_EQ(lb, 1);
   // One shared hash exchange (not one per branch), and the merge's.
   EXPECT_EQ(hash, 2);
-  EXPECT_EQ(un, 0);
 }
 
 TEST_F(HetPlanTest, GatherPlacementStampedOnHostSocket) {
