@@ -1,8 +1,7 @@
 // Figure 7 — scale-up on the topology fabric (§6.4): the SSB probe mix pushed
 // through the concurrent scheduler on 1-, 2- and 4-GPU scale-out fabrics
 // (fully-connected NVLink peer mesh + NUMA inter-socket link), plus two
-// routing/regression legs. Reports JSON (BENCH_scaleup.json — schema in
-// bench/bench_util.h).
+// routing/regression legs. Reports JSON (BENCH_scaleup.json — schema below).
 //
 // Usage:
 //   bench_fig7_scaleup [--check] [--rows N] [--repeat K]
@@ -17,6 +16,39 @@
 //       or inter-socket links — still passes the solo SSB matrix bit-exactly
 //       against the scalar reference with the optimizer's picked plan within
 //       1.2x of the measured-best candidate (the PR 8 regression gate).
+//
+// BENCH_scaleup.json, printed on stdout (CI tees it from the Release job's
+// `--check` run), is one JSON object:
+//
+//   {
+//     "lineorder_rows": <uint>,      // fact rows per sweep point
+//     "gpu_sweep": [                 // one entry per fabric size (1, 2, 4
+//       {                            // GPUs; fact partitioned across GPUs)
+//         "num_gpus": <int>,
+//         "queries": <int>,          // queries pushed through the scheduler
+//         "makespan_modeled_s": <s>, // virtual-time makespan of the batch
+//         "qps_modeled": <qps>,      // queries / makespan_modeled_s
+//         "p99_latency_s": <s>,      // per-query modeled latency p99
+//         "wall_s": <s>              // host wall clock (diagnostic only)
+//       }, ...
+//     ],
+//     "peer_leg": {                  // all tables in gpu0's memory, query
+//       "query": "Qf.i",             // pinned to gpu1: NVLink mesh vs the
+//       "peer_modeled_s": <s>,       // same fabric without it (host-staged)
+//       "staged_modeled_s": <s>,
+//       "speedup": <x>,              // staged / peer, > 1 when peer wins
+//       "peer_est_s": <s>,           // coster estimates of the same routes
+//       "staged_est_s": <s>,
+//       "coster_ordering_ok": <bool> // estimated ordering == measured
+//     },
+//     "baseline": {                  // 1-GPU single-socket no-fabric system
+//       "queries": <int>,            // all 13 SSB queries, optimizer-picked
+//       "parity_ok": <bool>,         // picked-plan rows == reference rows
+//       "coster_max_ratio": <x>      // picked / measured-best, gated <= 1.2
+//     }
+//   }
+//
+// `--check` failures exit nonzero with "CHECK FAILED:" on stderr.
 
 #include <algorithm>
 #include <chrono>

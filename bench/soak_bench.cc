@@ -32,7 +32,34 @@
 // identically on the previous revision — while any real contention leak
 // shifts latency by >= 1e-1 relative), segment counts stay under the
 // timeline cap, and ns/reservation at 256 sessions is <= 3x the 64-session
-// figure.
+// figure. Failures exit nonzero with "CHECK FAILED:" on stderr.
+//
+// BENCH_soak.json, printed on stdout (CI tees it from the Release job's
+// `--check` run), is one JSON object:
+//
+//   {
+//     "lineorder_rows": <uint>,       // fact rows in the served SSB mix
+//     "max_concurrent": <int>,        // scheduler admission width
+//     "micro_cycles": <int>,          // timed reservation cycles per level
+//     "mean_solo_latency_s": <s>,     // pre-soak pool mean (rate calibration)
+//     "offered_qps": <qps>,           // Poisson arrival rate, all levels
+//     "levels": [                     // one entry per in-flight-session
+//       {                             // level: 64, 128, 256
+//         "sessions": <int>,          // sessions pushed through the scheduler
+//         "ok": <int>,                // sessions that completed OK
+//         "achieved_qps": <qps>,      // ok / virtual-time makespan
+//         "p99_latency_s": <s>,       // queue wait + modeled latency p99
+//         "dram_segments": <uint>,    // live System max socket-timeline size
+//         "ns_per_reservation": <ns>, // micro Register+BlockEnd+Release cost
+//         "micro_segments": <uint>,   // micro timeline size (Bound()-capped)
+//         "solo_fast_path": <bool>,   // horizon session saw BlockEnd==false
+//         "wall_s": <s>               // host wall clock (diagnostic only)
+//       }, ...
+//     ],
+//     "ns_flat_ratio": <x>,           // ns(256 sessions) / ns(64 sessions)
+//     "solo_max_rel_dev": <x>,        // post- vs pre-soak solo latency dev
+//     "solo_parity_ok": <bool>        // solo_max_rel_dev <= 1e-4
+//   }
 
 #include <algorithm>
 #include <chrono>

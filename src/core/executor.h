@@ -132,7 +132,7 @@ class QueryScheduler;
 /// generates the candidate HetPlans the lowering supports, PlanCoster prices
 /// each with the virtual-time model, and the cheapest executes. The
 /// explicit-policy overload pins the plan shape exactly (benchmarks and
-/// ablations depend on deterministic shapes), bypassing the search.
+/// shape tests depend on deterministic shapes), bypassing the search.
 /// ValidateHetPlan enforces the §3.3 converter rules on every plan, and
 /// GraphBuilder lowers the validated DAG into SourceDrivers, Edges and
 /// WorkerGroups. Any plan failing validation or lowering surfaces through

@@ -250,6 +250,7 @@ Status GraphBuilder::Run(plan::QueryCompiler* compiler, QueryResult* result) {
   }
   HETEX_RETURN_NOT_OK(plan::CheckUvaSources(plan, analysis_, system_->catalog(),
                                             system_->topology()));
+  HETEX_RETURN_NOT_OK(plan::CheckSplitJoins(analysis_, compiler->spec()));
 
   // The session anchors this query on the shared virtual timeline: its epoch
   // offsets every reservation on contended resources (PCIe links, GPU

@@ -135,7 +135,7 @@ DataMsg Edge::MoveToNode(DataMsg msg, sim::MemNodeId target_node,
       HETEX_CHECK(dst->capacity >= moved.bytes) << "staging block too small";
       moved.ready_at = system_->dma().Transfer(
           moved.data(), dst->data, moved.bytes, hop.link, moved.ready_at,
-          !moved.block->pinned, options_.epoch);
+          options_.epoch);
       if (staged != nullptr) system_->blocks().Release(staged, producer_node);
       staged = moved.block = dst;
     }
@@ -418,7 +418,6 @@ void SourceDriver::Run() {
         block.capacity = rows * col.width();
         block.node = chunk.node;
         block.owner = nullptr;
-        block.pinned = table_->pinned();
         memory::BlockHandle handle;
         handle.block = &block;
         handle.bytes = rows * col.width();

@@ -27,7 +27,6 @@ struct Block {
   uint64_t capacity = 0;                ///< bytes
   sim::MemNodeId node = sim::kInvalidMemNode;
   BlockManager* owner = nullptr;        ///< nullptr for table-resident (foreign) data
-  bool pinned = true;                   ///< DMA-pinned host memory (affects PCIe rate)
   std::atomic<uint32_t> refs{0};
 
   template <typename T>

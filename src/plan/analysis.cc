@@ -484,6 +484,16 @@ Status CheckUvaSources(const HetPlan& plan, const PlanAnalysis& analysis,
   return Status::OK();
 }
 
+Status CheckSplitJoins(const PlanAnalysis& analysis, const QuerySpec& spec) {
+  if (!spec.joins.empty()) return Status::OK();
+  for (const Stage& stage : analysis.fact_stages) {
+    if (stage.span().role == StageRole::kFilterStage) {
+      return Status::InvalidArgument("split plans need at least one join");
+    }
+  }
+  return Status::OK();
+}
+
 uint64_t TableRows(const storage::Table& t) {
   if (t.rows() > 0) return t.rows();
   uint64_t placed = 0;

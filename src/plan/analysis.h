@@ -136,6 +136,12 @@ uint64_t ScanBlockRows(const HetOpNode& segmenter,
 Status CheckUvaSources(const HetPlan& plan, const PlanAnalysis& analysis,
                        const storage::Catalog& catalog, const sim::Topology& topo);
 
+/// \brief Fails with InvalidArgument when `analysis` splits the fact pipeline
+/// but `spec` joins nothing: a filter stage hash-packs its survivors by the
+/// first join's probe key, so a query without joins has no split form.
+/// Checked by the lowering (before any stage starts) and the coster alike.
+Status CheckSplitJoins(const PlanAnalysis& analysis, const QuerySpec& spec);
+
 /// Rows of `t`: staging rows, or the placed chunk totals when staging was
 /// dropped (DropStaging keeps the placed data, and its row counts, intact).
 uint64_t TableRows(const storage::Table& t);

@@ -357,6 +357,7 @@ Result<CostEstimate> PlanCoster::Cost(const HetPlan& plan) const {
   if (!analysis.ok()) return analysis.status();
   const PlanAnalysis& shape = analysis.value();
   HETEX_RETURN_NOT_OK(CheckUvaSources(plan, shape, *catalog_, *topo_));
+  HETEX_RETURN_NOT_OK(CheckSplitJoins(shape, *spec_));
 
   CostEstimate est;
   est.init = shape.init_latency;
@@ -400,10 +401,6 @@ Result<CostEstimate> PlanCoster::Cost(const HetPlan& plan) const {
     const std::map<sim::MemNodeId, double> src_frac = node_fractions(src_table);
     const double block_bytes =
         static_cast<double>(block_rows) * work.row.bytes_read;
-    // An unpinned source table's first PCIe hop runs at the pageable rate,
-    // exactly as the runtime's DMA engine charges it (Topology::HopRate).
-    const bool pageable =
-        src_table != nullptr && src_table->placed() && !src_table->pinned();
     // Load-balance routers pin GPU-resident blocks to their local GPU when
     // that GPU is among the consumers — those fractions never travel, and no
     // other instance ever receives them. Credit the route accordingly.
@@ -469,8 +466,7 @@ Result<CostEstimate> PlanCoster::Cost(const HetPlan& plan) const {
             if (route.empty() || (mn.is_gpu && lb_pinned(mn.owner.index))) {
               return;
             }
-            const double t =
-                f * topo_->RouteSeconds(route, block_bytes, cols, pageable);
+            const double t = f * topo_->RouteSeconds(route, block_bytes, cols);
             transfer += t;
             by_link[route.back().link] += t;
           };
@@ -713,9 +709,6 @@ Result<CostEstimate> PlanCoster::Cost(const HetPlan& plan) const {
     }
     blocks = std::max<uint64_t>(1, blocks);
 
-    if (role == StageRole::kFilterStage && spec_->joins.empty()) {
-      return Status::InvalidArgument("split plans need at least one join");
-    }
     const SpanWork& work = role == StageRole::kFilterStage ? stage_a_
                            : from_table                    ? fused_
                                                            : stage_b_;

@@ -174,7 +174,6 @@ HetPlan BuildHetPlan(const QuerySpec& spec, const ExecPolicy& policy,
   constexpr auto kGpu = sim::DeviceType::kGpu;
 
   HetPlan plan;
-  plan.channel_capacity = policy.channel_capacity;
   PlanBuilder b(&plan);
   const Layout layout = ComputeLayout(policy, topo);
   const sim::CostModel& cm = topo.cost_model();

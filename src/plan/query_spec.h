@@ -104,7 +104,6 @@ struct ExecPolicy {
   bool stage_a_cpu_only = false;
 
   uint64_t block_rows = 128 * 1024;  ///< staging-block granularity in tuples
-  size_t channel_capacity = 16;      ///< router queue depth (backpressure)
 
   /// Router consumer choice: true = virtual-time-aware least-loaded (the paper's
   /// load-balancing behaviour); false = strict round-robin (deterministic tests).

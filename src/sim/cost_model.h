@@ -83,7 +83,7 @@ class CostModel {
   double cpu_socket_bw = 45e9;    ///< B/s aggregate per socket
   double gpu_mem_bw = 320e9;      ///< B/s GPU HBM/GDDR bandwidth
   double pcie_bw = 12e9;          ///< B/s pinned-memory DMA over one PCIe 3.0 x16
-  double pcie_pageable_bw = 5.5e9;///< B/s when source is pageable host memory
+  double pcie_pageable_bw = 5.5e9;///< B/s from pageable host memory (DBMS G)
   double nvlink_bw = 40e9;        ///< B/s of one NVLink-class GPU peer link
   double inter_socket_bw = 38e9;  ///< B/s of the UPI/QPI inter-socket link
 

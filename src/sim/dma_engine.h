@@ -16,9 +16,6 @@ namespace hetex::sim {
 /// thread and returns the modeled completion time. The consumer of the copy
 /// starts no earlier than that time, which is what overlaps transfers with
 /// compute in the model (§3.2); the host copy itself needs no asynchrony.
-/// `pageable=true` models transfers whose source was not pinned: a PCIe DMA
-/// must stage through a bounce buffer and runs at Topology::HopRate — the
-/// DBMS G behaviour the paper calls out in §6.2.
 class DmaEngine {
  public:
   explicit DmaEngine(Topology* topo) : topo_(topo) {}
@@ -28,10 +25,10 @@ class DmaEngine {
   /// virtual time at which the source data exists; `epoch` is the absolute
   /// arrival time of the owning query session. The transfer queues on the
   /// shared link at `epoch + earliest` (contending with every in-flight
-  /// session) for latency + bytes / HopRate, and the returned completion time
-  /// is session-local.
+  /// session) for latency + bytes / link rate, and the returned completion
+  /// time is session-local.
   VTime Transfer(const void* src, void* dst, uint64_t bytes, int link,
-                 VTime earliest, bool pageable = false, VTime epoch = 0.0);
+                 VTime earliest, VTime epoch = 0.0);
 
  private:
   Topology* topo_;

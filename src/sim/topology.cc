@@ -99,25 +99,15 @@ Topology::Hops Topology::Route(MemNodeId src, MemNodeId dst) const {
   return route;
 }
 
-double Topology::HopRate(int link, bool pageable_src) const {
-  const Link& l = links_.at(link);
-  return pageable_src && l.type == LinkType::kPcie
-             ? cost_model().pcie_pageable_bw
-             : l.server->rate();
-}
-
-VTime Topology::RouteSeconds(const Hops& route, double bytes, uint64_t columns,
-                             bool pageable_src) const {
+VTime Topology::RouteSeconds(const Hops& route, double bytes,
+                             uint64_t columns) const {
   VTime t = 0;
-  bool pageable = pageable_src;
   for (const Hop& hop : route) {
     const Link& l = links_[hop.link];
     const double reservations = l.type == LinkType::kInterSocket
                                     ? 1.0
                                     : static_cast<double>(columns);
-    t += reservations * l.server->latency() +
-         bytes / HopRate(hop.link, pageable);
-    pageable = false;
+    t += reservations * l.server->latency() + bytes / l.server->rate();
   }
   return t;
 }

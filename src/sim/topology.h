@@ -189,20 +189,11 @@ class Topology {
   ///    source GPU's socket, then PCIe into the destination GPU.
   Hops Route(MemNodeId src, MemNodeId dst) const;
 
-  /// Bytes per virtual second of a hop over `link`. A PCIe hop whose source
-  /// block is unpinned (`pageable_src`) runs at CostModel::pcie_pageable_bw,
-  /// because the DMA engine stages it through a bounce buffer. Peer and
-  /// inter-socket hops always run at the link's rate.
-  double HopRate(int link, bool pageable_src) const;
-
   /// Uncontended virtual seconds that one block of `bytes`, moved as
   /// `columns` column transfers, takes along `route`. Each hop costs
-  /// reservations × link latency + bytes / HopRate: one reservation per
+  /// reservations × link latency + bytes / link rate: one reservation per
   /// column on a DMA hop (PCIe, peer), one per block on an inter-socket read.
-  /// Only the first hop reads the source block; later hops read pinned
-  /// staging blocks.
-  VTime RouteSeconds(const Hops& route, double bytes, uint64_t columns,
-                     bool pageable_src) const;
+  VTime RouteSeconds(const Hops& route, double bytes, uint64_t columns) const;
 
   /// Virtual-time resources, indexed by link id.
   int num_links() const { return static_cast<int>(links_.size()); }

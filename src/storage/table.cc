@@ -30,7 +30,7 @@ int Table::FindColumn(const std::string& name) const {
 }
 
 Status Table::Place(const std::vector<sim::MemNodeId>& nodes,
-                    memory::MemoryRegistry* mem, bool pinned) {
+                    memory::MemoryRegistry* mem) {
   HETEX_CHECK(!nodes.empty());
   for (const auto& col : columns_) {
     if (!col->unique()) continue;
@@ -46,7 +46,6 @@ Status Table::Place(const std::vector<sim::MemNodeId>& nodes,
   }
   Unplace();
   placed_mem_ = mem;
-  pinned_ = pinned;
   NoteMutation();  // (re)placement publishes new content to cross-query caches
   for (auto& col : columns_) col->width_ = col->NarrowestWidth();
 

@@ -68,16 +68,14 @@ class Table {
   /// Distributes rows evenly over `nodes` (one chunk per node), allocating chunk
   /// buffers from each node's memory manager. Each column is stored at the
   /// narrowest signed width its values need (Column::width), so a scan, a
-  /// PCIe transfer or a pack of it moves that many bytes per row. `pinned`
-  /// marks host chunks as DMA-pinned; unpinned chunks transfer at pageable
-  /// bandwidth (DBMS G, §6.2). InvalidArgument, placing nothing, when a
-  /// column declared unique (Column::unique) holds a value twice.
+  /// PCIe transfer or a pack of it moves that many bytes per row.
+  /// InvalidArgument, placing nothing, when a column declared unique
+  /// (Column::unique) holds a value twice.
   Status Place(const std::vector<sim::MemNodeId>& nodes,
-               memory::MemoryRegistry* mem, bool pinned = true);
+               memory::MemoryRegistry* mem);
 
   bool placed() const { return !chunks_.empty(); }
   const std::vector<Chunk>& chunks() const { return chunks_; }
-  bool pinned() const { return pinned_; }
 
   /// Bytes of the named columns (planner working-set estimates, e.g. the
   /// fits-in-GPU-memory decision for Fig. 4 vs Fig. 5).
@@ -124,7 +122,6 @@ class Table {
   std::unordered_map<std::string, int> col_index_;
   std::vector<Chunk> chunks_;
   memory::MemoryRegistry* placed_mem_ = nullptr;
-  bool pinned_ = true;
 
   std::atomic<uint64_t> mutation_epoch_{0};
 

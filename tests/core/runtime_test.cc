@@ -334,8 +334,7 @@ TEST_F(RuntimeTest, EveryRouteDeliversAtItsPricedTime) {
   // Hop-level symmetry of the mem-move and the coster: for every ordered
   // pair of memory nodes, one single-column block delivered on an idle server
   // is ready at its consumer exactly at the time the coster prices the route
-  // at, and it reserved exactly the route's links. Host sources run pinned
-  // and unpinned (a pageable first hop); either way the consumer reads the
+  // at, and it reserved exactly the route's links; the consumer reads the
   // source's bytes and every staging block returns to its arena.
   sim::Topology::Options no_mesh = sim::Topology::ScaleOutOptions(4);
   no_mesh.peer_links.clear();
@@ -349,69 +348,63 @@ TEST_F(RuntimeTest, EveryRouteDeliversAtItsPricedTime) {
     const sim::Topology shape(fabric);
     for (sim::MemNodeId src = 0; src < shape.num_mem_nodes(); ++src) {
       for (sim::MemNodeId dst = 0; dst < shape.num_mem_nodes(); ++dst) {
-        for (const bool pinned : {true, false}) {
-          if (!pinned && shape.mem_node(src).is_gpu) continue;
-          System::Options o = SmallSystem();
-          o.topology = fabric;
-          o.topology.cores_per_socket = 2;
-          o.topology.gpu_sim_threads = 2;
-          System system(o);  // idle: every link free at 0
-          const sim::Topology& topo = system.topology();
-          RecordingProcessor::Log log;
-          WorkerGroup group(
-              &system, {topo.mem_node(dst).owner},
-              [&log](WorkerInstance&) {
-                return std::make_unique<RecordingProcessor>(&log);
-              },
-              nullptr, 8, {0.0});
-          Edge::Options opts;
-          opts.policy = plan::RouterPolicy::kRoundRobin;
-          opts.control_cost = 0;
-          opts.crossing_latency = 0;
-          Edge edge(&system, opts, group.instance_ptrs());
-          group.Start();
-          edge.AddProducer();
-          DataMsg msg;
-          msg.rows = 1;
-          memory::BlockHandle h;
-          h.block = system.blocks().Acquire(src, src);
-          h.block->pinned = pinned;  // unpinned: pageable host memory
-          std::vector<uint8_t> pattern(bytes);
-          for (uint64_t i = 0; i < bytes; ++i) {
-            pattern[i] = static_cast<uint8_t>(i * 7 + src);
-          }
-          std::memcpy(h.block->data, pattern.data(), bytes);
-          h.rows = 1;
-          h.bytes = bytes;
-          msg.cols.push_back(h);
-          edge.Push(std::move(msg), src);
-          edge.CloseProducer();
-          group.Join();
+        System::Options o = SmallSystem();
+        o.topology = fabric;
+        o.topology.cores_per_socket = 2;
+        o.topology.gpu_sim_threads = 2;
+        System system(o);  // idle: every link free at 0
+        const sim::Topology& topo = system.topology();
+        RecordingProcessor::Log log;
+        WorkerGroup group(
+            &system, {topo.mem_node(dst).owner},
+            [&log](WorkerInstance&) {
+              return std::make_unique<RecordingProcessor>(&log);
+            },
+            nullptr, 8, {0.0});
+        Edge::Options opts;
+        opts.policy = plan::RouterPolicy::kRoundRobin;
+        opts.control_cost = 0;
+        opts.crossing_latency = 0;
+        Edge edge(&system, opts, group.instance_ptrs());
+        group.Start();
+        edge.AddProducer();
+        DataMsg msg;
+        msg.rows = 1;
+        memory::BlockHandle h;
+        h.block = system.blocks().Acquire(src, src);
+        std::vector<uint8_t> pattern(bytes);
+        for (uint64_t i = 0; i < bytes; ++i) {
+          pattern[i] = static_cast<uint8_t>(i * 7 + src);
+        }
+        std::memcpy(h.block->data, pattern.data(), bytes);
+        h.rows = 1;
+        h.bytes = bytes;
+        msg.cols.push_back(h);
+        edge.Push(std::move(msg), src);
+        edge.CloseProducer();
+        group.Join();
 
-          const sim::Topology::Hops route = topo.Route(src, dst);
-          const std::string pair =
-              "node " + std::to_string(src) + " -> " + std::to_string(dst) +
-              (pinned ? " pinned" : " unpinned") + " on " +
-              std::to_string(topo.num_links()) + " links";
-          ASSERT_EQ(log.by_instance[0].size(), 1u) << pair;
-          EXPECT_EQ(log.by_instance[0][0].ready_at,
-                    topo.RouteSeconds(route, bytes, /*columns=*/1,
-                                      /*pageable_src=*/!pinned))
-              << pair;
-          EXPECT_EQ(log.payloads[0].at(0), pattern) << pair;
-          for (int l = 0; l < topo.num_links(); ++l) {
-            bool on_route = false;
-            for (const sim::Topology::Hop& hop : route) {
-              on_route |= hop.link == l;
-            }
-            EXPECT_EQ(topo.link(l).free_at() > 0, on_route)
-                << pair << ", link " << l;
+        const sim::Topology::Hops route = topo.Route(src, dst);
+        const std::string pair = "node " + std::to_string(src) + " -> " +
+                                 std::to_string(dst) + " on " +
+                                 std::to_string(topo.num_links()) + " links";
+        ASSERT_EQ(log.by_instance[0].size(), 1u) << pair;
+        EXPECT_EQ(log.by_instance[0][0].ready_at,
+                  topo.RouteSeconds(route, bytes, /*columns=*/1))
+            << pair;
+        EXPECT_EQ(log.payloads[0].at(0), pattern) << pair;
+        for (int l = 0; l < topo.num_links(); ++l) {
+          bool on_route = false;
+          for (const sim::Topology::Hop& hop : route) {
+            on_route |= hop.link == l;
           }
-          system.blocks().FlushReleases();
-          for (sim::MemNodeId n = 0; n < topo.num_mem_nodes(); ++n) {
-            EXPECT_EQ(system.blocks().manager(n).in_use(), 0u)
-                << pair << ", arena of node " << n;
-          }
+          EXPECT_EQ(topo.link(l).free_at() > 0, on_route)
+              << pair << ", link " << l;
+        }
+        system.blocks().FlushReleases();
+        for (sim::MemNodeId n = 0; n < topo.num_mem_nodes(); ++n) {
+          EXPECT_EQ(system.blocks().manager(n).in_use(), 0u)
+              << pair << ", arena of node " << n;
         }
       }
     }

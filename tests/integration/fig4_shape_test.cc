@@ -8,9 +8,16 @@
 //   - across the suite, the Fig. 4 bar total: hybrid is faster than GPU-only.
 // Flight 1 joins only `date` (2,556 rows), where host filtering and shipping
 // the raw columns are a near-tie, so it is not gated per query.
+//
+// Fig. 4's per-device comparison is gated too: on every query DBMS G runs, the
+// GPU-only plan is faster than DBMS G with the same data resident in GPU
+// memory. (Proteus CPU against DBMS C is not gated here: it wins flights 2-4
+// but runs flight 1 at 0.75-0.80x DBMS C's speed, a finding the model does not
+// reproduce.)
 
 #include <gtest/gtest.h>
 
+#include "baselines/dbms_g.h"
 #include "core/executor.h"
 #include "core/system.h"
 #include "ssb/ssb.h"
@@ -90,6 +97,29 @@ TEST_F(Fig4ShapeTest, HybridFasterThanGpuOnly) {
   }
   EXPECT_LT(sum_hybrid, sum_gpu) << "suite: hybrid " << sum_hybrid
                                  << " s vs GPU-only " << sum_gpu << " s";
+}
+
+TEST_F(Fig4ShapeTest, GpuOnlyFasterThanResidentDbmsG) {
+  baselines::DbmsGOptions resident;
+  resident.data_on_gpu = true;
+  // Its startup is a fixed latency, scaled like the engine's.
+  resident.startup_seconds *= kLatencyScale;
+  baselines::DbmsG dbms_g(system_, resident);
+  int compared = 0;
+  for (const plan::QuerySpec& spec : ssb_->AllQueries()) {
+    const core::QueryResult g = dbms_g.Execute(spec);
+    if (spec.uses_string_range_predicate) {
+      EXPECT_EQ(g.status.code(), StatusCode::kUnsupported) << spec.name;
+      continue;
+    }
+    ASSERT_TRUE(g.status.ok()) << spec.name << ": " << g.status.ToString();
+    const core::QueryResult gpu = Run(spec, ExecPolicy::GpuOnly());
+    EXPECT_LT(gpu.modeled_seconds, g.modeled_seconds)
+        << spec.name << ": GPU-only " << gpu.modeled_seconds << " s vs DBMS G "
+        << g.modeled_seconds << " s";
+    ++compared;
+  }
+  EXPECT_EQ(compared, 12);
 }
 
 }  // namespace

@@ -35,28 +35,12 @@ TEST_F(DmaTest, ModeledTimeMatchesLinkRate) {
   EXPECT_NEAR(t, expected, 1e-12);
 }
 
-TEST_F(DmaTest, PageableHalvesThroughput) {
-  std::vector<uint8_t> buf(1 << 20), dst(1 << 20);
-  const VTime pinned = dma_.Transfer(buf.data(), dst.data(), buf.size(), 0, 0.0);
-  // Fresh session anchored past the pinned transfer: the link looks idle.
-  const VTime epoch = topo_.LinkHorizon();
-  const VTime pageable =
-      dma_.Transfer(buf.data(), dst.data(), buf.size(), 0, 0.0,
-                    /*pageable=*/true, epoch);
-  const auto& cm = topo_.cost_model();
-  EXPECT_GT(pageable, pinned * 1.5);
-  EXPECT_NEAR(pageable - cm.dma_latency,
-              (1 << 20) / cm.pcie_pageable_bw, 1e-9);
-}
-
 TEST_F(DmaTest, ConcurrentSessionsContendOnOneLink) {
   std::vector<uint8_t> buf(1 << 20), dst(1 << 20);
   // Session A (epoch 0) and session B (same epoch) share link 0: whichever
   // reserves second queues behind the first, and both see session-local times.
-  const VTime a = dma_.Transfer(buf.data(), dst.data(), buf.size(), 0, 0.0,
-                                false, 0.0);
-  const VTime b = dma_.Transfer(buf.data(), dst.data(), buf.size(), 0, 0.0,
-                                false, 0.0);
+  const VTime a = dma_.Transfer(buf.data(), dst.data(), buf.size(), 0, 0.0, 0.0);
+  const VTime b = dma_.Transfer(buf.data(), dst.data(), buf.size(), 0, 0.0, 0.0);
   const double one = topo_.cost_model().dma_latency +
                      (1 << 20) / topo_.cost_model().pcie_bw;
   EXPECT_NEAR(a, one, 1e-12);
@@ -242,7 +226,7 @@ TEST_F(GpuDeviceTest, UvaBytesAnchorAtKernelGapNotStreamHorizon) {
   DmaEngine dma(&topo_);
   std::vector<uint8_t> buf(1 << 20), dst(1 << 20);
   const VTime t =
-      dma.Transfer(buf.data(), dst.data(), buf.size(), 0, 0.0, false, 0.0);
+      dma.Transfer(buf.data(), dst.data(), buf.size(), 0, 0.0, 0.0);
   EXPECT_GT(t, transfer);
   EXPECT_LT(t, transfer + 1e-3);
 }
@@ -257,7 +241,7 @@ TEST_F(GpuDeviceTest, UvaKernelStaysAnchoredWhenLinkQueueingOutgrowsTheGap) {
   DmaEngine dma(&topo_);
   std::vector<uint8_t> buf(12 << 20), dst(12 << 20);
   const VTime t =  // ~1 ms of link-0 backlog the UVA bytes queue behind
-      dma.Transfer(buf.data(), dst.data(), buf.size(), 0, 0.0, false, 0.0);
+      dma.Transfer(buf.data(), dst.data(), buf.size(), 0, 0.0, 0.0);
 
   auto noop = [](const KernelCtx&) {};
   gpu_.LaunchKernel(noop, 64, 32, /*earliest=*/2e-4);  // gap is [0, 2e-4)
@@ -291,7 +275,7 @@ TEST_F(GpuDeviceTest, DmaQueuesBehindUvaKernel) {
 
   std::vector<uint8_t> buf(1 << 20), dst(1 << 20);
   const VTime t =
-      dma.Transfer(buf.data(), dst.data(), buf.size(), 0, 0.0, false, 0.0);
+      dma.Transfer(buf.data(), dst.data(), buf.size(), 0, 0.0, 0.0);
   const auto& cm = topo_.cost_model();
   const double solo = cm.dma_latency + (1 << 20) / cm.pcie_bw;
   // Queued behind the kernel's ~1 ms of link occupancy.
@@ -304,7 +288,7 @@ TEST_F(GpuDeviceTest, UvaKernelQueuesBehindDma) {
   DmaEngine dma(&topo_);
   std::vector<uint8_t> buf(12 << 20), dst(12 << 20);
   const VTime t =
-      dma.Transfer(buf.data(), dst.data(), buf.size(), 0, 0.0, false, 0.0);
+      dma.Transfer(buf.data(), dst.data(), buf.size(), 0, 0.0, 0.0);
 
   auto kernel = [&](const KernelCtx& ctx) {
     if (ctx.thread_id == 0) ctx.stats->bytes_read += 1'000'000;

@@ -69,9 +69,9 @@ TEST_F(PeerLinkTest, TwoSessionsQueueFifoOnOneLink) {
   // whichever reserves second queues behind the first, FIFO, and each sees
   // session-local completion times.
   const VTime a = dma_.Transfer(buf.data(), dst.data(), buf.size(),
-                                PeerLink(), 0.0, false, 0.0);
+                                PeerLink(), 0.0, 0.0);
   const VTime b = dma_.Transfer(buf.data(), dst.data(), buf.size(),
-                                PeerLink(), 0.0, false, 0.0);
+                                PeerLink(), 0.0, 0.0);
   const double one = OneTransfer(1 << 20);
   EXPECT_NEAR(a, one, 1e-12);
   EXPECT_NEAR(b, 2 * one, 1e-12);
@@ -81,8 +81,7 @@ TEST_F(PeerLinkTest, ContentionNeverSpeedsUpATransfer) {
   std::vector<uint8_t> buf(1 << 20), dst(1 << 20);
   // Solo reference on a fresh session anchored at the link horizon.
   const VTime solo_t = dma_.Transfer(buf.data(), dst.data(), buf.size(),
-                                     PeerLink(), 0.0, false,
-                                     topo_.LinkHorizon());
+                                     PeerLink(), 0.0, topo_.LinkHorizon());
   // Four same-epoch sessions contend for the link: completion order is the
   // issue order, every transfer takes at least the solo time, and each later
   // one only ever finishes later — contention never speeds anything up.
@@ -90,7 +89,7 @@ TEST_F(PeerLinkTest, ContentionNeverSpeedsUpATransfer) {
   std::vector<VTime> done;
   for (int i = 0; i < 4; ++i) {
     done.push_back(dma_.Transfer(buf.data(), dst.data(), buf.size(),
-                                 PeerLink(), 0.0, false, epoch));
+                                 PeerLink(), 0.0, epoch));
   }
   double prev = 0;
   for (size_t i = 0; i < done.size(); ++i) {
@@ -202,7 +201,7 @@ TEST(PeerRouteE2ETest, StaticRouteEstimatePrefersPeerHop) {
   const uint64_t bytes = 1 << 20;
   auto gpu0_to_gpu3 = [&](const sim::Topology& topo) {
     return topo.RouteSeconds(topo.Route(topo.gpu(0).mem, topo.gpu(3).mem),
-                             bytes, /*columns=*/4, /*pageable_src=*/false);
+                             bytes, /*columns=*/4);
   };
   const sim::VTime peer_t = gpu0_to_gpu3(meshed);
   const sim::VTime staged_t = gpu0_to_gpu3(staged);

@@ -147,12 +147,6 @@ TEST_F(TableTest, PlaceFailsWhenCapacityExceeded) {
   EXPECT_FALSE(t->placed());
 }
 
-TEST_F(TableTest, PinnedFlagPropagates) {
-  auto t = MakeTable(10);
-  ASSERT_TRUE(t->Place({topo_.socket(0).mem}, &mem_, /*pinned=*/false).ok());
-  EXPECT_FALSE(t->pinned());
-}
-
 TEST_F(TableTest, DropStagingKeepsChunks) {
   auto t = MakeTable(64);
   ASSERT_TRUE(t->Place({topo_.socket(0).mem}, &mem_).ok());
