@@ -22,7 +22,9 @@
 // (plan::ProbeOrder), by build table, and under it each join's hash table in
 // that order: its bytes (plan::JoinHtBytes, what every replica allocates) and
 // size class (near / mid / far, CostModel::RandomAccessClass), then the picked
-// run's random accesses per fact row by size class. Last comes the picked
+// run's random accesses, ops and bytes per fact row, and the code of each
+// fact column the fused probe loads (its placed width and frame-of-reference
+// base, `lo_orderdate 2B base 19950666`). Last comes the picked
 // run's partitioned merge: its instance count and unit, the partial groups
 // the probes shipped to it, and its tail (modeled time minus the last probe
 // end).
@@ -358,6 +360,12 @@ bool ReportOptimizer(core::System& system, core::System& reuse_sys,
   const sim::CostStats& est = opt.ranked.front().cost.work;
   const double est_ops_per_row = est.ops / fact_rows;
   const double est_bytes_per_row = est.bytes_read / fact_rows;
+  // The code of each fact column the fused probe pipeline loads, in load
+  // order: its placed width and frame-of-reference base.
+  const std::vector<plan::ColSlot> fact_cols =
+      plan::QueryCompiler(spec, system.catalog(), system.cost_model())
+          .CompileProbe(nullptr)
+          .input_cols;
 
   if (json) {
     std::printf("%s{\"query\": \"%s\", \"picked\": \"%s\",\n\"probe_order\": [",
@@ -378,8 +386,14 @@ bool ReportOptimizer(core::System& system, core::System& reuse_sys,
     }
     std::printf("},\n\"ops_per_fact_row\": %.6f,\n\"bytes_per_fact_row\": %.6f,"
                 "\n\"est_ops_per_fact_row\": %.6f,"
-                "\n\"est_bytes_per_fact_row\": %.6f,\n\"spans\": [",
+                "\n\"est_bytes_per_fact_row\": %.6f,\n\"fact_columns\": [",
                 ops_per_row, bytes_per_row, est_ops_per_row, est_bytes_per_row);
+    for (size_t i = 0; i < fact_cols.size(); ++i) {
+      std::printf("%s{\"name\": \"%s\", \"width\": %u, \"base\": %lld}",
+                  i == 0 ? "" : ", ", fact_cols[i].name.c_str(), fact_cols[i].width,
+                  static_cast<long long>(fact_cols[i].base));
+    }
+    std::printf("],\n\"spans\": [");
     const std::vector<SpanTier> tiers = CollectSpanTiers(system, spec);
     for (size_t i = 0; i < tiers.size(); ++i) {
       std::printf("%s\n  {\"span\": \"%s\", \"tier\": \"%s\", \"reason\": \"%s\"}",
@@ -433,8 +447,14 @@ bool ReportOptimizer(core::System& system, core::System& reuse_sys,
     std::printf("\naccesses/fact row:");
     for (int c = 0; c < 3; ++c) std::printf(" %s %.3g", kClassNames[c], per_row[c]);
     std::printf("\nops/fact row: %.3g (est %.3g)\n", ops_per_row, est_ops_per_row);
-    std::printf("bytes/fact row: %.3g (est %.3g)\n", bytes_per_row,
+    std::printf("bytes/fact row: %.3g (est %.3g)\nfact columns:", bytes_per_row,
                 est_bytes_per_row);
+    for (size_t i = 0; i < fact_cols.size(); ++i) {
+      std::printf("%s %s %uB base %lld", i == 0 ? "" : ",",
+                  fact_cols[i].name.c_str(), fact_cols[i].width,
+                  static_cast<long long>(fact_cols[i].base));
+    }
+    std::printf("\n");
     std::printf("%-26s %12s %12s  %s\n", "candidate", "estimated", "measured",
                 "");
     for (size_t i = 0; i < rows.size(); ++i) {

@@ -140,7 +140,7 @@ bool VmProcessor::InstallFresh(WorkerInstance& inst, PackBucket& bucket) {
       return false;
     }
     bucket.blocks.push_back(block);
-    bucket.target.cols.push_back({block->data, col.width});
+    bucket.target.cols.push_back({block->data, col.width, col.base});
   }
   bucket.target.capacity = BucketCapacityRows();
   bucket.target.ResetCursor();
@@ -154,7 +154,7 @@ void VmProcessor::InstallScratch(PackBucket& bucket) {
     // Every column aliases the one scratch allocation: the data written here
     // is never read (the instance is in error drain), it only has to be a
     // valid in-bounds write target for an already-running kernel.
-    bucket.target.cols.push_back({scratch_.get(), col.width});
+    bucket.target.cols.push_back({scratch_.get(), col.width, col.base});
   }
   bucket.target.capacity = BucketCapacityRows();
   bucket.target.ResetCursor();
@@ -207,7 +207,8 @@ void VmProcessor::ProcessMsg(WorkerInstance& inst, DataMsg& msg) {
 
   std::vector<jit::ColumnBinding> bindings(msg.cols.size());
   for (size_t i = 0; i < msg.cols.size(); ++i) {
-    bindings[i] = {msg.cols[i].data(), pipeline.input_cols[i].width};
+    const plan::ColSlot& slot = pipeline.input_cols[i];
+    bindings[i] = {msg.cols[i].data(), slot.width, slot.base};
     if (is_gpu(inst) && !cfg_->allow_uva) {
       HETEX_CHECK(msg.cols[i].node() == inst.node())
           << "GPU pipeline " << program_->label

@@ -98,10 +98,23 @@ std::string WidthCodeHex(uint64_t code) {
 }
 
 /// Sign-extending load of `field` from the entry at `entry` (a C++ byte
-/// pointer expression).
+/// pointer expression), without its base.
 std::string LoadField(const std::string& entry, JoinHashTable::Layout::Field field) {
   return "hx_ld" + std::to_string(field.width) + "(" + entry + " + " +
          std::to_string(field.offset) + ")";
+}
+
+/// The value `field` of the entry at `entry` holds: its stored integer plus
+/// the base the kernel hoisted into `base`.
+std::string DecodeField(const std::string& entry, JoinHashTable::Layout::Field field,
+                        const std::string& base) {
+  return "hx_dec(" + LoadField(entry, field) + ", " + base + ")";
+}
+
+/// The hoisted base of slot `s`'s key, and of its payload value `i`.
+std::string KeyBase(int s) { return "hx_kb" + std::to_string(s); }
+std::string PayloadBase(int s, int i) {
+  return "hx_pb" + std::to_string(s) + "_" + std::to_string(i);
 }
 
 /// Address of entry `index` of slot `s`, laid out as `layout`.
@@ -111,14 +124,15 @@ std::string EntryAddr(int s, const std::string& index,
          std::to_string(layout.stride()) + "u";
 }
 
-/// Walks slot `s`'s chain from entry `hx_e` to the first entry whose key is
-/// `hx_k`, counting every entry visited in `hx_hops` (JoinHashTable::
-/// FindKeyFrom).
+/// Walks slot `s`'s chain from entry `hx_e` to the first entry whose decoded
+/// key is `hx_k`, counting every entry visited in `hx_hops`
+/// (JoinHashTable::FindKeyFrom).
 std::string ChainWalk(int s, const JoinHashTable::Layout& layout) {
   return "      while (hx_e >= 0) {\n"
          "        const unsigned char* hx_p = " + EntryAddr(s, "hx_e", layout) + ";\n"
          "        hx_hops += 1;\n"
-         "        if (" + LoadField("hx_p", layout.key()) + " == hx_k) break;\n"
+         "        if (" + DecodeField("hx_p", layout.key(), KeyBase(s)) +
+         " == hx_k) break;\n"
          "        hx_e = " + LoadField("hx_p", layout.next()) + ";\n"
          "      }\n";
 }
@@ -374,6 +388,10 @@ GenerateResult GenerateSource(const PipelineProgram& program) {
       "inline int64_t hx_ld8(const unsigned char* p) {\n"
       "  int64_t v; memcpy(&v, p, 8); return v;\n"
       "}\n"
+      "// A stored integer's value: plus its code's base, in two's complement.\n"
+      "inline int64_t hx_dec(int64_t v, int64_t base) {\n"
+      "  return (int64_t)((uint64_t)v + (uint64_t)base);\n"
+      "}\n"
       "typedef void (*hx_emit_fn)(void*, const int64_t*, int, uint64_t*);\n"
       "typedef void (*hx_emit_batch_fn)(void*, const int64_t* const*, int, uint64_t, uint64_t*);\n"
       "typedef int (*hx_insert_fn)(void*, int64_t, const int64_t*, uint64_t*);\n"
@@ -381,21 +399,24 @@ GenerateResult GenerateSource(const PipelineProgram& program) {
       "}  // namespace\n"
       "\n"
       "extern \"C\" int hx_kernel(\n"
-      "    const void* const* cols, void* emit0, void* const* emit_targets,\n"
-      "    int64_t n_emit_targets, int64_t* local_accs,\n"
+      "    const void* const* cols, const int64_t* col_bases, void* emit0,\n"
+      "    void* const* emit_targets, int64_t n_emit_targets, int64_t* local_accs,\n"
       "    const uint64_t* const* ht_heads, const unsigned char* const* ht_entries,\n"
-      "    const uint64_t* ht_masks, void* const* ht_objs, uint64_t* stats,\n"
-      "    uint64_t row_begin, uint64_t row_step, uint64_t rows,\n"
+      "    const int64_t* ht_bases, const uint64_t* ht_masks, void* const* ht_objs,\n"
+      "    uint64_t* stats, uint64_t row_begin, uint64_t row_step, uint64_t rows,\n"
       "    int atomic_mode, const void* const* hooks) {\n"
-      "  (void)cols; (void)emit0; (void)emit_targets; (void)n_emit_targets;\n"
-      "  (void)local_accs; (void)ht_heads; (void)ht_entries; (void)ht_masks;\n"
-      "  (void)ht_objs; (void)atomic_mode; (void)hooks;\n";
+      "  (void)cols; (void)col_bases; (void)emit0; (void)emit_targets;\n"
+      "  (void)n_emit_targets; (void)local_accs; (void)ht_heads; (void)ht_entries;\n"
+      "  (void)ht_bases; (void)ht_masks; (void)ht_objs; (void)atomic_mode;\n"
+      "  (void)hooks;\n";
 
-  // Hoisted bindings: columns, probe-slot raw layout, hook pointers.
+  // Hoisted bindings: columns and their bases, probe-slot raw layout and
+  // field bases, hook pointers.
   for (int c = 0; c < program.n_input_cols; ++c) {
     if ((cols_used >> c) & 1ull) {
       out += "  const unsigned char* const hx_c" + S(c) +
              " = (const unsigned char*)cols[" + S(c) + "];\n";
+      out += "  const int64_t hx_cb" + S(c) + " = col_bases[" + S(c) + "];\n";
     }
   }
   for (const auto& [s, layout] : layouts) {
@@ -405,6 +426,12 @@ GenerateResult GenerateSource(const PipelineProgram& program) {
     out += "  const unsigned char* const hx_e" + S(s) + " = ht_entries[" + S(s) +
            "];\n";
     out += "  const uint64_t hx_m" + S(s) + " = ht_masks[" + S(s) + "];\n";
+    out += "  const int64_t " + KeyBase(s) + " = ht_bases[" +
+           S(s * kHtBaseStride) + "];\n";
+    for (int i = 0; i < payload_loads[s]; ++i) {
+      out += "  const int64_t " + PayloadBase(s, i) + " = ht_bases[" +
+             S(s * kHtBaseStride + 1 + i) + "];\n";
+    }
   }
   if (uses_emit && !batch_emit) {
     out += "  const hx_emit_fn hx_emit = (hx_emit_fn)hooks[" + S(kHookEmit) + "];\n";
@@ -458,11 +485,11 @@ GenerateResult GenerateSource(const PipelineProgram& program) {
         fold.Set(in.a, in.imm);
         break;
       case OpCode::kLoadCol: {
-        // A typed load at the column's width, sign-extended by the assignment.
+        // A typed load at the column's width, sign-extended, plus its base.
         const uint32_t w = program.input_widths[in.b];
         out += "    { int" + S(8 * w) + "_t hx_t; memcpy(&hx_t, hx_c" + S(in.b) +
                " + hx_row * " + S(w) + "u, " + S(w) + "); " + RegName(in.a) +
-               " = hx_t; }\n";
+               " = hx_dec(hx_t, hx_cb" + S(in.b) + "); }\n";
         out += "    s_br += " + S(w) + ";\n";
         fold.Kill(in.a);
         break;
@@ -662,7 +689,8 @@ GenerateResult GenerateSource(const PipelineProgram& program) {
                EntryAddr(in.c, fold.Use(in.b), layout) + ";\n";
         for (int i = 0; i < in.d; ++i) {
           out += "      " + RegName(in.a + i) + " = " +
-                 LoadField("hx_p", layout.payload(i)) + ";\n";
+                 DecodeField("hx_p", layout.payload(i), PayloadBase(in.c, i)) +
+                 ";\n";
           fold.Kill(in.a + i);
         }
         out += "    }\n";
@@ -778,6 +806,7 @@ Status RunNative(const PipelineProgram& program, ExecCtx& ctx, uint64_t rows) {
       << "RunNative on pipeline '" << program.label << "' without a ready kernel";
 
   const void* cols[64] = {};
+  int64_t col_bases[64] = {};
   if (ctx.n_cols < program.n_input_cols) {
     return Status::Internal("native kernel '" + program.label + "': " +
                             std::to_string(ctx.n_cols) + " columns bound, " +
@@ -790,7 +819,8 @@ Status RunNative(const PipelineProgram& program, ExecCtx& ctx, uint64_t rows) {
           " bound with width " + std::to_string(ctx.cols[i].width) +
           ", compiled for " + std::to_string(program.input_widths[i]));
     }
-    cols[i] = ctx.cols[i].base;
+    cols[i] = ctx.cols[i].data;
+    col_bases[i] = ctx.cols[i].base;
   }
 
   static_assert(sizeof(std::atomic<uint64_t>) == sizeof(uint64_t) &&
@@ -798,6 +828,7 @@ Status RunNative(const PipelineProgram& program, ExecCtx& ctx, uint64_t rows) {
                 "bucket heads must be bit-compatible with a plain uint64 array");
   const uint64_t* heads[kMaxHtSlots] = {};
   const unsigned char* entries[kMaxHtSlots] = {};
+  int64_t ht_bases[kMaxHtSlots * kHtBaseStride] = {};
   uint64_t masks[kMaxHtSlots] = {};
   for (int s = 0; s < kMaxHtSlots; ++s) {
     if ((kernel->join_slot_mask >> s) & 1u) {
@@ -812,13 +843,19 @@ Status RunNative(const PipelineProgram& program, ExecCtx& ctx, uint64_t rows) {
       heads[s] = reinterpret_cast<const uint64_t*>(ht->raw_heads());
       entries[s] = reinterpret_cast<const unsigned char*>(ht->raw_entries());
       masks[s] = ht->bucket_mask();
+      int64_t* bases = ht_bases + s * kHtBaseStride;
+      bases[0] = ht->layout().key().base;
+      for (int i = 0; i < ht->layout().payload_count(); ++i) {
+        bases[1 + i] = ht->layout().payload(i).base;
+      }
     }
   }
 
   uint64_t s[kStatCount] = {};
   const int rc = kernel->fn(
-      cols, ctx.emit, reinterpret_cast<void* const*>(ctx.emit_targets),
-      ctx.n_emit_targets, ctx.local_accs, heads, entries, masks, ctx.ht_slots, s,
+      cols, col_bases, ctx.emit, reinterpret_cast<void* const*>(ctx.emit_targets),
+      ctx.n_emit_targets, ctx.local_accs, heads, entries, ht_bases, masks,
+      ctx.ht_slots, s,
       ctx.row_begin, ctx.row_step, rows,
       (ctx.atomic_group_update ? kAtomicGroupBy : 0) |
           (ctx.atomic_ht_insert ? kAtomicHtInsert : 0),

@@ -17,7 +17,8 @@ namespace hetex::jit {
 /// self-contained C++ translation unit, specialized to the span:
 ///
 ///  - column loads are typed to the binding schema's widths (no per-row width
-///    branch),
+///    branch) and add the column's base, which the kernel receives when it is
+///    bound (the source depends on widths only),
 ///  - literal operands are immediates, and constants propagate through the
 ///    straight-line code, so constant-true/false filters disappear (every
 ///    instruction still counts its one op — all tiers charge identical
@@ -50,7 +51,15 @@ namespace hetex::jit {
 /// v7: columns and hash-table fields of 1 and 2 bytes (typed int8_t/int16_t
 ///     column loads, hx_ld1/hx_ld2 field loads); an entry leads with its
 ///     chain link, then the key and payload, padded to a multiple of 4.
-inline constexpr uint32_t kCodegenAbiVersion = 7;
+/// v8: frame-of-reference codes (IntCode): the kernel takes each input
+///     column's base (`col_bases`) and each probed slot's key and payload
+///     bases (`ht_bases`) and adds them back on every column load, key
+///     compare and payload load (hx_dec).
+inline constexpr uint32_t kCodegenAbiVersion = 8;
+
+/// Entries per hash-table slot in a kernel's `ht_bases` array: the key's
+/// base, then each payload field's.
+inline constexpr int kHtBaseStride = 1 + JoinHashTable::Layout::kMaxPayload;
 
 /// Bits of a kernel's `atomic_mode` argument: which worker-scoped atomics the
 /// launching provider pays for (ExecCtx::atomic_group_update / atomic_ht_insert).
@@ -97,13 +106,15 @@ extern "C" {
 /// Everything crosses as flat arrays/scalars so the generated source never
 /// includes an engine header. Returns 0 or a kKernel* fault.
 typedef int (*NativeKernelFn)(
-    const void* const* cols,           // input column base pointers
+    const void* const* cols,           // input column data pointers
+    const int64_t* col_bases,          // input column bases (IntCode::base)
     void* emit0,                       // EmitTarget* (nullable)
     void* const* emit_targets,         // hash-pack bucket targets (nullable)
     int64_t n_emit_targets,
     int64_t* local_accs,               // instance/thread-local accumulators
     const uint64_t* const* ht_heads,   // per HT slot: bucket head words (tag | entry index)
     const unsigned char* const* ht_entries,  // per HT slot: packed entries
+    const int64_t* ht_bases,           // per HT slot: kHtBaseStride field bases
     const uint64_t* ht_masks,          // per HT slot: bucket mask
     void* const* ht_objs,              // raw ht_slots, for insert/group-by hooks
     uint64_t* stats,                   // kStat* counters (accumulated into)

@@ -12,14 +12,18 @@
 
 namespace hetex::jit {
 
-/// Binding of one input column for the current block: base pointer + element
-/// width in bytes (1, 2, 4 or 8). Values are sign-extended into 64-bit VM
-/// registers.
+/// Binding of one input column for the current block: its data, and the code
+/// its values are stored in (IntCode: width in bytes, 1, 2, 4 or 8, and
+/// base). A load sign-extends the stored value into a 64-bit VM register and
+/// adds the base back.
 struct ColumnBinding {
-  const std::byte* base = nullptr;
+  const std::byte* data = nullptr;
   uint32_t width = 8;
+  int64_t base = 0;
 
-  int64_t Load(uint64_t row) const { return LoadInt(base + row * width, width); }
+  int64_t Load(uint64_t row) const {
+    return LoadInt(data + row * width, IntCode{width, base});
+  }
 };
 
 /// \brief Columnar output destination of a pipeline's Emit instruction.
@@ -35,9 +39,12 @@ struct ColumnBinding {
 /// which additionally hoists the capacity check out of the per-row flow.
 class EmitTarget {
  public:
+  /// One output column: its block and the code it is packed in (each value
+  /// v stored as v − base at `width` bytes).
   struct Col {
-    std::byte* base = nullptr;
+    std::byte* data = nullptr;
     uint32_t width = 8;
+    int64_t base = 0;
   };
 
   std::vector<Col> cols;
@@ -62,7 +69,7 @@ class EmitTarget {
     uint64_t bytes = 0;
     for (int i = 0; i < n; ++i) {
       Col& c = cols[i];
-      StoreInt(c.base + idx * c.width, c.width, vals[i]);
+      StoreInt(c.data + idx * c.width, IntCode{c.width, c.base}, vals[i]);
       bytes += c.width;
     }
     stats->bytes_written += bytes;
@@ -102,16 +109,18 @@ class EmitTarget {
       for (int c = 0; c < n_vals; ++c) {
         const int64_t* src = vals[c];
         Col& col = cols[c];
-        // The width branch, hoisted out of the row loop: a narrowing copy.
+        // The width branch, hoisted out of the row loop: an encoding,
+        // narrowing copy.
+        const int64_t base = col.base;
         DispatchIntWidth(col.width, [&](auto w) {
-          std::byte* dst = col.base + idx * w();
+          std::byte* dst = col.data + idx * w();
           if (sel == nullptr) {
             for (uint64_t r = 0; r < take; ++r) {
-              StoreIntAs<w()>(dst + r * w(), src[done + r]);
+              StoreIntAs<w()>(dst + r * w(), EncodeInt(src[done + r], base));
             }
           } else {
             for (uint64_t r = 0; r < take; ++r) {
-              StoreIntAs<w()>(dst + r * w(), src[sel[done + r]]);
+              StoreIntAs<w()>(dst + r * w(), EncodeInt(src[sel[done + r]], base));
             }
           }
         });

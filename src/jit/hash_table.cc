@@ -17,22 +17,41 @@ uint64_t NextPow2(uint64_t v) {
 
 /// An empty bucket's head word: no tag bit set, the chain index -1.
 constexpr uint64_t kEmptyHead = UINT32_MAX;
+
+std::vector<IntCode> PlainCodes(const std::vector<uint32_t>& widths) {
+  std::vector<IntCode> codes;
+  for (const uint32_t w : widths) codes.push_back({w, 0});
+  return codes;
+}
+
+/// Appends `W`, or `W@base` for a nonzero base.
+void AppendField(std::string* out, const JoinHashTable::Layout::Field& f) {
+  *out += std::to_string(f.width);
+  if (f.base != 0) {
+    *out += '@';
+    *out += std::to_string(f.base);
+  }
+}
 }  // namespace
 
-JoinHashTable::Layout::Layout(uint64_t capacity, uint32_t key_width,
-                              const std::vector<uint32_t>& payload_widths)
+JoinHashTable::Layout::Layout(uint64_t capacity, IntCode key,
+                              const std::vector<IntCode>& payload)
     : capacity_(capacity == 0 ? 1 : capacity),
-      n_payload_(static_cast<int>(payload_widths.size())),
+      n_payload_(static_cast<int>(payload.size())),
       fields_{} {
   fields_[0] = {0, sizeof(int32_t)};  // next: a 32-bit entry index
-  fields_[1] = {sizeof(int32_t), key_width};
-  uint32_t offset = sizeof(int32_t) + key_width;
+  fields_[1] = {sizeof(int32_t), key.width, key.base};
+  uint32_t offset = sizeof(int32_t) + key.width;
   for (int i = 0; i < n_payload_; ++i) {
-    if (i < kMaxPayload) fields_[2 + i] = {offset, payload_widths[i]};
-    offset += payload_widths[i];
+    if (i < kMaxPayload) fields_[2 + i] = {offset, payload[i].width, payload[i].base};
+    offset += payload[i].width;
   }
   stride_ = (offset + 3) & ~uint32_t{3};  // keeps every entry's link aligned
 }
+
+JoinHashTable::Layout::Layout(uint64_t capacity, uint32_t key_width,
+                              const std::vector<uint32_t>& payload_widths)
+    : Layout(capacity, IntCode{key_width, 0}, PlainCodes(payload_widths)) {}
 
 Status JoinHashTable::Layout::Check() const {
   if (capacity_ > kMaxCapacity) {
@@ -82,10 +101,12 @@ JoinHashTable::Layout JoinHashTable::Layout::FromWidthCode(uint64_t code) {
 }
 
 std::string JoinHashTable::Layout::ToString() const {
-  std::string out = "cap=" + std::to_string(capacity_) +
-                    ";key=" + std::to_string(key().width) + ";payload=";
+  std::string out = "cap=" + std::to_string(capacity_) + ";key=";
+  AppendField(&out, key());
+  out += ";payload=";
   for (int i = 0; i < n_payload_ && i < kMaxPayload; ++i) {
-    out += (i ? "," : "") + std::to_string(payload(i).width);
+    if (i > 0) out += ',';
+    AppendField(&out, payload(i));
   }
   return out;
 }

@@ -78,10 +78,10 @@ class JoinHashTable {
   /// of the bucket's chain (-1 when empty), the high 32 bits its tag, one
   /// bit per key hash class (TagBit). Chain links are 32-bit entry indexes,
   /// -1 ending the chain. An entry is `next | key | payload...`: the key and
-  /// each payload value take their build column's width (1, 2, 4 or 8
-  /// bytes, IsIntWidth) and are sign-extended on load. The link leads and
-  /// the stride is padded to a multiple of 4 bytes, so every entry's link
-  /// stays 4-byte aligned for the CAS that links an insert in.
+  /// each payload value are stored in their build column's code (IntCode:
+  /// v − base at 1, 2, 4 or 8 bytes, IsIntWidth) and decoded on load. The
+  /// link leads and the stride is padded to a multiple of 4 bytes, so every
+  /// entry's link stays 4-byte aligned for the CAS that links an insert in.
   class Layout {
    public:
     /// Payload values one entry carries at most (a VM insert's register window).
@@ -89,14 +89,19 @@ class JoinHashTable {
     /// Entries a 32-bit index addresses (-1 is the empty marker).
     static constexpr uint64_t kMaxCapacity = INT32_MAX;
 
-    /// Byte offset and width of one field within an entry.
+    /// Byte offset, width and base of one field within an entry: it stores
+    /// v − base at `width` bytes (the link's base is 0).
     struct Field {
       uint32_t offset = 0;
       uint32_t width = 0;
+      int64_t base = 0;
     };
 
-    /// `capacity` entries (0 counts as 1); `key_width` and each of
-    /// `payload_widths` is a build column's width in bytes.
+    /// `capacity` entries (0 counts as 1); `key` and each of `payload` is a
+    /// build column's code.
+    Layout(uint64_t capacity, IntCode key, const std::vector<IntCode>& payload);
+    /// The same with every base 0: `key_width` and each of `payload_widths`
+    /// is a field's width in bytes.
     Layout(uint64_t capacity, uint32_t key_width,
            const std::vector<uint32_t>& payload_widths);
 
@@ -121,12 +126,15 @@ class JoinHashTable {
     /// The field widths in one integer, a nibble each: the key's lowest,
     /// then each payload's. The compiler stamps it on a probe loop's
     /// kHtProbeInit, and the tier-2 codegen lays the slot's chain walk and
-    /// payload loads out from it at generation time.
+    /// payload loads out from it at generation time; the fields' bases reach
+    /// a kernel when it is bound, so they are not part of it.
     uint64_t WidthCode() const;
-    /// The layout (of one entry) whose widths `code` holds (WidthCode).
+    /// The layout (of one entry, every base 0) whose widths `code` holds
+    /// (WidthCode).
     static Layout FromWidthCode(uint64_t code);
 
-    /// `cap=C;key=W;payload=W,W` (shared-build keys, diagnostics).
+    /// `cap=C;key=W;payload=W,W`, each nonzero base as `W@base` (shared-build
+    /// keys, diagnostics).
     std::string ToString() const;
 
    private:
@@ -156,8 +164,10 @@ class JoinHashTable {
   JoinHashTable(const JoinHashTable&) = delete;
   JoinHashTable& operator=(const JoinHashTable&) = delete;
 
-  /// Inserts key + payload (layout().payload_count() values), each stored at
-  /// its field's width, and sets the key's tag bit; thread-safe. A bucket's
+  /// Inserts key + payload (layout().payload_count() values), each stored in
+  /// its field's code, and sets the key's tag bit; thread-safe. The bucket
+  /// and tag come from the key itself (Hash), not from its stored form. A
+  /// bucket's
   /// chain stays in descending key order (equal keys newest first), so a
   /// key's position in it does not depend on the order of concurrent
   /// inserts. Returns false, inserting nothing, once the table holds its
@@ -190,8 +200,10 @@ class JoinHashTable {
   }
 
   /// Follows the chain from `entry` to the first entry with key == `key`
-  /// (including `entry` itself); returns -1 when exhausted. `hops` counts chain
-  /// links traversed (cost accounting).
+  /// (including `entry` itself); returns -1 when exhausted. Each stored key
+  /// is decoded before the compare, so a `key` outside the build column's
+  /// range never matches. `hops` counts chain links traversed (cost
+  /// accounting).
   int64_t FindKeyFrom(int64_t entry, int64_t key, uint64_t* hops) const {
     while (entry >= 0) {
       const std::byte* e = EntryAt(entry);
@@ -207,7 +219,7 @@ class JoinHashTable {
     return Load(EntryAt(entry), layout_.next());
   }
 
-  /// Payload value `i` of `entry`, sign-extended.
+  /// Payload value `i` of `entry`, decoded.
   int64_t PayloadAt(int64_t entry, int i) const {
     return Load(EntryAt(entry), layout_.payload(i));
   }
@@ -228,18 +240,18 @@ class JoinHashTable {
   /// `raw_heads()` is bit-compatible with a plain uint64_t array (asserted at
   /// the single cast site) of head words; entries are `layout().stride()`
   /// bytes each, read through `layout().key()`, `layout().next()` and
-  /// `layout().payload(i)`.
+  /// `layout().payload(i)`, each decoded with its field's base.
   const std::atomic<uint64_t>* raw_heads() const { return heads_; }
   const std::byte* raw_entries() const { return entries_; }
   uint64_t bucket_mask() const { return bucket_mask_; }
 
  private:
-  /// Loads a field, sign-extending a narrow one.
+  /// Loads a field: sign-extends the stored value and adds its base.
   static int64_t Load(const std::byte* e, Layout::Field f) {
-    return LoadInt(e + f.offset, f.width);
+    return LoadInt(e + f.offset, IntCode{f.width, f.base});
   }
   static void Store(std::byte* e, Layout::Field f, int64_t v) {
-    StoreInt(e + f.offset, f.width, v);
+    StoreInt(e + f.offset, IntCode{f.width, f.base}, v);
   }
   const std::byte* EntryAt(int64_t i) const {
     return entries_ + static_cast<uint64_t>(i) * layout_.stride();

@@ -400,20 +400,22 @@ class VecRunner {
         int64_t* __restrict a = L.reg(in.a);
         // The per-row width branch of ColumnBinding::Load, hoisted to one
         // branch per batch; the common affine unit-stride batch reads the
-        // column contiguously (a vectorizable widening copy).
+        // column contiguously (a vectorizable widening copy that adds the
+        // column's base back).
+        const int64_t base = col.base;
         DispatchIntWidth(col.width, [&](auto w) {
           using T = IntOfWidth<w()>;
           if (L.affine_rows && L.row_step == 1) {
             const T* __restrict src =
-                reinterpret_cast<const T*>(col.base + L.row0 * w());
+                reinterpret_cast<const T*>(col.data + L.row0 * w());
             for (int k = 0; k < n; ++k) {
               const int32_t lane = sel[k];
-              a[lane] = src[lane];
+              a[lane] = DecodeInt(src[lane], base);
             }
           } else {
             for (int k = 0; k < n; ++k) {
               const int32_t lane = sel[k];
-              a[lane] = LoadIntAs<w()>(col.base + L.RowOf(lane) * w());
+              a[lane] = DecodeInt(LoadIntAs<w()>(col.data + L.RowOf(lane) * w()), base);
             }
           }
         });

@@ -509,19 +509,23 @@ uint64_t JoinHtCapacity(const JoinSpec& join, const storage::Catalog& catalog) {
   return std::max<uint64_t>(1, table != nullptr ? TableRows(*table) : 0);
 }
 
-uint32_t ColumnWidth(const storage::Table* table, const std::string& column) {
+IntCode ColumnCode(const storage::Table* table, const std::string& column) {
   return table != nullptr && table->FindColumn(column) >= 0
-             ? table->column(column).width()
-             : 8;
+             ? table->column(column).code()
+             : IntCode{8, 0};
+}
+
+uint32_t ColumnWidth(const storage::Table* table, const std::string& column) {
+  return ColumnCode(table, column).width;
 }
 
 jit::JoinHashTable::Layout JoinHtLayout(const JoinSpec& join,
                                         const storage::Catalog& catalog) {
   const storage::Table* table = catalog.Get(join.build_table);
-  std::vector<uint32_t> payload;
-  for (const auto& col : join.payload) payload.push_back(ColumnWidth(table, col));
+  std::vector<IntCode> payload;
+  for (const auto& col : join.payload) payload.push_back(ColumnCode(table, col));
   return jit::JoinHashTable::Layout(JoinHtCapacity(join, catalog),
-                                    ColumnWidth(table, join.build_key), payload);
+                                    ColumnCode(table, join.build_key), payload);
 }
 
 uint64_t JoinHtBytes(const JoinSpec& join, const storage::Catalog& catalog) {

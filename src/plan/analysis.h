@@ -150,14 +150,17 @@ uint64_t TableRows(const storage::Table& t);
 /// headroom (the build CHECKs on overflow), else the build table's rows.
 uint64_t JoinHtCapacity(const JoinSpec& join, const storage::Catalog& catalog);
 
-/// Bytes one row of `column` takes: its placed width (storage::Column::width,
-/// the narrowest of 1, 2, 4 or 8 bytes its values need), or 8 (an int64
-/// register) when `table` is null or lacks the column. Scans, hash-table
-/// fields and packed columns are stored at this width.
+/// The code `column` is stored in: its placed code (storage::Column::code,
+/// value − base at the narrowest of 1, 2, 4 or 8 bytes its range needs), or
+/// 8 bytes with base 0 (an int64 register) when `table` is null or lacks the
+/// column. Scans, hash-table fields and packed columns store it in this code.
+IntCode ColumnCode(const storage::Table* table, const std::string& column);
+
+/// Bytes one row of `column` takes: ColumnCode(table, column).width.
 uint32_t ColumnWidth(const storage::Table* table, const std::string& column);
 
 /// Packed layout of `join`'s hash table: JoinHtCapacity entries, the key and
-/// each payload value at its build column's width (ColumnWidth). Every
+/// each payload value in its build column's code (ColumnCode). Every
 /// replica of the join is created with it.
 jit::JoinHashTable::Layout JoinHtLayout(const JoinSpec& join,
                                         const storage::Catalog& catalog);

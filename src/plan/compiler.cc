@@ -17,12 +17,18 @@ jit::AggFunc MergeFunc(jit::AggFunc f) {
 
 namespace {
 
+/// The schema slot of `table`'s column `name`, in its placed code.
+ColSlot TableSlot(const storage::Table& table, const std::string& name) {
+  const storage::Column& col = table.column(name);
+  return {name, col.width(), col.base()};
+}
+
 /// Column resolver backing one pipeline's codegen: fact/table columns lower to
 /// kLoadCol (cached per tuple program), probe payload columns resolve to the
 /// registers the enclosing probe loop defined.
 class PipelineResolver : public ColumnResolver {
  public:
-  /// Table-backed resolver (widths from the table schema).
+  /// Table-backed resolver (codes from the table schema).
   PipelineResolver(const storage::Table* table, std::vector<ColSlot>* input_cols)
       : table_(table), input_cols_(input_cols) {}
 
@@ -47,7 +53,7 @@ class PipelineResolver : public ColumnResolver {
     }
     if (slot < 0) {
       slot = static_cast<int>(input_cols_->size());
-      input_cols_->push_back({name, WidthOf(name)});
+      input_cols_->push_back(SlotOf(name));
     }
     const int reg = b.AllocReg();
     b.EmitOp(OpCode::kLoadCol, reg, slot);
@@ -58,13 +64,13 @@ class PipelineResolver : public ColumnResolver {
   void BindPayload(const std::string& name, int reg) { payload_regs_[name] = reg; }
 
  private:
-  uint32_t WidthOf(const std::string& name) const {
-    if (table_ != nullptr) return table_->column(name).width();
+  ColSlot SlotOf(const std::string& name) const {
+    if (table_ != nullptr) return TableSlot(*table_, name);
     for (const auto& slot : *schema_) {
-      if (slot.name == name) return slot.width;
+      if (slot.name == name) return slot;
     }
     HETEX_CHECK(false) << "column '" << name << "' not in pipeline input schema";
-    return 8;
+    return {name};
   }
 
   const storage::Table* table_ = nullptr;
@@ -294,7 +300,7 @@ CompiledPipeline QueryCompiler::CompileFilterStage() const {
   std::vector<int> regs;
   for (const auto& name : fact_cols) {
     regs.push_back(cols.ResolveColumn(name, b));
-    out.output_cols.push_back({name, fact.column(name).width()});
+    out.output_cols.push_back(TableSlot(fact, name));
   }
   const int first = MakeContiguous(b, regs);
   // Hash-pack tag: bucket by the first join's probe key so hash routing sends
@@ -327,7 +333,7 @@ CompiledPipeline QueryCompiler::CompileBuildFilter(int join_id) const {
   std::vector<int> regs;
   for (const auto& name : kept) {
     regs.push_back(cols.ResolveColumn(name, b));
-    out.output_cols.push_back({name, table.column(name).width()});
+    out.output_cols.push_back(TableSlot(table, name));
   }
   const int first = MakeContiguous(b, regs);
   b.EmitOp(OpCode::kEmit, first, static_cast<int>(regs.size()), 0, /*tagged=*/0);

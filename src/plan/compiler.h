@@ -14,10 +14,14 @@
 
 namespace hetex::plan {
 
-/// One column of a pipeline's input or output schema.
+/// One column of a pipeline's input or output schema, and the code its
+/// values travel in (IntCode: each value v as v − base at `width` bytes).
+/// The processor binds both per message; the compiled program depends on the
+/// width only.
 struct ColSlot {
   std::string name;
   uint32_t width = 8;
+  int64_t base = 0;
 };
 
 /// \brief A device-agnostic compiled pipeline: the fused program plus the schema

@@ -8,17 +8,19 @@ namespace hetex::storage {
 namespace {
 
 /// A plain typed loop the compiler vectorizes: Place runs it over every
-/// staged value.
+/// staged value, storing each as value − base at the code's width.
 template <typename T>
-void CopyNarrowed(const T* __restrict src, uint64_t rows, uint32_t width,
-                  std::byte* dst) {
-  DispatchIntWidth(width, [&](auto w) {
+void CopyEncoded(const T* __restrict src, uint64_t rows, IntCode code,
+                 std::byte* dst) {
+  DispatchIntWidth(code.width, [&](auto w) {
     using N = IntOfWidth<w()>;
-    if constexpr (sizeof(N) == sizeof(T)) {
+    if (sizeof(N) == sizeof(T) && code.base == 0) {
       std::memcpy(dst, src, rows * sizeof(T));
     } else {
       N* __restrict out = reinterpret_cast<N*>(dst);
-      for (uint64_t r = 0; r < rows; ++r) out[r] = static_cast<N>(src[r]);
+      for (uint64_t r = 0; r < rows; ++r) {
+        out[r] = static_cast<N>(EncodeInt(src[r], code.base));
+      }
     }
   });
 }
@@ -27,9 +29,9 @@ void CopyNarrowed(const T* __restrict src, uint64_t rows, uint32_t width,
 
 void Column::CopyPlaced(uint64_t begin, uint64_t rows, std::byte* dst) const {
   if (type_ == ColType::kInt32) {
-    CopyNarrowed(data32_.data() + begin, rows, width_, dst);
+    CopyEncoded(data32_.data() + begin, rows, code_, dst);
   } else {
-    CopyNarrowed(data64_.data() + begin, rows, width_, dst);
+    CopyEncoded(data64_.data() + begin, rows, code_, dst);
   }
 }
 

@@ -16,7 +16,7 @@ namespace hetex::storage {
 /// order-preserving dictionary codes in a kInt32 column, with the Dictionary
 /// kept alongside — standard columnar practice. The type bounds what a column
 /// may hold, not what it stores: Table::Place stores every column, codes
-/// included, at the narrowest width its values need (Column::width).
+/// included, in the narrowest code its values need (Column::code).
 enum class ColType { kInt32, kInt64 };
 
 /// \brief Order-preserving string dictionary.
@@ -46,14 +46,14 @@ class Dictionary {
 
 /// \brief In-build (staging) column: typed append storage filled by data
 /// generators, host-resident. Table::Place() copies staging data into per-node
-/// chunks for engine execution, each value at the column's placed width;
+/// chunks for engine execution, each value in the column's placed code;
 /// staging stays available for the reference evaluator.
 class Column {
  public:
   Column(std::string name, ColType type)
       : name_(std::move(name)),
         type_(type),
-        width_(type == ColType::kInt32 ? 4 : 8) {}
+        code_{type == ColType::kInt32 ? 4u : 8u, 0} {}
 
   void Append(int64_t v) {
     if (type_ == ColType::kInt32) {
@@ -82,11 +82,17 @@ class Column {
 
   const std::string& name() const { return name_; }
   ColType type() const { return type_; }
-  /// Bytes one placed value takes: the narrowest signed width (1, 2, 4 or 8)
-  /// that held every staged value when Table::Place last ran, kept across
-  /// DropStaging; the type's width before the first placement. Scans, packed
-  /// wire columns and hash-table fields all store the column at this width.
-  uint32_t width() const { return width_; }
+  /// The code placed values are stored in (IntCode): each value v as
+  /// v − base() in width() bytes. Table::Place picks it from the range of
+  /// the staged values (NarrowestIntCode: base 0 unless a base narrows the
+  /// width) and DropStaging keeps it; before the first placement it is the
+  /// type's width with base 0. Scans, packed wire columns and hash-table
+  /// fields all store the column in this code.
+  IntCode code() const { return code_; }
+  /// Bytes one placed value takes (code().width: 1, 2, 4 or 8).
+  uint32_t width() const { return code_.width; }
+  /// What a load adds back to a stored value (code().base).
+  int64_t base() const { return code_.base; }
   uint64_t bytes() const { return rows() * width(); }
 
   /// Attaches the dictionary of a string-encoded column.
@@ -101,17 +107,17 @@ class Column {
  private:
   friend class Table;
 
-  /// The narrowest width that holds every staged value (1 when empty):
+  /// The narrowest code of the staged values (1 byte, base 0 when empty):
   /// Append keeps their range, so placement scans nothing for it.
-  uint32_t NarrowestWidth() const {
-    return rows() == 0 ? 1 : NarrowestIntWidth(lo_, hi_);
+  IntCode NarrowestCode() const {
+    return rows() == 0 ? IntCode{1, 0} : NarrowestIntCode(lo_, hi_);
   }
-  /// Writes staged rows [begin, begin + rows) to `dst` at width().
+  /// Writes staged rows [begin, begin + rows) to `dst` in code().
   void CopyPlaced(uint64_t begin, uint64_t rows, std::byte* dst) const;
 
   std::string name_;
   ColType type_;
-  uint32_t width_;
+  IntCode code_;
   int64_t lo_ = INT64_MAX;  ///< least staged value
   int64_t hi_ = INT64_MIN;  ///< greatest staged value
   std::vector<int32_t> data32_;

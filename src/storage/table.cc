@@ -47,7 +47,7 @@ Status Table::Place(const std::vector<sim::MemNodeId>& nodes,
   Unplace();
   placed_mem_ = mem;
   NoteMutation();  // (re)placement publishes new content to cross-query caches
-  for (auto& col : columns_) col->width_ = col->NarrowestWidth();
+  for (auto& col : columns_) col->code_ = col->NarrowestCode();
 
   const uint64_t total = rows();
   const uint64_t n = nodes.size();
@@ -155,7 +155,7 @@ void Table::DropStaging() {
     auto fresh = std::make_unique<Column>(col->name(), col->type());
     fresh->set_dictionary(col->dictionary());
     fresh->set_unique(col->unique());
-    fresh->width_ = col->width_;
+    fresh->code_ = col->code_;
     *col = std::move(*fresh);
   }
 }

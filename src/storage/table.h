@@ -62,13 +62,17 @@ class Table {
     uint64_t row_begin;
     uint64_t rows;
     sim::MemNodeId node;
-    std::vector<std::byte*> col_data;  ///< one buffer per column, at its width
+    std::vector<std::byte*> col_data;  ///< one buffer per column, in its code
   };
 
   /// Distributes rows evenly over `nodes` (one chunk per node), allocating chunk
-  /// buffers from each node's memory manager. Each column is stored at the
-  /// narrowest signed width its values need (Column::width), so a scan, a
-  /// PCIe transfer or a pack of it moves that many bytes per row.
+  /// buffers from each node's memory manager. Each column is stored in the
+  /// narrowest code its staged values' range needs (Column::code): as
+  /// value − base at the narrowest width that covers hi − lo, with base 0
+  /// whenever a base would not narrow the plain signed width. A scan, a PCIe
+  /// transfer or a pack of the column moves that many bytes per row. The
+  /// code comes from the range Column::Append tracks, so placement scans
+  /// nothing to pick it.
   /// InvalidArgument, placing nothing, when a column declared unique
   /// (Column::unique) holds a value twice.
   Status Place(const std::vector<sim::MemNodeId>& nodes,
@@ -96,7 +100,8 @@ class Table {
                       const std::function<void(uint64_t)>& fn) const;
 
   /// Frees the staging vectors after Place() when no reference evaluation will
-  /// read them (large synthetic benchmark inputs).
+  /// read them (large synthetic benchmark inputs). Each column keeps its code;
+  /// a later Place() picks it again from the rows appended since.
   void DropStaging();
 
   /// \name Content version

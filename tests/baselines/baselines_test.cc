@@ -92,7 +92,7 @@ TEST_F(BaselinesTest, DbmsGQ43FailsOnlyWhenWorkingSetExceedsDevice) {
 
 TEST_F(BaselinesTest, DbmsGResidentDataSkipsTransferTime) {
   // A scan of 4-byte measures: streaming it over PCIe outlasts its kernels.
-  const auto spec = test::WideMeasureScan(*env()->ssb);
+  const auto spec = test::WideMeasureScan(*env()->ssb, env()->system.get());
   OpStats st = EvaluateWithStats(spec, env()->system->catalog());
   DbmsGOptions resident;
   resident.data_on_gpu = true;

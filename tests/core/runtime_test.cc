@@ -572,10 +572,10 @@ TEST_F(RuntimeTest, HtRegistryKeyedByQueryJoinAndUnit) {
 }
 
 // The coster's footprint is the replica's allocation. Q4.1's customer join
-// at an estimate of 24,000 rows, its fields at the placed columns' widths
-// (2-byte c_custkey, 1-byte c_nation payload): 31,264 entries of 8 bytes
-// (the 4-byte link and 3 bytes of fields, padded to 4) plus 32,768 8-byte
-// bucket heads.
+// at an estimate of 24,000 rows, its fields in the placed columns' codes
+// (c_custkey, 1..200 here, one byte around base 101; 1-byte c_nation
+// payload): 31,264 entries of 8 bytes (the 4-byte link and 2 bytes of
+// fields, padded to 4) plus 32,768 8-byte bucket heads.
 TEST(HtRegistryTest, JoinHtBytesIsTheReplicaCreateAllocates) {
   test::TestEnv env(/*lineorder_rows=*/1000);
   plan::QuerySpec spec = env.ssb->Query(4, 1);
@@ -584,7 +584,8 @@ TEST(HtRegistryTest, JoinHtBytesIsTheReplicaCreateAllocates) {
   customer.build_rows_estimate = 24'000;
   const storage::Catalog& catalog = env.system->catalog();
   const storage::Table& table = catalog.at("customer");
-  ASSERT_EQ(table.column(customer.build_key).width(), 2u);
+  ASSERT_EQ(table.column(customer.build_key).width(), 1u);
+  ASSERT_EQ(table.column(customer.build_key).base(), 101);
   ASSERT_EQ(customer.payload, std::vector<std::string>{"c_nation"});
   ASSERT_EQ(table.column("c_nation").width(), 1u);
   EXPECT_EQ(plan::JoinHtLayout(customer, catalog).stride(), 8u);

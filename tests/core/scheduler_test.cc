@@ -364,7 +364,7 @@ TEST(SchedulerTest, OtherSessionsWorkersShrinkDramFluidShare) {
   // The scan reads 4-byte measures, so it stays DRAM-bound.
   ContentionEnv env(1, 12, 0, 60'000);
   QueryExecutor executor(env.system.get());
-  const auto spec = test::WideMeasureScan(*env.ssb);
+  const auto spec = test::WideMeasureScan(*env.ssb, env.system.get());
   ExecPolicy policy = TestEnv::Tune(ExecPolicy::CpuOnly(12));
   policy.load_balance = false;
 

@@ -168,7 +168,7 @@ TEST_F(Fig5ShapeTest, LoadBalanceFasterThanRoundRobinOnTheSuite) {
 }
 
 TEST_F(Fig5ShapeTest, Fig6CpuScanScalesUntilSocketsSaturate) {
-  const plan::QuerySpec scan = test::WideMeasureScan(*ssb_);
+  const plan::QuerySpec scan = test::WideMeasureScan(*ssb_, system_);
   std::map<int, double> seconds;
   for (int k : kCores) {
     seconds[k] = Run(scan, ExecPolicy::CpuOnly(k)).modeled_seconds;

@@ -38,8 +38,11 @@ namespace {
 /// values non-negative) the matrix runs one query over a wide-key star
 /// (WideQuery): an 8-byte join key, negative and beyond int32, with an
 /// 8-byte and a 1-byte payload, so the packed hash-table entries mix field
-/// widths; and one over a narrow star (NarrowQuery) whose every column is
-/// placed at 1 or 2 bytes and holds negative values down to the type bounds.
+/// widths; one over a narrow star (NarrowQuery) whose every column is
+/// placed at 1 or 2 bytes and holds negative values down to the type bounds;
+/// and one over a frame-of-reference star (ForQuery) whose columns sit far
+/// below zero, so Table::Place stores them as value − base with negative
+/// bases.
 struct ParityEnv {
   /// `gpu_sim_threads` 1 runs the GPU's logical threads in one sequential
   /// pass per launch.
@@ -72,8 +75,10 @@ struct ParityEnv {
     ssb = std::make_unique<ssb::Ssb>(ssb_opts, &system->catalog());
     AddWideStar();
     AddNarrowStar();
+    AddForStar();
     for (const char* name : {"lineorder", "date", "customer", "supplier", "part",
-                             "wide_dim", "wide_fact", "narrow_dim", "narrow_fact"}) {
+                             "wide_dim", "wide_fact", "narrow_dim", "narrow_fact",
+                             "for_dim", "for_fact"}) {
       HETEX_CHECK_OK(
           system->catalog().at(name).Place(system->HostNodes(), &system->memory()));
     }
@@ -132,6 +137,45 @@ struct ParityEnv {
     }
   }
 
+  /// The nine group keys of the frame-of-reference star: within one byte of
+  /// each other around -1,000,195, and no two in one slot of a 32-slot
+  /// group-by table (HashMix64 & 31), so a group-by inspects one slot per
+  /// update in any input order.
+  static constexpr int64_t kForGroups[9] = {-1'000'200, -1'000'199, -1'000'198,
+                                            -1'000'197, -1'000'196, -1'000'195,
+                                            -1'000'192, -1'000'191, -1'000'190};
+
+  /// 300 dimension rows keyed -5,000,000 + 97 i (2 bytes around base
+  /// -4,985,498), with 1-byte payloads r_grp (kForGroups) and r_pay
+  /// (-2,000,000..-1,999,801) and a 1-byte filter flag; 20,000 fact rows whose
+  /// probe keys g_key name dimension rows -100..449, so 45% fall outside the
+  /// build key's range (2 bytes around a base of their own), a 1-byte g_q
+  /// (-1,500,000..-1,499,801) and a 2-byte g_m around -1,999,970,000.
+  void AddForStar() {
+    auto key_of = [](int64_t i) { return -5'000'000 + 97 * i; };
+    storage::Table* dim = system->catalog().CreateTable("for_dim");
+    storage::Column* key = dim->AddColumn("r_key", storage::ColType::kInt32);
+    key->set_unique(true);
+    storage::Column* grp = dim->AddColumn("r_grp", storage::ColType::kInt32);
+    storage::Column* pay = dim->AddColumn("r_pay", storage::ColType::kInt32);
+    storage::Column* flag = dim->AddColumn("r_flag", storage::ColType::kInt32);
+    for (int64_t i = 0; i < 300; ++i) {
+      key->Append(key_of(i));
+      grp->Append(kForGroups[i % 9]);
+      pay->Append(-2'000'000 + i * 7 % 200);
+      flag->Append(i % 5);
+    }
+    storage::Table* fact = system->catalog().CreateTable("for_fact");
+    storage::Column* fkey = fact->AddColumn("g_key", storage::ColType::kInt32);
+    storage::Column* q = fact->AddColumn("g_q", storage::ColType::kInt32);
+    storage::Column* m = fact->AddColumn("g_m", storage::ColType::kInt32);
+    for (int64_t r = 0; r < 20'000; ++r) {
+      fkey->Append(key_of(r * 7919 % 550 - 100));
+      q->Append(-1'500'000 + r % 200);
+      m->Append(-2'000'000'000 + r * 3331 % 60'000);
+    }
+  }
+
   /// Filter the 1-byte fact column, join on the 2-byte key (the build
   /// filtered on its 1-byte flag), group by one 1-byte payload and sum the
   /// 2-byte fact value plus the other.
@@ -147,6 +191,27 @@ struct ParityEnv {
     q.group_by = {plan::Col("n_small")};
     q.aggs.push_back(
         {plan::Add(plan::Col("f_m"), plan::Col("n_tiny")), jit::AggFunc::kSum, "s"});
+    q.aggs.push_back({nullptr, jit::AggFunc::kCount, "n"});
+    q.expected_groups = 16;
+    return q;
+  }
+
+  /// Filter the 1-byte coded fact column, join the 2-byte coded probe column
+  /// on the 2-byte coded key (each with its own base; the build filtered on
+  /// its flag), group by one 1-byte coded payload and sum the 2-byte coded
+  /// fact value plus the other.
+  static plan::QuerySpec ForQuery() {
+    plan::QuerySpec q;
+    q.name = "Qfor";
+    q.fact_table = "for_fact";
+    q.fact_filter = plan::Gt(plan::Col("g_q"), plan::Lit(-1'499'950));
+    plan::JoinSpec join{"for_dim", plan::Ne(plan::Col("r_flag"), plan::Lit(0)),
+                        "r_key", {"r_grp", "r_pay"}, "g_key"};
+    join.build_rows_estimate = 240;
+    q.joins.push_back(std::move(join));
+    q.group_by = {plan::Col("r_grp")};
+    q.aggs.push_back(
+        {plan::Add(plan::Col("g_m"), plan::Col("r_pay")), jit::AggFunc::kSum, "s"});
     q.aggs.push_back({nullptr, jit::AggFunc::kCount, "n"});
     q.expected_groups = 16;
     return q;
@@ -170,10 +235,12 @@ struct ParityEnv {
     return q;
   }
 
-  /// SSB query `flight`.`idx`, WideQuery for flight 0, NarrowQuery for -1.
+  /// SSB query `flight`.`idx`, WideQuery for flight 0, NarrowQuery for -1,
+  /// ForQuery for -2.
   plan::QuerySpec Query(int flight, int idx) const {
     if (flight == 0) return WideQuery();
-    return flight < 0 ? NarrowQuery() : ssb->Query(flight, idx);
+    if (flight == -1) return NarrowQuery();
+    return flight < 0 ? ForQuery() : ssb->Query(flight, idx);
   }
 
   static const std::string& KernelDir() {
@@ -200,7 +267,8 @@ struct ParityEnv {
 };
 
 struct ParityCase {
-  int flight;  // 0: ParityEnv::WideQuery, -1: ParityEnv::NarrowQuery
+  int flight;  // 0: ParityEnv::WideQuery, -1: ParityEnv::NarrowQuery,
+               // -2: ParityEnv::ForQuery
   int idx;
   int mode;  // 0 cpu-fused, 1 cpu-split, 2 gpu-fused, 3 gpu-split,
              // 4 cpu-fused with a two-writer shared build,
@@ -259,7 +327,28 @@ TEST_P(TierParityTest, IdenticalResultsAndCostStats) {
     EXPECT_TRUE(std::any_of(interp.rows.begin(), interp.rows.end(),
                             [](const auto& row) { return row[0] < 0; }));
   }
-  if (c.flight < 0) {
+  if (c.flight == -2) {
+    // The frame-of-reference star really is coded: each column at 1 or 2
+    // bytes with a negative base, the probe column's base not the build
+    // key's, and every fact column's range wider than its width holds
+    // unbased.
+    const storage::Catalog& catalog = interp_env()->system->catalog();
+    struct Code {
+      const char* table;
+      const char* column;
+      uint32_t width;
+    };
+    for (const Code& code : {Code{"for_dim", "r_key", 2}, Code{"for_dim", "r_grp", 1},
+                             Code{"for_dim", "r_pay", 1}, Code{"for_fact", "g_key", 2},
+                             Code{"for_fact", "g_q", 1}, Code{"for_fact", "g_m", 2}}) {
+      const storage::Column& col = catalog.at(code.table).column(code.column);
+      EXPECT_EQ(col.width(), code.width) << code.column;
+      EXPECT_LT(col.base(), 0) << code.column;
+    }
+    EXPECT_NE(catalog.at("for_dim").column("r_key").base(),
+              catalog.at("for_fact").column("g_key").base());
+  }
+  if (c.flight == -1) {
     // The narrow star really is placed at 1 and 2 bytes.
     for (const char* name : {"narrow_dim", "narrow_fact"}) {
       const storage::Table& t = interp_env()->system->catalog().at(name);
@@ -313,6 +402,8 @@ std::vector<ParityCase> AllCases() {
   // input in thread-completion order, so the group-by's probe counts vary
   // from run to run in every tier, whatever the column widths.
   for (int mode = 0; mode < 6; ++mode) cases.push_back({-1, 0, mode});
+  // Every mode: the frame-of-reference star's group keys never collide.
+  for (int mode = 0; mode < 7; ++mode) cases.push_back({-2, 0, mode});
   return cases;
 }
 
@@ -321,7 +412,10 @@ std::string CaseName(const ::testing::TestParamInfo<ParityCase>& info) {
                                   "GpuSplit",       "CpuSharedBuild",
                                   "HybridFused",    "HybridSplit"};
   if (info.param.flight == 0) return std::string("Wide") + kModes[info.param.mode];
-  if (info.param.flight < 0) return std::string("Narrow") + kModes[info.param.mode];
+  if (info.param.flight == -1) return std::string("Narrow") + kModes[info.param.mode];
+  if (info.param.flight < 0) {
+    return std::string("FrameOfReference") + kModes[info.param.mode];
+  }
   return "Q" + std::to_string(info.param.flight) + std::to_string(info.param.idx) +
          kModes[info.param.mode];
 }

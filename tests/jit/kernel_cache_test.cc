@@ -358,9 +358,9 @@ TEST(KernelCacheTest, CorruptedObjectIsRejectedAndRecompiled) {
   }
 }
 
-// A kernel built against the previous ABI (v5: register-only operands and
-// kJmpIfNeg probe loops) must never be loaded: its sidecar's ABI stamp rejects
-// it, the rejection is counted and the kernel is recompiled.
+// A kernel built against the previous ABI (v7: no column or hash-field
+// bases) must never be loaded: its sidecar's ABI stamp rejects it, the
+// rejection is counted and the kernel is recompiled.
 TEST(KernelCacheTest, PreviousAbiObjectIsRejectedAndRecompiled) {
   const PipelineProgram program = FilterMathProgram();
   const GenerateResult gen = GenerateSource(program);
@@ -383,8 +383,8 @@ TEST(KernelCacheTest, PreviousAbiObjectIsRejectedAndRecompiled) {
   const std::string current = "abi " + std::to_string(kCodegenAbiVersion) + "\n";
   const size_t at = meta.find(current);
   ASSERT_NE(at, std::string::npos) << meta;
-  ASSERT_EQ(kCodegenAbiVersion, 7u);
-  meta.replace(at, current.size(), "abi 6\n");
+  ASSERT_EQ(kCodegenAbiVersion, 8u);
+  meta.replace(at, current.size(), "abi 7\n");
   std::ofstream(meta_path, std::ios::trunc) << meta;
 
   KernelCache cache(opts);
@@ -429,6 +429,93 @@ TEST(KernelCacheTest, NativeProbeReadsItsStampedLayoutAndRefusesAnother) {
   EXPECT_EQ(refused.status.code(), StatusCode::kInternal);
   EXPECT_NE(refused.status.message().find("width code"), std::string::npos)
       << refused.status.ToString();
+}
+
+// Frame-of-reference codes decode identically in every tier: a 4-byte probe
+// column with a base, a 2-byte key and a 1-byte payload with bases of their
+// own, and a 2-byte emit column with another. A probe key a multiple of
+// 65,536 away from a stored key, in the same bucket with the same tag, has
+// the same 16-bit stored form, yet never matches: the stored key is decoded
+// before the compare.
+TEST(KernelCacheTest, CodedColumnsAndFieldsDecodeIdenticallyInEveryTier) {
+  memory::MemoryManager mm(0, 1ull << 24);
+  const IntCode key_code{2, -1'000'000}, payload_code{1, 7'000'000};
+  const IntCode probe_code{4, 1'000'000'000}, emit_code{2, 6'999'000};
+  const JoinHashTable::Layout layout(64, key_code, {payload_code});
+  JoinHashTable ht(&mm, layout);
+  // The nearest key above `key` with its 16 low bits, bucket and tag.
+  const auto alias_of = [&](int64_t key) {
+    const uint64_t hash = JoinHashTable::Hash(key);
+    for (int64_t v = key + 65'536;; v += 65'536) {
+      const uint64_t h = JoinHashTable::Hash(v);
+      if (((h ^ hash) & ht.bucket_mask()) == 0 &&
+          JoinHashTable::TagBit(h) == JoinHashTable::TagBit(hash)) {
+        return v;
+      }
+    }
+  };
+  std::vector<int64_t> probes;
+  for (int64_t i = 0; i < 50; ++i) {
+    const int64_t key = -1'010'000 + 400 * i;
+    const int64_t payload = 7'000'000 + 2 * i - 50;
+    ht.Insert(key, &payload);
+    probes.push_back(key);            // a hit
+    probes.push_back(alias_of(key));  // the same stored key bits: a miss
+    probes.push_back(key + 1);        // in range, absent: a miss
+  }
+  std::vector<std::byte> column(probes.size() * probe_code.width);
+  for (size_t r = 0; r < probes.size(); ++r) {
+    StoreInt(column.data() + r * probe_code.width, probe_code, probes[r]);
+  }
+
+  PipelineProgram program = ProbeEmitProgram(layout);
+  program.input_widths = {probe_code.width};
+  PipelineProgram vec_prog = program;
+  vec_prog.vec = TryVectorize(program).program;
+  ASSERT_NE(vec_prog.vec, nullptr);
+  vec_prog.tier = ExecTier::kVectorized;
+  const GenerateResult gen = GenerateSource(program);
+  ASSERT_FALSE(gen.source.empty()) << gen.reason;
+  KernelCache cache(SyncOptions("coded"));
+  PipelineProgram native_prog = program;
+  native_prog.native = cache.GetOrBuild(gen, program.label);
+  ASSERT_TRUE(native_prog.native->ready()) << native_prog.native->error;
+
+  const auto run = [&](const PipelineProgram& p, int tier) {
+    RunOutput out;
+    const ColumnBinding binding{column.data(), probe_code.width, probe_code.base};
+    std::vector<std::byte> emitted(256 * emit_code.width);
+    EmitTarget emit;
+    emit.cols.push_back({emitted.data(), emit_code.width, emit_code.base});
+    emit.capacity = 256;
+    emit.ResetCursor();
+    void* slots[kMaxHtSlots] = {&ht};
+    ExecCtx ctx;
+    ctx.cols = &binding;
+    ctx.n_cols = 1;
+    ctx.emit = &emit;
+    ctx.ht_slots = slots;
+    ctx.stats = &out.stats;
+    out.status = tier == 2   ? RunNative(p, ctx, probes.size())
+                 : tier == 1 ? RunRowsVectorized(p, ctx, probes.size())
+                             : RunRows(p, ctx, probes.size());
+    for (uint64_t i = 0; i < emit.rows(); ++i) {
+      out.emitted.push_back(LoadInt(emitted.data() + i * emit_code.width, emit_code));
+    }
+    return out;
+  };
+  const RunOutput interp = run(program, 0);
+  ASSERT_TRUE(interp.status.ok()) << interp.status.ToString();
+  std::vector<int64_t> expected;
+  for (int64_t i = 0; i < 50; ++i) expected.push_back(7'000'000 + 2 * i - 50);
+  EXPECT_EQ(interp.emitted, expected);
+  EXPECT_EQ(interp.stats.bytes_read, probes.size() * probe_code.width);
+  for (const int tier : {1, 2}) {
+    const RunOutput other = run(tier == 1 ? vec_prog : native_prog, tier);
+    ASSERT_TRUE(other.status.ok()) << other.status.ToString();
+    EXPECT_EQ(other.emitted, expected) << "tier " << tier;
+    ExpectStatsEq(interp.stats, other.stats);
+  }
 }
 
 // A bucket head carries a tag bit per key hash class. A probe whose key's

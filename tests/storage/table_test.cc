@@ -86,44 +86,83 @@ TEST_F(TableTest, PlacedDataMatchesStaging) {
   }
 }
 
-// Place stores each column at the narrowest signed width that holds its
-// values, whatever its staging type: the width steps up just past the int8,
-// int16 and int32 bounds.
+// Place stores each column in the narrowest code of its values' range,
+// whatever its staging type: the plain signed width steps up just past the
+// int8, int16 and int32 bounds, and a range that spans fewer values than
+// that width holds moves to the narrower width with a base at its middle.
 TEST_F(TableTest, PlacePicksTheNarrowestWidthAtTheTypeBounds) {
   struct Case {
     int64_t lo, hi;
     uint32_t width;
+    int64_t base;
   };
   const Case cases[] = {
-      {-128, 127, 1},
-      {-129, 0, 2},
-      {0, 128, 2},
-      {-32768, 32767, 2},
-      {-32769, 0, 4},
-      {0, 32768, 4},
-      {INT32_MIN, INT32_MAX, 4},
-      {int64_t{INT32_MIN} - 1, 0, 8},
-      {0, int64_t{INT32_MAX} + 1, 8},
+      {-128, 127, 1, 0},
+      {-129, 0, 1, -64},  // 130 values: one byte around -64
+      {0, 128, 1, 64},
+      {-32768, 32767, 2, 0},
+      {-32769, 0, 2, -16384},
+      {0, 32768, 2, 16384},
+      {INT32_MIN, INT32_MAX, 4, 0},
+      {int64_t{INT32_MIN} - 1, 0, 4, -(int64_t{1} << 30)},
+      {0, int64_t{INT32_MAX} + 1, 4, int64_t{1} << 30},
+      {int64_t{INT32_MIN} - 1, INT32_MAX, 8, 0},  // 2^32 + 1 values
   };
   for (const Case& c : cases) {
     auto t = std::make_unique<Table>("w");
     Column* col = t->AddColumn("v", ColType::kInt64);
     for (int64_t v : {c.lo, c.hi, int64_t{0}}) col->Append(v);
     EXPECT_EQ(col->width(), 8u);  // the type's width until placed
+    EXPECT_EQ(col->base(), 0);
     ASSERT_TRUE(t->Place({topo_.socket(0).mem}, &mem_).ok());
     EXPECT_EQ(col->width(), c.width) << "[" << c.lo << ", " << c.hi << "]";
+    EXPECT_EQ(col->base(), c.base) << "[" << c.lo << ", " << c.hi << "]";
     const Table::Chunk& chunk = t->chunks()[0];
-    EXPECT_EQ(LoadInt(chunk.col_data[0], c.width), c.lo);
-    EXPECT_EQ(LoadInt(chunk.col_data[0] + c.width, c.width), c.hi);
+    EXPECT_EQ(LoadInt(chunk.col_data[0], col->code()), c.lo);
+    EXPECT_EQ(LoadInt(chunk.col_data[0] + c.width, col->code()), c.hi);
+    EXPECT_EQ(LoadInt(chunk.col_data[0] + 2 * c.width, col->code()), 0);
     t->DropStaging();
-    EXPECT_EQ(col->width(), c.width);  // the placed data keeps its width
+    EXPECT_EQ(col->width(), c.width);  // the placed data keeps its code
+    EXPECT_EQ(col->base(), c.base);
   }
   // An int32 column narrows too (dictionary codes, small measures).
   auto t = MakeTable(200);
   ASSERT_TRUE(t->Place({topo_.socket(0).mem}, &mem_).ok());
-  EXPECT_EQ(t->column("a").width(), 2u);  // 0..199
-  EXPECT_EQ(t->column("b").width(), 2u);  // 0..1990
-  EXPECT_EQ(t->ColumnSetBytes({"a", "b"}), 200u * 2 + 200u * 2);
+  EXPECT_EQ(t->column("a").width(), 1u);  // 0..199: one byte around 100
+  EXPECT_EQ(t->column("a").base(), 100);
+  EXPECT_EQ(t->column("b").width(), 2u);  // 0..1990: no base narrows it
+  EXPECT_EQ(t->column("b").base(), 0);
+  EXPECT_EQ(t->ColumnSetBytes({"a", "b"}), 200u * 1 + 200u * 2);
+}
+
+// DropStaging keeps each column's code with its placed data; a re-Place
+// after new appends picks the code again from the rows staged since.
+TEST_F(TableTest, DropStagingKeepsTheCodeAndRePlacePicksItAgain) {
+  auto t = std::make_unique<Table>("far");
+  Column* col = t->AddColumn("v", ColType::kInt32);
+  for (int64_t v = -1'000'100; v <= -1'000'000; ++v) col->Append(v);
+  ASSERT_TRUE(t->Place({topo_.socket(0).mem}, &mem_).ok());
+  EXPECT_EQ(col->width(), 1u);
+  EXPECT_EQ(col->base(), -1'000'050);
+  const uint64_t epoch = t->mutation_epoch();
+
+  t->DropStaging();
+  EXPECT_EQ(col->rows(), 0u);
+  EXPECT_EQ(col->width(), 1u);
+  EXPECT_EQ(col->base(), -1'000'050);
+  EXPECT_EQ(LoadInt(t->chunks()[0].col_data[0] + 100, col->code()), -1'000'000);
+
+  for (int64_t v = 2'000'000; v <= 2'030'000; v += 10) col->Append(v);
+  ASSERT_TRUE(t->Place({topo_.socket(0).mem}, &mem_).ok());
+  EXPECT_GT(t->mutation_epoch(), epoch);
+  EXPECT_EQ(col->width(), 2u);
+  EXPECT_EQ(col->base(), 2'015'000);
+  const Table::Chunk& chunk = t->chunks()[0];
+  ASSERT_EQ(chunk.rows, 3001u);
+  for (uint64_t r = 0; r < chunk.rows; ++r) {
+    ASSERT_EQ(LoadInt(chunk.col_data[0] + 2 * r, col->code()),
+              2'000'000 + 10 * static_cast<int64_t>(r));
+  }
 }
 
 TEST_F(TableTest, RePlaceMovesAndFreesOldChunks) {

@@ -30,17 +30,41 @@ inline bool FaultsEnabled() {
   return env != nullptr && std::atoi(env) != 0;
 }
 
-/// A scan that stays bandwidth-bound at any column width: Q1.1's date join,
-/// but its fact filter (passing every row) and its aggregate read the 4-byte
-/// measures lo_extendedprice, lo_supplycost and lo_revenue, so a row loads
-/// about 12 bytes for about 10 ops. SSB's own scans read 1- and 2-byte
-/// columns (lo_discount, lo_quantity) once Table::Place narrows them, and no
-/// longer saturate a socket's DRAM or a PCIe link.
-inline plan::QuerySpec WideMeasureScan(const ssb::Ssb& ssb) {
+/// A scan that stays bandwidth-bound at any column code: Q1.1's date join
+/// over `wide_lineorder`, a table beside the SSB tables that holds
+/// lineorder's lo_orderdate, lo_extendedprice, lo_supplycost and lo_revenue,
+/// except that its first two rows hold INT32_MIN and INT32_MAX in every
+/// column. Their range spans every int32, so no base narrows them and a row
+/// loads 16 bytes for about 10 ops: the fact filter passes every row and the
+/// aggregate reads two of the measures. SSB's own scans read 1- and 2-byte
+/// columns once Table::Place codes them, and no longer saturate a socket's
+/// DRAM or a PCIe link. The table is created and placed on lineorder's nodes
+/// the first time a System asks for the scan.
+inline plan::QuerySpec WideMeasureScan(const ssb::Ssb& ssb, core::System* system) {
+  constexpr const char* kTable = "wide_lineorder";
+  const char* const kColumns[] = {"lo_orderdate", "lo_extendedprice",
+                                  "lo_supplycost", "lo_revenue"};
+  storage::Catalog& catalog = system->catalog();
+  if (catalog.Get(kTable) == nullptr) {
+    const storage::Table& lineorder = catalog.at("lineorder");
+    storage::Table* wide = catalog.CreateTable(kTable);
+    for (const char* name : kColumns) {
+      const storage::Column& src = lineorder.column(name);
+      storage::Column* col = wide->AddColumn(name, storage::ColType::kInt32);
+      for (uint64_t r = 0; r < src.rows(); ++r) {
+        col->Append(r == 0 ? INT32_MIN : r == 1 ? INT32_MAX : src.At(r));
+      }
+    }
+    std::vector<sim::MemNodeId> nodes;
+    for (const auto& chunk : lineorder.chunks()) nodes.push_back(chunk.node);
+    HETEX_CHECK_OK(wide->Place(nodes, &system->memory()));
+  }
   plan::QuerySpec q = ssb.Query(1, 1);
   q.name = "Q1.1-wide";
-  q.fact_filter = plan::And(plan::Ge(plan::Col("lo_extendedprice"), plan::Lit(0)),
-                            plan::Ge(plan::Col("lo_supplycost"), plan::Lit(0)));
+  q.fact_table = kTable;
+  q.fact_filter =
+      plan::And(plan::Ge(plan::Col("lo_extendedprice"), plan::Lit(INT32_MIN)),
+                plan::Ge(plan::Col("lo_supplycost"), plan::Lit(INT32_MIN)));
   q.aggs = {{plan::Add(plan::Col("lo_revenue"), plan::Col("lo_supplycost")),
              jit::AggFunc::kSum, "s"}};
   return q;
