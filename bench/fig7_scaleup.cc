@@ -85,9 +85,9 @@ double Percentile(std::vector<double> v, double p) {
   return v[idx];
 }
 
-// Self-similar miniature (the fig4/fig5 convention): per-query fixed costs
-// shrink with the dataset so the bandwidth/compute story — what the fabric
-// sweep varies — dominates the modeled time, not router bring-up.
+// Self-similar miniature (the fig4/fig5 convention): fixed costs shrink with
+// the dataset so the bandwidth/compute story — what the fabric sweep varies —
+// dominates the modeled time, not DMA, launch or routing latencies.
 constexpr double kLatencyScale = 1.0 / 60;
 
 core::System::Options FabricOptions(int num_gpus) {

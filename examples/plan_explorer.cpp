@@ -32,11 +32,15 @@
 // Both modes open with the full fabric: every socket and GPU, per-link
 // type/bandwidth (PCIe, NVLink-class peer, inter-socket), peer adjacency, and
 // the live per-link backlog a query anchored at the current horizon would see.
+// They close with the System's worker pool: the threads it started for every
+// query run above (each started once, then reused), the bring-up it paid
+// once at System start and a query's own set-up.
 //
 // Flags:
 //   --json             machine-readable report on stdout: {"fabric": {...},
-//                      "queries": [...]} (exits non-zero when a query yields
-//                      no candidates/picked plan)
+//                      "queries": [...], "pool": {"threads", "bring_up_s",
+//                      "setup_s"}} (exits non-zero when a query yields no
+//                      candidates/picked plan)
 //   --queries 1.1,3.1  comma-separated SSB queries for the optimizer section
 //                      (default: 3.1 in human mode, 1.1,3.1,4.2 in JSON mode)
 //   --gpus N           build the system as an N-GPU scale-out fabric
@@ -573,7 +577,11 @@ int main(int argc, char** argv) {
                            i == 0) &&
            ok;
     }
-    std::printf("]}\n");
+    std::printf("],\n\"pool\": {\"threads\": %llu, \"bring_up_s\": %.9f, "
+                "\"setup_s\": %.9f}}\n",
+                static_cast<unsigned long long>(
+                    system.workers().counters().threads_started),
+                system.bring_up(), system.cost_model().task_spawn_latency);
     return ok ? 0 : 1;
   }
 
@@ -629,5 +637,10 @@ int main(int argc, char** argv) {
   for (const auto& q : opt_queries) {
     ok = ReportOptimizer(system, reuse_sys, q, /*json=*/false, false) && ok;
   }
+  std::printf("worker pool: %llu threads (started once), bring-up %.3g ms at "
+              "System start, per-query set-up %.3g µs\n",
+              static_cast<unsigned long long>(
+                  system.workers().counters().threads_started),
+              system.bring_up() * 1e3, system.cost_model().task_spawn_latency * 1e6);
   return ok ? 0 : 1;
 }

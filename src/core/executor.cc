@@ -45,6 +45,7 @@ Status QueryExecutor::OptimizeAt(const plan::QuerySpec& spec,
                                  const std::vector<int>* exclude_gpus) const {
   plan::PlanCoster::Options opts;
   opts.pack_block_rows = system_->blocks().options().block_bytes / 8;
+  opts.pool_wait = system_->PoolWait(epoch);
   // Device health: only restrict the candidate space when the fault plane can
   // actually change it — with the injector disabled and no exclusions the
   // optimization is byte-identical to the pre-fault-plane path.

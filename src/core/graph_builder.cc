@@ -273,7 +273,10 @@ Status GraphBuilder::Run(plan::QueryCompiler* compiler, QueryResult* result) {
   } ht_guard{&hts, session.query_id};
 
   ResultSink sink;
-  const sim::VTime init_clock = analysis_.init_latency;
+  // Stages start once the query woke its parked workers (the routers'
+  // stamp), and not before the System's worker-pool bring-up ends.
+  const sim::VTime init_clock =
+      system_->PoolWait(session.epoch) + analysis_.init_latency;
   const uint64_t block_bytes = system_->blocks().options().block_bytes;
   const size_t channel_capacity = static_cast<size_t>(plan.channel_capacity);
 
@@ -434,7 +437,7 @@ Status GraphBuilder::Run(plan::QueryCompiler* compiler, QueryResult* result) {
     for (size_t idx : order) {
       SharedAcq& acq = acqs[idx];
       acq.lease = hts.AcquireShared(acq.key, session.query_id, control,
-                                    acq.table, acq.epoch);
+                                    acq.table, acq.epoch, session.epoch);
       if (acq.lease.role == SharedBuildLease::Role::kCancelled) {
         // Build roles already won are failed over by shared_guard on return.
         return control->deadline_hit.load(std::memory_order_relaxed)
@@ -468,13 +471,14 @@ Status GraphBuilder::Run(plan::QueryCompiler* compiler, QueryResult* result) {
       case SharedBuildLease::Role::kAttach:
         hts.AttachShared(acq.key, session.query_id, stage.span().join_id);
         // The key pins the unit set, so every instance's unit has a replica;
-        // its readiness is translated into this session's local time (a late
-        // arrival's negative time clamps to init_clock below: the artifact
-        // already exists, so it pays nothing).
+        // its readiness is translated from the builder's local time into this
+        // session's (a late arrival's negative time clamps to init_clock
+        // below: the artifact already exists, so it pays nothing).
         for (const auto& [unit, ready] : acq.lease.ready_at) {
-          note_ready(unit, ready - session.epoch);
-          result->builds.push_back(
-              {stage.span().join_id, unit, 0, ready - session.epoch});
+          const sim::VTime local =
+              (acq.lease.builder_epoch - session.epoch) + ready;
+          note_ready(unit, local);
+          result->builds.push_back({stage.span().join_id, unit, 0, local});
         }
         ++result->shared_attaches;
         break;
@@ -641,7 +645,7 @@ Status GraphBuilder::Run(plan::QueryCompiler* compiler, QueryResult* result) {
     for (const auto& [unit, d] : done) {
       unit_free[unit] = d.done;
       note_ready(unit, d.done);
-      ready_at[unit] = session.epoch + d.done;
+      ready_at[unit] = d.done;
       result->builds.push_back(d);
     }
     // Cooperative cancellation/deadline stops leave cleanly-joined build

@@ -67,7 +67,8 @@ SharedBuildLease HtRegistry::AcquireShared(const std::string& content_key,
                                            uint64_t query,
                                            const QueryControl* control,
                                            const std::string& table,
-                                           uint64_t mutation_epoch) {
+                                           uint64_t mutation_epoch,
+                                           sim::VTime session_epoch) {
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
     auto it = shared_.find(content_key);
@@ -78,29 +79,39 @@ SharedBuildLease HtRegistry::AcquireShared(const std::string& content_key,
       SharedEntry& entry = shared_[content_key];
       entry.state = SharedEntry::State::kBuilding;
       entry.builder = query;
+      entry.builder_epoch = session_epoch;
       entry.table = table;
       entry.epoch = mutation_epoch;
       ++shared_stats_.builds;
       return SharedBuildLease{SharedBuildLease::Role::kBuild, {}};
     }
     SharedEntry& entry = it->second;
+    // Causality: a replica set a later-arriving session builds is no artifact
+    // of this session's past, however early its host thread got here.
+    const bool later_builder = session_epoch < entry.builder_epoch;
     switch (entry.state) {
       case SharedEntry::State::kReady:
+        if (later_builder) {
+          return SharedBuildLease{SharedBuildLease::Role::kPrivate, {}};
+        }
         ++shared_stats_.attaches;
-        return SharedBuildLease{SharedBuildLease::Role::kAttach, entry.ready_at};
+        return SharedBuildLease{SharedBuildLease::Role::kAttach, entry.ready_at,
+                                entry.builder_epoch};
       case SharedEntry::State::kFailed:
         // Failover: this waiter takes over the build role; the entry's old
         // (empty) replica set is discarded with the failed attempt.
         entry.state = SharedEntry::State::kBuilding;
         entry.builder = query;
+        entry.builder_epoch = session_epoch;
         entry.replicas.clear();
         ++shared_stats_.builds;
         ++shared_stats_.failovers;
         return SharedBuildLease{SharedBuildLease::Role::kBuild, {}};
       case SharedEntry::State::kBuilding:
-        if (entry.builder == query) {
+        if (entry.builder == query || later_builder) {
           // A query cannot wait for its own in-flight build (two joins of one
-          // query sharing a content key): fall back to a private build.
+          // query sharing a content key), nor for a later session's: fall
+          // back to a private build.
           return SharedBuildLease{SharedBuildLease::Role::kPrivate, {}};
         }
         break;

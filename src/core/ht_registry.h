@@ -22,15 +22,19 @@ struct SharedBuildLease {
   enum class Role {
     kBuild,      ///< caller won the single-flight race: build, then publish/fail
     kAttach,     ///< replicas are ready: alias them, skip the build stage
-    kPrivate,    ///< sharing not possible (self-conflict): build privately
+    kPrivate,    ///< sharing not possible (self-conflict, or an entry a
+                 ///< later-arriving session started): build privately
     kCancelled,  ///< caller was cancelled while waiting for an in-flight build
   };
   Role role = Role::kPrivate;
-  /// kAttach only: absolute virtual time each unit's replica completed at.
-  /// An attacher's probes on a unit wait for that unit's replica only
-  /// (charged to their modeled latency); attachers arriving later pay
-  /// nothing — the artifact exists.
+  /// kAttach only: the time each unit's replica completed at, local to the
+  /// builder's session, whose epoch is `builder_epoch`. An attacher's probes
+  /// on a unit wait for that unit's replica only (charged to their modeled
+  /// latency); attachers arriving later pay nothing — the artifact exists.
+  /// An attacher at the builder's own epoch reads the builder's times
+  /// exactly (no round trip through absolute time).
   std::map<sim::DeviceId, sim::VTime> ready_at;
+  sim::VTime builder_epoch = 0;
 };
 
 /// \brief Join hash tables shared between build and probe pipelines, keyed by
@@ -73,8 +77,11 @@ class HtRegistry {
   /// Resolves `query`'s role for the content key: builder (first claimant, or
   /// failover claimant after a failed build), attacher (replicas ready), or
   /// private (the same query already builds this key — a query cannot wait on
-  /// itself). Blocks while another query's build is in flight; `control`
-  /// (nullable) lets a cancelled or deadline-expired waiter bail out with
+  /// itself — or the entry's builder session arrived later on the virtual
+  /// timeline than `session_epoch`: a session never uses a replica set a
+  /// later-arriving session started, whichever host thread got here first).
+  /// Blocks while another query's build is in flight; `control` (nullable)
+  /// lets a cancelled or deadline-expired waiter bail out with
   /// Role::kCancelled.
   ///
   /// Deadlock discipline: a query acquiring several keys MUST acquire them in
@@ -89,12 +96,14 @@ class HtRegistry {
   SharedBuildLease AcquireShared(const std::string& content_key, uint64_t query,
                                  const QueryControl* control,
                                  const std::string& table = "",
-                                 uint64_t mutation_epoch = 0);
+                                 uint64_t mutation_epoch = 0,
+                                 sim::VTime session_epoch = 0);
 
   /// Builder success: shares the replicas `query` built for `join_id` under
   /// the key (the builder's own namespace keeps its aliases) and wakes the
-  /// waiters. `ready_at` maps each replica's unit to the absolute virtual
-  /// time that replica completed at; it must cover every published replica.
+  /// waiters. `ready_at` maps each replica's unit to the time that replica
+  /// completed at, local to the builder's session (the `session_epoch` it
+  /// acquired the key with); it must cover every published replica.
   void PublishShared(const std::string& content_key, uint64_t query,
                      int join_id, std::map<sim::DeviceId, sim::VTime> ready_at);
 
@@ -129,7 +138,8 @@ class HtRegistry {
     enum class State { kBuilding, kReady, kFailed };
     State state = State::kBuilding;
     uint64_t builder = 0;  ///< query currently holding the build role
-    std::map<sim::DeviceId, sim::VTime> ready_at;  // absolute completion
+    sim::VTime builder_epoch = 0;  ///< that query's session epoch
+    std::map<sim::DeviceId, sim::VTime> ready_at;  // builder-local completion
     std::string table;   ///< source table the content key embeds (GC grouping)
     uint64_t epoch = 0;  ///< table mutation epoch the replicas were built at
     std::map<sim::DeviceId, std::shared_ptr<jit::JoinHashTable>> replicas;

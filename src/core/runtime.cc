@@ -4,6 +4,7 @@
 #include <tuple>
 
 #include "common/logging.h"
+#include "jit/vectorizer.h"
 
 namespace hetex::core {
 
@@ -332,7 +333,8 @@ void WorkerGroup::Start() {
     if (out_ != nullptr) out_->AddProducer();
   }
   for (auto& inst : instances_) {
-    threads_.emplace_back([this, raw = inst.get()] { RunInstance(*raw); });
+    tickets_.push_back(
+        system_->workers().Spawn([this, raw = inst.get()] { RunInstance(*raw); }));
   }
 }
 
@@ -359,11 +361,12 @@ void WorkerGroup::RunInstance(WorkerInstance& inst) {
   inst.AdvanceTo(inst.input_closed_at());
   processor->Finish(inst);
   if (out_ != nullptr) out_->CloseProducer(inst.clock());
+  // The thread parks in the System's pool next: it keeps no batch buffers.
+  jit::ReleaseThreadBatchBuffers();
 }
 
 void WorkerGroup::Join() {
-  for (auto& t : threads_) t.join();
-  threads_.clear();
+  tickets_.clear();  // joins every instance's task
   for (auto& inst : instances_) max_end_ = sim::MaxT(max_end_, inst->clock());
 }
 
@@ -388,17 +391,12 @@ SourceDriver::SourceDriver(System* system, const storage::Table* table,
   HETEX_CHECK(block_rows_ > 0);
 }
 
-SourceDriver::~SourceDriver() { Join(); }
-
 void SourceDriver::Start() {
   out_->AddProducer();
-  started_ = true;
-  thread_ = std::thread([this] { Run(); });
+  ticket_ = system_->workers().Spawn([this] { Run(); });
 }
 
-void SourceDriver::Join() {
-  if (thread_.joinable()) thread_.join();
-}
+void SourceDriver::Join() { ticket_.Join(); }
 
 void SourceDriver::Run() {
   const sim::MemNodeId producer_node = system_->topology().socket(0).mem;

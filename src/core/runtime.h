@@ -8,7 +8,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/mpmc_queue.h"
@@ -54,7 +53,7 @@ class WorkerGroup;
 
 /// \brief One pipeline instance: a worker thread (CPU) or a host control thread
 /// driving kernels on one GPU, with its own provider, virtual clock and input
-/// channel.
+/// channel. The thread is a task on the System's WorkerPool.
 class WorkerInstance {
  public:
   /// `epoch` is the absolute virtual arrival time of the owning query session:
@@ -250,9 +249,10 @@ using ProcessorFactory =
     std::function<std::unique_ptr<BlockProcessor>(WorkerInstance&)>;
 
 /// \brief A group of identically-programmed pipeline instances (one per device in
-/// `devices`), each consuming from its own channel. Instance i starts at
-/// session-local virtual time `start_clocks[i]` (one entry per device). The
-/// instances on one device share one per-block cost estimate.
+/// `devices`), each consuming from its own channel on a System worker-pool
+/// thread of its own. Instance i starts at session-local virtual time
+/// `start_clocks[i]` (one entry per device). The instances on one device share
+/// one per-block cost estimate.
 class WorkerGroup {
  public:
   WorkerGroup(System* system, std::vector<sim::DeviceId> devices,
@@ -281,19 +281,19 @@ class WorkerGroup {
   /// One per-block cost EMA per device; outlives the instances that read it.
   std::map<sim::DeviceId, std::atomic<double>> block_costs_;
   std::vector<std::unique_ptr<WorkerInstance>> instances_;
-  std::vector<std::thread> threads_;
+  std::vector<WorkerPool::Ticket> tickets_;  ///< last: the tasks use the above
   sim::VTime max_end_ = 0;
 };
 
-/// \brief The segmenter: a single lightweight thread that splits a placed table's
-/// chunks into block-sized handles and feeds them to a router edge (paper Fig. 2,
-/// pipeline 6). No data is copied — handles point into table memory.
+/// \brief The segmenter: a single lightweight thread (a System worker-pool task)
+/// that splits a placed table's chunks into block-sized handles and feeds them
+/// to a router edge (paper Fig. 2, pipeline 6). No data is copied — handles
+/// point into table memory.
 class SourceDriver {
  public:
   SourceDriver(System* system, const storage::Table* table,
                std::vector<int> col_indices, uint64_t block_rows, Edge* out,
                sim::VTime initial_clock, double per_block_cost = 20e-9);
-  ~SourceDriver();
 
   void Start();
   void Join();
@@ -314,8 +314,7 @@ class SourceDriver {
   sim::VTime clock_;
   double per_block_cost_;
   std::deque<memory::Block> foreign_blocks_;
-  std::thread thread_;
-  bool started_ = false;
+  WorkerPool::Ticket ticket_;  ///< last: the task uses the members above
 };
 
 /// Collects final result rows with a virtual-time watermark, and how many

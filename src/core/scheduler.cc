@@ -48,13 +48,11 @@ QueryScheduler::~QueryScheduler() {
     }
     return true;
   });
-  std::vector<std::thread> workers;
-  for (auto& [id, task] : tasks_) {
-    if (task->worker.joinable()) workers.push_back(std::move(task->worker));
-  }
+  std::vector<WorkerPool::Ticket> workers;
+  for (auto& [id, task] : tasks_) workers.push_back(std::move(task->worker));
   tasks_.clear();
   lock.unlock();
-  for (auto& w : workers) w.join();
+  workers.clear();  // joins: every RunTask has returned
 }
 
 QueryHandle QueryScheduler::Submit(const plan::QuerySpec& spec,
@@ -71,12 +69,15 @@ QueryHandle QueryScheduler::Submit(const plan::QuerySpec& spec,
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (active_ == 0 && waiting_.empty()) {
-      // Idle server, empty queue: a new busy period begins. Anchor it at the
+      // Idle server, empty queue: a new busy period begins, anchored at the
       // point every shared resource (and every past completion) is behind —
       // queries of this period see a fresh server, the session-scoped
-      // analogue of the old global reset. Completion-triggered admissions
-      // stay inside the running period so their queue wait is measured.
-      workload_base_ = sim::MaxT(system_->VirtualHorizon(), clock_floor_);
+      // analogue of the old global reset. An arrival already past that point
+      // keeps the base: its batch's earlier queries merely finished on the
+      // host before it was submitted. Completion-triggered admissions stay
+      // inside the running period so their queue wait is measured.
+      const sim::VTime fresh = sim::MaxT(system_->VirtualHorizon(), clock_floor_);
+      if (workload_base_ + task->opts.arrival_offset < fresh) workload_base_ = fresh;
     }
     waiting_.push_back(task.get());
     tasks_[task->id] = std::move(task);
@@ -107,7 +108,13 @@ void QueryScheduler::AdmitLocked(sim::VTime slot_freed_at) {
       task->control.deadline = task->opts.deadline - task->queue_wait;
     }
     const QuerySession session{task->id, start, &task->control};
-    task->worker = std::thread([this, task, session] { RunTask(task, session); });
+    auto run = [this, task, session] { RunTask(task, session); };
+    // A completion-triggered admission comes from the finishing RunTask,
+    // which returns without blocking: the first query it admits starts once
+    // its thread has parked, so a steady load never needs a thread more than
+    // its queries hold.
+    task->worker = slot_freed_at >= 0 ? system_->workers().SpawnAfterReturn(run)
+                                      : system_->workers().Spawn(run);
   }
 }
 
@@ -329,10 +336,10 @@ QueryResult QueryScheduler::Wait(QueryHandle handle) {
   task->claimed = true;
   done_cv_.wait(lock, [&] { return task->done; });
   QueryResult result = std::move(task->result);
-  std::thread worker = std::move(task->worker);
+  WorkerPool::Ticket worker = std::move(task->worker);
   tasks_.erase(it);
   lock.unlock();
-  if (worker.joinable()) worker.join();
+  worker.Join();
   return result;
 }
 

@@ -3,11 +3,11 @@
 
 #include <condition_variable>
 #include <deque>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <thread>
 
 #include "core/executor.h"
 #include "plan/query_spec.h"
@@ -46,9 +46,12 @@ struct SubmitOptions {
 /// On admission the query receives a QuerySession: a unique id (namespacing
 /// its hash tables in the shared HtRegistry) and an absolute epoch — the
 /// workload base plus the query's arrival offset. The workload base advances
-/// to the resource horizon whenever the server goes idle, so back-to-back
-/// serial submissions reproduce solo latencies exactly while overlapping
-/// submissions queue behind each other on the shared interconnects.
+/// to the resource horizon when a submission finds the server idle and would
+/// arrive before that horizon, so back-to-back serial submissions reproduce
+/// solo latencies exactly while overlapping submissions queue behind each
+/// other on the shared interconnects. A batch whose first queries finish on
+/// the host before its later ones are submitted keeps its base as long as
+/// those arrive past the horizon, so host timing does not re-anchor them.
 ///
 /// Wait() blocks until the query finished and returns its QueryResult; each
 /// handle is waited on by at most one caller. Unwaited queries are drained by
@@ -110,13 +113,15 @@ class QueryScheduler {
     QueryResult result;
     bool done = false;
     bool claimed = false;  ///< a Wait() call owns this handle
-    std::thread worker;
+    WorkerPool::Ticket worker;  ///< RunTask on the System's worker pool
   };
 
   /// Starts every waiting query the caps allow, FIFO. Caller holds mu_.
   /// `slot_freed_at` is the absolute virtual completion that freed capacity
-  /// (admissions it triggers start no earlier); < 0 for submit-time admission
-  /// into already-free capacity, which starts at the query's own arrival.
+  /// (admissions it triggers start no earlier, and the first is spawned once
+  /// the finishing query's pool thread has parked); < 0 for submit-time
+  /// admission into already-free capacity, which starts at the query's own
+  /// arrival.
   void AdmitLocked(sim::VTime slot_freed_at);
   void RunTask(Task* task, QuerySession session);
 
@@ -131,8 +136,9 @@ class QueryScheduler {
   std::map<uint64_t, std::unique_ptr<Task>> tasks_;
   int active_ = 0;
   uint64_t reserved_blocks_ = 0;
-  /// Epoch base of the current busy period (absolute virtual time).
-  sim::VTime workload_base_ = 0;
+  /// Epoch base of the current busy period (absolute virtual time); -inf
+  /// until the first submission anchors one.
+  sim::VTime workload_base_ = -std::numeric_limits<sim::VTime>::infinity();
   /// Latest absolute completion seen — the server's virtual "now". Keeps
   /// serial submissions strictly ordered even for queries that never touch a
   /// shared interconnect (whose completion the resource horizon cannot see).

@@ -8,6 +8,7 @@
 #include "core/ht_registry.h"
 #include "core/program_cache.h"
 #include "core/result_cache.h"
+#include "core/worker_pool.h"
 #include "jit/device_provider.h"
 #include "jit/kernel_cache.h"
 #include "memory/block_manager.h"
@@ -23,9 +24,13 @@ namespace hetex::core {
 /// \brief The running server: simulated topology, devices, transfer engines and
 /// per-node memory infrastructure, plus the table catalog.
 ///
-/// One System hosts many queries; block arenas and GPU worker pools are created
-/// once at startup (the paper's "at system initialization time, the block managers
-/// pre-allocate memory arenas").
+/// One System hosts many queries; block arenas, GPU worker pools and the host
+/// worker pool are created once at startup (the paper's "at system
+/// initialization time, the block managers pre-allocate memory arenas"). The
+/// worker pool's bring-up — router instantiation and thread pinning, the
+/// paper's ~10 ms (CostModel::router_init_latency) — is paid once, on the
+/// System's virtual timeline over [0, bring_up()); a query then only wakes
+/// parked workers (the task_spawn_latency its plan's routers carry).
 class System {
  public:
   struct Options {
@@ -97,14 +102,29 @@ class System {
   /// Creates a provider for a compute device (see jit::DeviceProvider).
   std::unique_ptr<jit::DeviceProvider> MakeProvider(sim::DeviceId device);
 
-  /// Absolute virtual time by which every shared resource (PCIe links, GPU
-  /// kernel streams, socket DRAM timelines) is idle. A query session anchored
-  /// at this horizon runs on effectively fresh resources — the session-scoped
-  /// replacement for the old rewind-everything ResetVirtualTime(), safe while
-  /// other queries are in flight (their reservations simply stay behind the
-  /// horizon).
+  /// The host threads every per-query thread runs on (see WorkerPool):
+  /// worker-group instances, segmenters and scheduled queries.
+  WorkerPool& workers() { return workers_; }
+
+  /// End of the worker pool's bring-up, which occupies [0, bring_up()) of the
+  /// virtual timeline: CostModel::router_init_latency, paid once per System.
+  sim::VTime bring_up() const { return cost_model().router_init_latency; }
+  /// Session-local wait of a session anchored at absolute `epoch` for the
+  /// bring-up to end: its stages start no earlier. Zero from bring_up() on,
+  /// so no session anchored at the horizon waits.
+  sim::VTime PoolWait(sim::VTime epoch) const {
+    return sim::MaxT(0.0, bring_up() - epoch);
+  }
+
+  /// Absolute virtual time by which every shared resource (the worker pool's
+  /// bring-up, PCIe links, GPU kernel streams, socket DRAM timelines) is idle.
+  /// A query session anchored at this horizon runs on effectively fresh
+  /// resources — the session-scoped replacement for the old
+  /// rewind-everything ResetVirtualTime(), safe while other queries are in
+  /// flight (their reservations simply stay behind the horizon).
   sim::VTime VirtualHorizon() const {
-    sim::VTime h = sim::MaxT(topology_.LinkHorizon(), topology_.DramHorizon());
+    sim::VTime h = sim::MaxT(
+        bring_up(), sim::MaxT(topology_.LinkHorizon(), topology_.DramHorizon()));
     for (const auto& gpu : gpus_) h = sim::MaxT(h, gpu->stream_free_at());
     return h;
   }
@@ -135,6 +155,9 @@ class System {
   std::unique_ptr<ResultCache> result_cache_;
   jit::TierPolicy tier_policy_ = jit::TierPolicy::kAuto;
   std::atomic<uint64_t> next_query_id_{1};
+  /// Last, so it is destroyed first: its threads are joined before anything
+  /// a task could have used goes away.
+  WorkerPool workers_;
 };
 
 }  // namespace hetex::core

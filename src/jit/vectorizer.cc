@@ -857,6 +857,14 @@ VectorizeResult TryVectorize(const PipelineProgram& program) {
   return r;
 }
 
+namespace {
+/// The calling thread's batch buffers, one Level per loop depth, grown to the
+/// widest program the thread ran.
+thread_local std::vector<Level> levels;
+}  // namespace
+
+void ReleaseThreadBatchBuffers() { std::vector<Level>().swap(levels); }
+
 Status RunRowsVectorized(const PipelineProgram& program, ExecCtx& ctx,
                          uint64_t rows) {
   HETEX_CHECK(program.finalized) << "pipeline '" << program.label
@@ -865,7 +873,6 @@ Status RunRowsVectorized(const PipelineProgram& program, ExecCtx& ctx,
       << "pipeline '" << program.label << "' has no vectorized lowering";
   const VectorProgram& vp = *program.vec;
 
-  thread_local std::vector<Level> levels;
   if (static_cast<int>(levels.size()) < vp.max_loop_depth + 1) {
     levels.resize(vp.max_loop_depth + 1);
   }

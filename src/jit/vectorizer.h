@@ -99,6 +99,11 @@ VectorizeResult TryVectorize(const PipelineProgram& program);
 Status RunRowsVectorized(const PipelineProgram& program, ExecCtx& ctx,
                          uint64_t rows);
 
+/// Frees the calling thread's batch buffers, which RunRowsVectorized keeps
+/// per thread across calls. A pooled worker calls it when its instance ends,
+/// so a parked thread holds none.
+void ReleaseThreadBatchBuffers();
+
 /// Process-wide vectorizer telemetry (attempts/fallbacks are per
 /// ConvertToMachineCode call; Reset is for tests).
 struct VectorizerCounters {

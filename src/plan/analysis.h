@@ -94,7 +94,10 @@ struct PlanAnalysis {
   /// Fact-side stages consumer→producer: gather first, then the probe stage,
   /// then (split plans) the filter stage; the last one is segmenter-fed.
   std::vector<Stage> fact_stages;
-  sim::VTime init_latency = 0;  ///< router bring-up watermark (max over stamps)
+  /// Per-query set-up before any stage starts: the max over the routers'
+  /// init_latency stamps (0 for bare plans). A session anchored before the
+  /// System's worker-pool bring-up ends waits for it on top.
+  sim::VTime init_latency = 0;
 };
 
 /// \brief Partitions a HetPlan DAG into stages and exchanges, and enforces

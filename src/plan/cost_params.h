@@ -19,13 +19,17 @@ namespace hetex::plan {
 /// This header is dependency-free on purpose: it is included from both the
 /// `sim` and `plan` layers.
 struct CostParams {
-  /// Router instantiation + thread pinning (the paper measures ~10 ms, §6.4).
+  /// Router instantiation + thread pinning (the paper measures ~10 ms, §6.4):
+  /// the System's worker-pool bring-up, paid once per System over the first
+  /// router_init_latency of its virtual timeline (core::System::bring_up). A
+  /// query's own set-up is task_spawn_latency, stamped on its routers.
   double router_init_latency = 1e-2;
   /// Per-message routing decision (control plane only, §3.1).
   double router_control_cost = 100e-9;
   /// Per-block segmentation cost (control plane only).
   double segmenter_block_cost = 20e-9;
-  /// Spawning a host task (the gpu2cpu crossing, §3.2).
+  /// Spawning a host task (the gpu2cpu crossing, §3.2), and waking the
+  /// System's parked workers at a query's start (the routers' init stamp).
   double task_spawn_latency = 2e-6;
   /// Fixed per-transfer DMA setup cost on a PCIe link.
   double dma_latency = 1e-5;

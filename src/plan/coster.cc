@@ -360,7 +360,7 @@ Result<CostEstimate> PlanCoster::Cost(const HetPlan& plan) const {
   HETEX_RETURN_NOT_OK(CheckSplitJoins(shape, *spec_));
 
   CostEstimate est;
-  est.init = shape.init_latency;
+  est.init = shape.init_latency + options_.pool_wait;
 
   // --- Instance pricing under the fluid bandwidth-share model.
   auto socket_backlog = [&](int s) {

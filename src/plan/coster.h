@@ -46,7 +46,9 @@ CardinalityEstimate EstimateCardinalities(const QuerySpec& spec,
 /// breakdown the optimizer records per candidate.
 struct CostEstimate {
   sim::VTime total = 0;     ///< end-to-end virtual-time estimate
-  sim::VTime init = 0;      ///< router bring-up watermark
+  /// Set-up before the stages start: the plan's init_latency (waking parked
+  /// workers) plus CosterOptions::pool_wait.
+  sim::VTime init = 0;
   sim::VTime build = 0;     ///< hash-build phase (concurrent build networks)
   sim::VTime probe = 0;     ///< fact-pipeline phase (pipelined stages)
   sim::VTime transfer = 0;  ///< interconnect share of the critical path (diagnostic)
@@ -145,6 +147,12 @@ struct CosterOptions {
   /// fault-free default — behavior is byte-identical to pre-fault-plane
   /// optimization). An empty vector forces CPU-only candidates.
   std::optional<std::vector<int>> available_gpus;
+
+  /// Virtual seconds this session waits for the System's worker-pool bring-up
+  /// to end (core::System::PoolWait at its epoch): 0 for a session anchored
+  /// at or after it. Added to every candidate's set-up, as the runtime adds
+  /// it to every stage's start.
+  double pool_wait = 0;
 };
 
 class PlanCoster {

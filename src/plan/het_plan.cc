@@ -182,7 +182,7 @@ HetPlan BuildHetPlan(const QuerySpec& spec, const ExecPolicy& policy,
     HetOpNode& n = plan.node(id);
     n.policy = router_policy;
     n.control_cost = cm.router_control_cost;
-    n.init_latency = cm.router_init_latency;
+    n.init_latency = cm.task_spawn_latency;
   };
   auto stamp_segmenter = [&](int id, const std::string& table) {
     HetOpNode& n = plan.node(id);

@@ -74,7 +74,10 @@ struct HetOpNode {
   uint64_t block_rows = 0;     ///< kSegmenter: block granularity in tuples
   double control_cost = 0;     ///< kRouter: control-plane cost per message
   double crossing_latency = 0; ///< kGpu2Cpu: device->host task-spawn latency
-  double init_latency = 0;     ///< kRouter: one-time bring-up latency
+  /// kRouter: the query's set-up before its stages start — waking the
+  /// System's parked worker threads (task_spawn_latency). The pool's own
+  /// bring-up is paid once per System (core::System::bring_up).
+  double init_latency = 0;
   double per_block_cost = 0;   ///< kSegmenter: per-block segmentation cost
 
   static const char* KindName(Kind kind);

@@ -202,11 +202,13 @@ TEST(ChaosTest, DeviceLossAfterPlanningReplansOntoSurvivors) {
                   .ok());
   const bool planned_on_gpu = PlanUsesGpu(probe.best().plan);
 
-  // Both GPUs die just after the planning instant: a GPU plan launches into
-  // the loss window, fails with kDeviceLost, and the scheduler re-plans the
-  // query on the surviving (CPU-only) device set.
-  env.system->fault().LoseGpu(0, /*from=*/1e-4);
-  env.system->fault().LoseGpu(1, /*from=*/1e-4);
+  // Both GPUs die just after the planning instant (the scheduler anchors the
+  // query at the horizon): a GPU plan launches into the loss window, fails
+  // with kDeviceLost, and the scheduler re-plans the query on the surviving
+  // (CPU-only) device set.
+  const sim::VTime lost_at = env.system->VirtualHorizon() + 1e-4;
+  env.system->fault().LoseGpu(0, lost_at);
+  env.system->fault().LoseGpu(1, lost_at);
 
   QueryScheduler scheduler(env.system.get(), {.max_concurrent = 1});
   const QueryResult r = scheduler.Wait(scheduler.Submit(spec, {}));

@@ -159,6 +159,27 @@ TEST(ReuseTest, SelfConflictFallsBackToPrivateBuild) {
   registry.FailShared(key);  // release the claim so the entry is not wedged
 }
 
+TEST(ReuseTest, EarlierSessionNeverUsesALaterSessionsBuild) {
+  // Roles follow the sessions' virtual arrival, not which host thread asked
+  // first: a session arriving before the builder's builds privately, whether
+  // the build is still in flight or already published.
+  test::TestEnv env(4'000);
+  HtRegistry registry;
+  const std::string key = "dim@0;causal-test";
+  auto acquire = [&](uint64_t query, sim::VTime epoch) {
+    return registry.AcquireShared(key, query, nullptr, "dim", 0, epoch).role;
+  };
+  ASSERT_EQ(acquire(1, /*epoch=*/2.0), SharedBuildLease::Role::kBuild);
+  EXPECT_EQ(acquire(2, 1.0), SharedBuildLease::Role::kPrivate);  // in flight
+  registry.Create(1, 0, sim::DeviceId::Cpu(0), Cpu0Memory(env),
+                  jit::JoinHashTable::Layout(64, 8, {8}));
+  registry.PublishShared(key, 1, 0, {{sim::DeviceId::Cpu(0), 2.5}});
+  EXPECT_EQ(acquire(3, 1.0), SharedBuildLease::Role::kPrivate);  // published
+  EXPECT_EQ(acquire(4, 2.0), SharedBuildLease::Role::kAttach);
+  EXPECT_EQ(acquire(5, 3.0), SharedBuildLease::Role::kAttach);
+  EXPECT_EQ(registry.shared_stats().attaches, 2u);
+}
+
 TEST(ReuseTest, CancelledWaiterBailsOut) {
   HtRegistry registry;
   const std::string key = "dim@0;cancel-test";
@@ -325,6 +346,39 @@ TEST(ReuseTest, SharedBuildsConcurrentSameJoinQueriesParity) {
   for (auto& h : handles) (void)h;  // namespaces dropped on completion
 }
 
+TEST(ReuseTest, EarlierArrivalBuildsPrivatelyAtItsSoloTime) {
+  // A session run first on the host but 5 ms later on the virtual timeline
+  // publishes its replicas; the earlier session then builds its own and
+  // models its solo time instead of waiting for the later one's. Round-robin
+  // routing keeps the solo time free of the load balancer's host-timing
+  // jitter.
+  plan::ExecPolicy policy = test::TestEnv::Tune(plan::ExecPolicy::CpuOnly(4));
+  policy.load_balance = false;
+  test::TestEnv solo_env(60'000, 2, 2, core::ReuseOptions{});
+  const plan::QuerySpec spec = solo_env.ssb->Query(2, 1);
+  const core::QueryResult solo = solo_env.Run(spec, policy);
+  ASSERT_TRUE(solo.status.ok()) << solo.status.ToString();
+
+  test::TestEnv env(60'000, 2, 2, SharedOnly());
+  core::System& sys = *env.system;
+  core::QueryExecutor executor(&sys);
+  const plan::HetPlan plan = plan::BuildHetPlan(spec, policy, sys.topology());
+  const sim::VTime h = sys.VirtualHorizon();
+  const core::QueryResult later =
+      executor.ExecutePlan(spec, plan, core::QuerySession{sys.NextQueryId(), h + 5e-3});
+  ASSERT_TRUE(later.status.ok()) << later.status.ToString();
+  EXPECT_EQ(later.shared_builds, static_cast<int>(spec.joins.size()));
+
+  const core::QueryResult earlier =
+      executor.ExecutePlan(spec, plan, core::QuerySession{sys.NextQueryId(), h});
+  ASSERT_TRUE(earlier.status.ok()) << earlier.status.ToString();
+  EXPECT_EQ(earlier.rows, solo.rows);
+  EXPECT_EQ(earlier.shared_attaches, 0);
+  EXPECT_EQ(earlier.shared_builds, 0);
+  EXPECT_NEAR(earlier.modeled_seconds, solo.modeled_seconds,
+              solo.modeled_seconds * 1e-3);
+}
+
 TEST(ReuseTest, AttachingQueryStartsEachProbeUnitAtItsReplica) {
   // End to end: two hybrid queries arrive together with shared builds on.
   // One builds and publishes per-unit completions, the other attaches; both
@@ -450,26 +504,50 @@ TEST(ReuseTest, MutationWhileQueuedNeverServesStaleEpoch) {
   // in flight, or future — can publish or hit pre-mutation state under the
   // post-mutation epoch, so the first post-mutation miss re-executes and
   // every later submission hits its result.
-  test::TestEnv env(8'000, 2, 2, CacheOnly());
-  const plan::QuerySpec spec = env.ssb->Query(1, 1);
-  const auto reference = env.Reference(spec);
-  core::QueryScheduler scheduler(env.system.get(), {.max_concurrent = 1});
+  //
+  // The case needs hb still queued behind ha when the mutation lands. The
+  // submitting thread is at times held up on the host until ha has finished;
+  // hb then finds the server idle (it has no queue wait) and reads ha's entry
+  // before the mutation, so the case repeats on a fresh System.
+  bool queued = false;
+  for (int attempt = 0; attempt < 50 && !queued; ++attempt) {
+    test::TestEnv env(8'000, 2, 2, CacheOnly());
+    const plan::QuerySpec spec = env.ssb->Query(1, 1);
+    const auto reference = env.Reference(spec);
+    core::QueryScheduler scheduler(env.system.get(), {.max_concurrent = 1});
 
-  core::QueryHandle ha = scheduler.Submit(spec);
-  core::QueryHandle hb = scheduler.Submit(spec);  // queued behind ha
-  env.system->catalog().at("lineorder").NoteMutation();
-  core::QueryResult ra = scheduler.Wait(ha);
-  core::QueryResult rb = scheduler.Wait(hb);
-  ASSERT_TRUE(ra.status.ok()) << ra.status.ToString();
-  ASSERT_TRUE(rb.status.ok()) << rb.status.ToString();
-  EXPECT_FALSE(ra.cache_hit);
-  EXPECT_EQ(ra.rows, reference);
-  EXPECT_EQ(rb.rows, reference);
+    core::QueryHandle ha = scheduler.Submit(spec);
+    core::QueryHandle hb = scheduler.Submit(spec);  // queued behind ha
+    env.system->catalog().at("lineorder").NoteMutation();
+    core::QueryResult ra = scheduler.Wait(ha);
+    core::QueryResult rb = scheduler.Wait(hb);
+    ASSERT_TRUE(ra.status.ok()) << ra.status.ToString();
+    ASSERT_TRUE(rb.status.ok()) << rb.status.ToString();
+    EXPECT_FALSE(ra.cache_hit);
+    EXPECT_EQ(ra.rows, reference);
+    EXPECT_EQ(rb.rows, reference);
+    queued = rb.queue_wait > 0;
+    if (!queued) continue;
 
-  core::QueryResult rc = scheduler.Wait(scheduler.Submit(spec));
-  ASSERT_TRUE(rc.status.ok()) << rc.status.ToString();
-  EXPECT_TRUE(rc.cache_hit) << "post-mutation result was not re-cached";
-  EXPECT_EQ(rc.rows, reference);
+    // A miss by hb means it dequeued after the mutation and re-cached its
+    // rows under the new epoch, so rc must hit: with a key snapshotted at
+    // submit, hb would miss and leave nothing under the new epoch. A hit by
+    // hb read ha's entry, made under the new epoch when ha dequeued after the
+    // mutation (or, if ha finished before the mutation landed, under the old
+    // one, and rc is the first post-mutation miss). Either way the
+    // submission after rc hits.
+    core::QueryResult rc = scheduler.Wait(scheduler.Submit(spec));
+    ASSERT_TRUE(rc.status.ok()) << rc.status.ToString();
+    if (!rb.cache_hit) {
+      EXPECT_TRUE(rc.cache_hit) << "post-mutation result was not re-cached";
+    }
+    EXPECT_EQ(rc.rows, reference);
+    core::QueryResult rd = scheduler.Wait(scheduler.Submit(spec));
+    ASSERT_TRUE(rd.status.ok()) << rd.status.ToString();
+    EXPECT_TRUE(rd.cache_hit) << "post-mutation result was not re-cached";
+    EXPECT_EQ(rd.rows, reference);
+  }
+  EXPECT_TRUE(queued) << "hb never queued behind ha in 50 attempts";
 }
 
 TEST(ReuseTest, DefaultOffIsInert) {

@@ -331,13 +331,14 @@ TEST(SchedulerTest, DmaQuerySlowsDownBehindConcurrentUvaQuery) {
   QueryResult solo = executor.ExecutePlan(spec, dma_plan);
   ASSERT_TRUE(solo.status.ok()) << solo.status.ToString();
 
-  // The UVA query runs first; its epoch is offset by the DMA query's router
-  // bring-up so the two sessions' link activity overlaps in virtual time (the
-  // bare plan has no routers and starts streaming immediately). Its kernels
-  // leave real occupancy on gpu0's link; the DMA query then joins the earlier
-  // epoch and its fact-table transfers queue behind the UVA streams.
+  // The UVA query runs first; its epoch is offset by the DMA query's
+  // per-query set-up (its routers wake parked workers) so the two sessions'
+  // link activity overlaps in virtual time (the bare plan has no routers and
+  // starts streaming immediately). Its kernels leave real occupancy on gpu0's
+  // link; the DMA query then joins the earlier epoch and its fact-table
+  // transfers queue behind the UVA streams.
   const sim::VTime epoch = env.system->VirtualHorizon();
-  const sim::VTime init = env.system->cost_model().router_init_latency;
+  const sim::VTime init = env.system->cost_model().task_spawn_latency;
   QueryResult uva = executor.ExecutePlan(
       spec, uva_plan, QuerySession{env.system->NextQueryId(), epoch + init});
   ASSERT_TRUE(uva.status.ok()) << uva.status.ToString();

@@ -85,14 +85,19 @@ TEST(EdgeCases, ArithmeticInGroupKeysAndAggregates) {
 TEST(EdgeCases, BackToBackQueriesOnOneSystem) {
   // Virtual-time resources reset per query: the second run must not queue
   // behind the first one's reservations (regression: PCIe link clock reuse).
+  // Round-robin routing makes both runs' block distribution the same, so
+  // any difference is queueing; the load balancer's host-timing jitter
+  // (open item 1) is a quarter of this query's modeled time.
   TestEnv env(10'000);
   const auto spec = env.ssb->Query(1, 1);
-  const auto r1 = env.Run(spec, TestEnv::Tune(ExecPolicy::GpuOnly()));
-  const auto r2 = env.Run(spec, TestEnv::Tune(ExecPolicy::GpuOnly()));
+  ExecPolicy policy = TestEnv::Tune(ExecPolicy::GpuOnly());
+  policy.load_balance = false;
+  const auto r1 = env.Run(spec, policy);
+  const auto r2 = env.Run(spec, policy);
   ASSERT_TRUE(r1.status.ok());
   ASSERT_TRUE(r2.status.ok());
   EXPECT_NEAR(r1.modeled_seconds, r2.modeled_seconds,
-              0.2 * r1.modeled_seconds);
+              1e-6 * r1.modeled_seconds);
 }
 
 TEST(EdgeCases, SingleGpuHybridUsesRemoteSocketBlocks) {

@@ -15,9 +15,9 @@
 //
 // Against the baselines, hybrid is faster than DBMS G (streaming from pageable
 // host memory) on every query DBMS G runs, and faster than DBMS C on flights
-// 2-4. On flight 1 it runs at 0.89-0.94x DBMS C's speed, a finding the model
-// does not reproduce, so flight 1 is not gated against DBMS C. The
-// load-balancing router beats round-robin on the suite total.
+// 2-4. On flight 1 its lead over DBMS C is thin (1.04-1.09x; 0.85-0.87x while
+// every query paid the router bring-up), so flight 1 is not gated against
+// DBMS C. The load-balancing router beats round-robin on the suite total.
 //
 // The same data gates Fig. 6 (scalability, paper SF1000): CPU-only throughput
 // scales with interleaved cores until the sockets' DRAM saturates, every SSB

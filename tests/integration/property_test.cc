@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
 #include "common/rng.h"
 #include "test_util.h"
 
@@ -209,15 +212,48 @@ TEST(ResourceHygiene, StateMemoryFreedAfterQuery) {
       used_before);
 }
 
-TEST(VirtualTime, BareModeSkipsRouterInit) {
+TEST(VirtualTime, WorkerPoolBringUpIsPaidOncePerSystem) {
+  // The paper's ~10 ms router instantiation and thread pinning is the
+  // System's worker-pool start: [0, bring-up) of the virtual timeline. A
+  // session anchored inside it waits for its end; a session at the horizon
+  // does not.
   TestEnv env(5'000);
+  core::System& sys = *env.system;
+  const sim::VTime bring_up = sys.cost_model().router_init_latency;
+  ASSERT_GT(bring_up, 0.0);
+  EXPECT_EQ(sys.bring_up(), bring_up);
+  EXPECT_EQ(sys.VirtualHorizon(), bring_up);  // a fresh System
+  EXPECT_EQ(sys.PoolWait(0.0), bring_up);
+  EXPECT_EQ(sys.PoolWait(bring_up), 0.0);
+
   const auto spec = env.ssb->Query(1, 1);
-  const auto bare = env.Run(spec, TestEnv::Tune(ExecPolicy::Bare(sim::DeviceType::kCpu)));
-  const auto hetex = env.Run(spec, TestEnv::Tune(ExecPolicy::CpuOnly(1)));
-  // HetExchange at DOP 1 pays the ~10 ms router init on tiny inputs (Fig. 8).
-  EXPECT_GT(hetex.modeled_seconds,
-            bare.modeled_seconds +
-                env.system->cost_model().router_init_latency * 0.9);
+  core::QueryExecutor executor(&sys);
+  // The optimizer adds the same wait to every candidate: no pick changes.
+  plan::OptimizeResult cold, warm;
+  ASSERT_TRUE(executor.OptimizeAt(spec, ExecPolicy{}, 0.0, &cold).ok());
+  ASSERT_TRUE(executor.OptimizeAt(spec, ExecPolicy{}, bring_up, &warm).ok());
+  EXPECT_EQ(cold.best().label, warm.best().label);
+  ASSERT_EQ(cold.ranked.size(), warm.ranked.size());
+  std::map<std::string, double> warm_total;
+  for (const auto& c : warm.ranked) warm_total[c.candidate.label] = c.cost.total;
+  for (const auto& c : cold.ranked) {
+    ASSERT_EQ(warm_total.count(c.candidate.label), 1u) << c.candidate.label;
+    EXPECT_NEAR(c.cost.total - warm_total[c.candidate.label], bring_up,
+                bring_up * 1e-9)
+        << c.candidate.label;
+  }
+
+  const plan::HetPlan plan =
+      plan::BuildHetPlan(spec, TestEnv::Tune(ExecPolicy::CpuOnly(1)), sys.topology());
+  const core::QueryResult at_zero =
+      executor.ExecutePlan(spec, plan, core::QuerySession{sys.NextQueryId(), 0.0});
+  const core::QueryResult at_horizon = executor.ExecutePlan(spec, plan);
+  ASSERT_TRUE(at_zero.status.ok() && at_horizon.status.ok());
+  EXPECT_EQ(at_zero.rows, at_horizon.rows);
+  EXPECT_NEAR(at_zero.modeled_seconds, at_horizon.modeled_seconds + bring_up,
+              at_zero.modeled_seconds * 1e-9);
+  // A query's own set-up is waking parked workers.
+  EXPECT_LT(at_horizon.modeled_seconds, bring_up);
 }
 
 }  // namespace
