@@ -1,9 +1,9 @@
 // JIT backend microbenchmark: rows/sec of the row interpreter (tier 0), the
 // vectorized batch backend (tier 1) and the native codegen backend (tier 2,
 // out-of-process compile + dlopen) on the two pipeline shapes that dominate
-// SSB execution — filter→emit (a split plan's stage A, over 4-byte columns
-// and over the 1- and 2-byte columns Table::Place narrows small values to)
-// and filter→probe→agg (the fused fact pipeline). Output is JSON so the
+// SSB execution — filter→emit (a hybrid plan's build-side filter stage, over
+// 4-byte columns and over the 1- and 2-byte columns Table::Place narrows
+// small values to) and filter→probe→agg (the fused fact pipeline). Output is JSON so the
 // speedups — and the kernel cache's cold-compile vs warm-load latencies — are
 // recorded numbers, not claims.
 //
@@ -64,9 +64,9 @@ PipelineProgram Lower(PipelineProgram p, std::vector<uint32_t> widths) {
 
 /// filter→emit: load two columns, keep rows with a < threshold (~50%), emit
 /// both survivors' columns from the registers they loaded into (they sit in
-/// one register window, so the compiler copies nothing). The shape of a split
-/// plan's stage A; `widths` are the two columns' widths, which the emit packs
-/// them at too.
+/// one register window, so the compiler copies nothing). The shape of a
+/// hybrid plan's build-side filter stage; `widths` are the two columns'
+/// widths, which the emit packs them at too.
 PipelineProgram FilterEmitProgram(const char* label,
                                   const std::vector<uint32_t>& widths) {
   ProgramBuilder b;

@@ -1,6 +1,8 @@
 // Plan explorer: prints the heterogeneity-aware plans (the paper's Fig. 1e /
-// Fig. 2b artifacts) that the planner produces for an SSB query under different
-// execution policies, validates them against the §3.3 converter rules, prints
+// Fig. 2b artifacts) that the planner produces for an SSB query under four
+// execution policies (CPU-only, GPU-only, hybrid and bare), each plan's fact
+// side one fused probe stage feeding the partitioned merge, validates them
+// against the §3.3 converter rules, prints
 // the physical graph GraphBuilder lowers each plan to — so plan and execution
 // shape can be eyeballed for agreement — and compiles each span through the
 // system's program cache, reporting the chosen JIT tier and the per-device
@@ -224,12 +226,8 @@ void ReportSpanTiers(core::System& system, const core::GraphBuilder& builder,
     }
     report_stage(stage, "build", pipelines.build);
   }
-  // Fact stages compile through the same schema-threading path execution uses.
-  const std::vector<plan::CompiledPipeline> pipelines =
-      builder.CompileFactPipelines(&compiler);
-  for (size_t i = 0; i < pipelines.size(); ++i) {
-    report_stage(analysis.fact_stages[i], "fact", pipelines[i]);
-  }
+  report_stage(analysis.gather, "fact", compiler.CompileGather());
+  report_stage(analysis.probe, "fact", compiler.CompileProbe());
 }
 
 /// Lowers the query under the hybrid policy and collects its spans' live tier
@@ -368,7 +366,7 @@ bool ReportOptimizer(core::System& system, core::System& reuse_sys,
   // order: its placed width and frame-of-reference base.
   const std::vector<plan::ColSlot> fact_cols =
       plan::QueryCompiler(spec, system.catalog(), system.cost_model())
-          .CompileProbe(nullptr)
+          .CompileProbe()
           .input_cols;
 
   if (json) {
@@ -594,14 +592,10 @@ int main(int argc, char** argv) {
     const char* label;
     plan::ExecPolicy policy;
   };
-  plan::ExecPolicy split = plan::ExecPolicy::Hybrid(8);
-  split.split_probe_stage = true;
-
   for (const auto& [label, policy] : {
            Config{"CPU-only, 4 workers", plan::ExecPolicy::CpuOnly(4)},
            Config{"GPU-only, both GPUs", plan::ExecPolicy::GpuOnly()},
            Config{"Hybrid, 8 CPU workers + 2 GPUs", plan::ExecPolicy::Hybrid(8)},
-           Config{"Hybrid, split probe stage (hash router + hash-pack)", split},
            Config{"Bare Proteus (no HetExchange), 1 GPU, UVA",
                   plan::ExecPolicy::Bare(sim::DeviceType::kGpu)},
        }) {

@@ -46,14 +46,13 @@ Edge::Options GraphBuilder::EdgeOptions(const plan::Stage& stage) {
 
 std::string GraphBuilder::Describe() const {
   const plan::PlanAnalysis& a = analysis_;
-  size_t instances = 0;
-  for (const auto* stages : {&a.build_filter_stages, &a.build_stages, &a.fact_stages}) {
+  size_t instances = a.probe.instances.size() + a.gather.instances.size();
+  for (const auto* stages : {&a.build_filter_stages, &a.build_stages}) {
     for (const plan::Stage& s : *stages) instances += s.instances.size();
   }
   std::ostringstream os;
   os << "lowered graph: " << a.build_stages.size() << " build stage(s), "
-     << a.fact_stages.size() << " fact stage(s), " << instances
-     << " instance(s)\n";
+     << "2 fact stage(s), " << instances << " instance(s)\n";
   auto print_stage = [&](const plan::Stage& stage, const char* label) {
     const plan::Span& span = stage.span();
     os << label << " " << plan::StageRoleName(span.role);
@@ -79,7 +78,8 @@ std::string GraphBuilder::Describe() const {
     }
     print_stage(stage, "build stage:");
   }
-  for (const plan::Stage& stage : a.fact_stages) print_stage(stage, "fact stage:");
+  print_stage(a.gather, "fact stage:");
+  print_stage(a.probe, "fact stage:");
   return os.str();
 }
 
@@ -215,22 +215,6 @@ class Replay {
 
 }  // namespace
 
-std::vector<plan::CompiledPipeline> GraphBuilder::CompileFactPipelines(
-    plan::QueryCompiler* compiler) const {
-  // Pipelines compile producer→consumer so a stage can read its producer's emit
-  // schema (stage B of split plans reads stage A's surviving columns).
-  const size_t n_fact = analysis_.fact_stages.size();
-  std::vector<plan::CompiledPipeline> out(n_fact);
-  for (size_t i = n_fact; i-- > 0;) {
-    const plan::Span& span = analysis_.fact_stages[i].span();
-    const bool packed_input =
-        span.role == plan::StageRole::kProbe && i + 1 < n_fact;
-    out[i] = compiler->CompileSpan(
-        span, packed_input ? &out[i + 1].output_cols : nullptr);
-  }
-  return out;
-}
-
 GraphBuilder::BuildPipelines GraphBuilder::CompileBuildPipelines(
     const plan::Stage& stage, plan::QueryCompiler* compiler) const {
   BuildPipelines out;
@@ -245,12 +229,13 @@ GraphBuilder::BuildPipelines GraphBuilder::CompileBuildPipelines(
 
 Status GraphBuilder::Run(plan::QueryCompiler* compiler, QueryResult* result) {
   const plan::HetPlan& plan = *plan_;
-  if (analysis_.fact_stages.empty()) {
-    return Status::Internal("lowered graph has no fact stages (Analyze not run?)");
+  const plan::Stage& probe = analysis_.probe;
+  const plan::Stage& merge = analysis_.gather;
+  if (probe.branches.empty()) {
+    return Status::Internal("lowered graph has no probe stage (Analyze not run?)");
   }
   HETEX_RETURN_NOT_OK(plan::CheckUvaSources(plan, analysis_, system_->catalog(),
                                             system_->topology()));
-  HETEX_RETURN_NOT_OK(plan::CheckSplitJoins(analysis_, compiler->spec()));
 
   // The session anchors this query on the shared virtual timeline: its epoch
   // offsets every reservation on contended resources (PCIe links, GPU
@@ -537,7 +522,7 @@ Status GraphBuilder::Run(plan::QueryCompiler* compiler, QueryResult* result) {
       starts.push_back(it != filter_end.end() ? it->second : init_clock);
     }
     rt.group = std::make_unique<WorkerGroup>(
-        system_, stage.instances, FactoryFor(rt.cfg.get()), nullptr,
+        system_, stage.instances, FactoryFor(rt.cfg.get()),
         channel_capacity, std::move(starts), session.epoch, session.query_id,
         control);
     rt.edge = make_edge(stage, *rt.group);
@@ -610,7 +595,7 @@ Status GraphBuilder::Run(plan::QueryCompiler* compiler, QueryResult* result) {
                            : free_at(dev));
     }
     rt.group = std::make_unique<WorkerGroup>(
-        system_, stage.instances, FactoryFor(rt.cfg.get()), nullptr,
+        system_, stage.instances, FactoryFor(rt.cfg.get()),
         channel_capacity, std::move(starts), session.epoch, session.query_id,
         control);
     rt.edge = make_edge(stage, *rt.group);
@@ -667,48 +652,43 @@ Status GraphBuilder::Run(plan::QueryCompiler* compiler, QueryResult* result) {
   // Each probe instance starts when the replicas on its own unit are ready
   // (built here, or attached), so CPU sockets need not idle while the GPUs'
   // tables still cross PCIe; the load-balance router steers early fact blocks
-  // to the instances already running. The segmenter's and a split plan's
-  // filter stage's clocks start at the earliest probe unit's start; the
-  // merge starts per core, once the probes ended.
+  // to the instances already running. The segmenter's clock starts at the
+  // earliest probe unit's start; the merge starts per core, once the probes
+  // ended.
   auto unit_ready = [&](sim::DeviceId dev) {
     auto it = replica_ready.find(dev);
     return sim::MaxT(init_clock,
                      it != replica_ready.end() ? it->second : 0.0);
   };
-  const size_t n_fact = analysis_.fact_stages.size();
-  std::vector<std::vector<sim::VTime>> starts(n_fact);
+  std::vector<sim::VTime> probe_starts;
   std::map<sim::DeviceId, QueryResult::UnitReady> probe_units;
-  for (size_t i = 0; i < n_fact; ++i) {
-    const plan::Stage& stage = analysis_.fact_stages[i];
-    if (stage.span().role != plan::StageRole::kProbe) continue;
-    for (const auto& dev : stage.instances) {
-      starts[i].push_back(unit_ready(dev));
-      probe_units[dev] = {dev, starts[i].back()};
-    }
+  for (const auto& dev : probe.instances) {
+    probe_starts.push_back(unit_ready(dev));
+    probe_units[dev] = {dev, probe_starts.back()};
   }
-  const auto earliest = std::min_element(
-      probe_units.begin(), probe_units.end(),
-      [](const auto& a, const auto& b) { return a.second.start < b.second.start; });
   const sim::VTime fact_start =
-      earliest != probe_units.end() ? earliest->second.start : init_clock;
+      std::min_element(probe_units.begin(), probe_units.end(),
+                       [](const auto& a, const auto& b) {
+                         return a.second.start < b.second.start;
+                       })->second.start;
   for (const auto& [unit, ready] : probe_units) result->unit_ready.push_back(ready);
 
-  // Per socket, the fact phase starts with its earliest instance. The build
-  // interval closes exactly there — half-open intervals, so this query's
-  // fact-stage blocks never overlap (and never get charged for) its own
-  // closed build interval. A socket with builds but no fact workers closes at
-  // its own replicas' readiness.
+  // Per socket, the fact phase starts with its earliest instance, and with
+  // the fact phase on the merge's socket. The build interval closes exactly
+  // there — half-open intervals, so this query's fact-stage blocks never
+  // overlap (and never get charged for) its own closed build interval. A
+  // socket with builds but no fact workers closes at its own replicas'
+  // readiness.
   std::map<int, sim::VTime> socket_start;
-  for (size_t i = 0; i < n_fact; ++i) {
-    const plan::Stage& stage = analysis_.fact_stages[i];
-    if (starts[i].empty()) starts[i].assign(stage.instances.size(), fact_start);
-    for (size_t k = 0; k < stage.instances.size(); ++k) {
-      if (!stage.instances[k].is_cpu()) continue;
-      auto [it, fresh] =
-          socket_start.emplace(stage.instances[k].index, starts[i][k]);
-      if (!fresh) it->second = std::min(it->second, starts[i][k]);
-    }
+  auto note_start = [&](sim::DeviceId dev, sim::VTime t) {
+    if (!dev.is_cpu()) return;
+    auto [it, fresh] = socket_start.emplace(dev.index, t);
+    if (!fresh) it->second = std::min(it->second, t);
+  };
+  for (size_t k = 0; k < probe.instances.size(); ++k) {
+    note_start(probe.instances[k], probe_starts[k]);
   }
+  for (const auto& dev : merge.instances) note_start(dev, fact_start);
   const SocketTime phase_boundary = [&](int socket) {
     auto it = socket_start.find(socket);
     return it != socket_start.end() ? it->second
@@ -716,12 +696,7 @@ Status GraphBuilder::Run(plan::QueryCompiler* compiler, QueryResult* result) {
   };
   build_dram.Close(phase_boundary);
 
-  // -------------------------------------------------------------- fact stages
-  std::vector<plan::CompiledPipeline> pipelines = CompileFactPipelines(compiler);
-  // AnalyzePlan: the gather merges the partials of the probe stage below it.
-  const plan::Stage& merge = analysis_.fact_stages.front();
-  const plan::Stage& probe = analysis_.fact_stages[1];
-  const std::vector<sim::VTime> probe_starts = starts[1];
+  // ------------------------------------------------------------- probe stage
   std::map<plan::Core, int> probe_on;  // core -> its probe instance
   for (size_t k = 0; k < probe.cores.size(); ++k) {
     probe_on[probe.cores[k]] = static_cast<int>(k);
@@ -730,9 +705,7 @@ Status GraphBuilder::Run(plan::QueryCompiler* compiler, QueryResult* result) {
   // A merge instance runs on its core after the core's probe instance, so
   // only a merge core that no probe instance occupies adds a worker.
   SocketWorkers fact_workers;
-  for (size_t i = 1; i < n_fact; ++i) {
-    CountWorkers(analysis_.fact_stages[i], /*concurrent=*/true, &fact_workers);
-  }
+  CountWorkers(probe, /*concurrent=*/true, &fact_workers);
   for (size_t k = 0; k < merge.cores.size(); ++k) {
     if (merge.instances[k].is_cpu() && probe_on.count(merge.cores[k]) == 0) {
       fact_workers[merge.instances[k].index] += 1;
@@ -741,53 +714,29 @@ Status GraphBuilder::Run(plan::QueryCompiler* compiler, QueryResult* result) {
   DramPhaseGuard dram(&system_->topology(), session, fact_workers,
                       phase_boundary);
 
-  // The producer stages, instantiated consumer→producer (each group needs
-  // its downstream edge, each edge its consumer group's instances): the probe
-  // stage, which collects its partial groups split into one hash partition
-  // per merge instance, then a split plan's filter stage.
+  // The probe stage collects its partial groups, split into one hash
+  // partition per merge instance, for the merge's replay.
   std::vector<std::vector<DataMsg>> collected(probe.instances.size());
   Replay partials(system_);
-  std::vector<RuntimeStage> stages;
-  Edge* downstream = nullptr;
-  for (size_t i = 1; i < n_fact; ++i) {
-    const plan::Stage& stage = analysis_.fact_stages[i];
-    RuntimeStage rt;
-    rt.cfg = make_config(stage);
-    rt.cfg->pipeline = std::move(pipelines[i]);
-    rt.cfg->out = downstream;
-    if (i == 1) {
-      rt.cfg->collect = &collected;
-      rt.cfg->n_buckets = static_cast<int>(merge.instances.size());
-    } else if (stage.span().role == plan::StageRole::kFilterStage) {
-      rt.cfg->n_buckets = downstream->num_consumers();
-    }
-    rt.group = std::make_unique<WorkerGroup>(
-        system_, stage.instances, FactoryFor(rt.cfg.get()), downstream,
-        channel_capacity, std::move(starts[i]), session.epoch,
-        session.query_id, control);
-    rt.edge = make_edge(stage, *rt.group);
-    downstream = rt.edge.get();
-    if (stage.in.segmenter != -1) {
-      Status st = make_source(stage, *rt.cfg, rt.edge.get(), fact_start,
-                              &rt.source);
-      if (!st.ok()) return st;
-    }
-    stages.push_back(std::move(rt));
-  }
-
-  for (auto& rt : stages) rt.group->Start();
-  for (auto& rt : stages) {
-    if (rt.source != nullptr) rt.source->Start();
-  }
-  for (auto& rt : stages) {
-    if (rt.source != nullptr) rt.source->Join();
-  }
-  for (auto it = stages.rbegin(); it != stages.rend(); ++it) it->group->Join();
-  WorkerGroup& probe_group = *stages.front().group;
+  RuntimeStage probe_rt;
+  probe_rt.cfg = make_config(probe);
+  probe_rt.cfg->pipeline = compiler->CompileProbe();
+  probe_rt.cfg->collect = &collected;
+  probe_rt.cfg->merge_partitions = static_cast<int>(merge.instances.size());
+  probe_rt.group = std::make_unique<WorkerGroup>(
+      system_, probe.instances, FactoryFor(probe_rt.cfg.get()),
+      channel_capacity, probe_starts, session.epoch, session.query_id, control);
+  probe_rt.edge = make_edge(probe, *probe_rt.group);
+  HETEX_RETURN_NOT_OK(make_source(probe, *probe_rt.cfg, probe_rt.edge.get(),
+                                  fact_start, &probe_rt.source));
+  WorkerGroup& probe_group = *probe_rt.group;
+  probe_group.Start();
+  probe_rt.source->Start();
+  probe_rt.source->Join();
+  probe_group.Join();
   partials.Collect(probe_group, &collected);
-  for (auto& rt : stages) result->stats.Add(rt.group->total_stats());
-  for (auto& rt : stages) HETEX_RETURN_NOT_OK(group_error(*rt.group));
-
+  result->stats.Add(probe_group.total_stats());
+  HETEX_RETURN_NOT_OK(group_error(probe_group));
   for (int k = 0; k < probe_group.size(); ++k) {
     const sim::VTime end = probe_group.instance(k).clock();
     result->probes.push_back(
@@ -802,7 +751,7 @@ Status GraphBuilder::Run(plan::QueryCompiler* compiler, QueryResult* result) {
   // never ends before its last producer, even one with no partials.
   RuntimeStage rt;
   rt.cfg = make_config(merge);
-  rt.cfg->pipeline = std::move(pipelines[0]);
+  rt.cfg->pipeline = compiler->CompileGather();
   std::vector<sim::VTime> merge_starts;
   for (const plan::Core& core : merge.cores) {
     auto it = probe_on.find(core);
@@ -811,7 +760,7 @@ Status GraphBuilder::Run(plan::QueryCompiler* compiler, QueryResult* result) {
                                : fact_start);
   }
   rt.group = std::make_unique<WorkerGroup>(
-      system_, merge.instances, FactoryFor(rt.cfg.get()), nullptr,
+      system_, merge.instances, FactoryFor(rt.cfg.get()),
       channel_capacity, merge_starts, session.epoch, session.query_id, control);
   rt.edge = make_edge(merge, *rt.group);
   result->partial_rows = partials.rows();

@@ -22,11 +22,11 @@ namespace hetex::core {
 /// PlanCoster prices); Run() instantiates a WorkerGroup per analysed stage, an
 /// Edge per exchange (EdgeOptions) and a SourceDriver per segmenter, and
 /// orchestrates the phased execution (builds one join after another on each
-/// unit — a filter-fed build after its filter stage — then the fact graph,
+/// unit — a filter-fed build after its filter stage — then the probe stage,
 /// each probe instance gated on the hash-table replicas of its own unit, then
 /// the merge of the partials' hash partitions on the probes' cores). Any
-/// plan shape whose spans classify — split filter/probe stages, per-edge
-/// policy/placement/granularity mutations — runs without executor changes.
+/// plan AnalyzePlan accepts — per-edge policy/placement/granularity
+/// mutations included — runs without executor changes.
 ///
 /// Scope: the plan governs the *exchange* level (stage structure, placements,
 /// DOP, edge policies, block granularity, costs). The relational content of a
@@ -59,20 +59,10 @@ class GraphBuilder {
   /// The runtime graph as text: each stage's role, instances and edge.
   std::string Describe() const;
 
-  /// \brief Compiles the fact-chain span pipelines producer→consumer, threading
-  /// packed wire schemas (stage B of a split plan reads stage A's emit schema).
-  ///
-  /// Wire schemas bind positionally; AnalyzePlan admits only chains they
-  /// thread through. Shared by Run() and tooling (plan_explorer's tier report)
-  /// so both describe the same programs. Returned in fact-stage order
-  /// (consumer first).
-  std::vector<plan::CompiledPipeline> CompileFactPipelines(
-      plan::QueryCompiler* compiler) const;
-
   /// A build stage's pipelines: the build-side filter stage feeding it (an
   /// empty pipeline when segmenter-fed) and the build, which then reads that
-  /// stage's packed survivors. Shared by Run() and tooling like
-  /// CompileFactPipelines.
+  /// stage's packed survivors. Shared by Run() and tooling (plan_explorer's
+  /// tier report) so both describe the same programs.
   struct BuildPipelines {
     plan::CompiledPipeline filter;
     plan::CompiledPipeline build;
@@ -83,8 +73,7 @@ class GraphBuilder {
   /// Instantiates the runtime objects from the analysed stages and executes
   /// the query, filling `result` (rows, modeled/virtual time, work stats).
   /// A UVA source the placed data makes unreadable (plan::CheckUvaSources)
-  /// and a split plan of a query without joins (plan::CheckSplitJoins) fail
-  /// before any stage starts.
+  /// fails before any stage starts.
   Status Run(plan::QueryCompiler* compiler, QueryResult* result);
 
  private:

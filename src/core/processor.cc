@@ -10,11 +10,10 @@ namespace hetex::core {
 
 namespace {
 
-/// One open output block set (all output columns) being filled by Emit.
+/// The open output block set (all output columns) being filled by Emit.
 struct PackBucket {
   jit::EmitTarget target;
   std::vector<memory::Block*> blocks;
-  int bucket_id = 0;
 };
 
 class VmProcessor : public BlockProcessor {
@@ -39,8 +38,11 @@ class VmProcessor : public BlockProcessor {
   void ReleaseBucketBlocks(WorkerInstance& inst, PackBucket& bucket);
   /// Moves a filled bucket into pending_ as a DataMsg (ready_at patched later).
   void StashBucket(PackBucket& bucket);
+  /// Stashes the open bucket if it holds rows, else releases its blocks, and
+  /// closes it.
+  void FlushBucket(WorkerInstance& inst);
   void PushPending(WorkerInstance& inst, sim::VTime ready_at);
-  /// Hands one output message downstream: into the collection, or the edge.
+  /// Hands one output message to the stage's collection.
   void Ship(WorkerInstance& inst, DataMsg msg);
   /// Packs the partial groups of one merge partition (`tag`) into blocks
   /// and ships them.
@@ -58,7 +60,7 @@ class VmProcessor : public BlockProcessor {
   std::unique_ptr<jit::AggHashTable> agg_ht_;
   int64_t instance_accs_[jit::kMaxLocalAccs] = {};
   std::atomic<int64_t>* shared_accs_ = nullptr;  // GPU device-resident accumulators
-  std::vector<std::unique_ptr<PackBucket>> buckets_;
+  std::unique_ptr<PackBucket> bucket_;  ///< open pack output, if any
   std::vector<DataMsg> pending_;
   std::unique_ptr<std::byte[]> scratch_;  ///< failed-refill write target
   bool merged_ = false;  ///< gather: merged at least one partial message
@@ -168,7 +170,6 @@ void VmProcessor::ReleaseBucketBlocks(WorkerInstance& inst, PackBucket& bucket) 
 void VmProcessor::StashBucket(PackBucket& bucket) {
   DataMsg msg;
   msg.rows = bucket.target.rows();
-  msg.tag = static_cast<uint64_t>(bucket.bucket_id);
   for (size_t i = 0; i < bucket.blocks.size(); ++i) {
     memory::BlockHandle h;
     h.block = bucket.blocks[i];
@@ -180,12 +181,18 @@ void VmProcessor::StashBucket(PackBucket& bucket) {
   pending_.push_back(std::move(msg));
 }
 
-void VmProcessor::Ship(WorkerInstance& inst, DataMsg msg) {
-  if (cfg_->collect != nullptr) {
-    (*cfg_->collect)[inst.id()].push_back(std::move(msg));
+void VmProcessor::FlushBucket(WorkerInstance& inst) {
+  if (bucket_ == nullptr) return;
+  if (bucket_->target.rows() > 0) {
+    StashBucket(*bucket_);
   } else {
-    cfg_->out->Push(std::move(msg), inst.node());
+    ReleaseBucketBlocks(inst, *bucket_);
   }
+  bucket_.reset();
+}
+
+void VmProcessor::Ship(WorkerInstance& inst, DataMsg msg) {
+  (*cfg_->collect)[inst.id()].push_back(std::move(msg));
 }
 
 void VmProcessor::PushPending(WorkerInstance& inst, sim::VTime ready_at) {
@@ -217,7 +224,6 @@ void VmProcessor::ProcessMsg(WorkerInstance& inst, DataMsg& msg) {
   }
 
   const bool has_emit = !pipeline.output_cols.empty();
-  std::vector<jit::EmitTarget*> targets;
   const bool gpu = is_gpu(inst);
   if (has_emit) {
     if (gpu) {
@@ -225,39 +231,25 @@ void VmProcessor::ProcessMsg(WorkerInstance& inst, DataMsg& msg) {
       // atomic cursor; blocks are forwarded after the kernel completes.
       HETEX_CHECK(msg.rows <= BucketCapacityRows())
           << "input block larger than GPU output capacity";
-      buckets_.clear();
-      for (int bkt = 0; bkt < cfg_->n_buckets; ++bkt) {
-        auto bucket = std::make_unique<PackBucket>();
-        bucket->bucket_id = bkt;
-        bucket->target.atomic_append = true;
-        InstallFresh(inst, *bucket);
-        buckets_.push_back(std::move(bucket));
-      }
-    } else if (buckets_.empty()) {
-      for (int bkt = 0; bkt < cfg_->n_buckets; ++bkt) {
-        auto bucket = std::make_unique<PackBucket>();
-        bucket->bucket_id = bkt;
-        PackBucket* raw = bucket.get();
-        bucket->target.on_full = [this, &inst, raw] {
-          StashBucket(*raw);
-          InstallFresh(inst, *raw);
-        };
-        InstallFresh(inst, *bucket);
-        buckets_.push_back(std::move(bucket));
-      }
+      bucket_ = std::make_unique<PackBucket>();
+      bucket_->target.atomic_append = true;
+      InstallFresh(inst, *bucket_);
+    } else if (bucket_ == nullptr) {
+      bucket_ = std::make_unique<PackBucket>();
+      bucket_->target.on_full = [this, &inst] {
+        StashBucket(*bucket_);
+        InstallFresh(inst, *bucket_);
+      };
+      InstallFresh(inst, *bucket_);
     }
     if (!inst.error().ok()) return;  // bucket install failed: drain from here on
-    targets.reserve(buckets_.size());
-    for (auto& bucket : buckets_) targets.push_back(&bucket->target);
   }
 
   jit::ExecRequest req;
   req.cols = bindings.data();
   req.n_cols = static_cast<int>(bindings.size());
   req.rows = msg.rows;
-  req.emit = targets.empty() ? nullptr : targets[0];
-  req.emit_targets = targets.empty() ? nullptr : targets.data();
-  req.n_emit_targets = static_cast<int>(targets.size());
+  req.emit = has_emit ? &bucket_->target : nullptr;
   req.ht_slots = ht_slots_.data();
   req.instance_accs = instance_accs_;
   req.shared_accs = shared_accs_;
@@ -274,16 +266,7 @@ void VmProcessor::ProcessMsg(WorkerInstance& inst, DataMsg& msg) {
     return;
   }
 
-  if (has_emit && gpu) {
-    for (auto& bucket : buckets_) {
-      if (bucket->target.rows() > 0) {
-        StashBucket(*bucket);
-      } else {
-        ReleaseBucketBlocks(inst, *bucket);
-      }
-    }
-    buckets_.clear();
-  }
+  if (gpu) FlushBucket(inst);
   PushPending(inst, inst.clock());
 }
 
@@ -355,8 +338,8 @@ void VmProcessor::Finish(WorkerInstance& inst) {
       inst.provider().FreeStateVar(shared_accs_);
       shared_accs_ = nullptr;
     }
-    for (auto& bucket : buckets_) ReleaseBucketBlocks(inst, *bucket);
-    buckets_.clear();
+    if (bucket_ != nullptr) ReleaseBucketBlocks(inst, *bucket_);
+    bucket_.reset();
     for (auto& msg : pending_) ReleaseMsgBlocks(&inst.system(), msg, inst.node());
     pending_.clear();
     agg_ht_.reset();
@@ -366,19 +349,11 @@ void VmProcessor::Finish(WorkerInstance& inst) {
     case plan::StageRole::kBuild:
       break;  // nothing to flush; GraphBuilder::Run reads the writers' clocks
 
-    case plan::StageRole::kFilterStage: {
-      // Flush the partially-filled hash-pack blocks.
-      for (auto& bucket : buckets_) {
-        if (bucket->target.rows() > 0) {
-          StashBucket(*bucket);
-        } else {
-          ReleaseBucketBlocks(inst, *bucket);
-        }
-      }
-      buckets_.clear();
+    case plan::StageRole::kFilterStage:
+      // Flush the partially-filled pack blocks.
+      FlushBucket(inst);
       PushPending(inst, inst.clock());
       break;
-    }
 
     case plan::StageRole::kProbe: {
       // Pipeline breaker: ship this instance's partial aggregates to the
@@ -388,7 +363,7 @@ void VmProcessor::Finish(WorkerInstance& inst) {
       // split's hash is charged as compute; a scalar aggregate, or a single
       // merge instance, ships one unsplit partition.
       std::vector<std::vector<int64_t>> partials = AggregateRows();
-      const int parts = cfg_->n_buckets;
+      const int parts = cfg_->merge_partitions;
       if (agg_ht_ == nullptr || parts <= 1) {
         EmitRowsDownstream(inst, partials, 0, inst.clock());
         break;
@@ -423,8 +398,8 @@ void VmProcessor::Finish(WorkerInstance& inst) {
     shared_accs_ = nullptr;
   }
   // Any never-flushed CPU pack blocks (e.g. zero-output stages) go back.
-  for (auto& bucket : buckets_) ReleaseBucketBlocks(inst, *bucket);
-  buckets_.clear();
+  if (bucket_ != nullptr) ReleaseBucketBlocks(inst, *bucket_);
+  bucket_.reset();
   agg_ht_.reset();
 }
 

@@ -29,12 +29,10 @@ struct StageConfig {
   ProgramCache* programs = nullptr;
 
   HtRegistry* hts = nullptr;
-  Edge* out = nullptr;          ///< downstream edge (null for gather)
   ResultSink* result = nullptr; ///< gather only
   /// Build-side filter stages and probe stages: instance i appends its packed
-  /// output (survivors, or partial groups) to (*collect)[i] instead of
-  /// pushing it into `out`; GraphBuilder replays the blocks into the next
-  /// stage's edge in a fixed order.
+  /// output (survivors, or partial groups) to (*collect)[i]; GraphBuilder
+  /// replays the blocks into the next stage's edge in a fixed order.
   std::vector<std::vector<DataMsg>>* collect = nullptr;
 
   /// Build stages: the join replica of each unit, created once before the
@@ -48,10 +46,9 @@ struct StageConfig {
 
   // Emit configuration.
   uint64_t block_bytes = 1ull << 20;
-  /// Hash-pack buckets: a split plan's filter stage packs one per probe
-  /// instance, a probe stage splits its partial groups into one per merge
-  /// instance (MergePartition).
-  int n_buckets = 1;
+  /// Probe stages: the merge instances the partial groups are split over,
+  /// one hash partition each (MergePartition).
+  int merge_partitions = 1;
 
   // Bare-GPU (UVA) mode: kernels may read host-resident blocks over PCIe;
   // their streamed bytes reserve occupancy on the GPU's link BandwidthServer.

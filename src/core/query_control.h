@@ -2,8 +2,8 @@
 #define HETEX_CORE_QUERY_CONTROL_H_
 
 #include <atomic>
-#include <mutex>
 
+#include "common/run_stop.h"
 #include "common/status.h"
 #include "sim/vtime.h"
 
@@ -22,8 +22,8 @@ namespace hetex::core {
 /// joins normally, so every cleanup guard (HT namespace, DRAM registrations,
 /// staging blocks) runs exactly as on the success path. The scheduler stamps
 /// the authoritative terminal status on the QueryResult; a failed run reports
-/// its first failure.
-struct QueryControl {
+/// its first failure (RunStop::Fail).
+struct QueryControl : RunStop {
   std::atomic<bool> cancelled{false};
   /// Session-local virtual-time execution bound (the submit deadline minus the
   /// admission queue wait); negative = no deadline.
@@ -32,9 +32,6 @@ struct QueryControl {
   /// the scheduler's terminal-stamp signal even when the component (e.g. a
   /// segmenter that simply stopped producing) leaves no error behind.
   mutable std::atomic<bool> deadline_hit{false};
-  /// Set by Cancel() and by Fail(): the one flag every component of the run,
-  /// staging waits included, watches.
-  mutable std::atomic<bool> stopped{false};
 
   bool has_deadline() const { return deadline >= 0; }
 
@@ -43,31 +40,11 @@ struct QueryControl {
     stopped.store(true);
   }
 
-  /// Records the run's first failure (later ones are consequences) and stops
-  /// the run.
-  void Fail(const Status& st) const {
-    if (st.ok()) return;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (failure_.ok()) failure_ = st;
-    }
-    stopped.store(true);
-  }
-
-  /// The run's first failure; OK while none happened.
-  Status failure() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return failure_;
-  }
-
   /// Clears a failed attempt's state before the next one runs (its threads
   /// have all joined). A cancel racing with the reset still stops the run:
   /// the flag is cleared before `cancelled` is re-read.
   void ResetFailure() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      failure_ = Status::OK();
-    }
+    ClearFailure();
     stopped.store(false);
     if (cancelled.load()) stopped.store(true);
   }
@@ -88,10 +65,6 @@ struct QueryControl {
     }
     return Status::OK();
   }
-
- private:
-  mutable std::mutex mu_;
-  mutable Status failure_;
 };
 
 }  // namespace hetex::core

@@ -19,7 +19,7 @@ WorkerInstance::WorkerInstance(int id, sim::DeviceId device, System* system,
       channel_(channel_capacity) {
   provider_->set_session_epoch(epoch);
   provider_->set_session_id(query_id);
-  if (control != nullptr) provider_->set_stop_flag(&control->stopped);
+  provider_->set_run_stop(control);
 }
 
 Edge::Edge(System* system, Options options, std::vector<WorkerInstance*> consumers)
@@ -122,8 +122,7 @@ DataMsg Edge::MoveToNode(DataMsg msg, sim::MemNodeId target_node,
     for (const sim::Topology::Hop& hop : topo.Route(h.node(), target_node)) {
       Status acquire_error = Status::OK();
       memory::Block* dst = system_->blocks().Acquire(
-          hop.to, producer_node, &acquire_error,
-          options_.control != nullptr ? &options_.control->stopped : nullptr);
+          hop.to, producer_node, &acquire_error, options_.control);
       if (dst == nullptr) {
         fail = std::move(acquire_error);
       } else if (sim::FaultInjector& inj = system_->fault(); inj.enabled()) {
@@ -292,14 +291,12 @@ void Edge::Push(DataMsg msg, sim::MemNodeId producer_node) {
 }
 
 WorkerGroup::WorkerGroup(System* system, std::vector<sim::DeviceId> devices,
-                         ProcessorFactory factory, Edge* out,
-                         size_t channel_capacity,
+                         ProcessorFactory factory, size_t channel_capacity,
                          std::vector<sim::VTime> start_clocks,
                          sim::VTime epoch, uint64_t query_id,
                          const QueryControl* control)
     : system_(system),
       factory_(std::move(factory)),
-      out_(out),
       control_(control) {
   HETEX_CHECK(start_clocks.size() == devices.size())
       << "worker group needs one start clock per device";
@@ -330,7 +327,6 @@ void WorkerGroup::Start() {
       static_cast<jit::CpuProvider&>(inst->provider())
           .set_socket_concurrency(socket_workers[inst->device().index]);
     }
-    if (out_ != nullptr) out_->AddProducer();
   }
   for (auto& inst : instances_) {
     tickets_.push_back(
@@ -360,7 +356,6 @@ void WorkerGroup::RunInstance(WorkerInstance& inst) {
   // End of stream: the instance cannot flush before its last producer closed.
   inst.AdvanceTo(inst.input_closed_at());
   processor->Finish(inst);
-  if (out_ != nullptr) out_->CloseProducer(inst.clock());
   // The thread parks in the System's pool next: it keeps no batch buffers.
   jit::ReleaseThreadBatchBuffers();
 }

@@ -204,9 +204,6 @@ class Edge {
   /// memory node (block-manager batching is keyed by it).
   void Push(DataMsg msg, sim::MemNodeId producer_node);
 
-  int num_consumers() const { return static_cast<int>(consumers_.size()); }
-  WorkerInstance* consumer(int i) { return consumers_.at(i); }
-
  private:
   void DeliverTo(WorkerInstance* target, DataMsg msg, sim::MemNodeId producer_node);
   /// Copies `msg`'s blocks to `target_node` and releases the producer's
@@ -256,7 +253,7 @@ using ProcessorFactory =
 class WorkerGroup {
  public:
   WorkerGroup(System* system, std::vector<sim::DeviceId> devices,
-              ProcessorFactory factory, Edge* out, size_t channel_capacity,
+              ProcessorFactory factory, size_t channel_capacity,
               std::vector<sim::VTime> start_clocks, sim::VTime epoch = 0.0,
               uint64_t query_id = 0, const QueryControl* control = nullptr);
 
@@ -276,7 +273,6 @@ class WorkerGroup {
 
   System* system_;
   ProcessorFactory factory_;
-  Edge* out_;
   const QueryControl* control_ = nullptr;
   /// One per-block cost EMA per device; outlives the instances that read it.
   std::map<sim::DeviceId, std::atomic<double>> block_costs_;

@@ -8,7 +8,6 @@
 #include <cstdlib>
 #include <map>
 
-#include "common/hash.h"
 #include "common/int_width.h"
 #include "common/logging.h"
 #include "jit/hash_table.h"
@@ -217,17 +216,6 @@ CodegenCounters GetCodegenCounters() {
   return c;
 }
 
-void ResetCodegenCounters() {
-  g_attempts.store(0);
-  g_generated.store(0);
-  g_fallbacks.store(0);
-  g_compiler_invocations.store(0);
-  g_compile_failures.store(0);
-  g_disk_hits.store(0);
-  g_rejected_objects.store(0);
-  g_native_invocations.store(0);
-}
-
 namespace internal {
 void CountCompilerInvocation() { g_compiler_invocations.fetch_add(1); }
 void CountCompileFailure() { g_compile_failures.fetch_add(1); }
@@ -292,7 +280,7 @@ GenerateResult GenerateSource(const PipelineProgram& program) {
   int payload_loads[kMaxHtSlots] = {};     // payload values loaded, per slot
   uint64_t width_codes[kMaxHtSlots] = {};  // stamped by each slot's probe init
   bool uses_emit = false, uses_insert = false, uses_groupby = false;
-  int emit_sites = 0, bucketed_emits = 0, emit_width = 0;
+  int emit_sites = 0, emit_width = 0;
   for (const Instr& in : code) {
     if (const int16_t* target = BranchTarget(in); target != nullptr) {
       if (*target < 0 || *target >= n) return fallback("jump target out of range");
@@ -318,7 +306,6 @@ GenerateResult GenerateSource(const PipelineProgram& program) {
       case OpCode::kEmit:
         uses_emit = true;
         ++emit_sites;
-        if (in.d != 0) ++bucketed_emits;
         emit_width = in.b;
         break;
       case OpCode::kHtInsert: uses_insert = true; break;
@@ -347,8 +334,8 @@ GenerateResult GenerateSource(const PipelineProgram& program) {
   // byte- and CostStats-identical to per-row Append, so results don't move.
   constexpr int kEmitBatchRows = 512;
   constexpr int kEmitBatchMaxCols = 8;
-  const bool batch_emit = emit_sites == 1 && bucketed_emits == 0 &&
-                          emit_width > 0 && emit_width <= kEmitBatchMaxCols;
+  const bool batch_emit = emit_sites == 1 && emit_width > 0 &&
+                          emit_width <= kEmitBatchMaxCols;
 
   std::string out;
   out.reserve(4096 + static_cast<size_t>(n) * 96);
@@ -400,15 +387,14 @@ GenerateResult GenerateSource(const PipelineProgram& program) {
       "\n"
       "extern \"C\" int hx_kernel(\n"
       "    const void* const* cols, const int64_t* col_bases, void* emit0,\n"
-      "    void* const* emit_targets, int64_t n_emit_targets, int64_t* local_accs,\n"
-      "    const uint64_t* const* ht_heads, const unsigned char* const* ht_entries,\n"
-      "    const int64_t* ht_bases, const uint64_t* ht_masks, void* const* ht_objs,\n"
-      "    uint64_t* stats, uint64_t row_begin, uint64_t row_step, uint64_t rows,\n"
-      "    int atomic_mode, const void* const* hooks) {\n"
-      "  (void)cols; (void)col_bases; (void)emit0; (void)emit_targets;\n"
-      "  (void)n_emit_targets; (void)local_accs; (void)ht_heads; (void)ht_entries;\n"
-      "  (void)ht_bases; (void)ht_masks; (void)ht_objs; (void)atomic_mode;\n"
-      "  (void)hooks;\n";
+      "    int64_t* local_accs, const uint64_t* const* ht_heads,\n"
+      "    const unsigned char* const* ht_entries, const int64_t* ht_bases,\n"
+      "    const uint64_t* ht_masks, void* const* ht_objs, uint64_t* stats,\n"
+      "    uint64_t row_begin, uint64_t row_step, uint64_t rows, int atomic_mode,\n"
+      "    const void* const* hooks) {\n"
+      "  (void)cols; (void)col_bases; (void)emit0; (void)local_accs;\n"
+      "  (void)ht_heads; (void)ht_entries; (void)ht_bases; (void)ht_masks;\n"
+      "  (void)ht_objs; (void)atomic_mode; (void)hooks;\n";
 
   // Hoisted bindings: columns and their bases, probe-slot raw layout and
   // field bases, hook pointers.
@@ -602,18 +588,6 @@ GenerateResult GenerateSource(const PipelineProgram& program) {
           fold.Kill(in.a);
         }
         break;
-      case OpCode::kHash:
-        if (fold.Known(in.b)) {
-          const int64_t v = static_cast<int64_t>(
-              HashMix64(static_cast<uint64_t>(fold.val[in.b])));
-          out += "    " + RegName(in.a) + " = " + ImmStr(v) + ";\n";
-          fold.Set(in.a, v);
-        } else {
-          out += "    " + RegName(in.a) + " = (int64_t)hx_mix64((uint64_t)" +
-                 RegName(in.b) + ");\n";
-          fold.Kill(in.a);
-        }
-        break;
       case OpCode::kFilter:
         if (fold.Known(in.a)) {
           // Constant filter folds away; its one-op fetch cost was kept above.
@@ -749,14 +723,7 @@ GenerateResult GenerateSource(const PipelineProgram& program) {
           out += " };";
         }
         const std::string vals = in.b > 0 ? "hx_v" : "(const int64_t*)0";
-        if (in.d != 0) {
-          out += " hx_emit(emit_targets[(uint64_t)" + fold.Use(in.c) +
-                 " % (uint64_t)n_emit_targets], " + vals + ", " + S(in.b) +
-                 ", &s_bw);";
-        } else {
-          out += " hx_emit(emit0, " + vals + ", " + S(in.b) + ", &s_bw);";
-        }
-        out += " }\n";
+        out += " hx_emit(emit0, " + vals + ", " + S(in.b) + ", &s_bw); }\n";
         break;
       }
       case OpCode::kEnd:
@@ -853,10 +820,8 @@ Status RunNative(const PipelineProgram& program, ExecCtx& ctx, uint64_t rows) {
 
   uint64_t s[kStatCount] = {};
   const int rc = kernel->fn(
-      cols, col_bases, ctx.emit, reinterpret_cast<void* const*>(ctx.emit_targets),
-      ctx.n_emit_targets, ctx.local_accs, heads, entries, ht_bases, masks,
-      ctx.ht_slots, s,
-      ctx.row_begin, ctx.row_step, rows,
+      cols, col_bases, ctx.emit, ctx.local_accs, heads, entries, ht_bases,
+      masks, ctx.ht_slots, s, ctx.row_begin, ctx.row_step, rows,
       (ctx.atomic_group_update ? kAtomicGroupBy : 0) |
           (ctx.atomic_ht_insert ? kAtomicHtInsert : 0),
       kHookTable);

@@ -55,7 +55,10 @@ namespace hetex::jit {
 ///     column's base (`col_bases`) and each probed slot's key and payload
 ///     bases (`ht_bases`) and adds them back on every column load, key
 ///     compare and payload load (hx_dec).
-inline constexpr uint32_t kCodegenAbiVersion = 8;
+/// v9: an emit has one target, so the kernel takes only `emit0` (the
+///     hash-pack bucket array and its count are gone), and the hash opcode
+///     is gone.
+inline constexpr uint32_t kCodegenAbiVersion = 9;
 
 /// Entries per hash-table slot in a kernel's `ht_bases` array: the key's
 /// base, then each payload field's.
@@ -109,8 +112,6 @@ typedef int (*NativeKernelFn)(
     const void* const* cols,           // input column data pointers
     const int64_t* col_bases,          // input column bases (IntCode::base)
     void* emit0,                       // EmitTarget* (nullable)
-    void* const* emit_targets,         // hash-pack bucket targets (nullable)
-    int64_t n_emit_targets,
     int64_t* local_accs,               // instance/thread-local accumulators
     const uint64_t* const* ht_heads,   // per HT slot: bucket head words (tag | entry index)
     const unsigned char* const* ht_entries,  // per HT slot: packed entries
@@ -173,7 +174,7 @@ GenerateResult GenerateSource(const PipelineProgram& program);
 /// instead of invoking UB. The caller must have checked native->ready().
 Status RunNative(const PipelineProgram& program, ExecCtx& ctx, uint64_t rows);
 
-/// Process-wide tier-2 telemetry (Reset is for tests). Compiler invocations and
+/// Process-wide tier-2 telemetry. Compiler invocations and
 /// disk traffic live here too so a warm-cache run is provably compile-free.
 struct CodegenCounters {
   uint64_t attempts = 0;             ///< GenerateSource calls
@@ -186,7 +187,6 @@ struct CodegenCounters {
   uint64_t native_invocations = 0;   ///< blocks (CPU) / logical threads (GPU) run natively
 };
 CodegenCounters GetCodegenCounters();
-void ResetCodegenCounters();
 
 namespace internal {
 /// Counter mutation hooks for the kernel cache (same process-wide registry).

@@ -62,7 +62,6 @@ Status ValidateProgram(const PipelineProgram& program) {
         break;
       case OpCode::kShl:
       case OpCode::kNot:
-      case OpCode::kHash:
         if (!reg_ok(in.a) || !reg_ok(in.b)) {
           return err("register out of range", pc);
         }
@@ -112,9 +111,6 @@ Status ValidateProgram(const PipelineProgram& program) {
       case OpCode::kEmit:
         if (!window_ok(in.a, in.b)) {
           return err("emit register window out of range", pc);
-        }
-        if (in.d != 0 && !reg_ok(in.c)) {
-          return err("register out of range", pc);
         }
         break;
       case OpCode::kEnd:
@@ -194,7 +190,7 @@ void* CpuProvider::AllocStateVar(uint64_t bytes) {
 void CpuProvider::FreeStateVar(void* ptr) { mem_->manager(node_).Free(ptr); }
 
 memory::Block* CpuProvider::GetBuffer() {
-  return blocks_->Acquire(node_, node_, nullptr, stop_flag());
+  return blocks_->Acquire(node_, node_, nullptr, run_stop());
 }
 
 void CpuProvider::ReleaseBuffer(memory::Block* block) {
@@ -206,8 +202,6 @@ ExecResult CpuProvider::Execute(const PipelineProgram& program, ExecRequest& req
   ctx.cols = req.cols;
   ctx.n_cols = req.n_cols;
   ctx.emit = req.emit;
-  ctx.emit_targets = req.emit_targets;
-  ctx.n_emit_targets = req.n_emit_targets;
   ctx.local_accs = req.instance_accs;
   ctx.ht_slots = req.ht_slots;
   ctx.atomic_group_update = false;  // single thread per worker: atomics elided
@@ -253,7 +247,7 @@ void* GpuProvider::AllocStateVar(uint64_t bytes) {
 void GpuProvider::FreeStateVar(void* ptr) { mem_->manager(node_).Free(ptr); }
 
 memory::Block* GpuProvider::GetBuffer() {
-  return blocks_->Acquire(node_, node_, nullptr, stop_flag());
+  return blocks_->Acquire(node_, node_, nullptr, run_stop());
 }
 
 void GpuProvider::ReleaseBuffer(memory::Block* block) {
@@ -304,8 +298,6 @@ ExecResult GpuProvider::Execute(const PipelineProgram& program, ExecRequest& req
     ctx.cols = req.cols;
     ctx.n_cols = req.n_cols;
     ctx.emit = req.emit;
-    ctx.emit_targets = req.emit_targets;
-    ctx.n_emit_targets = req.n_emit_targets;
     ctx.ht_slots = req.ht_slots;
     ctx.atomic_group_update = true;  // workerScopedAtomic -> device atomic
     ctx.atomic_ht_insert = true;

@@ -26,8 +26,6 @@ struct ExecRequest {
   int n_cols = 0;
   uint64_t rows = 0;
   EmitTarget* emit = nullptr;
-  EmitTarget** emit_targets = nullptr;  ///< hash-pack buckets (optional)
-  int n_emit_targets = 0;
   void** ht_slots = nullptr;
   int64_t* instance_accs = nullptr;            ///< CPU: instance-persistent accumulators
   std::atomic<int64_t>* shared_accs = nullptr; ///< GPU: device-resident accumulators
@@ -141,9 +139,9 @@ class DeviceProvider {
   void set_fault_injector(sim::FaultInjector* fault) { fault_ = fault; }
   sim::FaultInjector* fault_injector() const { return fault_; }
 
-  /// The owning run's stop flag (core::QueryControl::stopped); null = none.
-  void set_stop_flag(const std::atomic<bool>* stop) { stop_ = stop; }
-  const std::atomic<bool>* stop_flag() const { return stop_; }
+  /// The owning run's stop (core::QueryControl); null = none.
+  void set_run_stop(const RunStop* stop) { stop_ = stop; }
+  const RunStop* run_stop() const { return stop_; }
 
  private:
   TierPolicy tier_policy_ = TierPolicy::kAuto;
@@ -151,7 +149,7 @@ class DeviceProvider {
   sim::VTime session_epoch_ = 0.0;
   uint64_t session_id_ = 0;
   sim::FaultInjector* fault_ = nullptr;
-  const std::atomic<bool>* stop_ = nullptr;
+  const RunStop* stop_ = nullptr;
 };
 
 /// CPU provider: single-threaded worker pinned to one socket; streaming bandwidth

@@ -154,9 +154,7 @@ struct ExecCtx {
   int64_t regs[64] = {};
   const ColumnBinding* cols = nullptr;
   int n_cols = 0;
-  EmitTarget* emit = nullptr;          ///< single-target emit (bucket 0)
-  EmitTarget** emit_targets = nullptr; ///< hash-pack buckets (tagged emits)
-  int n_emit_targets = 0;
+  EmitTarget* emit = nullptr;      ///< output block of kEmit
   int64_t* local_accs = nullptr;   ///< accumulator area (instance- or thread-local)
   void** ht_slots = nullptr;       ///< JoinHashTable* / AggHashTable* per slot
   sim::CostStats* stats = nullptr;

@@ -1,6 +1,5 @@
 #include "jit/interpreter.h"
 
-#include "common/hash.h"
 #include "jit/codegen.h"
 #include "jit/vectorizer.h"
 
@@ -84,11 +83,6 @@ Status RunRows(const PipelineProgram& program, ExecCtx& ctx, uint64_t rows) {
           ++pc;
           break;
         case OpCode::kNot: regs[in.a] = regs[in.b] == 0; ++pc; break;
-        case OpCode::kHash:
-          regs[in.a] =
-              static_cast<int64_t>(HashMix64(static_cast<uint64_t>(regs[in.b])));
-          ++pc;
-          break;
         case OpCode::kFilter:
           if (regs[in.a] == 0) goto next_tuple;
           ++pc;
@@ -153,18 +147,10 @@ Status RunRows(const PipelineProgram& program, ExecCtx& ctx, uint64_t rows) {
           ++pc;
           break;
         }
-        case OpCode::kEmit: {
-          EmitTarget* target = ctx.emit;
-          if (in.d != 0) {
-            // Hash-pack: the tag register selects the bucket, keeping each block
-            // hash-homogeneous for downstream hash routing (paper §3.2).
-            target = ctx.emit_targets[static_cast<uint64_t>(regs[in.c]) %
-                                      static_cast<uint64_t>(ctx.n_emit_targets)];
-          }
-          target->Append(&regs[in.a], in.b, stats);
+        case OpCode::kEmit:
+          ctx.emit->Append(&regs[in.a], in.b, stats);
           ++pc;
           break;
-        }
         case OpCode::kEnd:
           goto next_tuple;
       }

@@ -23,7 +23,6 @@ const char* OpName(OpCode op) {
     case OpCode::kAnd: return "and";
     case OpCode::kOr: return "or";
     case OpCode::kNot: return "not";
-    case OpCode::kHash: return "hash";
     case OpCode::kFilter: return "filter";
     case OpCode::kJmp: return "jmp";
     case OpCode::kJmpIfFalse: return "jmp_if_false";

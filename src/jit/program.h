@@ -36,7 +36,6 @@ enum class OpCode : uint8_t {
   kAnd,         ///< regs[a] = regs[b] && rhs
   kOr,          ///< regs[a] = regs[b] || rhs
   kNot,         ///< regs[a] = !regs[b]
-  kHash,        ///< regs[a] = HashMix64(regs[b])
   kFilter,      ///< if (!regs[a]) end this tuple
   kJmp,         ///< pc = a (label-resolved)
   kJmpIfFalse,  ///< if (!regs[a]) pc = b

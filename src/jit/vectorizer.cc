@@ -4,7 +4,6 @@
 #include <array>
 #include <atomic>
 
-#include "common/hash.h"
 #include "common/int_width.h"
 #include "common/logging.h"
 
@@ -39,7 +38,6 @@ void ReadsWrites(const Instr& in, std::vector<int16_t>* reads,
       break;
     case OpCode::kShl:
     case OpCode::kNot:
-    case OpCode::kHash:
       reads->push_back(in.b);
       writes->push_back(in.a);
       break;
@@ -63,7 +61,6 @@ void ReadsWrites(const Instr& in, std::vector<int16_t>* reads,
       break;
     case OpCode::kEmit:
       for (int i = 0; i < in.b; ++i) reads->push_back(in.a + i);
-      if (in.d != 0) reads->push_back(in.c);
       break;
     default:
       if (IsBinaryAlu(in.op)) {
@@ -80,7 +77,6 @@ VecStep::Kind StepKindOf(OpCode op) {
     case OpCode::kConst: return VecStep::Kind::kConst;
     case OpCode::kLoadCol: return VecStep::Kind::kLoadCol;
     case OpCode::kNot: return VecStep::Kind::kNot;
-    case OpCode::kHash: return VecStep::Kind::kHash;
     case OpCode::kFilter: return VecStep::Kind::kFilter;
     case OpCode::kHtInsert: return VecStep::Kind::kHtInsert;
     case OpCode::kHtLoadPayload: return VecStep::Kind::kHtLoadPayload;
@@ -134,8 +130,8 @@ class Parser {
           break;
         default:
           if (in.op != OpCode::kConst && in.op != OpCode::kShl &&
-              in.op != OpCode::kNot && in.op != OpCode::kHash &&
-              in.op != OpCode::kHtInsert && in.op != OpCode::kHtLoadPayload &&
+              in.op != OpCode::kNot && in.op != OpCode::kHtInsert &&
+              in.op != OpCode::kHtLoadPayload &&
               in.op != OpCode::kAggLocal && in.op != OpCode::kGroupByAgg &&
               in.op != OpCode::kEmit && !IsBinaryAlu(in.op)) {
             return Fail("unsupported opcode at pc " + std::to_string(pc));
@@ -318,10 +314,8 @@ struct Level {
   std::vector<int32_t> sel;
   std::vector<int32_t> scratch;
   std::vector<int64_t> entries_tmp;   ///< loop expansion: chain heads
-  std::vector<uint64_t> buckets_tmp;  ///< loop expansion: key hashes; emit: buckets
+  std::vector<uint64_t> hashes_tmp;   ///< loop expansion: key hashes
   std::vector<int32_t> src_tmp;       ///< loop expansion: parent lane per match
-  std::vector<int32_t> emit_starts;   ///< emit partition: per-bucket offsets
-  std::vector<int32_t> emit_cursor;
   uint64_t stride = 0;
   int n_sel = 0;
   bool dense = true;        ///< selection is the identity over [0, n_sel)
@@ -431,14 +425,6 @@ class VecRunner {
                 [](int64_t x, int64_t) { return int64_t{x == 0}; });
         break;
       }
-      case VecStep::Kind::kHash: {
-        int64_t* a = L.reg(in.a);
-        const int64_t* b = L.reg(in.b);
-        BinLoop(a, b, b, sel, n, [](int64_t x, int64_t) {
-          return static_cast<int64_t>(HashMix64(static_cast<uint64_t>(x)));
-        });
-        break;
-      }
       case VecStep::Kind::kFilter: {
         const int64_t* a = L.reg(in.a);
         int m = 0;
@@ -539,44 +525,8 @@ class VecRunner {
       case VecStep::Kind::kEmit: {
         const int64_t* vals[kMaxRegs];
         for (int i = 0; i < in.b; ++i) vals[i] = L.reg(in.a + i);
-        if (in.d == 0) {
-          ctx_.emit->AppendBatch(vals, in.b, sel.ptr(),
-                                 static_cast<uint64_t>(n), stats);
-        } else {
-          // Hash-pack: counting partition — one pass to bucket and count, one
-          // stable ascending scatter — so per-bucket lane order matches the
-          // interpreter's append order at O(n + buckets) instead of
-          // O(n * buckets).
-          const int64_t* tag = L.reg(in.c);
-          const uint64_t nt = static_cast<uint64_t>(ctx_.n_emit_targets);
-          if (L.buckets_tmp.size() < static_cast<size_t>(n)) {
-            L.buckets_tmp.resize(n);
-          }
-          if (L.emit_starts.size() < nt + 1) {
-            L.emit_starts.resize(nt + 1);
-            L.emit_cursor.resize(nt + 1);
-          }
-          uint64_t* bucket_of = L.buckets_tmp.data();
-          int32_t* starts = L.emit_starts.data();
-          int32_t* cursor = L.emit_cursor.data();
-          std::fill(starts, starts + nt + 1, 0);
-          for (int k = 0; k < n; ++k) {
-            const uint64_t b = static_cast<uint64_t>(tag[sel[k]]) % nt;
-            bucket_of[k] = b;
-            ++starts[b + 1];
-          }
-          for (uint64_t b = 0; b < nt; ++b) starts[b + 1] += starts[b];
-          std::copy(starts, starts + nt + 1, cursor);
-          int32_t* out = L.scratch.data();
-          for (int k = 0; k < n; ++k) out[cursor[bucket_of[k]]++] = sel[k];
-          for (uint64_t b = 0; b < nt; ++b) {
-            const int32_t m = starts[b + 1] - starts[b];
-            if (m > 0) {
-              ctx_.emit_targets[b]->AppendBatch(vals, in.b, out + starts[b],
-                                                static_cast<uint64_t>(m), stats);
-            }
-          }
-        }
+        ctx_.emit->AppendBatch(vals, in.b, sel.ptr(), static_cast<uint64_t>(n),
+                               stats);
         break;
       }
       case VecStep::Kind::kLoop:
@@ -713,9 +663,9 @@ class VecRunner {
     C.EnsureLanes(std::max<uint64_t>(static_cast<uint64_t>(n), kVecBatchRows),
                   vp_.n_regs);
     if (C.entries_tmp.size() < static_cast<size_t>(n)) C.entries_tmp.resize(n);
-    if (C.buckets_tmp.size() < static_cast<size_t>(n)) C.buckets_tmp.resize(n);
+    if (C.hashes_tmp.size() < static_cast<size_t>(n)) C.hashes_tmp.resize(n);
     if (C.src_tmp.size() < C.stride) C.src_tmp.resize(C.stride);
-    uint64_t* hashes = C.buckets_tmp.data();
+    uint64_t* hashes = C.hashes_tmp.data();
     for (int k = 0; k < n; ++k) hashes[k] = JoinHashTable::Hash(key[sel[k]]);
     int64_t* heads = C.entries_tmp.data();
     for (int k = 0; k < kPrefetchDist && k < n; ++k) ht->PrefetchHead(hashes[k]);

@@ -28,13 +28,12 @@ struct VecStep {
     kLoadCol,    ///< width branch hoisted to one per batch
     kBin,        ///< add/sub/mul/div/shl/cmp*/and/or — fused per-batch loop
     kNot,
-    kHash,
     kFilter,     ///< shrinks the selection vector
     kHtInsert,
     kHtLoadPayload,
     kAggLocal,
     kGroupByAgg,
-    kEmit,       ///< batched append (bucket-partitioned when hash-packed)
+    kEmit,       ///< batched append
     kLoop,       ///< match-list-expanding probe loop (see VecLoop)
   };
 

@@ -77,8 +77,7 @@ BlockRegistry::BlockRegistry(const sim::Topology& topo, const Options& options)
 }
 
 Block* BlockRegistry::Acquire(sim::MemNodeId target, sim::MemNodeId requester,
-                              Status* error,
-                              const std::atomic<bool>* cancel) {
+                              Status* error, const RunStop* stop) {
   const auto fail = [&](Status st) -> Block* {
     if (error != nullptr) *error = std::move(st);
     return nullptr;
@@ -124,19 +123,22 @@ Block* BlockRegistry::Acquire(sim::MemNodeId target, sim::MemNodeId requester,
     // after ~5ms of sustained starvation also confiscate prefetch stashes
     // (costing their owners a refill round-trip beats stalling everyone).
     ReclaimNode(target, /*steal_prefetch=*/++attempts > 100);
-    if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) {
+    if (stop != nullptr && stop->stopped.load(std::memory_order_relaxed)) {
       return fail(Status::Cancelled(
           "staging-block acquisition abandoned: query stopped while waiting "
           "for node " +
           std::to_string(target)));
     }
     if (std::chrono::steady_clock::now() >= deadline) {
-      acquire_timeouts_.fetch_add(1, std::memory_order_relaxed);
-      return fail(Status::ResourceExhausted(
+      Status timeout = Status::ResourceExhausted(
           "staging-block arena exhausted on node " + std::to_string(target) +
           " and no in-flight query released memory within the acquire "
           "timeout — lower the scheduler's admission cap or per-query memory "
-          "budget"));
+          "budget");
+      if (stop == nullptr || stop->Fail(timeout)) {
+        acquire_timeouts_.fetch_add(1, std::memory_order_relaxed);
+      }
+      return fail(std::move(timeout));
     }
     std::this_thread::sleep_for(std::chrono::microseconds(50));
   }

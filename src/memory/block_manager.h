@@ -8,6 +8,7 @@
 
 #include <atomic>
 
+#include "common/run_stop.h"
 #include "common/status.h"
 #include "memory/block.h"
 #include "sim/fault.h"
@@ -96,12 +97,13 @@ class BlockRegistry {
   /// waits — but boundedly. It returns nullptr (with the named reason in
   /// `error`, when given) on: a sustained-exhaustion timeout
   /// (kResourceExhausted), an injected exhaustion spike (kResourceExhausted),
-  /// or a stop observed through `cancel` (kCancelled) — the cooperative
+  /// or a stop of the waiter's run `stop` (kCancelled) — the cooperative
   /// wake-up that lets a cancelled or already-failed query stop waiting for
-  /// memory.
+  /// memory. A timeout stops `stop`'s run (RunStop::Fail), and counts in
+  /// acquire_timeouts() only when it became the run's failure: the waits
+  /// whose deadlines pass before that stop reaches them are its consequences.
   Block* Acquire(sim::MemNodeId target, sim::MemNodeId requester,
-                 Status* error = nullptr,
-                 const std::atomic<bool>* cancel = nullptr);
+                 Status* error = nullptr, const RunStop* stop = nullptr);
 
   /// Releases a block from a caller local to `requester`; remote releases are
   /// buffered and flushed in batches.
@@ -122,7 +124,8 @@ class BlockRegistry {
   /// Number of remote batch round-trips performed (for tests/ablation).
   uint64_t remote_roundtrips() const { return remote_roundtrips_; }
 
-  /// Number of acquisitions that failed on the acquire timeout (for tests).
+  /// Acquisitions that failed on the acquire timeout and stopped their run,
+  /// or had none (for tests).
   uint64_t acquire_timeouts() const { return acquire_timeouts_; }
 
  private:

@@ -252,38 +252,44 @@ Result<PlanAnalysis> AnalyzePlan(const HetPlan& plan, const sim::Topology& topo)
     return Status::OK();
   };
 
-  // --- Fact-side chain: from the result node down to the fact segmenter.
-  const HetOpNode& root = plan.node(plan.root);
-  if (root.kind != Kind::kResult || root.children.size() != 1) {
-    return Status::InvalidArgument("plan root must be a single-input result node");
-  }
-  std::vector<int> tops = {root.children[0]};
-  while (true) {
-    // A cycle through an exchange re-discovers the same producer tops forever;
-    // a legal chain cannot have more stages than the plan has nodes.
-    if (out.fact_stages.size() > plan.nodes.size()) {
-      return Status::Internal("fact chain does not terminate (plan cycle)");
-    }
-    Stage stage;
+  // Collects the stage whose branches start at `tops`, and its exchange.
+  auto collect_stage = [&](const std::vector<int>& tops, Stage* stage) -> Status {
     std::vector<int> feeds;
     for (int top : tops) {
       Span span;
       int feed = -1;
       HETEX_RETURN_NOT_OK(collect_span(top, &span, &feed));
-      stage.branches.push_back(std::move(span));
+      stage->branches.push_back(std::move(span));
       feeds.push_back(feed);
     }
-    HETEX_RETURN_NOT_OK(parse_feed(feeds, &stage));
-    HETEX_RETURN_NOT_OK(finish_stage(&stage));
-    const bool at_source = stage.in.segmenter != -1;
-    std::vector<int> next = stage.in.producer_tops;
-    out.fact_stages.push_back(std::move(stage));
-    if (at_source) break;
-    if (next.empty()) return Status::Internal("exchange with no producers");
-    tops = std::move(next);
+    HETEX_RETURN_NOT_OK(parse_feed(feeds, stage));
+    return finish_stage(stage);
+  };
+
+  // --- Fact side: the result's gather, fed by the probe stage's partials,
+  // which reads the fact table through its segmenter.
+  const HetOpNode& root = plan.node(plan.root);
+  if (root.kind != Kind::kResult || root.children.size() != 1) {
+    return Status::InvalidArgument("plan root must be a single-input result node");
   }
-  if (out.fact_stages.front().span().role != StageRole::kGather) {
+  HETEX_RETURN_NOT_OK(collect_stage({root.children[0]}, &out.gather));
+  if (out.gather.span().role != StageRole::kGather) {
     return Status::Internal("fact chain must terminate in a gather stage");
+  }
+  if (out.gather.in.segmenter != -1) {
+    return Status::Unsupported("gather stage must consume probe partials");
+  }
+  if (out.gather.in.producer_tops.empty()) {
+    return Status::Internal("exchange with no producers");
+  }
+  HETEX_RETURN_NOT_OK(collect_stage(out.gather.in.producer_tops, &out.probe));
+  if (out.probe.span().role != StageRole::kProbe) {
+    return Status::Unsupported("gather stage must consume probe partials");
+  }
+  if (out.probe.in.segmenter == -1) {
+    return Status::Unsupported(
+        "probe stage fed by a packed producer: a fact chain is one probe stage "
+        "reading its table, then the gather");
   }
 
   // --- Build networks: group the kJoinBuild spans by their feeding exchange
@@ -316,17 +322,8 @@ Result<PlanAnalysis> AnalyzePlan(const HetPlan& plan, const sim::Topology& topo)
       // A build-side filter stage: its packed survivors feed the build's
       // broadcast, and it reads the dimension through its own segmenter.
       Stage filter;
-      std::vector<int> feeds;
-      for (int top : g.stage.in.producer_tops) {
-        Span span;
-        int feed = -1;
-        HETEX_RETURN_NOT_OK(collect_span(top, &span, &feed));
-        span.join_id = g.stage.span().join_id;
-        filter.branches.push_back(std::move(span));
-        feeds.push_back(feed);
-      }
-      HETEX_RETURN_NOT_OK(parse_feed(feeds, &filter));
-      HETEX_RETURN_NOT_OK(finish_stage(&filter));
+      HETEX_RETURN_NOT_OK(collect_stage(g.stage.in.producer_tops, &filter));
+      for (Span& span : filter.branches) span.join_id = g.stage.span().join_id;
       if (filter.span().role != StageRole::kFilterStage ||
           filter.in.segmenter == -1) {
         return Status::Unsupported(
@@ -366,22 +363,20 @@ Result<PlanAnalysis> AnalyzePlan(const HetPlan& plan, const sim::Topology& topo)
       }
     }
   }
-  for (const Stage& stage : out.fact_stages) {
-    std::set<int> joins;
-    for (const Span& branch : stage.branches) {
-      for (int id : branch.nodes) {
-        const HetOpNode& n = plan.node(id);
-        if (n.kind == Kind::kJoinProbe) joins.insert(n.join_id);
-      }
+  std::set<int> probed;
+  for (const Span& branch : out.probe.branches) {
+    for (int id : branch.nodes) {
+      const HetOpNode& n = plan.node(id);
+      if (n.kind == Kind::kJoinProbe) probed.insert(n.join_id);
     }
-    for (int j : joins) {
-      for (const auto& dev : stage.instances) {
-        if (build_units[j].count(dev) == 0) {
-          return Status::InvalidArgument(
-              "probe instance on " + dev.ToString() + " has no join-" +
-              std::to_string(j) +
-              " hash-table replica (build placement does not cover its unit)");
-        }
+  }
+  for (int j : probed) {
+    for (const auto& dev : out.probe.instances) {
+      if (build_units[j].count(dev) == 0) {
+        return Status::InvalidArgument(
+            "probe instance on " + dev.ToString() + " has no join-" +
+            std::to_string(j) +
+            " hash-table replica (build placement does not cover its unit)");
       }
     }
   }
@@ -400,45 +395,11 @@ Result<PlanAnalysis> AnalyzePlan(const HetPlan& plan, const sim::Topology& topo)
     }
     return Status::OK();
   };
-  for (size_t i = 0; i + 1 < out.fact_stages.size(); ++i) {
-    if (out.fact_stages[i].in.producer_tops.empty()) continue;
-    HETEX_RETURN_NOT_OK(check_uva_feed(out.fact_stages[i], out.fact_stages[i + 1]));
-  }
+  HETEX_RETURN_NOT_OK(check_uva_feed(out.gather, out.probe));
   for (const Stage& stage : out.build_stages) {
     if (stage.filter_stage < 0) continue;
     HETEX_RETURN_NOT_OK(
         check_uva_feed(stage, out.build_filter_stages[stage.filter_stage]));
-  }
-
-  // Packed wire schemas bind positionally, so only chains whose schemas the
-  // compiler can thread producer→consumer are runnable.
-  for (size_t i = out.fact_stages.size(); i-- > 0;) {
-    const StageRole role = out.fact_stages[i].span().role;
-    const StageRole* producer = i + 1 < out.fact_stages.size()
-                                    ? &out.fact_stages[i + 1].span().role
-                                    : nullptr;
-    switch (role) {
-      case StageRole::kProbe:
-        if (producer != nullptr && *producer != StageRole::kFilterStage) {
-          return Status::Unsupported(
-              "probe stage fed by a packed producer whose wire schema the "
-              "compiler cannot thread (only filter-stage producers supported)");
-        }
-        break;
-      case StageRole::kFilterStage:
-        if (producer != nullptr) {
-          return Status::Unsupported(
-              "filter stage must read its source table directly");
-        }
-        break;
-      case StageRole::kGather:
-        if (producer == nullptr || *producer != StageRole::kProbe) {
-          return Status::Unsupported("gather stage must consume probe partials");
-        }
-        break;
-      case StageRole::kBuild:
-        return Status::Internal("build span on the fact chain");
-    }
   }
   return out;
 }
@@ -463,35 +424,26 @@ uint64_t ScanBlockRows(const HetOpNode& segmenter,
 
 Status CheckUvaSources(const HetPlan& plan, const PlanAnalysis& analysis,
                        const storage::Catalog& catalog, const sim::Topology& topo) {
-  for (const auto* stages : {&analysis.build_filter_stages, &analysis.build_stages,
-                             &analysis.fact_stages}) {
-    for (const Stage& stage : *stages) {
-      if (!stage.in.uva || stage.in.segmenter < 0) continue;
-      const std::string& name = plan.node(stage.in.segmenter).table;
-      const storage::Table* table = catalog.Get(name);
-      if (table == nullptr) continue;  // the source reports a missing table
-      for (const auto& chunk : table->chunks()) {
-        for (const auto& dev : stage.instances) {
-          if (topo.CanAccess(dev, chunk.node) != sim::MemAccess::kNone) continue;
-          return Status::InvalidArgument(
-              "UVA exchange: " + dev.ToString() + " cannot address table '" +
-              name + "' in place on " + topo.mem_node(chunk.node).owner.ToString() +
-              " memory (a UVA edge has no mem-move)");
-        }
+  auto check = [&](const Stage& stage) {
+    if (!stage.in.uva || stage.in.segmenter < 0) return Status::OK();
+    const std::string& name = plan.node(stage.in.segmenter).table;
+    const storage::Table* table = catalog.Get(name);
+    if (table == nullptr) return Status::OK();  // the source reports it
+    for (const auto& chunk : table->chunks()) {
+      for (const auto& dev : stage.instances) {
+        if (topo.CanAccess(dev, chunk.node) != sim::MemAccess::kNone) continue;
+        return Status::InvalidArgument(
+            "UVA exchange: " + dev.ToString() + " cannot address table '" +
+            name + "' in place on " + topo.mem_node(chunk.node).owner.ToString() +
+            " memory (a UVA edge has no mem-move)");
       }
     }
+    return Status::OK();
+  };
+  for (const auto* stages : {&analysis.build_filter_stages, &analysis.build_stages}) {
+    for (const Stage& stage : *stages) HETEX_RETURN_NOT_OK(check(stage));
   }
-  return Status::OK();
-}
-
-Status CheckSplitJoins(const PlanAnalysis& analysis, const QuerySpec& spec) {
-  if (!spec.joins.empty()) return Status::OK();
-  for (const Stage& stage : analysis.fact_stages) {
-    if (stage.span().role == StageRole::kFilterStage) {
-      return Status::InvalidArgument("split plans need at least one join");
-    }
-  }
-  return Status::OK();
+  return check(analysis.probe);
 }
 
 uint64_t TableRows(const storage::Table& t) {

@@ -16,8 +16,8 @@ namespace hetex::plan {
 /// What a pipeline span computes, classified by its relational content.
 enum class StageRole {
   kBuild,        ///< feeds a join hash table (pipeline breaker into state)
-  kFilterStage,  ///< filter + pack emit: stage A of a split plan (hash-pack),
-                 ///< or a build-side filter stage (span join id >= 0)
+  kFilterStage,  ///< a build-side filter stage: filter + pack emit of the
+                 ///< survivors (span join id = the join it feeds)
   kProbe,        ///< fused filter/probe/local-aggregate stage
   kGather,       ///< merge of the partials' hash partitions, writes the result
 };
@@ -31,7 +31,7 @@ struct Span {
   StageRole role = StageRole::kProbe;
   std::vector<int> nodes;                ///< plan node ids, consumer→producer
   std::vector<sim::DeviceId> instances;  ///< placement stamped on the span nodes
-  int join_id = -1;  ///< kBuild, build-side kFilterStage: join whose HT it feeds
+  int join_id = -1;  ///< kBuild, kFilterStage: join whose HT it feeds
   /// Consumer-side decoration of the exchange feeding this branch: a kCpu2Gpu
   /// crossing enters it, and (`uva`) that crossing reads producer memory in
   /// place over UVA instead of behind a mem-move.
@@ -91,9 +91,13 @@ struct PlanAnalysis {
   /// reads its dimension through a segmenter, filters it on CPU workers and
   /// packs the survivors' build key and payload (span join id = the join).
   std::vector<Stage> build_filter_stages;
-  /// Fact-side stages consumer→producer: gather first, then the probe stage,
-  /// then (split plans) the filter stage; the last one is segmenter-fed.
-  std::vector<Stage> fact_stages;
+  /// The fact side is two stages. The probe stage reads the fact table
+  /// through its segmenter and runs the filter, every probe and the local
+  /// aggregation in one fused pipeline per instance.
+  Stage probe;
+  /// The gather merges the hash partitions of the probe's partials and
+  /// writes the result.
+  Stage gather;
   /// Per-query set-up before any stage starts: the max over the routers'
   /// init_latency stamps (0 for bare plans). A session anchored before the
   /// System's worker-pool bring-up ends waits for it on top.
@@ -109,11 +113,11 @@ struct PlanAnalysis {
 /// `topo`; each join has exactly one hash-table replica per device unit it
 /// builds on and one on every unit that probes it; no UVA exchange is fed by
 /// GPU-placed producers (device-resident blocks cannot be addressed in place);
-/// the fact chain ends in a gather, holds no build span, and threads its wire
-/// schemas (a probe reads a filter stage or the table, a filter stage reads
-/// the table, a gather reads probe partials); a build reads its table or a
-/// segmenter-fed filter stage. A plan failing any of them is a Status here,
-/// for the lowering and the coster alike.
+/// the fact side is a gather reading the partials of one probe stage, which
+/// reads its table (any other fact chain, such as a packed producer under the
+/// probe, is Unsupported); a build reads its table or a segmenter-fed filter
+/// stage. A plan failing any of them is a Status here, for the lowering and
+/// the coster alike.
 Result<PlanAnalysis> AnalyzePlan(const HetPlan& plan, const sim::Topology& topo);
 
 /// \brief Rows per scan block of `segmenter` feeding `instances`.
@@ -138,12 +142,6 @@ uint64_t ScanBlockRows(const HetOpNode& segmenter,
 /// `catalog` by the lowering (before any stage starts) and the coster alike.
 Status CheckUvaSources(const HetPlan& plan, const PlanAnalysis& analysis,
                        const storage::Catalog& catalog, const sim::Topology& topo);
-
-/// \brief Fails with InvalidArgument when `analysis` splits the fact pipeline
-/// but `spec` joins nothing: a filter stage hash-packs its survivors by the
-/// first join's probe key, so a query without joins has no split form.
-/// Checked by the lowering (before any stage starts) and the coster alike.
-Status CheckSplitJoins(const PlanAnalysis& analysis, const QuerySpec& spec);
 
 /// Rows of `t`: staging rows, or the placed chunk totals when staging was
 /// dropped (DropStaging keeps the placed data, and its row counts, intact).

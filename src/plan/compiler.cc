@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <functional>
-#include <set>
 
 #include "common/logging.h"
 
@@ -32,7 +31,7 @@ class PipelineResolver : public ColumnResolver {
   PipelineResolver(const storage::Table* table, std::vector<ColSlot>* input_cols)
       : table_(table), input_cols_(input_cols) {}
 
-  /// Schema-backed resolver (stage B / gather pipelines).
+  /// Schema-backed resolver (packed-input builds / gather pipelines).
   PipelineResolver(const std::vector<ColSlot>& schema,
                    std::vector<ColSlot>* input_cols)
       : schema_(&schema), input_cols_(input_cols) {}
@@ -114,10 +113,10 @@ CompiledPipeline QueryCompiler::CompileSpan(
       HETEX_CHECK(span.join_id >= 0) << "build span without a join id stamp";
       return CompileBuild(span.join_id, upstream_schema);
     case StageRole::kFilterStage:
-      return span.join_id >= 0 ? CompileBuildFilter(span.join_id)
-                               : CompileFilterStage();
+      HETEX_CHECK(span.join_id >= 0) << "filter stage without a join id stamp";
+      return CompileBuildFilter(span.join_id);
     case StageRole::kProbe:
-      return CompileProbe(upstream_schema);
+      return CompileProbe();
     case StageRole::kGather:
       return CompileGather();
   }
@@ -137,8 +136,10 @@ CompiledPipeline QueryCompiler::CompileBuild(
                               : PipelineResolver(*input_schema, &out.input_cols);
 
   if (input_schema != nullptr) {
-    // Packed survivors of a build-side filter stage: the filter already ran,
-    // and the wire columns bind positionally (see CompileProbe).
+    // Packed survivors of a build-side filter stage: the filter already ran.
+    // The runtime binds the wire columns to input slots positionally, so the
+    // whole schema resolves up front, in wire order (lazy resolution would
+    // reorder the slots by first use and bind the wrong columns).
     for (const auto& slot : *input_schema) cols.ResolveColumn(slot.name, b);
   } else {
     GenFilter(join.build_filter, b, cols);
@@ -160,28 +161,14 @@ CompiledPipeline QueryCompiler::CompileBuild(
   return out;
 }
 
-CompiledPipeline QueryCompiler::CompileProbe(
-    const std::vector<ColSlot>* input_schema) const {
+CompiledPipeline QueryCompiler::CompileProbe() const {
   const storage::Table& fact = catalog_->at(spec_->fact_table);
 
   CompiledPipeline out;
   ProgramBuilder b;
-  PipelineResolver cols = input_schema == nullptr
-                              ? PipelineResolver(&fact, &out.input_cols)
-                              : PipelineResolver(*input_schema, &out.input_cols);
+  PipelineResolver cols(&fact, &out.input_cols);
 
-  // Stage B consumes packed blocks whose columns arrive in the producer's emit
-  // order, and the runtime binds them to input slots positionally: resolve the
-  // whole schema up front so the slot order matches the wire order (lazy
-  // resolution would reorder by first use and silently bind wrong columns).
-  if (input_schema != nullptr) {
-    for (const auto& slot : *input_schema) {
-      cols.ResolveColumn(slot.name, b);
-    }
-  }
-
-  // Filters were already applied by stage A in split plans.
-  if (input_schema == nullptr) GenFilter(spec_->fact_filter, b, cols);
+  GenFilter(spec_->fact_filter, b, cols);
 
   for (int j = 0; j < static_cast<int>(spec_->joins.size()); ++j) {
     out.ht_join_slots.push_back(j);
@@ -270,50 +257,6 @@ CompiledPipeline QueryCompiler::CompileProbe(
   return out;
 }
 
-CompiledPipeline QueryCompiler::CompileFilterStage() const {
-  HETEX_CHECK(!spec_->joins.empty()) << "split plans need at least one join";
-  const storage::Table& fact = catalog_->at(spec_->fact_table);
-
-  CompiledPipeline out;
-  ProgramBuilder b;
-  PipelineResolver cols(&fact, &out.input_cols);
-
-  GenFilter(spec_->fact_filter, b, cols);
-
-  // Surviving columns: everything the probe stage needs from the fact table.
-  std::set<std::string> needed;
-  for (const auto& join : spec_->joins) needed.insert(join.probe_key);
-  for (const auto& agg : spec_->aggs) {
-    if (agg.value != nullptr) agg.value->CollectColumns(&needed);
-  }
-  for (const auto& key : spec_->group_by) key->CollectColumns(&needed);
-  // Drop columns the fact table does not own (join payloads resolve later).
-  std::vector<std::string> fact_cols;
-  for (const auto& name : needed) {
-    bool from_payload = false;
-    for (const auto& join : spec_->joins) {
-      for (const auto& p : join.payload) from_payload |= (p == name);
-    }
-    if (!from_payload) fact_cols.push_back(name);
-  }
-
-  std::vector<int> regs;
-  for (const auto& name : fact_cols) {
-    regs.push_back(cols.ResolveColumn(name, b));
-    out.output_cols.push_back(TableSlot(fact, name));
-  }
-  const int first = MakeContiguous(b, regs);
-  // Hash-pack tag: bucket by the first join's probe key so hash routing sends
-  // each block to the consumer owning its key partition.
-  const int key = cols.ResolveColumn(spec_->joins[0].probe_key, b);
-  const int tag = b.AllocReg();
-  b.EmitOp(OpCode::kHash, tag, key);
-  b.EmitOp(OpCode::kEmit, first, static_cast<int>(regs.size()), tag, /*tagged=*/1);
-
-  out.program = b.Finalize(spec_->name + ".filter-stage");
-  return out;
-}
-
 CompiledPipeline QueryCompiler::CompileBuildFilter(int join_id) const {
   const auto& join = spec_->joins.at(join_id);
   const storage::Table& table = catalog_->at(join.build_table);
@@ -325,7 +268,7 @@ CompiledPipeline QueryCompiler::CompileBuildFilter(int join_id) const {
   GenFilter(join.build_filter, b, cols);
 
   // Surviving columns: the build key, then the payload columns it does not
-  // repeat. A broadcast feeds every replica, so the emit is untagged.
+  // repeat.
   std::vector<std::string> kept = {join.build_key};
   for (const auto& p : join.payload) {
     if (std::find(kept.begin(), kept.end(), p) == kept.end()) kept.push_back(p);
@@ -336,7 +279,7 @@ CompiledPipeline QueryCompiler::CompileBuildFilter(int join_id) const {
     out.output_cols.push_back(TableSlot(table, name));
   }
   const int first = MakeContiguous(b, regs);
-  b.EmitOp(OpCode::kEmit, first, static_cast<int>(regs.size()), 0, /*tagged=*/0);
+  b.EmitOp(OpCode::kEmit, first, static_cast<int>(regs.size()));
 
   out.program = b.Finalize(spec_->name + ".build-filter[" + join.build_table + "]");
   return out;

@@ -66,8 +66,8 @@ class QueryCompiler {
   /// AnalyzePlan cuts the DAG into spans).
   ///
   /// `upstream_schema` is the producer span's emit schema when the span reads
-  /// packed intermediate blocks (stage B of a split plan, or a build fed by a
-  /// build-side filter stage) instead of a table.
+  /// packed intermediate blocks (a build fed by a build-side filter stage)
+  /// instead of a table.
   CompiledPipeline CompileSpan(const Span& span,
                                const std::vector<ColSlot>* upstream_schema) const;
 
@@ -77,20 +77,13 @@ class QueryCompiler {
   CompiledPipeline CompileBuild(
       int join_id, const std::vector<ColSlot>* input_schema = nullptr) const;
 
-  /// The fused fact pipeline: filters, then one probe loop per join nested in
-  /// ProbeOrder (the loop of join j reads hash-table slot j), then local
-  /// aggregation in the innermost body. When `input_schema` is non-null, the
-  /// pipeline reads that schema (stage B of a split plan) instead of the fact
-  /// table.
-  CompiledPipeline CompileProbe(const std::vector<ColSlot>* input_schema) const;
-
-  /// Stage A of a split plan: filter + hash-pack emit of the surviving columns,
-  /// tagged with the hash of the first join's probe key (the emit picks bucket
-  /// hash % its target count).
-  CompiledPipeline CompileFilterStage() const;
+  /// The fused fact pipeline: it reads the fact table and runs the filters,
+  /// then one probe loop per join nested in ProbeOrder (the loop of join j
+  /// reads hash-table slot j), then local aggregation in the innermost body.
+  CompiledPipeline CompileProbe() const;
 
   /// Build-side filter stage of join `join_id` (hybrid plans): the build
-  /// filter + an untagged pack emit of the survivors' build key and payload.
+  /// filter + a pack emit of the survivors' build key and payload.
   CompiledPipeline CompileBuildFilter(int join_id) const;
 
   /// Global merge of partial aggregates (the gather pipeline).

@@ -330,14 +330,8 @@ PlanCoster::PlanCoster(const QuerySpec& spec, const storage::Catalog& catalog,
     }
     return out;
   };
-  fused_ = price(compiler.CompileProbe(nullptr), fact);
+  probe_ = price(compiler.CompileProbe(), fact);
   gather_ = price(compiler.CompileGather(), {});
-  if (!spec.joins.empty()) {
-    const CompiledPipeline stage_a = compiler.CompileFilterStage();
-    stage_a_ = price(stage_a, fact);
-    stage_b_ = price(compiler.CompileProbe(&stage_a.output_cols),
-                     {{}, 1.0, cards_.join_selectivities});
-  }
   for (size_t j = 0; j < spec.joins.size(); ++j) {
     // A build filter's survivors are priced at the join selectivity.
     const GuardRates build{cards_.build_filter_reach[j],
@@ -357,7 +351,6 @@ Result<CostEstimate> PlanCoster::Cost(const HetPlan& plan) const {
   if (!analysis.ok()) return analysis.status();
   const PlanAnalysis& shape = analysis.value();
   HETEX_RETURN_NOT_OK(CheckUvaSources(plan, shape, *catalog_, *topo_));
-  HETEX_RETURN_NOT_OK(CheckSplitJoins(shape, *spec_));
 
   CostEstimate est;
   est.init = shape.init_latency + options_.pool_wait;
@@ -491,11 +484,11 @@ Result<CostEstimate> PlanCoster::Cost(const HetPlan& plan) const {
   };
 
   // --- Shared-link accounting. Every interconnect link — PCIe, GPU peer and
-  // inter-socket — is a serially-shared resource: DMA demand from
-  // concurrently-running stages (stage-A input DMA and stage-B wire DMA of a
-  // split plan land on the same link) serializes, so a phase can never finish
-  // before its links drained their total occupancy — plus whatever backlog
-  // other in-flight queries queued there (the scheduler's load signal).
+  // inter-socket — is a serially-shared resource: the DMA demand of a phase's
+  // concurrently-running instances (every GPU branch's input DMA over its
+  // links) serializes, so a phase can never finish before its links drained
+  // their total occupancy — plus whatever backlog other in-flight queries
+  // queued there (the scheduler's load signal).
   const int n_links = topo_->num_links();
   std::vector<double> build_link_busy(n_links, 0.0);
   std::vector<double> fact_link_busy(n_links, 0.0);
@@ -632,134 +625,25 @@ Result<CostEstimate> PlanCoster::Cost(const HetPlan& plan) const {
     }
   }
 
-  // ------------------------------------------------------------- fact stages
-  // Producer→consumer: the source-fed stage is last in the walk order.
-  double total_join_sel = 1.0;
-  for (double js : cards_.join_selectivities) total_join_sel *= js;
-  double rows_in = static_cast<double>(cards_.fact_rows);
-  bool from_table = true;
-  std::vector<double> probe_out_rows;  // per probe instance: surviving rows
-  std::vector<sim::VTime> stage_done;  // per stage: throughput-bound completion
-  std::vector<sim::VTime> stage_drain; // per stage: one block's traversal (tail)
-  sim::VTime latency_constants = 0;
-
-  for (size_t i = shape.fact_stages.size(); i-- > 0;) {
-    const Stage& stage = shape.fact_stages[i];
-    const StageRole role = stage.span().role;
-    latency_constants += stage.in.crossing_latency;
-
-    if (role == StageRole::kGather) {
-      // The partitioned merge. Each probe instance ships one row per group
-      // it saw (a scalar aggregate: one row), split by group hash into one
-      // partition per merge instance when there are several; the last
-      // producer's split is on the tail. Merge instance k merges a 1/P share
-      // of all partials at its P-way share of its socket's bandwidth.
-      const double cap = spec_->group_by.empty()
-                             ? 1.0
-                             : static_cast<double>(spec_->expected_groups);
-      double partials = 0;
-      double most = 0;  // one producer's partials
-      for (double r : probe_out_rows) {
-        const double rows = std::min(cap, std::max(r, 1.0));
-        partials += rows;
-        most = std::max(most, rows);
-      }
-      if (probe_out_rows.empty()) partials = 1;
-      const size_t merges = stage.instances.size();
-      const sim::CostStats share =
-          gather_.row.Scale(partials / static_cast<double>(merges));
-      std::map<int, int> socket_merges;
-      for (const auto& dev : stage.instances) {
-        if (dev.is_cpu()) socket_merges[dev.index] += 1;
-      }
-      sim::VTime merge = 0;
-      for (const auto& dev : stage.instances) {
-        est.work.Add(share);
-        merge = sim::MaxT(
-            merge, dev.is_cpu()
-                       ? cm.WorkCost(share, cm.cpu,
-                                     std::min(cm.cpu_core_bw,
-                                              cm.cpu_socket_bw /
-                                                  socket_merges[dev.index]))
-                       : cm.WorkCost(share, cm.gpu, cm.gpu_mem_bw));
-      }
-      sim::CostStats split;
-      if (merges > 1 && !spec_->group_by.empty()) {
-        split.ops = static_cast<uint64_t>(std::llround(most));
-      }
-      est.gather =
-          cm.ComputeTime(split, cm.cpu) + merge +
-          static_cast<double>(probe_out_rows.size()) * stage.in.control_cost;
-      continue;
-    }
-
-    const HetOpNode* seg =
-        stage.in.segmenter >= 0 ? &plan.node(stage.in.segmenter) : nullptr;
-    const storage::Table* src_table =
-        seg != nullptr ? catalog_->Get(seg->table) : nullptr;
-    const uint64_t block_rows =
-        seg != nullptr ? ScanBlockRows(*seg, stage.instances, src_table, *topo_,
-                                       options_.pack_block_rows)
-                       : options_.pack_block_rows;
-    uint64_t blocks = CeilDiv(static_cast<uint64_t>(std::llround(rows_in)),
-                              block_rows);
-    if (seg == nullptr && i + 1 < shape.fact_stages.size()) {
-      // Packed producers flush one partial block per instance at Finish.
-      blocks += shape.fact_stages[i + 1].instances.size();
-    }
-    blocks = std::max<uint64_t>(1, blocks);
-
-    const SpanWork& work = role == StageRole::kFilterStage ? stage_a_
-                           : from_table                    ? fused_
-                                                           : stage_b_;
-    const uint64_t rows_per_block = std::max<uint64_t>(
-        1, std::min<uint64_t>(block_rows,
-                              static_cast<uint64_t>(std::llround(
-                                  std::max(1.0, rows_in / blocks)))));
-    std::vector<InstanceCost> insts =
-        stage_instances(stage, work, rows_per_block, src_table);
-    sim::VTime done = DistributeBlocks(stage.in.policy, blocks, &insts);
-
-    const double per_block_src = seg != nullptr ? seg->per_block_cost : 0.0;
-    done = sim::MaxT(done, static_cast<double>(blocks) *
-                               (per_block_src + stage.in.control_cost));
-    stage_done.push_back(done);
-    note_work(&fact_link_busy, insts);
-    sim::VTime slowest_block = 0;
-    for (const auto& ic : insts) slowest_block = sim::MaxT(slowest_block, ic.block_time);
-    stage_drain.push_back(slowest_block);
-
-    // Rows entering the consumer stage / partials entering gather.
-    if (role == StageRole::kFilterStage) {
-      rows_in *= cards_.fact_selectivity;
-      from_table = false;
-    } else {  // probe
-      const double survive =
-          (from_table ? cards_.fact_selectivity : 1.0) * total_join_sel;
-      probe_out_rows.clear();
-      for (const auto& ic : insts) {
-        probe_out_rows.push_back(static_cast<double>(ic.blocks) *
-                                 static_cast<double>(rows_per_block) * survive);
-      }
-    }
-  }
-
-  // Pipelined stages: the phase is bottleneck-bound, plus a drain term — the
-  // last block still traverses every non-bottleneck stage after the bottleneck
-  // finishes. This is what separates a split plan (extra exchange + stage) from
-  // its fused sibling when both are bottlenecked on the same source stage.
-  sim::VTime fact_phase = 0;
-  size_t bottleneck = 0;
-  for (size_t s = 0; s < stage_done.size(); ++s) {
-    if (stage_done[s] > fact_phase) {
-      fact_phase = stage_done[s];
-      bottleneck = s;
-    }
-  }
-  for (size_t s = 0; s < stage_drain.size(); ++s) {
-    if (s != bottleneck) fact_phase += stage_drain[s];
-  }
-  // Pipelined fact stages contend for the links concurrently: the phase is
+  // ------------------------------------------------------------- probe stage
+  const Stage& probe = shape.probe;
+  const HetOpNode& seg = plan.node(probe.in.segmenter);
+  const storage::Table* src_table = catalog_->Get(seg.table);
+  const uint64_t block_rows = ScanBlockRows(seg, probe.instances, src_table, *topo_,
+                                            options_.pack_block_rows);
+  const double rows_in = static_cast<double>(cards_.fact_rows);
+  const uint64_t blocks = std::max<uint64_t>(
+      1, CeilDiv(static_cast<uint64_t>(std::llround(rows_in)), block_rows));
+  const uint64_t rows_per_block = std::max<uint64_t>(
+      1, std::min<uint64_t>(block_rows, static_cast<uint64_t>(std::llround(
+                                            std::max(1.0, rows_in / blocks)))));
+  std::vector<InstanceCost> insts =
+      stage_instances(probe, probe_, rows_per_block, src_table);
+  sim::VTime fact_phase = DistributeBlocks(probe.in.policy, blocks, &insts);
+  fact_phase = sim::MaxT(fact_phase, static_cast<double>(blocks) *
+                                         (seg.per_block_cost + probe.in.control_cost));
+  note_work(&fact_link_busy, insts);
+  // The probe instances contend for the links concurrently: the phase is
   // bounded below by each link's serialized DMA occupancy. Cross-query backlog
   // drains while this query's builds run, so only the residual carries over.
   for (int l = 0; l < n_links; ++l) {
@@ -768,8 +652,55 @@ Result<CostEstimate> PlanCoster::Cost(const HetPlan& plan) const {
       fact_phase = sim::MaxT(fact_phase, residual + fact_link_busy[l]);
     }
   }
+  est.probe = fact_phase + (probe.in.crossing_latency +
+                            shape.gather.in.crossing_latency);
 
-  est.probe = fact_phase + latency_constants;
+  // ------------------------------------------------------------------ merge
+  // The partitioned merge. Each probe instance ships one row per group it saw
+  // (a scalar aggregate: one row), split by group hash into one partition per
+  // merge instance when there are several; the last producer's split is on
+  // the tail. Merge instance k merges a 1/P share of all partials at its
+  // P-way share of its socket's bandwidth.
+  const Stage& merge = shape.gather;
+  double total_join_sel = 1.0;
+  for (double js : cards_.join_selectivities) total_join_sel *= js;
+  const double survive = cards_.fact_selectivity * total_join_sel;
+  const double cap =
+      spec_->group_by.empty() ? 1.0 : static_cast<double>(spec_->expected_groups);
+  double partials = 0;
+  double most = 0;  // one producer's partials
+  for (const auto& ic : insts) {
+    const double out_rows = static_cast<double>(ic.blocks) *
+                            static_cast<double>(rows_per_block) * survive;
+    const double rows = std::min(cap, std::max(out_rows, 1.0));
+    partials += rows;
+    most = std::max(most, rows);
+  }
+  const size_t merges = merge.instances.size();
+  const sim::CostStats share =
+      gather_.row.Scale(partials / static_cast<double>(merges));
+  std::map<int, int> socket_merges;
+  for (const auto& dev : merge.instances) {
+    if (dev.is_cpu()) socket_merges[dev.index] += 1;
+  }
+  sim::VTime merge_time = 0;
+  for (const auto& dev : merge.instances) {
+    est.work.Add(share);
+    merge_time = sim::MaxT(
+        merge_time,
+        dev.is_cpu()
+            ? cm.WorkCost(share, cm.cpu,
+                          std::min(cm.cpu_core_bw,
+                                   cm.cpu_socket_bw / socket_merges[dev.index]))
+            : cm.WorkCost(share, cm.gpu, cm.gpu_mem_bw));
+  }
+  sim::CostStats split;
+  if (merges > 1 && !spec_->group_by.empty()) {
+    split.ops = static_cast<uint64_t>(std::llround(most));
+  }
+  est.gather = cm.ComputeTime(split, cm.cpu) + merge_time +
+               static_cast<double>(insts.size()) * merge.in.control_cost;
+
   // The build phase is a global barrier here on purpose: the runtime starts
   // each probe unit at its own replicas' readiness, so this sum is an upper
   // bound on it. Pricing the per-unit starts (seeding DistributeBlocks with

@@ -50,12 +50,12 @@ struct CostEstimate {
   /// workers) plus CosterOptions::pool_wait.
   sim::VTime init = 0;
   sim::VTime build = 0;     ///< hash-build phase (concurrent build networks)
-  sim::VTime probe = 0;     ///< fact-pipeline phase (pipelined stages)
+  sim::VTime probe = 0;     ///< fact-pipeline phase (the probe stage)
   sim::VTime transfer = 0;  ///< interconnect share of the critical path (diagnostic)
   sim::VTime gather = 0;    ///< final merge of partial aggregates
   /// The work priced: every priced instance's blocks times its per-block
-  /// counters, over builds, build-side filter stages, fact stages and the
-  /// merge.
+  /// counters, over builds, build-side filter stages, the probe stage and
+  /// the merge.
   sim::CostStats work;
 
   std::string ToString() const;
@@ -118,9 +118,9 @@ RowWork WalkProgram(const CompiledPipeline& pipeline, const GuardRates& rates,
 struct CosterOptions {
   /// Rows per packed intermediate block — MUST be wired to the running
   /// system's block_bytes / 8 (QueryExecutor does). Sizes the block counts of
-  /// non-segmenter-fed stages and the staging clamp of GPU-bound scans
-  /// (ScanBlockRows); the default only matches a system built with default
-  /// 1 MiB blocks.
+  /// builds fed by a build-side filter stage and the staging clamp of
+  /// GPU-bound scans (ScanBlockRows); the default only matches a system built
+  /// with default 1 MiB blocks.
   uint64_t pack_block_rows = (1ull << 20) / 8;
 
   /// Per-link backlog, indexed by link id (Topology's one link table: PCIe,
@@ -187,7 +187,7 @@ class PlanCoster {
   Options options_;
   CardinalityEstimate cards_;
   Status readable_;  ///< NotFound when the programs cannot be compiled
-  SpanWork fused_, stage_a_, stage_b_, gather_;  ///< stage A/B need a join
+  SpanWork probe_, gather_;
   std::vector<SpanWork> build_, filter_, packed_build_;  ///< per join
 };
 

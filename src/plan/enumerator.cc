@@ -18,9 +18,8 @@ const char* ModeTag(ExecPolicy::Mode mode) {
 
 std::string Label(const ExecPolicy& p) {
   std::ostringstream os;
-  os << ModeTag(p.mode) << "/" << (p.split_probe_stage ? "split" : "fused");
-  if (p.split_probe_stage && p.stage_a_cpu_only) os << "-asym";
-  os << "/" << (p.load_balance ? "lb" : "rr") << "/b" << p.block_rows;
+  os << ModeTag(p.mode) << "/fused/" << (p.load_balance ? "lb" : "rr") << "/b"
+     << p.block_rows;
   if (p.mode != ExecPolicy::Mode::kGpuOnly && p.cpu_workers > 0) {
     os << "/w" << p.cpu_workers;
   }
@@ -108,21 +107,17 @@ std::vector<PlanCandidate> EnumeratePlans(const QuerySpec& spec,
     p.mode = mix;
     if (mix != ExecPolicy::Mode::kGpuOnly) p.cpu_workers = base_workers;
 
-    // Shape × router policy.
-    for (bool split : {false, true}) {
-      for (bool lb : {true, false}) {
-        ExecPolicy v = p;
-        v.split_probe_stage = split;
-        v.load_balance = lb;
-        add(v);
-      }
+    // Router policy.
+    for (bool lb : {true, false}) {
+      ExecPolicy v = p;
+      v.load_balance = lb;
+      add(v);
     }
 
-    // Segmentation granularity: a 4× coarser fused variant (fewer, larger
-    // blocks trade control-plane cost against distribution slack).
+    // Segmentation granularity: a 4× coarser variant (fewer, larger blocks
+    // trade control-plane cost against distribution slack).
     {
       ExecPolicy v = p;
-      v.split_probe_stage = false;
       v.load_balance = true;
       v.block_rows = base.block_rows * 4;
       add(v);
@@ -132,7 +127,6 @@ std::vector<PlanCandidate> EnumeratePlans(const QuerySpec& spec,
     // prefer fewer streams; the Fig. 6/7 saturation regime).
     if (mix != ExecPolicy::Mode::kGpuOnly && base_workers > 1) {
       ExecPolicy v = p;
-      v.split_probe_stage = false;
       v.load_balance = true;
       v.cpu_workers = base_workers / 2;
       add(v);
@@ -145,22 +139,10 @@ std::vector<PlanCandidate> EnumeratePlans(const QuerySpec& spec,
     if (mix != ExecPolicy::Mode::kCpuOnly && gpu_pool.size() > 1) {
       for (int g : gpu_pool) {
         ExecPolicy v = p;
-        v.split_probe_stage = false;
         v.load_balance = true;
         v.gpus = {g};
         add(v);
       }
-    }
-
-    // Asymmetric per-branch stages (Fig. 1e): the filter stage on cores only,
-    // the join/aggregate stage on the full mix. The lowering always ran this
-    // shape; the hybrid mix is the only one with both unit classes to split.
-    if (mix == ExecPolicy::Mode::kHybrid) {
-      ExecPolicy v = p;
-      v.split_probe_stage = true;
-      v.stage_a_cpu_only = true;
-      v.load_balance = true;
-      add(v);
     }
   }
   return out;

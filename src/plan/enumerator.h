@@ -13,7 +13,7 @@ namespace hetex::plan {
 /// One candidate plan: the policy seed that produced it plus the validated
 /// HetPlan the lowering can run as-is.
 struct PlanCandidate {
-  std::string label;   ///< e.g. "het/split/lb/b4096"
+  std::string label;   ///< e.g. "het/fused/lb/b4096"
   ExecPolicy policy;   ///< the BuildHetPlan seed
   HetPlan plan;
 };
@@ -22,9 +22,9 @@ struct PlanCandidate {
 ///
 /// BuildHetPlan is the single enumeration seed: every candidate is a policy
 /// variation run through it, so the search space is — by construction —
-/// exactly the set of plans GraphBuilder accepts. Dimensions searched, within
-/// the degrees of freedom `base` leaves open:
-///   - probe-pipeline shape: fused vs split (filter stage + hash exchange),
+/// exactly the set of plans GraphBuilder accepts. Every candidate's fact side
+/// is one fused probe stage feeding the gather; the dimensions searched,
+/// within the degrees of freedom `base` leaves open, are:
 ///   - per-branch placement: CPU-only / GPU-only / hybrid (restricted by
 ///     `base.mode` and the topology's device inventory),
 ///   - per-exchange router policy: load-balance vs round-robin,
@@ -32,9 +32,11 @@ struct PlanCandidate {
 ///   - segmentation granularity: base block_rows and a 4× coarser variant,
 ///   - per-join build placement: the GPU side pinned to each single GPU of
 ///     the fabric (multi-GPU topologies; the coster prices the asymmetric
-///     PCIe/peer-link traffic of each pinning),
-///   - asymmetric per-branch stages: the split shape with the filter stage on
-///     CPU workers only and the join stage on the full mix (Fig. 1e).
+///     PCIe/peer-link traffic of each pinning).
+///
+/// No split shape (a filter stage and a hash exchange before the joins) is
+/// searched: with a full hash-table replica on every unit, its exchange
+/// would partition no state.
 ///
 /// A base policy with `use_hetexchange == false` pins the bare single-unit
 /// plan (no search: the shape has no exchanges to vary). Every returned

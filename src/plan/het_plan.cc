@@ -289,12 +289,16 @@ HetPlan BuildHetPlan(const QuerySpec& spec, const ExecPolicy& policy,
                                                 : RouterPolicy::kRoundRobin);
   }
 
-  const bool split = policy.split_probe_stage && layout.routers_present;
-
-  // Transport from `feed` onto a branch's device type: mem-move + crossing +
-  // unpack (the consumer-side converter sandwich of every exchange).
-  auto enter_branch = [&](int feed, sim::DeviceType dev_type, int dop) -> int {
-    int chain = feed;
+  // One fused probe branch per device type: enter the branch off the fact
+  // router (mem-move + crossing + unpack, the consumer-side converter
+  // sandwich of every exchange), apply the fact filter, probe every join,
+  // aggregate locally and hash-pack the partials for the merge.
+  std::vector<int> branch_tops;
+  for (const auto* instances : {&cpu_instances, &gpu_instances}) {
+    if (instances->empty()) continue;
+    const auto dev_type = instances->front().type;
+    const int dop = static_cast<int>(instances->size());
+    int chain = fact_feed;
     if (layout.routers_present) {
       chain = b.Add(Kind::kMemMove, kCpu, "to consumer-local memory", {chain}, dop);
     }
@@ -303,13 +307,12 @@ HetPlan BuildHetPlan(const QuerySpec& spec, const ExecPolicy& policy,
                     layout.routers_present ? "" : "UVA zero-copy", {chain}, dop);
       plan.node(chain).uva = !layout.routers_present;
     }
-    return b.Add(Kind::kUnpack, dev_type, "", {chain}, dop);
-  };
-
-  // Join/aggregate/pack tail shared by fused and split (stage B) branches.
-  auto build_tail = [&](int chain, sim::DeviceType dev_type,
-                        const std::vector<sim::DeviceId>& instances) -> int {
-    const int dop = static_cast<int>(instances.size());
+    chain = place(b.Add(Kind::kUnpack, dev_type, "", {chain}, dop), *instances);
+    if (spec.fact_filter != nullptr) {
+      chain = place(b.Add(Kind::kFilter, dev_type, spec.fact_filter->ToString(),
+                          {chain}, dop),
+                    *instances);
+    }
     for (size_t j = 0; j < spec.joins.size(); ++j) {
       std::vector<int> children = {chain};
       const auto& builds = dev_type == kGpu ? gpu_builds[j] : cpu_builds[j];
@@ -318,89 +321,23 @@ HetPlan BuildHetPlan(const QuerySpec& spec, const ExecPolicy& policy,
                           spec.joins[j].build_table + "." + spec.joins[j].build_key +
                               " = " + spec.joins[j].probe_key,
                           std::move(children), dop),
-                    instances);
+                    *instances);
       plan.node(chain).join_id = static_cast<int>(j);
     }
     chain = place(b.Add(spec.group_by.empty() ? Kind::kReduceLocal
                                               : Kind::kGroupByLocal,
                         dev_type, "", {chain}, dop),
-                  instances);
+                  *instances);
     chain = place(b.Add(Kind::kHashPack, dev_type,
                         spec.group_by.empty() ? "partials"
                                               : "partials by hash(group key)",
                         {chain}, dop),
-                  instances);
+                  *instances);
     if (dev_type == kGpu) {
       chain = b.Add(Kind::kGpu2Cpu, kCpu, "async device->host queue", {chain}, dop);
       plan.node(chain).crossing_latency = cm.task_spawn_latency;
     }
-    return chain;
-  };
-
-  std::vector<std::vector<sim::DeviceId>*> branches;
-  if (!cpu_instances.empty()) branches.push_back(&cpu_instances);
-  if (!gpu_instances.empty()) branches.push_back(&gpu_instances);
-
-  // Branch head shared by the fused arm and split stage A: enter the branch
-  // off `feed` and apply the fact filter.
-  auto branch_head = [&](int feed,
-                         const std::vector<sim::DeviceId>& instances) -> int {
-    const auto dev_type = instances.front().type;
-    const int dop = static_cast<int>(instances.size());
-    int chain = place(enter_branch(feed, dev_type, dop), instances);
-    if (spec.fact_filter != nullptr) {
-      chain = place(b.Add(Kind::kFilter, dev_type, spec.fact_filter->ToString(),
-                          {chain}, dop),
-                    instances);
-    }
-    return chain;
-  };
-
-  std::vector<int> branch_tops;
-  if (!split) {
-    for (const auto* instances : branches) {
-      const int chain = branch_head(fact_feed, *instances);
-      branch_tops.push_back(
-          build_tail(chain, instances->front().type, *instances));
-    }
-  } else {
-    // Fig. 1e shape: per-branch filter stage + hash-pack, one shared hash
-    // router (the exchange), then per-branch join stages.
-    const std::string key =
-        spec.joins.empty() ? "tuple-hash" : spec.joins[0].probe_key;
-    // Asymmetric per-branch stages: stage A (filter + hash-pack) on the CPU
-    // branch only while stage B keeps the full mix — the paper's Fig. 1e with
-    // the cheap scan on cores and the joins on accelerators. Falls back to
-    // the symmetric split when only one unit class is present.
-    const bool asym = policy.stage_a_cpu_only && !cpu_instances.empty() &&
-                      !gpu_instances.empty();
-    const std::vector<std::vector<sim::DeviceId>*> stage_a_branches =
-        asym ? std::vector<std::vector<sim::DeviceId>*>{&cpu_instances}
-             : branches;
-    std::vector<int> stage_a_tops;
-    for (const auto* instances : stage_a_branches) {
-      const auto dev_type = instances->front().type;
-      const int dop = static_cast<int>(instances->size());
-      int chain = branch_head(fact_feed, *instances);
-      chain = place(b.Add(Kind::kHashPack, dev_type, "by hash(" + key + ")",
-                          {chain}, dop),
-                    *instances);
-      if (dev_type == kGpu) {
-        chain = b.Add(Kind::kGpu2Cpu, kCpu, "", {chain}, dop);
-      }
-      stage_a_tops.push_back(chain);
-    }
-    const int hash_router =
-        b.Add(Kind::kRouter, kCpu, "policy=hash", std::move(stage_a_tops),
-              static_cast<int>(layout.probe_instances.size()));
-    stamp_router(hash_router, RouterPolicy::kHash);
-    for (const auto* instances : branches) {
-      const auto dev_type = instances->front().type;
-      const int dop = static_cast<int>(instances->size());
-      const int chain =
-          place(enter_branch(hash_router, dev_type, dop), *instances);
-      branch_tops.push_back(build_tail(chain, dev_type, *instances));
-    }
+    branch_tops.push_back(chain);
   }
 
   // Partitioned merge: a hash router hands each merge instance one hash

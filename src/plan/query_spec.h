@@ -91,18 +91,6 @@ struct ExecPolicy {
   /// before the query runs, and the plan reads the placed chunks.
   bool data_on_gpu = false;
 
-  /// Split the fact pipeline into a filter stage and a join/aggregate stage
-  /// connected by a hash-pack + hash router (exercises the paper's Fig. 1e shape;
-  /// default keeps the fused single-stage plan the optimizer prefers).
-  bool split_probe_stage = false;
-
-  /// Asymmetric per-branch stages (requires split_probe_stage and kHybrid):
-  /// the filter stage (stage A) runs on the CPU workers only while the
-  /// join/aggregate stage (stage B) keeps the full placement mix — the
-  /// paper's Fig. 1e shape with the cheap scan on cores and the joins on
-  /// accelerators. Ignored unless both unit classes are present.
-  bool stage_a_cpu_only = false;
-
   uint64_t block_rows = 128 * 1024;  ///< staging-block granularity in tuples
 
   /// Router consumer choice: true = virtual-time-aware least-loaded (the paper's

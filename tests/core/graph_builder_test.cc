@@ -70,22 +70,21 @@ TEST_F(GraphBuilderTest, CpuOnlyLoweringMatchesPlan) {
   }
   EXPECT_EQ(lowered_build_instances, plan_build_instances);
   // The probe stage's fact router keeps every-consumer-gets-one semantics.
-  EXPECT_FALSE(GraphBuilder::EdgeOptions(lowered.fact_stages[1]).unit_broadcast);
+  EXPECT_FALSE(GraphBuilder::EdgeOptions(lowered.probe).unit_broadcast);
 
-  // Fused plan: gather + probe stages; probe DOP = the fact router's fanout.
-  // The merge runs one instance per probe worker on the gather socket, fed
-  // by a hash router.
-  ASSERT_EQ(lowered.fact_stages.size(), 2u);
-  EXPECT_EQ(lowered.fact_stages[0].span().role, plan::StageRole::kGather);
-  EXPECT_EQ(lowered.fact_stages[0].instances.size(), 2u);
-  EXPECT_EQ(GraphBuilder::EdgeOptions(lowered.fact_stages[0]).policy,
+  // Gather + probe stages; probe DOP = the fact router's fanout. The merge
+  // runs one instance per probe worker on the gather socket, fed by a hash
+  // router.
+  EXPECT_EQ(lowered.gather.span().role, plan::StageRole::kGather);
+  EXPECT_EQ(lowered.gather.instances.size(), 2u);
+  EXPECT_EQ(GraphBuilder::EdgeOptions(lowered.gather).policy,
             plan::RouterPolicy::kHash);
-  EXPECT_EQ(lowered.fact_stages[1].span().role, plan::StageRole::kProbe);
-  EXPECT_EQ(lowered.fact_stages[1].instances.size(), 4u);
-  for (const auto& dev : lowered.fact_stages[1].instances) {
+  EXPECT_EQ(lowered.probe.span().role, plan::StageRole::kProbe);
+  EXPECT_EQ(lowered.probe.instances.size(), 4u);
+  for (const auto& dev : lowered.probe.instances) {
     EXPECT_TRUE(dev.is_cpu());
   }
-  EXPECT_EQ(GraphBuilder::EdgeOptions(lowered.fact_stages[1]).policy,
+  EXPECT_EQ(GraphBuilder::EdgeOptions(lowered.probe).policy,
             plan::RouterPolicy::kLoadBalance);
   EXPECT_TRUE(lowered.build_filter_stages.empty());
 
@@ -99,17 +98,15 @@ TEST_F(GraphBuilderTest, GpuOnlyLoweringMatchesPlan) {
   const HetPlan plan = Plan(spec, TestEnv::Tune(ExecPolicy::GpuOnly()));
   const plan::PlanAnalysis lowered = Lower(plan);
 
-  ASSERT_EQ(lowered.fact_stages.size(), 2u);
-  const plan::Stage& probe = lowered.fact_stages[1];
+  const plan::Stage& probe = lowered.probe;
   EXPECT_EQ(probe.instances.size(), 2u);  // both GPUs of the test topology
   for (const auto& dev : probe.instances) EXPECT_TRUE(dev.is_gpu());
   // The device->host partials crossing stamps its latency on the merge's
   // hash edge; with no CPU probe worker the merge has one instance.
-  const Edge::Options gather_edge =
-      GraphBuilder::EdgeOptions(lowered.fact_stages[0]);
+  const Edge::Options gather_edge = GraphBuilder::EdgeOptions(lowered.gather);
   EXPECT_GT(gather_edge.crossing_latency, 0.0);
   EXPECT_EQ(gather_edge.policy, plan::RouterPolicy::kHash);
-  EXPECT_EQ(lowered.fact_stages[0].instances.size(), 1u);
+  EXPECT_EQ(lowered.gather.instances.size(), 1u);
   // Routers present: bring-up latency lifted from the plan stamps.
   EXPECT_GT(lowered.init_latency, 0.0);
 
@@ -125,8 +122,7 @@ TEST_F(GraphBuilderTest, HybridLoweringMergesBranchesOfOneExchange) {
 
   // The CPU and GPU branches of the DAG share the fact router: one worker
   // group, CPU instances first (the plan's branch order).
-  ASSERT_EQ(lowered.fact_stages.size(), 2u);
-  const plan::Stage& probe = lowered.fact_stages[1];
+  const plan::Stage& probe = lowered.probe;
   ASSERT_EQ(probe.instances.size(), 5u);  // 3 CPU workers + 2 GPUs
   EXPECT_TRUE(probe.instances[0].is_cpu());
   EXPECT_TRUE(probe.instances[4].is_gpu());
@@ -194,7 +190,6 @@ TEST_F(GraphBuilderTest, HybridFiltersEachFilteredDimensionOnceOnTheHost) {
     EXPECT_GT(filtered, 0u);
     EXPECT_EQ(lowered.build_filter_stages.size(), filtered);
     EXPECT_EQ(lowered.build_stages.size(), spec.joins.size());
-    EXPECT_EQ(lowered.fact_stages.size(), 2u);
 
     const auto result = env_.Run(spec, policy);
     ASSERT_TRUE(result.status.ok()) << result.status.ToString();
@@ -217,26 +212,54 @@ TEST_F(GraphBuilderTest, HybridFiltersEachFilteredDimensionOnceOnTheHost) {
   }
 }
 
-TEST_F(GraphBuilderTest, SplitPlanLowersSharedHashExchange) {
+TEST_F(GraphBuilderTest, ThirdFactStageIsUnsupported) {
+  // A packed producer under the probe stage (a filter stage feeding it
+  // through a round-robin exchange) makes a third fact stage. The fact side
+  // is one probe stage reading its table, then the gather, so the lowering
+  // and the coster both reject the plan by name.
   const auto spec = env_.ssb->Query(2, 2);
-  ExecPolicy policy = TestEnv::Tune(ExecPolicy::Hybrid(2));
-  policy.split_probe_stage = true;
-  const HetPlan plan = Plan(spec, policy);
-  const plan::PlanAnalysis lowered = Lower(plan);
+  HetPlan plan = Plan(spec, TestEnv::Tune(ExecPolicy::CpuOnly(2)));
+  int move = -1;  // the probe branch's mem-move off the fact router
+  for (size_t i = 0; i < plan.nodes.size(); ++i) {
+    const HetOpNode& n = plan.nodes[i];
+    if (n.kind == HetOpNode::Kind::kMemMove && !n.children.empty() &&
+        plan.node(n.children[0]).policy == plan::RouterPolicy::kLoadBalance) {
+      move = static_cast<int>(i);
+    }
+  }
+  ASSERT_GE(move, 0);
+  // BuildHetPlan adds the branch's unpack right after its mem-move.
+  const std::vector<sim::DeviceId> workers = plan.node(move + 1).placement;
+  auto add = [&](HetOpNode::Kind kind, int child, bool placed) {
+    HetOpNode n{kind, "", sim::DeviceType::kCpu, 2, {child}};
+    if (placed) n.placement = workers;
+    plan.nodes.push_back(std::move(n));
+    return static_cast<int>(plan.nodes.size()) - 1;
+  };
+  int chain = add(HetOpNode::Kind::kMemMove, plan.node(move).children[0], false);
+  chain = add(HetOpNode::Kind::kUnpack, chain, true);
+  chain = add(HetOpNode::Kind::kPack, chain, true);
+  chain = add(HetOpNode::Kind::kRouter, chain, false);
+  plan.node(chain).policy = plan::RouterPolicy::kRoundRobin;
+  plan.node(move).children = {chain};
+  ASSERT_TRUE(plan::ValidateHetPlan(plan).ok());
 
-  ASSERT_EQ(lowered.fact_stages.size(), 3u);
-  EXPECT_EQ(lowered.fact_stages[0].span().role, plan::StageRole::kGather);
-  EXPECT_EQ(lowered.fact_stages[1].span().role, plan::StageRole::kProbe);
-  EXPECT_EQ(lowered.fact_stages[2].span().role, plan::StageRole::kFilterStage);
-  // Stage A and stage B are connected by the single hash exchange of the plan.
-  EXPECT_EQ(GraphBuilder::EdgeOptions(lowered.fact_stages[1]).policy,
-            plan::RouterPolicy::kHash);
-  EXPECT_EQ(lowered.fact_stages[1].instances.size(),
-            lowered.fact_stages[2].instances.size());
-
-  const auto result = env_.Run(spec, policy);
-  ASSERT_TRUE(result.status.ok()) << result.status.ToString();
-  EXPECT_EQ(result.rows, env_.Reference(spec));
+  GraphBuilder builder(env_.system.get(), &plan);
+  const Status lowered = builder.Analyze();
+  EXPECT_EQ(lowered.code(), StatusCode::kUnsupported) << lowered.ToString();
+  EXPECT_NE(lowered.message().find("probe stage fed by a packed producer"),
+            std::string::npos)
+      << lowered.ToString();
+  const plan::PlanCoster coster(spec, env_.system->catalog(),
+                                env_.system->topology());
+  const Result<plan::CostEstimate> est = coster.Cost(plan);
+  ASSERT_FALSE(est.ok());
+  EXPECT_EQ(est.status().ToString(), lowered.ToString());
+  QueryExecutor executor(env_.system.get());
+  const auto result = executor.ExecutePlan(spec, plan);
+  EXPECT_EQ(result.status.code(), StatusCode::kUnsupported)
+      << result.status.ToString();
+  EXPECT_TRUE(result.rows.empty());
 }
 
 TEST_F(GraphBuilderTest, BareCpuLoweringHasNoRouters) {
@@ -251,8 +274,7 @@ TEST_F(GraphBuilderTest, BareCpuLoweringHasNoRouters) {
     EXPECT_EQ(GraphBuilder::EdgeOptions(s).control_cost, 0.0);
     EXPECT_EQ(s.instances.size(), 1u);
   }
-  ASSERT_EQ(lowered.fact_stages.size(), 2u);
-  EXPECT_EQ(lowered.fact_stages[1].instances.size(), 1u);
+  EXPECT_EQ(lowered.probe.instances.size(), 1u);
 
   const auto result = env_.Run(spec, policy);
   ASSERT_TRUE(result.status.ok()) << result.status.ToString();
@@ -272,12 +294,10 @@ TEST_F(GraphBuilderTest, BareGpuLoweringUsesUva) {
     EXPECT_TRUE(s.in.uva);
     EXPECT_FALSE(GraphBuilder::EdgeOptions(s).mem_move);
   }
-  const plan::Stage& probe = lowered.fact_stages.back();
-  EXPECT_TRUE(probe.in.uva);
-  EXPECT_FALSE(GraphBuilder::EdgeOptions(probe).mem_move);
+  EXPECT_TRUE(lowered.probe.in.uva);
+  EXPECT_FALSE(GraphBuilder::EdgeOptions(lowered.probe).mem_move);
   // Partials still cross device->host with a real move.
-  const Edge::Options gather_edge =
-      GraphBuilder::EdgeOptions(lowered.fact_stages[0]);
+  const Edge::Options gather_edge = GraphBuilder::EdgeOptions(lowered.gather);
   EXPECT_TRUE(gather_edge.mem_move);
   EXPECT_GT(gather_edge.crossing_latency, 0.0);
 

@@ -209,43 +209,6 @@ TEST(EdgeCases, StaticZeroDivisorRejectedAsStatus) {
       << r.status.ToString();
 }
 
-TEST(EdgeCases, SplitPlanWithoutJoinsIsInvalidArgument) {
-  // A split plan's filter stage hash-packs its survivors by the first join's
-  // probe key, so a query that joins nothing has no split form. Both entry
-  // points name that before any stage starts, and the System then runs the
-  // fused plan of the same query.
-  TestEnv env(2'000);
-  auto* t = env.system->catalog().CreateTable("flat");
-  auto* a = t->AddColumn("a", storage::ColType::kInt64);
-  int64_t sum = 0;
-  for (int64_t i = 0; i < 10'000; ++i) {
-    a->Append(i);
-    sum += i;
-  }
-  HETEX_CHECK_OK(t->Place(env.system->HostNodes(), &env.system->memory()));
-
-  plan::QuerySpec q;
-  q.name = "flat-sum";
-  q.fact_table = "flat";
-  q.aggs.push_back({plan::Col("a"), jit::AggFunc::kSum, "s"});
-  q.expected_groups = 1;
-  ExecPolicy split = TestEnv::Tune(ExecPolicy::CpuOnly(2));
-  split.split_probe_stage = true;
-
-  core::QueryExecutor executor(env.system.get());
-  const auto pinned = executor.Execute(q, split);
-  EXPECT_EQ(pinned.status.code(), StatusCode::kInvalidArgument)
-      << pinned.status.ToString();
-  const auto planned = executor.ExecutePlan(
-      q, plan::BuildHetPlan(q, split, env.system->topology()));
-  EXPECT_EQ(planned.status.code(), StatusCode::kInvalidArgument)
-      << planned.status.ToString();
-
-  const auto fused = executor.Execute(q, TestEnv::Tune(ExecPolicy::CpuOnly(2)));
-  ASSERT_TRUE(fused.status.ok()) << fused.status.ToString();
-  EXPECT_EQ(fused.rows, (std::vector<std::vector<int64_t>>{{sum}}));
-}
-
 TEST(EdgeCases, WideGroupByNearCapacity) {
   // Group count close to expected_groups exercises the agg-table headroom.
   TestEnv env(20'000);

@@ -57,33 +57,30 @@ void ExpectMergeFollowsProbes(const core::QueryResult& r, const std::string& wha
 
 TEST(MergeTest, EveryGroupKeyIsEmittedByTheOneMergeInstanceOwningIt) {
   TestEnv env;
-  int split_merges = 0;
+  int spread = 0;
   for (const auto& [flight, idx] : GroupByQueries()) {
     const plan::QuerySpec spec = env.ssb->Query(flight, idx);
-    for (bool split : {false, true}) {
-      ExecPolicy policy = TestEnv::Tune(ExecPolicy::Hybrid(4));
-      policy.split_probe_stage = split;
-      const core::QueryResult r = env.Run(spec, policy);
-      ASSERT_TRUE(r.status.ok()) << spec.name << ": " << r.status.ToString();
-      EXPECT_EQ(r.rows, env.Reference(spec)) << spec.name;
-      // Two CPU workers of four sit on the gather socket: two partitions.
-      ASSERT_EQ(r.merges.size(), 2u) << spec.name;
-      std::vector<uint64_t> owned(r.merges.size(), 0);
-      std::set<int64_t> keys;
-      for (const auto& row : r.rows) {
-        EXPECT_TRUE(keys.insert(row[0]).second) << spec.name << ": key twice";
-        ++owned[core::MergePartition(row[0], static_cast<int>(r.merges.size()))];
-      }
-      int emitting = 0;
-      for (size_t k = 0; k < r.merges.size(); ++k) {
-        EXPECT_EQ(r.merges[k].rows, owned[k]) << spec.name << " merge " << k;
-        emitting += r.merges[k].rows > 0;
-      }
-      split_merges += emitting > 1;
-      EXPECT_EQ(r.partial_rows > 0, !r.rows.empty()) << spec.name;
+    const core::QueryResult r =
+        env.Run(spec, TestEnv::Tune(ExecPolicy::Hybrid(4)));
+    ASSERT_TRUE(r.status.ok()) << spec.name << ": " << r.status.ToString();
+    EXPECT_EQ(r.rows, env.Reference(spec)) << spec.name;
+    // Two CPU workers of four sit on the gather socket: two partitions.
+    ASSERT_EQ(r.merges.size(), 2u) << spec.name;
+    std::vector<uint64_t> owned(r.merges.size(), 0);
+    std::set<int64_t> keys;
+    for (const auto& row : r.rows) {
+      EXPECT_TRUE(keys.insert(row[0]).second) << spec.name << ": key twice";
+      ++owned[core::MergePartition(row[0], static_cast<int>(r.merges.size()))];
     }
+    int emitting = 0;
+    for (size_t k = 0; k < r.merges.size(); ++k) {
+      EXPECT_EQ(r.merges[k].rows, owned[k]) << spec.name << " merge " << k;
+      emitting += r.merges[k].rows > 0;
+    }
+    spread += emitting > 1;
+    EXPECT_EQ(r.partial_rows > 0, !r.rows.empty()) << spec.name;
   }
-  EXPECT_GT(split_merges, 0) << "no query spread its groups over both instances";
+  EXPECT_GT(spread, 0) << "no query spread its groups over both instances";
 }
 
 TEST(MergeTest, NoMergeInstanceStartsBeforeItsCoresProbeEnds) {

@@ -124,17 +124,6 @@ TEST(ParallelismInvariance, RoundRobinEqualsLoadBalance) {
   }
 }
 
-TEST(ParallelismInvariance, SplitProbeStageEqualsFused) {
-  TestEnv env(15'000);
-  const auto spec = env.ssb->Query(2, 3);
-  const auto expected = env.Reference(spec);
-  auto policy = TestEnv::Tune(ExecPolicy::Hybrid(2));
-  policy.split_probe_stage = true;
-  const auto result = env.Run(spec, policy);
-  ASSERT_TRUE(result.status.ok());
-  EXPECT_EQ(result.rows, expected);
-}
-
 TEST(ParallelismInvariance, BlockSizeDoesNotChangeResults) {
   TestEnv env(15'000);
   const auto spec = env.ssb->Query(1, 3);

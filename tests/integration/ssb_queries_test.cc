@@ -13,7 +13,7 @@ using test::TestEnv;
 struct SsbCase {
   int flight;
   int idx;
-  int mode;  // 0 cpu, 1 gpu, 2 hybrid, 3 hybrid with a split probe stage
+  int mode;  // 0 cpu, 1 gpu, 2 hybrid
 };
 
 class SsbQueryTest : public ::testing::TestWithParam<SsbCase> {
@@ -31,7 +31,6 @@ TEST_P(SsbQueryTest, MatchesReference) {
   ExecPolicy policy = c.mode == 0   ? ExecPolicy::CpuOnly(3)
                       : c.mode == 1 ? ExecPolicy::GpuOnly()
                                     : ExecPolicy::Hybrid(3);
-  policy.split_probe_stage = c.mode == 3;
   const auto result = env()->Run(spec, TestEnv::Tune(policy));
   ASSERT_TRUE(result.status.ok()) << result.status.ToString();
   EXPECT_EQ(result.rows, expected) << spec.name;
@@ -43,14 +42,14 @@ std::vector<SsbCase> AllCases() {
   const int flights[4] = {3, 3, 4, 3};
   for (int f = 1; f <= 4; ++f) {
     for (int i = 1; i <= flights[f - 1]; ++i) {
-      for (int mode = 0; mode < 4; ++mode) cases.push_back({f, i, mode});
+      for (int mode = 0; mode < 3; ++mode) cases.push_back({f, i, mode});
     }
   }
   return cases;
 }
 
 std::string CaseName(const ::testing::TestParamInfo<SsbCase>& info) {
-  static const char* kModes[4] = {"Cpu", "Gpu", "Hybrid", "HybridSplit"};
+  static const char* kModes[3] = {"Cpu", "Gpu", "Hybrid"};
   return "Q" + std::to_string(info.param.flight) + std::to_string(info.param.idx) +
          kModes[info.param.mode];
 }

@@ -15,7 +15,7 @@
 namespace hetex {
 namespace {
 
-/// Differential tier suite: every SSB query, fused and split, on CPU and GPU
+/// Differential tier suite: every SSB query on CPU, GPU and hybrid
 /// placements, executed through the row interpreter (tier 0 forced), the
 /// vectorized batch backend (tier 1 forced) and the native codegen backend
 /// (tier 2: auto tiering with a kernel cache attached), asserting identical
@@ -30,9 +30,9 @@ namespace {
 /// socket's replica, so every insert pays the bucket-head CAS in all tiers.
 /// The hybrid mode (one CPU worker plus the GPU) filters each filtered
 /// dimension in a build-side filter stage and builds both replicas from its
-/// packed survivors. The hybrid split mode adds the shared hash exchange and
-/// runs two CPU workers, so its group-bys merge on two instances, each
-/// owning one hash partition of the partial groups.
+/// packed survivors. The two-CPU hybrid mode runs two CPU workers, so its
+/// group-bys merge on two instances, each owning one hash partition of the
+/// partial groups.
 ///
 /// Besides the 13 SSB queries (their columns placed at 1, 2 and 4 bytes, all
 /// values non-negative) the matrix runs one query over a wide-key star
@@ -270,10 +270,9 @@ struct ParityCase {
   int flight;  // 0: ParityEnv::WideQuery, -1: ParityEnv::NarrowQuery,
                // -2: ParityEnv::ForQuery
   int idx;
-  int mode;  // 0 cpu-fused, 1 cpu-split, 2 gpu-fused, 3 gpu-split,
-             // 4 cpu-fused with a two-writer shared build,
-             // 5 hybrid-fused (build-side filter stages, packed-input builds),
-             // 6 hybrid-split with two CPU workers (a two-instance merge)
+  int mode;  // 0 cpu, 1 gpu, 2 cpu with a two-writer shared build,
+             // 3 hybrid (build-side filter stages, packed-input builds),
+             // 4 hybrid with two CPU workers (a two-instance merge)
 };
 
 class TierParityTest : public ::testing::TestWithParam<ParityCase> {
@@ -293,14 +292,13 @@ class TierParityTest : public ::testing::TestWithParam<ParityCase> {
   }
 
   static plan::ExecPolicy PolicyFor(int mode) {
-    plan::ExecPolicy policy = mode == 6   ? plan::ExecPolicy::Hybrid(2, {0})
-                              : mode == 5 ? plan::ExecPolicy::Hybrid(1, {0})
-                              : mode == 4 ? plan::ExecPolicy::CpuOnly(2)
-                              : (mode == 0 || mode == 1)
-                                  ? plan::ExecPolicy::CpuOnly(1)
-                                  : plan::ExecPolicy::GpuOnly({0});
-    policy.split_probe_stage = (mode == 1 || mode == 3 || mode == 6);
-    return policy;
+    switch (mode) {
+      case 0: return plan::ExecPolicy::CpuOnly(1);
+      case 1: return plan::ExecPolicy::GpuOnly({0});
+      case 2: return plan::ExecPolicy::CpuOnly(2);
+      case 3: return plan::ExecPolicy::Hybrid(1, {0});
+      default: return plan::ExecPolicy::Hybrid(2, {0});
+    }
   }
 };
 
@@ -377,8 +375,7 @@ TEST_P(TierParityTest, IdenticalResultsAndCostStats) {
     EXPECT_EQ(interp.stats.far_accesses, other->stats.far_accesses);
   }
   // CPU probes and group-bys never pay atomics; the shared replica's CAS does.
-  EXPECT_EQ(interp.stats.atomics > 0, c.mode != 0 && c.mode != 1)
-      << "mode " << c.mode;
+  EXPECT_EQ(interp.stats.atomics > 0, c.mode != 0) << "mode " << c.mode;
 
   // The suite is not vacuous: nothing silently fell back — neither the
   // vectorizer (tiers 1 and 2 both lower through it first) nor the codegen
@@ -393,24 +390,18 @@ std::vector<ParityCase> AllCases() {
   const int flights[4] = {3, 3, 4, 3};
   for (int f = 1; f <= 4; ++f) {
     for (int i = 1; i <= flights[f - 1]; ++i) {
-      for (int mode = 0; mode < 7; ++mode) cases.push_back({f, i, mode});
+      for (int mode = 0; mode < 5; ++mode) cases.push_back({f, i, mode});
     }
   }
-  for (int mode = 0; mode < 7; ++mode) cases.push_back({0, 0, mode});
-  // Not the hybrid split mode: the narrow star's 11 group keys collide in its
-  // 32-slot group-by table, and that mode's stage-B instances take their
-  // input in thread-completion order, so the group-by's probe counts vary
-  // from run to run in every tier, whatever the column widths.
-  for (int mode = 0; mode < 6; ++mode) cases.push_back({-1, 0, mode});
-  // Every mode: the frame-of-reference star's group keys never collide.
-  for (int mode = 0; mode < 7; ++mode) cases.push_back({-2, 0, mode});
+  for (int star = 0; star >= -2; --star) {
+    for (int mode = 0; mode < 5; ++mode) cases.push_back({star, 0, mode});
+  }
   return cases;
 }
 
 std::string CaseName(const ::testing::TestParamInfo<ParityCase>& info) {
-  static const char* kModes[7] = {"CpuFused",       "CpuSplit", "GpuFused",
-                                  "GpuSplit",       "CpuSharedBuild",
-                                  "HybridFused",    "HybridSplit"};
+  static const char* kModes[5] = {"CpuFused", "GpuFused", "CpuSharedBuild",
+                                  "HybridFused", "HybridTwoCpus"};
   if (info.param.flight == 0) return std::string("Wide") + kModes[info.param.mode];
   if (info.param.flight == -1) return std::string("Narrow") + kModes[info.param.mode];
   if (info.param.flight < 0) {
@@ -539,7 +530,7 @@ INSTANTIATE_TEST_SUITE_P(Tiers, TierParityOverflowTest, ::testing::Values(0, 1, 
                          });
 
 /// The auto-tier environment really exercises the vectorized backend across
-/// the matrix: the fused/split SSB pipelines all lower (no fallbacks), and at
+/// the matrix: the SSB pipelines all lower (no fallbacks), and at
 /// least one program per device kind was vectorized.
 TEST(TierParitySummary, VectorizedTierWasExercised) {
   auto* env = new ParityEnv(jit::TierPolicy::kAuto);

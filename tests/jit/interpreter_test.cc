@@ -138,12 +138,6 @@ TEST(Interpreter, NotAndShlAndConst) {
   EXPECT_EQ(vm.Run(b.Finalize("const"), {{0}})[0], -99);
 }
 
-TEST(Interpreter, HashMatchesHashMix64) {
-  VmHarness vm;
-  auto out = vm.Run(UnaryProgram(OpCode::kHash), {{42}});
-  EXPECT_EQ(out[0], static_cast<int64_t>(HashMix64(42)));
-}
-
 TEST(Interpreter, FilterDropsFailingTuples) {
   ProgramBuilder b;
   const int v = b.AllocReg();
@@ -221,40 +215,6 @@ TEST(Interpreter, CostStatsAccumulate) {
   EXPECT_EQ(vm.stats.bytes_read, 4 * 8u);
   EXPECT_EQ(vm.stats.bytes_written, 4 * 8u);  // emits
   EXPECT_GT(vm.stats.ops, 12u);
-}
-
-TEST(Interpreter, TaggedEmitSelectsBucketByModulo) {
-  ProgramBuilder b;
-  const int v = b.AllocReg();
-  b.EmitOp(OpCode::kLoadCol, v, 0);
-  b.EmitOp(OpCode::kEmit, v, 1, /*tag_reg=*/v, /*tagged=*/1);
-  auto program = b.Finalize("hash-pack");
-  program.finalized = true;
-
-  std::vector<int64_t> col{0, 1, 2, 3, 4, 5};
-  ColumnBinding binding{reinterpret_cast<const std::byte*>(col.data()), 8};
-  std::vector<int64_t> store_a(16), store_b(16);
-  EmitTarget ta, tb;
-  ta.cols.push_back({reinterpret_cast<std::byte*>(store_a.data()), 8});
-  ta.capacity = 16;
-  tb.cols.push_back({reinterpret_cast<std::byte*>(store_b.data()), 8});
-  tb.capacity = 16;
-  EmitTarget* targets[2] = {&ta, &tb};
-
-  sim::CostStats stats;
-  ExecCtx ctx;
-  ctx.cols = &binding;
-  ctx.n_cols = 1;
-  ctx.emit = &ta;
-  ctx.emit_targets = targets;
-  ctx.n_emit_targets = 2;
-  ctx.stats = &stats;
-  RunRows(program, ctx, col.size());
-
-  EXPECT_EQ(ta.rows(), 3u);  // even values
-  EXPECT_EQ(tb.rows(), 3u);  // odd values
-  for (uint64_t i = 0; i < ta.rows(); ++i) EXPECT_EQ(store_a[i] % 2, 0);
-  for (uint64_t i = 0; i < tb.rows(); ++i) EXPECT_EQ(store_b[i] % 2, 1);
 }
 
 TEST(EmitTarget, OnFullMakesRoom) {

@@ -41,8 +41,8 @@ CodegenOptions SyncOptions(const std::string& tag) {
   return opts;
 }
 
-/// filter + arithmetic + hash + emit: enough shape to exercise constant
-/// folding, the filter early-out and the emit hook in generated code.
+/// filter + arithmetic + emit: enough shape to exercise constant folding,
+/// the filter early-out and the emit hook in generated code.
 PipelineProgram FilterMathProgram() {
   ProgramBuilder b;
   const int x = b.AllocReg();
@@ -56,10 +56,10 @@ PipelineProgram FilterMathProgram() {
   b.EmitOp(OpCode::kFilter, keep);
   const int sum = b.AllocReg();
   b.EmitOp(OpCode::kAdd, sum, x, y);
-  const int h = b.AllocReg();
-  b.EmitOp(OpCode::kHash, h, sum);
+  const int sq = b.AllocReg();
+  b.EmitOp(OpCode::kMul, sq, sum, sum);
   const int mixed = b.AllocReg();
-  b.EmitOp(OpCode::kAdd, mixed, sum, h);
+  b.EmitOp(OpCode::kAdd, mixed, sum, sq);
   b.EmitOp(OpCode::kEmit, mixed, 1);
   PipelineProgram p = b.Finalize("kc-filter-math");
   p.n_input_cols = 2;
@@ -358,8 +358,8 @@ TEST(KernelCacheTest, CorruptedObjectIsRejectedAndRecompiled) {
   }
 }
 
-// A kernel built against the previous ABI (v7: no column or hash-field
-// bases) must never be loaded: its sidecar's ABI stamp rejects it, the
+// A kernel built against the previous ABI (v8: the hash-pack bucket
+// arguments) must never be loaded: its sidecar's ABI stamp rejects it, the
 // rejection is counted and the kernel is recompiled.
 TEST(KernelCacheTest, PreviousAbiObjectIsRejectedAndRecompiled) {
   const PipelineProgram program = FilterMathProgram();
@@ -383,8 +383,8 @@ TEST(KernelCacheTest, PreviousAbiObjectIsRejectedAndRecompiled) {
   const std::string current = "abi " + std::to_string(kCodegenAbiVersion) + "\n";
   const size_t at = meta.find(current);
   ASSERT_NE(at, std::string::npos) << meta;
-  ASSERT_EQ(kCodegenAbiVersion, 8u);
-  meta.replace(at, current.size(), "abi 7\n");
+  ASSERT_EQ(kCodegenAbiVersion, 9u);
+  meta.replace(at, current.size(), "abi 8\n");
   std::ofstream(meta_path, std::ios::trunc) << meta;
 
   KernelCache cache(opts);

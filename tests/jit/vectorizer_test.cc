@@ -29,7 +29,6 @@ struct DiffHarness {
   void* ht_slots[kMaxHtSlots] = {};
   uint64_t row_begin = 0;
   uint64_t row_step = 1;
-  int n_emit_targets = 0;  // >0: tagged emit targets
 
   TierRun Run(const PipelineProgram& base, ExecTier tier) {
     PipelineProgram p = base;
@@ -48,39 +47,28 @@ struct DiffHarness {
       bindings.push_back({reinterpret_cast<const std::byte*>(c.data()), 8});
     }
 
-    const int nt = n_emit_targets > 0 ? n_emit_targets : 1;
-    std::vector<std::vector<std::vector<int64_t>>> stores(nt);
-    std::vector<EmitTarget> targets(nt);
-    std::vector<EmitTarget*> target_ptrs;
-    std::vector<std::vector<std::vector<int64_t>>> flushed(nt);
-    for (int t = 0; t < nt; ++t) {
-      stores[t].assign(n_out_cols, std::vector<int64_t>(emit_capacity, 0));
-      for (auto& col : stores[t]) {
-        targets[t].cols.push_back({reinterpret_cast<std::byte*>(col.data()), 8});
-      }
-      targets[t].capacity = emit_capacity;
-      EmitTarget* raw = &targets[t];
-      auto* store = &stores[t];
-      auto* out = &flushed[t];
-      auto* flush_count = &run.flushes;
-      raw->on_full = [raw, store, out, flush_count] {
-        ++*flush_count;
-        std::vector<int64_t> rows;
-        for (uint64_t r = 0; r < raw->rows(); ++r) {
-          for (auto& col : *store) rows.push_back(col[r]);
-        }
-        out->push_back(std::move(rows));
-        raw->ResetCursor();
-      };
-      target_ptrs.push_back(raw);
+    std::vector<std::vector<int64_t>> store(
+        n_out_cols, std::vector<int64_t>(emit_capacity, 0));
+    EmitTarget target;
+    for (auto& col : store) {
+      target.cols.push_back({reinterpret_cast<std::byte*>(col.data()), 8});
     }
+    target.capacity = emit_capacity;
+    std::vector<std::vector<int64_t>> flushed;
+    target.on_full = [&] {
+      ++run.flushes;
+      std::vector<int64_t> rows;
+      for (uint64_t r = 0; r < target.rows(); ++r) {
+        for (auto& col : store) rows.push_back(col[r]);
+      }
+      flushed.push_back(std::move(rows));
+      target.ResetCursor();
+    };
 
     ExecCtx ctx;
     ctx.cols = bindings.data();
     ctx.n_cols = static_cast<int>(bindings.size());
-    ctx.emit = target_ptrs[0];
-    ctx.emit_targets = target_ptrs.data();
-    ctx.n_emit_targets = nt;
+    ctx.emit = &target;
     ctx.local_accs = run.accs;
     ctx.ht_slots = ht_slots;
     ctx.stats = &run.stats;
@@ -89,25 +77,21 @@ struct DiffHarness {
 
     run.status = jit::Run(p, ctx, cols.empty() ? 0 : cols[0].size());
 
-    // Collect emitted rows: flushed blocks first, then the open block, per
-    // target in order (flush order is part of the parity contract).
+    // Collect emitted rows: flushed blocks first, then the open block (flush
+    // order is part of the parity contract).
     run.emitted.assign(n_out_cols, {});
-    for (int t = 0; t < nt; ++t) {
-      for (const auto& block : flushed[t]) {
-        const uint64_t rows = block.size() / n_out_cols;
-        for (uint64_t r = 0; r < rows; ++r) {
-          for (int c = 0; c < n_out_cols; ++c) {
-            run.emitted[c].push_back(block[r * n_out_cols + c]);
-          }
-        }
-      }
-      for (uint64_t r = 0; r < targets[t].rows(); ++r) {
+    for (const auto& block : flushed) {
+      const uint64_t rows = block.size() / n_out_cols;
+      for (uint64_t r = 0; r < rows; ++r) {
         for (int c = 0; c < n_out_cols; ++c) {
-          run.emitted[c].push_back(stores[t][c][r]);
+          run.emitted[c].push_back(block[r * n_out_cols + c]);
         }
       }
-      run.emit_rows += targets[t].rows();
     }
+    for (uint64_t r = 0; r < target.rows(); ++r) {
+      for (int c = 0; c < n_out_cols; ++c) run.emitted[c].push_back(store[c][r]);
+    }
+    run.emit_rows = target.rows();
     return run;
   }
 
@@ -189,25 +173,6 @@ TEST(Vectorizer, GridStrideParity) {
   h.row_begin = 1;
   h.row_step = 3;
   h.ExpectParity(FilterEmitProgram(70));
-}
-
-TEST(Vectorizer, TaggedEmitBucketParity) {
-  ProgramBuilder b;
-  const int v = b.AllocReg();
-  b.EmitOp(OpCode::kLoadCol, v, 0);
-  const int tag = b.AllocReg();
-  b.EmitOp(OpCode::kHash, tag, v);
-  const int first = b.AllocReg();
-  b.EmitOp(OpCode::kShl, first, v, 0, 0, 0);
-  b.EmitOp(OpCode::kEmit, first, 1, tag, /*tagged=*/1);
-  PipelineProgram p = b.Finalize("vt.hash-pack");
-
-  DiffHarness h;
-  h.n_out_cols = 1;
-  h.n_emit_targets = 3;
-  h.cols.resize(1);
-  for (int i = 0; i < 4000; ++i) h.cols[0].push_back(i * 7 + 1);
-  h.ExpectParity(p);
 }
 
 TEST(Vectorizer, AggLocalParity) {

@@ -212,17 +212,51 @@ TEST(BlockRegistryBackpressure, CancelFlagWakesBlockedAcquire) {
   std::vector<Block*> held;
   for (int i = 0; i < 4; ++i) held.push_back(registry.Acquire(host, host));
 
-  std::atomic<bool> cancel{false};
+  RunStop run;
   Status error = Status::OK();
   Block* result = nullptr;
   std::thread blocked([&] {
-    result = registry.Acquire(host, host, &error, &cancel);
+    result = registry.Acquire(host, host, &error, &run);
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  cancel.store(true);
+  run.stopped.store(true);
   blocked.join();  // wakes well before the 30 s bound
   EXPECT_EQ(result, nullptr);
   EXPECT_EQ(error.code(), StatusCode::kCancelled) << error.ToString();
+  for (Block* b : held) registry.Release(b, host);
+}
+
+TEST(BlockRegistryBackpressure, TimeoutCountsOnlyWhenItStopsTheRun) {
+  sim::Topology topo{sim::Topology::Options{}};
+  BlockRegistry registry(topo,
+                         {.block_bytes = 4096,
+                          .host_arena_blocks = 4,
+                          .gpu_arena_blocks = 4,
+                          .remote_batch = 2,
+                          .acquire_timeout_seconds = 0.05});
+  const sim::MemNodeId host = topo.socket(0).mem;
+  std::vector<Block*> held;
+  for (int i = 0; i < 4; ++i) held.push_back(registry.Acquire(host, host));
+
+  // The first timeout becomes its run's failure and stops the run.
+  RunStop first;
+  Status error = Status::OK();
+  EXPECT_EQ(registry.Acquire(host, host, &error, &first), nullptr);
+  EXPECT_EQ(error.code(), StatusCode::kResourceExhausted) << error.ToString();
+  EXPECT_EQ(first.failure().ToString(), error.ToString());
+  EXPECT_TRUE(first.stopped.load());
+  EXPECT_EQ(registry.acquire_timeouts(), 1u);
+
+  // A wait whose deadline passes after its run already failed, before the
+  // stop reached it, is a consequence of that failure: it does not count,
+  // and the run keeps its first failure.
+  RunStop failed;
+  failed.Fail(Status::Internal("an earlier failure"));
+  failed.stopped.store(false);
+  EXPECT_EQ(registry.Acquire(host, host, &error, &failed), nullptr);
+  EXPECT_EQ(error.code(), StatusCode::kResourceExhausted) << error.ToString();
+  EXPECT_EQ(failed.failure().code(), StatusCode::kInternal);
+  EXPECT_EQ(registry.acquire_timeouts(), 1u);
   for (Block* b : held) registry.Release(b, host);
 }
 

@@ -46,7 +46,7 @@ struct FactRun {
 FactRun RunFactPipeline(const plan::QuerySpec& spec, const storage::Catalog& catalog,
                         const sim::CostModel& cm, int tier) {
   QueryCompiler compiler(spec, catalog, cm);
-  CompiledPipeline cp = compiler.CompileProbe(nullptr);
+  CompiledPipeline cp = compiler.CompileProbe();
   jit::PipelineProgram program = cp.program;
   program.n_input_cols = static_cast<int>(cp.input_cols.size());
   for (const auto& c : cp.input_cols) program.input_widths.push_back(c.width);
@@ -159,7 +159,7 @@ class CompilerTest : public ::testing::Test {
 TEST_F(CompilerTest, ProbeInputColsAreLazyAndDeduplicated) {
   auto spec = Spec();
   QueryCompiler compiler(spec, catalog_, cm_);
-  CompiledPipeline p = compiler.CompileProbe(nullptr);
+  CompiledPipeline p = compiler.CompileProbe();
   // Filter column first (loaded before the probe), then key, then agg input.
   ASSERT_EQ(p.input_cols.size(), 3u);
   EXPECT_EQ(p.input_cols[0].name, "x");
@@ -174,7 +174,7 @@ TEST_F(CompilerTest, ProbeBindsJoinSlotsInOrder) {
   spec.joins.push_back({"dim", nullptr, "k", {}, "fk"});
   spec.joins[1].build_rows_estimate = 2;  // keeps a fifth: probes first
   QueryCompiler compiler(spec, catalog_, cm_);
-  CompiledPipeline p = compiler.CompileProbe(nullptr);
+  CompiledPipeline p = compiler.CompileProbe();
   EXPECT_EQ(p.ht_join_slots, (std::vector<int>{0, 1}));
   // The loops nest in plan::ProbeOrder; each probe reads its join's slot.
   std::vector<int> probed;
@@ -245,7 +245,7 @@ TEST_F(CompilerTest, Q11FactPipelineOpsPerRowAreExactInEveryTier) {
   q.expected_groups = 1;
 
   QueryCompiler compiler(q, catalog_, cm_);
-  const CompiledPipeline cp = compiler.CompileProbe(nullptr);
+  const CompiledPipeline cp = compiler.CompileProbe();
   int filters = 0, literals = 0, consts = 0, iter_nexts = 0;
   for (const auto& in : cp.program.code) {
     filters += in.op == jit::OpCode::kFilter;
@@ -314,7 +314,7 @@ TEST_F(CompilerTest, Q41FactPipelineOpsPerRowAreExactInEveryTier) {
   q.expected_groups = 64;
 
   QueryCompiler compiler(q, catalog_, cm_);
-  const CompiledPipeline cp = compiler.CompileProbe(nullptr);
+  const CompiledPipeline cp = compiler.CompileProbe();
   std::vector<int> probed;
   int iter_nexts = 0;
   for (const auto& in : cp.program.code) {
@@ -351,28 +351,25 @@ TEST_F(CompilerTest, WindowCopiesOnlyScatteredValues) {
   spec.aggs.push_back({nullptr, jit::AggFunc::kCount, "n"});
   {
     QueryCompiler compiler(spec, catalog_, cm_);
-    // Stage A packs fk and y, both loaded after the filter's x.
-    EXPECT_EQ(copies(compiler.CompileFilterStage()), 0);
     // The build inserts one payload value (attr).
     EXPECT_EQ(copies(compiler.CompileBuild(0)), 0);
     // The fold's values: y's load, then COUNT's literal 1.
-    EXPECT_EQ(copies(compiler.CompileProbe(nullptr)), 0);
+    EXPECT_EQ(copies(compiler.CompileProbe()), 0);
     // The gather loads the group key, then each partial in order.
     EXPECT_EQ(copies(compiler.CompileGather()), 0);
   }
-  // A filter on y loads it with x, ahead of the comparisons: stage A's
-  // window [fk, y] and the fold's [y, 1] are scattered.
+  // A filter on y loads it with x, ahead of the comparisons: the fold's
+  // window [y, 1] is scattered.
   spec.fact_filter = plan::And(plan::Gt(plan::Col("x"), plan::Lit(5)),
                                plan::Gt(plan::Col("y"), plan::Lit(0)));
   QueryCompiler compiler(spec, catalog_, cm_);
-  EXPECT_EQ(copies(compiler.CompileFilterStage()), 2);
-  EXPECT_EQ(copies(compiler.CompileProbe(nullptr)), 2);
+  EXPECT_EQ(copies(compiler.CompileProbe()), 2);
 }
 
 TEST_F(CompilerTest, ScalarReduceUsesLocalAccs) {
   auto spec = Spec();
   QueryCompiler compiler(spec, catalog_, cm_);
-  CompiledPipeline p = compiler.CompileProbe(nullptr);
+  CompiledPipeline p = compiler.CompileProbe();
   EXPECT_EQ(p.program.n_local_accs, 1);
   EXPECT_EQ(p.agg_ht_slot, -1);
 }
@@ -382,7 +379,7 @@ TEST_F(CompilerTest, GroupByAllocatesAggHtSlot) {
   spec.group_by = {plan::Col("attr")};
   spec.expected_groups = 128;
   QueryCompiler compiler(spec, catalog_, cm_);
-  CompiledPipeline p = compiler.CompileProbe(nullptr);
+  CompiledPipeline p = compiler.CompileProbe();
   EXPECT_EQ(p.agg_ht_slot, 1);  // after the single join slot
   EXPECT_EQ(p.n_group_vals, 1);
   EXPECT_EQ(p.groups_capacity, 128u);
@@ -429,32 +426,6 @@ TEST_F(CompilerTest, GatherForGroupByReadsKeyColumn) {
   ASSERT_EQ(p.input_cols.size(), 2u);
   EXPECT_EQ(p.input_cols[0].name, "__group_key");
   EXPECT_EQ(p.agg_ht_slot, 0);
-}
-
-TEST_F(CompilerTest, FilterStageEmitsSurvivingFactColumns) {
-  auto spec = Spec();
-  QueryCompiler compiler(spec, catalog_, cm_);
-  CompiledPipeline p = compiler.CompileFilterStage();
-  // Needs fk (probe key) and y (agg input); x only feeds the filter.
-  ASSERT_EQ(p.output_cols.size(), 2u);
-  EXPECT_EQ(p.output_cols[0].name, "fk");
-  EXPECT_EQ(p.output_cols[1].name, "y");
-  bool tagged_emit = false;
-  for (const auto& instr : p.program.code) {
-    if (instr.op == jit::OpCode::kEmit) tagged_emit |= instr.d == 1;
-  }
-  EXPECT_TRUE(tagged_emit);
-}
-
-TEST_F(CompilerTest, StageBReadsStageASchema) {
-  auto spec = Spec();
-  QueryCompiler compiler(spec, catalog_, cm_);
-  CompiledPipeline a = compiler.CompileFilterStage();
-  CompiledPipeline b = compiler.CompileProbe(&a.output_cols);
-  ASSERT_EQ(b.input_cols.size(), a.output_cols.size());
-  for (size_t i = 0; i < b.input_cols.size(); ++i) {
-    EXPECT_EQ(b.input_cols[i].name, a.output_cols[i].name);
-  }
 }
 
 TEST_F(CompilerTest, MergeFuncMapping) {

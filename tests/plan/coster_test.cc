@@ -15,55 +15,12 @@ namespace {
 using plan::ExecPolicy;
 using test::TestEnv;
 
-/// Environment with dimension-size overrides (the skewed-cardinality regimes:
-/// tiny cache-resident build sides vs build sides rivaling the fact table).
-struct SkewEnv {
-  SkewEnv(uint64_t lineorder_rows, uint64_t customer_rows, uint64_t part_rows) {
-    core::System::Options opts;
-    opts.topology.num_sockets = 2;
-    opts.topology.cores_per_socket = 2;
-    opts.topology.num_gpus = 2;
-    opts.topology.gpu_sim_threads = 2;
-    opts.topology.host_capacity_per_socket = 4ull << 30;
-    opts.topology.gpu_capacity = 1ull << 30;
-    opts.blocks.block_bytes = 64 << 10;
-    opts.blocks.host_arena_blocks = 256;
-    opts.blocks.gpu_arena_blocks = 128;
-    system = std::make_unique<core::System>(opts);
-
-    ssb::Ssb::Options ssb_opts;
-    ssb_opts.lineorder_rows = lineorder_rows;
-    ssb_opts.scale = 0.002;
-    ssb_opts.customer_rows = customer_rows;
-    ssb_opts.part_rows = part_rows;
-    ssb = std::make_unique<ssb::Ssb>(ssb_opts, &system->catalog());
-    for (const char* name :
-         {"lineorder", "date", "customer", "supplier", "part"}) {
-      HETEX_CHECK_OK(system->catalog().at(name).Place(system->HostNodes(),
-                                                      &system->memory()));
-    }
-  }
-
-  std::unique_ptr<core::System> system;
-  std::unique_ptr<ssb::Ssb> ssb;
-};
-
 double Measure(core::System* system, const plan::QuerySpec& spec,
                const plan::HetPlan& plan) {
   core::QueryExecutor executor(system);
   const core::QueryResult r = executor.ExecutePlan(spec, plan);
   EXPECT_TRUE(r.status.ok()) << spec.name << ": " << r.status.ToString();
   return r.status.ok() ? r.modeled_seconds : -1.0;
-}
-
-double EstimateFor(core::System* system, const plan::QuerySpec& spec,
-                   const plan::HetPlan& plan) {
-  plan::PlanCoster::Options opts;
-  opts.pack_block_rows = system->blocks().options().block_bytes / 8;
-  plan::PlanCoster coster(spec, system->catalog(), system->topology(), opts);
-  auto cost = coster.Cost(plan);
-  EXPECT_TRUE(cost.ok()) << cost.status().ToString();
-  return cost.ok() ? cost.value().total : -1.0;
 }
 
 TEST(CardinalityTest, SampledSelectivitiesMatchKnownSsbFractions) {
@@ -216,14 +173,12 @@ TEST(PlanCosterTest, LinkBacklogRaisesGpuPlanEstimates) {
 }
 
 TEST(PlanCosterTest, SharedLinkOccupancyBoundsPipelinedStages) {
-  TestEnv env(20'000);
+  // A hybrid plan: the GPU branch's input DMA loads the PCIe links. On this
+  // many fact rows it, not a build's, is the largest transfer.
+  TestEnv env(120'000);
   const auto spec = env.ssb->Query(1, 1);
-  // A split hybrid plan: stage-A input DMA (GPU branch of the filter stage)
-  // and stage-B wire DMA (GPU probe consumers) land on the same PCIe links.
-  ExecPolicy split = TestEnv::Tune(ExecPolicy::Hybrid(2));
-  split.split_probe_stage = true;
-  const plan::HetPlan plan =
-      plan::BuildHetPlan(spec, split, env.system->topology());
+  const plan::HetPlan plan = plan::BuildHetPlan(
+      spec, TestEnv::Tune(ExecPolicy::Hybrid(2)), env.system->topology());
 
   plan::PlanCoster::Options opts;
   opts.pack_block_rows = env.system->blocks().options().block_bytes / 8;
@@ -231,6 +186,9 @@ TEST(PlanCosterTest, SharedLinkOccupancyBoundsPipelinedStages) {
                           opts);
   const auto est = coster.Cost(plan);
   ASSERT_TRUE(est.ok()) << est.status().ToString();
+  // The build phase covers each build instance's transfer, so a transfer
+  // above it is a probe instance's.
+  ASSERT_GT(est.value().transfer, est.value().build);
   // The estimate must at least cover the serialized per-link DMA occupancy it
   // itself derived (the transfer diagnostic is one instance's share).
   EXPECT_GE(est.value().probe, est.value().transfer);
@@ -442,7 +400,7 @@ TEST(PlanCosterTest, MissingTableOrColumnIsNotFound) {
 
 // The walk is the runtime's own accounting: fed every guard's exact pass rate
 // on the data, it reproduces the ops and bytes a run charges, for the builds,
-// the fused probe or split stages A and B, and the merge.
+// the fused probe and the merge.
 TEST(ProgramWalkTest, ReproducesTheRunsCounters) {
   TestEnv env(20'000);
   const storage::Catalog& catalog = env.system->catalog();
@@ -498,79 +456,28 @@ TEST(ProgramWalkTest, ReproducesTheRunsCounters) {
       fact_rates.join_matches.push_back(probing[j] > 0 ? matched[j] / probing[j] : 0);
     }
 
-    for (const bool split : {false, true}) {
-      ExecPolicy policy = TestEnv::Tune(ExecPolicy::CpuOnly(1));
-      policy.load_balance = false;
-      policy.split_probe_stage = split;
-      const core::QueryResult run = env.Run(spec, policy);
-      ASSERT_TRUE(run.status.ok()) << spec.name << ": " << run.status.ToString();
+    ExecPolicy policy = TestEnv::Tune(ExecPolicy::CpuOnly(1));
+    policy.load_balance = false;
+    const core::QueryResult run = env.Run(spec, policy);
+    ASSERT_TRUE(run.status.ok()) << spec.name << ": " << run.status.ToString();
 
-      const plan::QueryCompiler compiler(spec, catalog, cm);
-      sim::CostStats walked;
-      auto walk = [&](const plan::CompiledPipeline& p, const plan::GuardRates& rates,
-                      uint64_t rows) {
-        walked.Add(plan::WalkProgram(p, rates, spec, catalog)
-                       .Scale(static_cast<double>(rows)));
-      };
-      for (size_t j = 0; j < n; ++j) {
-        walk(compiler.CompileBuild(static_cast<int>(j)), build_rates[j],
-             catalog.at(spec.joins[j].build_table).rows());
-      }
-      if (split) {
-        const plan::CompiledPipeline stage_a = compiler.CompileFilterStage();
-        walk(stage_a, fact_rates, fact.rows());
-        walk(compiler.CompileProbe(&stage_a.output_cols),
-             {{}, 1.0, fact_rates.join_matches}, survivors.size());
-      } else {
-        walk(compiler.CompileProbe(nullptr), fact_rates, fact.rows());
-      }
-      walk(compiler.CompileGather(), {}, run.partial_rows);
-      const std::string what = spec.name + (split ? " split" : " fused");
-      EXPECT_EQ(walked.ops, run.stats.ops) << what;
-      EXPECT_EQ(walked.bytes_read, run.stats.bytes_read) << what;
-      EXPECT_EQ(walked.bytes_written, run.stats.bytes_written) << what;
+    const plan::QueryCompiler compiler(spec, catalog, cm);
+    sim::CostStats walked;
+    auto walk = [&](const plan::CompiledPipeline& p, const plan::GuardRates& rates,
+                    uint64_t rows) {
+      walked.Add(plan::WalkProgram(p, rates, spec, catalog)
+                     .Scale(static_cast<double>(rows)));
+    };
+    for (size_t j = 0; j < n; ++j) {
+      walk(compiler.CompileBuild(static_cast<int>(j)), build_rates[j],
+           catalog.at(spec.joins[j].build_table).rows());
     }
+    walk(compiler.CompileProbe(), fact_rates, fact.rows());
+    walk(compiler.CompileGather(), {}, run.partial_rows);
+    EXPECT_EQ(walked.ops, run.stats.ops) << spec.name;
+    EXPECT_EQ(walked.bytes_read, run.stats.bytes_read) << spec.name;
+    EXPECT_EQ(walked.bytes_written, run.stats.bytes_written) << spec.name;
   }
-}
-
-/// Estimate-quality core: the coster must order fused vs split the same way
-/// the measured virtual time does, under deterministic (round-robin) routing.
-void CheckFusedVsSplitOrdering(core::System* system, const plan::QuerySpec& spec) {
-  ExecPolicy fused = TestEnv::Tune(ExecPolicy::Hybrid(3));
-  fused.load_balance = false;
-  ExecPolicy split = fused;
-  split.split_probe_stage = true;
-
-  const plan::HetPlan fused_plan =
-      plan::BuildHetPlan(spec, fused, system->topology());
-  const plan::HetPlan split_plan =
-      plan::BuildHetPlan(spec, split, system->topology());
-
-  const double est_fused = EstimateFor(system, spec, fused_plan);
-  const double est_split = EstimateFor(system, spec, split_plan);
-  const double meas_fused = Measure(system, spec, fused_plan);
-  const double meas_split = Measure(system, spec, split_plan);
-  ASSERT_GT(est_fused, 0);
-  ASSERT_GT(meas_fused, 0);
-  EXPECT_EQ(est_fused < est_split, meas_fused < meas_split)
-      << spec.name << ": est " << est_fused << " vs " << est_split
-      << ", measured " << meas_fused << " vs " << meas_split;
-}
-
-TEST(PlanCosterTest, FusedVsSplitOrderingSmallBuildSides) {
-  // Default test dimensions: cache-resident build sides.
-  TestEnv env(20'000);
-  CheckFusedVsSplitOrdering(env.system.get(), env.ssb->Query(3, 1));
-  CheckFusedVsSplitOrdering(env.system.get(), env.ssb->Query(1, 1));
-}
-
-TEST(PlanCosterTest, FusedVsSplitOrderingLargeBuildSides) {
-  // Skewed SSB cardinalities: dimension tables rivaling the fact table, so
-  // hash tables leave the near class and the build phase dominates.
-  SkewEnv env(/*lineorder_rows=*/8'000, /*customer_rows=*/30'000,
-              /*part_rows=*/30'000);
-  CheckFusedVsSplitOrdering(env.system.get(), env.ssb->Query(3, 1));
-  CheckFusedVsSplitOrdering(env.system.get(), env.ssb->Query(2, 1));
 }
 
 TEST(PlanOptimizerTest, ExecuteOptimizedMatchesReference) {
@@ -605,13 +512,13 @@ TEST(PlanOptimizerTest, EnumeratorRespectsBaseConstraints) {
       spec, ExecPolicy::Bare(sim::DeviceType::kCpu), env.system->topology());
   EXPECT_EQ(bare.size(), 1u);
 
-  // Hybrid base: fused and split shapes, multiple placements.
+  // Hybrid base: multiple placements, every one with a fused probe stage.
   const auto het_cands = plan::EnumeratePlans(
       spec, TestEnv::Tune(ExecPolicy::Hybrid(3)), env.system->topology());
   EXPECT_GT(het_cands.size(), 6u);
-  bool has_split = false;
-  for (const auto& cand : het_cands) has_split |= cand.policy.split_probe_stage;
-  EXPECT_TRUE(has_split);
+  for (const auto& cand : het_cands) {
+    EXPECT_EQ(cand.label.find("split"), std::string::npos) << cand.label;
+  }
 }
 
 // --------------------------------------------------------------------------

@@ -94,21 +94,6 @@ TEST_F(HetPlanTest, AllPoliciesValidate) {
   }
 }
 
-TEST_F(HetPlanTest, SplitPlanContainsHashPackAndHashRouter) {
-  ExecPolicy policy = ExecPolicy::Hybrid(4);
-  policy.split_probe_stage = true;
-  HetPlan plan = BuildHetPlan(JoinQuery(), policy, topo_);
-  EXPECT_TRUE(ValidateHetPlan(plan).ok()) << plan.ToString();
-  bool has_hash_pack = false, has_hash_router = false;
-  for (const auto& n : plan.nodes) {
-    has_hash_pack |= n.kind == HetOpNode::Kind::kHashPack;
-    has_hash_router |= n.kind == HetOpNode::Kind::kRouter &&
-                       n.detail.find("hash") != std::string::npos;
-  }
-  EXPECT_TRUE(has_hash_pack);
-  EXPECT_TRUE(has_hash_router);
-}
-
 TEST_F(HetPlanTest, GpuBranchesHaveCrossingsAndMemMoves) {
   HetPlan plan = BuildHetPlan(JoinQuery(), ExecPolicy::GpuOnly(), topo_);
   int cpu2gpu = 0, gpu2cpu = 0, memmove = 0;
@@ -206,9 +191,7 @@ TEST_F(HetPlanTest, StampsLoweringParameters) {
 }
 
 TEST_F(HetPlanTest, StampsRouterPolicies) {
-  ExecPolicy policy = ExecPolicy::Hybrid(4);
-  policy.split_probe_stage = true;
-  HetPlan plan = BuildHetPlan(JoinQuery(), policy, topo_);
+  HetPlan plan = BuildHetPlan(JoinQuery(), ExecPolicy::Hybrid(4), topo_);
   int broadcast = 0, lb = 0, hash = 0;
   for (const auto& n : plan.nodes) {
     if (n.kind != HetOpNode::Kind::kRouter) continue;
@@ -218,8 +201,8 @@ TEST_F(HetPlanTest, StampsRouterPolicies) {
   }
   EXPECT_EQ(broadcast, 1);
   EXPECT_EQ(lb, 1);
-  // One shared hash exchange (not one per branch), and the merge's.
-  EXPECT_EQ(hash, 2);
+  // The merge's: one hash exchange for every branch's partials.
+  EXPECT_EQ(hash, 1);
 }
 
 TEST_F(HetPlanTest, GatherPlacementStampedOnHostSocket) {
